@@ -34,10 +34,6 @@ LABELS_SCHEMA = "trace-labels/1"
 
 _ECDF_ALIASES = {"entropy": "entropy", "length": "tcp_payload_length", "window": "tcp_window_size"}
 
-# fingerprint width -> feature variant, used to project capture data onto
-# whatever variant a stored model was trained with
-_WIDTH_TO_VARIANT = {100: 20, 95: 19, 15: 3}
-
 
 class _ConfigError(Exception):
     pass
@@ -89,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", nargs="+", required=True)
     p.add_argument("--positive", required=True, help="positive class label")
     p.add_argument("--classifier", choices=evaluation.CLASSIFIERS, default="boosted")
-    p.add_argument("--variant", type=int, choices=(20, 19, 3), default=20)
+    p.add_argument("--variant", type=int, choices=tuple(evaluation.VARIANT_TAGS), default=20)
     p.add_argument("--level", choices=("device", "category"), default="device")
     p.add_argument("--out", required=True)
 
@@ -102,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", nargs="+", required=True)
     p.add_argument("--level", choices=evaluation.LEVELS, default="device")
     p.add_argument("--classifier", choices=evaluation.CLASSIFIERS, default="boosted")
-    p.add_argument("--variant", type=int, choices=(20, 19, 3), default=20)
+    p.add_argument("--variant", type=int, choices=tuple(evaluation.VARIANT_TAGS), default=20)
     p.add_argument("--folds", type=int, default=evaluation.DEFAULT_FOLDS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the JSON report here")
@@ -179,21 +175,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _model_predicts_positive(model, rows):
-    if isinstance(model, ml.BoostedModel):
-        return ml.boosted_scores(model, rows) >= 0
-    if isinstance(model, ml.KnnModel):
-        return ml.knn_labels(model, rows) == 1
-    if isinstance(model, ml.TreeModel):
-        return ml.tree_labels(model, rows) == 1
-    votes = (
-        np.where(ml.boosted_scores(model.boosted, rows) >= 0, 1, -1)
-        + ml.knn_labels(model.knn, rows)
-        + ml.tree_labels(model.tree, rows)
-    )
-    return votes > 0
-
-
 def _cmd_identify(args) -> int:
     packets, _ = packets_from_capture(args.pcap)
     sel = _selector(args, required=False)
@@ -210,11 +191,7 @@ def _cmd_identify(args) -> int:
     per_fingerprint = [[] for _ in prints]
     positives = {}
     for model in models:
-        variant = _WIDTH_TO_VARIANT.get(model.n_features)
-        if variant is None:
-            raise IotprintError(f"model expects {model.n_features} features; cannot map")
-        cols = evaluation.variant_columns(variant)
-        hits = _model_predicts_positive(model, rows[:, cols])
+        hits = model.predict(rows[:, evaluation.columns_for_width(model.n_features)]) == 1
         positives[model.positive_class] = int(hits.sum())
         for i in np.flatnonzero(hits):
             per_fingerprint[int(i)].append(model.positive_class)

@@ -20,26 +20,27 @@ import numpy as np
 from .errors import ClassTooSmall, NoNegatives, UnknownLabel
 from .features import PACKET_FEATURE_COUNT, PAYLOAD_FEATURE_INDICES, ENTROPY_INDEX
 from .fingerprint import FINGERPRINT_PACKETS, BehavioralProfile
-from .ml import (
-    LabeledDataset,
-    VoteModel,
-    boosted_scores,
-    knn_labels,
-    train_boosted,
-    train_knn,
-    train_tree,
-    tree_labels,
-)
+from .ml import LabeledDataset, VoteModel, train_boosted, train_knn, train_tree
 
 REPORT_SCHEMA = "evaluation-report/1"
 
 VARIANT_TAGS = {20: "20-features", 19: "19-no-entropy", 3: "3-payload-only"}
-CLASSIFIERS = ("boosted", "knn", "tree", "vote")
 LEVELS = ("device", "category", "instance")
 
 DEFAULT_FOLDS = 5
 DEFAULT_KNN_K = 5
 DEFAULT_TREE_DEPTH = 5
+
+# classifier kind -> fit(data) -> model. The trainers are looked up by
+# module-global name at call time, so a rebound `train_*` (as a tracer
+# installs) is the one that runs.
+_FIT = {
+    "boosted": lambda data: train_boosted(data),
+    "knn": lambda data: train_knn(data, k=min(DEFAULT_KNN_K, len(data))),
+    "tree": lambda data: train_tree(data, max_depth=DEFAULT_TREE_DEPTH),
+    "vote": lambda data: VoteModel(*(_FIT[kind](data) for kind in ("boosted", "knn", "tree"))),
+}
+CLASSIFIERS = tuple(_FIT)
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,15 @@ def variant_columns(variant: int) -> list:
     ]
 
 
+def columns_for_width(width: int) -> list:
+    """Fingerprint columns of the feature variant that is `width` values wide."""
+    for variant in VARIANT_TAGS:
+        cols = variant_columns(variant)
+        if len(cols) == width:
+            return cols
+    raise ValueError(f"model expects {width} features; no feature variant is that wide")
+
+
 def _profile_key(profile: BehavioralProfile, level: str) -> str:
     return profile.category_label if level == "category" else profile.device_label
 
@@ -191,44 +201,14 @@ def _confusion(predicted: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
     )
 
 
-def _train_and_label(classifier: str, train: LabeledDataset, test_rows: np.ndarray) -> np.ndarray:
-    if classifier == "boosted":
-        model = train_boosted(train)
-        return np.where(boosted_scores(model, test_rows) >= 0, 1, -1)
-    if classifier == "knn":
-        model = train_knn(train, k=min(DEFAULT_KNN_K, len(train)))
-        return knn_labels(model, test_rows)
-    if classifier == "tree":
-        model = train_tree(train, max_depth=DEFAULT_TREE_DEPTH)
-        return tree_labels(model, test_rows)
-    if classifier == "vote":
-        boosted = train_boosted(train)
-        knn = train_knn(train, k=min(DEFAULT_KNN_K, len(train)))
-        tree = train_tree(train, max_depth=DEFAULT_TREE_DEPTH)
-        votes = (
-            np.where(boosted_scores(boosted, test_rows) >= 0, 1, -1)
-            + knn_labels(knn, test_rows)
-            + tree_labels(tree, test_rows)
-        )
-        return np.where(votes > 0, 1, -1)
-    raise ValueError(f"unknown classifier {classifier!r}")
-
-
 def train_classifier(classifier: str, data: LabeledDataset):
-    """Train one persistable model of the requested kind."""
-    if classifier == "boosted":
-        return train_boosted(data)
-    if classifier == "knn":
-        return train_knn(data, k=min(DEFAULT_KNN_K, len(data)))
-    if classifier == "tree":
-        return train_tree(data, max_depth=DEFAULT_TREE_DEPTH)
-    if classifier == "vote":
-        return VoteModel(
-            train_boosted(data),
-            train_knn(data, k=min(DEFAULT_KNN_K, len(data))),
-            train_tree(data, max_depth=DEFAULT_TREE_DEPTH),
-        )
-    raise ValueError(f"unknown classifier {classifier!r}")
+    """Train one persistable model of the requested kind.
+
+    Every model labels rows +1/-1 with `model.predict(X)`.
+    """
+    if classifier not in _FIT:
+        raise ValueError(f"unknown classifier {classifier!r}")
+    return _FIT[classifier](data)
 
 
 def _fold_row(
@@ -248,7 +228,7 @@ def _fold_row(
         train = LabeledDataset(
             reduced.rows[train_idx], reduced.labels[train_idx], reduced.positive_class
         )
-        predicted = _train_and_label(classifier, train, reduced.rows[test_idx])
+        predicted = train_classifier(classifier, train).predict(reduced.rows[test_idx])
         per_fold.append(metrics(_confusion(predicted, reduced.labels[test_idx])))
     return _row_from_metrics(label, per_fold)
 
@@ -290,7 +270,7 @@ def _instance_rows(
         data = assemble_one_vs_all(training_pool, held_out.device_label, "device")
         train = LabeledDataset(data.rows[:, cols], data.labels, data.positive_class)
         test_rows = np.asarray([fp.values for fp in held_out.fingerprints])[:, cols]
-        predicted = _train_and_label(classifier, train, test_rows)
+        predicted = train_classifier(classifier, train).predict(test_rows)
         truth = np.ones(len(predicted), dtype=np.int64)
         rows.append(_row_from_metrics(held_out.device_label, [metrics(_confusion(predicted, truth))]))
     return rows

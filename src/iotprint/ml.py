@@ -17,6 +17,8 @@ predict -1.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -80,6 +82,10 @@ class BoostedModel:
     def n_stages(self) -> int:
         return len(self.stages)
 
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """+1/-1 per row of X; a score of exactly 0 goes to +1."""
+        return np.where(boosted_scores(self, X) >= 0, 1, -1)
+
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -91,6 +97,9 @@ class KnnModel:
     @property
     def n_features(self) -> int:
         return self.rows.shape[1]
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return knn_labels(self, X)
 
 
 @dataclass(frozen=True)
@@ -110,6 +119,9 @@ class TreeModel:
     max_depth: int
     n_features: int
     positive_class: str
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        return tree_labels(self, X)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -395,9 +407,12 @@ def tree_labels(model: TreeModel, X: np.ndarray) -> np.ndarray:
 def predict_vote(
     boosted: BoostedModel, knn: KnnModel, tree: TreeModel, x: Sequence[float]
 ) -> int:
-    """Majority label of the three classifiers (odd voters, never tied)."""
-    total = predict_boosted(boosted, x)[0] + predict_knn(knn, x) + predict_tree(tree, x)
-    return 1 if total > 0 else -1
+    """Majority label of the three classifiers for one row."""
+    x = np.asarray(x, dtype=np.float64)
+    for model in (boosted, knn, tree):
+        if x.shape != (model.n_features,):
+            raise DimensionMismatch(f"expected {model.n_features} features, got {x.shape}")
+    return int(VoteModel(boosted, knn, tree).predict(x[None, :])[0])
 
 
 def save_model(model, path: str | Path) -> None:
@@ -462,48 +477,102 @@ def load_model(path: str | Path):
     return _model_from_doc(doc)
 
 
-def _model_from_doc(doc: dict):
-    if doc.get("schema") != MODEL_SCHEMA:
-        raise ValueError(f"unsupported model schema: {doc.get('schema')!r}")
-    kind = doc["kind"]
+def _model_from_doc(doc):
+    """Rebuild a model, rejecting any document that would fail or mislead at prediction."""
+    if _field(doc, "schema") != MODEL_SCHEMA:
+        raise ValueError(f"unsupported model schema: {doc['schema']!r}")
+    kind = _field(doc, "kind")
+    positive_class = _field(doc, "positive_class")
+    if not isinstance(positive_class, str):
+        raise ValueError("model positive_class must be a string")
     if kind == "boosted":
+        n_features = _int_in(_field(doc, "n_features"), "n_features", 1)
         return BoostedModel(
-            initial_score=float(doc["initial_score"]),
-            stages=tuple(
-                Stump(int(f), float(t), float(l), float(r)) for f, t, l, r in doc["stages"]
-            ),
-            learning_rate=float(doc["learning_rate"]),
-            n_features=int(doc["n_features"]),
-            positive_class=doc["positive_class"],
+            initial_score=_finite(_field(doc, "initial_score"), "initial_score"),
+            stages=tuple(_stump_from_doc(stage, n_features) for stage in _list(doc, "stages")),
+            learning_rate=_finite(_field(doc, "learning_rate"), "learning_rate"),
+            n_features=n_features,
+            positive_class=positive_class,
         )
     if kind == "knn":
-        return KnnModel(
-            rows=np.asarray(doc["rows"], dtype=np.float64),
-            labels=np.asarray(doc["labels"], dtype=np.int64),
-            k=int(doc["k"]),
-            positive_class=doc["positive_class"],
-        )
+        data = LabeledDataset(_array(doc, "rows", 2), _array(doc, "labels", 1), positive_class)
+        k = _int_in(_field(doc, "k"), "k", 1, len(data))
+        return KnnModel(rows=data.rows, labels=data.labels, k=k, positive_class=positive_class)
     if kind == "tree":
+        n_features = _int_in(_field(doc, "n_features"), "n_features", 1)
         return TreeModel(
-            root=_node_from_doc(doc["root"]),
-            max_depth=int(doc["max_depth"]),
-            n_features=int(doc["n_features"]),
-            positive_class=doc["positive_class"],
+            root=_node_from_doc(_field(doc, "root"), n_features),
+            max_depth=_int_in(_field(doc, "max_depth"), "max_depth", 1),
+            n_features=n_features,
+            positive_class=positive_class,
         )
     if kind == "vote":
-        members = [_model_from_doc(m) for m in doc["members"]]
+        members = tuple(_model_from_doc(m) for m in _list(doc, "members"))
+        if tuple(map(type, members)) != (BoostedModel, KnnModel, TreeModel):
+            raise ValueError("vote members must be boosted, knn and tree, in that order")
+        if len({(m.n_features, m.positive_class) for m in members}) != 1:
+            raise ValueError("vote members differ in n_features or positive_class")
         return VoteModel(*members)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _node_from_doc(doc: dict) -> TreeNode:
-    if "label" in doc:
-        return TreeNode(label=int(doc["label"]))
+def _field(doc, key: str):
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"model document lacks {key!r}")
+    return doc[key]
+
+
+def _list(doc, key: str) -> list:
+    value = _field(doc, key)
+    if not isinstance(value, list):
+        raise ValueError(f"model {key} must be a list")
+    return value
+
+
+def _finite(value, name: str) -> float:
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"model {name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _int_in(value, name: str, low: int, high: float = math.inf) -> int:
+    if type(value) is not int or not low <= value <= high:
+        raise ValueError(f"model {name} must be an integer in [{low}, {high}], got {value!r}")
+    return value
+
+
+def _array(doc, key: str, ndim: int) -> np.ndarray:
+    try:
+        value = np.asarray(_field(doc, key), dtype=np.float64)
+    except (TypeError, OverflowError, ValueError):  # ragged, non-numeric or out of range
+        value = np.empty(0)
+    if value.ndim != ndim or value.size == 0 or not np.isfinite(value).all():
+        raise ValueError(f"model {key} must be a non-empty {ndim}-D array of finite numbers")
+    return value
+
+
+def _stump_from_doc(stage, n_features: int) -> Stump:
+    if not isinstance(stage, list) or len(stage) != 4:
+        raise ValueError("model stage must be [feature_index, threshold, left_value, right_value]")
+    feature, threshold, left, right = stage
+    return Stump(
+        _int_in(feature, "feature_index", 0, n_features - 1),
+        _finite(threshold, "threshold"),
+        _finite(left, "left_value"),
+        _finite(right, "right_value"),
+    )
+
+
+def _node_from_doc(doc, n_features: int) -> TreeNode:
+    if isinstance(doc, dict) and "label" in doc:
+        if type(doc["label"]) is not int or doc["label"] not in (1, -1):
+            raise ValueError(f"tree leaf label must be +1 or -1, got {doc['label']!r}")
+        return TreeNode(label=doc["label"])
     return TreeNode(
-        feature_index=int(doc["feature_index"]),
-        threshold=float(doc["threshold"]),
-        left=_node_from_doc(doc["left"]),
-        right=_node_from_doc(doc["right"]),
+        feature_index=_int_in(_field(doc, "feature_index"), "feature_index", 0, n_features - 1),
+        threshold=_finite(_field(doc, "threshold"), "threshold"),
+        left=_node_from_doc(_field(doc, "left"), n_features),
+        right=_node_from_doc(_field(doc, "right"), n_features),
     )
 
 
@@ -522,3 +591,8 @@ class VoteModel:
     @property
     def n_features(self) -> int:
         return self.boosted.n_features
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Majority label of the three members (odd voters, never tied)."""
+        total = self.boosted.predict(X) + self.knn.predict(X) + self.tree.predict(X)
+        return np.where(total > 0, 1, -1)

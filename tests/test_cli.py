@@ -1,8 +1,10 @@
+import copy
 import json
 
 import pytest
 
 from iotprint.cli import main
+from iotprint.evaluation import CLASSIFIERS, VARIANT_TAGS
 from iotprint.fingerprint import load_profile
 from iotprint.packet_model import format_mac
 from iotprint.pcap_io import write_capture
@@ -142,6 +144,90 @@ def test_train_identify_round_trip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "unknown"
+
+
+@pytest.fixture(scope="module")
+def three_profiles(tmp_path_factory):
+    names = ["outlet", "camera-streamer", "hub-conduit"]
+    return _make_profiles(tmp_path_factory.mktemp("profiles"), names)
+
+
+def _identify(model_path, name, seed, tmp_path, capsys):
+    """(exit code, stdout, stderr) of identifying a fresh trace of one archetype."""
+    arch = ARCHETYPES[name]
+    frames, _ = generate_trace(arch, 200, seed=seed)
+    target = tmp_path / f"{name}.pcap"
+    write_capture(target, frames)
+    capsys.readouterr()
+    code = main(["identify", str(model_path), "--pcap", str(target), "--mac", format_mac(arch.mac)])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("variant", tuple(VARIANT_TAGS))
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_train_identify_every_classifier_and_variant(
+    three_profiles, tmp_path, capsys, classifier, variant
+):
+    model = tmp_path / "outlet.model.json"
+    argv = ["train", "--profiles", *three_profiles, "--positive", "outlet", "--out", str(model)]
+    assert main([*argv, "--classifier", classifier, "--variant", str(variant)]) == 0
+    for name, seed, verdict in (("outlet", 90, "outlet"), ("camera-streamer", 91, "unknown")):
+        code, out, _ = _identify(model, name, seed, tmp_path, capsys)
+        assert code == 0
+        assert json.loads(out)["verdict"] == verdict
+
+
+@pytest.fixture(scope="module")
+def model_docs(three_profiles, tmp_path_factory):
+    out = tmp_path_factory.mktemp("models")
+    docs = {}
+    for kind in CLASSIFIERS:
+        path = out / f"{kind}.json"
+        argv = ["train", "--profiles", *three_profiles, "--positive", "outlet"]
+        assert main([*argv, "--classifier", kind, "--out", str(path)]) == 0
+        docs[kind] = json.loads(path.read_text())
+    return docs
+
+
+_DELETE = object()
+
+# name -> (model kind, path to the mutated field, new value, _DELETE, or a
+# function of the old value). Each document is one `save_model` could not
+# have written; the last one is valid but as wide as no feature variant.
+MODEL_MUTATIONS = {
+    "boosted-feature-index-500": ("boosted", ("stages", 0, 0), 500),
+    "boosted-feature-index-negative": ("boosted", ("stages", 0, 0), -1),
+    "boosted-n-features-95-under-wide-stages": ("boosted", ("n_features",), 95),
+    "boosted-threshold-nan": ("boosted", ("stages", 0, 1), float("nan")),
+    "tree-feature-index-900": ("tree", ("root", "feature_index"), 900),
+    "tree-node-without-right": ("tree", ("root", "right"), _DELETE),
+    "no-kind": ("boosted", ("kind",), _DELETE),
+    "knn-k-million": ("knn", ("k",), 10**6),
+    "knn-k-zero": ("knn", ("k",), 0),
+    "knn-labels-seven": ("knn", ("labels",), lambda labels: [7] * len(labels)),
+    "knn-labels-shorter-than-rows": ("knn", ("labels",), lambda labels: labels[:-1]),
+    "vote-members-out-of-order": ("vote", ("members",), lambda m: [m[1], m[0], m[2]]),
+    "knn-unmappable-width-50": ("knn", ("rows",), lambda rows: [row[:50] for row in rows]),
+}
+
+
+@pytest.mark.parametrize("mutation", MODEL_MUTATIONS)
+def test_identify_rejects_malformed_model(model_docs, tmp_path, capsys, mutation):
+    kind, path, value = MODEL_MUTATIONS[mutation]
+    doc = copy.deepcopy(model_docs[kind])
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code, _, err = _identify(model, "outlet", 90, tmp_path, capsys)
+    assert code == 3
+    assert err.startswith("error: data: ") and err.count("\n") == 1
 
 
 def test_identify_with_multiple_models_reports_positive_set(tmp_path, capsys):
