@@ -20,7 +20,6 @@ from .evaluation import (
 from .features import (
     FEATURE_NAMES,
     PACKET_FEATURE_COUNT,
-    PacketFeatures,
     ecdf,
     extract_features,
     shannon_entropy,
@@ -28,7 +27,6 @@ from .features import (
 from .fingerprint import (
     FINGERPRINT_DIM,
     BehavioralProfile,
-    Fingerprint,
     SessionStats,
     build_fingerprints,
     build_profile,
@@ -80,7 +78,6 @@ __all__ = [
     "EvaluationReport",
     "FEATURE_NAMES",
     "FINGERPRINT_DIM",
-    "Fingerprint",
     "FoldPlan",
     "IotprintError",
     "IpOption",
@@ -89,7 +86,6 @@ __all__ = [
     "Metrics",
     "Network",
     "PACKET_FEATURE_COUNT",
-    "PacketFeatures",
     "ParsedPacket",
     "RawFrame",
     "SessionStats",

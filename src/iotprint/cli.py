@@ -113,12 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_extract(args) -> int:
+def _selected_packets(args) -> list:
+    """The capture's parsed packets, narrowed to the device if a selector is given."""
     packets, _ = packets_from_capture(args.pcap)
     sel = _selector(args, required=False)
-    if sel is not None:
-        packets = filter_device(packets, sel)
-    csv_text = render_features_csv([extract_features(p) for p in packets])
+    return packets if sel is None else filter_device(packets, sel)
+
+
+def _cmd_extract(args) -> int:
+    csv_text = render_features_csv([extract_features(p) for p in _selected_packets(args)])
     if args.out:
         Path(args.out).write_text(csv_text, encoding="ascii")
     else:
@@ -134,11 +137,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_sessions(args) -> int:
-    packets, _ = packets_from_capture(args.pcap)
-    sel = _selector(args, required=False)
-    if sel is not None:
-        packets = filter_device(packets, sel)
-    stats = session_stats(packets)
+    stats = session_stats(_selected_packets(args))
     print("Total Sessions' Packets  Sessions  Packets/Session")
     print(
         f"{stats.total_session_packets:<23}  {stats.session_count:<8}  "
@@ -152,7 +151,7 @@ def _cmd_ecdf(args) -> int:
     index = FEATURE_NAMES.index(column)
     for path in args.pcaps:
         packets, _ = packets_from_capture(path)
-        values = [extract_features(p).as_vector()[index] for p in packets]
+        values = [extract_features(p)[index] for p in packets]
         print(f"# capture: {path}  feature: {column}  n={len(values)}")
         print("value\tprobability")
         for value, prob in ecdf(values):
@@ -176,22 +175,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_identify(args) -> int:
-    packets, _ = packets_from_capture(args.pcap)
-    sel = _selector(args, required=False)
-    if sel is not None:
-        packets = filter_device(packets, sel)
-    feats = [extract_features(p) for p in packets]
-    prints = build_fingerprints(feats, label="target")
-    if not prints:
+    packets = _selected_packets(args)
+    prints = build_fingerprints([extract_features(p) for p in packets])
+    if not len(prints):
         raise InsufficientTraffic(
             f"insufficient traffic: {len(packets)} packets yield no fingerprints"
         )
-    rows = np.asarray([fp.values for fp in prints])
     models = [ml.load_model(p) for p in args.models]
-    per_fingerprint = [[] for _ in prints]
+    per_fingerprint = [[] for _ in range(len(prints))]
     positives = {}
     for model in models:
-        hits = model.predict(rows[:, evaluation.columns_for_width(model.n_features)]) == 1
+        hits = model.predict(prints[:, evaluation.columns_for_width(model.n_features)]) == 1
         positives[model.positive_class] = int(hits.sum())
         for i in np.flatnonzero(hits):
             per_fingerprint[int(i)].append(model.positive_class)

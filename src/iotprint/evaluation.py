@@ -66,18 +66,25 @@ class Metrics:
     degenerate: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldPlan:
+    """Fold number of every row, as one int64 array."""
+
     k: int
-    assignments: tuple
+    assignments: np.ndarray
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FoldPlan)
+            and self.k == other.k
+            and np.array_equal(self.assignments, other.assignments)
+        )
 
     def test_indices(self, fold: int) -> np.ndarray:
-        arr = np.asarray(self.assignments)
-        return np.flatnonzero(arr == fold)
+        return np.flatnonzero(self.assignments == fold)
 
     def train_indices(self, fold: int) -> np.ndarray:
-        arr = np.asarray(self.assignments)
-        return np.flatnonzero(arr != fold)
+        return np.flatnonzero(self.assignments != fold)
 
 
 @dataclass(frozen=True)
@@ -151,14 +158,10 @@ def assemble_one_vs_all(
         raise UnknownLabel(f"no profile with {level} label {positive!r}")
     if all(k == positive for k in keys):
         raise NoNegatives(f"every profile carries label {positive!r}")
-    rows = []
-    labels = []
-    for profile, key in zip(profiles, keys):
-        sign = 1 if key == positive else -1
-        for fp in profile.fingerprints:
-            rows.append(fp.values)
-            labels.append(sign)
-    return LabeledDataset(np.asarray(rows), np.asarray(labels), positive)
+    rows = np.concatenate([p.fingerprints for p in profiles])
+    signs = [1 if key == positive else -1 for key in keys]
+    labels = np.repeat(signs, [len(p.fingerprints) for p in profiles])
+    return LabeledDataset(rows, labels, positive)
 
 
 def stratified_folds(data: LabeledDataset, k: int, seed: int) -> FoldPlan:
@@ -173,7 +176,7 @@ def stratified_folds(data: LabeledDataset, k: int, seed: int) -> FoldPlan:
             raise ClassTooSmall(f"class {cls:+d} has {idx.size} members; need {k}")
         shuffled = rng.permutation(idx)
         assignments[shuffled] = np.arange(shuffled.size) % k
-    return FoldPlan(k, tuple(int(a) for a in assignments))
+    return FoldPlan(k, assignments)
 
 
 def metrics(counts: ConfusionCounts) -> Metrics:
@@ -269,8 +272,7 @@ def _instance_rows(
     for held_out in extras:
         data = assemble_one_vs_all(training_pool, held_out.device_label, "device")
         train = LabeledDataset(data.rows[:, cols], data.labels, data.positive_class)
-        test_rows = np.asarray([fp.values for fp in held_out.fingerprints])[:, cols]
-        predicted = train_classifier(classifier, train).predict(test_rows)
+        predicted = train_classifier(classifier, train).predict(held_out.fingerprints[:, cols])
         truth = np.ones(len(predicted), dtype=np.int64)
         rows.append(_row_from_metrics(held_out.device_label, [metrics(_confusion(predicted, truth))]))
     return rows

@@ -7,7 +7,6 @@ so the order is part of the on-disk data contract (FEATURE_SCHEMA).
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -55,33 +54,6 @@ _APP_FLAGS = (
 )
 
 
-@dataclass(frozen=True)
-class PacketFeatures:
-    """The 20-value feature vector for one packet."""
-
-    header_flags: tuple
-    entropy: float
-    tcp_payload_length: int
-    tcp_window_size: int
-
-    def __post_init__(self) -> None:
-        if len(self.header_flags) != HEADER_FLAG_COUNT:
-            raise ValueError(f"need {HEADER_FLAG_COUNT} header flags")
-        if any(flag not in (0, 1) for flag in self.header_flags):
-            raise ValueError("header flags must be 0 or 1")
-        if not 0.0 <= self.entropy <= 1.0:
-            raise ValueError("entropy outside [0, 1]")
-        if self.tcp_payload_length < 0 or self.tcp_window_size < 0:
-            raise ValueError("lengths must be non-negative")
-
-    def as_vector(self) -> tuple:
-        return tuple(float(f) for f in self.header_flags) + (
-            float(self.entropy),
-            float(self.tcp_payload_length),
-            float(self.tcp_window_size),
-        )
-
-
 def shannon_entropy(payload: bytes) -> float:
     """Byte-value Shannon entropy normalized to [0, 1].
 
@@ -99,30 +71,27 @@ def shannon_entropy(payload: bytes) -> float:
     return bits / 8.0
 
 
-def extract_features(pkt: ParsedPacket) -> PacketFeatures:
-    """Map one parsed packet to its feature vector.
+def extract_features(pkt: ParsedPacket) -> tuple:
+    """Map one parsed packet to its 20 floats in FEATURE_NAMES order.
 
     The IP flag covers IPv4 and IPv6; the TCP payload length and window
-    size are 0 for non-TCP packets so vectors stay fixed-width.
+    size are 0 for non-TCP packets so rows stay fixed-width.
     """
     is_tcp = pkt.transport is Transport.TCP
-    flags = (
-        int(pkt.network is Network.ARP),
-        int(pkt.network in (Network.IPV4, Network.IPV6)),
-        int(pkt.transport is Transport.ICMP),
-        int(pkt.transport is Transport.ICMPV6),
-        int(pkt.network is Network.EAPOL),
-        int(is_tcp),
-        int(pkt.transport is Transport.UDP),
-        *(int(app in pkt.app_protocols) for app in _APP_FLAGS),
-        int(IpOption.PADDING in pkt.ip_options),
-        int(IpOption.ROUTER_ALERT in pkt.ip_options),
-    )
-    return PacketFeatures(
-        header_flags=flags,
-        entropy=shannon_entropy(pkt.payload),
-        tcp_payload_length=len(pkt.payload) if is_tcp else 0,
-        tcp_window_size=pkt.tcp_window_size if is_tcp else 0,
+    return (
+        float(pkt.network is Network.ARP),
+        float(pkt.network in (Network.IPV4, Network.IPV6)),
+        float(pkt.transport is Transport.ICMP),
+        float(pkt.transport is Transport.ICMPV6),
+        float(pkt.network is Network.EAPOL),
+        float(is_tcp),
+        float(pkt.transport is Transport.UDP),
+        *(float(app in pkt.app_protocols) for app in _APP_FLAGS),
+        float(IpOption.PADDING in pkt.ip_options),
+        float(IpOption.ROUTER_ALERT in pkt.ip_options),
+        shannon_entropy(pkt.payload),
+        float(len(pkt.payload)) if is_tcp else 0.0,
+        float(pkt.tcp_window_size) if is_tcp else 0.0,
     )
 
 
@@ -136,21 +105,15 @@ def ecdf(values: Sequence[float]) -> list:
     return list(zip(distinct.tolist(), probs.tolist()))
 
 
-def render_features_csv(features: Sequence[PacketFeatures]) -> str:
+def render_features_csv(features: Sequence[tuple]) -> str:
     """CSV with a schema header line, one row per packet, repr-precision floats."""
     out = io.StringIO()
     out.write(f"# schema: {FEATURE_SCHEMA}\n")
     out.write(",".join(FEATURE_NAMES) + "\n")
-    for feat in features:
-        vec = feat.as_vector()
-        fields = [str(int(v)) for v in vec[:HEADER_FLAG_COUNT]]
-        fields.append(repr(vec[ENTROPY_INDEX]))
-        fields.append(str(int(vec[18])))
-        fields.append(str(int(vec[19])))
+    for row in features:
+        fields = [str(int(v)) for v in row[:HEADER_FLAG_COUNT]]
+        fields.append(repr(row[ENTROPY_INDEX]))
+        fields.append(str(int(row[18])))
+        fields.append(str(int(row[19])))
         out.write(",".join(fields) + "\n")
     return out.getvalue()
-
-
-def write_features_csv(path, features: Sequence[PacketFeatures]) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        handle.write(render_features_csv(features))

@@ -13,26 +13,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .errors import FrameTooShort, InsufficientTraffic, TruncatedHeader
-from .features import FEATURE_SCHEMA, PACKET_FEATURE_COUNT, PacketFeatures, extract_features
+from .features import FEATURE_SCHEMA, PACKET_FEATURE_COUNT, extract_features
+from .ml import _array, _field, _int_in, _list, _load_doc, _str
 from .packet_model import ParsedPacket, Transport, parse_frame
 from .pcap_io import DeviceSelector, filter_device, read_capture
 
 FINGERPRINT_PACKETS = 5
 FINGERPRINT_DIM = FINGERPRINT_PACKETS * PACKET_FEATURE_COUNT  # 100
 PROFILE_SCHEMA = "behavioral-profile/1"
-
-
-@dataclass(frozen=True)
-class Fingerprint:
-    """One 100-value classification unit built from 5 consecutive packets."""
-
-    values: tuple
-    label: str
-
-    def __post_init__(self) -> None:
-        if len(self.values) != FINGERPRINT_DIM:
-            raise ValueError(f"fingerprint must have {FINGERPRINT_DIM} values")
 
 
 @dataclass(frozen=True)
@@ -44,12 +35,22 @@ class ProfileSource:
     skipped_frames: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BehavioralProfile:
+    """One device's fingerprints: an (n, FINGERPRINT_DIM) float64 matrix."""
+
     device_label: str
     category_label: str
-    fingerprints: tuple
+    fingerprints: np.ndarray
     source: ProfileSource
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, BehavioralProfile)
+            and (self.device_label, self.category_label, self.source)
+            == (other.device_label, other.category_label, other.source)
+            and np.array_equal(self.fingerprints, other.fingerprints)
+        )
 
 
 @dataclass(frozen=True)
@@ -62,16 +63,15 @@ class SessionStats:
     avg_packets_per_session: float
 
 
-def build_fingerprints(features: Sequence[PacketFeatures], label: str) -> list:
-    """Group packets into consecutive fives; the trailing remainder is dropped."""
-    out = []
-    for start in range(0, len(features) - FINGERPRINT_PACKETS + 1, FINGERPRINT_PACKETS):
-        window = features[start : start + FINGERPRINT_PACKETS]
-        values: tuple = ()
-        for feat in window:
-            values += feat.as_vector()
-        out.append(Fingerprint(values=values, label=label))
-    return out
+def build_fingerprints(features: Sequence[tuple]) -> np.ndarray:
+    """Join consecutive fives of 20-value rows into 100-value rows.
+
+    Returns an (n // 5, FINGERPRINT_DIM) matrix; the trailing remainder
+    is dropped.
+    """
+    rows = np.asarray(features, dtype=np.float64).reshape(-1, PACKET_FEATURE_COUNT)
+    whole = len(rows) - len(rows) % FINGERPRINT_PACKETS
+    return rows[:whole].reshape(-1, FINGERPRINT_DIM)
 
 
 def session_stats(packets: Sequence[ParsedPacket]) -> SessionStats:
@@ -122,10 +122,9 @@ def build_profile(
         raise InsufficientTraffic(
             f"{len(matching)} matching packets; need at least {FINGERPRINT_PACKETS}"
         )
-    feats = [extract_features(pkt) for pkt in matching]
-    prints = build_fingerprints(feats, device_label)
+    prints = build_fingerprints([extract_features(pkt) for pkt in matching])
     source = ProfileSource(captures=(Path(capture).name,), skipped_frames=skipped)
-    return BehavioralProfile(device_label, category_label, tuple(prints), source)
+    return BehavioralProfile(device_label, category_label, prints, source)
 
 
 def profile_from_packets(
@@ -139,10 +138,9 @@ def profile_from_packets(
         raise InsufficientTraffic(
             f"{len(packets)} packets; need at least {FINGERPRINT_PACKETS}"
         )
-    feats = [extract_features(pkt) for pkt in packets]
-    prints = build_fingerprints(feats, device_label)
+    prints = build_fingerprints([extract_features(pkt) for pkt in packets])
     return BehavioralProfile(
-        device_label, category_label, tuple(prints), ProfileSource(captures=(capture_name,))
+        device_label, category_label, prints, ProfileSource(captures=(capture_name,))
     )
 
 
@@ -156,24 +154,34 @@ def save_profile(profile: BehavioralProfile, path: str | Path) -> None:
             "feature_schema": profile.source.feature_schema,
             "skipped_frames": profile.source.skipped_frames,
         },
-        "fingerprints": [list(fp.values) for fp in profile.fingerprints],
+        "fingerprints": profile.fingerprints.tolist(),
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="ascii")
 
 
 def load_profile(path: str | Path) -> BehavioralProfile:
-    doc = json.loads(Path(path).read_text(encoding="ascii"))
-    if doc.get("schema") != PROFILE_SCHEMA:
-        raise ValueError(f"unsupported profile schema: {doc.get('schema')!r}")
-    label = doc["device_label"]
-    prints = []
-    for row in doc["fingerprints"]:
-        if len(row) != FINGERPRINT_DIM:
-            raise ValueError(f"fingerprint of {len(row)} values; expected {FINGERPRINT_DIM}")
-        prints.append(Fingerprint(values=tuple(float(v) for v in row), label=label))
-    source = ProfileSource(
-        captures=tuple(doc["source"]["captures"]),
-        feature_schema=doc["source"]["feature_schema"],
-        skipped_frames=doc["source"]["skipped_frames"],
+    return _load_doc(path, _profile_from_doc, "profile")
+
+
+def _profile_from_doc(doc) -> BehavioralProfile:
+    """Rebuild a profile, rejecting any document `save_profile` could not have written."""
+    if _field(doc, "schema", "profile") != PROFILE_SCHEMA:
+        raise ValueError(f"unsupported profile schema: {doc['schema']!r}")
+    source = _field(doc, "source", "profile")
+    captures = _list(source, "captures", "profile")
+    if not all(isinstance(name, str) for name in captures):
+        raise ValueError("profile captures must be strings")
+    if _field(source, "feature_schema", "profile") != FEATURE_SCHEMA:
+        raise ValueError(f"unsupported feature schema: {source['feature_schema']!r}")
+    skipped = _int_in(
+        _field(source, "skipped_frames", "profile"), "skipped_frames", 0, what="profile"
     )
-    return BehavioralProfile(label, doc["category_label"], tuple(prints), source)
+    for row in _list(doc, "fingerprints", "profile"):
+        if isinstance(row, list) and len(row) != FINGERPRINT_DIM:
+            raise ValueError(f"fingerprint of {len(row)} values; expected {FINGERPRINT_DIM}")
+    return BehavioralProfile(
+        _str(doc, "device_label", "profile"),
+        _str(doc, "category_label", "profile"),
+        _array(doc, "fingerprints", 2, "profile"),
+        ProfileSource(tuple(captures), FEATURE_SCHEMA, skipped),
+    )

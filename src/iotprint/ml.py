@@ -473,8 +473,15 @@ def _node_doc(node: TreeNode) -> dict:
 
 
 def load_model(path: str | Path):
-    doc = json.loads(Path(path).read_text(encoding="ascii"))
-    return _model_from_doc(doc)
+    return _load_doc(path, _model_from_doc, "model")
+
+
+def _load_doc(path: str | Path, build, what: str):
+    """`build` the JSON document at `path`; nesting too deep to decode is a data error."""
+    try:
+        return build(json.loads(Path(path).read_text(encoding="ascii")))
+    except RecursionError:
+        raise ValueError(f"{what} document is nested too deeply") from None
 
 
 def _model_from_doc(doc):
@@ -482,9 +489,7 @@ def _model_from_doc(doc):
     if _field(doc, "schema") != MODEL_SCHEMA:
         raise ValueError(f"unsupported model schema: {doc['schema']!r}")
     kind = _field(doc, "kind")
-    positive_class = _field(doc, "positive_class")
-    if not isinstance(positive_class, str):
-        raise ValueError("model positive_class must be a string")
+    positive_class = _str(doc, "positive_class")
     if kind == "boosted":
         n_features = _int_in(_field(doc, "n_features"), "n_features", 1)
         return BoostedModel(
@@ -500,9 +505,10 @@ def _model_from_doc(doc):
         return KnnModel(rows=data.rows, labels=data.labels, k=k, positive_class=positive_class)
     if kind == "tree":
         n_features = _int_in(_field(doc, "n_features"), "n_features", 1)
+        max_depth = _int_in(_field(doc, "max_depth"), "max_depth", 1)
         return TreeModel(
-            root=_node_from_doc(_field(doc, "root"), n_features),
-            max_depth=_int_in(_field(doc, "max_depth"), "max_depth", 1),
+            root=_node_from_doc(_field(doc, "root"), n_features, max_depth),
+            max_depth=max_depth,
             n_features=n_features,
             positive_class=positive_class,
         )
@@ -516,16 +522,25 @@ def _model_from_doc(doc):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _field(doc, key: str):
+# Document checks shared by the model and profile loaders; `what` names
+# the document kind in the error message.
+def _field(doc, key: str, what: str = "model"):
     if not isinstance(doc, dict) or key not in doc:
-        raise ValueError(f"model document lacks {key!r}")
+        raise ValueError(f"{what} document lacks {key!r}")
     return doc[key]
 
 
-def _list(doc, key: str) -> list:
-    value = _field(doc, key)
+def _list(doc, key: str, what: str = "model") -> list:
+    value = _field(doc, key, what)
     if not isinstance(value, list):
-        raise ValueError(f"model {key} must be a list")
+        raise ValueError(f"{what} {key} must be a list")
+    return value
+
+
+def _str(doc, key: str, what: str = "model") -> str:
+    value = _field(doc, key, what)
+    if not isinstance(value, str):
+        raise ValueError(f"{what} {key} must be a string")
     return value
 
 
@@ -535,20 +550,22 @@ def _finite(value, name: str) -> float:
     return float(value)
 
 
-def _int_in(value, name: str, low: int, high: float = math.inf) -> int:
+def _int_in(value, name: str, low: int, high: float = math.inf, what: str = "model") -> int:
     if type(value) is not int or not low <= value <= high:
-        raise ValueError(f"model {name} must be an integer in [{low}, {high}], got {value!r}")
+        raise ValueError(f"{what} {name} must be an integer in [{low}, {high}], got {value!r}")
     return value
 
 
-def _array(doc, key: str, ndim: int) -> np.ndarray:
+def _array(doc, key: str, ndim: int, what: str = "model") -> np.ndarray:
     try:
-        value = np.asarray(_field(doc, key), dtype=np.float64)
-    except (TypeError, OverflowError, ValueError):  # ragged, non-numeric or out of range
+        value = np.asarray(_field(doc, key, what))
+    except ValueError:  # ragged
         value = np.empty(0)
-    if value.ndim != ndim or value.size == 0 or not np.isfinite(value).all():
-        raise ValueError(f"model {key} must be a non-empty {ndim}-D array of finite numbers")
-    return value
+    # dtype kinds "O" (objects, out-of-range ints) and "U" (strings) are not numbers
+    numeric = value.dtype.kind in "iuf" and value.ndim == ndim and value.size > 0
+    if not numeric or not np.isfinite(value).all():
+        raise ValueError(f"{what} {key} must be a non-empty {ndim}-D array of finite numbers")
+    return np.asarray(value, dtype=np.float64)
 
 
 def _stump_from_doc(stage, n_features: int) -> Stump:
@@ -563,16 +580,18 @@ def _stump_from_doc(stage, n_features: int) -> Stump:
     )
 
 
-def _node_from_doc(doc, n_features: int) -> TreeNode:
+def _node_from_doc(doc, n_features: int, depth_left: int) -> TreeNode:
     if isinstance(doc, dict) and "label" in doc:
         if type(doc["label"]) is not int or doc["label"] not in (1, -1):
             raise ValueError(f"tree leaf label must be +1 or -1, got {doc['label']!r}")
         return TreeNode(label=doc["label"])
+    if depth_left == 0:
+        raise ValueError("tree has a split below its max_depth")
     return TreeNode(
         feature_index=_int_in(_field(doc, "feature_index"), "feature_index", 0, n_features - 1),
         threshold=_finite(_field(doc, "threshold"), "threshold"),
-        left=_node_from_doc(_field(doc, "left"), n_features),
-        right=_node_from_doc(_field(doc, "right"), n_features),
+        left=_node_from_doc(_field(doc, "left"), n_features, depth_left - 1),
+        right=_node_from_doc(_field(doc, "right"), n_features, depth_left - 1),
     )
 
 

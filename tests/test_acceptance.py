@@ -17,7 +17,7 @@ import pytest
 
 from iotprint.cli import main as cli_main
 from iotprint.evaluation import run_experiment
-from iotprint.features import PacketFeatures, shannon_entropy
+from iotprint.features import shannon_entropy
 from iotprint.fingerprint import (
     BehavioralProfile,
     build_fingerprints,
@@ -127,25 +127,18 @@ def test_session_average_fixtures():
 
 
 def _marker_features(n):
-    return [
-        PacketFeatures(
-            header_flags=(0, 1, 0, 0, 0, 1, 0) + (0,) * 10,
-            entropy=0.25,
-            tcp_payload_length=i,
-            tcp_window_size=1,
-        )
-        for i in range(n)
-    ]
+    """tcp_payload_length (offset 18) acts as a monotone per-packet marker."""
+    return [(0, 1, 0, 0, 0, 1, 0) + (0,) * 10 + (0.25, i, 1) for i in range(n)]
 
 
 def test_fingerprint_shape():
     with criterion("fingerprints: floor(n/5) vectors of dim 100, order preserved"):
         for n in range(38):
-            prints = build_fingerprints(_marker_features(n), "dev")
+            prints = build_fingerprints(_marker_features(n))
             assert len(prints) == n // 5
             for g, fp in enumerate(prints):
-                assert len(fp.values) == 100
-                markers = [fp.values[20 * k + 18] for k in range(5)]
+                assert len(fp) == 100
+                markers = [fp[20 * k + 18] for k in range(5)]
                 assert markers == [5 * g + k for k in range(5)]
 
 

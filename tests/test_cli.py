@@ -1,5 +1,8 @@
 import copy
+import hashlib
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -192,9 +195,37 @@ def model_docs(three_profiles, tmp_path_factory):
 
 _DELETE = object()
 
+
+class _Raw(str):
+    """JSON text spliced into a document verbatim."""
+
+
+def _mutated_text(doc, path, value) -> str:
+    """JSON text of `doc` with the field at `path` (() is the whole document)
+    deleted (_DELETE), replaced by `value`, or by `value(old)`."""
+    root = {"doc": copy.deepcopy(doc)}
+    parent, path = root, ("doc", *path)
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+        return json.dumps(root["doc"])
+    new = value(parent[path[-1]]) if callable(value) else value
+    parent[path[-1]] = "@raw@" if isinstance(new, _Raw) else new
+    text = json.dumps(root["doc"])
+    return text.replace('"@raw@"', new) if isinstance(new, _Raw) else text
+
+
+def _deep_tree(levels: int) -> _Raw:
+    """A tree whose left spine holds `levels` splits."""
+    split = '{"feature_index": 0, "threshold": 0.0, "left": '
+    return _Raw(split * levels + '{"label": 1}' + ', "right": {"label": -1}}' * levels)
+
+
 # name -> (model kind, path to the mutated field, new value, _DELETE, or a
-# function of the old value). Each document is one `save_model` could not
-# have written; the last one is valid but as wide as no feature variant.
+# function of the old value; a _Raw value is JSON text). Each document is
+# one `save_model` could not have written; the last one is valid but as
+# wide as no feature variant.
 MODEL_MUTATIONS = {
     "boosted-feature-index-500": ("boosted", ("stages", 0, 0), 500),
     "boosted-feature-index-negative": ("boosted", ("stages", 0, 0), -1),
@@ -202,6 +233,8 @@ MODEL_MUTATIONS = {
     "boosted-threshold-nan": ("boosted", ("stages", 0, 1), float("nan")),
     "tree-feature-index-900": ("tree", ("root", "feature_index"), 900),
     "tree-node-without-right": ("tree", ("root", "right"), _DELETE),
+    "tree-7-deep-max-depth-5": ("tree", ("root",), _deep_tree(7)),
+    "tree-3000-deep": ("tree", ("root",), _deep_tree(3000)),
     "no-kind": ("boosted", ("kind",), _DELETE),
     "knn-k-million": ("knn", ("k",), 10**6),
     "knn-k-zero": ("knn", ("k",), 0),
@@ -215,17 +248,43 @@ MODEL_MUTATIONS = {
 @pytest.mark.parametrize("mutation", MODEL_MUTATIONS)
 def test_identify_rejects_malformed_model(model_docs, tmp_path, capsys, mutation):
     kind, path, value = MODEL_MUTATIONS[mutation]
-    doc = copy.deepcopy(model_docs[kind])
-    parent = doc
-    for key in path[:-1]:
-        parent = parent[key]
-    if value is _DELETE:
-        del parent[path[-1]]
-    else:
-        parent[path[-1]] = value(parent[path[-1]]) if callable(value) else value
     model = tmp_path / "model.json"
-    model.write_text(json.dumps(doc))
+    model.write_text(_mutated_text(model_docs[kind], path, value))
     code, _, err = _identify(model, "outlet", 90, tmp_path, capsys)
+    assert code == 3
+    assert err.startswith("error: data: ") and err.count("\n") == 1
+
+
+# name -> (path to the mutated field, value as in MODEL_MUTATIONS). Each
+# document is one `save_profile` could not have written.
+PROFILE_MUTATIONS = {
+    "source-missing": (("source",), _DELETE),
+    "document-is-a-list": ((), lambda doc: [doc]),
+    "fingerprints-null": (("fingerprints",), None),
+    "row-of-objects": (("fingerprints", 0), lambda row: [{}] * len(row)),
+    "nested-5000-deep": (("fingerprints",), _Raw("[" * 5000 + "]" * 5000)),
+    "every-value-nan": (("fingerprints",), lambda rows: [[math.nan] * len(r) for r in rows]),
+    "values-as-strings": (("fingerprints",), lambda rows: [[str(v) for v in r] for r in rows]),
+    "values-1e400": (
+        ("fingerprints",),
+        lambda rows: _Raw(json.dumps([[0] * len(r) for r in rows]).replace("0", "1e400")),
+    ),
+    "feature-schema-2": (("source", "feature_schema"), "packet-features/2"),
+    "skipped-frames-negative": (("source", "skipped_frames"), -4),
+    "device-label-number": (("device_label",), 7),
+    "captures-not-strings": (("source", "captures"), [3]),
+}
+
+
+@pytest.mark.parametrize("mutation", PROFILE_MUTATIONS)
+def test_evaluate_rejects_malformed_profile(three_profiles, tmp_path, capsys, mutation):
+    path, value = PROFILE_MUTATIONS[mutation]
+    doc = json.loads(Path(three_profiles[1]).read_text())
+    profile = tmp_path / "mutated.profile.json"
+    profile.write_text(_mutated_text(doc, path, value))
+    capsys.readouterr()
+    code = main(["evaluate", "--profiles", three_profiles[0], str(profile)])
+    err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: data: ") and err.count("\n") == 1
 
@@ -303,3 +362,26 @@ def test_bad_magic_is_data_error(tmp_path, capsys):
 def test_unknown_variant_rejected(tmp_path, capsys):
     code = main(["evaluate", "--profiles", "p.json", "--variant", "7"])
     assert code == 2
+
+
+# sha256 of the saved profiles and the evaluation report; any change to
+# these bytes is a change of the on-disk formats or of the results.
+PINNED_DIGESTS = {
+    "outlet.profile.json": "5779ba928463b66ddaca801bcf1cb30c48a9891fcedb21c3bbb962d0365b91c7",
+    "camera-streamer.profile.json": "9444e5608bbfa7250e29907bf6414066e343bb42753925c018ec14b62d86840a",
+    "hub-conduit.profile.json": "546a0e3eb86a6501f8aa0201ebe3a055d254bb92fa60bc6655b158afb4509e86",
+    "report.json": "9f29fca2e1f942b6b54ae95eb6b3c8b422ea47b4970218e9239460d090d004df",
+}
+
+
+def test_profile_and_report_bytes_are_pinned(tmp_path, capsys):
+    names = ["outlet", "camera-streamer", "hub-conduit"]
+    paths = _make_profiles(tmp_path, names, packets=150, seed=80)
+    report = tmp_path / "report.json"
+    argv = ["evaluate", "--profiles", *paths, "--classifier", "vote", "--seed", "3"]
+    assert main([*argv, "--out", str(report)]) == 0
+    digests = {
+        Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+        for p in [*paths, report]
+    }
+    assert digests == PINNED_DIGESTS

@@ -12,17 +12,15 @@ from iotprint.evaluation import (
     stratified_folds,
     variant_columns,
 )
-from iotprint.fingerprint import FINGERPRINT_DIM, BehavioralProfile, Fingerprint, ProfileSource
+from iotprint.fingerprint import FINGERPRINT_DIM, BehavioralProfile, ProfileSource
 from iotprint.ml import LabeledDataset
 
 
 def make_profile(label, category, n, offset=0.0, seed=0):
     rng = np.random.default_rng(seed)
-    prints = []
-    for _ in range(n):
-        values = tuple((rng.uniform(0, 1, FINGERPRINT_DIM) + offset).tolist())
-        prints.append(Fingerprint(values=values, label=label))
-    return BehavioralProfile(label, category, tuple(prints), ProfileSource(captures=("t",)))
+    rows = [tuple((rng.uniform(0, 1, FINGERPRINT_DIM) + offset).tolist()) for _ in range(n)]
+    prints = np.asarray(rows, dtype=np.float64).reshape(-1, FINGERPRINT_DIM)
+    return BehavioralProfile(label, category, prints, ProfileSource(captures=("t",)))
 
 
 def test_variant_column_layout():

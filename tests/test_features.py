@@ -10,7 +10,6 @@ from iotprint.features import (
     FEATURE_NAMES,
     HEADER_FLAG_COUNT,
     PACKET_FEATURE_COUNT,
-    PacketFeatures,
     ecdf,
     extract_features,
     render_features_csv,
@@ -81,9 +80,9 @@ def _packet(**overrides):
 def test_extract_eapol_only_flag():
     pkt = _packet(ether_type=0x888E, network=Network.EAPOL, payload=b"\x01\x02\x03\x04")
     feat = extract_features(pkt)
-    assert feat.header_flags == (0, 0, 0, 0, 1) + (0,) * 12
-    assert feat.entropy == shannon_entropy(b"\x01\x02\x03\x04")
-    assert feat.tcp_payload_length == 0 and feat.tcp_window_size == 0
+    assert feat[:HEADER_FLAG_COUNT] == (0, 0, 0, 0, 1) + (0,) * 12
+    assert feat[17] == shannon_entropy(b"\x01\x02\x03\x04")
+    assert feat[18] == 0 and feat[19] == 0
 
 
 def test_extract_tcp_http_packet():
@@ -96,10 +95,10 @@ def test_extract_tcp_http_packet():
         payload=b"z" * 100,
     )
     feat = extract_features(pkt)
-    names_on = {FEATURE_NAMES[i] for i, v in enumerate(feat.header_flags) if v}
+    names_on = {FEATURE_NAMES[i] for i, v in enumerate(feat[:HEADER_FLAG_COUNT]) if v}
     assert names_on == {"ip", "tcp", "http"}
-    assert feat.tcp_payload_length == 100
-    assert feat.tcp_window_size == 8192
+    assert feat[18] == 100
+    assert feat[19] == 8192
 
 
 def test_extract_udp_mdns_zeroes_tcp_fields():
@@ -111,9 +110,9 @@ def test_extract_udp_mdns_zeroes_tcp_fields():
         payload=b"m" * 40,
     )
     feat = extract_features(pkt)
-    names_on = {FEATURE_NAMES[i] for i, v in enumerate(feat.header_flags) if v}
+    names_on = {FEATURE_NAMES[i] for i, v in enumerate(feat[:HEADER_FLAG_COUNT]) if v}
     assert names_on == {"ip", "udp", "mdns"}
-    assert feat.tcp_payload_length == 0 and feat.tcp_window_size == 0
+    assert feat[18] == 0 and feat[19] == 0
 
 
 def test_flag_exclusivity_on_generated_traffic():
@@ -121,14 +120,14 @@ def test_flag_exclusivity_on_generated_traffic():
     for arch in (ARCHETYPES["hub-conduit"], ARCHETYPES["outlet"]):
         frames, _ = generate_trace(arch, 300, seed=5)
         for frame in frames:
-            flags = extract_features(parse_frame(frame)).header_flags
+            flags = extract_features(parse_frame(frame))[:HEADER_FLAG_COUNT]
             assert flags[idx["tcp"]] + flags[idx["udp"]] <= 1
             assert flags[idx["arp"]] + flags[idx["eapol"]] + flags[idx["ip"]] <= 1
 
 
 def test_vector_layout():
     pkt = _packet(transport=Transport.TCP, src_port=1, dst_port=2, tcp_window_size=7, payload=b"ab")
-    vec = extract_features(pkt).as_vector()
+    vec = extract_features(pkt)
     assert len(vec) == PACKET_FEATURE_COUNT
     assert vec[HEADER_FLAG_COUNT] == shannon_entropy(b"ab")
     assert vec[18] == 2.0 and vec[19] == 7.0
@@ -162,13 +161,16 @@ def test_ecdf_empty_input():
         ecdf([])
 
 
-def test_features_invariants_enforced():
-    with pytest.raises(ValueError):
-        PacketFeatures(header_flags=(0,) * 16, entropy=0.0, tcp_payload_length=0, tcp_window_size=0)
-    with pytest.raises(ValueError):
-        PacketFeatures(header_flags=(2,) + (0,) * 16, entropy=0.0, tcp_payload_length=0, tcp_window_size=0)
-    with pytest.raises(ValueError):
-        PacketFeatures(header_flags=(0,) * 17, entropy=1.5, tcp_payload_length=0, tcp_window_size=0)
+def test_features_invariants_hold():
+    for arch in ARCHETYPES.values():
+        frames, _ = generate_trace(arch, 200, seed=6)
+        for frame in frames:
+            row = extract_features(parse_frame(frame))
+            assert len(row) == PACKET_FEATURE_COUNT
+            assert type(row) is tuple and all(type(v) is float for v in row)
+            assert set(row[:HEADER_FLAG_COUNT]) <= {0.0, 1.0}
+            assert 0.0 <= row[17] <= 1.0
+            assert row[18] >= 0 and row[19] >= 0
 
 
 def test_csv_rendering_round_trips_floats():
@@ -182,4 +184,4 @@ def test_csv_rendering_round_trips_floats():
     assert lines[1] == ",".join(FEATURE_NAMES)
     assert len(lines) == 4
     entropy_field = lines[2].split(",")[17]
-    assert float(entropy_field) == feat.entropy
+    assert float(entropy_field) == feat[17]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from iotprint.errors import InsufficientTraffic
-from iotprint.features import PacketFeatures, extract_features
+from iotprint.features import extract_features
 from iotprint.fingerprint import (
     FINGERPRINT_DIM,
     build_fingerprints,
@@ -21,33 +21,24 @@ from iotprint.synth import ARCHETYPES, generate_trace
 
 def marker_features(n):
     """tcp_payload_length acts as a monotone per-packet marker."""
-    return [
-        PacketFeatures(
-            header_flags=(0, 1, 0, 0, 0, 1, 0) + (0,) * 10,
-            entropy=0.5,
-            tcp_payload_length=i,
-            tcp_window_size=1,
-        )
-        for i in range(n)
-    ]
+    return [(0, 1, 0, 0, 0, 1, 0) + (0,) * 10 + (0.5, i, 1) for i in range(n)]
 
 
 def test_below_window_size_yields_nothing():
-    assert build_fingerprints(marker_features(4), "dev") == []
+    assert build_fingerprints(marker_features(4)).shape == (0, FINGERPRINT_DIM)
 
 
 def test_two_groups_cover_first_ten_packets():
-    prints = build_fingerprints(marker_features(12), "dev")
+    prints = build_fingerprints(marker_features(12))
     assert len(prints) == 2
-    assert all(len(fp.values) == FINGERPRINT_DIM for fp in prints)
+    assert all(len(fp) == FINGERPRINT_DIM for fp in prints)
     # marker sits at offset 18 of each 20-wide block
-    assert [prints[0].values[20 * k + 18] for k in range(5)] == [0, 1, 2, 3, 4]
-    assert [prints[1].values[20 * k + 18] for k in range(5)] == [5, 6, 7, 8, 9]
-    assert all(fp.label == "dev" for fp in prints)
+    assert [prints[0][20 * k + 18] for k in range(5)] == [0, 1, 2, 3, 4]
+    assert [prints[1][20 * k + 18] for k in range(5)] == [5, 6, 7, 8, 9]
 
 
 def test_large_stream_count():
-    assert len(build_fingerprints(marker_features(5755), "d")) == 1151
+    assert len(build_fingerprints(marker_features(5755))) == 1151
 
 
 def udp_packet(src_port, dst_port):
@@ -155,7 +146,7 @@ def test_build_profile_round_trip(tmp_path):
     save_profile(profile, saved)
     back = load_profile(saved)
     assert back.device_label == "outlet" and back.category_label == "power"
-    assert [fp.values for fp in back.fingerprints] == [fp.values for fp in profile.fingerprints]
+    assert back.fingerprints.tolist() == profile.fingerprints.tolist()
     assert back.source == profile.source
 
 
@@ -184,9 +175,7 @@ def test_interleaved_capture_matches_isolated(tmp_path):
     sel = DeviceSelector(mac=bulb.mac)
     from_mixed = build_profile(mixed_path, sel, "bulb", "light")
     from_solo = build_profile(solo_path, sel, "bulb", "light")
-    assert [fp.values for fp in from_mixed.fingerprints] == [
-        fp.values for fp in from_solo.fingerprints
-    ]
+    assert from_mixed.fingerprints.tolist() == from_solo.fingerprints.tolist()
 
 
 def test_load_rejects_wrong_dimension(tmp_path):
@@ -211,13 +200,14 @@ def test_profile_build_is_deterministic(tmp_path):
     sel = DeviceSelector(mac=arch.mac)
     one = build_profile(path, sel, "s", "audio")
     two = build_profile(path, sel, "s", "audio")
-    assert [fp.values for fp in one.fingerprints] == [fp.values for fp in two.fingerprints]
+    assert one.fingerprints.tolist() == two.fingerprints.tolist()
+    assert one == two
 
 
 def test_extracted_features_feed_fingerprints():
     arch = ARCHETYPES["camera-streamer"]
     frames, _ = generate_trace(arch, 25, seed=25)
     feats = [extract_features(parse_frame(f)) for f in frames]
-    prints = build_fingerprints(feats, arch.name)
+    prints = build_fingerprints(feats)
     assert len(prints) == 5
-    assert prints[0].values[:20] == feats[0].as_vector()
+    assert tuple(prints[0][:20]) == feats[0]

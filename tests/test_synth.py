@@ -64,7 +64,7 @@ def test_mdns_only_archetype_sets_flag_everywhere():
     frames, _ = generate_trace(MDNS_ONLY, 200, seed=3)
     idx = FEATURE_NAMES.index("mdns")
     for frame in frames:
-        assert extract_features(parse_frame(frame)).header_flags[idx] == 1
+        assert extract_features(parse_frame(frame))[idx] == 1
 
 
 def test_low_regime_entropy_bounded_by_half():
@@ -177,8 +177,7 @@ def test_payload_feature_distributions_are_distinct(base_profiles):
     compare medians of TCP-bearing packets across archetypes."""
     summaries = {}
     for profile in base_profiles:
-        rows = np.asarray([fp.values for fp in profile.fingerprints])
-        windows = rows[:, [19, 39, 59, 79, 99]].ravel()
+        windows = profile.fingerprints[:, [19, 39, 59, 79, 99]].ravel()
         tcp_windows = windows[windows > 0]
         summaries[profile.device_label] = (
             float(np.median(tcp_windows)) if tcp_windows.size else 0.0
