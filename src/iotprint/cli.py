@@ -49,6 +49,21 @@ def _add_selector(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ip", help="device IP address")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low; anything else is a config error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _selector(args: argparse.Namespace, required: bool) -> DeviceSelector | None:
     if args.mac is None and args.ip is None:
         if required:
@@ -99,16 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=evaluation.LEVELS, default="device")
     p.add_argument("--classifier", choices=evaluation.CLASSIFIERS, default="boosted")
     p.add_argument("--variant", type=int, choices=tuple(evaluation.VARIANT_TAGS), default=20)
-    p.add_argument("--folds", type=int, default=evaluation.DEFAULT_FOLDS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--folds", type=_int_at_least(2), default=evaluation.DEFAULT_FOLDS)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", help="write the JSON report here")
 
     p = sub.add_parser("synth", help="generate labeled synthetic captures")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--corpus", action="store_true", help="emit the standard corpus")
     group.add_argument("--archetype", choices=sorted(synth.ARCHETYPES))
-    p.add_argument("--packets", type=int, default=synth.CORPUS_PACKETS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--packets", type=_int_at_least(0), default=synth.CORPUS_PACKETS)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out-dir", required=True)
     return parser
 
@@ -199,7 +214,7 @@ def _cmd_identify(args) -> int:
         "per_fingerprint": per_fingerprint,
         "verdict": verdict,
     }
-    print(json.dumps(doc, indent=1))
+    print(json.dumps(doc, indent=1, allow_nan=False))
     return 0
 
 
@@ -222,7 +237,7 @@ def _cmd_evaluate(args) -> int:
 def _write_trace(out_dir: Path, stem: str, frames, labels) -> None:
     write_capture(out_dir / f"{stem}.pcap", frames)
     doc = {"schema": LABELS_SCHEMA, "labels": list(labels)}
-    (out_dir / f"{stem}.labels.json").write_text(json.dumps(doc, indent=1) + "\n")
+    (out_dir / f"{stem}.labels.json").write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def _cmd_synth(args) -> int:

@@ -336,7 +336,8 @@ def report_doc(report: EvaluationReport) -> dict:
 
 
 def save_report(report: EvaluationReport, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(report_doc(report), indent=1) + "\n", encoding="ascii")
+    text = json.dumps(report_doc(report), indent=1, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
 def format_report(report: EvaluationReport) -> str:

@@ -156,7 +156,7 @@ def save_profile(profile: BehavioralProfile, path: str | Path) -> None:
         },
         "fingerprints": profile.fingerprints.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="ascii")
+    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="ascii")
 
 
 def load_profile(path: str | Path) -> BehavioralProfile:

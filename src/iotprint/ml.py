@@ -48,6 +48,8 @@ class LabeledDataset:
             raise ValueError("rows and labels must have equal length")
         if labels.size and not np.all(np.isin(labels, (-1, 1))):
             raise ValueError("labels must be +1 or -1")
+        if not np.isfinite(rows).all():
+            raise ValueError("rows must be finite (no NaN or infinity)")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "labels", labels)
 
@@ -169,39 +171,49 @@ class _SplitSearch:
     """Sorted-order machinery shared by every boosting stage.
 
     Feature columns are argsorted once; per stage only the target values
-    change. Candidate thresholds are midpoints between consecutive
-    distinct sorted values.
+    change. The candidates are only the boundaries between consecutive
+    distinct sorted values, listed once per fit in feature-major,
+    ascending-boundary order (the tie order); each threshold is the
+    midpoint of the two values. Columns without a candidate are dropped,
+    and the kept sort order is stored feature-major.
+
+    A candidate's left sum is the same sequential prefix sum, over the
+    same sorted targets, as a cumsum down every column, so its gain is
+    bit-identical to scoring every boundary and masking the rest.
+    Per-bin (histogram) sums would add in another order, move gains by
+    an ulp and could flip a tied split.
     """
 
     def __init__(self, X: np.ndarray):
-        self.X = X
         n, _ = X.shape
-        self.order = np.argsort(X, axis=0, kind="stable")
-        xs = np.take_along_axis(X, self.order, axis=0)
-        self.midpoints = 0.5 * (xs[1:] + xs[:-1]) if n > 1 else np.empty((0, X.shape[1]))
-        self.valid = xs[1:] > xs[:-1] if n > 1 else np.empty((0, X.shape[1]), dtype=bool)
-        self.any_valid = bool(self.valid.any())
-        self.left_n = np.arange(1, n, dtype=np.float64)[:, None]
-        self.right_n = n - self.left_n
+        order = np.argsort(X, axis=0, kind="stable")
+        xs = np.take_along_axis(X, order, axis=0)
         self.fallback_threshold = float(xs[-1, 0]) if n else 0.0
+        columns = np.flatnonzero((xs[1:] > xs[:-1]).any(axis=0))
+        self.order = np.ascontiguousarray(order[:, columns].T)
+        xs = np.ascontiguousarray(xs[:, columns].T)
+        col, boundary = np.nonzero(xs[:, 1:] > xs[:, :-1])
+        self.left_flat = col * n + boundary
+        self.total_flat = col * n + (n - 1)
+        self.left_n = (boundary + 1).astype(np.float64)
+        self.right_n = n - self.left_n
+        self.features = columns[col]
+        self.thresholds = 0.5 * (xs[col, boundary] + xs[col, boundary + 1])
+        self.any_valid = bool(col.size)
 
     def best_split(self, target: np.ndarray) -> tuple:
         """(feature, threshold) minimizing squared error of leaf means.
 
         Gain maximized is sum_L^2/n_L + sum_R^2/n_R, which orders splits
         identically to squared error. Ties pick the lowest feature index,
-        then the lowest threshold (argmax over a feature-major layout).
+        then the lowest threshold (the first maximum in candidate order).
         """
-        sorted_target = target[self.order]
-        csum = np.cumsum(sorted_target, axis=0)
-        left_sum = csum[:-1]
-        total = csum[-1]
+        csum = np.cumsum(target[self.order], axis=1)
+        left_sum = csum.take(self.left_flat)
+        total = csum.take(self.total_flat)
         gain = left_sum**2 / self.left_n + (total - left_sum) ** 2 / self.right_n
-        gain[~self.valid] = -np.inf
-        flat = int(np.argmax(gain.T))
-        n_candidates = gain.shape[0]
-        feature, boundary = divmod(flat, n_candidates)
-        return feature, float(self.midpoints[boundary, feature])
+        best = int(np.argmax(gain))
+        return int(self.features[best]), float(self.thresholds[best])
 
 
 def train_boosted(
@@ -416,7 +428,8 @@ def predict_vote(
 
 
 def save_model(model, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_model_doc(model), indent=1) + "\n", encoding="ascii")
+    text = json.dumps(_model_doc(model), indent=1, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="ascii")
 
 
 def _model_doc(model) -> dict:

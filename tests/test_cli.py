@@ -359,6 +359,27 @@ def test_bad_magic_is_data_error(tmp_path, capsys):
     assert "error: data:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evaluate", "--profiles", "p.json", "--folds", "1"],
+        ["evaluate", "--profiles", "p.json", "--folds", "two"],
+        ["evaluate", "--profiles", "p.json", "--seed", "-1"],
+        ["synth", "--archetype", "outlet", "--packets", "-5"],
+        ["synth", "--archetype", "outlet", "--seed", "-1"],
+    ],
+    ids=[
+        "folds-1", "folds-two", "evaluate-seed-minus-1", "packets-minus-5", "synth-seed-minus-1"
+    ],
+)
+def test_bad_flag_value_is_config_error(argv, tmp_path, capsys):
+    code = main([*argv, "--out-dir" if argv[0] == "synth" else "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_variant_rejected(tmp_path, capsys):
     code = main(["evaluate", "--profiles", "p.json", "--variant", "7"])
     assert code == 2

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from iotprint import ml
 from iotprint.errors import (
     DimensionMismatch,
     EmptyData,
     KTooLarge,
     SingleClassData,
 )
+from iotprint.evaluation import assemble_one_vs_all, stratified_folds
 from iotprint.ml import (
     BoostedModel,
     LabeledDataset,
@@ -51,6 +56,50 @@ def separable_dataset():
 
 
 # --- independent oracles -------------------------------------------------
+
+
+class ReferenceSplitSearch:
+    """The dense split search `ml._SplitSearch` replaced, kept as its oracle.
+
+    It scores every boundary of every column and masks the boundaries
+    between equal values to -inf.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        n, _ = X.shape
+        self.order = np.argsort(X, axis=0, kind="stable")
+        xs = np.take_along_axis(X, self.order, axis=0)
+        self.midpoints = 0.5 * (xs[1:] + xs[:-1]) if n > 1 else np.empty((0, X.shape[1]))
+        self.valid = xs[1:] > xs[:-1] if n > 1 else np.empty((0, X.shape[1]), dtype=bool)
+        self.any_valid = bool(self.valid.any())
+        self.left_n = np.arange(1, n, dtype=np.float64)[:, None]
+        self.right_n = n - self.left_n
+        self.fallback_threshold = float(xs[-1, 0]) if n else 0.0
+
+    def best_split(self, target: np.ndarray) -> tuple:
+        """(feature, threshold) minimizing squared error of leaf means.
+
+        Gain maximized is sum_L^2/n_L + sum_R^2/n_R, which orders splits
+        identically to squared error. Ties pick the lowest feature index,
+        then the lowest threshold (argmax over a feature-major layout).
+        """
+        sorted_target = target[self.order]
+        csum = np.cumsum(sorted_target, axis=0)
+        left_sum = csum[:-1]
+        total = csum[-1]
+        gain = left_sum**2 / self.left_n + (total - left_sum) ** 2 / self.right_n
+        gain[~self.valid] = -np.inf
+        flat = int(np.argmax(gain.T))
+        n_candidates = gain.shape[0]
+        feature, boundary = divmod(flat, n_candidates)
+        return feature, float(self.midpoints[boundary, feature])
+
+
+def boosted_with_reference_search(data, n_stages):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ml, "_SplitSearch", ReferenceSplitSearch)
+        return train_boosted(data, n_stages=n_stages)
 
 
 def stump_search_oracle(data):
@@ -216,9 +265,54 @@ def test_constant_features_fall_back_to_prior_fit():
     assert all(s.left_value == s.right_value for s in model.stages)
 
 
+@st.composite
+def tie_heavy_datasets(draw):
+    """Small-integer columns, some duplicated, some constant, scaled so
+    that midpoints are not always exact."""
+    n = draw(st.integers(2, 60))
+    width = draw(st.integers(1, 4))
+    base = draw(hnp.arrays(np.int64, (n, width), elements=st.integers(-2, 2)))
+    duplicates = draw(st.lists(st.integers(0, width - 1), max_size=3))
+    constants = draw(st.lists(st.integers(-2, 2), max_size=2))
+    columns = [base[:, j] for j in (*range(width), *duplicates)]
+    columns += [np.full(n, value) for value in constants]
+    order = draw(st.permutations(range(len(columns))))
+    scale = draw(st.sampled_from([1.0, 0.5, 0.1, 1e-3]))
+    rows = np.column_stack([columns[j] for j in order]) * scale
+    labels = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    labels[0], labels[-1] = 1, -1  # both classes present
+    return dataset(rows, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_datasets())
+def test_split_search_matches_reference_on_tie_heavy_data(data):
+    model = train_boosted(data, n_stages=30)
+    reference = boosted_with_reference_search(data, n_stages=30)
+    assert model.stages == reference.stages
+    assert model.training_deviance == reference.training_deviance
+
+
+def test_split_search_matches_reference_on_corpus_folds(base_profiles):
+    for profile in base_profiles:
+        data = assemble_one_vs_all(base_profiles, profile.device_label)
+        train_idx = stratified_folds(data, k=5, seed=3).train_indices(0)
+        train = LabeledDataset(data.rows[train_idx], data.labels[train_idx], data.positive_class)
+        model = train_boosted(train, n_stages=100)
+        reference = boosted_with_reference_search(train, n_stages=100)
+        assert model.stages == reference.stages, profile.device_label
+        assert model.training_deviance == reference.training_deviance, profile.device_label
+
+
 def test_labels_must_be_plus_minus_one():
     with pytest.raises(ValueError):
         dataset([[1.0], [2.0]], [1, 0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rows_must_be_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        dataset([[1.0, 2.0], [bad, 0.0]], [1, -1])
 
 
 # --- knn -----------------------------------------------------------------
@@ -391,3 +485,11 @@ def test_load_rejects_unknown_schema(tmp_path):
     path.write_text('{"schema": "nope", "kind": "boosted"}')
     with pytest.raises(ValueError):
         load_model(path)
+
+
+def test_save_model_rejects_nan_and_writes_nothing(tmp_path):
+    model = BoostedModel(0.0, (Stump(0, 0.5, math.nan, 1.0),), 1.0, 1, "pos")
+    path = tmp_path / "nan.model.json"
+    with pytest.raises(ValueError):
+        save_model(model, path)
+    assert not path.exists()
