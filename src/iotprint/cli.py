@@ -8,6 +8,7 @@ Errors are reported as a single machine-parseable line on stderr.
 from __future__ import annotations
 
 import argparse
+import ipaddress
 import json
 import sys
 from pathlib import Path
@@ -44,9 +45,17 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
+def _ip_address(text: str) -> str:
+    """argparse type: an IPv4 or IPv6 address in canonical form."""
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_selector(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mac", type=parse_mac, help="device MAC, e.g. 02:00:00:00:01:01")
-    parser.add_argument("--ip", help="device IP address")
+    parser.add_argument("--ip", type=_ip_address, help="device IP address")
 
 
 def _int_at_least(low: int):

@@ -12,6 +12,13 @@ All training is deterministic: stump and tree split ties resolve to the
 lowest feature index then the lowest threshold, kNN distance ties at
 the k-th neighbor include the smallest row index, and tied kNN votes
 predict -1.
+
+The kNN tie rule holds for the distances each path computes. The batch
+`knn_labels` uses the expanded form |q|^2 + |r|^2 - 2 q.r, the scalar
+`predict_knn` sums squared differences. Distances that are equal in
+exact arithmetic can round apart in one form and not the other, so on
+non-integer data with such ties the two paths can disagree; on small
+integer data both are exact and agree.
 """
 
 from __future__ import annotations
@@ -313,16 +320,31 @@ def predict_knn(model: KnnModel, x: Sequence[float]) -> int:
 
 
 def knn_labels(model: KnnModel, X: np.ndarray, chunk: int = 512) -> np.ndarray:
-    """Batch kNN prediction via the expanded-norm distance identity."""
+    """Batch kNN prediction via the expanded-norm distance identity.
+
+    A partition finds each query's k-th smallest distance. Where exactly
+    k distances are at most that value, they are the k nearest under the
+    (distance, row index) order and the vote is read off them. A row
+    with a tie straddling the k-th distance (or a NaN distance) takes
+    the full stable sort instead, which applies the smallest-row-index
+    rule.
+    """
     X = np.asarray(X, dtype=np.float64)
-    rows = model.rows
+    rows, k = model.rows, model.k
     row_sq = (rows**2).sum(axis=1)
+    positive = model.labels > 0
     out = np.empty(X.shape[0], dtype=np.int64)
     for start in range(0, X.shape[0], chunk):
         block = X[start : start + chunk]
         dist2 = (block**2).sum(axis=1)[:, None] + row_sq[None, :] - 2.0 * block @ rows.T
-        nearest = np.argsort(dist2, axis=1, kind="stable")[:, : model.k]
-        votes = model.labels[nearest].sum(axis=1)
+        kth = np.partition(dist2, k - 1, axis=1)[:, k - 1].copy()
+        inside = dist2 <= kth[:, None]
+        count = inside.sum(axis=1)
+        votes = 2 * (inside & positive).sum(axis=1) - count  # labels are +/-1
+        tied = np.flatnonzero(count != k)
+        if tied.size:
+            nearest = np.argsort(dist2[tied], axis=1, kind="stable")[:, :k]
+            votes[tied] = model.labels[nearest].sum(axis=1)
         out[start : start + chunk] = np.where(votes > 0, 1, -1)
     return out
 

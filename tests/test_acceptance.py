@@ -27,6 +27,7 @@ from iotprint.fingerprint import (
 from iotprint.ml import (
     LabeledDataset,
     boosted_scores,
+    knn_labels,
     predict_knn,
     train_boosted,
     train_knn,
@@ -225,8 +226,9 @@ def test_knn_oracle():
         data = _random_dataset(400, 10, seed=44)
         model = train_knn(data, k=5)
         queries = np.random.default_rng(45).uniform(-1, 1, size=(200, 10))
-        for q in queries:
-            assert predict_knn(model, q) == _knn_oracle(model, q)
+        expected = [_knn_oracle(model, q) for q in queries]
+        assert [predict_knn(model, q) for q in queries] == expected
+        assert knn_labels(model, queries).tolist() == expected
         assert time.monotonic() - start < 5.0
 
 

@@ -151,6 +151,21 @@ def knn_oracle(model, x):
     return 1 if vote > 0 else -1
 
 
+def reference_knn_labels(model, X, chunk=512):
+    """The full stable-argsort selection `ml.knn_labels` replaced, kept as its oracle."""
+    X = np.asarray(X, dtype=np.float64)
+    rows = model.rows
+    row_sq = (rows**2).sum(axis=1)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for start in range(0, X.shape[0], chunk):
+        block = X[start : start + chunk]
+        dist2 = (block**2).sum(axis=1)[:, None] + row_sq[None, :] - 2.0 * block @ rows.T
+        nearest = np.argsort(dist2, axis=1, kind="stable")[:, : model.k]
+        votes = model.labels[nearest].sum(axis=1)
+        out[start : start + chunk] = np.where(votes > 0, 1, -1)
+    return out
+
+
 def gini_stump_oracle(X, y):
     best = None
     n, d = X.shape
@@ -363,6 +378,58 @@ def test_knn_invariant_under_row_permutation():
     b = train_knn(shuffled, k=7)
     queries = np.random.default_rng(19).uniform(-1, 1, size=(60, 6))
     assert [predict_knn(a, q) for q in queries] == [predict_knn(b, q) for q in queries]
+
+
+@st.composite
+def tie_heavy_knn_cases(draw):
+    """Small-integer rows, some duplicated, with queries that repeat
+    training rows and one all-NaN query, so many queries have a tie at
+    the k-th distance."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 5))
+    base = draw(hnp.arrays(np.int64, (n, d), elements=st.integers(-2, 2)))
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    base[: len(copies)] = base[copies]
+    labels = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    fresh = draw(hnp.arrays(np.int64, (draw(st.integers(0, 6)), d), elements=st.integers(-2, 2)))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-3]))
+    queries = np.vstack([base, fresh, np.full((1, d), np.nan)]) * scale
+    model = train_knn(dataset(base * scale, labels), k=draw(st.integers(1, n)))
+    return model, queries, draw(st.integers(1, 8)), scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_knn_cases())
+def test_knn_labels_match_reference_on_tie_heavy_data(case):
+    model, queries, chunk, scale = case
+    labels = knn_labels(model, queries, chunk=chunk)
+    assert labels.tolist() == reference_knn_labels(model, queries, chunk=chunk).tolist()
+    if scale == 1.0:  # small integers: both distance formulas are exact
+        assert labels.tolist() == [predict_knn(model, q) for q in queries]
+
+
+def test_knn_labels_sort_only_tied_rows(monkeypatch):
+    data = random_dataset(n=300, d=8, seed=21)
+    model = train_knn(data, k=5)
+    queries = np.random.default_rng(22).uniform(-1, 1, size=(100, 8))
+    queries[37] = np.nan  # no k-th distance: the one row that needs the sort
+    expected = reference_knn_labels(model, queries, chunk=64)
+    sorted_shapes = []
+    argsort = np.argsort
+
+    def recording_argsort(a, *args, **kwargs):
+        sorted_shapes.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    assert knn_labels(model, queries, chunk=64).tolist() == expected.tolist()
+    assert sorted_shapes == [(1, 300)]
+
+
+def test_knn_labels_match_reference_on_corpus(base_profiles):
+    data = assemble_one_vs_all(base_profiles, base_profiles[0].device_label)
+    model = train_knn(data, k=5)
+    assert np.array_equal(knn_labels(model, data.rows), reference_knn_labels(model, data.rows))
 
 
 def test_knn_validation():
