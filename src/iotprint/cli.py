@@ -193,9 +193,35 @@ def _cmd_train(args) -> int:
     cols = evaluation.variant_columns(args.variant)
     reduced = ml.LabeledDataset(data.rows[:, cols], data.labels, data.positive_class)
     model = evaluation.train_classifier(args.classifier, reduced)
-    ml.save_model(model, args.out)
+    ml.save_model(model, args.out, cols)
     print(f"wrote {args.classifier} model for {args.positive!r} ({len(reduced)} rows)")
     return 0
+
+
+def _shared_knn_labels(loaded: list, prints: np.ndarray) -> dict:
+    """The kNN member's labels of every vote model, by its index in `loaded`.
+
+    Members that read the same columns with equal k and rows (vote
+    models trained from the same profiles) share one neighbour search.
+    """
+    groups = []  # [columns, knn member, indices into loaded]
+    for i, (model, columns) in enumerate(loaded):
+        if not isinstance(model, ml.VoteModel):
+            continue
+        knn = model.knn
+        for group_columns, first, members in groups:
+            same = group_columns == columns and first.k == knn.k
+            if same and np.array_equal(first.rows, knn.rows):
+                members.append(i)
+                break
+        else:
+            groups.append([columns, knn, [i]])
+    shared = {}
+    for columns, first, members in groups:
+        labels = np.column_stack([loaded[i][0].knn.labels for i in members])
+        found = ml.knn_labels(first, prints[:, columns], labels=labels)
+        shared.update(zip(members, found.T))
+    return shared
 
 
 def _cmd_identify(args) -> int:
@@ -205,14 +231,17 @@ def _cmd_identify(args) -> int:
         raise InsufficientTraffic(
             f"insufficient traffic: {len(packets)} packets yield no fingerprints"
         )
-    models = [ml.load_model(p) for p in args.models]
+    loaded = [ml.load_model(p) for p in args.models]
+    shared = _shared_knn_labels(loaded, prints)
     per_fingerprint = [[] for _ in range(len(prints))]
     positives = {}
-    for model in models:
-        hits = model.predict(prints[:, evaluation.columns_for_width(model.n_features)]) == 1
+    for i, (model, columns) in enumerate(loaded):
+        X = prints[:, columns]
+        labels = model.predict(X, knn=shared[i]) if i in shared else model.predict(X)
+        hits = labels == 1
         positives[model.positive_class] = int(hits.sum())
-        for i in np.flatnonzero(hits):
-            per_fingerprint[int(i)].append(model.positive_class)
+        for j in np.flatnonzero(hits):
+            per_fingerprint[int(j)].append(model.positive_class)
     best = max(positives.values())
     leaders = [label for label, n in positives.items() if n == best]
     verdict = leaders[0] if best > len(prints) / 2 and len(leaders) == 1 else "unknown"

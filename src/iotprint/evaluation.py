@@ -136,15 +136,6 @@ def variant_columns(variant: int) -> list:
     ]
 
 
-def columns_for_width(width: int) -> list:
-    """Fingerprint columns of the feature variant that is `width` values wide."""
-    for variant in VARIANT_TAGS:
-        cols = variant_columns(variant)
-        if len(cols) == width:
-            return cols
-    raise ValueError(f"model expects {width} features; no feature variant is that wide")
-
-
 def _profile_key(profile: BehavioralProfile, level: str) -> str:
     return profile.category_label if level == "category" else profile.device_label
 

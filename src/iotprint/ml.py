@@ -19,10 +19,15 @@ The kNN tie rule holds for the distances each path computes. The batch
 exact arithmetic can round apart in one form and not the other, so on
 non-integer data with such ties the two paths can disagree; on small
 integer data both are exact and agree.
+
+Models persist as `model/2` JSON documents, which record the
+fingerprint columns a model reads and pack kNN rows and labels as
+little-endian binary in base64 text; `model/1` documents still load.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import sys
@@ -35,7 +40,8 @@ import numpy as np
 from .errors import DimensionMismatch, EmptyData, KTooLarge, SingleClassData
 
 MAX_STAGES = 100
-MODEL_SCHEMA = "model/1"
+MODEL_SCHEMA = "model/2"
+MODEL_SCHEMA_V1 = "model/1"  # JSON number lists, no recorded columns; still read
 
 
 @dataclass(frozen=True)
@@ -48,13 +54,11 @@ class LabeledDataset:
 
     def __post_init__(self) -> None:
         rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.float64))
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _plus_minus_one(self.labels)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D matrix")
         if labels.shape != (rows.shape[0],):
             raise ValueError("rows and labels must have equal length")
-        if labels.size and not np.all(np.isin(labels, (-1, 1))):
-            raise ValueError("labels must be +1 or -1")
         if not np.isfinite(rows).all():
             raise ValueError("rows must be finite (no NaN or infinity)")
         object.__setattr__(self, "rows", rows)
@@ -66,6 +70,22 @@ class LabeledDataset:
     @property
     def n_features(self) -> int:
         return self.rows.shape[1]
+
+
+def _plus_minus_one(labels) -> np.ndarray:
+    """`labels` as int64, checked to be the integers +1 and -1 before any cast.
+
+    A cast first would truncate 1.5 to 1, read True as 1 and warn on
+    1e308, so floats, booleans and strings are rejected as they are.
+    """
+    if not isinstance(labels, np.ndarray):
+        labels = list(labels)
+        if not all(type(v) is int or isinstance(v, np.integer) for v in labels):
+            raise ValueError("labels must be +1 or -1")
+        labels = np.array(labels)  # ints beyond int64 become objects, rejected below
+    if labels.size and (labels.dtype.kind not in "iu" or not np.isin(labels, (-1, 1)).all()):
+        raise ValueError("labels must be +1 or -1")
+    return np.asarray(labels, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -319,7 +339,9 @@ def predict_knn(model: KnnModel, x: Sequence[float]) -> int:
     return 1 if vote > 0 else -1
 
 
-def knn_labels(model: KnnModel, X: np.ndarray, chunk: int = 512) -> np.ndarray:
+def knn_labels(
+    model: KnnModel, X: np.ndarray, chunk: int = 512, labels: np.ndarray | None = None
+) -> np.ndarray:
     """Batch kNN prediction via the expanded-norm distance identity.
 
     A partition finds each query's k-th smallest distance. Where exactly
@@ -328,25 +350,35 @@ def knn_labels(model: KnnModel, X: np.ndarray, chunk: int = 512) -> np.ndarray:
     with a tie straddling the k-th distance (or a NaN distance) takes
     the full stable sort instead, which applies the smallest-row-index
     rule.
+
+    `labels`, an (n_rows, m) matrix, holds the +1/-1 training labels of
+    m models that share `model.rows` and `model.k`; the result then has
+    one column of predicted labels per model. Neighbour selection
+    depends only on the distances and k, so it runs once for all of
+    them. Without `labels` the one column is `model.labels`, returned
+    as a vector.
     """
+    one = labels is None
+    labels = model.labels[:, None] if one else labels
     X = np.asarray(X, dtype=np.float64)
     rows, k = model.rows, model.k
     row_sq = (rows**2).sum(axis=1)
-    positive = model.labels > 0
-    out = np.empty(X.shape[0], dtype=np.int64)
+    # The votes are sums of at most len(rows) ones, exact in float64.
+    positive = (labels > 0).astype(np.float64)
+    out = np.empty((X.shape[0], labels.shape[1]), dtype=np.int64)
     for start in range(0, X.shape[0], chunk):
         block = X[start : start + chunk]
         dist2 = (block**2).sum(axis=1)[:, None] + row_sq[None, :] - 2.0 * block @ rows.T
         kth = np.partition(dist2, k - 1, axis=1)[:, k - 1].copy()
         inside = dist2 <= kth[:, None]
         count = inside.sum(axis=1)
-        votes = 2 * (inside & positive).sum(axis=1) - count  # labels are +/-1
+        votes = 2.0 * (inside @ positive) - count[:, None]  # labels are +/-1
         tied = np.flatnonzero(count != k)
         if tied.size:
             nearest = np.argsort(dist2[tied], axis=1, kind="stable")[:, :k]
-            votes[tied] = model.labels[nearest].sum(axis=1)
+            votes[tied] = labels[nearest].sum(axis=1)
         out[start : start + chunk] = np.where(votes > 0, 1, -1)
-    return out
+    return out[:, 0] if one else out
 
 
 def _gini_split(X: np.ndarray, y: np.ndarray) -> tuple | None:
@@ -449,15 +481,21 @@ def predict_vote(
     return int(VoteModel(boosted, knn, tree).predict(x[None, :])[0])
 
 
-def save_model(model, path: str | Path) -> None:
-    text = json.dumps(_model_doc(model), indent=1, allow_nan=False)
+def save_model(model, path: str | Path, columns: Sequence[int]) -> None:
+    """Write `model` as a `model/2` document.
+
+    `columns` are the fingerprint columns the model's features are, in
+    order.
+    """
+    columns = _checked_columns(list(columns), model.n_features)
+    doc = {"schema": MODEL_SCHEMA, "columns": columns}
+    text = json.dumps({**doc, **_model_doc(model)}, indent=1, allow_nan=False)
     Path(path).write_text(text + "\n", encoding="ascii")
 
 
 def _model_doc(model) -> dict:
     if isinstance(model, BoostedModel):
         return {
-            "schema": MODEL_SCHEMA,
             "kind": "boosted",
             "positive_class": model.positive_class,
             "n_features": model.n_features,
@@ -467,19 +505,18 @@ def _model_doc(model) -> dict:
                 [s.feature_index, s.threshold, s.left_value, s.right_value]
                 for s in model.stages
             ],
+            "training_deviance": list(model.training_deviance),
         }
     if isinstance(model, KnnModel):
         return {
-            "schema": MODEL_SCHEMA,
             "kind": "knn",
             "positive_class": model.positive_class,
             "k": model.k,
-            "rows": model.rows.tolist(),
-            "labels": model.labels.tolist(),
+            "rows": _pack(model.rows, "<f8"),
+            "labels": _pack(model.labels, "<i1"),
         }
     if isinstance(model, TreeModel):
         return {
-            "schema": MODEL_SCHEMA,
             "kind": "tree",
             "positive_class": model.positive_class,
             "n_features": model.n_features,
@@ -488,7 +525,6 @@ def _model_doc(model) -> dict:
         }
     if isinstance(model, VoteModel):
         return {
-            "schema": MODEL_SCHEMA,
             "kind": "vote",
             "positive_class": model.positive_class,
             "members": [_model_doc(model.boosted), _model_doc(model.knn), _model_doc(model.tree)],
@@ -507,7 +543,8 @@ def _node_doc(node: TreeNode) -> dict:
     }
 
 
-def load_model(path: str | Path):
+def load_model(path: str | Path) -> tuple:
+    """(model, columns): the model and the fingerprint columns it reads, in order."""
     return _load_doc(path, _model_from_doc, "model")
 
 
@@ -519,23 +556,44 @@ def _load_doc(path: str | Path, build, what: str):
         raise ValueError(f"{what} document is nested too deeply") from None
 
 
-def _model_from_doc(doc):
-    """Rebuild a model, rejecting any document that would fail or mislead at prediction."""
-    if _field(doc, "schema") != MODEL_SCHEMA:
+def _model_from_doc(doc) -> tuple:
+    schema = _field(doc, "schema")
+    if schema == MODEL_SCHEMA:
+        model = _member_from_doc(doc, packed=True)
+        return model, _checked_columns(_list(doc, "columns"), model.n_features)
+    if schema == MODEL_SCHEMA_V1:
+        model = _member_from_doc(doc, packed=False)
+        return model, _columns_for_width(model.n_features)
+    raise ValueError(f"unsupported model schema: {schema!r}")
+
+
+def _member_from_doc(doc, packed: bool):
+    """Rebuild a model, rejecting any document that would fail or mislead at prediction.
+
+    `packed` documents (`model/2`) hold kNN arrays packed and a boosted
+    model's training deviance; `model/1` documents hold number lists.
+    """
+    if not packed and _field(doc, "schema") != MODEL_SCHEMA_V1:
         raise ValueError(f"unsupported model schema: {doc['schema']!r}")
     kind = _field(doc, "kind")
     positive_class = _str(doc, "positive_class")
     if kind == "boosted":
         n_features = _int_in(_field(doc, "n_features"), "n_features", 1)
+        deviance = _list(doc, "training_deviance") if packed else []
         return BoostedModel(
             initial_score=_finite(_field(doc, "initial_score"), "initial_score"),
             stages=tuple(_stump_from_doc(stage, n_features) for stage in _list(doc, "stages")),
             learning_rate=_finite(_field(doc, "learning_rate"), "learning_rate"),
             n_features=n_features,
             positive_class=positive_class,
+            training_deviance=tuple(_finite(v, "training_deviance") for v in deviance),
         )
     if kind == "knn":
-        data = LabeledDataset(_array(doc, "rows", 2), _array(doc, "labels", 1), positive_class)
+        if packed:
+            rows, labels = _unpack(doc, "rows", "<f8", 2), _unpack(doc, "labels", "<i1", 1)
+        else:
+            rows, labels = _array(doc, "rows", 2), _list(doc, "labels")
+        data = LabeledDataset(rows, labels, positive_class)
         k = _int_in(_field(doc, "k"), "k", 1, len(data))
         return KnnModel(rows=data.rows, labels=data.labels, k=k, positive_class=positive_class)
     if kind == "tree":
@@ -548,13 +606,71 @@ def _model_from_doc(doc):
             positive_class=positive_class,
         )
     if kind == "vote":
-        members = tuple(_model_from_doc(m) for m in _list(doc, "members"))
+        members = tuple(_member_from_doc(m, packed) for m in _list(doc, "members"))
         if tuple(map(type, members)) != (BoostedModel, KnnModel, TreeModel):
             raise ValueError("vote members must be boosted, knn and tree, in that order")
         if len({(m.n_features, m.positive_class) for m in members}) != 1:
             raise ValueError("vote members differ in n_features or positive_class")
         return VoteModel(*members)
     raise ValueError(f"unknown model kind {kind!r}")
+
+
+def _checked_columns(columns: list, n_features: int) -> list:
+    """`columns` if they are `n_features` distinct fingerprint column indices."""
+    # deferred: fingerprint imports this module
+    from .fingerprint import FINGERPRINT_DIM
+
+    in_range = all(type(c) is int and 0 <= c < FINGERPRINT_DIM for c in columns)
+    if not in_range or len(set(columns)) != len(columns) or len(columns) != n_features:
+        raise ValueError(
+            f"model columns must be {n_features} distinct integers in [0, {FINGERPRINT_DIM})"
+        )
+    return columns
+
+
+def _columns_for_width(width: int) -> list:
+    """Columns of the feature variant `width` values wide; `model/1` records none."""
+    # deferred: evaluation imports this module
+    from .evaluation import VARIANT_TAGS, variant_columns
+
+    for variant in VARIANT_TAGS:
+        cols = variant_columns(variant)
+        if len(cols) == width:
+            return cols
+    raise ValueError(f"model expects {width} features; no feature variant is that wide")
+
+
+# The packed-array codec: an array field is {"dtype", "shape", "data"},
+# where data is the base64 text of the array's little-endian bytes in C
+# order. Every packed field of every document uses it.
+def _pack(array: np.ndarray, dtype: str) -> dict:
+    data = np.ascontiguousarray(array, dtype=dtype)
+    if data.dtype.kind == "f" and not np.isfinite(data).all():
+        raise ValueError("cannot pack non-finite values")
+    text = base64.b64encode(data).decode("ascii")
+    return {"dtype": dtype, "shape": list(data.shape), "data": text}
+
+
+def _unpack(doc, key: str, dtype: str, ndim: int, what: str = "model") -> np.ndarray:
+    """The packed field `key`, which must hold `ndim`-D `dtype` values (finite, if floats)."""
+    packed = _field(doc, key, what)
+    name = f"{what} {key}"
+    if _field(packed, "dtype", what) != dtype:
+        raise ValueError(f"{name} dtype must be {dtype!r}, got {packed['dtype']!r}")
+    shape = _list(packed, "shape", what)
+    if len(shape) != ndim or not all(type(n) is int and n >= 1 for n in shape):
+        raise ValueError(f"{name} shape must be {ndim} positive integers, got {shape!r}")
+    try:
+        raw = base64.b64decode(_str(packed, "data", what), validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII string
+        raise ValueError(f"{name} data is not base64: {exc}") from None
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if len(raw) != size:
+        raise ValueError(f"{name} data holds {len(raw)} bytes, shape {shape} needs {size}")
+    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
+    if array.dtype.kind == "f" and not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite (no NaN or infinity)")
+    return array
 
 
 # Document checks shared by the model and profile loaders; `what` names
@@ -646,7 +762,13 @@ class VoteModel:
     def n_features(self) -> int:
         return self.boosted.n_features
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority label of the three members (odd voters, never tied)."""
-        total = self.boosted.predict(X) + self.knn.predict(X) + self.tree.predict(X)
+    def predict(self, X: np.ndarray, knn: np.ndarray | None = None) -> np.ndarray:
+        """Majority label of the three members (odd voters, never tied).
+
+        `knn`, if given, is the kNN member's labels of X, found by a
+        neighbour search shared with other models (`knn_labels` with
+        `labels`).
+        """
+        knn = self.knn.predict(X) if knn is None else knn
+        total = self.boosted.predict(X) + knn + self.tree.predict(X)
         return np.where(total > 0, 1, -1)

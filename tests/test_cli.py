@@ -1,14 +1,18 @@
+import base64
 import copy
 import hashlib
 import json
 import math
+import struct
 from pathlib import Path
 
 import pytest
 
+from iotprint import ml
 from iotprint.cli import main
 from iotprint.evaluation import CLASSIFIERS, VARIANT_TAGS
 from iotprint.fingerprint import load_profile
+from iotprint.ml import BoostedModel, KnnModel, TreeModel, VoteModel, load_model
 from iotprint.packet_model import format_mac
 from iotprint.pcap_io import write_capture
 from iotprint.synth import ARCHETYPES, generate_trace
@@ -181,8 +185,68 @@ def test_train_identify_every_classifier_and_variant(
         assert json.loads(out)["verdict"] == verdict
 
 
+def model_v1_doc(model) -> dict:
+    """The `model/1` document of `model`: number lists and no recorded columns,
+    as models were saved before `model/2`."""
+    head = {"schema": "model/1"}
+    if isinstance(model, BoostedModel):
+        return {
+            **head,
+            "kind": "boosted",
+            "positive_class": model.positive_class,
+            "n_features": model.n_features,
+            "learning_rate": model.learning_rate,
+            "initial_score": model.initial_score,
+            "stages": [
+                [s.feature_index, s.threshold, s.left_value, s.right_value] for s in model.stages
+            ],
+        }
+    if isinstance(model, KnnModel):
+        return {
+            **head,
+            "kind": "knn",
+            "positive_class": model.positive_class,
+            "k": model.k,
+            "rows": model.rows.tolist(),
+            "labels": model.labels.tolist(),
+        }
+    if isinstance(model, TreeModel):
+        return {
+            **head,
+            "kind": "tree",
+            "positive_class": model.positive_class,
+            "n_features": model.n_features,
+            "max_depth": model.max_depth,
+            "root": _node_v1_doc(model.root),
+        }
+    assert isinstance(model, VoteModel)
+    return {
+        **head,
+        "kind": "vote",
+        "positive_class": model.positive_class,
+        "members": [model_v1_doc(m) for m in (model.boosted, model.knn, model.tree)],
+    }
+
+
+def _node_v1_doc(node) -> dict:
+    if node.label is not None:
+        return {"label": node.label}
+    return {
+        "feature_index": node.feature_index,
+        "threshold": node.threshold,
+        "left": _node_v1_doc(node.left),
+        "right": _node_v1_doc(node.right),
+    }
+
+
+def _save_model_v1(model_path, out) -> None:
+    model, _ = load_model(model_path)
+    out.write_text(json.dumps(model_v1_doc(model), indent=1, allow_nan=False) + "\n")
+
+
 @pytest.fixture(scope="module")
 def model_docs(three_profiles, tmp_path_factory):
+    """`model/2` documents of every classifier, plus the kNN one as `model/1` ("knn-v1")."""
     out = tmp_path_factory.mktemp("models")
     docs = {}
     for kind in CLASSIFIERS:
@@ -190,6 +254,8 @@ def model_docs(three_profiles, tmp_path_factory):
         argv = ["train", "--profiles", *three_profiles, "--positive", "outlet"]
         assert main([*argv, "--classifier", kind, "--out", str(path)]) == 0
         docs[kind] = json.loads(path.read_text())
+    _save_model_v1(out / "knn.json", out / "knn-v1.json")
+    docs["knn-v1"] = json.loads((out / "knn-v1.json").read_text())
     return docs
 
 
@@ -222,34 +288,77 @@ def _deep_tree(levels: int) -> _Raw:
     return _Raw(split * levels + '{"label": 1}' + ', "right": {"label": -1}}' * levels)
 
 
-# name -> (model kind, path to the mutated field, new value, _DELETE, or a
-# function of the old value; a _Raw value is JSON text). Each document is
-# one `save_model` could not have written; the last one is valid but as
-# wide as no feature variant.
+def _packed(edit):
+    """A mutation of a packed field's base64 `data`: `edit(bytes)`, encoded again."""
+    return lambda data: base64.b64encode(edit(base64.b64decode(data))).decode("ascii")
+
+
+def _set_first(value: bytes):
+    return _packed(lambda raw: value + raw[len(value) :])
+
+
+# name -> (model document, path to the mutated field, new value, _DELETE,
+# or a function of the old value; a _Raw value is JSON text). Each
+# document is one `save_model` could not have written; "knn-v1" is a
+# `model/1` document, and its last case is valid but as wide as no
+# feature variant.
 MODEL_MUTATIONS = {
     "boosted-feature-index-500": ("boosted", ("stages", 0, 0), 500),
     "boosted-feature-index-negative": ("boosted", ("stages", 0, 0), -1),
     "boosted-n-features-95-under-wide-stages": ("boosted", ("n_features",), 95),
     "boosted-threshold-nan": ("boosted", ("stages", 0, 1), float("nan")),
+    "boosted-training-deviance-nan": ("boosted", ("training_deviance", 3), float("nan")),
+    "boosted-training-deviance-missing": ("boosted", ("training_deviance",), _DELETE),
     "tree-feature-index-900": ("tree", ("root", "feature_index"), 900),
     "tree-node-without-right": ("tree", ("root", "right"), _DELETE),
     "tree-7-deep-max-depth-5": ("tree", ("root",), _deep_tree(7)),
     "tree-3000-deep": ("tree", ("root",), _deep_tree(3000)),
     "no-kind": ("boosted", ("kind",), _DELETE),
-    "knn-k-million": ("knn", ("k",), 10**6),
-    "knn-k-zero": ("knn", ("k",), 0),
-    "knn-labels-seven": ("knn", ("labels",), lambda labels: [7] * len(labels)),
-    "knn-labels-shorter-than-rows": ("knn", ("labels",), lambda labels: labels[:-1]),
+    "knn-k-million": ("knn-v1", ("k",), 10**6),
+    "knn-k-zero": ("knn-v1", ("k",), 0),
+    "knn-labels-seven": ("knn-v1", ("labels",), lambda labels: [7] * len(labels)),
+    "knn-labels-shorter-than-rows": ("knn-v1", ("labels",), lambda labels: labels[:-1]),
+    "knn-label-1e308": ("knn-v1", ("labels", 0), 1e308),
+    "knn-label-1.5": ("knn-v1", ("labels", 0), 1.5),
+    "knn-label-true": ("knn-v1", ("labels", 0), True),
     "vote-members-out-of-order": ("vote", ("members",), lambda m: [m[1], m[0], m[2]]),
-    "knn-unmappable-width-50": ("knn", ("rows",), lambda rows: [row[:50] for row in rows]),
+    "knn-unmappable-width-50": ("knn-v1", ("rows",), lambda rows: [row[:50] for row in rows]),
+    "packed-k-zero": ("knn", ("k",), 0),
+    "packed-rows-not-base64": ("knn", ("rows", "data"), lambda data: "*" + data[1:]),
+    "packed-rows-one-byte-short": ("knn", ("rows", "data"), _packed(lambda raw: raw[:-1])),
+    "packed-rows-one-byte-long": ("knn", ("rows", "data"), _packed(lambda raw: raw + b"\0")),
+    "packed-rows-shape-product-off": ("knn", ("rows", "shape"), lambda s: [s[0] - 1, s[1]]),
+    "packed-rows-dimension-0": ("knn", ("rows", "shape"), lambda s: [0, s[1]]),
+    "packed-rows-dimension-negative": ("knn", ("rows", "shape"), lambda s: [-s[0], -s[1]]),
+    "packed-rows-dimension-true": ("knn", ("rows", "shape"), lambda s: [s[0] * s[1], True]),
+    "packed-rows-one-dimension": ("knn", ("rows", "shape"), lambda s: [s[0] * s[1]]),
+    "packed-rows-dtype-f4": ("knn", ("rows", "dtype"), "<f4"),
+    "packed-rows-nan": ("knn", ("rows", "data"), _set_first(struct.pack("<d", math.nan))),
+    "packed-rows-inf": ("knn", ("rows", "data"), _set_first(struct.pack("<d", -math.inf))),
+    "packed-label-byte-0": ("knn", ("labels", "data"), _set_first(b"\x00")),
+    "packed-label-byte-2": ("knn", ("labels", "data"), _set_first(b"\x02")),
+    "packed-labels-dtype-f8": ("knn", ("labels", "dtype"), "<f8"),
+    "packed-labels-shorter-than-rows": (
+        "knn",
+        ("labels",),
+        lambda p: {**p, "shape": [p["shape"][0] - 1], "data": _packed(lambda r: r[:-1])(p["data"])},
+    ),
+    "vote-packed-labels-as-list": ("vote", ("members", 1, "labels"), lambda p: [1] * p["shape"][0]),
+    "columns-out-of-range": ("boosted", ("columns", 0), 100),
+    "columns-negative": ("boosted", ("columns", 0), -1),
+    "columns-duplicate": ("boosted", ("columns", 1), 0),
+    "columns-fewer-than-n-features": ("boosted", ("columns",), lambda c: c[:-1]),
+    "columns-more-than-n-features": ("vote", ("columns",), lambda c: [*c, 99]),
+    "columns-missing": ("knn", ("columns",), _DELETE),
+    "schema-3": ("knn", ("schema",), "model/3"),
 }
 
 
 @pytest.mark.parametrize("mutation", MODEL_MUTATIONS)
 def test_identify_rejects_malformed_model(model_docs, tmp_path, capsys, mutation):
-    kind, path, value = MODEL_MUTATIONS[mutation]
+    doc, path, value = MODEL_MUTATIONS[mutation]
     model = tmp_path / "model.json"
-    model.write_text(_mutated_text(model_docs[kind], path, value))
+    model.write_text(_mutated_text(model_docs[doc], path, value))
     code, _, err = _identify(model, "outlet", 90, tmp_path, capsys)
     assert code == 3
     assert err.startswith("error: data: ") and err.count("\n") == 1
@@ -308,6 +417,43 @@ def test_identify_with_multiple_models_reports_positive_set(tmp_path, capsys):
     assert doc["verdict"] == "camera-streamer"
     assert set(doc["positives_per_model"]) == {"outlet", "camera-streamer"}
     assert ["camera-streamer"] in doc["per_fingerprint"]
+
+
+def test_identify_prints_the_same_for_model_v1_and_v2(
+    three_profiles, tmp_path, capsys, monkeypatch
+):
+    """Vote models trained from the same profiles share one neighbour search,
+    and their stdout is byte-identical whether they are `model/2` or `model/1`."""
+    v2, v1 = [], []
+    for positive in ("outlet", "camera-streamer", "hub-conduit"):
+        path = tmp_path / f"{positive}.model.json"
+        argv = ["train", "--profiles", *three_profiles, "--positive", positive]
+        assert main([*argv, "--classifier", "vote", "--out", str(path)]) == 0
+        _save_model_v1(path, tmp_path / f"{positive}.v1.model.json")
+        v2.append(str(path))
+        v1.append(str(tmp_path / f"{positive}.v1.model.json"))
+    searches = []
+    knn_labels = ml.knn_labels
+
+    def recording(model, X, *args, **kwargs):
+        searches.append(kwargs["labels"].shape[1])
+        return knn_labels(model, X, *args, **kwargs)
+
+    monkeypatch.setattr(ml, "knn_labels", recording)
+    for name, seed in (("outlet", 94), ("camera-streamer", 95), ("hub-conduit", 96)):
+        arch = ARCHETYPES[name]
+        frames, _ = generate_trace(arch, 150, seed=seed)
+        target = tmp_path / f"{name}.pcap"
+        write_capture(target, frames)
+        outputs = []
+        for models in (v2, v1):
+            capsys.readouterr()
+            argv = ["identify", *models, "--pcap", str(target), "--mac", format_mac(arch.mac)]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["verdict"] == name
+    assert searches == [3] * 6
 
 
 def test_identify_insufficient_traffic(tmp_path, capsys):

@@ -324,6 +324,16 @@ def test_labels_must_be_plus_minus_one():
         dataset([[1.0], [2.0]], [1, 0])
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [[1.5, -1], [True, -1], [1e308, -1], [2**70, -1], ["1", -1], np.array([1.0, -1.0])],
+    ids=["1.5", "true", "1e308", "2**70", "string", "float-array"],
+)
+def test_labels_must_be_integers_before_any_cast(labels):
+    with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
+        LabeledDataset(np.zeros((2, 1)), labels, "pos")
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rows_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite"):
@@ -406,6 +416,24 @@ def test_knn_labels_match_reference_on_tie_heavy_data(case):
     assert labels.tolist() == reference_knn_labels(model, queries, chunk=chunk).tolist()
     if scale == 1.0:  # small integers: both distance formulas are exact
         assert labels.tolist() == [predict_knn(model, q) for q in queries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_knn_cases(), st.data())
+def test_knn_labels_shared_search_matches_per_model_labels(case, data):
+    """Several label vectors over one `rows` and `k` give, column by column,
+    the labels of each model's own `knn_labels` and of the full sort."""
+    model, queries, chunk, _ = case
+    n = len(model.labels)
+    signs = hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1]))
+    extra = data.draw(st.lists(signs, max_size=4))
+    models = [model, *(train_knn(dataset(model.rows, y), model.k) for y in extra)]
+    labels = np.column_stack([m.labels for m in models])
+    shared = knn_labels(model, queries, chunk=chunk, labels=labels)
+    assert shared.shape == (len(queries), len(models))
+    for column, m in zip(shared.T, models):
+        assert column.tolist() == knn_labels(m, queries, chunk=chunk).tolist()
+        assert column.tolist() == reference_knn_labels(m, queries, chunk=chunk).tolist()
 
 
 def test_knn_labels_sort_only_tied_rows(monkeypatch):
@@ -532,8 +560,9 @@ def test_model_save_load_preserves_predictions(tmp_path):
     queries = np.random.default_rng(28).uniform(-1, 1, size=(40, 4))
     for name, model in [("b", boosted), ("k", knn), ("t", tree), ("v", vote)]:
         path = tmp_path / f"{name}.model.json"
-        save_model(model, path)
-        back = load_model(path)
+        save_model(model, path, range(4))
+        back, columns = load_model(path)
+        assert columns == [0, 1, 2, 3]
         for q in queries:
             if name == "b":
                 assert predict_boosted(back, q) == predict_boosted(model, q)
@@ -547,6 +576,51 @@ def test_model_save_load_preserves_predictions(tmp_path):
                 )
 
 
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_save_load_round_trip_is_bit_identical(tmp_path):
+    from iotprint.ml import VoteModel
+
+    rng = np.random.default_rng(29)
+    rows = rng.normal(size=(60, 5)) * 10.0 ** rng.integers(-300, 300, size=(60, 5))
+    rows[0, :3] = [-0.0, 5e-324, -1.5e300]
+    labels = np.where(rng.random(60) < 0.5, 1, -1)
+    data = dataset(rows, labels)
+    boosted, knn, tree = train_boosted(data, n_stages=8), train_knn(data, k=3), train_tree(data, 3)
+    columns = [7, 3, 99, 0, 42]
+    for model in (boosted, knn, tree, VoteModel(boosted, knn, tree)):
+        path = tmp_path / "model.json"
+        save_model(model, path, columns)
+        back, back_columns = load_model(path)
+        assert type(back) is type(model) and back_columns == columns
+        for member, original in (
+            zip((back.boosted, back.knn, back.tree), (boosted, knn, tree))
+            if isinstance(back, VoteModel)
+            else [(back, model)]
+        ):
+            if isinstance(original, type(knn)):
+                assert _same_bits(member.rows, original.rows)
+                assert _same_bits(member.labels, original.labels)
+                assert (member.k, member.positive_class) == (original.k, original.positive_class)
+            else:
+                assert member == original
+            if isinstance(original, BoostedModel):
+                assert member.training_deviance == original.training_deviance
+
+
+@pytest.mark.parametrize(
+    "columns", [[0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 100], [-1, 0, 1, 2], [0.0, 1, 2, 3]]
+)
+def test_save_model_rejects_bad_columns_and_writes_nothing(tmp_path, columns):
+    _, knn, _, _ = _trio(seed=30)
+    path = tmp_path / "knn.model.json"
+    with pytest.raises(ValueError, match="columns"):
+        save_model(knn, path, columns)
+    assert not path.exists()
+
+
 def test_load_rejects_unknown_schema(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"schema": "nope", "kind": "boosted"}')
@@ -556,7 +630,9 @@ def test_load_rejects_unknown_schema(tmp_path):
 
 def test_save_model_rejects_nan_and_writes_nothing(tmp_path):
     model = BoostedModel(0.0, (Stump(0, 0.5, math.nan, 1.0),), 1.0, 1, "pos")
-    path = tmp_path / "nan.model.json"
-    with pytest.raises(ValueError):
-        save_model(model, path)
-    assert not path.exists()
+    knn = ml.KnnModel(np.array([[0.0], [math.inf]]), np.array([1, -1]), 1, "pos")
+    for model in (model, knn):
+        path = tmp_path / "nan.model.json"
+        with pytest.raises(ValueError):
+            save_model(model, path, [0])
+        assert not path.exists()
