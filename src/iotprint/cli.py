@@ -138,9 +138,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _selected_packets(args) -> list:
-    """The capture's parsed packets, narrowed to the device if a selector is given."""
-    packets, _ = packets_from_capture(args.pcap)
+    """The capture's parsed packets, narrowed to the device if a selector is given.
+
+    A MAC-only selector picks frames before they are parsed; one with
+    `--ip` needs parsed addresses, so every frame is parsed first.
+    """
     sel = _selector(args, required=False)
+    if sel is not None and not sel.needs_parsed_fields:
+        packets, _ = packets_from_capture(args.pcap, sel)
+        return packets
+    packets, _ = packets_from_capture(args.pcap)
     return packets if sel is None else filter_device(packets, sel)
 
 
@@ -211,7 +218,7 @@ def _shared_knn_labels(loaded: list, prints: np.ndarray) -> dict:
         knn = model.knn
         for group_columns, first, members in groups:
             same = group_columns == columns and first.k == knn.k
-            if same and np.array_equal(first.rows, knn.rows):
+            if same and (first.rows is knn.rows or np.array_equal(first.rows, knn.rows)):
                 members.append(i)
                 break
         else:
@@ -231,7 +238,8 @@ def _cmd_identify(args) -> int:
         raise InsufficientTraffic(
             f"insufficient traffic: {len(packets)} packets yield no fingerprints"
         )
-    loaded = [ml.load_model(p) for p in args.models]
+    decoded = {}  # packed kNN arrays, decoded once for all of this call's models
+    loaded = [ml.load_model(p, decoded) for p in args.models]
     shared = _shared_knn_labels(loaded, prints)
     per_fingerprint = [[] for _ in range(len(prints))]
     positives = {}

@@ -93,12 +93,19 @@ def format_session_average(avg: float) -> str:
     return f"{math.floor(avg * 100) / 100:.2f}"
 
 
-def packets_from_capture(path: str | Path) -> tuple:
+def packets_from_capture(path: str | Path, sel: DeviceSelector | None = None) -> tuple:
     """Read and parse a capture, skipping undecodable frames.
 
-    Returns (packets, skipped_count).
+    Returns (packets, skipped_count). A `sel` that does not need parsed
+    fields (a MAC-only selector) first picks the frames to parse by their
+    Ethernet addresses, so only those are parsed and counted. That gives
+    the packets `filter_device` would keep from parsing every frame.
     """
     _, frames = read_capture(path)
+    if sel is not None:
+        if sel.needs_parsed_fields:
+            raise ValueError("only a MAC-only selector can pick frames before parsing")
+        frames = filter_device(frames, sel)
     packets = []
     skipped = 0
     for frame in frames:

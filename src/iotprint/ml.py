@@ -194,6 +194,17 @@ def _safeguarded_leaf(value: float, labels: np.ndarray, scores: np.ndarray, rate
     return 0.0
 
 
+def _midpoint(lo, hi) -> np.ndarray:
+    """Split thresholds between adjacent sorted values `lo` < `hi`.
+
+    Exactly 0.5 * (lo + hi) wherever that sum is finite; where it
+    overflows (values near the float maximum), 0.5 * lo + 0.5 * hi.
+    """
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+
+
 class _SplitSearch:
     """Sorted-order machinery shared by every boosting stage.
 
@@ -225,7 +236,7 @@ class _SplitSearch:
         self.left_n = (boundary + 1).astype(np.float64)
         self.right_n = n - self.left_n
         self.features = columns[col]
-        self.thresholds = 0.5 * (xs[col, boundary] + xs[col, boundary + 1])
+        self.thresholds = _midpoint(xs[col, boundary], xs[col, boundary + 1])
         self.any_valid = bool(col.size)
 
     def best_split(self, target: np.ndarray) -> tuple:
@@ -407,8 +418,7 @@ def _gini_split(X: np.ndarray, y: np.ndarray) -> tuple | None:
     score[~valid] = -np.inf
     flat = int(np.argmax(score.T))
     feature, boundary = divmod(flat, score.shape[0])
-    midpoint = 0.5 * (xs[boundary, feature] + xs[boundary + 1, feature])
-    return feature, float(midpoint)
+    return feature, float(_midpoint(xs[boundary, feature], xs[boundary + 1, feature]))
 
 
 def _majority(y: np.ndarray) -> int:
@@ -543,9 +553,14 @@ def _node_doc(node: TreeNode) -> dict:
     }
 
 
-def load_model(path: str | Path) -> tuple:
-    """(model, columns): the model and the fingerprint columns it reads, in order."""
-    return _load_doc(path, _model_from_doc, "model")
+def load_model(path: str | Path, decoded: dict | None = None) -> tuple:
+    """(model, columns): the model and the fingerprint columns it reads, in order.
+
+    `decoded` maps packed arrays already decoded to their read-only
+    arrays. Models loaded with the same dict decode equal packed text
+    once and share the array; the caller decides how long it lives.
+    """
+    return _load_doc(path, lambda doc: _model_from_doc(doc, decoded), "model")
 
 
 def _load_doc(path: str | Path, build, what: str):
@@ -556,10 +571,10 @@ def _load_doc(path: str | Path, build, what: str):
         raise ValueError(f"{what} document is nested too deeply") from None
 
 
-def _model_from_doc(doc) -> tuple:
+def _model_from_doc(doc, decoded: dict | None) -> tuple:
     schema = _field(doc, "schema")
     if schema == MODEL_SCHEMA:
-        model = _member_from_doc(doc, packed=True)
+        model = _member_from_doc(doc, packed=True, decoded=decoded)
         return model, _checked_columns(_list(doc, "columns"), model.n_features)
     if schema == MODEL_SCHEMA_V1:
         model = _member_from_doc(doc, packed=False)
@@ -567,11 +582,12 @@ def _model_from_doc(doc) -> tuple:
     raise ValueError(f"unsupported model schema: {schema!r}")
 
 
-def _member_from_doc(doc, packed: bool):
+def _member_from_doc(doc, packed: bool, decoded: dict | None = None):
     """Rebuild a model, rejecting any document that would fail or mislead at prediction.
 
-    `packed` documents (`model/2`) hold kNN arrays packed and a boosted
-    model's training deviance; `model/1` documents hold number lists.
+    `packed` documents (`model/2`) hold kNN arrays packed, decoded
+    through `decoded` (see `_unpack`), and a boosted model's training
+    deviance; `model/1` documents hold number lists.
     """
     if not packed and _field(doc, "schema") != MODEL_SCHEMA_V1:
         raise ValueError(f"unsupported model schema: {doc['schema']!r}")
@@ -590,7 +606,8 @@ def _member_from_doc(doc, packed: bool):
         )
     if kind == "knn":
         if packed:
-            rows, labels = _unpack(doc, "rows", "<f8", 2), _unpack(doc, "labels", "<i1", 1)
+            rows = _unpack(doc, "rows", "<f8", 2, decoded=decoded)
+            labels = _unpack(doc, "labels", "<i1", 1, decoded=decoded)
         else:
             rows, labels = _array(doc, "rows", 2), _list(doc, "labels")
         data = LabeledDataset(rows, labels, positive_class)
@@ -606,7 +623,7 @@ def _member_from_doc(doc, packed: bool):
             positive_class=positive_class,
         )
     if kind == "vote":
-        members = tuple(_member_from_doc(m, packed) for m in _list(doc, "members"))
+        members = tuple(_member_from_doc(m, packed, decoded) for m in _list(doc, "members"))
         if tuple(map(type, members)) != (BoostedModel, KnnModel, TreeModel):
             raise ValueError("vote members must be boosted, knn and tree, in that order")
         if len({(m.n_features, m.positive_class) for m in members}) != 1:
@@ -651,8 +668,15 @@ def _pack(array: np.ndarray, dtype: str) -> dict:
     return {"dtype": dtype, "shape": list(data.shape), "data": text}
 
 
-def _unpack(doc, key: str, dtype: str, ndim: int, what: str = "model") -> np.ndarray:
-    """The packed field `key`, which must hold `ndim`-D `dtype` values (finite, if floats)."""
+def _unpack(
+    doc, key: str, dtype: str, ndim: int, what: str = "model", decoded: dict | None = None
+) -> np.ndarray:
+    """The packed field `key`, which must hold `ndim`-D `dtype` values (finite, if floats).
+
+    The array is read-only. `decoded` memoizes by (dtype, shape, data):
+    text equal to a field it already holds returns that same array, which
+    passed every check below when it was first decoded.
+    """
     packed = _field(doc, key, what)
     name = f"{what} {key}"
     if _field(packed, "dtype", what) != dtype:
@@ -660,8 +684,12 @@ def _unpack(doc, key: str, dtype: str, ndim: int, what: str = "model") -> np.nda
     shape = _list(packed, "shape", what)
     if len(shape) != ndim or not all(type(n) is int and n >= 1 for n in shape):
         raise ValueError(f"{name} shape must be {ndim} positive integers, got {shape!r}")
+    text = _str(packed, "data", what)
+    memo = (dtype, tuple(shape), text)
+    if decoded is not None and memo in decoded:
+        return decoded[memo]
     try:
-        raw = base64.b64decode(_str(packed, "data", what), validate=True)
+        raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII string
         raise ValueError(f"{name} data is not base64: {exc}") from None
     size = math.prod(shape) * np.dtype(dtype).itemsize
@@ -670,6 +698,8 @@ def _unpack(doc, key: str, dtype: str, ndim: int, what: str = "model") -> np.nda
     array = np.frombuffer(raw, dtype=dtype).reshape(shape)
     if array.dtype.kind == "f" and not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite (no NaN or infinity)")
+    if decoded is not None:
+        decoded[memo] = array
     return array
 
 

@@ -93,6 +93,16 @@ class RawFrame:
     def capture_length(self) -> int:
         return len(self.data)
 
+    @property
+    def dst_mac(self) -> bytes:
+        """Bytes 0-6, which `parse_frame` reads as the destination address."""
+        return self.data[0:6]
+
+    @property
+    def src_mac(self) -> bytes:
+        """Bytes 6-12, which `parse_frame` reads as the source address."""
+        return self.data[6:12]
+
 
 @dataclass(frozen=True)
 class ParsedPacket:

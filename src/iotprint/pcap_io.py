@@ -12,10 +12,12 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import BadMagic, IoFailure, TruncatedFile, UnsupportedLinkType
 from .packet_model import ParsedPacket, RawFrame
+
+P = TypeVar("P", ParsedPacket, RawFrame)
 
 LINKTYPE_ETHERNET = 1
 MAX_FRAME_BYTES = 65535
@@ -63,7 +65,16 @@ class DeviceSelector:
         if self.ip is not None:
             object.__setattr__(self, "ip", str(ipaddress.ip_address(self.ip)))
 
-    def matches(self, pkt: ParsedPacket) -> bool:
+    @property
+    def needs_parsed_fields(self) -> bool:
+        """Whether matching reads IP addresses, which only a parsed packet has.
+
+        A MAC-only selector matches a `RawFrame` by the bytes `parse_frame`
+        reads its addresses from, exactly as it matches the parsed packet.
+        """
+        return self.ip is not None
+
+    def matches(self, pkt: ParsedPacket | RawFrame) -> bool:
         if self.mac is not None and self.mac in (pkt.src_mac, pkt.dst_mac):
             return True
         if self.ip is not None and self.ip in (pkt.src_ip, pkt.dst_ip):
@@ -136,6 +147,9 @@ def write_capture(path: str | Path, frames: Iterable[RawFrame]) -> int:
     return count
 
 
-def filter_device(packets: Sequence[ParsedPacket], sel: DeviceSelector) -> list[ParsedPacket]:
-    """Keep packets flowing into or out of the selected device, in order."""
+def filter_device(packets: Sequence[P], sel: DeviceSelector) -> list[P]:
+    """Keep packets flowing into or out of the selected device, in order.
+
+    `packets` may be `RawFrame`s when `sel` does not need parsed fields.
+    """
     return [pkt for pkt in packets if sel.matches(pkt)]

@@ -8,13 +8,21 @@ from pathlib import Path
 
 import pytest
 
-from iotprint import ml
+from iotprint import fingerprint, ml
 from iotprint.cli import main
+from iotprint.errors import FrameTooShort, TruncatedHeader
 from iotprint.evaluation import CLASSIFIERS, VARIANT_TAGS
-from iotprint.fingerprint import load_profile
+from iotprint.features import extract_features
+from iotprint.fingerprint import (
+    BehavioralProfile,
+    ProfileSource,
+    build_fingerprints,
+    load_profile,
+    save_profile,
+)
 from iotprint.ml import BoostedModel, KnnModel, TreeModel, VoteModel, load_model
-from iotprint.packet_model import format_mac
-from iotprint.pcap_io import write_capture
+from iotprint.packet_model import RawFrame, format_mac, parse_frame
+from iotprint.pcap_io import DeviceSelector, filter_device, write_capture
 from iotprint.synth import ARCHETYPES, generate_trace
 
 
@@ -432,14 +440,19 @@ def test_identify_prints_the_same_for_model_v1_and_v2(
         _save_model_v1(path, tmp_path / f"{positive}.v1.model.json")
         v2.append(str(path))
         v1.append(str(tmp_path / f"{positive}.v1.model.json"))
-    searches = []
-    knn_labels = ml.knn_labels
+    searches, decodes = [], []
+    knn_labels, b64decode = ml.knn_labels, ml.base64.b64decode
 
     def recording(model, X, *args, **kwargs):
         searches.append(kwargs["labels"].shape[1])
         return knn_labels(model, X, *args, **kwargs)
 
+    def decoding(*args, **kwargs):
+        decodes.append(len(args[0]))
+        return b64decode(*args, **kwargs)
+
     monkeypatch.setattr(ml, "knn_labels", recording)
+    monkeypatch.setattr(ml.base64, "b64decode", decoding)
     for name, seed in (("outlet", 94), ("camera-streamer", 95), ("hub-conduit", 96)):
         arch = ARCHETYPES[name]
         frames, _ = generate_trace(arch, 150, seed=seed)
@@ -454,6 +467,107 @@ def test_identify_prints_the_same_for_model_v1_and_v2(
         assert outputs[0] == outputs[1]
         assert json.loads(outputs[0])["verdict"] == name
     assert searches == [3] * 6
+    # Each model/2 call decodes the shared rows once and the three label vectors.
+    assert len(decodes) == 3 * 4 and len(set(decodes)) == 2
+
+
+@pytest.mark.parametrize("classifier", CLASSIFIERS)
+def test_train_on_values_near_the_float_maximum(three_profiles, tmp_path, capsys, classifier):
+    """Split midpoints between 1.6e308 and 1.7e308 do not overflow."""
+    doc = json.loads(Path(three_profiles[0]).read_text())
+    doc["fingerprints"][0][3] = 1.7e308
+    doc["fingerprints"][1][3] = 1.6e308
+    profile = tmp_path / "huge.profile.json"
+    profile.write_text(json.dumps(doc))
+    out = tmp_path / "huge.model.json"
+    capsys.readouterr()
+    argv = ["train", "--profiles", str(profile), *three_profiles[1:], "--positive", "outlet"]
+    code = main([*argv, "--classifier", classifier, "--out", str(out)])
+    assert (code, capsys.readouterr().err) == (0, "")
+    model, _ = load_model(out)
+    assert model.positive_class == "outlet"
+
+
+@pytest.fixture(scope="module")
+def merged_capture(tmp_path_factory):
+    """(path, frames) of an outlet and a camera interleaved, with three
+    frames that do not parse: too short with the outlet MAC at 0, a VLAN
+    tag cut short with it at 6, and too short with the camera's MAC."""
+    outlet, cam = ARCHETYPES["outlet"], ARCHETYPES["camera-streamer"]
+    pairs = zip(generate_trace(outlet, 150, seed=61)[0], generate_trace(cam, 150, seed=62)[0])
+    frames = [frame for pair in pairs for frame in pair]
+    junk = [outlet.mac * 2, b"\x02" * 6 + outlet.mac + b"\x81\x00\x00", cam.mac + b"\x00" * 6]
+    for i, data in enumerate(junk):
+        frames.insert(40 * (i + 1), RawFrame(0, 0, len(data), data))
+    path = tmp_path_factory.mktemp("merged") / "merged.pcap"
+    write_capture(path, frames)
+    return path, frames
+
+
+@pytest.fixture(scope="module")
+def outlet_model(three_profiles, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model") / "outlet.model.json"
+    argv = ["train", "--profiles", *three_profiles, "--positive", "outlet", "--out", str(out)]
+    assert main(argv) == 0
+    return str(out)
+
+
+def _record_parsed_frames(monkeypatch) -> list:
+    """The bytes of every frame the pipeline parses from now on."""
+    seen = []
+    parse = fingerprint.parse_frame
+
+    def recording(frame):
+        seen.append(frame.data)
+        return parse(frame)
+
+    monkeypatch.setattr(fingerprint, "parse_frame", recording)
+    return seen
+
+
+@pytest.mark.parametrize("with_ip", [False, True])
+@pytest.mark.parametrize("command", ["identify", "extract", "sessions"])
+def test_a_mac_only_selector_parses_only_frames_holding_the_mac(
+    merged_capture, outlet_model, monkeypatch, capsys, command, with_ip
+):
+    path, frames = merged_capture
+    outlet = ARCHETYPES["outlet"]
+    argv = [command, "--pcap", str(path), "--mac", format_mac(outlet.mac)]
+    argv += ["--ip", outlet.ip] if with_ip else []
+    argv[1:1] = [outlet_model] if command == "identify" else []
+    seen = _record_parsed_frames(monkeypatch)
+    assert main(argv) == 0
+    if with_ip:
+        assert seen == [f.data for f in frames]
+    else:
+        assert seen == [f.data for f in frames if outlet.mac in (f.data[0:6], f.data[6:12])]
+        assert len(seen) == 150 + 2  # the outlet's frames and two junk frames
+
+
+def test_profile_parses_every_frame_and_counts_skipped_over_all(
+    merged_capture, tmp_path, monkeypatch
+):
+    path, frames = merged_capture
+    outlet = ARCHETYPES["outlet"]
+    out = tmp_path / "outlet.profile.json"
+    argv = ["profile", "--pcap", str(path), "--mac", format_mac(outlet.mac)]
+    seen = _record_parsed_frames(monkeypatch)
+    assert main([*argv, "--label", "outlet", "--category", "power", "--out", str(out)]) == 0
+    assert seen == [f.data for f in frames]
+
+    packets, skipped = [], 0  # parse every frame, then select
+    for frame in frames:
+        try:
+            packets.append(parse_frame(frame))
+        except (FrameTooShort, TruncatedHeader):
+            skipped += 1
+    assert skipped == 3
+    matching = filter_device(packets, DeviceSelector(mac=outlet.mac))
+    prints = build_fingerprints([extract_features(p) for p in matching])
+    source = ProfileSource((path.name,), skipped_frames=skipped)
+    expected = tmp_path / "expected.profile.json"
+    save_profile(BehavioralProfile("outlet", "power", prints, source), expected)
+    assert out.read_bytes() == expected.read_bytes()
 
 
 def test_identify_insufficient_traffic(tmp_path, capsys):

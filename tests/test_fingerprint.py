@@ -1,7 +1,14 @@
+import argparse
 import json
+import struct
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from iotprint import cli
 from iotprint.errors import InsufficientTraffic
 from iotprint.features import extract_features
 from iotprint.fingerprint import (
@@ -10,13 +17,14 @@ from iotprint.fingerprint import (
     build_profile,
     format_session_average,
     load_profile,
+    packets_from_capture,
     profile_from_packets,
     save_profile,
     session_stats,
 )
-from iotprint.packet_model import Network, ParsedPacket, Transport, parse_frame
-from iotprint.pcap_io import DeviceSelector, write_capture
-from iotprint.synth import ARCHETYPES, generate_trace
+from iotprint.packet_model import Network, ParsedPacket, RawFrame, Transport, parse_frame
+from iotprint.pcap_io import DeviceSelector, filter_device, write_capture
+from iotprint.synth import ARCHETYPES, PEER_MAC, generate_trace
 
 
 def marker_features(n):
@@ -211,3 +219,74 @@ def test_extracted_features_feed_fingerprints():
     prints = build_fingerprints(feats)
     assert len(prints) == 5
     assert tuple(prints[0][:20]) == feats[0]
+
+
+_BULB, _SPEAKER = ARCHETYPES["constrained-bulb"], ARCHETYPES["speaker"]
+_SYNTH_FRAMES = [
+    f.data
+    for pair in zip(generate_trace(_BULB, 40, seed=31)[0], generate_trace(_SPEAKER, 40, seed=32)[0])
+    for f in pair
+]  # ARP frames among them also hold a MAC at offsets 22 and 32
+_SELECTOR_MACS = (_BULB.mac, _SPEAKER.mac, PEER_MAC, b"\xff" * 6)
+
+
+def _ip_only_frame(ip: str) -> bytes:
+    """An IPv4/UDP frame from and to foreign MACs, sent from `ip`."""
+    udp = struct.pack("!HHHH", 40000, 53, 12, 0) + b"abcd"
+    header = struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(udp), 0, 0, 64, 17, 0)
+    addresses = bytes(map(int, ip.split("."))) + bytes([10, 0, 0, 9])
+    return b"\x02\x0f" * 3 + b"\x02\x0e" * 3 + b"\x08\x00" + header + addresses + udp
+
+
+@st.composite
+def _frame_bytes(draw, mac: bytes) -> bytes:
+    """A synth frame, as it is or byte-mutated, cut to 0-13 bytes,
+    VLAN-tagged (possibly cut inside the tag) or holding `mac` at an
+    offset other than 0 and 6."""
+    data = draw(st.sampled_from(_SYNTH_FRAMES))
+    kind = draw(st.sampled_from(["synth", "mutated", "short", "vlan", "mac-elsewhere"]))
+    if kind == "mutated":
+        edits = draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255))))
+        edited = bytearray(data)
+        for at, value in edits:
+            edited[at] = value
+        return bytes(edited)
+    if kind == "short":
+        return data[: draw(st.integers(0, 13))]
+    if kind == "vlan":
+        tagged = data[:12] + b"\x81\x00" + draw(st.binary(min_size=2, max_size=2)) + data[12:]
+        return tagged[: draw(st.integers(14, len(tagged)))]
+    if kind == "mac-elsewhere":
+        at = draw(st.integers(1, len(data) - 6).filter(lambda i: i != 6))
+        return data[:at] + mac + data[at + 6 :]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_selecting_frames_before_parsing_matches_parse_then_filter(data):
+    mac = data.draw(st.sampled_from(_SELECTOR_MACS))
+    chunks = data.draw(st.lists(_frame_bytes(mac), max_size=30))
+    chunks.insert(data.draw(st.integers(0, len(chunks))), _ip_only_frame(_BULB.ip))
+    frames = [RawFrame(i, 0, len(chunk), chunk) for i, chunk in enumerate(chunks)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mixed.pcap"
+        write_capture(path, frames)
+        everything, _ = packets_from_capture(path)
+        by_mac = DeviceSelector(mac=mac)
+        selected, _ = packets_from_capture(path, by_mac)
+        assert selected == filter_device(everything, by_mac)
+
+        # With --ip the selector reads parsed fields: every frame is parsed.
+        by_both = DeviceSelector(mac=mac, ip=_BULB.ip)
+        args = argparse.Namespace(pcap=str(path), mac=mac, ip=_BULB.ip)
+        kept = cli._selected_packets(args)
+        assert kept == filter_device(everything, by_both)
+        assert any(p.src_ip == _BULB.ip and mac not in (p.src_mac, p.dst_mac) for p in kept)
+
+
+def test_only_a_mac_only_selector_picks_frames_before_parsing(tmp_path):
+    path = tmp_path / "one.pcap"
+    write_capture(path, [RawFrame(0, 0, 60, _ip_only_frame(_BULB.ip))])
+    with pytest.raises(ValueError, match="MAC-only"):
+        packets_from_capture(path, DeviceSelector(mac=_BULB.mac, ip=_BULB.ip))

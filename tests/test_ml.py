@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -319,6 +321,35 @@ def test_split_search_matches_reference_on_corpus_folds(base_profiles):
         assert model.training_deviance == reference.training_deviance, profile.device_label
 
 
+_BIG = sys.float_info.max
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.5 * _BIG, _BIG),
+    st.floats(-_BIG, -0.5 * _BIG),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=8))
+def test_midpoint_is_the_plain_midpoint_unless_the_sum_overflows(pairs):
+    lo, hi = np.array([sorted(pair) for pair in pairs]).T
+    mids = ml._midpoint(lo, hi)
+    for a, b, mid in zip(lo, hi, mids):
+        assert float(ml._midpoint(a, b)) == mid  # scalars as arrays
+        if math.isfinite(float(a) + float(b)):
+            assert np.float64(mid).tobytes() == np.float64(0.5 * (a + b)).tobytes()
+        else:
+            assert mid == 0.5 * a + 0.5 * b and a <= mid <= b
+
+
+def test_splits_between_values_near_the_float_maximum_are_finite():
+    data = dataset([[1.0], [1.6e308], [1.7e308]], [-1, -1, 1])
+    assert ml._gini_split(data.rows, data.labels) == (0, 0.5 * 1.6e308 + 0.5 * 1.7e308)
+    thresholds = [s.threshold for s in train_boosted(data, n_stages=3).stages]
+    assert thresholds and all(t == 0.5 * 1.6e308 + 0.5 * 1.7e308 for t in thresholds)
+    assert train_tree(data).root.threshold == thresholds[0]
+
+
 def test_labels_must_be_plus_minus_one():
     with pytest.raises(ValueError):
         dataset([[1.0], [2.0]], [1, 0])
@@ -608,6 +639,41 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
                 assert member == original
             if isinstance(original, BoostedModel):
                 assert member.training_deviance == original.training_deviance
+
+
+def test_models_loaded_with_one_dict_decode_equal_packed_text_once(tmp_path, monkeypatch):
+    data = random_dataset(n=40, d=5, seed=31)
+    trained = [train_knn(d, 3) for d in (data, dataset(data.rows, -data.labels), data)]
+    paths = [tmp_path / f"{i}.model.json" for i in range(3)]
+    for model, path in zip(trained, paths):
+        save_model(model, path, range(5))
+    decodes = []
+    b64decode = ml.base64.b64decode
+
+    def counting(*args, **kwargs):
+        decodes.append(1)
+        return b64decode(*args, **kwargs)
+
+    monkeypatch.setattr(ml.base64, "b64decode", counting)
+
+    decoded = {}
+    shared = [load_model(path, decoded)[0] for path in paths]
+    assert len(decodes) == 3  # the rows once, and each of the two label vectors
+    assert shared[0].rows is shared[1].rows is shared[2].rows
+    assert not shared[0].rows.flags.writeable
+    for model, original in zip(shared, trained):
+        assert knn_labels(model, data.rows).tolist() == knn_labels(original, data.rows).tolist()
+
+    decodes.clear()
+    alone = [load_model(path)[0] for path in paths]
+    assert len(decodes) == 6 and alone[0].rows is not alone[1].rows
+
+    # Equal text under another shape is no hit: its size is checked again.
+    doc = json.loads(paths[0].read_text())
+    doc["rows"]["shape"] = [40, 6]
+    paths[0].write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="bytes"):
+        load_model(paths[0], decoded)
 
 
 @pytest.mark.parametrize(
