@@ -42,10 +42,6 @@ from .ml import (
     TreeModel,
     VoteModel,
     load_model,
-    predict_boosted,
-    predict_knn,
-    predict_tree,
-    predict_vote,
     save_model,
     train_boosted,
     train_knn,
@@ -105,10 +101,6 @@ __all__ = [
     "load_profile",
     "metrics",
     "parse_frame",
-    "predict_boosted",
-    "predict_knn",
-    "predict_tree",
-    "predict_vote",
     "read_capture",
     "run_experiment",
     "save_model",

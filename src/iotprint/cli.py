@@ -240,6 +240,10 @@ def _cmd_identify(args) -> int:
         )
     decoded = {}  # packed kNN arrays, decoded once for all of this call's models
     loaded = [ml.load_model(p, decoded) for p in args.models]
+    classes = [model.positive_class for model, _ in loaded]
+    for name in classes:
+        if classes.count(name) > 1:
+            raise ValueError(f"{classes.count(name)} models have the positive class {name!r}")
     shared = _shared_knn_labels(loaded, prints)
     per_fingerprint = [[] for _ in range(len(prints))]
     positives = {}

@@ -53,10 +53,6 @@ class KTooLarge(IotprintError):
     """Requested neighbor count exceeds the training set size."""
 
 
-class DimensionMismatch(IotprintError):
-    """Input vector width differs from the model's feature count."""
-
-
 class UnknownLabel(IotprintError):
     """Requested positive label not present among the profiles."""
 

@@ -13,12 +13,9 @@ lowest feature index then the lowest threshold, kNN distance ties at
 the k-th neighbor include the smallest row index, and tied kNN votes
 predict -1.
 
-The kNN tie rule holds for the distances each path computes. The batch
-`knn_labels` uses the expanded form |q|^2 + |r|^2 - 2 q.r, the scalar
-`predict_knn` sums squared differences. Distances that are equal in
-exact arithmetic can round apart in one form and not the other, so on
-non-integer data with such ties the two paths can disagree; on small
-integer data both are exact and agree.
+Every model labels a matrix of rows with `model.predict(X)`; the
+boosted stumps and the tree find their splits through one search over
+the boundaries between distinct sorted values (`_SplitSearch`).
 
 Models persist as `model/2` JSON documents, which record the
 fingerprint columns a model reads and pack kNN rows and labels as
@@ -37,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyData, KTooLarge, SingleClassData
+from .errors import EmptyData, KTooLarge, SingleClassData
 
 MAX_STAGES = 100
 MODEL_SCHEMA = "model/2"
@@ -199,21 +196,25 @@ def _midpoint(lo, hi) -> np.ndarray:
 
     Exactly 0.5 * (lo + hi) wherever that sum is finite; where it
     overflows (values near the float maximum), 0.5 * lo + 0.5 * hi.
+    Where either rounds up to `hi` (adjacent floats), `lo`: the rule
+    x <= threshold must send `hi` right, as the search scored it.
     """
     with np.errstate(over="ignore"):
         mid = 0.5 * (lo + hi)
-    return np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+    mid = np.where(np.isfinite(mid), mid, 0.5 * lo + 0.5 * hi)
+    return np.where(mid < hi, mid, lo)
 
 
 class _SplitSearch:
-    """Sorted-order machinery shared by every boosting stage.
+    """Sorted-order split search over the rows of X, for both learners.
 
-    Feature columns are argsorted once; per stage only the target values
-    change. The candidates are only the boundaries between consecutive
-    distinct sorted values, listed once per fit in feature-major,
-    ascending-boundary order (the tie order); each threshold is the
-    midpoint of the two values. Columns without a candidate are dropped,
-    and the kept sort order is stored feature-major.
+    Feature columns are argsorted once; each boosting stage (or tree
+    node) only brings new target values. The candidates are only the
+    boundaries between consecutive distinct sorted values, listed once
+    per search in feature-major, ascending-boundary order (the tie
+    order); each threshold is the midpoint of the two values. Columns
+    without a candidate are dropped, and the kept sort order is stored
+    feature-major.
 
     A candidate's left sum is the same sequential prefix sum, over the
     same sorted targets, as a cumsum down every column, so its gain is
@@ -239,19 +240,38 @@ class _SplitSearch:
         self.thresholds = _midpoint(xs[col, boundary], xs[col, boundary + 1])
         self.any_valid = bool(col.size)
 
+    def _sums(self, values: np.ndarray) -> tuple:
+        """Per candidate: the sum of `values` left of it, and the column total."""
+        csum = np.cumsum(values[self.order], axis=1)
+        return csum.take(self.left_flat), csum.take(self.total_flat)
+
+    def _first_max(self, score: np.ndarray) -> tuple:
+        """Ties pick the lowest feature index, then the lowest threshold."""
+        best = int(np.argmax(score))
+        return int(self.features[best]), float(self.thresholds[best])
+
     def best_split(self, target: np.ndarray) -> tuple:
         """(feature, threshold) minimizing squared error of leaf means.
 
         Gain maximized is sum_L^2/n_L + sum_R^2/n_R, which orders splits
-        identically to squared error. Ties pick the lowest feature index,
-        then the lowest threshold (the first maximum in candidate order).
+        identically to squared error.
         """
-        csum = np.cumsum(target[self.order], axis=1)
-        left_sum = csum.take(self.left_flat)
-        total = csum.take(self.total_flat)
+        left_sum, total = self._sums(target)
         gain = left_sum**2 / self.left_n + (total - left_sum) ** 2 / self.right_n
-        best = int(np.argmax(gain))
-        return int(self.features[best]), float(self.thresholds[best])
+        return self._first_max(gain)
+
+    def best_gini_split(self, labels: np.ndarray) -> tuple:
+        """(feature, threshold) minimizing the weighted Gini impurity of +/-1 labels.
+
+        Score maximized is sum_side (pos^2 + neg^2) / n_side. The counts
+        are exact in float64, so only the divisions round.
+        """
+        pos_left, pos_total = self._sums((labels > 0).astype(np.float64))
+        neg_left = self.left_n - pos_left
+        pos_right = pos_total - pos_left
+        neg_right = self.right_n - pos_right
+        left = (pos_left**2 + neg_left**2) / self.left_n
+        return self._first_max(left + (pos_right**2 + neg_right**2) / self.right_n)
 
 
 def train_boosted(
@@ -321,15 +341,6 @@ def boosted_scores(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     return scores
 
 
-def predict_boosted(model: BoostedModel, x: Sequence[float]) -> tuple:
-    """Return (label, score) with score >= 0 mapped to +1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise DimensionMismatch(f"expected {model.n_features} features, got {x.shape}")
-    score = float(boosted_scores(model, x[None, :])[0])
-    return (1 if score >= 0 else -1), score
-
-
 def train_knn(data: LabeledDataset, k: int) -> KnnModel:
     if len(data) == 0:
         raise EmptyData("cannot train on an empty dataset")
@@ -338,16 +349,6 @@ def train_knn(data: LabeledDataset, k: int) -> KnnModel:
     if k > len(data):
         raise KTooLarge(f"k={k} exceeds {len(data)} training rows")
     return KnnModel(data.rows, data.labels, k, data.positive_class)
-
-
-def predict_knn(model: KnnModel, x: Sequence[float]) -> int:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise DimensionMismatch(f"expected {model.n_features} features, got {x.shape}")
-    dist2 = ((model.rows - x) ** 2).sum(axis=1)
-    nearest = np.argsort(dist2, kind="stable")[: model.k]
-    vote = int(model.labels[nearest].sum())
-    return 1 if vote > 0 else -1
 
 
 def knn_labels(
@@ -392,35 +393,6 @@ def knn_labels(
     return out[:, 0] if one else out
 
 
-def _gini_split(X: np.ndarray, y: np.ndarray) -> tuple | None:
-    """Best (feature, threshold) by weighted Gini impurity, or None.
-
-    Minimizing weighted impurity is equivalent to maximizing
-    sum_side (pos^2 + neg^2) / n_side; ties resolve feature-major.
-    """
-    n = X.shape[0]
-    if n < 2:
-        return None
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    valid = xs[1:] > xs[:-1]
-    if not valid.any():
-        return None
-    pos_sorted = (y[order] > 0).astype(np.float64)
-    pos_left = np.cumsum(pos_sorted, axis=0)[:-1]
-    total_pos = float((y > 0).sum())
-    left_n = np.arange(1, n, dtype=np.float64)[:, None]
-    right_n = n - left_n
-    neg_left = left_n - pos_left
-    pos_right = total_pos - pos_left
-    neg_right = right_n - pos_right
-    score = (pos_left**2 + neg_left**2) / left_n + (pos_right**2 + neg_right**2) / right_n
-    score[~valid] = -np.inf
-    flat = int(np.argmax(score.T))
-    feature, boundary = divmod(flat, score.shape[0])
-    return feature, float(_midpoint(xs[boundary, feature], xs[boundary + 1, feature]))
-
-
 def _majority(y: np.ndarray) -> int:
     vote = int(y.sum())
     return 1 if vote > 0 else -1
@@ -431,10 +403,10 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, depth_left: int) -> TreeNode:
         return TreeNode(label=int(y[0]))
     if depth_left == 0:
         return TreeNode(label=_majority(y))
-    split = _gini_split(X, y)
-    if split is None:
+    search = _SplitSearch(X)
+    if not search.any_valid:
         return TreeNode(label=_majority(y))
-    feature, threshold = split
+    feature, threshold = search.best_gini_split(y)
     mask = X[:, feature] <= threshold
     return TreeNode(
         feature_index=feature,
@@ -454,16 +426,6 @@ def train_tree(data: LabeledDataset, max_depth: int = 5) -> TreeModel:
     return TreeModel(root, max_depth, data.n_features, data.positive_class)
 
 
-def predict_tree(model: TreeModel, x: Sequence[float]) -> int:
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.n_features,):
-        raise DimensionMismatch(f"expected {model.n_features} features, got {x.shape}")
-    node = model.root
-    while node.label is None:
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return int(node.label)
-
-
 def tree_labels(model: TreeModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     out = np.empty(X.shape[0], dtype=np.int64)
@@ -478,17 +440,6 @@ def tree_labels(model: TreeModel, X: np.ndarray) -> np.ndarray:
 
     assign(model.root, np.arange(X.shape[0]))
     return out
-
-
-def predict_vote(
-    boosted: BoostedModel, knn: KnnModel, tree: TreeModel, x: Sequence[float]
-) -> int:
-    """Majority label of the three classifiers for one row."""
-    x = np.asarray(x, dtype=np.float64)
-    for model in (boosted, knn, tree):
-        if x.shape != (model.n_features,):
-            raise DimensionMismatch(f"expected {model.n_features} features, got {x.shape}")
-    return int(VoteModel(boosted, knn, tree).predict(x[None, :])[0])
 
 
 def save_model(model, path: str | Path, columns: Sequence[int]) -> None:

@@ -28,7 +28,6 @@ from iotprint.ml import (
     LabeledDataset,
     boosted_scores,
     knn_labels,
-    predict_knn,
     train_boosted,
     train_knn,
 )
@@ -227,7 +226,6 @@ def test_knn_oracle():
         model = train_knn(data, k=5)
         queries = np.random.default_rng(45).uniform(-1, 1, size=(200, 10))
         expected = [_knn_oracle(model, q) for q in queries]
-        assert [predict_knn(model, q) for q in queries] == expected
         assert knn_labels(model, queries).tolist() == expected
         assert time.monotonic() - start < 5.0
 

@@ -427,6 +427,31 @@ def test_identify_with_multiple_models_reports_positive_set(tmp_path, capsys):
     assert ["camera-streamer"] in doc["per_fingerprint"]
 
 
+def test_identify_rejects_two_models_with_one_positive_class(
+    three_profiles, tmp_path, capsys, monkeypatch
+):
+    """In either order, before any scoring (the last model's count used to win)."""
+    paths = []
+    for classifier in ("boosted", "tree"):
+        path = tmp_path / f"outlet-{classifier}.model.json"
+        argv = ["train", "--profiles", *three_profiles, "--positive", "outlet"]
+        assert main([*argv, "--classifier", classifier, "--out", str(path)]) == 0
+        paths.append(str(path))
+    scored = []
+    monkeypatch.setattr(ml, "boosted_scores", lambda *a: scored.append("boosted"))
+    monkeypatch.setattr(ml, "tree_labels", lambda *a: scored.append("tree"))
+    arch = ARCHETYPES["outlet"]
+    frames, _ = generate_trace(arch, 150, seed=94)
+    target = tmp_path / "outlet.pcap"
+    write_capture(target, frames)
+    for models in (paths, paths[::-1]):
+        capsys.readouterr()
+        code = main(["identify", *models, "--pcap", str(target), "--mac", format_mac(arch.mac)])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == "" and scored == []
+        assert err == "error: data: 2 models have the positive class 'outlet'\n"
+
+
 def test_identify_prints_the_same_for_model_v1_and_v2(
     three_profiles, tmp_path, capsys, monkeypatch
 ):
@@ -654,6 +679,7 @@ PINNED_DIGESTS = {
     "camera-streamer.profile.json": "9444e5608bbfa7250e29907bf6414066e343bb42753925c018ec14b62d86840a",
     "hub-conduit.profile.json": "546a0e3eb86a6501f8aa0201ebe3a055d254bb92fa60bc6655b158afb4509e86",
     "report.json": "9f29fca2e1f942b6b54ae95eb6b3c8b422ea47b4970218e9239460d090d004df",
+    "outlet.model.json": "9d06bde24c7fea43003c50156550a503dfaa7ac48aec8b85b3dbb7be6d7dd434",
 }
 
 
@@ -663,8 +689,12 @@ def test_profile_and_report_bytes_are_pinned(tmp_path, capsys):
     report = tmp_path / "report.json"
     argv = ["evaluate", "--profiles", *paths, "--classifier", "vote", "--seed", "3"]
     assert main([*argv, "--out", str(report)]) == 0
+    # The vote model holds tree and boosted thresholds: its bytes pin both split searches.
+    model = tmp_path / "outlet.model.json"
+    argv = ["train", "--profiles", *paths, "--classifier", "vote", "--positive", "outlet"]
+    assert main([*argv, "--out", str(model)]) == 0
     digests = {
         Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        for p in [*paths, report]
+        for p in [*paths, report, model]
     }
     assert digests == PINNED_DIGESTS

@@ -4,34 +4,35 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from iotprint import ml
-from iotprint.errors import (
-    DimensionMismatch,
-    EmptyData,
-    KTooLarge,
-    SingleClassData,
-)
+from iotprint.errors import EmptyData, KTooLarge, SingleClassData
 from iotprint.evaluation import assemble_one_vs_all, stratified_folds
 from iotprint.ml import (
     BoostedModel,
     LabeledDataset,
     Stump,
+    VoteModel,
     boosted_scores,
     knn_labels,
     load_model,
-    predict_boosted,
-    predict_knn,
-    predict_tree,
-    predict_vote,
     save_model,
     train_boosted,
     train_knn,
     train_tree,
     tree_labels,
+)
+
+from oracles import (
+    dense_gini_split,
+    grow_tree_with_dense_gini,
+    predict_boosted,
+    predict_knn,
+    predict_tree,
+    predict_vote,
 )
 
 
@@ -234,12 +235,13 @@ def test_training_accuracy_close_to_one_on_noisy_data():
 
 def test_predict_zero_stage_model():
     model = BoostedModel(0.4, (), 1.0, 3, "pos")
-    assert predict_boosted(model, [0.0, 0.0, 0.0]) == (1, 0.4)
+    assert boosted_scores(model, np.zeros((1, 3))).tolist() == [0.4]
+    assert model.predict(np.zeros((1, 3))).tolist() == [1]
 
 
 def test_score_zero_predicts_positive():
     model = BoostedModel(0.0, (), 1.0, 2, "pos")
-    assert predict_boosted(model, [1.0, 2.0])[0] == 1
+    assert model.predict([[1.0, 2.0]]).tolist() == [1]
 
 
 def test_scale_consistency_of_sign():
@@ -256,8 +258,8 @@ def test_scale_consistency_of_sign():
         model.positive_class,
     )
     queries = np.random.default_rng(1).uniform(-1, 1, size=(50, 5))
-    for q in queries:
-        assert predict_boosted(model, q)[0] == predict_boosted(scaled, q)[0]
+    assert model.predict(queries).tolist() == scaled.predict(queries).tolist()
+    assert model.predict(queries).tolist() == [predict_boosted(model, q)[0] for q in queries]
 
 
 def test_boosted_input_validation():
@@ -267,9 +269,6 @@ def test_boosted_input_validation():
         train_boosted(dataset([[1.0], [2.0]], [1, 1]))
     with pytest.raises(ValueError):
         train_boosted(separable_dataset(), n_stages=101)
-    model = train_boosted(separable_dataset(), n_stages=1)
-    with pytest.raises(DimensionMismatch):
-        predict_boosted(model, [1.0, 2.0])
 
 
 def test_constant_features_fall_back_to_prior_fit():
@@ -327,27 +326,47 @@ finite_floats = st.one_of(
     st.floats(0.5 * _BIG, _BIG),
     st.floats(-_BIG, -0.5 * _BIG),
 )
+# a value and the next float above it, where the plain midpoint can round up
+adjacent_floats = st.floats(allow_nan=False, allow_infinity=False, max_value=_BIG / 2).map(
+    lambda x: (x, float(np.nextafter(x, math.inf)))
+) | st.floats(_BIG / 2, _BIG, exclude_max=True).map(lambda x: (x, float(np.nextafter(x, _BIG))))
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(finite_floats, finite_floats), min_size=1, max_size=8))
-def test_midpoint_is_the_plain_midpoint_unless_the_sum_overflows(pairs):
+@given(st.lists(st.tuples(finite_floats, finite_floats) | adjacent_floats, min_size=1, max_size=8))
+def test_midpoint_lies_below_hi_and_is_the_plain_midpoint_elsewhere(pairs):
     lo, hi = np.array([sorted(pair) for pair in pairs]).T
     mids = ml._midpoint(lo, hi)
     for a, b, mid in zip(lo, hi, mids):
-        assert float(ml._midpoint(a, b)) == mid  # scalars as arrays
-        if math.isfinite(float(a) + float(b)):
-            assert np.float64(mid).tobytes() == np.float64(0.5 * (a + b)).tobytes()
-        else:
-            assert mid == 0.5 * a + 0.5 * b and a <= mid <= b
+        assert _bits(ml._midpoint(a, b)) == _bits(mid)  # scalars as arrays
+        with np.errstate(over="ignore"):
+            plain = 0.5 * (a + b)
+        expected = plain if math.isfinite(plain) else 0.5 * a + 0.5 * b
+        assert _bits(mid) == _bits(expected if expected < b else a)
+        if a < b:
+            assert a <= mid < b
 
 
 def test_splits_between_values_near_the_float_maximum_are_finite():
     data = dataset([[1.0], [1.6e308], [1.7e308]], [-1, -1, 1])
-    assert ml._gini_split(data.rows, data.labels) == (0, 0.5 * 1.6e308 + 0.5 * 1.7e308)
+    assert dense_gini_split(data.rows, data.labels) == (0, 0.5 * 1.6e308 + 0.5 * 1.7e308)
     thresholds = [s.threshold for s in train_boosted(data, n_stages=3).stages]
     assert thresholds and all(t == 0.5 * 1.6e308 + 0.5 * 1.7e308 for t in thresholds)
     assert train_tree(data).root.threshold == thresholds[0]
+
+
+def test_a_split_between_adjacent_floats_sends_the_upper_value_right():
+    a, b = 1 + 2**-52, 1 + 2**-51
+    assert 0.5 * (a + b) == b  # the plain midpoint would send b left
+    data = dataset([[a], [a], [b], [b]], [-1, -1, 1, 1])
+    tree, boosted = train_tree(data), train_boosted(data, n_stages=1)
+    assert tree.root.threshold == boosted.stages[0].threshold == a
+    for model in (tree, boosted):
+        assert model.predict(data.rows).tolist() == [-1, -1, 1, 1]
 
 
 def test_labels_must_be_plus_minus_one():
@@ -377,30 +396,28 @@ def test_rows_must_be_finite(bad):
 def test_knn_exact_match_with_k1():
     data = random_dataset(n=30, d=4, seed=5)
     model = train_knn(data, k=1)
-    for i in (0, 7, 29):
-        assert predict_knn(model, data.rows[i]) == data.labels[i]
+    picked = [0, 7, 29]
+    assert model.predict(data.rows[picked]).tolist() == data.labels[picked].tolist()
 
 
 def test_knn_k_equals_n_is_global_majority():
     rows = np.arange(8, dtype=float).reshape(-1, 1)
     labels = np.array([1, 1, 1, -1, -1, -1, -1, -1])
     model = train_knn(dataset(rows, labels), k=8)
-    assert predict_knn(model, [100.0]) == -1
-    assert predict_knn(model, [0.0]) == -1
+    assert model.predict([[100.0], [0.0]]).tolist() == [-1, -1]
 
 
 def test_knn_tied_vote_predicts_negative():
     rows = np.array([[0.0], [2.0]])
     model = train_knn(dataset(rows, [1, -1]), k=2)
-    assert predict_knn(model, [1.0]) == -1
+    assert model.predict([[1.0]]).tolist() == [-1]
 
 
 def test_knn_matches_exhaustive_oracle():
     data = random_dataset(n=300, d=12, seed=13)
     model = train_knn(data, k=5)
     queries = np.random.default_rng(14).uniform(-1, 1, size=(200, 12))
-    for q in queries:
-        assert predict_knn(model, q) == knn_oracle(model, q)
+    assert model.predict(queries).tolist() == [knn_oracle(model, q) for q in queries]
 
 
 def test_knn_batch_agrees_with_single_queries():
@@ -418,7 +435,7 @@ def test_knn_invariant_under_row_permutation():
     a = train_knn(data, k=7)
     b = train_knn(shuffled, k=7)
     queries = np.random.default_rng(19).uniform(-1, 1, size=(60, 6))
-    assert [predict_knn(a, q) for q in queries] == [predict_knn(b, q) for q in queries]
+    assert a.predict(queries).tolist() == b.predict(queries).tolist()
 
 
 @st.composite
@@ -508,7 +525,7 @@ def test_pure_data_yields_single_leaf():
     rows = np.random.default_rng(21).uniform(size=(12, 3))
     model = train_tree(dataset(rows, [1] * 12), max_depth=4)
     assert model.root.label == 1
-    assert predict_tree(model, rows[0]) == 1
+    assert model.predict(rows).tolist() == [1] * 12
 
 
 def test_xor_pattern_needs_depth_two():
@@ -545,6 +562,52 @@ def test_tree_batch_agrees_with_single():
     assert tree_labels(model, queries).tolist() == [predict_tree(model, q) for q in queries]
 
 
+def _node_bits(node):
+    """A tree node as nested tuples, thresholds by their bits."""
+    if node.label is not None:
+        return node.label
+    split = (node.feature_index, _bits(node.threshold))
+    return split, _node_bits(node.left), _node_bits(node.right)
+
+
+def _assert_tree_matches_dense_gini(data, max_depth):
+    model = train_tree(data, max_depth)
+    reference = grow_tree_with_dense_gini(data.rows, data.labels, max_depth)
+    assert _node_bits(model.root) == _node_bits(reference)
+
+
+# Gini's (pos^2 + neg^2)/n and the boosting gain (pos - neg)^2/n order
+# splits alike in exact arithmetic; on these rows they round apart and
+# pick different roots, so the tree must keep Gini's own expression.
+_GINI_ROUNDING_CASE = dataset(
+    np.array(
+        [
+            [0, -2, 2, 0, 0, 2, 1, 1, -1, -1, 2, 0],
+            [-2, -1, -1, 1, 1, -2, 2, 1, -1, -1, 0, 0],
+        ]
+    ).T,
+    [1, 1, 1, 1, -1, -1, 1, 1, 1, 1, -1, -1],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_datasets(), st.integers(1, 6))
+@example(_GINI_ROUNDING_CASE, 1)
+def test_tree_matches_dense_gini_tree_on_tie_heavy_data(data, max_depth):
+    _assert_tree_matches_dense_gini(data, max_depth)
+
+
+def test_tree_matches_dense_gini_tree_on_corpus_folds(base_profiles):
+    for profile in base_profiles:
+        data = assemble_one_vs_all(base_profiles, profile.device_label)
+        folds = stratified_folds(data, k=5, seed=3)
+        _assert_tree_matches_dense_gini(data, 5)
+        for fold in range(5):
+            idx = folds.train_indices(fold)
+            train = LabeledDataset(data.rows[idx], data.labels[idx], data.positive_class)
+            _assert_tree_matches_dense_gini(train, 5)
+
+
 def test_tree_validation():
     with pytest.raises(EmptyData):
         train_tree(dataset(np.empty((0, 2)), []))
@@ -562,10 +625,9 @@ def _trio(seed=26):
 
 def test_vote_majority():
     boosted, knn, tree, data = _trio()
-    for q in data.rows[:25]:
-        votes = [predict_boosted(boosted, q)[0], predict_knn(knn, q), predict_tree(tree, q)]
-        expected = 1 if sum(votes) > 0 else -1
-        assert predict_vote(boosted, knn, tree, q) == expected
+    vote = VoteModel(boosted, knn, tree)
+    queries = data.rows[:25]
+    assert vote.predict(queries).tolist() == [predict_vote(vote, q) for q in queries]
 
 
 def test_vote_agreement_cases():
@@ -576,16 +638,13 @@ def test_vote_agreement_cases():
         if predict_boosted(boosted, q)[0] == predict_knn(knn, q) == predict_tree(tree, q)
     ]
     assert agree, "expected at least one unanimous point"
-    q = agree[0]
-    assert predict_vote(boosted, knn, tree, q) == predict_knn(knn, q)
+    assert VoteModel(boosted, knn, tree).predict(agree).tolist() == knn.predict(agree).tolist()
 
 
 # --- persistence ---------------------------------------------------------
 
 
 def test_model_save_load_preserves_predictions(tmp_path):
-    from iotprint.ml import VoteModel
-
     boosted, knn, tree, data = _trio(seed=27)
     vote = VoteModel(boosted, knn, tree)
     queries = np.random.default_rng(28).uniform(-1, 1, size=(40, 4))
@@ -594,17 +653,9 @@ def test_model_save_load_preserves_predictions(tmp_path):
         save_model(model, path, range(4))
         back, columns = load_model(path)
         assert columns == [0, 1, 2, 3]
-        for q in queries:
-            if name == "b":
-                assert predict_boosted(back, q) == predict_boosted(model, q)
-            elif name == "k":
-                assert predict_knn(back, q) == predict_knn(model, q)
-            elif name == "t":
-                assert predict_tree(back, q) == predict_tree(model, q)
-            else:
-                assert predict_vote(back.boosted, back.knn, back.tree, q) == predict_vote(
-                    boosted, knn, tree, q
-                )
+        assert back.predict(queries).tolist() == model.predict(queries).tolist()
+        if name == "b":  # the scores too, not only their signs
+            assert boosted_scores(back, queries).tolist() == boosted_scores(model, queries).tolist()
 
 
 def _same_bits(a, b) -> bool:
@@ -612,8 +663,6 @@ def _same_bits(a, b) -> bool:
 
 
 def test_save_load_round_trip_is_bit_identical(tmp_path):
-    from iotprint.ml import VoteModel
-
     rng = np.random.default_rng(29)
     rows = rng.normal(size=(60, 5)) * 10.0 ** rng.integers(-300, 300, size=(60, 5))
     rows[0, :3] = [-0.0, 5e-324, -1.5e300]
