@@ -28,7 +28,7 @@ from .fingerprint import (
     session_stats,
 )
 from .packet_model import parse_mac
-from .pcap_io import DeviceSelector, filter_device, write_capture
+from .pcap_io import DeviceSelector, write_capture
 
 IDENTIFY_SCHEMA = "identify-report/1"
 LABELS_SCHEMA = "trace-labels/1"
@@ -137,22 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _selected_packets(args) -> list:
-    """The capture's parsed packets, narrowed to the device if a selector is given.
-
-    A MAC-only selector picks frames before they are parsed; one with
-    `--ip` needs parsed addresses, so every frame is parsed first.
-    """
-    sel = _selector(args, required=False)
-    if sel is not None and not sel.needs_parsed_fields:
-        packets, _ = packets_from_capture(args.pcap, sel)
-        return packets
-    packets, _ = packets_from_capture(args.pcap)
-    return packets if sel is None else filter_device(packets, sel)
-
-
 def _cmd_extract(args) -> int:
-    csv_text = render_features_csv([extract_features(p) for p in _selected_packets(args)])
+    packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
+    csv_text = render_features_csv([extract_features(p) for p in packets])
     if args.out:
         Path(args.out).write_text(csv_text, encoding="ascii")
     else:
@@ -168,7 +155,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_sessions(args) -> int:
-    stats = session_stats(_selected_packets(args))
+    packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
+    stats = session_stats(packets)
     print("Total Sessions' Packets  Sessions  Packets/Session")
     print(
         f"{stats.total_session_packets:<23}  {stats.session_count:<8}  "
@@ -232,7 +220,7 @@ def _shared_knn_labels(loaded: list, prints: np.ndarray) -> dict:
 
 
 def _cmd_identify(args) -> int:
-    packets = _selected_packets(args)
+    packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
     prints = build_fingerprints([extract_features(p) for p in packets])
     if not len(prints):
         raise InsufficientTraffic(

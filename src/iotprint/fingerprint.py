@@ -94,17 +94,16 @@ def format_session_average(avg: float) -> str:
 
 
 def packets_from_capture(path: str | Path, sel: DeviceSelector | None = None) -> tuple:
-    """Read and parse a capture, skipping undecodable frames.
+    """Read and parse a capture, skipping undecodable frames; keep `sel`'s packets.
 
-    Returns (packets, skipped_count). A `sel` that does not need parsed
-    fields (a MAC-only selector) first picks the frames to parse by their
-    Ethernet addresses, so only those are parsed and counted. That gives
-    the packets `filter_device` would keep from parsing every frame.
+    Returns (packets, skipped_count), the packets being those
+    `filter_device` keeps from parsing every frame. A MAC-only selector
+    picks frames by their Ethernet addresses first, so only those are
+    parsed and counted; a selector with an IP needs parsed addresses, so
+    every frame is parsed and the packets are filtered after.
     """
     _, frames = read_capture(path)
-    if sel is not None:
-        if sel.needs_parsed_fields:
-            raise ValueError("only a MAC-only selector can pick frames before parsing")
+    if sel is not None and not sel.needs_parsed_fields:
         frames = filter_device(frames, sel)
     packets = []
     skipped = 0
@@ -113,6 +112,8 @@ def packets_from_capture(path: str | Path, sel: DeviceSelector | None = None) ->
             packets.append(parse_frame(frame))
         except (FrameTooShort, TruncatedHeader):
             skipped += 1
+    if sel is not None and sel.needs_parsed_fields:
+        packets = filter_device(packets, sel)
     return packets, skipped
 
 

@@ -1,11 +1,19 @@
 """Synthetic device-archetype traffic with per-frame ground truth.
 
 Each archetype emits short port-pair-consistent sessions drawn from its
-protocol mix. Payload bytes follow one of two entropy regimes: "low"
-draws from a 16-symbol alphabet (entropy ceiling 0.5), "high" draws
-uniformly over all 256 byte values. Archetype parameters are chosen so
-the three payload features have visibly distinct distributions; the
-test suite asserts that separation rather than assuming it.
+protocol mix. One table, `_SESSIONS`, says how each `Proto` frames its
+sessions, and one loop, `_TraceBuilder.emit_session`, reads it. Payload
+bytes follow one of two entropy regimes: "low" draws from a 16-symbol
+alphabet (entropy ceiling 0.5), "high" draws uniformly over all 256
+byte values. Archetype parameters are chosen so the three payload
+features have visibly distinct distributions; the test suite asserts
+that separation rather than assuming it.
+
+The order of the random draws is part of the corpus bytes, which the
+tests pin by sha256: per session the length, then the ephemeral port
+or ICMP ident, then per frame the TCP window before the payload and
+last the clock step. Ephemeral ports are not reused within a trace
+until all of `EPHEMERAL_PORTS` are used; then a new round starts.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .packet_model import (
 from .pcap_io import DeviceSelector, filter_device
 
 TRACE_EPOCH = 1_700_000_000
+EPHEMERAL_PORTS = range(20000, 60000)
 
 PEER_MAC = bytes.fromhex("02ffee000001")
 BROADCAST_MAC = b"\xff" * 6
@@ -56,12 +65,30 @@ class Proto(enum.Enum):
     ICMP = "icmp"
 
 
-_SERVER_PORT = {
-    Proto.TCP_HTTP: 80,
-    Proto.TCP_HTTPS: 443,
-    Proto.UDP_DNS: 53,
-    Proto.UDP_SSDP: 1900,
-    Proto.UDP_NTP: 123,
+@dataclass(frozen=True)
+class _Session:
+    """How one `Proto` frames its sessions; TCP and UDP run device_port <-> server_port."""
+
+    carrier: int  # IP protocol number, or the EtherType of a frame without IPv4 (ARP, EAPoL)
+    server_port: int | None
+    device_port: int | None  # None: an ephemeral port drawn once per session
+    sends_to: tuple  # the (MAC, IP) the device's frames go to
+    answered: bool = True  # the peer answers every other frame
+
+
+_PEER = (PEER_MAC, PEER_IP)
+
+_SESSIONS = {
+    Proto.TCP_HTTP: _Session(IPPROTO_TCP, 80, None, _PEER),
+    Proto.TCP_HTTPS: _Session(IPPROTO_TCP, 443, None, _PEER),
+    Proto.UDP_DNS: _Session(IPPROTO_UDP, 53, None, _PEER),
+    Proto.UDP_MDNS: _Session(IPPROTO_UDP, 5353, 5353, (MDNS_MAC, MDNS_IP), answered=False),
+    Proto.UDP_SSDP: _Session(IPPROTO_UDP, 1900, None, (SSDP_MAC, SSDP_IP), answered=False),
+    Proto.UDP_NTP: _Session(IPPROTO_UDP, 123, None, _PEER),
+    Proto.UDP_DHCP: _Session(IPPROTO_UDP, 67, 68, (BROADCAST_MAC, BROADCAST_IP)),
+    Proto.EAPOL: _Session(ETHERTYPE_EAPOL, None, None, (PAE_GROUP_MAC, None)),
+    Proto.ARP: _Session(ETHERTYPE_ARP, None, None, (BROADCAST_MAC, PEER_IP)),
+    Proto.ICMP: _Session(IPPROTO_ICMP, None, None, _PEER),
 }
 
 
@@ -127,20 +154,8 @@ def _ethernet(dst: bytes, src: bytes, ether_type: int, body: bytes) -> bytes:
 
 
 def _ipv4(src_ip: str, dst_ip: str, proto: int, body: bytes) -> bytes:
-    header = struct.pack(
-        "!BBHHHBBH4s4s",
-        0x45,
-        0,
-        20 + len(body),
-        0,
-        0,
-        64,
-        proto,
-        0,
-        _ip_bytes(src_ip),
-        _ip_bytes(dst_ip),
-    )
-    return header + body
+    header = struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(body), 0, 0, 64, proto, 0)
+    return header + _ip_bytes(src_ip) + _ip_bytes(dst_ip) + body
 
 
 def _tcp(src_port: int, dst_port: int, window: int, payload: bytes) -> bytes:
@@ -157,13 +172,10 @@ def _icmp_echo(request: bool, ident: int, payload: bytes) -> bytes:
 
 
 def _arp_body(request: bool, sender_mac: bytes, sender_ip: str, target_mac: bytes, target_ip: str) -> bytes:
-    return (
-        struct.pack("!HHBBH", 1, ETHERTYPE_IPV4, 6, 4, 1 if request else 2)
-        + sender_mac
-        + _ip_bytes(sender_ip)
-        + target_mac
-        + _ip_bytes(target_ip)
-    )
+    """A request does not know the target's MAC yet, so it carries zeros."""
+    header = struct.pack("!HHBBH", 1, ETHERTYPE_IPV4, 6, 4, 1 if request else 2)
+    target_mac = b"\x00" * 6 if request else target_mac
+    return header + sender_mac + _ip_bytes(sender_ip) + target_mac + _ip_bytes(target_ip)
 
 
 def _eapol_body(payload: bytes) -> bytes:
@@ -199,8 +211,11 @@ class _TraceBuilder:
         return int(profile.base + self.rng.integers(0, profile.spread + 1))
 
     def ephemeral_port(self) -> int:
+        """A port no session of this round has used; a round ends when all are used."""
+        if len(self.used_ports) == len(EPHEMERAL_PORTS):
+            self.used_ports.clear()
         while True:
-            port = int(self.rng.integers(20000, 60000))
+            port = int(self.rng.integers(EPHEMERAL_PORTS.start, EPHEMERAL_PORTS.stop))
             if port not in self.used_ports:
                 self.used_ports.add(port)
                 return port
@@ -216,95 +231,35 @@ class _TraceBuilder:
         weights = np.asarray([self.arch.session_length_distribution[n] for n in lengths])
         length = int(self.rng.choice(np.asarray(lengths), p=weights / weights.sum()))
         count = min(length, budget)
-        arch = self.arch
-        if proto in (Proto.TCP_HTTP, Proto.TCP_HTTPS):
-            device_port = self.ephemeral_port()
-            server_port = _SERVER_PORT[proto]
-            for i in range(count):
-                outbound = i % 2 == 0
-                body = _tcp(
-                    device_port if outbound else server_port,
-                    server_port if outbound else device_port,
-                    self.window(),
-                    self.payload(proto),
-                )
-                src, dst = (arch.ip, PEER_IP) if outbound else (PEER_IP, arch.ip)
-                packet = _ipv4(src, dst, IPPROTO_TCP, body)
-                macs = (PEER_MAC, arch.mac) if outbound else (arch.mac, PEER_MAC)
-                self.emit(_ethernet(macs[0], macs[1], ETHERTYPE_IPV4, packet))
-            ports = (device_port, server_port)
-        elif proto in (Proto.UDP_DNS, Proto.UDP_NTP):
-            device_port = self.ephemeral_port()
-            server_port = _SERVER_PORT[proto]
-            for i in range(count):
-                outbound = i % 2 == 0
-                body = _udp(
-                    device_port if outbound else server_port,
-                    server_port if outbound else device_port,
-                    self.payload(proto),
-                )
-                src, dst = (arch.ip, PEER_IP) if outbound else (PEER_IP, arch.ip)
-                packet = _ipv4(src, dst, IPPROTO_UDP, body)
-                macs = (PEER_MAC, arch.mac) if outbound else (arch.mac, PEER_MAC)
-                self.emit(_ethernet(macs[0], macs[1], ETHERTYPE_IPV4, packet))
-            ports = (device_port, server_port)
-        elif proto is Proto.UDP_MDNS:
-            # Multicast announcements: every frame leaves the device.
-            for _ in range(count):
-                body = _udp(5353, 5353, self.payload(proto))
-                packet = _ipv4(arch.ip, MDNS_IP, IPPROTO_UDP, body)
-                self.emit(_ethernet(MDNS_MAC, arch.mac, ETHERTYPE_IPV4, packet))
-            ports = (5353, 5353)
-        elif proto is Proto.UDP_SSDP:
-            device_port = self.ephemeral_port()
-            for _ in range(count):
-                body = _udp(device_port, 1900, self.payload(proto))
-                packet = _ipv4(arch.ip, SSDP_IP, IPPROTO_UDP, body)
-                self.emit(_ethernet(SSDP_MAC, arch.mac, ETHERTYPE_IPV4, packet))
-            ports = (device_port, 1900)
-        elif proto is Proto.UDP_DHCP:
-            for i in range(count):
-                outbound = i % 2 == 0
-                if outbound:
-                    body = _udp(68, 67, self.payload(proto))
-                    packet = _ipv4(arch.ip, BROADCAST_IP, IPPROTO_UDP, body)
-                    self.emit(_ethernet(BROADCAST_MAC, arch.mac, ETHERTYPE_IPV4, packet))
-                else:
-                    body = _udp(67, 68, self.payload(proto))
-                    packet = _ipv4(PEER_IP, arch.ip, IPPROTO_UDP, body)
-                    self.emit(_ethernet(arch.mac, PEER_MAC, ETHERTYPE_IPV4, packet))
-            ports = (67, 68)
-        elif proto is Proto.EAPOL:
-            for i in range(count):
-                outbound = i % 2 == 0
-                body = _eapol_body(self.payload(proto))
-                if outbound:
-                    self.emit(_ethernet(PAE_GROUP_MAC, arch.mac, ETHERTYPE_EAPOL, body))
-                else:
-                    self.emit(_ethernet(arch.mac, PEER_MAC, ETHERTYPE_EAPOL, body))
-            ports = None
-        elif proto is Proto.ARP:
-            for i in range(count):
-                outbound = i % 2 == 0
-                if outbound:
-                    body = _arp_body(True, arch.mac, arch.ip, b"\x00" * 6, PEER_IP)
-                    self.emit(_ethernet(BROADCAST_MAC, arch.mac, ETHERTYPE_ARP, body))
-                else:
-                    body = _arp_body(False, PEER_MAC, PEER_IP, arch.mac, arch.ip)
-                    self.emit(_ethernet(arch.mac, PEER_MAC, ETHERTYPE_ARP, body))
-            ports = None
-        elif proto is Proto.ICMP:
+        row = _SESSIONS[proto]
+        device = (self.arch.mac, self.arch.ip)
+        ports = None
+        if row.carrier in (IPPROTO_TCP, IPPROTO_UDP):
+            device_port = self.ephemeral_port() if row.device_port is None else row.device_port
+            ports = (device_port, row.server_port)
+        elif row.carrier == IPPROTO_ICMP:
             ident = int(self.rng.integers(0, 65536))
-            for i in range(count):
-                outbound = i % 2 == 0
+        for i in range(count):
+            outbound = i % 2 == 0 or not row.answered
+            (src_mac, src_ip), (dst_mac, dst_ip) = (
+                (device, row.sends_to) if outbound else (_PEER, device)
+            )
+            pair = ports if outbound or ports is None else ports[::-1]
+            if row.carrier == IPPROTO_TCP:
+                body = _tcp(*pair, self.window(), self.payload(proto))
+            elif row.carrier == IPPROTO_UDP:
+                body = _udp(*pair, self.payload(proto))
+            elif row.carrier == IPPROTO_ICMP:
                 body = _icmp_echo(outbound, ident, self.payload(proto))
-                src, dst = (arch.ip, PEER_IP) if outbound else (PEER_IP, arch.ip)
-                packet = _ipv4(src, dst, IPPROTO_ICMP, body)
-                macs = (PEER_MAC, arch.mac) if outbound else (arch.mac, PEER_MAC)
-                self.emit(_ethernet(macs[0], macs[1], ETHERTYPE_IPV4, packet))
-            ports = None
-        else:  # pragma: no cover
-            raise ValueError(f"unhandled protocol {proto}")
+            elif row.carrier == ETHERTYPE_EAPOL:
+                body = _eapol_body(self.payload(proto))
+            else:
+                body = _arp_body(outbound, src_mac, src_ip, dst_mac, dst_ip)
+            if row.carrier in (ETHERTYPE_EAPOL, ETHERTYPE_ARP):
+                self.emit(_ethernet(dst_mac, src_mac, row.carrier, body))
+            else:
+                packet = _ipv4(src_ip, dst_ip, row.carrier, body)
+                self.emit(_ethernet(dst_mac, src_mac, ETHERTYPE_IPV4, packet))
         self.sessions.append(SessionRecord(proto, ports, count))
         return count
 
@@ -350,7 +305,6 @@ def _archetype_roster() -> tuple:
             payload_profile={
                 Proto.TCP_HTTP: PayloadProfile("low", (32, 48), 8),
                 Proto.UDP_DNS: PayloadProfile("low", (90,), 12),
-                Proto.ARP: PayloadProfile("low", (0,)),
             },
             window_profile=WindowProfile(1024, 0),
             session_length_distribution={2: 0.3, 4: 0.4, 6: 0.3},
@@ -368,7 +322,6 @@ def _archetype_roster() -> tuple:
             payload_profile={
                 Proto.TCP_HTTPS: PayloadProfile("high", (544, 640), 16),
                 Proto.UDP_MDNS: PayloadProfile("low", (140,), 16),
-                Proto.ARP: PayloadProfile("low", (0,)),
             },
             window_profile=WindowProfile(4096, 256),
             session_length_distribution={2: 0.2, 4: 0.3, 6: 0.3, 8: 0.2},
@@ -398,7 +351,6 @@ def _archetype_roster() -> tuple:
             ip="192.168.1.14",
             protocol_mix={Proto.ARP: 0.30, Proto.EAPOL: 0.40, Proto.ICMP: 0.30},
             payload_profile={
-                Proto.ARP: PayloadProfile("low", (0,)),
                 Proto.EAPOL: PayloadProfile("high", (64, 80), 8),
                 Proto.ICMP: PayloadProfile("high", (56,)),
             },

@@ -1,4 +1,3 @@
-import argparse
 import json
 import struct
 import tempfile
@@ -8,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotprint import cli
 from iotprint.errors import InsufficientTraffic
 from iotprint.features import extract_features
 from iotprint.fingerprint import (
@@ -279,14 +277,15 @@ def test_selecting_frames_before_parsing_matches_parse_then_filter(data):
 
         # With --ip the selector reads parsed fields: every frame is parsed.
         by_both = DeviceSelector(mac=mac, ip=_BULB.ip)
-        args = argparse.Namespace(pcap=str(path), mac=mac, ip=_BULB.ip)
-        kept = cli._selected_packets(args)
+        kept, _ = packets_from_capture(path, by_both)
         assert kept == filter_device(everything, by_both)
         assert any(p.src_ip == _BULB.ip and mac not in (p.src_mac, p.dst_mac) for p in kept)
 
 
-def test_only_a_mac_only_selector_picks_frames_before_parsing(tmp_path):
+def test_a_selector_with_an_ip_parses_every_frame(tmp_path):
     path = tmp_path / "one.pcap"
-    write_capture(path, [RawFrame(0, 0, 60, _ip_only_frame(_BULB.ip))])
-    with pytest.raises(ValueError, match="MAC-only"):
-        packets_from_capture(path, DeviceSelector(mac=_BULB.mac, ip=_BULB.ip))
+    frame = _ip_only_frame(_BULB.ip)
+    write_capture(path, [RawFrame(0, 0, len(frame), frame), RawFrame(1, 0, 10, frame[:10])])
+    packets, skipped = packets_from_capture(path, DeviceSelector(mac=_BULB.mac, ip=_BULB.ip))
+    assert [p.src_ip for p in packets] == [_BULB.ip]
+    assert skipped == 1

@@ -1,9 +1,14 @@
+import hashlib
+import json
+import signal
+
 import numpy as np
 import pytest
 
 from iotprint.features import FEATURE_NAMES, extract_features, shannon_entropy
 from iotprint.fingerprint import session_stats
 from iotprint.packet_model import parse_frame
+from iotprint.pcap_io import write_capture
 from iotprint.synth import (
     ARCHETYPES,
     CORPUS_PACKETS,
@@ -12,6 +17,7 @@ from iotprint.synth import (
     Proto,
     WindowProfile,
     _generate,
+    _TraceBuilder,
     generate_trace,
     profile_for_entry,
 )
@@ -86,22 +92,37 @@ def test_every_generated_frame_parses(corpus):
             parse_frame(frame)  # must not raise
 
 
-def test_session_recovery_against_generator_truth():
-    mixed = DeviceArchetype(
-        name="mixed",
-        category="test",
-        mac=bytes.fromhex("02000000cccc"),
-        ip="192.168.9.11",
-        protocol_mix={Proto.TCP_HTTP: 0.5, Proto.UDP_DNS: 0.3, Proto.UDP_MDNS: 0.2},
-        payload_profile={
-            Proto.TCP_HTTP: PayloadProfile("low", (64,)),
-            Proto.UDP_DNS: PayloadProfile("low", (80,)),
-            Proto.UDP_MDNS: PayloadProfile("low", (120,)),
-        },
-        window_profile=WindowProfile(2048, 0),
-        session_length_distribution={2: 0.4, 4: 0.3, 6: 0.3},
-    )
-    frames, _, sessions = _generate(mixed, 900, seed=6)
+MIXED = DeviceArchetype(
+    name="mixed",
+    category="test",
+    mac=bytes.fromhex("02000000cccc"),
+    ip="192.168.9.11",
+    protocol_mix={Proto.TCP_HTTP: 0.5, Proto.UDP_DNS: 0.3, Proto.UDP_MDNS: 0.2},
+    payload_profile={
+        Proto.TCP_HTTP: PayloadProfile("low", (64,)),
+        Proto.UDP_DNS: PayloadProfile("low", (80,)),
+        Proto.UDP_MDNS: PayloadProfile("low", (120,)),
+    },
+    window_profile=WindowProfile(2048, 0),
+    session_length_distribution={2: 0.4, 4: 0.3, 6: 0.3},
+)
+
+EVERY_PROTOCOL = DeviceArchetype(
+    name="every-protocol",
+    category="test",
+    mac=bytes.fromhex("02000000dddd"),
+    ip="192.168.9.12",
+    protocol_mix={proto: 0.1 for proto in Proto},
+    payload_profile={proto: PayloadProfile("low", (40,), 8) for proto in Proto},
+    window_profile=WindowProfile(2048, 512),
+    session_length_distribution={2: 0.4, 3: 0.3, 6: 0.3},
+)
+
+
+@pytest.mark.parametrize("arch", [MIXED, EVERY_PROTOCOL], ids=["three-protocols", "every-protocol"])
+def test_session_recovery_against_generator_truth(arch):
+    frames, _, sessions = _generate(arch, 900, seed=6)
+    assert {record.proto for record in sessions} == set(arch.protocol_mix)
     expected = {}
     for record in sessions:
         if record.ports is None:
@@ -112,6 +133,32 @@ def test_session_recovery_against_generator_truth():
     assert stats.per_session == expected
     assert stats.session_count == len(expected)
     assert stats.total_session_packets == sum(expected.values())
+
+
+def _port_within_seconds(builder, seconds=20):
+    """`builder.ephemeral_port()`, failing the test if it has not returned in time."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError(f"ephemeral_port did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        return builder.ephemeral_port()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_ephemeral_ports_start_a_new_round_once_every_port_is_used():
+    ports = range(20000, 60000)
+    builder = _TraceBuilder(ARCHETYPES["constrained-bulb"], seed=8)
+    builder.used_ports = set(ports) - {43210}
+    assert _port_within_seconds(builder) == 43210
+    assert len(builder.used_ports) == len(ports)
+    port = _port_within_seconds(builder)
+    assert port in ports
+    assert builder.used_ports == {port}
 
 
 def test_session_lengths_within_declared_range():
@@ -184,3 +231,51 @@ def test_payload_feature_distributions_are_distinct(base_profiles):
         )
     values = sorted(summaries.values())
     assert all(b - a > 500 for a, b in zip(values, values[1:]) if b > 0)
+
+
+# sha256 of each (pcap, trace-labels/1 sidecar) that `iotprint synth --corpus
+# --seed 7` writes. The generator's draw order is part of these bytes.
+CORPUS_DIGESTS = {
+    "camera-streamer-a": (
+        "12e858e816be23a7615507a7e908c0b85cd0e6d3bb1e5e3d40b2490168036cac",
+        "d9cdd9eb394df43fcca54c1966ec033805fca4af256c9c3dd8ea2aa00eda3a50",
+    ),
+    "constrained-bulb-a": (
+        "a15c6cd61256d9db87b7e2d877a4fe351c89bcd3d1cfdf73b7fad6a7ecacba3a",
+        "fac774cbc9504346e61f68d4158a228d7e8534eb4d3bfe96b4b10a5c55929087",
+    ),
+    "hub-conduit-a": (
+        "096541f44d2dbf3dd89198104dacf25d21e86fa0e625f7a774d16c235da59849",
+        "91d802557583007a4153738d37c06cb0bacbd19d39a369c50851d1588b133c84",
+    ),
+    "hue-bulb-a": (
+        "c5cb04ba02ca8027276f1d7b8c9ea405f7c697307affd7ef76484e087c7db136",
+        "846846afe289194c9c4bc3280791efdda38fd202311c9b95e02194ab93a57f24",
+    ),
+    "outlet-a": (
+        "38196d6b37c36bf81cc84e0904cdcf669c7540f4435b9cfe74504b804e7da89c",
+        "40ff814d47c430c16c4e10a6495e8e66ac9c30b31fc3955e3092209a6cdd799b",
+    ),
+    "outlet-b": (
+        "a4245aac3c2409b61e5c20ea12e6ad0cc45f6ce1eabcf95be083a14b4e83767d",
+        "40ff814d47c430c16c4e10a6495e8e66ac9c30b31fc3955e3092209a6cdd799b",
+    ),
+    "speaker-a": (
+        "e4a78607f460356fb838a58003a4b0144fa3f64843cd80ef971ff09f3229ac09",
+        "b51a86c6ff334d1ccdea731cfe831842871e0c3323c9621aa935efecc5dbf2ed",
+    ),
+}
+
+
+def test_corpus_bytes_are_pinned(corpus, tmp_path):
+    # Every protocol occurs in the corpus, so the pin covers every session kind.
+    assert set().union(*(entry.archetype.protocol_mix for entry in corpus)) == set(Proto)
+    digests = {}
+    for entry in corpus:
+        stem = f"{entry.archetype.name}-{entry.instance}"
+        pcap, sidecar = tmp_path / f"{stem}.pcap", tmp_path / f"{stem}.labels.json"
+        write_capture(pcap, entry.frames)
+        doc = {"schema": "trace-labels/1", "labels": list(entry.labels)}
+        sidecar.write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+        digests[stem] = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (pcap, sidecar))
+    assert digests == CORPUS_DIGESTS
