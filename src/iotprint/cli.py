@@ -17,7 +17,9 @@ import numpy as np
 
 from . import evaluation, ml, synth
 from .errors import InsufficientTraffic, IotprintError
-from .features import FEATURE_NAMES, extract_features, ecdf, render_features_csv
+from .features import (
+    FEATURE_NAMES, VARIANT_TAGS, ecdf, extract_features, render_features_csv, variant_columns
+)
 from .fingerprint import (
     build_fingerprints,
     build_profile,
@@ -109,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", nargs="+", required=True)
     p.add_argument("--positive", required=True, help="positive class label")
     p.add_argument("--classifier", choices=evaluation.CLASSIFIERS, default="boosted")
-    p.add_argument("--variant", type=int, choices=tuple(evaluation.VARIANT_TAGS), default=20)
+    p.add_argument("--variant", type=int, choices=tuple(VARIANT_TAGS), default=20)
     p.add_argument("--level", choices=("device", "category"), default="device")
     p.add_argument("--out", required=True)
 
@@ -122,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", nargs="+", required=True)
     p.add_argument("--level", choices=evaluation.LEVELS, default="device")
     p.add_argument("--classifier", choices=evaluation.CLASSIFIERS, default="boosted")
-    p.add_argument("--variant", type=int, choices=tuple(evaluation.VARIANT_TAGS), default=20)
+    p.add_argument("--variant", type=int, choices=tuple(VARIANT_TAGS), default=20)
     p.add_argument("--folds", type=_int_at_least(2), default=evaluation.DEFAULT_FOLDS)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", help="write the JSON report here")
@@ -168,24 +170,23 @@ def _cmd_sessions(args) -> int:
 def _cmd_ecdf(args) -> int:
     column = _ECDF_ALIASES.get(args.feature, args.feature)
     index = FEATURE_NAMES.index(column)
+    tables = []  # all computed first, so a capture that fails leaves no partial output
     for path in args.pcaps:
         packets, _ = packets_from_capture(path)
         values = [extract_features(p)[index] for p in packets]
-        print(f"# capture: {path}  feature: {column}  n={len(values)}")
+        tables.append((path, len(values), ecdf(values)))
+    for path, n, table in tables:
+        print(f"# capture: {path}  feature: {column}  n={n}")
         print("value\tprobability")
-        for value, prob in ecdf(values):
+        for value, prob in table:
             print(f"{value!r}\t{prob!r}")
     return 0
 
 
-def _load_profiles(paths) -> list:
-    return [load_profile(p) for p in paths]
-
-
 def _cmd_train(args) -> int:
-    profiles = _load_profiles(args.profiles)
+    profiles = [load_profile(p) for p in args.profiles]
     data = evaluation.assemble_one_vs_all(profiles, args.positive, args.level)
-    cols = evaluation.variant_columns(args.variant)
+    cols = variant_columns(args.variant)
     reduced = ml.LabeledDataset(data.rows[:, cols], data.labels, data.positive_class)
     model = evaluation.train_classifier(args.classifier, reduced)
     ml.save_model(model, args.out, cols)
@@ -257,7 +258,7 @@ def _cmd_identify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    profiles = _load_profiles(args.profiles)
+    profiles = [load_profile(p) for p in args.profiles]
     report = evaluation.run_experiment(
         profiles,
         level=args.level,
@@ -274,8 +275,7 @@ def _cmd_evaluate(args) -> int:
 
 def _write_trace(out_dir: Path, stem: str, frames, labels) -> None:
     write_capture(out_dir / f"{stem}.pcap", frames)
-    doc = {"schema": LABELS_SCHEMA, "labels": list(labels)}
-    (out_dir / f"{stem}.labels.json").write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
+    ml._save_doc(out_dir / f"{stem}.labels.json", {"schema": LABELS_SCHEMA, "labels": list(labels)})
 
 
 def _cmd_synth(args) -> int:

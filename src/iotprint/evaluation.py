@@ -10,7 +10,6 @@ tests on another instance's full profile.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,13 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ClassTooSmall, NoNegatives, UnknownLabel
-from .features import PACKET_FEATURE_COUNT, PAYLOAD_FEATURE_INDICES, ENTROPY_INDEX
-from .fingerprint import FINGERPRINT_PACKETS, BehavioralProfile
-from .ml import LabeledDataset, VoteModel, train_boosted, train_knn, train_tree
+from .features import VARIANT_TAGS, variant_columns
+from .fingerprint import BehavioralProfile
+from .ml import LabeledDataset, VoteModel, _save_doc, train_boosted, train_knn, train_tree
 
 REPORT_SCHEMA = "evaluation-report/1"
 
-VARIANT_TAGS = {20: "20-features", 19: "19-no-entropy", 3: "3-payload-only"}
 LEVELS = ("device", "category", "instance")
 
 DEFAULT_FOLDS = 5
@@ -113,27 +111,6 @@ class EvaluationReport:
     @property
     def variant_tag(self) -> str:
         return VARIANT_TAGS[self.variant]
-
-
-def variant_columns(variant: int) -> list:
-    """Column indices of the 100-wide fingerprint for a feature variant.
-
-    20 keeps everything; 19 drops the five per-packet entropy positions;
-    3 keeps only entropy, TCP payload length, and TCP window size.
-    """
-    if variant == 20:
-        per_packet = range(PACKET_FEATURE_COUNT)
-    elif variant == 19:
-        per_packet = [i for i in range(PACKET_FEATURE_COUNT) if i != ENTROPY_INDEX]
-    elif variant == 3:
-        per_packet = list(PAYLOAD_FEATURE_INDICES)
-    else:
-        raise ValueError(f"unknown feature variant {variant}; pick 20, 19 or 3")
-    return [
-        packet * PACKET_FEATURE_COUNT + i
-        for packet in range(FINGERPRINT_PACKETS)
-        for i in per_packet
-    ]
 
 
 def _profile_key(profile: BehavioralProfile, level: str) -> str:
@@ -327,8 +304,7 @@ def report_doc(report: EvaluationReport) -> dict:
 
 
 def save_report(report: EvaluationReport, path: str | Path) -> None:
-    text = json.dumps(report_doc(report), indent=1, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="ascii")
+    _save_doc(path, report_doc(report))
 
 
 def format_report(report: EvaluationReport) -> str:

@@ -1,7 +1,10 @@
-"""Per-packet feature vectors: 17 binary header flags + 3 payload values.
+"""Per-packet feature vectors and the fingerprint layout built from them.
 
-The flag order below is frozen; fingerprints concatenate these vectors,
-so the order is part of the on-disk data contract (FEATURE_SCHEMA).
+A packet maps to 17 binary header flags + 3 payload values. The flag
+order below is frozen; fingerprints concatenate these vectors, so the
+order is part of the on-disk data contract (FEATURE_SCHEMA). A
+fingerprint is 5 consecutive packets' vectors (100 values), and a
+feature variant is the subset of those columns a model reads.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ PACKET_FEATURE_COUNT = len(FEATURE_NAMES)  # 20
 ENTROPY_INDEX = FEATURE_NAMES.index("entropy")
 PAYLOAD_FEATURE_INDICES = (17, 18, 19)
 
+FINGERPRINT_PACKETS = 5
+FINGERPRINT_DIM = FINGERPRINT_PACKETS * PACKET_FEATURE_COUNT  # 100
+VARIANT_TAGS = {20: "20-features", 19: "19-no-entropy", 3: "3-payload-only"}
+
 _APP_FLAGS = (
     AppProtocol.HTTP,
     AppProtocol.HTTPS,
@@ -52,6 +59,27 @@ _APP_FLAGS = (
     AppProtocol.MDNS,
     AppProtocol.NTP,
 )
+
+
+def variant_columns(variant: int) -> list:
+    """Column indices of the 100-wide fingerprint for a feature variant.
+
+    20 keeps everything; 19 drops the five per-packet entropy positions;
+    3 keeps only entropy, TCP payload length, and TCP window size.
+    """
+    if variant == 20:
+        per_packet = range(PACKET_FEATURE_COUNT)
+    elif variant == 19:
+        per_packet = [i for i in range(PACKET_FEATURE_COUNT) if i != ENTROPY_INDEX]
+    elif variant == 3:
+        per_packet = list(PAYLOAD_FEATURE_INDICES)
+    else:
+        raise ValueError(f"unknown feature variant {variant}; pick 20, 19 or 3")
+    return [
+        packet * PACKET_FEATURE_COUNT + i
+        for packet in range(FINGERPRINT_PACKETS)
+        for i in per_packet
+    ]
 
 
 def shannon_entropy(payload: bytes) -> float:

@@ -7,7 +7,6 @@ the labeled set of all fingerprints observed for one device.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,13 +15,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FrameTooShort, InsufficientTraffic, TruncatedHeader
-from .features import FEATURE_SCHEMA, PACKET_FEATURE_COUNT, extract_features
-from .ml import _array, _field, _int_in, _list, _load_doc, _str
+from .features import (
+    FEATURE_SCHEMA, FINGERPRINT_DIM, FINGERPRINT_PACKETS, PACKET_FEATURE_COUNT, extract_features
+)
+from .ml import _array, _field, _int_in, _list, _load_doc, _save_doc, _str
 from .packet_model import ParsedPacket, Transport, parse_frame
 from .pcap_io import DeviceSelector, filter_device, read_capture
 
-FINGERPRINT_PACKETS = 5
-FINGERPRINT_DIM = FINGERPRINT_PACKETS * PACKET_FEATURE_COUNT  # 100
 PROFILE_SCHEMA = "behavioral-profile/1"
 
 
@@ -135,23 +134,6 @@ def build_profile(
     return BehavioralProfile(device_label, category_label, prints, source)
 
 
-def profile_from_packets(
-    packets: Sequence[ParsedPacket],
-    device_label: str,
-    category_label: str,
-    capture_name: str = "<memory>",
-) -> BehavioralProfile:
-    """Profile from already-parsed packets (testing and corpus assembly)."""
-    if len(packets) < FINGERPRINT_PACKETS:
-        raise InsufficientTraffic(
-            f"{len(packets)} packets; need at least {FINGERPRINT_PACKETS}"
-        )
-    prints = build_fingerprints([extract_features(pkt) for pkt in packets])
-    return BehavioralProfile(
-        device_label, category_label, prints, ProfileSource(captures=(capture_name,))
-    )
-
-
 def save_profile(profile: BehavioralProfile, path: str | Path) -> None:
     doc = {
         "schema": PROFILE_SCHEMA,
@@ -164,7 +146,7 @@ def save_profile(profile: BehavioralProfile, path: str | Path) -> None:
         },
         "fingerprints": profile.fingerprints.tolist(),
     }
-    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="ascii")
+    _save_doc(path, doc)
 
 
 def load_profile(path: str | Path) -> BehavioralProfile:

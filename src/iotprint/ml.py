@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyData, KTooLarge, SingleClassData
+from .features import FINGERPRINT_DIM, VARIANT_TAGS, variant_columns
 
 MAX_STAGES = 100
 MODEL_SCHEMA = "model/2"
@@ -449,9 +450,7 @@ def save_model(model, path: str | Path, columns: Sequence[int]) -> None:
     order.
     """
     columns = _checked_columns(list(columns), model.n_features)
-    doc = {"schema": MODEL_SCHEMA, "columns": columns}
-    text = json.dumps({**doc, **_model_doc(model)}, indent=1, allow_nan=False)
-    Path(path).write_text(text + "\n", encoding="ascii")
+    _save_doc(path, {"schema": MODEL_SCHEMA, "columns": columns, **_model_doc(model)})
 
 
 def _model_doc(model) -> dict:
@@ -514,6 +513,11 @@ def load_model(path: str | Path, decoded: dict | None = None) -> tuple:
     return _load_doc(path, lambda doc: _model_from_doc(doc, decoded), "model")
 
 
+def _save_doc(path: str | Path, doc) -> None:
+    """Write `doc` as indented JSON; NaN and infinity raise instead of being written."""
+    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="ascii")
+
+
 def _load_doc(path: str | Path, build, what: str):
     """`build` the JSON document at `path`; nesting too deep to decode is a data error."""
     try:
@@ -547,7 +551,7 @@ def _member_from_doc(doc, packed: bool, decoded: dict | None = None):
     if kind == "boosted":
         n_features = _int_in(_field(doc, "n_features"), "n_features", 1)
         deviance = _list(doc, "training_deviance") if packed else []
-        return BoostedModel(
+        model = BoostedModel(
             initial_score=_finite(_field(doc, "initial_score"), "initial_score"),
             stages=tuple(_stump_from_doc(stage, n_features) for stage in _list(doc, "stages")),
             learning_rate=_finite(_field(doc, "learning_rate"), "learning_rate"),
@@ -555,6 +559,12 @@ def _member_from_doc(doc, packed: bool, decoded: dict | None = None):
             positive_class=positive_class,
             training_deviance=tuple(_finite(v, "training_deviance") for v in deviance),
         )
+        reach = abs(model.initial_score)  # bounds every partial sum `boosted_scores` forms
+        for s in model.stages:
+            reach += abs(model.learning_rate) * max(abs(s.left_value), abs(s.right_value))
+        if not reach <= sys.float_info.max:
+            raise ValueError("model scores can overflow the float range")
+        return model
     if kind == "knn":
         if packed:
             rows = _unpack(doc, "rows", "<f8", 2, decoded=decoded)
@@ -585,9 +595,6 @@ def _member_from_doc(doc, packed: bool, decoded: dict | None = None):
 
 def _checked_columns(columns: list, n_features: int) -> list:
     """`columns` if they are `n_features` distinct fingerprint column indices."""
-    # deferred: fingerprint imports this module
-    from .fingerprint import FINGERPRINT_DIM
-
     in_range = all(type(c) is int and 0 <= c < FINGERPRINT_DIM for c in columns)
     if not in_range or len(set(columns)) != len(columns) or len(columns) != n_features:
         raise ValueError(
@@ -598,9 +605,6 @@ def _checked_columns(columns: list, n_features: int) -> list:
 
 def _columns_for_width(width: int) -> list:
     """Columns of the feature variant `width` values wide; `model/1` records none."""
-    # deferred: evaluation imports this module
-    from .evaluation import VARIANT_TAGS, variant_columns
-
     for variant in VARIANT_TAGS:
         cols = variant_columns(variant)
         if len(cols) == width:

@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fingerprint import BehavioralProfile, profile_from_packets
 from .packet_model import (
     ETHERTYPE_ARP,
     ETHERTYPE_EAPOL,
@@ -33,9 +32,7 @@ from .packet_model import (
     IPPROTO_TCP,
     IPPROTO_UDP,
     RawFrame,
-    parse_frame,
 )
-from .pcap_io import DeviceSelector, filter_device
 
 TRACE_EPOCH = 1_700_000_000
 EPHEMERAL_PORTS = range(20000, 60000)
@@ -416,15 +413,3 @@ def standard_corpus(seed: int) -> tuple:
     frames, labels = generate_trace(twin, CORPUS_PACKETS, seed * 101 + 999)
     entries.append(CorpusEntry(twin, "b", tuple(frames), tuple(labels)))
     return tuple(entries)
-
-
-def profile_for_entry(entry: CorpusEntry) -> BehavioralProfile:
-    """Run the standard pipeline over one corpus entry's frames."""
-    packets = [parse_frame(frame) for frame in entry.frames]
-    matching = filter_device(packets, DeviceSelector(mac=entry.archetype.mac))
-    return profile_from_packets(
-        matching,
-        entry.archetype.name,
-        entry.archetype.category,
-        capture_name=f"{entry.archetype.name}-{entry.instance}",
-    )

@@ -1,6 +1,8 @@
 import pytest
 
 from iotprint import synth
+from iotprint.fingerprint import build_profile
+from iotprint.pcap_io import DeviceSelector, write_capture
 
 CORPUS_SEED = 7
 EVAL_SEED = 3
@@ -12,8 +14,16 @@ def corpus():
 
 
 @pytest.fixture(scope="session")
-def corpus_profiles(corpus):
-    return [synth.profile_for_entry(entry) for entry in corpus]
+def corpus_profiles(corpus, tmp_path_factory):
+    """Each entry written as a pcap and profiled by its MAC, as `iotprint profile` does."""
+    out = tmp_path_factory.mktemp("corpus")
+    profiles = []
+    for entry in corpus:
+        arch = entry.archetype
+        pcap = out / f"{arch.name}-{entry.instance}.pcap"
+        write_capture(pcap, entry.frames)
+        profiles.append(build_profile(pcap, DeviceSelector(mac=arch.mac), arch.name, arch.category))
+    return profiles
 
 
 @pytest.fixture(scope="session")

@@ -130,6 +130,17 @@ def test_ecdf_prints_table(outlet_pcap, capsys):
     assert "probability" in out
 
 
+@pytest.mark.parametrize("with_good", [False, True], ids=["empty-only", "good-then-empty"])
+def test_ecdf_writes_nothing_when_a_capture_fails(outlet_pcap, tmp_path, capsys, with_good):
+    empty = tmp_path / "empty.pcap"
+    write_capture(empty, [])
+    pcaps = [str(outlet_pcap[1])] * with_good + [str(empty)]
+    assert main(["ecdf", "entropy", *pcaps]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: data: ecdf needs at least one value\n"
+
+
 def test_train_identify_round_trip(tmp_path, capsys):
     profiles = _make_profiles(tmp_path, ["outlet", "camera-streamer", "hub-conduit"])
     model_path = tmp_path / "outlet.model.json"
@@ -317,6 +328,10 @@ MODEL_MUTATIONS = {
     "boosted-threshold-nan": ("boosted", ("stages", 0, 1), float("nan")),
     "boosted-training-deviance-nan": ("boosted", ("training_deviance", 3), float("nan")),
     "boosted-training-deviance-missing": ("boosted", ("training_deviance",), _DELETE),
+    "boosted-learning-rate-1e308": ("boosted", ("learning_rate",), 1e308),
+    "boosted-leaf-values-1e308": (
+        "boosted", ("stages",), lambda stages: [[f, t, 1e308, -1e308] for f, t, _, _ in stages]
+    ),
     "tree-feature-index-900": ("tree", ("root", "feature_index"), 900),
     "tree-node-without-right": ("tree", ("root", "right"), _DELETE),
     "tree-7-deep-max-depth-5": ("tree", ("root",), _deep_tree(7)),

@@ -16,7 +16,6 @@ from iotprint.fingerprint import (
     format_session_average,
     load_profile,
     packets_from_capture,
-    profile_from_packets,
     save_profile,
     session_stats,
 )
@@ -187,8 +186,9 @@ def test_interleaved_capture_matches_isolated(tmp_path):
 def test_load_rejects_wrong_dimension(tmp_path):
     arch = ARCHETYPES["outlet"]
     frames, _ = generate_trace(arch, 100, seed=23)
-    packets = [parse_frame(f) for f in frames]
-    profile = profile_from_packets(packets, "outlet", "power")
+    pcap = tmp_path / "outlet.pcap"
+    write_capture(pcap, frames)
+    profile = build_profile(pcap, DeviceSelector(mac=arch.mac), "outlet", "power")
     path = tmp_path / "p.json"
     save_profile(profile, path)
     doc = json.loads(path.read_text())

@@ -19,7 +19,6 @@ from iotprint.synth import (
     _generate,
     _TraceBuilder,
     generate_trace,
-    profile_for_entry,
 )
 
 MDNS_ONLY = DeviceArchetype(
@@ -205,10 +204,17 @@ def test_corpus_profiles_have_enough_fingerprints(corpus_profiles):
         assert len(profile.fingerprints) >= 500
 
 
-def test_profile_for_entry_uses_archetype_labels(corpus):
-    profile = profile_for_entry(corpus[0])
-    assert profile.device_label == corpus[0].archetype.name
-    assert profile.category_label == corpus[0].archetype.category
+# sha256 of the seven corpus profiles' fingerprints, concatenated as <f8
+# bytes: any change to decoding, feature extraction or grouping shows here.
+CORPUS_PROFILES_SHA256 = "c445df5995e62e42b059f2b9a2d17e480a2b2b96078a18ee3b8aa748da8fc3da"
+
+
+def test_profile_for_entry_uses_archetype_labels(corpus, corpus_profiles):
+    for entry, profile in zip(corpus, corpus_profiles, strict=True):
+        assert profile.device_label == entry.archetype.name
+        assert profile.category_label == entry.archetype.category
+    data = b"".join(p.fingerprints.astype("<f8").tobytes() for p in corpus_profiles)
+    assert hashlib.sha256(data).hexdigest() == CORPUS_PROFILES_SHA256
 
 
 def test_conduit_traffic_has_no_sessions_yet_fingerprints(corpus, corpus_profiles):
