@@ -197,25 +197,20 @@ def _cmd_train(args) -> int:
 def _shared_knn_labels(loaded: list, prints: np.ndarray) -> dict:
     """The kNN member's labels of every vote model, by its index in `loaded`.
 
-    Members that read the same columns with equal k and rows (vote
-    models trained from the same profiles) share one neighbour search.
+    Members that read the same columns with equal k and the same rows
+    array (vote models trained from the same profiles) share one
+    neighbour search. The models must come from one `decoded` dict, so
+    that equal packed rows are one array; `loaded` keeps the arrays
+    alive, so their ids are unique.
     """
-    groups = []  # [columns, knn member, indices into loaded]
+    groups = {}  # (columns, k, id(rows)) -> indices into loaded
     for i, (model, columns) in enumerate(loaded):
-        if not isinstance(model, ml.VoteModel):
-            continue
-        knn = model.knn
-        for group_columns, first, members in groups:
-            same = group_columns == columns and first.k == knn.k
-            if same and (first.rows is knn.rows or np.array_equal(first.rows, knn.rows)):
-                members.append(i)
-                break
-        else:
-            groups.append([columns, knn, [i]])
+        if isinstance(model, ml.VoteModel):
+            groups.setdefault((tuple(columns), model.knn.k, id(model.knn.rows)), []).append(i)
     shared = {}
-    for columns, first, members in groups:
+    for (columns, _, _), members in groups.items():
         labels = np.column_stack([loaded[i][0].knn.labels for i in members])
-        found = ml.knn_labels(first, prints[:, columns], labels=labels)
+        found = ml.knn_labels(loaded[members[0]][0].knn, prints[:, columns], labels=labels)
         shared.update(zip(members, found.T))
     return shared
 

@@ -19,7 +19,7 @@ the boundaries between distinct sorted values (`_SplitSearch`).
 
 Models persist as `model/2` JSON documents, which record the
 fingerprint columns a model reads and pack kNN rows and labels as
-little-endian binary in base64 text; `model/1` documents still load.
+little-endian binary in base64 text.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyData, KTooLarge, SingleClassData
-from .features import FINGERPRINT_DIM, VARIANT_TAGS, variant_columns
+from .features import FINGERPRINT_DIM
 
 MAX_STAGES = 100
 MODEL_SCHEMA = "model/2"
-MODEL_SCHEMA_V1 = "model/1"  # JSON number lists, no recorded columns; still read
 
 
 @dataclass(frozen=True)
@@ -528,29 +527,22 @@ def _load_doc(path: str | Path, build, what: str):
 
 def _model_from_doc(doc, decoded: dict | None) -> tuple:
     schema = _field(doc, "schema")
-    if schema == MODEL_SCHEMA:
-        model = _member_from_doc(doc, packed=True, decoded=decoded)
-        return model, _checked_columns(_list(doc, "columns"), model.n_features)
-    if schema == MODEL_SCHEMA_V1:
-        model = _member_from_doc(doc, packed=False)
-        return model, _columns_for_width(model.n_features)
-    raise ValueError(f"unsupported model schema: {schema!r}")
+    if schema != MODEL_SCHEMA:
+        raise ValueError(f"unsupported model schema: {schema!r}")
+    model = _member_from_doc(doc, decoded)
+    return model, _checked_columns(_list(doc, "columns"), model.n_features)
 
 
-def _member_from_doc(doc, packed: bool, decoded: dict | None = None):
+def _member_from_doc(doc, decoded: dict | None):
     """Rebuild a model, rejecting any document that would fail or mislead at prediction.
 
-    `packed` documents (`model/2`) hold kNN arrays packed, decoded
-    through `decoded` (see `_unpack`), and a boosted model's training
-    deviance; `model/1` documents hold number lists.
+    Packed kNN arrays are decoded through `decoded` (see `_unpack`).
     """
-    if not packed and _field(doc, "schema") != MODEL_SCHEMA_V1:
-        raise ValueError(f"unsupported model schema: {doc['schema']!r}")
     kind = _field(doc, "kind")
     positive_class = _str(doc, "positive_class")
     if kind == "boosted":
         n_features = _int_in(_field(doc, "n_features"), "n_features", 1)
-        deviance = _list(doc, "training_deviance") if packed else []
+        deviance = _list(doc, "training_deviance")
         model = BoostedModel(
             initial_score=_finite(_field(doc, "initial_score"), "initial_score"),
             stages=tuple(_stump_from_doc(stage, n_features) for stage in _list(doc, "stages")),
@@ -566,11 +558,8 @@ def _member_from_doc(doc, packed: bool, decoded: dict | None = None):
             raise ValueError("model scores can overflow the float range")
         return model
     if kind == "knn":
-        if packed:
-            rows = _unpack(doc, "rows", "<f8", 2, decoded=decoded)
-            labels = _unpack(doc, "labels", "<i1", 1, decoded=decoded)
-        else:
-            rows, labels = _array(doc, "rows", 2), _list(doc, "labels")
+        rows = _unpack(doc, "rows", "<f8", 2, decoded=decoded)
+        labels = _unpack(doc, "labels", "<i1", 1, decoded=decoded)
         data = LabeledDataset(rows, labels, positive_class)
         k = _int_in(_field(doc, "k"), "k", 1, len(data))
         return KnnModel(rows=data.rows, labels=data.labels, k=k, positive_class=positive_class)
@@ -584,7 +573,7 @@ def _member_from_doc(doc, packed: bool, decoded: dict | None = None):
             positive_class=positive_class,
         )
     if kind == "vote":
-        members = tuple(_member_from_doc(m, packed, decoded) for m in _list(doc, "members"))
+        members = tuple(_member_from_doc(m, decoded) for m in _list(doc, "members"))
         if tuple(map(type, members)) != (BoostedModel, KnnModel, TreeModel):
             raise ValueError("vote members must be boosted, knn and tree, in that order")
         if len({(m.n_features, m.positive_class) for m in members}) != 1:
@@ -601,15 +590,6 @@ def _checked_columns(columns: list, n_features: int) -> list:
             f"model columns must be {n_features} distinct integers in [0, {FINGERPRINT_DIM})"
         )
     return columns
-
-
-def _columns_for_width(width: int) -> list:
-    """Columns of the feature variant `width` values wide; `model/1` records none."""
-    for variant in VARIANT_TAGS:
-        cols = variant_columns(variant)
-        if len(cols) == width:
-            return cols
-    raise ValueError(f"model expects {width} features; no feature variant is that wide")
 
 
 # The packed-array codec: an array field is {"dtype", "shape", "data"},

@@ -39,8 +39,9 @@ _MAGIC_TABLE = {
 class CaptureMeta:
     """File-level facts from a read capture.
 
-    truncated_records counts records whose header or body was cut short
-    at end of file; frames before the cut are still returned.
+    truncated_records is 1 if a record's header or body was cut short at
+    end of file, else 0: reading stops at the first cut record, and the
+    frames before it are still returned.
     """
 
     link_type: int

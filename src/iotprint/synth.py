@@ -191,7 +191,7 @@ class _TraceBuilder:
 
     def payload(self, proto: Proto) -> bytes:
         profile = self.arch.payload_profile[proto]
-        length = int(self.rng.choice(np.asarray(profile.lengths)))
+        length = profile.lengths[int(self.rng.integers(0, len(profile.lengths)))]
         if profile.jitter:
             length += int(self.rng.integers(-profile.jitter, profile.jitter + 1))
         length = max(length, 0)

@@ -1,5 +1,6 @@
 import base64
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from iotprint.fingerprint import (
     load_profile,
     save_profile,
 )
-from iotprint.ml import BoostedModel, KnnModel, TreeModel, VoteModel, load_model
+from iotprint.ml import VoteModel, load_model
 from iotprint.packet_model import RawFrame, format_mac, parse_frame
 from iotprint.pcap_io import DeviceSelector, filter_device, write_capture
 from iotprint.synth import ARCHETYPES, generate_trace
@@ -204,68 +205,9 @@ def test_train_identify_every_classifier_and_variant(
         assert json.loads(out)["verdict"] == verdict
 
 
-def model_v1_doc(model) -> dict:
-    """The `model/1` document of `model`: number lists and no recorded columns,
-    as models were saved before `model/2`."""
-    head = {"schema": "model/1"}
-    if isinstance(model, BoostedModel):
-        return {
-            **head,
-            "kind": "boosted",
-            "positive_class": model.positive_class,
-            "n_features": model.n_features,
-            "learning_rate": model.learning_rate,
-            "initial_score": model.initial_score,
-            "stages": [
-                [s.feature_index, s.threshold, s.left_value, s.right_value] for s in model.stages
-            ],
-        }
-    if isinstance(model, KnnModel):
-        return {
-            **head,
-            "kind": "knn",
-            "positive_class": model.positive_class,
-            "k": model.k,
-            "rows": model.rows.tolist(),
-            "labels": model.labels.tolist(),
-        }
-    if isinstance(model, TreeModel):
-        return {
-            **head,
-            "kind": "tree",
-            "positive_class": model.positive_class,
-            "n_features": model.n_features,
-            "max_depth": model.max_depth,
-            "root": _node_v1_doc(model.root),
-        }
-    assert isinstance(model, VoteModel)
-    return {
-        **head,
-        "kind": "vote",
-        "positive_class": model.positive_class,
-        "members": [model_v1_doc(m) for m in (model.boosted, model.knn, model.tree)],
-    }
-
-
-def _node_v1_doc(node) -> dict:
-    if node.label is not None:
-        return {"label": node.label}
-    return {
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_v1_doc(node.left),
-        "right": _node_v1_doc(node.right),
-    }
-
-
-def _save_model_v1(model_path, out) -> None:
-    model, _ = load_model(model_path)
-    out.write_text(json.dumps(model_v1_doc(model), indent=1, allow_nan=False) + "\n")
-
-
 @pytest.fixture(scope="module")
 def model_docs(three_profiles, tmp_path_factory):
-    """`model/2` documents of every classifier, plus the kNN one as `model/1` ("knn-v1")."""
+    """`model/2` documents of every classifier."""
     out = tmp_path_factory.mktemp("models")
     docs = {}
     for kind in CLASSIFIERS:
@@ -273,8 +215,6 @@ def model_docs(three_profiles, tmp_path_factory):
         argv = ["train", "--profiles", *three_profiles, "--positive", "outlet"]
         assert main([*argv, "--classifier", kind, "--out", str(path)]) == 0
         docs[kind] = json.loads(path.read_text())
-    _save_model_v1(out / "knn.json", out / "knn-v1.json")
-    docs["knn-v1"] = json.loads((out / "knn-v1.json").read_text())
     return docs
 
 
@@ -316,11 +256,17 @@ def _set_first(value: bytes):
     return _packed(lambda raw: value + raw[len(value) :])
 
 
+def _first_50_columns(rows: dict) -> dict:
+    """Packed kNN rows cut to their first 50 columns, validly packed."""
+    n, width = rows["shape"]
+    raw = base64.b64decode(rows["data"])
+    cut = b"".join(raw[i * width * 8 : (i * width + 50) * 8] for i in range(n))
+    return {**rows, "shape": [n, 50], "data": base64.b64encode(cut).decode("ascii")}
+
+
 # name -> (model document, path to the mutated field, new value, _DELETE,
 # or a function of the old value; a _Raw value is JSON text). Each
-# document is one `save_model` could not have written; "knn-v1" is a
-# `model/1` document, and its last case is valid but as wide as no
-# feature variant.
+# document is one `save_model` could not have written.
 MODEL_MUTATIONS = {
     "boosted-feature-index-500": ("boosted", ("stages", 0, 0), 500),
     "boosted-feature-index-negative": ("boosted", ("stages", 0, 0), -1),
@@ -337,16 +283,9 @@ MODEL_MUTATIONS = {
     "tree-7-deep-max-depth-5": ("tree", ("root",), _deep_tree(7)),
     "tree-3000-deep": ("tree", ("root",), _deep_tree(3000)),
     "no-kind": ("boosted", ("kind",), _DELETE),
-    "knn-k-million": ("knn-v1", ("k",), 10**6),
-    "knn-k-zero": ("knn-v1", ("k",), 0),
-    "knn-labels-seven": ("knn-v1", ("labels",), lambda labels: [7] * len(labels)),
-    "knn-labels-shorter-than-rows": ("knn-v1", ("labels",), lambda labels: labels[:-1]),
-    "knn-label-1e308": ("knn-v1", ("labels", 0), 1e308),
-    "knn-label-1.5": ("knn-v1", ("labels", 0), 1.5),
-    "knn-label-true": ("knn-v1", ("labels", 0), True),
     "vote-members-out-of-order": ("vote", ("members",), lambda m: [m[1], m[0], m[2]]),
-    "knn-unmappable-width-50": ("knn-v1", ("rows",), lambda rows: [row[:50] for row in rows]),
     "packed-k-zero": ("knn", ("k",), 0),
+    "packed-k-million": ("knn", ("k",), 10**6),
     "packed-rows-not-base64": ("knn", ("rows", "data"), lambda data: "*" + data[1:]),
     "packed-rows-one-byte-short": ("knn", ("rows", "data"), _packed(lambda raw: raw[:-1])),
     "packed-rows-one-byte-long": ("knn", ("rows", "data"), _packed(lambda raw: raw + b"\0")),
@@ -355,6 +294,7 @@ MODEL_MUTATIONS = {
     "packed-rows-dimension-negative": ("knn", ("rows", "shape"), lambda s: [-s[0], -s[1]]),
     "packed-rows-dimension-true": ("knn", ("rows", "shape"), lambda s: [s[0] * s[1], True]),
     "packed-rows-one-dimension": ("knn", ("rows", "shape"), lambda s: [s[0] * s[1]]),
+    "packed-rows-width-50": ("knn", ("rows",), _first_50_columns),
     "packed-rows-dtype-f4": ("knn", ("rows", "dtype"), "<f4"),
     "packed-rows-nan": ("knn", ("rows", "data"), _set_first(struct.pack("<d", math.nan))),
     "packed-rows-inf": ("knn", ("rows", "data"), _set_first(struct.pack("<d", -math.inf))),
@@ -367,12 +307,24 @@ MODEL_MUTATIONS = {
         lambda p: {**p, "shape": [p["shape"][0] - 1], "data": _packed(lambda r: r[:-1])(p["data"])},
     ),
     "vote-packed-labels-as-list": ("vote", ("members", 1, "labels"), lambda p: [1] * p["shape"][0]),
+    "knn-k-zero": ("vote", ("members", 1, "k"), 0),
+    "knn-labels-seven": ("knn", ("labels", "data"), _packed(lambda raw: b"\x07" * len(raw))),
+    "knn-labels-shorter-than-rows": (
+        "vote",
+        ("members", 1, "labels"),
+        lambda p: {**p, "shape": [p["shape"][0] - 1], "data": _packed(lambda r: r[:-1])(p["data"])},
+    ),
+    # A label count that is not an integer.
+    "knn-label-1e308": ("knn", ("labels", "shape", 0), 1e308),
+    "knn-label-1.5": ("knn", ("labels", "shape", 0), 1.5),
+    "knn-label-true": ("knn", ("labels", "shape", 0), True),
     "columns-out-of-range": ("boosted", ("columns", 0), 100),
     "columns-negative": ("boosted", ("columns", 0), -1),
     "columns-duplicate": ("boosted", ("columns", 1), 0),
     "columns-fewer-than-n-features": ("boosted", ("columns",), lambda c: c[:-1]),
     "columns-more-than-n-features": ("vote", ("columns",), lambda c: [*c, 99]),
     "columns-missing": ("knn", ("columns",), _DELETE),
+    "schema-1": ("knn", ("schema",), "model/1"),
     "schema-3": ("knn", ("schema",), "model/3"),
 }
 
@@ -467,19 +419,34 @@ def test_identify_rejects_two_models_with_one_positive_class(
         assert err == "error: data: 2 models have the positive class 'outlet'\n"
 
 
-def test_identify_prints_the_same_for_model_v1_and_v2(
+def test_identify_shares_a_search_only_among_equal_knn_members(
     three_profiles, tmp_path, capsys, monkeypatch
 ):
-    """Vote models trained from the same profiles share one neighbour search,
-    and their stdout is byte-identical whether they are `model/2` or `model/1`."""
-    v2, v1 = [], []
-    for positive in ("outlet", "camera-streamer", "hub-conduit"):
+    """Vote models trained from the same profiles share one neighbour search.
+    Models trained on other profiles, at another variant, or reading other
+    columns over the same packed rows each search alone, and every call
+    prints what scoring each model in its own call prints."""
+
+    def train(positive, profiles, *flags):
         path = tmp_path / f"{positive}.model.json"
-        argv = ["train", "--profiles", *three_profiles, "--positive", positive]
-        assert main([*argv, "--classifier", "vote", "--out", str(path)]) == 0
-        _save_model_v1(path, tmp_path / f"{positive}.v1.model.json")
-        v2.append(str(path))
-        v1.append(str(tmp_path / f"{positive}.v1.model.json"))
+        argv = ["train", "--profiles", *profiles, "--positive", positive, "--classifier", "vote"]
+        assert main([*argv, *flags, "--out", str(path)]) == 0
+        return str(path)
+
+    shared = [train(name, three_profiles) for name in ("outlet", "camera-streamer", "hub-conduit")]
+    more = [*three_profiles, *_make_profiles(tmp_path, ["speaker", "hue-bulb"])]
+    others = [train("speaker", more), train("hue-bulb", more, "--variant", "3")]
+    # The outlet model as another class that reads its columns reversed:
+    # its packed rows are the shared ones, but its columns are not.
+    model, columns = load_model(shared[0])
+    members = (model.boosted, model.knn, model.tree)
+    others.append(str(tmp_path / "reversed.model.json"))
+    ml.save_model(
+        VoteModel(*(dataclasses.replace(m, positive_class="reversed") for m in members)),
+        others[-1],
+        columns[::-1],
+    )
+
     searches, decodes = [], []
     knn_labels, b64decode = ml.knn_labels, ml.base64.b64decode
 
@@ -493,22 +460,39 @@ def test_identify_prints_the_same_for_model_v1_and_v2(
 
     monkeypatch.setattr(ml, "knn_labels", recording)
     monkeypatch.setattr(ml.base64, "b64decode", decoding)
+
+    def identify(models, target, mac):
+        searches.clear()
+        decodes.clear()
+        capsys.readouterr()
+        assert main(["identify", *models, "--pcap", str(target), "--mac", mac]) == 0
+        return json.loads(capsys.readouterr().out)
+
     for name, seed in (("outlet", 94), ("camera-streamer", 95), ("hub-conduit", 96)):
         arch = ARCHETYPES[name]
         frames, _ = generate_trace(arch, 150, seed=seed)
         target = tmp_path / f"{name}.pcap"
         write_capture(target, frames)
-        outputs = []
-        for models in (v2, v1):
-            capsys.readouterr()
-            argv = ["identify", *models, "--pcap", str(target), "--mac", format_mac(arch.mac)]
-            assert main(argv) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
-        assert json.loads(outputs[0])["verdict"] == name
-    assert searches == [3] * 6
-    # Each model/2 call decodes the shared rows once and the three label vectors.
-    assert len(decodes) == 3 * 4 and len(set(decodes)) == 2
+        mac = format_mac(arch.mac)
+        alone = {m: identify([m], target, mac) for m in shared + others}
+
+        def assert_scored_alone(doc, models):
+            positives = {}
+            for m in models:
+                positives.update(alone[m]["positives_per_model"])
+            assert doc["positives_per_model"] == positives
+            found = zip(*(alone[m]["per_fingerprint"] for m in models))
+            assert doc["per_fingerprint"] == [sum(classes, []) for classes in found]
+
+        doc = identify(shared, target, mac)
+        # The shared rows are decoded once, and so is each label vector.
+        assert searches == [3] and len(decodes) == 4 and len(set(decodes)) == 2
+        assert doc["verdict"] == name
+        assert_scored_alone(doc, shared)
+        doc = identify(shared + others, target, mac)
+        # The reversed model's packed rows and labels are the outlet model's.
+        assert searches == [3, 1, 1, 1] and len(decodes) == 4 + 2 + 2
+        assert_scored_alone(doc, shared + others)
 
 
 @pytest.mark.parametrize("classifier", CLASSIFIERS)

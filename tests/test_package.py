@@ -53,6 +53,25 @@ def test_module_imports_form_an_acyclic_graph():
         visit(name, ())
 
 
+def test_every_module_level_import_is_used():
+    """A name a module imports at module level is used in that module
+    (`__init__` re-exports its imports and is exempt)."""
+    unused = []
+    for name, tree in SOURCES.items():
+        if name == "__init__":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}.py:{node.lineno}: {bound}")
+    assert unused == []
+
+
 def test_synth_imports_only_the_packet_model():
     imports = {dep for node in ast.walk(SOURCES["synth"]) for dep in _package_imports(node)}
     assert imports == {"packet_model"}
