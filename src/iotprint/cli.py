@@ -162,7 +162,7 @@ def _cmd_sessions(args) -> int:
     print("Total Sessions' Packets  Sessions  Packets/Session")
     print(
         f"{stats.total_session_packets:<23}  {stats.session_count:<8}  "
-        f"{format_session_average(stats.avg_packets_per_session)}"
+        f"{format_session_average(stats.total_session_packets, stats.session_count)}"
     )
     return 0
 
@@ -185,12 +185,10 @@ def _cmd_ecdf(args) -> int:
 
 def _cmd_train(args) -> int:
     profiles = [load_profile(p) for p in args.profiles]
-    data = evaluation.assemble_one_vs_all(profiles, args.positive, args.level)
-    cols = variant_columns(args.variant)
-    reduced = ml.LabeledDataset(data.rows[:, cols], data.labels, data.positive_class)
-    model = evaluation.train_classifier(args.classifier, reduced)
-    ml.save_model(model, args.out, cols)
-    print(f"wrote {args.classifier} model for {args.positive!r} ({len(reduced)} rows)")
+    data = evaluation.assemble_one_vs_all(profiles, args.positive, args.level, args.variant)
+    model = evaluation.train_classifier(args.classifier, data)
+    ml.save_model(model, args.out, variant_columns(args.variant))
+    print(f"wrote {args.classifier} model for {args.positive!r} ({len(data)} rows)")
     return 0
 
 
@@ -264,7 +262,7 @@ def _cmd_evaluate(args) -> int:
     )
     sys.stdout.write(evaluation.format_report(report))
     if args.out:
-        evaluation.save_report(report, args.out)
+        ml._save_doc(args.out, report)
     return 0
 
 

@@ -1,17 +1,17 @@
 """Evaluation protocol: one-vs-all assembly, stratified five-fold CV,
-identification-rate metrics, and experiment reports.
+identification-rate metrics, and the evaluation report document.
 
 Experiments run per positive label: assemble the one-vs-all dataset,
 deal each class into k folds with a seeded shuffle, train on k-1 folds,
 score the held-out fold, and report fold means. The instance level
 skips folding: it trains against one physical instance of a device and
-tests on another instance's full profile.
+tests on another instance's full profile. Both go through one
+train-and-score loop, and the result is the report document itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ClassTooSmall, NoNegatives, UnknownLabel
 from .features import VARIANT_TAGS, variant_columns
 from .fingerprint import BehavioralProfile
-from .ml import LabeledDataset, VoteModel, _save_doc, train_boosted, train_knn, train_tree
+from .ml import LabeledDataset, VoteModel, train_boosted, train_knn, train_tree
 
 REPORT_SCHEMA = "evaluation-report/1"
 
@@ -28,6 +28,9 @@ LEVELS = ("device", "category", "instance")
 DEFAULT_FOLDS = 5
 DEFAULT_KNN_K = 5
 DEFAULT_TREE_DEPTH = 5
+
+# The rates of a report entry, in document order.
+_RATES = ("tpr", "accuracy", "tnr", "ppv")
 
 # classifier kind -> fit(data) -> model. The trainers are looked up by
 # module-global name at call time, so a rebound `train_*` (as a tracer
@@ -85,48 +88,21 @@ class FoldPlan:
         return np.flatnonzero(self.assignments != fold)
 
 
-@dataclass(frozen=True)
-class ReportRow:
-    label: str
-    mean_tpr: float
-    mean_accuracy: float
-    mean_tnr: float
-    mean_ppv: float
-    fold_tpr: tuple
-    fold_accuracy: tuple
-    fold_tnr: tuple
-    fold_ppv: tuple
-    degenerate: tuple
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    level: str
-    classifier: str
-    variant: int
-    k: int
-    seed: int
-    rows: tuple
-
-    @property
-    def variant_tag(self) -> str:
-        return VARIANT_TAGS[self.variant]
-
-
 def _profile_key(profile: BehavioralProfile, level: str) -> str:
     return profile.category_label if level == "category" else profile.device_label
 
 
 def assemble_one_vs_all(
-    profiles: Sequence[BehavioralProfile], positive: str, level: str = "device"
+    profiles: Sequence[BehavioralProfile], positive: str, level: str = "device", variant: int = 20
 ) -> LabeledDataset:
-    """Label the positive group's fingerprints +1 and all others -1."""
+    """Label the positive group's fingerprints +1 and all others -1,
+    keeping the feature variant's columns."""
     keys = [_profile_key(p, level) for p in profiles]
     if positive not in keys:
         raise UnknownLabel(f"no profile with {level} label {positive!r}")
     if all(k == positive for k in keys):
         raise NoNegatives(f"every profile carries label {positive!r}")
-    rows = np.concatenate([p.fingerprints for p in profiles])
+    rows = np.concatenate([p.fingerprints for p in profiles])[:, variant_columns(variant)]
     signs = [1 if key == positive else -1 for key in keys]
     labels = np.repeat(signs, [len(p.fingerprints) for p in profiles])
     return LabeledDataset(rows, labels, positive)
@@ -182,46 +158,37 @@ def train_classifier(classifier: str, data: LabeledDataset):
     return _FIT[classifier](data)
 
 
-def _fold_row(
-    label: str,
-    data: LabeledDataset,
-    classifier: str,
-    cols: list,
-    k: int,
-    seed: int,
-) -> ReportRow:
-    reduced = LabeledDataset(data.rows[:, cols], data.labels, data.positive_class)
-    plan = stratified_folds(reduced, k, seed)
+def _result(label: str, classifier: str, variant: int, splits) -> dict:
+    """The report entry of one positive label.
+
+    Trains on each `(train, X, truth)` split, labels X, and reduces the
+    split's confusion counts to its rates; the entry holds every split's
+    rates and their means.
+    """
     per_fold = []
+    for train, X, truth in splits:
+        predicted = train_classifier(classifier, train).predict(X)
+        per_fold.append(metrics(_confusion(predicted, truth)))
+    entry = {"label": label, "classifier": classifier, "variant": VARIANT_TAGS[variant]}
+    for name in _RATES:
+        entry[f"mean_{name}"] = float(np.mean([getattr(m, name) for m in per_fold]))
+    for name in _RATES:
+        entry[f"fold_{name}"] = [getattr(m, name) for m in per_fold]
+    entry["degenerate"] = sorted(set().union(*(m.degenerate for m in per_fold)))
+    return entry
+
+
+def _fold_splits(data: LabeledDataset, k: int, seed: int):
+    """The k stratified `(train, X, truth)` splits of one dataset, fold by fold."""
+    plan = stratified_folds(data, k, seed)
     for fold in range(k):
-        train_idx = plan.train_indices(fold)
-        test_idx = plan.test_indices(fold)
-        train = LabeledDataset(
-            reduced.rows[train_idx], reduced.labels[train_idx], reduced.positive_class
-        )
-        predicted = train_classifier(classifier, train).predict(reduced.rows[test_idx])
-        per_fold.append(metrics(_confusion(predicted, reduced.labels[test_idx])))
-    return _row_from_metrics(label, per_fold)
+        train_idx, test_idx = plan.train_indices(fold), plan.test_indices(fold)
+        train = LabeledDataset(data.rows[train_idx], data.labels[train_idx], data.positive_class)
+        yield train, data.rows[test_idx], data.labels[test_idx]
 
 
-def _row_from_metrics(label: str, per_fold: list) -> ReportRow:
-    degenerate = sorted(set().union(*(m.degenerate for m in per_fold)))
-    return ReportRow(
-        label=label,
-        mean_tpr=float(np.mean([m.tpr for m in per_fold])),
-        mean_accuracy=float(np.mean([m.accuracy for m in per_fold])),
-        mean_tnr=float(np.mean([m.tnr for m in per_fold])),
-        mean_ppv=float(np.mean([m.ppv for m in per_fold])),
-        fold_tpr=tuple(m.tpr for m in per_fold),
-        fold_accuracy=tuple(m.accuracy for m in per_fold),
-        fold_tnr=tuple(m.tnr for m in per_fold),
-        fold_ppv=tuple(m.ppv for m in per_fold),
-        degenerate=tuple(degenerate),
-    )
-
-
-def _instance_rows(
-    profiles: Sequence[BehavioralProfile], classifier: str, cols: list
+def _instance_results(
+    profiles: Sequence[BehavioralProfile], classifier: str, variant: int
 ) -> list:
     """Train on the first instance of each twinned device, test the others.
 
@@ -235,15 +202,15 @@ def _instance_rows(
             extras.append(profile)
         else:
             first_seen[profile.device_label] = profile
-    rows = []
-    training_pool = list(first_seen.values())
+    pool = list(first_seen.values())
+    cols = variant_columns(variant)
+    results = []
     for held_out in extras:
-        data = assemble_one_vs_all(training_pool, held_out.device_label, "device")
-        train = LabeledDataset(data.rows[:, cols], data.labels, data.positive_class)
-        predicted = train_classifier(classifier, train).predict(held_out.fingerprints[:, cols])
-        truth = np.ones(len(predicted), dtype=np.int64)
-        rows.append(_row_from_metrics(held_out.device_label, [metrics(_confusion(predicted, truth))]))
-    return rows
+        train = assemble_one_vs_all(pool, held_out.device_label, "device", variant)
+        X = held_out.fingerprints[:, cols]
+        split = (train, X, np.ones(len(X), dtype=np.int64))
+        results.append(_result(held_out.device_label, classifier, variant, [split]))
+    return results
 
 
 def run_experiment(
@@ -253,71 +220,47 @@ def run_experiment(
     variant: int = 20,
     k: int = DEFAULT_FOLDS,
     seed: int = 0,
-) -> EvaluationReport:
-    """Evaluate every positive label at the requested level."""
+) -> dict:
+    """Evaluate every positive label at the requested level.
+
+    Returns the `evaluation-report/1` document: the run parameters and
+    one result entry per positive label, in profile order.
+    """
     if level not in LEVELS:
         raise ValueError(f"unknown level {level!r}")
     if classifier not in CLASSIFIERS:
         raise ValueError(f"unknown classifier {classifier!r}")
-    cols = variant_columns(variant)
+    if variant not in VARIANT_TAGS:
+        raise ValueError(f"unknown feature variant {variant!r}")
     if level == "instance":
-        rows = _instance_rows(profiles, classifier, cols)
+        results = _instance_results(profiles, classifier, variant)
     else:
-        labels_in_order = []
-        for profile in profiles:
-            key = _profile_key(profile, level)
-            if key not in labels_in_order:
-                labels_in_order.append(key)
-        rows = []
-        for positive in labels_in_order:
-            data = assemble_one_vs_all(profiles, positive, level)
-            rows.append(_fold_row(positive, data, classifier, cols, k, seed))
-    return EvaluationReport(level, classifier, variant, k, seed, tuple(rows))
-
-
-def report_doc(report: EvaluationReport) -> dict:
+        results = []
+        for positive in dict.fromkeys(_profile_key(p, level) for p in profiles):
+            data = assemble_one_vs_all(profiles, positive, level, variant)
+            results.append(_result(positive, classifier, variant, _fold_splits(data, k, seed)))
     return {
         "schema": REPORT_SCHEMA,
-        "level": report.level,
-        "classifier": report.classifier,
-        "variant": report.variant_tag,
-        "folds": report.k,
-        "seed": report.seed,
-        "results": [
-            {
-                "label": row.label,
-                "classifier": report.classifier,
-                "variant": report.variant_tag,
-                "mean_tpr": row.mean_tpr,
-                "mean_accuracy": row.mean_accuracy,
-                "mean_tnr": row.mean_tnr,
-                "mean_ppv": row.mean_ppv,
-                "fold_tpr": list(row.fold_tpr),
-                "fold_accuracy": list(row.fold_accuracy),
-                "fold_tnr": list(row.fold_tnr),
-                "fold_ppv": list(row.fold_ppv),
-                "degenerate": list(row.degenerate),
-            }
-            for row in report.rows
-        ],
+        "level": level,
+        "classifier": classifier,
+        "variant": VARIANT_TAGS[variant],
+        "folds": k,
+        "seed": seed,
+        "results": results,
     }
 
 
-def save_report(report: EvaluationReport, path: str | Path) -> None:
-    _save_doc(path, report_doc(report))
-
-
-def format_report(report: EvaluationReport) -> str:
-    """Plain-text summary table, one row per positive label."""
+def format_report(report: dict) -> str:
+    """Plain-text summary table of a report document, one row per positive label."""
     header = (
-        f"level={report.level} classifier={report.classifier} "
-        f"variant={report.variant_tag} folds={report.k} seed={report.seed}"
+        f"level={report['level']} classifier={report['classifier']} "
+        f"variant={report['variant']} folds={report['folds']} seed={report['seed']}"
     )
-    width = max([len(r.label) for r in report.rows] + [5])
+    rows = report["results"]
+    width = max([len(r["label"]) for r in rows] + [5])
     lines = [header, f"{'label':<{width}}  mean_tpr  mean_accuracy  flags"]
-    for row in report.rows:
-        flags = ",".join(row.degenerate) if row.degenerate else "-"
-        lines.append(
-            f"{row.label:<{width}}  {row.mean_tpr:8.4f}  {row.mean_accuracy:13.4f}  {flags}"
-        )
+    for row in rows:
+        label, tpr, accuracy = row["label"], row["mean_tpr"], row["mean_accuracy"]
+        flags = ",".join(row["degenerate"]) or "-"
+        lines.append(f"{label:<{width}}  {tpr:8.4f}  {accuracy:13.4f}  {flags}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,6 @@ the labeled set of all fingerprints observed for one device.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -87,9 +86,15 @@ def session_stats(packets: Sequence[ParsedPacket]) -> SessionStats:
     return SessionStats(per_session, total, count, avg)
 
 
-def format_session_average(avg: float) -> str:
-    """Two-decimal display, truncated rather than rounded (8.7976 -> 8.79)."""
-    return f"{math.floor(avg * 100) / 100:.2f}"
+def format_session_average(total: int, count: int) -> str:
+    """`total / count` to two decimals, truncated rather than rounded
+    (739 / 84 = 8.7976 -> 8.79); 0 sessions show 0.00.
+
+    The cut is made in integers, so an exact quotient such as 23 / 5
+    shows 4.60 (in floating point, 4.6 * 100 is 459.99...).
+    """
+    hundredths = total * 100 // count if count else 0
+    return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
 def packets_from_capture(path: str | Path, sel: DeviceSelector | None = None) -> tuple:

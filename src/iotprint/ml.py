@@ -171,7 +171,7 @@ def _newton_value(resid: np.ndarray, weight: np.ndarray) -> float:
     return float(resid.sum() / den)
 
 
-def _safeguarded_leaf(value: float, labels: np.ndarray, scores: np.ndarray, rate: float) -> float:
+def _safeguarded_leaf(value: float, labels: np.ndarray, scores: np.ndarray) -> float:
     """Backtrack a Newton leaf value until it does not raise the leaf loss.
 
     A raw Newton step can overshoot badly once points saturate (tiny
@@ -184,7 +184,7 @@ def _safeguarded_leaf(value: float, labels: np.ndarray, scores: np.ndarray, rate
         return value
     before = float(np.logaddexp(0.0, -labels * scores).sum())
     for _ in range(64):
-        after = float(np.logaddexp(0.0, -labels * (scores + rate * value)).sum())
+        after = float(np.logaddexp(0.0, -labels * (scores + value)).sum())
         if after <= before:
             return value
         value *= 0.5
@@ -274,13 +274,13 @@ class _SplitSearch:
         return self._first_max(left + (pos_right**2 + neg_right**2) / self.right_n)
 
 
-def train_boosted(
-    data: LabeledDataset, n_stages: int = 100, learning_rate: float = 1.0
-) -> BoostedModel:
+def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
     """Fit the boosted-stump ensemble; records the deviance trajectory.
 
     The recorded training deviance (mean logistic loss, entry 0 before
-    any stage) is non-increasing stage over stage.
+    any stage) is non-increasing stage over stage. Each stage adds its
+    safeguarded leaf values in full, so the model's learning rate is 1.0
+    (a loaded document may carry another rate; `boosted_scores` applies it).
     """
     if len(data) == 0:
         raise EmptyData("cannot train on an empty dataset")
@@ -305,25 +305,23 @@ def train_boosted(
             feature, threshold = search.best_split(resid)
             left = X[:, feature] <= threshold
             left_value = _safeguarded_leaf(
-                _newton_value(resid[left], weight[left]), y[left], scores[left], learning_rate
+                _newton_value(resid[left], weight[left]), y[left], scores[left]
             )
             right_value = _safeguarded_leaf(
-                _newton_value(resid[~left], weight[~left]), y[~left], scores[~left], learning_rate
+                _newton_value(resid[~left], weight[~left]), y[~left], scores[~left]
             )
         else:
             # Every feature is constant; emit a both-sides-equal stump.
             feature, threshold = 0, search.fallback_threshold
             left = np.ones(len(y), dtype=bool)
-            left_value = right_value = _safeguarded_leaf(
-                _newton_value(resid, weight), y, scores, learning_rate
-            )
+            left_value = right_value = _safeguarded_leaf(_newton_value(resid, weight), y, scores)
         stages.append(Stump(int(feature), threshold, left_value, right_value))
-        scores = scores + learning_rate * np.where(left, left_value, right_value)
+        scores = scores + np.where(left, left_value, right_value)
         deviance.append(_mean_deviance(y, scores))
     return BoostedModel(
         initial_score=initial,
         stages=tuple(stages),
-        learning_rate=learning_rate,
+        learning_rate=1.0,
         n_features=data.n_features,
         positive_class=data.positive_class,
         training_deviance=tuple(deviance),

@@ -250,37 +250,37 @@ def test_device_level_end_to_end(device_reports):
     with criterion("device level, boosted, 20 features: TPR>=0.95, acc>=0.97; <2min"):
         reports, timings = device_reports
         report = reports[20]
-        assert len(report.rows) == 6
-        for row in report.rows:
-            assert row.mean_tpr >= 0.95, row
-            assert row.mean_accuracy >= 0.97, row
+        assert len(report["results"]) == 6
+        for row in report["results"]:
+            assert row["mean_tpr"] >= 0.95, row
+            assert row["mean_accuracy"] >= 0.97, row
         assert timings[20] < 120.0
 
 
 def test_feature_variant_robustness(device_reports):
     with criterion("variant 19 within 0.05 of variant 20; variant 3 above 0.80"):
         reports, _ = device_reports
-        tpr20 = {row.label: row.mean_tpr for row in reports[20].rows}
-        for row in reports[19].rows:
-            assert abs(tpr20[row.label] - row.mean_tpr) <= 0.05, row
-        for row in reports[3].rows:
-            assert row.mean_tpr > 0.80, row
+        tpr20 = {row["label"]: row["mean_tpr"] for row in reports[20]["results"]}
+        for row in reports[19]["results"]:
+            assert abs(tpr20[row["label"]] - row["mean_tpr"]) <= 0.05, row
+        for row in reports[3]["results"]:
+            assert row["mean_tpr"] > 0.80, row
 
 
 def test_category_level(base_profiles):
     with criterion("category level: TPR >= 0.90 under 5-fold CV"):
         report = run_experiment(base_profiles, "category", "boosted", 20, k=5, seed=EVAL_SEED)
-        labels = {row.label for row in report.rows}
+        labels = {row["label"] for row in report["results"]}
         assert "light" in labels  # the two-archetype category
-        for row in report.rows:
-            assert row.mean_tpr >= 0.90, row
+        for row in report["results"]:
+            assert row["mean_tpr"] >= 0.90, row
 
 
 def test_cross_instance(corpus_profiles):
     with criterion("cross-instance: train on twin A, test on twin B, TPR >= 0.99"):
         report = run_experiment(corpus_profiles, "instance", "boosted", 20)
-        assert len(report.rows) == 1
-        assert report.rows[0].mean_tpr >= 0.99
+        assert len(report["results"]) == 1
+        assert report["results"][0]["mean_tpr"] >= 0.99
 
 
 # --- pcap round trip --------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 from iotprint import fingerprint, ml
 from iotprint.cli import main
 from iotprint.errors import FrameTooShort, TruncatedHeader
-from iotprint.evaluation import CLASSIFIERS, VARIANT_TAGS
+from iotprint.evaluation import CLASSIFIERS, LEVELS, VARIANT_TAGS, format_report, run_experiment
 from iotprint.features import extract_features
 from iotprint.fingerprint import (
     BehavioralProfile,
@@ -265,104 +265,218 @@ def _first_50_columns(rows: dict) -> dict:
 
 
 # name -> (model document, path to the mutated field, new value, _DELETE,
-# or a function of the old value; a _Raw value is JSON text). Each
-# document is one `save_model` could not have written.
+# or a function of the old value; a _Raw value is JSON text; a fragment of
+# the message of the check that must reject it). Each document is one
+# `save_model` could not have written.
 MODEL_MUTATIONS = {
-    "boosted-feature-index-500": ("boosted", ("stages", 0, 0), 500),
-    "boosted-feature-index-negative": ("boosted", ("stages", 0, 0), -1),
-    "boosted-n-features-95-under-wide-stages": ("boosted", ("n_features",), 95),
-    "boosted-threshold-nan": ("boosted", ("stages", 0, 1), float("nan")),
-    "boosted-training-deviance-nan": ("boosted", ("training_deviance", 3), float("nan")),
-    "boosted-training-deviance-missing": ("boosted", ("training_deviance",), _DELETE),
-    "boosted-learning-rate-1e308": ("boosted", ("learning_rate",), 1e308),
-    "boosted-leaf-values-1e308": (
-        "boosted", ("stages",), lambda stages: [[f, t, 1e308, -1e308] for f, t, _, _ in stages]
+    "boosted-feature-index-500": (
+        "boosted", ("stages", 0, 0), 500,
+        "feature_index must be an integer in [0, 99], got 500",
     ),
-    "tree-feature-index-900": ("tree", ("root", "feature_index"), 900),
-    "tree-node-without-right": ("tree", ("root", "right"), _DELETE),
-    "tree-7-deep-max-depth-5": ("tree", ("root",), _deep_tree(7)),
-    "tree-3000-deep": ("tree", ("root",), _deep_tree(3000)),
-    "no-kind": ("boosted", ("kind",), _DELETE),
-    "vote-members-out-of-order": ("vote", ("members",), lambda m: [m[1], m[0], m[2]]),
-    "packed-k-zero": ("knn", ("k",), 0),
-    "packed-k-million": ("knn", ("k",), 10**6),
-    "packed-rows-not-base64": ("knn", ("rows", "data"), lambda data: "*" + data[1:]),
-    "packed-rows-one-byte-short": ("knn", ("rows", "data"), _packed(lambda raw: raw[:-1])),
-    "packed-rows-one-byte-long": ("knn", ("rows", "data"), _packed(lambda raw: raw + b"\0")),
-    "packed-rows-shape-product-off": ("knn", ("rows", "shape"), lambda s: [s[0] - 1, s[1]]),
-    "packed-rows-dimension-0": ("knn", ("rows", "shape"), lambda s: [0, s[1]]),
-    "packed-rows-dimension-negative": ("knn", ("rows", "shape"), lambda s: [-s[0], -s[1]]),
-    "packed-rows-dimension-true": ("knn", ("rows", "shape"), lambda s: [s[0] * s[1], True]),
-    "packed-rows-one-dimension": ("knn", ("rows", "shape"), lambda s: [s[0] * s[1]]),
-    "packed-rows-width-50": ("knn", ("rows",), _first_50_columns),
-    "packed-rows-dtype-f4": ("knn", ("rows", "dtype"), "<f4"),
-    "packed-rows-nan": ("knn", ("rows", "data"), _set_first(struct.pack("<d", math.nan))),
-    "packed-rows-inf": ("knn", ("rows", "data"), _set_first(struct.pack("<d", -math.inf))),
-    "packed-label-byte-0": ("knn", ("labels", "data"), _set_first(b"\x00")),
-    "packed-label-byte-2": ("knn", ("labels", "data"), _set_first(b"\x02")),
-    "packed-labels-dtype-f8": ("knn", ("labels", "dtype"), "<f8"),
+    "boosted-feature-index-negative": (
+        "boosted", ("stages", 0, 0), -1,
+        "feature_index must be an integer in [0, 99], got -1",
+    ),
+    "boosted-n-features-95-under-wide-stages": (
+        "boosted", ("n_features",), 95,
+        "feature_index must be an integer in [0, 94]",
+    ),
+    "boosted-threshold-nan": (
+        "boosted", ("stages", 0, 1), float("nan"),
+        "threshold must be a finite number",
+    ),
+    "boosted-training-deviance-nan": (
+        "boosted", ("training_deviance", 3), float("nan"),
+        "training_deviance must be a finite number",
+    ),
+    "boosted-training-deviance-missing": (
+        "boosted", ("training_deviance",), _DELETE,
+        "lacks 'training_deviance'",
+    ),
+    "boosted-learning-rate-1e308": ("boosted", ("learning_rate",), 1e308, "scores can overflow"),
+    "boosted-leaf-values-1e308": (
+        "boosted", ("stages",), lambda stages: [[f, t, 1e308, -1e308] for f, t, _, _ in stages],
+        "scores can overflow",
+    ),
+    "tree-feature-index-900": (
+        "tree", ("root", "feature_index"), 900,
+        "feature_index must be an integer in [0, 99], got 900",
+    ),
+    "tree-node-without-right": ("tree", ("root", "right"), _DELETE, "lacks 'right'"),
+    "tree-7-deep-max-depth-5": ("tree", ("root",), _deep_tree(7), "split below its max_depth"),
+    "tree-3000-deep": ("tree", ("root",), _deep_tree(3000), "nested too deeply"),
+    "no-kind": ("boosted", ("kind",), _DELETE, "lacks 'kind'"),
+    "vote-members-out-of-order": (
+        "vote", ("members",), lambda m: [m[1], m[0], m[2]],
+        "must be boosted, knn and tree, in that order",
+    ),
+    "packed-k-zero": ("knn", ("k",), 0, "model k must be an integer in [1, "),
+    "packed-k-million": ("knn", ("k",), 10**6, "model k must be an integer in [1, "),
+    "packed-rows-not-base64": (
+        "knn", ("rows", "data"), lambda data: "*" + data[1:],
+        "rows data is not base64",
+    ),
+    "packed-rows-one-byte-short": (
+        "knn", ("rows", "data"), _packed(lambda raw: raw[:-1]),
+        "rows data holds",
+    ),
+    "packed-rows-one-byte-long": (
+        "knn", ("rows", "data"), _packed(lambda raw: raw + b"\0"),
+        "rows data holds",
+    ),
+    "packed-rows-shape-product-off": (
+        "knn", ("rows", "shape"), lambda s: [s[0] - 1, s[1]],
+        "rows data holds",
+    ),
+    "packed-rows-dimension-0": (
+        "knn", ("rows", "shape"), lambda s: [0, s[1]],
+        "rows shape must be 2 positive integers",
+    ),
+    "packed-rows-dimension-negative": (
+        "knn", ("rows", "shape"), lambda s: [-s[0], -s[1]],
+        "rows shape must be 2 positive integers",
+    ),
+    "packed-rows-dimension-true": (
+        "knn", ("rows", "shape"), lambda s: [s[0] * s[1], True],
+        "rows shape must be 2 positive integers",
+    ),
+    "packed-rows-one-dimension": (
+        "knn", ("rows", "shape"), lambda s: [s[0] * s[1]],
+        "rows shape must be 2 positive integers",
+    ),
+    "packed-rows-width-50": (
+        "knn", ("rows",), _first_50_columns,
+        "columns must be 50 distinct integers",
+    ),
+    "packed-rows-dtype-f4": (
+        "knn", ("rows", "dtype"), "<f4",
+        "rows dtype must be '<f8', got '<f4'",
+    ),
+    "packed-rows-nan": (
+        "knn", ("rows", "data"), _set_first(struct.pack("<d", math.nan)),
+        "rows must be finite",
+    ),
+    "packed-rows-inf": (
+        "knn", ("rows", "data"), _set_first(struct.pack("<d", -math.inf)),
+        "rows must be finite",
+    ),
+    "packed-label-byte-0": (
+        "knn", ("labels", "data"), _set_first(b"\x00"),
+        "labels must be +1 or -1",
+    ),
+    "packed-label-byte-2": (
+        "knn", ("labels", "data"), _set_first(b"\x02"),
+        "labels must be +1 or -1",
+    ),
+    "packed-labels-dtype-f8": (
+        "knn", ("labels", "dtype"), "<f8",
+        "labels dtype must be '<i1', got '<f8'",
+    ),
     "packed-labels-shorter-than-rows": (
         "knn",
         ("labels",),
         lambda p: {**p, "shape": [p["shape"][0] - 1], "data": _packed(lambda r: r[:-1])(p["data"])},
+        "rows and labels must have equal length",
     ),
-    "vote-packed-labels-as-list": ("vote", ("members", 1, "labels"), lambda p: [1] * p["shape"][0]),
-    "knn-k-zero": ("vote", ("members", 1, "k"), 0),
-    "knn-labels-seven": ("knn", ("labels", "data"), _packed(lambda raw: b"\x07" * len(raw))),
+    "vote-packed-labels-as-list": (
+        "vote", ("members", 1, "labels"), lambda p: [1] * p["shape"][0],
+        "lacks 'dtype'",
+    ),
+    "knn-k-zero": ("vote", ("members", 1, "k"), 0, "model k must be an integer in [1, "),
+    "knn-labels-seven": (
+        "knn", ("labels", "data"), _packed(lambda raw: b"\x07" * len(raw)),
+        "labels must be +1 or -1",
+    ),
     "knn-labels-shorter-than-rows": (
         "vote",
         ("members", 1, "labels"),
         lambda p: {**p, "shape": [p["shape"][0] - 1], "data": _packed(lambda r: r[:-1])(p["data"])},
+        "rows and labels must have equal length",
     ),
     # A label count that is not an integer.
-    "knn-label-1e308": ("knn", ("labels", "shape", 0), 1e308),
-    "knn-label-1.5": ("knn", ("labels", "shape", 0), 1.5),
-    "knn-label-true": ("knn", ("labels", "shape", 0), True),
-    "columns-out-of-range": ("boosted", ("columns", 0), 100),
-    "columns-negative": ("boosted", ("columns", 0), -1),
-    "columns-duplicate": ("boosted", ("columns", 1), 0),
-    "columns-fewer-than-n-features": ("boosted", ("columns",), lambda c: c[:-1]),
-    "columns-more-than-n-features": ("vote", ("columns",), lambda c: [*c, 99]),
-    "columns-missing": ("knn", ("columns",), _DELETE),
-    "schema-1": ("knn", ("schema",), "model/1"),
-    "schema-3": ("knn", ("schema",), "model/3"),
+    "knn-label-1e308": (
+        "knn", ("labels", "shape", 0), 1e308,
+        "labels shape must be 1 positive integers",
+    ),
+    "knn-label-1.5": (
+        "knn", ("labels", "shape", 0), 1.5,
+        "labels shape must be 1 positive integers",
+    ),
+    "knn-label-true": (
+        "knn", ("labels", "shape", 0), True,
+        "labels shape must be 1 positive integers",
+    ),
+    "columns-out-of-range": (
+        "boosted", ("columns", 0), 100,
+        "columns must be 100 distinct integers",
+    ),
+    "columns-negative": ("boosted", ("columns", 0), -1, "columns must be 100 distinct integers"),
+    "columns-duplicate": ("boosted", ("columns", 1), 0, "columns must be 100 distinct integers"),
+    "columns-fewer-than-n-features": (
+        "boosted", ("columns",), lambda c: c[:-1],
+        "columns must be 100 distinct integers",
+    ),
+    "columns-more-than-n-features": (
+        "vote", ("columns",), lambda c: [*c, 99],
+        "columns must be 100 distinct integers",
+    ),
+    "columns-missing": ("knn", ("columns",), _DELETE, "lacks 'columns'"),
+    "schema-1": ("knn", ("schema",), "model/1", "unsupported model schema: 'model/1'"),
+    "schema-3": ("knn", ("schema",), "model/3", "unsupported model schema: 'model/3'"),
 }
 
 
 @pytest.mark.parametrize("mutation", MODEL_MUTATIONS)
 def test_identify_rejects_malformed_model(model_docs, tmp_path, capsys, mutation):
-    doc, path, value = MODEL_MUTATIONS[mutation]
+    doc, path, value, message = MODEL_MUTATIONS[mutation]
     model = tmp_path / "model.json"
     model.write_text(_mutated_text(model_docs[doc], path, value))
     code, _, err = _identify(model, "outlet", 90, tmp_path, capsys)
     assert code == 3
     assert err.startswith("error: data: ") and err.count("\n") == 1
+    assert message in err, err
 
 
-# name -> (path to the mutated field, value as in MODEL_MUTATIONS). Each
-# document is one `save_profile` could not have written.
+# name -> (path to the mutated field, value and message fragment as in
+# MODEL_MUTATIONS). Each document is one `save_profile` could not have written.
 PROFILE_MUTATIONS = {
-    "source-missing": (("source",), _DELETE),
-    "document-is-a-list": ((), lambda doc: [doc]),
-    "fingerprints-null": (("fingerprints",), None),
-    "row-of-objects": (("fingerprints", 0), lambda row: [{}] * len(row)),
-    "nested-5000-deep": (("fingerprints",), _Raw("[" * 5000 + "]" * 5000)),
-    "every-value-nan": (("fingerprints",), lambda rows: [[math.nan] * len(r) for r in rows]),
-    "values-as-strings": (("fingerprints",), lambda rows: [[str(v) for v in r] for r in rows]),
+    "source-missing": (("source",), _DELETE, "lacks 'source'"),
+    "document-is-a-list": ((), lambda doc: [doc], "lacks 'schema'"),
+    "fingerprints-null": (("fingerprints",), None, "fingerprints must be a list"),
+    "row-of-objects": (
+        ("fingerprints", 0), lambda row: [{}] * len(row),
+        "fingerprints must be a non-empty 2-D array of finite numbers",
+    ),
+    "nested-5000-deep": (("fingerprints",), _Raw("[" * 5000 + "]" * 5000), "nested too deeply"),
+    "every-value-nan": (
+        ("fingerprints",), lambda rows: [[math.nan] * len(r) for r in rows],
+        "fingerprints must be a non-empty 2-D array of finite numbers",
+    ),
+    "values-as-strings": (
+        ("fingerprints",), lambda rows: [[str(v) for v in r] for r in rows],
+        "fingerprints must be a non-empty 2-D array of finite numbers",
+    ),
     "values-1e400": (
         ("fingerprints",),
         lambda rows: _Raw(json.dumps([[0] * len(r) for r in rows]).replace("0", "1e400")),
+        "fingerprints must be a non-empty 2-D array of finite numbers",
     ),
-    "feature-schema-2": (("source", "feature_schema"), "packet-features/2"),
-    "skipped-frames-negative": (("source", "skipped_frames"), -4),
-    "device-label-number": (("device_label",), 7),
-    "captures-not-strings": (("source", "captures"), [3]),
+    "feature-schema-2": (
+        ("source", "feature_schema"), "packet-features/2",
+        "unsupported feature schema: 'packet-features/2'",
+    ),
+    "skipped-frames-negative": (
+        ("source", "skipped_frames"), -4,
+        "skipped_frames must be an integer in [0, inf], got -4",
+    ),
+    "device-label-number": (("device_label",), 7, "device_label must be a string"),
+    "captures-not-strings": (("source", "captures"), [3], "captures must be strings"),
 }
 
 
 @pytest.mark.parametrize("mutation", PROFILE_MUTATIONS)
 def test_evaluate_rejects_malformed_profile(three_profiles, tmp_path, capsys, mutation):
-    path, value = PROFILE_MUTATIONS[mutation]
+    path, value, message = PROFILE_MUTATIONS[mutation]
     doc = json.loads(Path(three_profiles[1]).read_text())
     profile = tmp_path / "mutated.profile.json"
     profile.write_text(_mutated_text(doc, path, value))
@@ -371,6 +485,7 @@ def test_evaluate_rejects_malformed_profile(three_profiles, tmp_path, capsys, mu
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: data: ") and err.count("\n") == 1
+    assert message in err, err
 
 
 def test_identify_with_multiple_models_reports_positive_set(tmp_path, capsys):
@@ -621,6 +736,22 @@ def test_evaluate_defaults_and_determinism(tmp_path, capsys):
     assert doc["variant"] == "20-features"
     stdout = capsys.readouterr().out
     assert "mean_tpr" in stdout
+
+
+@pytest.mark.parametrize("level", LEVELS)
+def test_evaluate_writes_and_prints_the_report_document(three_profiles, tmp_path, capsys, level):
+    """The file `evaluate --out` writes is the document `run_experiment`
+    returns, and stdout is `format_report` of that document."""
+    profiles = [*three_profiles, *_make_profiles(tmp_path, ["outlet"], seed=70)]  # a twin
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    argv = ["evaluate", "--profiles", *profiles, "--level", level, "--seed", "4"]
+    assert main([*argv, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    expected = run_experiment([load_profile(p) for p in profiles], level, seed=4)
+    assert expected["results"]
+    assert json.loads(out.read_text()) == expected
+    assert stdout == format_report(expected)
 
 
 def test_unknown_flag_rejected(capsys):

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from iotprint import evaluation
 from iotprint.errors import ClassTooSmall, NoNegatives, UnknownLabel
 from iotprint.evaluation import (
+    LEVELS,
     ConfusionCounts,
     assemble_one_vs_all,
     format_report,
     metrics,
-    report_doc,
     run_experiment,
     stratified_folds,
     variant_columns,
@@ -134,41 +135,41 @@ def test_run_experiment_separable_all_classifiers(classifier):
     report = run_experiment(
         _small_separable_profiles(), "device", classifier, variant=20, k=5, seed=1
     )
-    assert [row.label for row in report.rows] == ["alpha", "beta", "gamma"]
-    for row in report.rows:
-        assert row.mean_tpr == 1.0
-        assert row.mean_accuracy == 1.0
-        assert len(row.fold_tpr) == 5
+    assert [row["label"] for row in report["results"]] == ["alpha", "beta", "gamma"]
+    for row in report["results"]:
+        assert row["mean_tpr"] == 1.0
+        assert row["mean_accuracy"] == 1.0
+        assert len(row["fold_tpr"]) == 5
 
 
 def test_run_experiment_category_level():
     report = run_experiment(_small_separable_profiles(), "category", "tree", 20, k=5, seed=1)
-    assert [row.label for row in report.rows] == ["lit", "cam"]
-    assert all(row.mean_tpr == 1.0 for row in report.rows)
+    assert [row["label"] for row in report["results"]] == ["lit", "cam"]
+    assert all(row["mean_tpr"] == 1.0 for row in report["results"])
 
 
 def test_run_experiment_instance_level():
     profiles = _small_separable_profiles()
     twin = make_profile("alpha", "lit", 25, offset=0.0, seed=34)
     report = run_experiment(profiles + [twin], "instance", "boosted", 20)
-    assert len(report.rows) == 1
-    row = report.rows[0]
-    assert row.label == "alpha"
-    assert row.mean_tpr == 1.0
-    assert len(row.fold_tpr) == 1
-    assert "tnr" in row.degenerate  # no negatives in the held-out instance
+    assert len(report["results"]) == 1
+    row = report["results"][0]
+    assert row["label"] == "alpha"
+    assert row["mean_tpr"] == 1.0
+    assert len(row["fold_tpr"]) == 1
+    assert "tnr" in row["degenerate"]  # no negatives in the held-out instance
 
 
 def test_run_experiment_instance_level_without_twins_is_empty():
     report = run_experiment(_small_separable_profiles(), "instance", "boosted", 20)
-    assert report.rows == ()
+    assert report["results"] == []
 
 
 def test_run_experiment_reproducible():
     profiles = _small_separable_profiles()
     a = run_experiment(profiles, "device", "boosted", 19, k=5, seed=8)
     b = run_experiment(profiles, "device", "boosted", 19, k=5, seed=8)
-    assert report_doc(a) == report_doc(b)
+    assert a == b
 
 
 def test_run_experiment_validation():
@@ -178,11 +179,20 @@ def test_run_experiment_validation():
         run_experiment(_small_separable_profiles(), "device", "nope", 20)
 
 
+def test_run_experiment_rejects_an_unknown_variant_before_training(monkeypatch):
+    profiles = [*_small_separable_profiles(), make_profile("alpha", "lit", 25, seed=34)]
+    trained = []
+    monkeypatch.setattr(evaluation, "train_classifier", lambda *args: trained.append(args))
+    for level in LEVELS:
+        with pytest.raises(ValueError, match="unknown feature variant 7"):
+            run_experiment(profiles, level, "boosted", 7)
+    assert trained == []
+
+
 def test_report_formats():
     report = run_experiment(_small_separable_profiles(), "device", "knn", 3, k=5, seed=2)
-    doc = report_doc(report)
-    assert doc["schema"].startswith("evaluation-report/")
-    assert doc["variant"] == "3-payload-only"
-    assert len(doc["results"]) == 3
+    assert report["schema"].startswith("evaluation-report/")
+    assert report["variant"] == "3-payload-only"
+    assert len(report["results"]) == 3
     text = format_report(report)
     assert "alpha" in text and "mean_tpr" in text

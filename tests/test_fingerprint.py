@@ -1,6 +1,8 @@
 import json
+import math
 import struct
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -133,9 +135,24 @@ def test_no_sessions_average_is_zero():
 
 
 def test_display_truncates_not_rounds():
-    assert format_session_average(739 / 84) == "8.79"
-    assert format_session_average(12755 / 3274) == "3.89"
-    assert format_session_average(9.0) == "9.00"
+    assert format_session_average(739, 84) == "8.79"
+    assert format_session_average(12755, 3274) == "3.89"
+    assert format_session_average(9, 1) == "9.00"
+    assert format_session_average(0, 0) == "0.00"
+
+
+def test_display_truncates_the_exact_quotient():
+    """1-59 sessions at 1-40 packets per session, against exact fractions.
+    A cut of avg * 100 in floating point printed 494 of these one
+    hundredth low, 23 / 5 as 4.59."""
+    assert format_session_average(23, 5) == "4.60"
+    wrong = []
+    for count in range(1, 60):
+        for total in range(count, 40 * count + 1):
+            cents = math.floor(Fraction(100 * total, count))
+            if format_session_average(total, count) != f"{cents // 100}.{cents % 100:02d}":
+                wrong.append((total, count))
+    assert wrong == []
 
 
 def test_build_profile_round_trip(tmp_path):

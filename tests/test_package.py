@@ -7,12 +7,6 @@ PACKAGE_DIR = Path(iotprint.__file__).parent
 SOURCES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE_DIR.glob("*.py")}
 
 
-def test_every_exported_name_resolves():
-    missing = [name for name in iotprint.__all__ if not hasattr(iotprint, name)]
-    assert missing == []
-    assert len(set(iotprint.__all__)) == len(iotprint.__all__)
-
-
 def _package_imports(node) -> list:
     """Package modules a `from .x import` (or `from . import x`) statement names."""
     if not isinstance(node, ast.ImportFrom) or node.level == 0:
@@ -54,12 +48,9 @@ def test_module_imports_form_an_acyclic_graph():
 
 
 def test_every_module_level_import_is_used():
-    """A name a module imports at module level is used in that module
-    (`__init__` re-exports its imports and is exempt)."""
+    """A name a module imports at module level is used in that module."""
     unused = []
     for name, tree in SOURCES.items():
-        if name == "__init__":
-            continue
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         for node in tree.body:
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
