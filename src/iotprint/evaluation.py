@@ -251,10 +251,18 @@ def run_experiment(
 
 
 def format_report(report: dict) -> str:
-    """Plain-text summary table of a report document, one row per positive label."""
+    """Plain-text summary table of a report document, one row per positive label.
+
+    The instance level holds out one instance, with neither folds nor a
+    seed, so its header says `holdout=instance` in their place.
+    """
+    if report["level"] == "instance":
+        split = "holdout=instance"
+    else:
+        split = f"folds={report['folds']} seed={report['seed']}"
     header = (
         f"level={report['level']} classifier={report['classifier']} "
-        f"variant={report['variant']} folds={report['folds']} seed={report['seed']}"
+        f"variant={report['variant']} {split}"
     )
     rows = report["results"]
     width = max([len(r["label"]) for r in rows] + [5])

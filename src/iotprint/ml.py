@@ -159,11 +159,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mean_deviance(labels: np.ndarray, scores: np.ndarray) -> float:
-    # logistic loss log(1 + exp(-y * F)), stable for large |F|
-    return float(np.logaddexp(0.0, -labels * scores).mean())
-
-
 def _newton_value(resid: np.ndarray, weight: np.ndarray) -> float:
     den = float(weight.sum())
     if den <= 1e-150:
@@ -171,24 +166,32 @@ def _newton_value(resid: np.ndarray, weight: np.ndarray) -> float:
     return float(resid.sum() / den)
 
 
-def _safeguarded_leaf(value: float, labels: np.ndarray, scores: np.ndarray) -> float:
-    """Backtrack a Newton leaf value until it does not raise the leaf loss.
+def _row_loss(labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    # logistic loss log(1 + exp(-y * F)) of each row, stable for large |F|
+    return np.logaddexp(0.0, -labels * scores)
 
-    A raw Newton step can overshoot badly once points saturate (tiny
-    p(1-p) sums under a finite residual sum), which would break the
-    non-increasing-deviance guarantee. The Newton direction is always a
-    descent direction for the leaf, so halving terminates; a step that
-    never helps collapses to 0 (loss unchanged).
+
+def _safeguarded_leaf(
+    value: float, labels: np.ndarray, scores: np.ndarray, loss: np.ndarray
+) -> tuple:
+    """(value, loss): a Newton leaf value, backtracked until it does not raise the leaf loss.
+
+    `loss` is the leaf rows' `_row_loss` before the step; the returned
+    one is theirs after it. A raw Newton step can overshoot badly once
+    points saturate (tiny p(1-p) sums under a finite residual sum), which
+    would break the non-increasing-deviance guarantee. The Newton
+    direction is always a descent direction for the leaf, so halving
+    terminates; a step that never helps collapses to 0 (loss unchanged).
     """
     if value == 0.0 or labels.size == 0:
-        return value
-    before = float(np.logaddexp(0.0, -labels * scores).sum())
+        return value, loss
+    before = float(loss.sum())
     for _ in range(64):
-        after = float(np.logaddexp(0.0, -labels * (scores + value)).sum())
-        if after <= before:
-            return value
+        after = _row_loss(labels, scores + value)
+        if float(after.sum()) <= before:
+            return value, after
         value *= 0.5
-    return 0.0
+    return 0.0, loss
 
 
 def _midpoint(lo, hi) -> np.ndarray:
@@ -205,73 +208,166 @@ def _midpoint(lo, hi) -> np.ndarray:
     return np.where(mid < hi, mid, lo)
 
 
+# The bound of `_SplitSearch`: the unit roundoff u of float64; the
+# largest sum of |target| whose sums, squares and scores stay far below
+# the float maximum; and the relative and absolute widening of a
+# computed bound, which covers the score formulas' roundings (about 16 u)
+# and underflow to subnormals.
+_UNIT_ROUNDOFF = 2.0**-53
+_SAFE_SUM = 2.0**500
+_WIDEN = 2.0**-45
+_TINY = sys.float_info.min
+
+
+def _gain(left, total, left_n, right_n):
+    """Boosting's gain sum_L^2/n_L + sum_R^2/n_R, which orders splits as squared error does."""
+    return left**2 / left_n + (total - left) ** 2 / right_n
+
+
+def _gain_bound(left, total, err, left_n, right_n):
+    """`_gain` with each side's |sum| moved by its error: out for err > 0, in (to 0) for err < 0.
+
+    The left sum is off by at most |err| and the right one, a difference
+    of two sums, by 2 |err|. Each operation rounds its own result by a
+    relative error, and every later term is >= 0.
+    """
+    side_l = np.maximum(np.abs(left) + err, 0.0)
+    side_r = np.maximum(np.abs(total - left) + 2 * err, 0.0)
+    return side_l**2 / left_n + side_r**2 / right_n
+
+
+def _gini(pos_left, pos_total, left_n, right_n):
+    """Gini's sum_side (pos^2 + neg^2) / n_side, which orders splits as weighted impurity does.
+
+    The counts are exact in float64, so only the squares, sums and
+    divisions round.
+    """
+    neg_left = left_n - pos_left
+    pos_right = pos_total - pos_left
+    neg_right = right_n - pos_right
+    left = (pos_left**2 + neg_left**2) / left_n
+    return left + (pos_right**2 + neg_right**2) / right_n
+
+
+def _gini_bound(pos_left, pos_total, err, left_n, right_n):
+    """`_gini` bounded as `_gain_bound` bounds the gain.
+
+    Per side, (p^2 + (m - p)^2) / m = ((2p - m)^2 / m + m) / 2, and
+    2p - m is the side's sum of +/-1 labels, so Gini's score is
+    (gain of the +/-1 labels + n) / 2. Those sums are off by twice the
+    counts' error. Integer counts make 2p - m exact.
+    """
+    n = left_n + right_n
+    gain = _gain_bound(2 * pos_left - left_n, 2 * pos_total - n, 2 * err, left_n, right_n)
+    return (gain + n) / 2
+
+
 class _SplitSearch:
-    """Sorted-order split search over the rows of X, for both learners.
+    """Split search over the rows of X, for both learners.
 
-    Feature columns are argsorted once; each boosting stage (or tree
-    node) only brings new target values. The candidates are only the
-    boundaries between consecutive distinct sorted values, listed once
-    per search in feature-major, ascending-boundary order (the tie
-    order); each threshold is the midpoint of the two values. Columns
-    without a candidate are dropped, and the kept sort order is stored
-    feature-major.
+    The candidates are the boundaries between consecutive distinct
+    values of each column, listed once per search in feature-major,
+    ascending-boundary order (the tie order); each threshold is the
+    midpoint of the two values. Constant columns have none and are
+    dropped. Each boosting stage (or tree node) only brings new target
+    values.
 
-    A candidate's left sum is the same sequential prefix sum, over the
-    same sorted targets, as a cumsum down every column, so its gain is
+    A candidate is scored from exact sums: its left sum is the
+    sequential prefix sum of the targets in the column's stable sort
+    order, and its total is that column's full sequential sum, as a
+    cumsum down every sorted column gives them. So the split is
     bit-identical to scoring every boundary and masking the rest.
-    Per-bin (histogram) sums would add in another order, move gains by
-    an ulp and could flip a tied split.
+
+    Columns with more than two values are argsorted once and scanned by
+    one cumsum per call. A two-valued column has one candidate, between
+    its low and its high value, and is not sorted: its rows at the low
+    value form the 0/1 matrix `low`. Per call, one product `low @ target`
+    approximates every such left sum, and `target.sum()` the total. Any
+    order of adding n terms is within gamma_n * sum|target| of the exact
+    sum, gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., section 4.2), so these sums are
+    within 2 gamma_n sum|target| of the sequential ones. That error,
+    carried through the score formula and widened for its roundings,
+    bounds each two-valued candidate's exact score from above and below.
+    A candidate whose upper bound is below the best lower bound is
+    strictly beaten: it can neither win nor tie. Every other one gets
+    its exact sums from its stable order: the low rows in row order,
+    then the high rows. Where sum|target| is not finite or too large for
+    the bound to be safe, every candidate is scored exactly, so
+    overflow, inf and NaN resolve as `np.argmax` does on exact scores.
     """
 
     def __init__(self, X: np.ndarray):
-        n, _ = X.shape
-        order = np.argsort(X, axis=0, kind="stable")
-        xs = np.take_along_axis(X, order, axis=0)
-        self.fallback_threshold = float(xs[-1, 0]) if n else 0.0
-        columns = np.flatnonzero((xs[1:] > xs[:-1]).any(axis=0))
-        self.order = np.ascontiguousarray(order[:, columns].T)
-        xs = np.ascontiguousarray(xs[:, columns].T)
+        n = X.shape[0]
+        lo, hi = X.min(axis=0, initial=np.inf), X.max(axis=0, initial=-np.inf)
+        self.fallback_threshold = float(hi[0]) if n else 0.0
+        varies = lo < hi
+        two = varies & ((X == lo) | (X == hi)).all(axis=0)
+        multi, two = np.flatnonzero(varies & ~two), np.flatnonzero(two)
+        order = np.argsort(X[:, multi], axis=0, kind="stable")
+        xs = np.take_along_axis(X[:, multi], order, axis=0).T
+        self.order = np.ascontiguousarray(order.T)
         col, boundary = np.nonzero(xs[:, 1:] > xs[:, :-1])
         self.left_flat = col * n + boundary
         self.total_flat = col * n + (n - 1)
-        self.left_n = (boundary + 1).astype(np.float64)
-        self.right_n = n - self.left_n
-        self.features = columns[col]
-        self.thresholds = _midpoint(xs[col, boundary], xs[col, boundary + 1])
-        self.any_valid = bool(col.size)
+        self.multi_n = boundary + 1.0, n - (boundary + 1.0)
+        self.low = np.ascontiguousarray((X[:, two] == lo[two]).T, dtype=np.float64)
+        low_n = self.low.sum(axis=1)
+        self.two_n = low_n, n - low_n
+        features = np.concatenate([multi[col], two])
+        thresholds = np.concatenate(
+            [_midpoint(xs[col, boundary], xs[col, boundary + 1]), _midpoint(lo[two], hi[two])]
+        )
+        # Merge the two kinds into feature-major order; within a column
+        # the boundaries keep their ascending order.
+        rank = np.argsort(features, kind="stable")
+        slot = np.argsort(rank)
+        self.multi_slot, self.two_slot = slot[: col.size], slot[col.size :]
+        self.features, self.thresholds = features[rank], thresholds[rank]
+        self.any_valid = bool(features.size)
 
-    def _sums(self, values: np.ndarray) -> tuple:
-        """Per candidate: the sum of `values` left of it, and the column total."""
-        csum = np.cumsum(values[self.order], axis=1)
-        return csum.take(self.left_flat), csum.take(self.total_flat)
+    def _best(self, target: np.ndarray, score, bound) -> tuple:
+        """(feature, threshold) of the first candidate with the largest exact `score`.
 
-    def _first_max(self, score: np.ndarray) -> tuple:
-        """Ties pick the lowest feature index, then the lowest threshold."""
-        best = int(np.argmax(score))
+        `bound(left, total, err, left_n, right_n)` moves `score` by sums
+        that are off by at most |err|: up for err > 0, down for err < 0.
+        """
+        exact = np.full(self.features.size, -np.inf)
+        csum = np.cumsum(target[self.order], axis=1)
+        exact[self.multi_slot] = score(
+            csum.take(self.left_flat), csum.take(self.total_flat), *self.multi_n
+        )
+        left_n, right_n = self.two_n
+        n = target.size
+        abs_sum = float(np.abs(target).sum())
+        if abs_sum <= _SAFE_SUM:  # false for inf and NaN
+            left, total = self.low @ target, float(target.sum())
+            gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+            # Twice 2 gamma_n sum|target|, which also covers the rounding
+            # of sum|target| and of this line.
+            err = 4 * gamma * abs_sum
+            upper = bound(left, total, err, left_n, right_n) * (1 + _WIDEN) + _TINY
+            lower = bound(left, total, -err, left_n, right_n) * (1 - _WIDEN) - _TINY
+            best = max(exact.max(initial=-np.inf), lower.max(initial=-np.inf))
+            verify = np.flatnonzero(upper >= best)
+        else:
+            verify = np.arange(self.two_slot.size)
+        if verify.size:
+            order = np.argsort(self.low[verify] == 0.0, axis=1, kind="stable")
+            csum = np.cumsum(target[order], axis=1)
+            left_at = np.arange(verify.size) * n + left_n[verify].astype(np.int64) - 1
+            left, total = csum.take(left_at), csum[:, -1]
+            exact[self.two_slot[verify]] = score(left, total, left_n[verify], right_n[verify])
+        best = int(np.argmax(exact))  # ties pick the lowest feature, then the lowest threshold
         return int(self.features[best]), float(self.thresholds[best])
 
     def best_split(self, target: np.ndarray) -> tuple:
-        """(feature, threshold) minimizing squared error of leaf means.
-
-        Gain maximized is sum_L^2/n_L + sum_R^2/n_R, which orders splits
-        identically to squared error.
-        """
-        left_sum, total = self._sums(target)
-        gain = left_sum**2 / self.left_n + (total - left_sum) ** 2 / self.right_n
-        return self._first_max(gain)
+        """(feature, threshold) minimizing the squared error of leaf means of `target`."""
+        return self._best(target, _gain, _gain_bound)
 
     def best_gini_split(self, labels: np.ndarray) -> tuple:
-        """(feature, threshold) minimizing the weighted Gini impurity of +/-1 labels.
-
-        Score maximized is sum_side (pos^2 + neg^2) / n_side. The counts
-        are exact in float64, so only the divisions round.
-        """
-        pos_left, pos_total = self._sums((labels > 0).astype(np.float64))
-        neg_left = self.left_n - pos_left
-        pos_right = pos_total - pos_left
-        neg_right = self.right_n - pos_right
-        left = (pos_left**2 + neg_left**2) / self.left_n
-        return self._first_max(left + (pos_right**2 + neg_right**2) / self.right_n)
+        """(feature, threshold) minimizing the weighted Gini impurity of +/-1 labels."""
+        return self._best((labels > 0).astype(np.float64), _gini, _gini_bound)
 
 
 def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
@@ -295,7 +391,8 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
     scores = np.full(len(y), initial)
 
     search = _SplitSearch(X)
-    deviance = [_mean_deviance(y, scores)]
+    loss = _row_loss(y, scores)
+    deviance = [float(loss.mean())]
     stages = []
     for _ in range(n_stages):
         prob = _sigmoid(scores)
@@ -304,20 +401,22 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
         if search.any_valid:
             feature, threshold = search.best_split(resid)
             left = X[:, feature] <= threshold
-            left_value = _safeguarded_leaf(
-                _newton_value(resid[left], weight[left]), y[left], scores[left]
+            left_value, loss_left = _safeguarded_leaf(
+                _newton_value(resid[left], weight[left]), y[left], scores[left], loss[left]
             )
-            right_value = _safeguarded_leaf(
-                _newton_value(resid[~left], weight[~left]), y[~left], scores[~left]
+            right_value, loss_right = _safeguarded_leaf(
+                _newton_value(resid[~left], weight[~left]), y[~left], scores[~left], loss[~left]
             )
+            loss[left], loss[~left] = loss_left, loss_right
         else:
             # Every feature is constant; emit a both-sides-equal stump.
             feature, threshold = 0, search.fallback_threshold
             left = np.ones(len(y), dtype=bool)
-            left_value = right_value = _safeguarded_leaf(_newton_value(resid, weight), y, scores)
+            left_value, loss = _safeguarded_leaf(_newton_value(resid, weight), y, scores, loss)
+            right_value = left_value
         stages.append(Stump(int(feature), threshold, left_value, right_value))
         scores = scores + np.where(left, left_value, right_value)
-        deviance.append(_mean_deviance(y, scores))
+        deviance.append(float(loss.mean()))
     return BoostedModel(
         initial_score=initial,
         stages=tuple(stages),

@@ -160,6 +160,15 @@ def test_run_experiment_instance_level():
     assert "tnr" in row["degenerate"]  # no negatives in the held-out instance
 
 
+def test_report_header_names_the_split_each_level_used():
+    profiles = [*_small_separable_profiles(), make_profile("alpha", "lit", 25, seed=34)]
+    for level, split in [("device", "folds=5 seed=2"), ("instance", "holdout=instance")]:
+        report = run_experiment(profiles, level, "knn", 20, k=5, seed=2)
+        header = format_report(report).splitlines()[0]
+        assert header == f"level={level} classifier=knn variant=20-features {split}"
+        assert (report["folds"], report["seed"]) == (5, 2)  # the document's keys stay
+
+
 def test_run_experiment_instance_level_without_twins_is_empty():
     report = run_experiment(_small_separable_profiles(), "instance", "boosted", 20)
     assert report["results"] == []

@@ -320,6 +320,86 @@ def test_split_search_matches_reference_on_corpus_folds(base_profiles):
         assert model.training_deviance == reference.training_deviance, profile.device_label
 
 
+# Target values per kind: sums of "1e16 and small" values depend on the
+# order of adding them; near the float maximum they overflow (the search
+# then scores every candidate exactly); "tiny" ones square to subnormals
+# or 0. "Cancelling" targets are small values, and `split_search_cases`
+# adds pairs of equal rows with +/-1e16: every exact sum is small, and
+# the ones swallowed between such a pair are lost in the order they add.
+SPLIT_TARGETS = {
+    "residuals": st.floats(-1.0, 1.0),
+    "1e16 and small": st.sampled_from([1e16, -1e16, 1.0, -1.0, 3.0, 0.5]),
+    "cancelling": st.sampled_from([1.0, -1.0, 3.0, 0.5, -0.25]),
+    "near the float maximum": st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 1.0, -1.0]),
+    "tiny": st.sampled_from([5e-324, -5e-324, 1e-160, -1e-160, 1e-300, 0.0]),
+}
+
+
+@st.composite
+def split_search_cases(draw):
+    """(X, target, labels): two-valued columns, some duplicated or
+    complementary (exact ties), many-valued ones, or both, with targets
+    of one kind of `SPLIT_TARGETS`."""
+    n = draw(st.integers(2, 300))
+    mix = draw(st.sampled_from(["two-valued", "many-valued", "both"]))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["two-valued", "many-valued"])) if mix == "both" else mix
+        if kind == "two-valued":
+            pair = draw(st.tuples(*[st.sampled_from([-2.0, -0.0, 0.0, 0.5, 1.0, 3.0])] * 2))
+            column = np.where(draw(hnp.arrays(np.bool_, n)), *pair)
+        else:
+            column = draw(hnp.arrays(np.int64, n, elements=st.integers(-3, 3))) * 0.5
+        flip = draw(hnp.arrays(np.bool_, n)) & (column == 0)
+        columns.append(np.where(flip, -column, column))  # zeros of both signs
+    for j in draw(st.lists(st.integers(0, len(columns) - 1), max_size=3)):
+        column = columns[j]
+        if draw(st.booleans()):  # the complement: the low rows take the high value
+            column = np.where(column == column.min(), column.max(), column.min())
+        columns.insert(draw(st.integers(0, len(columns))), column)
+    X = np.column_stack(columns)
+    kind = draw(st.sampled_from(sorted(SPLIT_TARGETS)))
+    target = draw(hnp.arrays(np.float64, n, elements=SPLIT_TARGETS[kind]))
+    if kind == "cancelling":
+        rows = st.integers(0, n - 1)
+        for i, j in draw(st.lists(st.tuples(rows, rows), min_size=1, max_size=3)):
+            X[j], target[i], target[j] = X[i], 1e16, -1e16  # on the same side of every split
+    labels = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
+    return X, target, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_search_cases())
+def test_split_search_matches_dense_searches_on_adversarial_sums(case):
+    X, target, labels = case
+    search = ml._SplitSearch(X)
+    assert search.any_valid == ReferenceSplitSearch(X).any_valid
+    if not search.any_valid:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # sums near the float maximum
+        feature, threshold = search.best_split(target)
+        expected, expected_threshold = ReferenceSplitSearch(X).best_split(target)
+    assert (feature, _bits(threshold)) == (expected, _bits(expected_threshold))
+    feature, threshold = search.best_gini_split(labels)
+    expected, expected_threshold = dense_gini_split(X, labels)
+    assert (feature, _bits(threshold)) == (expected, _bits(expected_threshold))
+
+
+def test_exact_sums_decide_where_the_approximate_ones_rank_another_split_first():
+    """The two-valued columns A and B each have one candidate, with one
+    row on the left. The sequential sums in each column's sorted order
+    total 0 for A, (((1e16 + 1) + 1) - 1e16), and 2 for B,
+    (((-1e16 + 1e16) + 1) + 1). `target.sum()` adds in row order, as A's
+    order does, so the approximate sums score A and B equal and the tie
+    would pick A; the exact sums score B higher."""
+    X = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
+    target = np.array([1e16, 1.0, 1.0, -1e16])
+    approximate = ml._gain(np.array([1e16, -1e16]), target.sum(), 1.0, 3.0)
+    assert target.sum() == 0.0 and approximate[0] == approximate[1]
+    assert ml._SplitSearch(X).best_split(target) == ReferenceSplitSearch(X).best_split(target)
+    assert ml._SplitSearch(X).best_split(target) == (1, 0.5)
+
+
 _BIG = sys.float_info.max
 finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
