@@ -9,6 +9,7 @@ feature variant is the subset of those columns a model reads.
 
 from __future__ import annotations
 
+import functools
 import io
 from typing import Sequence
 
@@ -107,19 +108,33 @@ def extract_features(pkt: ParsedPacket) -> tuple:
     """
     is_tcp = pkt.transport is Transport.TCP
     return (
-        float(pkt.network is Network.ARP),
-        float(pkt.network in (Network.IPV4, Network.IPV6)),
-        float(pkt.transport is Transport.ICMP),
-        float(pkt.transport is Transport.ICMPV6),
-        float(pkt.network is Network.EAPOL),
-        float(is_tcp),
-        float(pkt.transport is Transport.UDP),
-        *(float(app in pkt.app_protocols) for app in _APP_FLAGS),
-        float(IpOption.PADDING in pkt.ip_options),
-        float(IpOption.ROUTER_ALERT in pkt.ip_options),
+        *_header_flags(pkt.network, pkt.transport, pkt.app_protocols, pkt.ip_options),
         shannon_entropy(pkt.payload),
         float(len(pkt.payload)) if is_tcp else 0.0,
         float(pkt.tcp_window_size) if is_tcp else 0.0,
+    )
+
+
+@functools.cache
+def _header_flags(
+    network: Network, transport: Transport, app_protocols: frozenset, ip_options: frozenset
+) -> tuple:
+    """The 17 header flags, in HEADER_FLAG_NAMES order.
+
+    Cached: the keys are a finite set (5 networks x 5 transports x 2^8
+    application sets x 2^2 option sets), and the values are tuples.
+    """
+    return (
+        float(network is Network.ARP),
+        float(network in (Network.IPV4, Network.IPV6)),
+        float(transport is Transport.ICMP),
+        float(transport is Transport.ICMPV6),
+        float(network is Network.EAPOL),
+        float(transport is Transport.TCP),
+        float(transport is Transport.UDP),
+        *(float(app in app_protocols) for app in _APP_FLAGS),
+        float(IpOption.PADDING in ip_options),
+        float(IpOption.ROUTER_ALERT in ip_options),
     )
 
 

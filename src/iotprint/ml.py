@@ -54,6 +54,8 @@ class LabeledDataset:
         labels = _plus_minus_one(self.labels)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D matrix")
+        if rows.shape[1] == 0:
+            raise ValueError("rows must have at least one column")
         if labels.shape != (rows.shape[0],):
             raise ValueError("rows and labels must have equal length")
         if not np.isfinite(rows).all():

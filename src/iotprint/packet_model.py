@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import enum
 import ipaddress
+import re
+import socket
 import struct
 from dataclasses import dataclass
 
@@ -67,14 +69,17 @@ def format_mac(mac: bytes) -> str:
     return ":".join(f"{b:02x}" for b in mac)
 
 
+_MAC_TEXT = re.compile(r"[0-9A-Fa-f]{1,2}(?:[:-][0-9A-Fa-f]{1,2}){5}")
+
+
 def parse_mac(text: str) -> bytes:
-    parts = text.replace("-", ":").split(":")
-    if len(parts) != 6:
+    """Six groups of one or two ASCII hex digits, separated by ':' or '-'."""
+    if not _MAC_TEXT.fullmatch(text):
         raise ValueError(f"not a MAC address: {text!r}")
-    return bytes(int(p, 16) for p in parts)
+    return bytes(int(p, 16) for p in re.split("[:-]", text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawFrame:
     """One captured link-layer frame. Timestamps are µs resolution."""
 
@@ -104,7 +109,7 @@ class RawFrame:
         return self.data[6:12]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParsedPacket:
     """Layer metadata and transport payload for one frame."""
 
@@ -134,6 +139,26 @@ class ParsedPacket:
             raise ValueError("app_protocols require TCP or UDP")
 
 
+_EMPTY: frozenset = frozenset()
+_DHCP = frozenset({AppProtocol.DHCP, AppProtocol.BOOTP})
+# transport -> well-known port -> the application protocols it carries
+_APP_PORTS = {
+    Transport.TCP: {
+        80: frozenset({AppProtocol.HTTP}),
+        443: frozenset({AppProtocol.HTTPS}),
+        53: frozenset({AppProtocol.DNS}),
+    },
+    Transport.UDP: {
+        67: _DHCP,
+        68: _DHCP,
+        53: frozenset({AppProtocol.DNS}),
+        123: frozenset({AppProtocol.NTP}),
+        1900: frozenset({AppProtocol.SSDP}),
+        5353: frozenset({AppProtocol.MDNS}),
+    },
+}
+
+
 def classify_app_protocols(
     transport: Transport, src_port: int, dst_port: int
 ) -> frozenset:
@@ -142,28 +167,22 @@ def classify_app_protocols(
     DHCP is carried in BOOTP framing, so both flags are set together on
     ports 67/68. Unknown ports yield an empty set.
     """
-    found: set[AppProtocol] = set()
-    ports = (src_port, dst_port)
-    if transport is Transport.TCP:
-        if 80 in ports:
-            found.add(AppProtocol.HTTP)
-        if 443 in ports:
-            found.add(AppProtocol.HTTPS)
-        if 53 in ports:
-            found.add(AppProtocol.DNS)
-    elif transport is Transport.UDP:
-        if 67 in ports or 68 in ports:
-            found.add(AppProtocol.DHCP)
-            found.add(AppProtocol.BOOTP)
-        if 53 in ports:
-            found.add(AppProtocol.DNS)
-        if 123 in ports:
-            found.add(AppProtocol.NTP)
-        if 1900 in ports:
-            found.add(AppProtocol.SSDP)
-        if 5353 in ports:
-            found.add(AppProtocol.MDNS)
-    return frozenset(found)
+    ports = _APP_PORTS.get(transport, {})
+    return ports.get(src_port, _EMPTY) | ports.get(dst_port, _EMPTY)
+
+
+def _opaque(
+    payload: bytes = b"", ip_options: frozenset = _EMPTY, src_ip=None, dst_ip=None
+) -> tuple:
+    """The layer fields of a packet with no decoded transport header.
+
+    `_parse_ipv4`, `_parse_ipv6` and `_parse_transport` return the
+    `ParsedPacket` fields from `ip_options` to `dst_ip`, in field order.
+    """
+    return ip_options, Transport.NONE, None, None, None, _EMPTY, payload, src_ip, dst_ip
+
+
+_OPAQUE_NETWORKS = {ETHERTYPE_ARP: Network.ARP, ETHERTYPE_EAPOL: Network.EAPOL}
 
 
 def parse_frame(frame: RawFrame) -> ParsedPacket:
@@ -177,8 +196,6 @@ def parse_frame(frame: RawFrame) -> ParsedPacket:
     data = frame.data
     if len(data) < 14:
         raise FrameTooShort(f"{len(data)} bytes; need 14 for an Ethernet header")
-    dst_mac = data[0:6]
-    src_mac = data[6:12]
     ether_type = struct.unpack_from("!H", data, 12)[0]
     offset = 14
     if ether_type == ETHERTYPE_VLAN:
@@ -188,47 +205,39 @@ def parse_frame(frame: RawFrame) -> ParsedPacket:
         ether_type = struct.unpack_from("!H", data, 16)[0]
         offset = 18
 
-    common = dict(
-        ts_sec=frame.ts_sec,
-        ts_usec=frame.ts_usec,
-        src_mac=src_mac,
-        dst_mac=dst_mac,
-        ether_type=ether_type,
+    if ether_type == ETHERTYPE_IPV4:
+        network, layers = Network.IPV4, _parse_ipv4(data, offset)
+    elif ether_type == ETHERTYPE_IPV6:
+        network, layers = Network.IPV6, _parse_ipv6(data, offset)
+    else:
+        network = _OPAQUE_NETWORKS.get(ether_type, Network.OTHER)
+        layers = _opaque(data[offset:])
+    return ParsedPacket(
+        frame.ts_sec, frame.ts_usec, data[6:12], data[0:6], ether_type, network, *layers
     )
 
-    if ether_type == ETHERTYPE_IPV4:
-        return _parse_ipv4(data, offset, common)
-    if ether_type == ETHERTYPE_IPV6:
-        return _parse_ipv6(data, offset, common)
-    if ether_type == ETHERTYPE_ARP:
-        return ParsedPacket(network=Network.ARP, payload=data[offset:], **common)
-    if ether_type == ETHERTYPE_EAPOL:
-        return ParsedPacket(network=Network.EAPOL, payload=data[offset:], **common)
-    return ParsedPacket(network=Network.OTHER, payload=data[offset:], **common)
 
-
-def _parse_ipv4(data: bytes, off: int, common: dict) -> ParsedPacket:
+def _parse_ipv4(data: bytes, off: int) -> tuple:
     if off + 20 > len(data):
         raise TruncatedHeader("IPv4 header cut short")
     ihl = (data[off] & 0x0F) * 4
     if ihl < 20:
         # Invalid header length; the payload cannot be located reliably.
-        return ParsedPacket(network=Network.IPV4, **common)
+        return _opaque()
     if off + ihl > len(data):
         raise TruncatedHeader("IPv4 options cut short")
     total_length = struct.unpack_from("!H", data, off + 2)[0]
     frag = struct.unpack_from("!H", data, off + 6)[0]
     protocol = data[off + 9]
-    src_ip = str(ipaddress.IPv4Address(data[off + 12 : off + 16]))
-    dst_ip = str(ipaddress.IPv4Address(data[off + 16 : off + 20]))
-    options = _scan_ipv4_options(data[off + 20 : off + ihl]) if ihl > 20 else frozenset()
+    src_ip = socket.inet_ntoa(data[off + 12 : off + 16])
+    dst_ip = socket.inet_ntoa(data[off + 16 : off + 20])
+    options = _scan_ipv4_options(data[off + 20 : off + ihl]) if ihl > 20 else _EMPTY
     # total_length bounds the datagram; trailing link padding is dropped.
     end = min(len(data), off + max(total_length, ihl))
-    common = dict(common, network=Network.IPV4, ip_options=options, src_ip=src_ip, dst_ip=dst_ip)
     if frag & 0x1FFF:
         # Non-first fragment: no transport header present.
-        return ParsedPacket(payload=data[off + ihl : end], **common)
-    return _parse_transport(data, off + ihl, end, protocol, common)
+        return _opaque(data[off + ihl : end], options, src_ip, dst_ip)
+    return _parse_transport(data, off + ihl, end, protocol, options, src_ip, dst_ip)
 
 
 def _scan_ipv4_options(opts: bytes) -> frozenset:
@@ -254,7 +263,7 @@ def _scan_ipv4_options(opts: bytes) -> frozenset:
     return frozenset(found)
 
 
-def _parse_ipv6(data: bytes, off: int, common: dict) -> ParsedPacket:
+def _parse_ipv6(data: bytes, off: int) -> tuple:
     if off + 40 > len(data):
         raise TruncatedHeader("IPv6 header cut short")
     payload_length = struct.unpack_from("!H", data, off + 4)[0]
@@ -263,21 +272,19 @@ def _parse_ipv6(data: bytes, off: int, common: dict) -> ParsedPacket:
     dst_ip = str(ipaddress.IPv6Address(data[off + 24 : off + 40]))
     end = min(len(data), off + 40 + payload_length)
     options: set[IpOption] = set()
-    common = dict(common, network=Network.IPV6, src_ip=src_ip, dst_ip=dst_ip)
-
     pos = off + 40
     for _ in range(8):  # extension chains longer than this are hostile
         if next_header in _IPV6_EXT_HEADERS:
             if pos + 2 > len(data):
                 raise TruncatedHeader("IPv6 extension header cut short")
             if pos + 2 > end:
-                return ParsedPacket(ip_options=frozenset(options), **common)
+                return _opaque(b"", frozenset(options), src_ip, dst_ip)
             ext_next = data[pos]
             ext_len = (data[pos + 1] + 1) * 8
             if pos + ext_len > len(data):
                 raise TruncatedHeader("IPv6 extension header cut short")
             if pos + ext_len > end:
-                return ParsedPacket(ip_options=frozenset(options), **common)
+                return _opaque(b"", frozenset(options), src_ip, dst_ip)
             if next_header == 0 and _hop_by_hop_has_router_alert(data[pos + 2 : pos + ext_len]):
                 options.add(IpOption.ROUTER_ALERT)
             pos += ext_len
@@ -286,20 +293,17 @@ def _parse_ipv6(data: bytes, off: int, common: dict) -> ParsedPacket:
             if pos + 8 > len(data):
                 raise TruncatedHeader("IPv6 fragment header cut short")
             if pos + 8 > end:
-                return ParsedPacket(ip_options=frozenset(options), **common)
+                return _opaque(b"", frozenset(options), src_ip, dst_ip)
             frag_field = struct.unpack_from("!H", data, pos + 2)[0]
             if frag_field >> 3:
                 # Non-first fragment carries no transport header.
-                return ParsedPacket(
-                    ip_options=frozenset(options), payload=data[pos + 8 : end], **common
-                )
+                return _opaque(data[pos + 8 : end], frozenset(options), src_ip, dst_ip)
             ext_next = data[pos]
             pos += 8
             next_header = ext_next
         else:
             break
-    common["ip_options"] = frozenset(options)
-    return _parse_transport(data, pos, end, next_header, common)
+    return _parse_transport(data, pos, end, next_header, frozenset(options), src_ip, dst_ip)
 
 
 def _hop_by_hop_has_router_alert(opts: bytes) -> bool:
@@ -317,51 +321,41 @@ def _hop_by_hop_has_router_alert(opts: bytes) -> bool:
     return False
 
 
-def _parse_transport(data: bytes, start: int, end: int, protocol: int, common: dict) -> ParsedPacket:
+def _parse_transport(
+    data: bytes, start: int, end: int, protocol: int, ip_options: frozenset, src_ip, dst_ip
+) -> tuple:
     if protocol == IPPROTO_TCP:
         if start + 20 > len(data):
             raise TruncatedHeader("TCP header cut short")
         if start + 20 > end:
-            return ParsedPacket(payload=data[start:end], **common)
+            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
         src_port, dst_port = struct.unpack_from("!HH", data, start)
         data_offset = (data[start + 12] >> 4) * 4
         window = struct.unpack_from("!H", data, start + 14)[0]
         if data_offset < 20:
             # Bogus data offset; the segment cannot be trusted.
-            return ParsedPacket(payload=data[start:end], **common)
+            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
         if start + data_offset > len(data):
             raise TruncatedHeader("TCP options cut short")
         if start + data_offset > end:
-            return ParsedPacket(payload=data[start:end], **common)
-        return ParsedPacket(
-            transport=Transport.TCP,
-            src_port=src_port,
-            dst_port=dst_port,
-            tcp_window_size=window,
-            app_protocols=classify_app_protocols(Transport.TCP, src_port, dst_port),
-            payload=data[start + data_offset : end],
-            **common,
-        )
+            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
+        apps = classify_app_protocols(Transport.TCP, src_port, dst_port)
+        payload = data[start + data_offset : end]
+        return ip_options, Transport.TCP, src_port, dst_port, window, apps, payload, src_ip, dst_ip
     if protocol == IPPROTO_UDP:
         if start + 8 > len(data):
             raise TruncatedHeader("UDP header cut short")
         if start + 8 > end:
-            return ParsedPacket(payload=data[start:end], **common)
+            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
         src_port, dst_port, udp_len, _ = struct.unpack_from("!HHHH", data, start)
-        body_end = min(end, start + max(udp_len, 8))
-        return ParsedPacket(
-            transport=Transport.UDP,
-            src_port=src_port,
-            dst_port=dst_port,
-            app_protocols=classify_app_protocols(Transport.UDP, src_port, dst_port),
-            payload=data[start + 8 : body_end],
-            **common,
-        )
+        apps = classify_app_protocols(Transport.UDP, src_port, dst_port)
+        payload = data[start + 8 : min(end, start + max(udp_len, 8))]
+        return ip_options, Transport.UDP, src_port, dst_port, None, apps, payload, src_ip, dst_ip
     if protocol in (IPPROTO_ICMP, IPPROTO_ICMPV6):
         if start + 4 > len(data):
             raise TruncatedHeader("ICMP header cut short")
         if start + 4 > end:
-            return ParsedPacket(payload=data[start:end], **common)
+            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
         kind = Transport.ICMP if protocol == IPPROTO_ICMP else Transport.ICMPV6
-        return ParsedPacket(transport=kind, payload=data[start + 4 : end], **common)
-    return ParsedPacket(payload=data[start:end], **common)
+        return ip_options, kind, None, None, None, _EMPTY, data[start + 4 : end], src_ip, dst_ip
+    return _opaque(data[start:end], ip_options, src_ip, dst_ip)

@@ -12,7 +12,9 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from .errors import BadMagic, IoFailure, TruncatedFile, UnsupportedLinkType
 from .packet_model import ParsedPacket, RawFrame
@@ -83,12 +85,58 @@ class DeviceSelector:
         return False
 
 
-def read_capture(path: str | Path) -> tuple[CaptureMeta, list[RawFrame]]:
+class Frames(Sequence[RawFrame]):
+    """The records of one capture, held as an int array over the file's bytes.
+
+    Each `RawFrame` is built when it is accessed, so a caller that keeps a
+    few frames pays only for those. A `Frames` equals any sequence of the
+    same `RawFrame`s in the same order.
+    """
+
+    __slots__ = ("_data", "_records")
+
+    def __init__(self, data: bytes, records: np.ndarray) -> None:
+        self._data = data
+        # one row per record: body offset in `data`, captured length,
+        # ts_sec, ts_usec, original length
+        self._records = records
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._take(index)
+        i = range(len(self))[index]  # negative indices, IndexError and TypeError as a list has
+        (frame,) = self._take(slice(i, i + 1))
+        return frame
+
+    def _take(self, index) -> Frames:
+        """The records at `index`, a slice or an int array, as a `Frames`."""
+        return Frames(self._data, self._records[index])
+
+    def __iter__(self) -> Iterator[RawFrame]:
+        data = self._data
+        for start, length, ts_sec, ts_usec, original in self._records.tolist():
+            yield RawFrame(ts_sec, ts_usec, original, data[start : start + length])
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # equal to lists, which are unhashable
+
+
+def read_capture(path: str | Path) -> tuple[CaptureMeta, Frames]:
     """Read a classic pcap file; timestamps normalized to microseconds.
 
-    Nanosecond captures are truncated (not rounded) to µs. A record cut
-    short by end of file stops reading and is counted in the returned
-    meta rather than raising.
+    One pass over the 16-byte record headers finds every record; the
+    frames come back as a `Frames` view over the file's bytes. Nanosecond
+    captures are truncated (not rounded) to µs, and a record whose µs
+    field is out of range raises ValueError. A record cut short by end of
+    file stops reading and is counted in the returned meta rather than
+    raising.
     """
     data = Path(path).read_bytes()
     if len(data) < 4:
@@ -106,23 +154,26 @@ def read_capture(path: str | Path) -> tuple[CaptureMeta, list[RawFrame]]:
     if network != LINKTYPE_ETHERNET:
         raise UnsupportedLinkType(f"link type {network}; only Ethernet (1) is supported")
 
-    frames: list[RawFrame] = []
-    truncated = 0
-    pos = 24
-    record = struct.Struct(endian + "IIII")
-    while pos < len(data):
-        if pos + 16 > len(data):
-            truncated = 1
+    heads: list[int] = []  # offset of each whole record's header
+    pos, end = 24, len(data)
+    incl_len_at = struct.Struct(endian + "I").unpack_from
+    while pos + 16 <= end:
+        body_end = pos + 16 + incl_len_at(data, pos + 8)[0]
+        if body_end > end:
             break
-        ts_sec, ts_frac, incl_len, orig_len = record.unpack_from(data, pos)
-        pos += 16
-        if pos + incl_len > len(data):
-            truncated = 1
-            break
-        body = data[pos : pos + incl_len]
-        pos += incl_len
-        ts_usec = ts_frac // 1000 if resolution == "nano" else ts_frac
-        frames.append(RawFrame(ts_sec, ts_usec, max(orig_len, incl_len), body))
+        heads.append(pos)
+        pos = body_end
+    truncated = int(pos < end)  # reading stopped inside a record's header or body
+    starts = np.array(heads, dtype=np.int64)
+    header_bytes = np.frombuffer(data, dtype=np.uint8)[starts[:, None] + np.arange(16)]
+    ts_sec, ts_frac, incl_len, orig_len = header_bytes.view(endian + "u4").astype(np.int64).T
+    ts_usec = ts_frac // 1000 if resolution == "nano" else ts_frac
+    if (ts_usec >= 1_000_000).any():
+        raise ValueError("ts_usec out of range")
+    records = np.column_stack(
+        [starts + 16, incl_len, ts_sec, ts_usec, np.maximum(orig_len, incl_len)]
+    )
+    frames = Frames(data, records)
     meta = CaptureMeta(LINKTYPE_ETHERNET, byte_order, resolution, len(frames), truncated)
     return meta, frames
 
@@ -152,5 +203,29 @@ def filter_device(packets: Sequence[P], sel: DeviceSelector) -> list[P]:
     """Keep packets flowing into or out of the selected device, in order.
 
     `packets` may be `RawFrame`s when `sel` does not need parsed fields.
+    For the `Frames` of a capture and a MAC-only selector, the addresses
+    of all records are compared at once and only the matching frames are
+    built.
     """
+    if isinstance(packets, Frames) and not sel.needs_parsed_fields:
+        return list(packets._take(_mac_indices(packets, sel.mac)))
     return [pkt for pkt in packets if sel.matches(pkt)]
+
+
+def _mac_indices(frames: Frames, mac: bytes) -> np.ndarray:
+    """Indices of the records whose bytes 0-6 or 6-12 are `mac`.
+
+    A record under 6 (or 12) bytes has a shorter `dst_mac` (or
+    `src_mac`), which never equals a 6-byte MAC, so it is not compared.
+    """
+    raw = np.frombuffer(frames._data, dtype=np.uint8)
+    starts, lengths = frames._records[:, 0], frames._records[:, 1]
+    hit = np.zeros(len(frames), dtype=bool)
+    for at in (0, 6):
+        whole = np.flatnonzero(lengths >= at + 6)
+        first = starts[whole] + at
+        same = np.ones(len(whole), dtype=bool)
+        for k, byte in enumerate(mac):
+            same &= raw[first + k] == byte
+        hit[whole[same]] = True
+    return np.flatnonzero(hit)

@@ -1,13 +1,129 @@
 """Scalar and dense reference paths that the library's batch code replaced.
 
-Each labels or splits one thing at a time, the plain way, so the tests
-can hold `model.predict(X)` and `ml._SplitSearch` against them.
+Each reads, labels or splits one thing at a time, the plain way, so the
+tests can hold `pcap_io.read_capture`, `pcap_io.filter_device`,
+`packet_model.parse_frame`, `features.extract_features`,
+`model.predict(X)` and `ml._SplitSearch` against them.
 """
+
+import ipaddress
+import struct
+from pathlib import Path
 
 import numpy as np
 
-from iotprint import ml
+from iotprint import ml, pcap_io
+from iotprint.errors import BadMagic, TruncatedFile, UnsupportedLinkType
+from iotprint.features import shannon_entropy
 from iotprint.ml import TreeNode
+from iotprint.packet_model import AppProtocol, IpOption, Network, RawFrame, Transport
+
+
+def read_capture(path) -> tuple:
+    """(meta, list of `RawFrame`s), one frame built per record as it is read."""
+    data = Path(path).read_bytes()
+    if len(data) < 4:
+        raise BadMagic("file too short to hold a pcap magic number")
+    magic = int.from_bytes(data[:4], "little")
+    if magic == pcap_io._PCAPNG_BLOCK:
+        raise BadMagic("pcapng is not supported; convert to classic pcap first")
+    if magic not in pcap_io._MAGIC_TABLE:
+        raise BadMagic(f"unrecognized magic 0x{magic:08X}")
+    byte_order, resolution = pcap_io._MAGIC_TABLE[magic]
+    endian = "<" if byte_order == "little" else ">"
+    if len(data) < 24:
+        raise TruncatedFile("global header cut short")
+    _, _, _, _, _, network = struct.unpack(endian + "HHiIII", data[4:24])
+    if network != pcap_io.LINKTYPE_ETHERNET:
+        raise UnsupportedLinkType(f"link type {network}; only Ethernet (1) is supported")
+
+    frames = []
+    truncated = 0
+    pos = 24
+    record = struct.Struct(endian + "IIII")
+    while pos < len(data):
+        if pos + 16 > len(data):
+            truncated = 1
+            break
+        ts_sec, ts_frac, incl_len, orig_len = record.unpack_from(data, pos)
+        pos += 16
+        if pos + incl_len > len(data):
+            truncated = 1
+            break
+        body = data[pos : pos + incl_len]
+        pos += incl_len
+        ts_usec = ts_frac // 1000 if resolution == "nano" else ts_frac
+        frames.append(RawFrame(ts_sec, ts_usec, max(orig_len, incl_len), body))
+    meta = pcap_io.CaptureMeta(
+        pcap_io.LINKTYPE_ETHERNET, byte_order, resolution, len(frames), truncated
+    )
+    return meta, frames
+
+
+def filter_device(packets, sel) -> list:
+    """The packets or frames `sel.matches`, in order."""
+    return [pkt for pkt in packets if sel.matches(pkt)]
+
+
+def classify_app_protocols(transport, src_port, dst_port) -> frozenset:
+    found = set()
+    ports = (src_port, dst_port)
+    if transport is Transport.TCP:
+        if 80 in ports:
+            found.add(AppProtocol.HTTP)
+        if 443 in ports:
+            found.add(AppProtocol.HTTPS)
+        if 53 in ports:
+            found.add(AppProtocol.DNS)
+    elif transport is Transport.UDP:
+        if 67 in ports or 68 in ports:
+            found.add(AppProtocol.DHCP)
+            found.add(AppProtocol.BOOTP)
+        if 53 in ports:
+            found.add(AppProtocol.DNS)
+        if 123 in ports:
+            found.add(AppProtocol.NTP)
+        if 1900 in ports:
+            found.add(AppProtocol.SSDP)
+        if 5353 in ports:
+            found.add(AppProtocol.MDNS)
+    return frozenset(found)
+
+
+def ipv4_text(packed: bytes) -> str:
+    return str(ipaddress.IPv4Address(packed))
+
+
+_APP_FLAGS = (
+    AppProtocol.HTTP,
+    AppProtocol.HTTPS,
+    AppProtocol.DHCP,
+    AppProtocol.BOOTP,
+    AppProtocol.SSDP,
+    AppProtocol.DNS,
+    AppProtocol.MDNS,
+    AppProtocol.NTP,
+)
+
+
+def extract_features(pkt) -> tuple:
+    """One packet's 20 floats, every flag evaluated per packet."""
+    is_tcp = pkt.transport is Transport.TCP
+    return (
+        float(pkt.network is Network.ARP),
+        float(pkt.network in (Network.IPV4, Network.IPV6)),
+        float(pkt.transport is Transport.ICMP),
+        float(pkt.transport is Transport.ICMPV6),
+        float(pkt.network is Network.EAPOL),
+        float(is_tcp),
+        float(pkt.transport is Transport.UDP),
+        *(float(app in pkt.app_protocols) for app in _APP_FLAGS),
+        float(IpOption.PADDING in pkt.ip_options),
+        float(IpOption.ROUTER_ALERT in pkt.ip_options),
+        shannon_entropy(pkt.payload),
+        float(len(pkt.payload)) if is_tcp else 0.0,
+        float(pkt.tcp_window_size) if is_tcp else 0.0,
+    )
 
 
 def predict_boosted(model, x) -> tuple:

@@ -783,10 +783,12 @@ def test_bad_magic_is_data_error(tmp_path, capsys):
         ["synth", "--archetype", "outlet", "--packets", "-5"],
         ["synth", "--archetype", "outlet", "--seed", "-1"],
         ["profile", "--pcap", "x.pcap", "--label", "a", "--category", "b", "--ip", "999.1.1.1"],
+        ["profile", "--pcap", "x.pcap", "--label", "a", "--category", "b",
+         "--mac", "0x2:+0: 0:0_0:1:1"],
     ],
     ids=[
         "folds-1", "folds-two", "evaluate-seed-minus-1", "packets-minus-5", "synth-seed-minus-1",
-        "profile-ip-999",
+        "profile-ip-999", "profile-mac-0x2",
     ],
 )
 def test_bad_flag_value_is_config_error(argv, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from iotprint.errors import EmptyInput
 from iotprint.features import (
     FEATURE_NAMES,
@@ -15,7 +17,14 @@ from iotprint.features import (
     render_features_csv,
     shannon_entropy,
 )
-from iotprint.packet_model import AppProtocol, Network, ParsedPacket, Transport, parse_frame
+from iotprint.packet_model import (
+    AppProtocol,
+    IpOption,
+    Network,
+    ParsedPacket,
+    Transport,
+    parse_frame,
+)
 from iotprint.synth import ARCHETYPES, generate_trace
 
 
@@ -123,6 +132,31 @@ def test_flag_exclusivity_on_generated_traffic():
             flags = extract_features(parse_frame(frame))[:HEADER_FLAG_COUNT]
             assert flags[idx["tcp"]] + flags[idx["udp"]] <= 1
             assert flags[idx["arp"]] + flags[idx["eapol"]] + flags[idx["ip"]] <= 1
+
+
+def test_cached_header_flags_match_the_per_packet_expressions_on_every_key():
+    def subsets(members):
+        return [
+            frozenset(m for i, m in enumerate(members) if mask >> i & 1)
+            for mask in range(2 ** len(members))
+        ]
+
+    keys = itertools.product(Network, Transport, subsets([*AppProtocol]), subsets([*IpOption]))
+    for network, transport, app_protocols, ip_options in keys:
+        has_ports = transport in (Transport.TCP, Transport.UDP)
+        if app_protocols and not has_ports:
+            continue
+        pkt = _packet(
+            network=network,
+            transport=transport,
+            app_protocols=app_protocols,
+            ip_options=ip_options,
+            src_port=1 if has_ports else None,
+            dst_port=2 if has_ports else None,
+            tcp_window_size=3 if transport is Transport.TCP else None,
+            payload=b"ab",
+        )
+        assert extract_features(pkt) == oracles.extract_features(pkt)
 
 
 def test_vector_layout():

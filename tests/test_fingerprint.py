@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotprint.errors import InsufficientTraffic
+import oracles
+from iotprint.errors import FrameTooShort, InsufficientTraffic, IotprintError, TruncatedHeader
 from iotprint.features import extract_features
 from iotprint.fingerprint import (
     FINGERPRINT_DIM,
@@ -22,7 +23,7 @@ from iotprint.fingerprint import (
     session_stats,
 )
 from iotprint.packet_model import Network, ParsedPacket, RawFrame, Transport, parse_frame
-from iotprint.pcap_io import DeviceSelector, filter_device, write_capture
+from iotprint.pcap_io import DeviceSelector, filter_device, read_capture, write_capture
 from iotprint.synth import ARCHETYPES, PEER_MAC, generate_trace
 
 
@@ -297,6 +298,84 @@ def test_selecting_frames_before_parsing_matches_parse_then_filter(data):
         kept, _ = packets_from_capture(path, by_both)
         assert kept == filter_device(everything, by_both)
         assert any(p.src_ip == _BULB.ip and mac not in (p.src_mac, p.dst_mac) for p in kept)
+
+
+@st.composite
+def _capture_bytes(draw, mac: bytes) -> bytes:
+    """A pcap of `_frame_bytes` records in either byte order, at µs or ns
+    resolution, perhaps with one record whose fraction is out of range,
+    perhaps cut within 20 bytes before the end of a record."""
+    endian = draw(st.sampled_from("<>"))
+    nano = draw(st.booleans())
+    limit = 10**9 if nano else 10**6
+    chunks = draw(st.lists(_frame_bytes(mac), max_size=30))
+    chunks.insert(draw(st.integers(0, len(chunks))), _ip_only_frame(_BULB.ip))
+    bad = draw(st.none() | st.integers(0, len(chunks) - 1))
+    magic = 0xA1B23C4D if nano else 0xA1B2C3D4
+    data = struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)
+    ends = []
+    for i, chunk in enumerate(chunks):
+        ts_sec = draw(st.integers(0, 2**32 - 1))
+        frac = draw(st.integers(limit, 2**32 - 1) if i == bad else st.integers(0, limit - 1))
+        original = draw(st.integers(0, len(chunk) + 3))
+        data += struct.pack(endian + "IIII", ts_sec, frac, len(chunk), original) + chunk
+        ends.append(len(data))
+    if draw(st.booleans()):
+        return data
+    return data[: max(24, draw(st.sampled_from(ends)) - draw(st.integers(0, 20)))]
+
+
+def _ingest(path, sel, read, select, extract):
+    """What the read -> select -> parse -> extract pipeline gives, or the
+    error it raises, as `packets_from_capture` and `extract` run it."""
+    try:
+        meta, frames = read(path)
+    except (IotprintError, ValueError) as exc:
+        return type(exc), str(exc)
+    if sel is not None and not sel.needs_parsed_fields:
+        frames = select(frames, sel)
+    packets, skipped = [], 0
+    for frame in frames:
+        try:
+            packets.append(parse_frame(frame))
+        except (FrameTooShort, TruncatedHeader):
+            skipped += 1
+    if sel is not None and sel.needs_parsed_fields:
+        packets = select(packets, sel)
+    return meta, list(frames), packets, skipped, [extract(p) for p in packets]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ingest_matches_the_scalar_reference_paths(data):
+    mac = data.draw(st.sampled_from(_SELECTOR_MACS))
+    capture = data.draw(_capture_bytes(mac))
+    selectors = [None, DeviceSelector(mac=mac), DeviceSelector(mac=mac, ip=_BULB.ip)]
+    sel = data.draw(st.sampled_from(selectors))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "capture.pcap"
+        path.write_bytes(capture)
+        got = _ingest(path, sel, read_capture, filter_device, extract_features)
+        want = _ingest(
+            path, sel, oracles.read_capture, oracles.filter_device, oracles.extract_features
+        )
+        assert got == want
+        if len(want) == 2:  # both raised the same error
+            return
+        _, frames = read_capture(path)
+        assert frames == oracles.read_capture(path)[1]  # a `Frames` equals the list
+    for frame in frames:
+        try:
+            pkt = parse_frame(frame)
+        except (FrameTooShort, TruncatedHeader):
+            continue
+        if pkt.transport in (Transport.TCP, Transport.UDP):
+            expected = oracles.classify_app_protocols(pkt.transport, pkt.src_port, pkt.dst_port)
+            assert pkt.app_protocols == expected
+        if pkt.network is Network.IPV4 and pkt.src_ip is not None:
+            at = 18 if frame.data[12:14] == b"\x81\x00" else 14
+            addresses = frame.data[at + 12 : at + 16], frame.data[at + 16 : at + 20]
+            assert (pkt.src_ip, pkt.dst_ip) == tuple(map(oracles.ipv4_text, addresses))
 
 
 def test_a_selector_with_an_ip_parses_every_frame(tmp_path):

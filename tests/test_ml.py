@@ -464,6 +464,15 @@ def test_labels_must_be_integers_before_any_cast(labels):
         LabeledDataset(np.zeros((2, 1)), labels, "pos")
 
 
+@pytest.mark.parametrize(
+    "train", [train_boosted, train_tree, lambda data: train_knn(data, k=1)],
+    ids=["boosted", "tree", "knn"],
+)
+def test_rows_without_columns_are_rejected_before_training(train):
+    with pytest.raises(ValueError, match="at least one column"):
+        train(LabeledDataset(np.zeros((2, 0)), [1, -1], "p"))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rows_must_be_finite(bad):
     with pytest.raises(ValueError, match="finite"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from iotprint.errors import FrameTooShort, TruncatedHeader
 from iotprint.packet_model import (
     AppProtocol,
@@ -196,13 +197,14 @@ def test_classify_app_protocols_port_map(transport, a, b, expected):
     assert classify_app_protocols(transport, a, b) == frozenset(expected)
 
 
-@given(
-    transport=st.sampled_from([Transport.TCP, Transport.UDP]),
-    a=st.integers(0, 65535),
-    b=st.integers(0, 65535),
-)
+_PORTS = st.sampled_from([53, 67, 68, 80, 123, 443, 1900, 5353]) | st.integers(0, 65535)
+
+
+@given(transport=st.sampled_from(Transport), a=_PORTS, b=_PORTS)
 def test_classify_direction_symmetry(transport, a, b):
-    assert classify_app_protocols(transport, a, b) == classify_app_protocols(transport, b, a)
+    found = classify_app_protocols(transport, a, b)
+    assert found == classify_app_protocols(transport, b, a)
+    assert found == oracles.classify_app_protocols(transport, a, b)
 
 
 @settings(max_examples=400, deadline=None)
@@ -223,5 +225,24 @@ def test_parse_total_over_frames(data):
 
 def test_mac_helpers_round_trip():
     assert parse_mac(format_mac(DEV_MAC)) == DEV_MAC
-    with pytest.raises(ValueError):
-        parse_mac("02:00:00")
+    assert parse_mac("2-0-0-A-a-1") == bytes([2, 0, 0, 10, 10, 1])
+    # int(text, 16) alone would accept a 0x prefix, a sign, spaces,
+    # underscores and non-ASCII digits
+    for text in [
+        "02:00:00",
+        "02:00:00:00:01:01:07",
+        "0x2:+0: 0:0_0:1:1",
+        "0x2:00:00:00:01:01",
+        "+2:00:00:00:01:01",
+        " 02:00:00:00:01:01",
+        "02:00:00:00:01:01\n",
+        "02:0_0:00:00:01:01",
+        "002:00:00:00:01:01",
+        "02::00:00:01:01",
+        "02.00.00.00.01.01",
+        "02:00:00:00:01:0g",
+        "\u0660\u0662:00:00:00:01:01",  # Arabic-Indic digits
+        "\uff10\uff12:00:00:00:01:01",  # fullwidth digits
+    ]:
+        with pytest.raises(ValueError):
+            parse_mac(text)
