@@ -260,9 +260,9 @@ def _cmd_evaluate(args) -> int:
         k=args.folds,
         seed=args.seed,
     )
-    sys.stdout.write(evaluation.format_report(report))
-    if args.out:
+    if args.out:  # written first, so a failed write leaves stdout empty
         ml._save_doc(args.out, report)
+    sys.stdout.write(evaluation.format_report(report))
     return 0
 
 

@@ -44,42 +44,12 @@ _FIT = {
 CLASSIFIERS = tuple(_FIT)
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-
-@dataclass(frozen=True)
-class Metrics:
-    """TPR/accuracy/TNR/PPV; 0/0 ratios come out 0 and are flagged."""
-
-    tpr: float
-    accuracy: float
-    tnr: float
-    ppv: float
-    degenerate: frozenset = frozenset()
-
-
 @dataclass(frozen=True, eq=False)
 class FoldPlan:
     """Fold number of every row, as one int64 array."""
 
     k: int
     assignments: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FoldPlan)
-            and self.k == other.k
-            and np.array_equal(self.assignments, other.assignments)
-        )
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignments == fold)
@@ -123,29 +93,16 @@ def stratified_folds(data: LabeledDataset, k: int, seed: int) -> FoldPlan:
     return FoldPlan(k, assignments)
 
 
-def metrics(counts: ConfusionCounts) -> Metrics:
-    degenerate = set()
-
-    def ratio(num: int, den: int, name: str) -> float:
-        if den == 0:
-            degenerate.add(name)
-            return 0.0
-        return num / den
-
-    tpr = ratio(counts.tp, counts.tp + counts.fn, "tpr")
-    accuracy = ratio(counts.tp + counts.tn, counts.total, "accuracy")
-    tnr = ratio(counts.tn, counts.tn + counts.fp, "tnr")
-    ppv = ratio(counts.tp, counts.tp + counts.fp, "ppv")
-    return Metrics(tpr, accuracy, tnr, ppv, frozenset(degenerate))
-
-
-def _confusion(predicted: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
-    return ConfusionCounts(
-        tp=int(((predicted == 1) & (truth == 1)).sum()),
-        fp=int(((predicted == 1) & (truth == -1)).sum()),
-        tn=int(((predicted == -1) & (truth == -1)).sum()),
-        fn=int(((predicted == -1) & (truth == 1)).sum()),
-    )
+def metrics(predicted: np.ndarray, truth: np.ndarray) -> tuple:
+    """`(rates, degenerate)` of +1/-1 predictions against +1/-1 truth: the
+    rate of each `_RATES` name, 0.0 where it is 0/0, and the 0/0 names."""
+    hit, miss, pos, neg = predicted == 1, predicted == -1, truth == 1, truth == -1
+    tp, fp = int((hit & pos).sum()), int((hit & neg).sum())
+    tn, fn = int((miss & neg).sum()), int((miss & pos).sum())
+    ratios = {"tpr": (tp, tp + fn), "accuracy": (tp + tn, tp + fp + tn + fn)}
+    ratios.update(tnr=(tn, tn + fp), ppv=(tp, tp + fp))
+    rates = {name: num / den if den else 0.0 for name, (num, den) in ratios.items()}
+    return rates, {name for name, (_, den) in ratios.items() if not den}
 
 
 def train_classifier(classifier: str, data: LabeledDataset):
@@ -161,20 +118,17 @@ def train_classifier(classifier: str, data: LabeledDataset):
 def _result(label: str, classifier: str, variant: int, splits) -> dict:
     """The report entry of one positive label.
 
-    Trains on each `(train, X, truth)` split, labels X, and reduces the
-    split's confusion counts to its rates; the entry holds every split's
-    rates and their means.
+    Trains on each `(train, X, truth)` split, labels X, and scores the
+    labels against the truth; the entry holds every split's rates and
+    their means.
     """
-    per_fold = []
+    folds = []  # the (rates, degenerate) of each split
     for train, X, truth in splits:
-        predicted = train_classifier(classifier, train).predict(X)
-        per_fold.append(metrics(_confusion(predicted, truth)))
+        folds.append(metrics(train_classifier(classifier, train).predict(X), truth))
     entry = {"label": label, "classifier": classifier, "variant": VARIANT_TAGS[variant]}
-    for name in _RATES:
-        entry[f"mean_{name}"] = float(np.mean([getattr(m, name) for m in per_fold]))
-    for name in _RATES:
-        entry[f"fold_{name}"] = [getattr(m, name) for m in per_fold]
-    entry["degenerate"] = sorted(set().union(*(m.degenerate for m in per_fold)))
+    entry.update({f"mean_{name}": float(np.mean([r[name] for r, _ in folds])) for name in _RATES})
+    entry.update({f"fold_{name}": [r[name] for r, _ in folds] for name in _RATES})
+    entry["degenerate"] = sorted(set().union(*(zero for _, zero in folds)))
     return entry
 
 

@@ -450,9 +450,11 @@ def train_knn(data: LabeledDataset, k: int) -> KnnModel:
     return KnnModel(data.rows, data.labels, k, data.positive_class)
 
 
-def knn_labels(
-    model: KnnModel, X: np.ndarray, chunk: int = 512, labels: np.ndarray | None = None
-) -> np.ndarray:
+# Query rows per distance block; each block holds a KNN_CHUNK x len(rows) matrix.
+KNN_CHUNK = 512
+
+
+def knn_labels(model: KnnModel, X: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
     """Batch kNN prediction via the expanded-norm distance identity.
 
     A partition finds each query's k-th smallest distance. Where exactly
@@ -477,8 +479,8 @@ def knn_labels(
     # The votes are sums of at most len(rows) ones, exact in float64.
     positive = (labels > 0).astype(np.float64)
     out = np.empty((X.shape[0], labels.shape[1]), dtype=np.int64)
-    for start in range(0, X.shape[0], chunk):
-        block = X[start : start + chunk]
+    for start in range(0, X.shape[0], KNN_CHUNK):
+        block = X[start : start + KNN_CHUNK]
         dist2 = (block**2).sum(axis=1)[:, None] + row_sq[None, :] - 2.0 * block @ rows.T
         kth = np.partition(dist2, k - 1, axis=1)[:, k - 1].copy()
         inside = dist2 <= kth[:, None]
@@ -488,7 +490,7 @@ def knn_labels(
         if tied.size:
             nearest = np.argsort(dist2[tied], axis=1, kind="stable")[:, :k]
             votes[tied] = labels[nearest].sum(axis=1)
-        out[start : start + chunk] = np.where(votes > 0, 1, -1)
+        out[start : start + KNN_CHUNK] = np.where(votes > 0, 1, -1)
     return out[:, 0] if one else out
 
 

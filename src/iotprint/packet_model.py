@@ -14,6 +14,7 @@ import re
 import socket
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FrameTooShort, TruncatedHeader
 
@@ -109,9 +110,13 @@ class RawFrame:
         return self.data[6:12]
 
 
-@dataclass(frozen=True, slots=True)
-class ParsedPacket:
-    """Layer metadata and transport payload for one frame."""
+class ParsedPacket(NamedTuple):
+    """Layer metadata and transport payload for one frame.
+
+    `parse_frame` is the one producer: ports are present exactly for
+    TCP/UDP, `tcp_window_size` exactly for TCP, and `app_protocols` only
+    with ports.
+    """
 
     ts_sec: int
     ts_usec: int
@@ -128,15 +133,6 @@ class ParsedPacket:
     payload: bytes = b""
     src_ip: str | None = None
     dst_ip: str | None = None
-
-    def __post_init__(self) -> None:
-        has_ports = self.transport in (Transport.TCP, Transport.UDP)
-        if (self.src_port is None) == has_ports or (self.dst_port is None) == has_ports:
-            raise ValueError("ports must be present exactly for TCP/UDP")
-        if (self.tcp_window_size is None) == (self.transport is Transport.TCP):
-            raise ValueError("tcp_window_size must be present exactly for TCP")
-        if not has_ports and self.app_protocols:
-            raise ValueError("app_protocols require TCP or UDP")
 
 
 _EMPTY: frozenset = frozenset()

@@ -754,6 +754,17 @@ def test_evaluate_writes_and_prints_the_report_document(three_profiles, tmp_path
     assert stdout == format_report(expected)
 
 
+def test_evaluate_prints_nothing_when_the_report_cannot_be_written(three_profiles, tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    capsys.readouterr()
+    code = main(["evaluate", "--profiles", *three_profiles, "--classifier", "knn", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: data: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
 def test_unknown_flag_rejected(capsys):
     code = main(["sessions", "--pcap", "x.pcap", "--bogus"])
     assert code == 2
@@ -804,13 +815,16 @@ def test_unknown_variant_rejected(tmp_path, capsys):
     assert code == 2
 
 
-# sha256 of the saved profiles and the evaluation report; any change to
+# sha256 of the saved profiles and the evaluation reports; any change to
 # these bytes is a change of the on-disk formats or of the results.
 PINNED_DIGESTS = {
     "outlet.profile.json": "5779ba928463b66ddaca801bcf1cb30c48a9891fcedb21c3bbb962d0365b91c7",
     "camera-streamer.profile.json": "9444e5608bbfa7250e29907bf6414066e343bb42753925c018ec14b62d86840a",
     "hub-conduit.profile.json": "546a0e3eb86a6501f8aa0201ebe3a055d254bb92fa60bc6655b158afb4509e86",
+    "outlet-b.profile.json": "0cdf64b5f6eca0979de48cbaf1b34d19816fdf874b67a1bd88417062accddcdf",
     "report.json": "9f29fca2e1f942b6b54ae95eb6b3c8b422ea47b4970218e9239460d090d004df",
+    "category.report.json": "8da4322615a7ab3cde379665e33793ef6ae208d8633a99f6565056edaf5c710a",
+    "instance.report.json": "a30a56ed60c855a58180dade66d41ed6d34aa18578a854e51779bf9dfb11e436",
     "outlet.model.json": "9d06bde24c7fea43003c50156550a503dfaa7ac48aec8b85b3dbb7be6d7dd434",
 }
 
@@ -821,12 +835,23 @@ def test_profile_and_report_bytes_are_pinned(tmp_path, capsys):
     report = tmp_path / "report.json"
     argv = ["evaluate", "--profiles", *paths, "--classifier", "vote", "--seed", "3"]
     assert main([*argv, "--out", str(report)]) == 0
+    # A second outlet instance from another seed: "power" becomes a
+    # two-profile category, and the instance report holds it out, which
+    # pins the 0/0 path (its truth has no negatives, so tnr is degenerate).
+    (tmp_path / "twin").mkdir()
+    [twin] = _make_profiles(tmp_path / "twin", ["outlet"], packets=150, seed=90)
+    twin = Path(twin).rename(tmp_path / "outlet-b.profile.json")
+    level_reports = []
+    for level in ("category", "instance"):
+        level_reports.append(tmp_path / f"{level}.report.json")
+        argv = ["evaluate", "--profiles", *paths, str(twin), "--classifier", "vote"]
+        assert main([*argv, "--level", level, "--out", str(level_reports[-1])]) == 0
     # The vote model holds tree and boosted thresholds: its bytes pin both split searches.
     model = tmp_path / "outlet.model.json"
     argv = ["train", "--profiles", *paths, "--classifier", "vote", "--positive", "outlet"]
     assert main([*argv, "--out", str(model)]) == 0
     digests = {
         Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
-        for p in [*paths, report, model]
+        for p in [*paths, twin, report, *level_reports, model]
     }
     assert digests == PINNED_DIGESTS

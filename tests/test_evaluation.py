@@ -5,7 +5,6 @@ from iotprint import evaluation
 from iotprint.errors import ClassTooSmall, NoNegatives, UnknownLabel
 from iotprint.evaluation import (
     LEVELS,
-    ConfusionCounts,
     assemble_one_vs_all,
     format_report,
     metrics,
@@ -81,8 +80,9 @@ def test_stratified_folds_balance_and_partition():
 
 def test_stratified_folds_deterministic():
     data = balanced_dataset()
-    assert stratified_folds(data, 5, seed=4) == stratified_folds(data, 5, seed=4)
-    assert stratified_folds(data, 5, seed=4) != stratified_folds(data, 5, seed=5)
+    plan = stratified_folds(data, 5, seed=4)
+    assert np.array_equal(plan.assignments, stratified_folds(data, 5, seed=4).assignments)
+    assert not np.array_equal(plan.assignments, stratified_folds(data, 5, seed=5).assignments)
 
 
 def test_stratified_folds_validation():
@@ -93,33 +93,41 @@ def test_stratified_folds_validation():
         stratified_folds(data, 1, seed=0)
 
 
+def scored(tp, fp, tn, fn):
+    """+1/-1 `(predicted, truth)` arrays holding the given confusion counts."""
+    predicted = np.repeat([1, 1, -1, -1], [tp, fp, tn, fn])
+    truth = np.repeat([1, -1, -1, 1], [tp, fp, tn, fn])
+    return predicted, truth
+
+
 def test_metrics_basic():
-    m = metrics(ConfusionCounts(tp=9, fp=0, tn=90, fn=1))
-    assert m.tpr == pytest.approx(0.9)
-    assert m.accuracy == pytest.approx(0.99)
-    assert m.tnr == 1.0
-    assert m.ppv == 1.0
-    assert m.degenerate == frozenset()
+    rates, degenerate = metrics(*scored(tp=9, fp=0, tn=90, fn=1))
+    assert rates["tpr"] == pytest.approx(0.9)
+    assert rates["accuracy"] == pytest.approx(0.99)
+    assert rates["tnr"] == 1.0
+    assert rates["ppv"] == 1.0
+    assert degenerate == set()
 
 
 def test_metrics_degenerate_zero_over_zero():
-    m = metrics(ConfusionCounts(tp=0, fp=0, tn=5, fn=0))
-    assert m.tpr == 0.0
-    assert "tpr" in m.degenerate and "ppv" in m.degenerate
+    rates, degenerate = metrics(*scored(tp=0, fp=0, tn=5, fn=0))
+    assert rates["tpr"] == 0.0
+    assert "tpr" in degenerate and "ppv" in degenerate
 
 
 def test_metrics_perfect():
-    m = metrics(ConfusionCounts(tp=5, fp=0, tn=7, fn=0))
-    assert (m.tpr, m.accuracy, m.tnr, m.ppv) == (1.0, 1.0, 1.0, 1.0)
+    rates, _ = metrics(*scored(tp=5, fp=0, tn=7, fn=0))
+    assert [rates[name] for name in ("tpr", "accuracy", "tnr", "ppv")] == [1.0, 1.0, 1.0, 1.0]
 
 
 def test_metrics_accuracy_identity():
     rng = np.random.default_rng(5)
     for _ in range(50):
         tp, fp, tn, fn = (int(v) for v in rng.integers(1, 40, size=4))
-        m = metrics(ConfusionCounts(tp, fp, tn, fn))
+        rates, _ = metrics(*scored(tp, fp, tn, fn))
         pos, neg = tp + fn, tn + fp
-        assert m.accuracy == pytest.approx((m.tpr * pos + m.tnr * neg) / (pos + neg))
+        expected = (rates["tpr"] * pos + rates["tnr"] * neg) / (pos + neg)
+        assert rates["accuracy"] == pytest.approx(expected)
 
 
 def _small_separable_profiles():

@@ -243,6 +243,11 @@ _SYNTH_FRAMES = [
     for pair in zip(generate_trace(_BULB, 40, seed=31)[0], generate_trace(_SPEAKER, 40, seed=32)[0])
     for f in pair
 ]  # ARP frames among them also hold a MAC at offsets 22 and 32
+_SYNTH_FRAMES += [  # no bulb or speaker frame is ICMP; these are 4 camera echoes
+    f.data
+    for f in generate_trace(ARCHETYPES["camera-streamer"], 60, seed=31)[0]
+    if parse_frame(f).transport is Transport.ICMP
+]
 _SELECTOR_MACS = (_BULB.mac, _SPEAKER.mac, PEER_MAC, b"\xff" * 6)
 
 
@@ -369,7 +374,11 @@ def test_ingest_matches_the_scalar_reference_paths(data):
             pkt = parse_frame(frame)
         except (FrameTooShort, TruncatedHeader):
             continue
-        if pkt.transport in (Transport.TCP, Transport.UDP):
+        has_ports = pkt.transport in (Transport.TCP, Transport.UDP)
+        assert (pkt.src_port is not None, pkt.dst_port is not None) == (has_ports, has_ports)
+        assert (pkt.tcp_window_size is not None) == (pkt.transport is Transport.TCP)
+        assert has_ports or not pkt.app_protocols
+        if has_ports:
             expected = oracles.classify_app_protocols(pkt.transport, pkt.src_port, pkt.dst_port)
             assert pkt.app_protocols == expected
         if pkt.network is Network.IPV4 and pkt.src_ip is not None:

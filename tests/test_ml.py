@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -549,7 +550,8 @@ def tie_heavy_knn_cases(draw):
 @given(tie_heavy_knn_cases())
 def test_knn_labels_match_reference_on_tie_heavy_data(case):
     model, queries, chunk, scale = case
-    labels = knn_labels(model, queries, chunk=chunk)
+    with mock.patch.object(ml, "KNN_CHUNK", chunk):
+        labels = knn_labels(model, queries)
     assert labels.tolist() == reference_knn_labels(model, queries, chunk=chunk).tolist()
     if scale == 1.0:  # small integers: both distance formulas are exact
         assert labels.tolist() == [predict_knn(model, q) for q in queries]
@@ -566,11 +568,12 @@ def test_knn_labels_shared_search_matches_per_model_labels(case, data):
     extra = data.draw(st.lists(signs, max_size=4))
     models = [model, *(train_knn(dataset(model.rows, y), model.k) for y in extra)]
     labels = np.column_stack([m.labels for m in models])
-    shared = knn_labels(model, queries, chunk=chunk, labels=labels)
-    assert shared.shape == (len(queries), len(models))
-    for column, m in zip(shared.T, models):
-        assert column.tolist() == knn_labels(m, queries, chunk=chunk).tolist()
-        assert column.tolist() == reference_knn_labels(m, queries, chunk=chunk).tolist()
+    with mock.patch.object(ml, "KNN_CHUNK", chunk):
+        shared = knn_labels(model, queries, labels=labels)
+        assert shared.shape == (len(queries), len(models))
+        for column, m in zip(shared.T, models):
+            assert column.tolist() == knn_labels(m, queries).tolist()
+            assert column.tolist() == reference_knn_labels(m, queries, chunk=chunk).tolist()
 
 
 def test_knn_labels_sort_only_tied_rows(monkeypatch):
@@ -587,7 +590,8 @@ def test_knn_labels_sort_only_tied_rows(monkeypatch):
         return argsort(a, *args, **kwargs)
 
     monkeypatch.setattr(np, "argsort", recording_argsort)
-    assert knn_labels(model, queries, chunk=64).tolist() == expected.tolist()
+    monkeypatch.setattr(ml, "KNN_CHUNK", 64)
+    assert knn_labels(model, queries).tolist() == expected.tolist()
     assert sorted_shapes == [(1, 300)]
 
 
