@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import argparse
 import ipaddress
-import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import evaluation, ml, synth
+from . import documents, evaluation, ml, synth
 from .errors import InsufficientTraffic, IotprintError
 from .features import (
     FEATURE_NAMES, VARIANT_TAGS, ecdf, extract_features, render_features_csv, variant_columns
@@ -158,12 +157,9 @@ def _cmd_profile(args) -> int:
 
 def _cmd_sessions(args) -> int:
     packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
-    stats = session_stats(packets)
+    total, sessions = session_stats(packets)
     print("Total Sessions' Packets  Sessions  Packets/Session")
-    print(
-        f"{stats.total_session_packets:<23}  {stats.session_count:<8}  "
-        f"{format_session_average(stats.total_session_packets, stats.session_count)}"
-    )
+    print(f"{total:<23}  {sessions:<8}  {format_session_average(total, sessions)}")
     return 0
 
 
@@ -246,7 +242,7 @@ def _cmd_identify(args) -> int:
         "per_fingerprint": per_fingerprint,
         "verdict": verdict,
     }
-    print(json.dumps(doc, indent=1, allow_nan=False))
+    print(documents.json_text(doc))
     return 0
 
 
@@ -261,14 +257,15 @@ def _cmd_evaluate(args) -> int:
         seed=args.seed,
     )
     if args.out:  # written first, so a failed write leaves stdout empty
-        ml._save_doc(args.out, report)
+        documents.save_doc(args.out, report)
     sys.stdout.write(evaluation.format_report(report))
     return 0
 
 
 def _write_trace(out_dir: Path, stem: str, frames, labels) -> None:
     write_capture(out_dir / f"{stem}.pcap", frames)
-    ml._save_doc(out_dir / f"{stem}.labels.json", {"schema": LABELS_SCHEMA, "labels": list(labels)})
+    labels_doc = {"schema": LABELS_SCHEMA, "labels": list(labels)}
+    documents.save_doc(out_dir / f"{stem}.labels.json", labels_doc)
 
 
 def _cmd_synth(args) -> int:

@@ -13,11 +13,11 @@ from typing import Sequence
 
 import numpy as np
 
+from .documents import int_in, load_doc, require, require_array, require_list, require_str, save_doc
 from .errors import FrameTooShort, InsufficientTraffic, TruncatedHeader
 from .features import (
     FEATURE_SCHEMA, FINGERPRINT_DIM, FINGERPRINT_PACKETS, PACKET_FEATURE_COUNT, extract_features
 )
-from .ml import _array, _field, _int_in, _list, _load_doc, _save_doc, _str
 from .packet_model import ParsedPacket, Transport, parse_frame
 from .pcap_io import DeviceSelector, filter_device, read_capture
 
@@ -26,10 +26,9 @@ PROFILE_SCHEMA = "behavioral-profile/1"
 
 @dataclass(frozen=True)
 class ProfileSource:
-    """Provenance of a profile: inputs plus the feature layout version."""
+    """Provenance of a profile: its captures and the frames they held that did not decode."""
 
     captures: tuple
-    feature_schema: str = FEATURE_SCHEMA
     skipped_frames: int = 0
 
 
@@ -51,16 +50,6 @@ class BehavioralProfile:
         )
 
 
-@dataclass(frozen=True)
-class SessionStats:
-    """Packet counts grouped by unordered (src_port, dst_port) pair."""
-
-    per_session: dict
-    total_session_packets: int
-    session_count: int
-    avg_packets_per_session: float
-
-
 def build_fingerprints(features: Sequence[tuple]) -> np.ndarray:
     """Join consecutive fives of 20-value rows into 100-value rows.
 
@@ -72,18 +61,15 @@ def build_fingerprints(features: Sequence[tuple]) -> np.ndarray:
     return rows[:whole].reshape(-1, FINGERPRINT_DIM)
 
 
-def session_stats(packets: Sequence[ParsedPacket]) -> SessionStats:
-    """Count packets per port-pair session; packets without ports are skipped."""
-    per_session: dict = {}
-    for pkt in packets:
-        if pkt.transport not in (Transport.TCP, Transport.UDP):
-            continue
-        key = (min(pkt.src_port, pkt.dst_port), max(pkt.src_port, pkt.dst_port))
-        per_session[key] = per_session.get(key, 0) + 1
-    total = sum(per_session.values())
-    count = len(per_session)
-    avg = total / count if count else 0.0
-    return SessionStats(per_session, total, count, avg)
+def session_stats(packets: Sequence[ParsedPacket]) -> tuple:
+    """(total, sessions): the packets with ports, and how many unordered
+    (src_port, dst_port) pairs they fall into."""
+    pairs = [
+        (min(pkt.src_port, pkt.dst_port), max(pkt.src_port, pkt.dst_port))
+        for pkt in packets
+        if pkt.transport in (Transport.TCP, Transport.UDP)
+    ]
+    return len(pairs), len(set(pairs))
 
 
 def format_session_average(total: int, count: int) -> str:
@@ -146,37 +132,35 @@ def save_profile(profile: BehavioralProfile, path: str | Path) -> None:
         "category_label": profile.category_label,
         "source": {
             "captures": list(profile.source.captures),
-            "feature_schema": profile.source.feature_schema,
+            "feature_schema": FEATURE_SCHEMA,
             "skipped_frames": profile.source.skipped_frames,
         },
         "fingerprints": profile.fingerprints.tolist(),
     }
-    _save_doc(path, doc)
+    save_doc(path, doc)
 
 
 def load_profile(path: str | Path) -> BehavioralProfile:
-    return _load_doc(path, _profile_from_doc, "profile")
+    return load_doc(path, _profile_from_doc, "profile")
 
 
 def _profile_from_doc(doc) -> BehavioralProfile:
     """Rebuild a profile, rejecting any document `save_profile` could not have written."""
-    if _field(doc, "schema", "profile") != PROFILE_SCHEMA:
+    if require(doc, "schema", "profile") != PROFILE_SCHEMA:
         raise ValueError(f"unsupported profile schema: {doc['schema']!r}")
-    source = _field(doc, "source", "profile")
-    captures = _list(source, "captures", "profile")
+    source = require(doc, "source", "profile")
+    captures = require_list(source, "captures", "profile")
     if not all(isinstance(name, str) for name in captures):
         raise ValueError("profile captures must be strings")
-    if _field(source, "feature_schema", "profile") != FEATURE_SCHEMA:
+    if require(source, "feature_schema", "profile") != FEATURE_SCHEMA:
         raise ValueError(f"unsupported feature schema: {source['feature_schema']!r}")
-    skipped = _int_in(
-        _field(source, "skipped_frames", "profile"), "skipped_frames", 0, what="profile"
-    )
-    for row in _list(doc, "fingerprints", "profile"):
+    skipped = int_in(require(source, "skipped_frames", "profile"), "skipped_frames", "profile", 0)
+    for row in require_list(doc, "fingerprints", "profile"):
         if isinstance(row, list) and len(row) != FINGERPRINT_DIM:
             raise ValueError(f"fingerprint of {len(row)} values; expected {FINGERPRINT_DIM}")
     return BehavioralProfile(
-        _str(doc, "device_label", "profile"),
-        _str(doc, "category_label", "profile"),
-        _array(doc, "fingerprints", 2, "profile"),
-        ProfileSource(tuple(captures), FEATURE_SCHEMA, skipped),
+        require_str(doc, "device_label", "profile"),
+        require_str(doc, "category_label", "profile"),
+        require_array(doc, "fingerprints", "profile", 2),
+        ProfileSource(tuple(captures), skipped),
     )

@@ -24,9 +24,6 @@ little-endian binary in base64 text.
 
 from __future__ import annotations
 
-import base64
-import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .documents import (
+    finite, int_in, load_doc, pack, require, require_list, require_str, save_doc, unpack
+)
 from .errors import EmptyData, KTooLarge, SingleClassData
 from .features import FINGERPRINT_DIM
 
@@ -550,7 +550,7 @@ def save_model(model, path: str | Path, columns: Sequence[int]) -> None:
     order.
     """
     columns = _checked_columns(list(columns), model.n_features)
-    _save_doc(path, {"schema": MODEL_SCHEMA, "columns": columns, **_model_doc(model)})
+    save_doc(path, {"schema": MODEL_SCHEMA, "columns": columns, **_model_doc(model)})
 
 
 def _model_doc(model) -> dict:
@@ -572,8 +572,8 @@ def _model_doc(model) -> dict:
             "kind": "knn",
             "positive_class": model.positive_class,
             "k": model.k,
-            "rows": _pack(model.rows, "<f8"),
-            "labels": _pack(model.labels, "<i1"),
+            "rows": pack(model.rows, "<f8"),
+            "labels": pack(model.labels, "<i1"),
         }
     if isinstance(model, TreeModel):
         return {
@@ -610,47 +610,36 @@ def load_model(path: str | Path, decoded: dict | None = None) -> tuple:
     arrays. Models loaded with the same dict decode equal packed text
     once and share the array; the caller decides how long it lives.
     """
-    return _load_doc(path, lambda doc: _model_from_doc(doc, decoded), "model")
-
-
-def _save_doc(path: str | Path, doc) -> None:
-    """Write `doc` as indented JSON; NaN and infinity raise instead of being written."""
-    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n", encoding="ascii")
-
-
-def _load_doc(path: str | Path, build, what: str):
-    """`build` the JSON document at `path`; nesting too deep to decode is a data error."""
-    try:
-        return build(json.loads(Path(path).read_text(encoding="ascii")))
-    except RecursionError:
-        raise ValueError(f"{what} document is nested too deeply") from None
+    return load_doc(path, lambda doc: _model_from_doc(doc, decoded), "model")
 
 
 def _model_from_doc(doc, decoded: dict | None) -> tuple:
-    schema = _field(doc, "schema")
+    schema = require(doc, "schema", "model")
     if schema != MODEL_SCHEMA:
         raise ValueError(f"unsupported model schema: {schema!r}")
     model = _member_from_doc(doc, decoded)
-    return model, _checked_columns(_list(doc, "columns"), model.n_features)
+    return model, _checked_columns(require_list(doc, "columns", "model"), model.n_features)
 
 
 def _member_from_doc(doc, decoded: dict | None):
     """Rebuild a model, rejecting any document that would fail or mislead at prediction.
 
-    Packed kNN arrays are decoded through `decoded` (see `_unpack`).
+    Packed kNN arrays are decoded through `decoded` (see `documents.unpack`).
     """
-    kind = _field(doc, "kind")
-    positive_class = _str(doc, "positive_class")
+    kind = require(doc, "kind", "model")
+    positive_class = require_str(doc, "positive_class", "model")
     if kind == "boosted":
-        n_features = _int_in(_field(doc, "n_features"), "n_features", 1)
-        deviance = _list(doc, "training_deviance")
+        n_features = int_in(require(doc, "n_features", "model"), "n_features", "model", 1)
+        deviance = require_list(doc, "training_deviance", "model")
         model = BoostedModel(
-            initial_score=_finite(_field(doc, "initial_score"), "initial_score"),
-            stages=tuple(_stump_from_doc(stage, n_features) for stage in _list(doc, "stages")),
-            learning_rate=_finite(_field(doc, "learning_rate"), "learning_rate"),
+            initial_score=finite(require(doc, "initial_score", "model"), "initial_score", "model"),
+            stages=tuple(
+                _stump_from_doc(s, n_features) for s in require_list(doc, "stages", "model")
+            ),
+            learning_rate=finite(require(doc, "learning_rate", "model"), "learning_rate", "model"),
             n_features=n_features,
             positive_class=positive_class,
-            training_deviance=tuple(_finite(v, "training_deviance") for v in deviance),
+            training_deviance=tuple(finite(v, "training_deviance", "model") for v in deviance),
         )
         reach = abs(model.initial_score)  # bounds every partial sum `boosted_scores` forms
         for s in model.stages:
@@ -659,22 +648,22 @@ def _member_from_doc(doc, decoded: dict | None):
             raise ValueError("model scores can overflow the float range")
         return model
     if kind == "knn":
-        rows = _unpack(doc, "rows", "<f8", 2, decoded=decoded)
-        labels = _unpack(doc, "labels", "<i1", 1, decoded=decoded)
+        rows = unpack(doc, "rows", "model", "<f8", 2, decoded)
+        labels = unpack(doc, "labels", "model", "<i1", 1, decoded)
         data = LabeledDataset(rows, labels, positive_class)
-        k = _int_in(_field(doc, "k"), "k", 1, len(data))
+        k = int_in(require(doc, "k", "model"), "k", "model", 1, len(data))
         return KnnModel(rows=data.rows, labels=data.labels, k=k, positive_class=positive_class)
     if kind == "tree":
-        n_features = _int_in(_field(doc, "n_features"), "n_features", 1)
-        max_depth = _int_in(_field(doc, "max_depth"), "max_depth", 1)
+        n_features = int_in(require(doc, "n_features", "model"), "n_features", "model", 1)
+        max_depth = int_in(require(doc, "max_depth", "model"), "max_depth", "model", 1)
         return TreeModel(
-            root=_node_from_doc(_field(doc, "root"), n_features, max_depth),
+            root=_node_from_doc(require(doc, "root", "model"), n_features, max_depth),
             max_depth=max_depth,
             n_features=n_features,
             positive_class=positive_class,
         )
     if kind == "vote":
-        members = tuple(_member_from_doc(m, decoded) for m in _list(doc, "members"))
+        members = tuple(_member_from_doc(m, decoded) for m in require_list(doc, "members", "model"))
         if tuple(map(type, members)) != (BoostedModel, KnnModel, TreeModel):
             raise ValueError("vote members must be boosted, knn and tree, in that order")
         if len({(m.n_features, m.positive_class) for m in members}) != 1:
@@ -693,107 +682,15 @@ def _checked_columns(columns: list, n_features: int) -> list:
     return columns
 
 
-# The packed-array codec: an array field is {"dtype", "shape", "data"},
-# where data is the base64 text of the array's little-endian bytes in C
-# order. Every packed field of every document uses it.
-def _pack(array: np.ndarray, dtype: str) -> dict:
-    data = np.ascontiguousarray(array, dtype=dtype)
-    if data.dtype.kind == "f" and not np.isfinite(data).all():
-        raise ValueError("cannot pack non-finite values")
-    text = base64.b64encode(data).decode("ascii")
-    return {"dtype": dtype, "shape": list(data.shape), "data": text}
-
-
-def _unpack(
-    doc, key: str, dtype: str, ndim: int, what: str = "model", decoded: dict | None = None
-) -> np.ndarray:
-    """The packed field `key`, which must hold `ndim`-D `dtype` values (finite, if floats).
-
-    The array is read-only. `decoded` memoizes by (dtype, shape, data):
-    text equal to a field it already holds returns that same array, which
-    passed every check below when it was first decoded.
-    """
-    packed = _field(doc, key, what)
-    name = f"{what} {key}"
-    if _field(packed, "dtype", what) != dtype:
-        raise ValueError(f"{name} dtype must be {dtype!r}, got {packed['dtype']!r}")
-    shape = _list(packed, "shape", what)
-    if len(shape) != ndim or not all(type(n) is int and n >= 1 for n in shape):
-        raise ValueError(f"{name} shape must be {ndim} positive integers, got {shape!r}")
-    text = _str(packed, "data", what)
-    memo = (dtype, tuple(shape), text)
-    if decoded is not None and memo in decoded:
-        return decoded[memo]
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise ValueError(f"{name} data is not base64: {exc}") from None
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    if len(raw) != size:
-        raise ValueError(f"{name} data holds {len(raw)} bytes, shape {shape} needs {size}")
-    array = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    if array.dtype.kind == "f" and not np.isfinite(array).all():
-        raise ValueError(f"{name} must be finite (no NaN or infinity)")
-    if decoded is not None:
-        decoded[memo] = array
-    return array
-
-
-# Document checks shared by the model and profile loaders; `what` names
-# the document kind in the error message.
-def _field(doc, key: str, what: str = "model"):
-    if not isinstance(doc, dict) or key not in doc:
-        raise ValueError(f"{what} document lacks {key!r}")
-    return doc[key]
-
-
-def _list(doc, key: str, what: str = "model") -> list:
-    value = _field(doc, key, what)
-    if not isinstance(value, list):
-        raise ValueError(f"{what} {key} must be a list")
-    return value
-
-
-def _str(doc, key: str, what: str = "model") -> str:
-    value = _field(doc, key, what)
-    if not isinstance(value, str):
-        raise ValueError(f"{what} {key} must be a string")
-    return value
-
-
-def _finite(value, name: str) -> float:
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-        raise ValueError(f"model {name} must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _int_in(value, name: str, low: int, high: float = math.inf, what: str = "model") -> int:
-    if type(value) is not int or not low <= value <= high:
-        raise ValueError(f"{what} {name} must be an integer in [{low}, {high}], got {value!r}")
-    return value
-
-
-def _array(doc, key: str, ndim: int, what: str = "model") -> np.ndarray:
-    try:
-        value = np.asarray(_field(doc, key, what))
-    except ValueError:  # ragged
-        value = np.empty(0)
-    # dtype kinds "O" (objects, out-of-range ints) and "U" (strings) are not numbers
-    numeric = value.dtype.kind in "iuf" and value.ndim == ndim and value.size > 0
-    if not numeric or not np.isfinite(value).all():
-        raise ValueError(f"{what} {key} must be a non-empty {ndim}-D array of finite numbers")
-    return np.asarray(value, dtype=np.float64)
-
-
 def _stump_from_doc(stage, n_features: int) -> Stump:
     if not isinstance(stage, list) or len(stage) != 4:
         raise ValueError("model stage must be [feature_index, threshold, left_value, right_value]")
     feature, threshold, left, right = stage
     return Stump(
-        _int_in(feature, "feature_index", 0, n_features - 1),
-        _finite(threshold, "threshold"),
-        _finite(left, "left_value"),
-        _finite(right, "right_value"),
+        int_in(feature, "feature_index", "model", 0, n_features - 1),
+        finite(threshold, "threshold", "model"),
+        finite(left, "left_value", "model"),
+        finite(right, "right_value", "model"),
     )
 
 
@@ -804,11 +701,12 @@ def _node_from_doc(doc, n_features: int, depth_left: int) -> TreeNode:
         return TreeNode(label=doc["label"])
     if depth_left == 0:
         raise ValueError("tree has a split below its max_depth")
+    feature = require(doc, "feature_index", "model")
     return TreeNode(
-        feature_index=_int_in(_field(doc, "feature_index"), "feature_index", 0, n_features - 1),
-        threshold=_finite(_field(doc, "threshold"), "threshold"),
-        left=_node_from_doc(_field(doc, "left"), n_features, depth_left - 1),
-        right=_node_from_doc(_field(doc, "right"), n_features, depth_left - 1),
+        feature_index=int_in(feature, "feature_index", "model", 0, n_features - 1),
+        threshold=finite(require(doc, "threshold", "model"), "threshold", "model"),
+        left=_node_from_doc(require(doc, "left", "model"), n_features, depth_left - 1),
+        right=_node_from_doc(require(doc, "right", "model"), n_features, depth_left - 1),
     )
 
 

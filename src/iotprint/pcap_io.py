@@ -89,8 +89,7 @@ class Frames(Sequence[RawFrame]):
     """The records of one capture, held as an int array over the file's bytes.
 
     Each `RawFrame` is built when it is accessed, so a caller that keeps a
-    few frames pays only for those. A `Frames` equals any sequence of the
-    same `RawFrame`s in the same order.
+    few frames pays only for those.
     """
 
     __slots__ = ("_data", "_records")
@@ -119,13 +118,6 @@ class Frames(Sequence[RawFrame]):
         data = self._data
         for start, length, ts_sec, ts_usec, original in self._records.tolist():
             yield RawFrame(ts_sec, ts_usec, original, data[start : start + length])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-    __hash__ = None  # equal to lists, which are unhashable
 
 
 def read_capture(path: str | Path) -> tuple[CaptureMeta, Frames]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from iotprint import fingerprint, ml
+from iotprint import documents, fingerprint, ml
 from iotprint.cli import main
 from iotprint.errors import FrameTooShort, TruncatedHeader
 from iotprint.evaluation import CLASSIFIERS, LEVELS, VARIANT_TAGS, format_report, run_experiment
@@ -563,7 +563,7 @@ def test_identify_shares_a_search_only_among_equal_knn_members(
     )
 
     searches, decodes = [], []
-    knn_labels, b64decode = ml.knn_labels, ml.base64.b64decode
+    knn_labels, b64decode = ml.knn_labels, documents.base64.b64decode
 
     def recording(model, X, *args, **kwargs):
         searches.append(kwargs["labels"].shape[1])
@@ -574,7 +574,7 @@ def test_identify_shares_a_search_only_among_equal_knn_members(
         return b64decode(*args, **kwargs)
 
     monkeypatch.setattr(ml, "knn_labels", recording)
-    monkeypatch.setattr(ml.base64, "b64decode", decoding)
+    monkeypatch.setattr(documents.base64, "b64decode", decoding)
 
     def identify(models, target, mac):
         searches.clear()

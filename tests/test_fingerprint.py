@@ -101,10 +101,8 @@ SESSION_FIXTURES = [
 
 def test_session_average_fixtures():
     for total, sessions, expected in SESSION_FIXTURES:
-        stats = session_stats(stream_with(sessions, total))
-        assert stats.session_count == sessions
-        assert stats.total_session_packets == total
-        assert abs(stats.avg_packets_per_session - expected) < 0.01
+        assert session_stats(stream_with(sessions, total)) == (total, sessions)
+        assert format_session_average(total, sessions) == f"{expected:.2f}"
 
 
 def test_session_fixture_mean():
@@ -113,26 +111,22 @@ def test_session_fixture_mean():
 
 
 def test_single_session():
-    stats = session_stats(stream_with(1, 9))
-    assert (stats.session_count, stats.avg_packets_per_session) == (1, 9.0)
+    assert session_stats(stream_with(1, 9)) == (9, 1)
+    assert format_session_average(9, 1) == "9.00"
 
 
 def test_unordered_port_pair_grouping():
-    stats = session_stats([udp_packet(5000, 80), udp_packet(80, 5000)])
-    assert stats.session_count == 1
-    assert stats.per_session[(80, 5000)] == 2
+    assert session_stats([udp_packet(5000, 80), udp_packet(80, 5000)]) == (2, 1)
 
 
 def test_portless_packets_excluded():
     packets = stream_with(2, 6) + [arp_packet()] * 5
-    stats = session_stats(packets)
-    assert stats.total_session_packets == 6
-    assert sum(stats.per_session.values()) == 6
+    assert session_stats(packets) == (6, 2)
 
 
 def test_no_sessions_average_is_zero():
-    stats = session_stats([arp_packet()])
-    assert stats.session_count == 0 and stats.avg_packets_per_session == 0.0
+    assert session_stats([arp_packet()]) == (0, 0)
+    assert format_session_average(0, 0) == "0.00"
 
 
 def test_display_truncates_not_rounds():
@@ -368,7 +362,7 @@ def test_ingest_matches_the_scalar_reference_paths(data):
         if len(want) == 2:  # both raised the same error
             return
         _, frames = read_capture(path)
-        assert frames == oracles.read_capture(path)[1]  # a `Frames` equals the list
+        assert list(frames) == oracles.read_capture(path)[1]
     for frame in frames:
         try:
             pkt = parse_frame(frame)

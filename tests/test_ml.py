@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from iotprint import ml
+from iotprint import documents, ml
 from iotprint.errors import EmptyData, KTooLarge, SingleClassData
 from iotprint.evaluation import assemble_one_vs_all, stratified_folds
 from iotprint.ml import (
@@ -790,13 +790,13 @@ def test_models_loaded_with_one_dict_decode_equal_packed_text_once(tmp_path, mon
     for model, path in zip(trained, paths):
         save_model(model, path, range(5))
     decodes = []
-    b64decode = ml.base64.b64decode
+    b64decode = documents.base64.b64decode
 
     def counting(*args, **kwargs):
         decodes.append(1)
         return b64decode(*args, **kwargs)
 
-    monkeypatch.setattr(ml.base64, "b64decode", counting)
+    monkeypatch.setattr(documents.base64, "b64decode", counting)
 
     decoded = {}
     shared = [load_model(path, decoded)[0] for path in paths]

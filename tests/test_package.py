@@ -16,6 +16,23 @@ def _package_imports(node) -> list:
     return [node.module]
 
 
+IMPORTS = {
+    name: {dep for node in ast.walk(tree) for dep in _package_imports(node)}
+    for name, tree in SOURCES.items()
+}
+
+
+def _reachable(name: str) -> set:
+    """The package modules `name` imports, directly or through others."""
+    found, todo = set(), [name]
+    while todo:
+        for dep in IMPORTS.get(todo.pop(), ()):
+            if dep not in found:
+                found.add(dep)
+                todo.append(dep)
+    return found
+
+
 def test_no_function_imports_a_package_module():
     deferred = [
         f"{name}.py:{node.lineno}"
@@ -30,20 +47,16 @@ def test_no_function_imports_a_package_module():
 
 
 def test_module_imports_form_an_acyclic_graph():
-    graph = {
-        name: {dep for node in ast.walk(tree) for dep in _package_imports(node)}
-        for name, tree in SOURCES.items()
-    }
     done: set = set()
 
     def visit(name: str, path: tuple) -> None:
         assert name not in path, f"import cycle: {' -> '.join(path + (name,))}"
         if name not in done:
-            for dep in sorted(graph.get(name, ())):
+            for dep in sorted(IMPORTS.get(name, ())):
                 visit(dep, path + (name,))
             done.add(name)
 
-    for name in sorted(graph):
+    for name in sorted(IMPORTS):
         visit(name, ())
 
 
@@ -64,5 +77,22 @@ def test_every_module_level_import_is_used():
 
 
 def test_synth_imports_only_the_packet_model():
-    imports = {dep for node in ast.walk(SOURCES["synth"]) for dep in _package_imports(node)}
-    assert imports == {"packet_model"}
+    assert IMPORTS["synth"] == {"packet_model"}
+
+
+def test_ingest_does_not_depend_on_training():
+    """Reading, parsing, features and profiles reach neither `ml` nor
+    `evaluation`, even through another module."""
+    for name in ("packet_model", "pcap_io", "features", "fingerprint"):
+        assert not _reachable(name) & {"ml", "evaluation"}, name
+
+
+def test_only_documents_imports_json():
+    importers = {
+        name
+        for name, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
+    }
+    assert importers == {"documents"}

@@ -36,7 +36,7 @@ def test_empty_capture(tmp_path):
     assert write_capture(path, []) == 0
     assert path.stat().st_size == 24
     meta, frames = read_capture(path)
-    assert meta.packet_count == 0 and frames == []
+    assert meta.packet_count == 0 and list(frames) == []
 
 
 def _encode(frames, endian, nano=False):
@@ -58,7 +58,7 @@ def test_little_and_big_endian_read_identically(tmp_path):
     meta_le, from_le = read_capture(le)
     meta_be, from_be = read_capture(be)
     assert meta_le.byte_order == "little" and meta_be.byte_order == "big"
-    assert from_le == from_be
+    assert list(from_le) == list(from_be)
 
 
 def test_nanosecond_timestamps_truncate(tmp_path):
@@ -111,6 +111,18 @@ def test_truncated_record_returns_earlier_frames(tmp_path):
     assert meta.packet_count == 2
     assert meta.truncated_records == 1
     assert [f.data for f in back] == [f.data for f in frames[:2]]
+
+
+def test_empty_last_record_at_end_of_file_is_read(tmp_path):
+    # The last record is a bare 16-byte header (incl_len 0) that ends
+    # exactly at end of file: it is a whole record, not a cut one.
+    frames = random_frames(2, seed=4) + [RawFrame(5, 6, 0, b"")]
+    path = tmp_path / "empty-last.pcap"
+    path.write_bytes(_encode(frames, "<"))
+    assert path.read_bytes().endswith(struct.pack("<IIII", 5, 6, 0, 0))
+    meta, back = read_capture(path)
+    assert meta.truncated_records == 0
+    assert list(back) == frames
 
 
 def test_oversized_frame_rejected(tmp_path):

@@ -128,10 +128,8 @@ def test_session_recovery_against_generator_truth(arch):
             continue
         key = tuple(sorted(record.ports))
         expected[key] = expected.get(key, 0) + record.packets
-    stats = session_stats([parse_frame(f) for f in frames])
-    assert stats.per_session == expected
-    assert stats.session_count == len(expected)
-    assert stats.total_session_packets == sum(expected.values())
+    total, sessions = session_stats([parse_frame(f) for f in frames])
+    assert (total, sessions) == (sum(expected.values()), len(expected))
 
 
 def _port_within_seconds(builder, seconds=20):
@@ -219,8 +217,7 @@ def test_profile_for_entry_uses_archetype_labels(corpus, corpus_profiles):
 
 def test_conduit_traffic_has_no_sessions_yet_fingerprints(corpus, corpus_profiles):
     hub_entry = next(e for e in corpus if e.archetype.name == "hub-conduit")
-    stats = session_stats([parse_frame(f) for f in hub_entry.frames])
-    assert stats.session_count == 0
+    assert session_stats([parse_frame(f) for f in hub_entry.frames]) == (0, 0)
     hub_profile = next(p for p in corpus_profiles if p.device_label == "hub-conduit")
     assert len(hub_profile.fingerprints) >= 500
 
