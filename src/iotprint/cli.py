@@ -256,6 +256,8 @@ def _cmd_evaluate(args) -> int:
         k=args.folds,
         seed=args.seed,
     )
+    if not report["results"]:  # only the instance level, when no device label has a twin
+        raise ValueError("no device label appears in two profiles, so no instance is held out")
     if args.out:  # written first, so a failed write leaves stdout empty
         documents.save_doc(args.out, report)
     sys.stdout.write(evaluation.format_report(report))

@@ -29,10 +29,6 @@ class TruncatedFile(IotprintError):
     """Capture global header is cut short."""
 
 
-class IoFailure(IotprintError):
-    """Underlying file write failed."""
-
-
 class EmptyInput(IotprintError):
     """An operation requiring at least one value received none."""
 

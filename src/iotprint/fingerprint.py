@@ -24,28 +24,23 @@ from .pcap_io import DeviceSelector, filter_device, read_capture
 PROFILE_SCHEMA = "behavioral-profile/1"
 
 
-@dataclass(frozen=True)
-class ProfileSource:
-    """Provenance of a profile: its captures and the frames they held that did not decode."""
-
-    captures: tuple
-    skipped_frames: int = 0
-
-
 @dataclass(frozen=True, eq=False)
 class BehavioralProfile:
-    """One device's fingerprints: an (n, FINGERPRINT_DIM) float64 matrix."""
+    """One device's fingerprints, an (n, FINGERPRINT_DIM) float64 matrix,
+    with the names of the captures they came from and how many of those
+    captures' frames did not decode."""
 
     device_label: str
     category_label: str
     fingerprints: np.ndarray
-    source: ProfileSource
+    captures: tuple
+    skipped_frames: int = 0
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BehavioralProfile)
-            and (self.device_label, self.category_label, self.source)
-            == (other.device_label, other.category_label, other.source)
+            and (self.device_label, self.category_label, self.captures, self.skipped_frames)
+            == (other.device_label, other.category_label, other.captures, other.skipped_frames)
             and np.array_equal(self.fingerprints, other.fingerprints)
         )
 
@@ -121,8 +116,7 @@ def build_profile(
             f"{len(matching)} matching packets; need at least {FINGERPRINT_PACKETS}"
         )
     prints = build_fingerprints([extract_features(pkt) for pkt in matching])
-    source = ProfileSource(captures=(Path(capture).name,), skipped_frames=skipped)
-    return BehavioralProfile(device_label, category_label, prints, source)
+    return BehavioralProfile(device_label, category_label, prints, (Path(capture).name,), skipped)
 
 
 def save_profile(profile: BehavioralProfile, path: str | Path) -> None:
@@ -131,9 +125,9 @@ def save_profile(profile: BehavioralProfile, path: str | Path) -> None:
         "device_label": profile.device_label,
         "category_label": profile.category_label,
         "source": {
-            "captures": list(profile.source.captures),
+            "captures": list(profile.captures),
             "feature_schema": FEATURE_SCHEMA,
-            "skipped_frames": profile.source.skipped_frames,
+            "skipped_frames": profile.skipped_frames,
         },
         "fingerprints": profile.fingerprints.tolist(),
     }
@@ -162,5 +156,6 @@ def _profile_from_doc(doc) -> BehavioralProfile:
         require_str(doc, "device_label", "profile"),
         require_str(doc, "category_label", "profile"),
         require_array(doc, "fingerprints", "profile", 2),
-        ProfileSource(tuple(captures), skipped),
+        tuple(captures),
+        skipped,
     )

@@ -106,10 +106,6 @@ class BoostedModel:
     positive_class: str
     training_deviance: tuple = field(default=(), compare=False)
 
-    @property
-    def n_stages(self) -> int:
-        return len(self.stages)
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """+1/-1 per row of X; a score of exactly 0 goes to +1."""
         return np.where(boosted_scores(self, X) >= 0, 1, -1)

@@ -66,10 +66,6 @@ class IpOption(enum.Enum):
     ROUTER_ALERT = "router_alert"
 
 
-def format_mac(mac: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in mac)
-
-
 _MAC_TEXT = re.compile(r"[0-9A-Fa-f]{1,2}(?:[:-][0-9A-Fa-f]{1,2}){5}")
 
 
@@ -98,16 +94,6 @@ class RawFrame:
     @property
     def capture_length(self) -> int:
         return len(self.data)
-
-    @property
-    def dst_mac(self) -> bytes:
-        """Bytes 0-6, which `parse_frame` reads as the destination address."""
-        return self.data[0:6]
-
-    @property
-    def src_mac(self) -> bytes:
-        """Bytes 6-12, which `parse_frame` reads as the source address."""
-        return self.data[6:12]
 
 
 class ParsedPacket(NamedTuple):

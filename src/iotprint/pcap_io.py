@@ -12,20 +12,17 @@ import ipaddress
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BadMagic, IoFailure, TruncatedFile, UnsupportedLinkType
+from .errors import BadMagic, TruncatedFile, UnsupportedLinkType
 from .packet_model import ParsedPacket, RawFrame
-
-P = TypeVar("P", ParsedPacket, RawFrame)
 
 LINKTYPE_ETHERNET = 1
 MAX_FRAME_BYTES = 65535
 
 _MAGIC_MICRO = 0xA1B2C3D4
-_MAGIC_NANO = 0xA1B23C4D
 _PCAPNG_BLOCK = 0x0A0D0D0A
 
 # magic as read little-endian -> (byte order, timestamp resolution)
@@ -72,12 +69,12 @@ class DeviceSelector:
     def needs_parsed_fields(self) -> bool:
         """Whether matching reads IP addresses, which only a parsed packet has.
 
-        A MAC-only selector matches a `RawFrame` by the bytes `parse_frame`
-        reads its addresses from, exactly as it matches the parsed packet.
+        A MAC-only selector can pick a capture's frames by bytes 0-6 and
+        6-12, where `parse_frame` reads the addresses, before parsing them.
         """
         return self.ip is not None
 
-    def matches(self, pkt: ParsedPacket | RawFrame) -> bool:
+    def matches(self, pkt: ParsedPacket) -> bool:
         if self.mac is not None and self.mac in (pkt.src_mac, pkt.dst_mac):
             return True
         if self.ip is not None and self.ip in (pkt.src_ip, pkt.dst_ip):
@@ -85,11 +82,11 @@ class DeviceSelector:
         return False
 
 
-class Frames(Sequence[RawFrame]):
+class Frames:
     """The records of one capture, held as an int array over the file's bytes.
 
-    Each `RawFrame` is built when it is accessed, so a caller that keeps a
-    few frames pays only for those.
+    An iterable with `len`: each `RawFrame` is built as iteration reaches
+    it, so a caller that keeps a few frames pays only for those.
     """
 
     __slots__ = ("_data", "_records")
@@ -103,15 +100,8 @@ class Frames(Sequence[RawFrame]):
     def __len__(self) -> int:
         return len(self._records)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return self._take(index)
-        i = range(len(self))[index]  # negative indices, IndexError and TypeError as a list has
-        (frame,) = self._take(slice(i, i + 1))
-        return frame
-
     def _take(self, index) -> Frames:
-        """The records at `index`, a slice or an int array, as a `Frames`."""
+        """The records at `index`, an int array, as a `Frames`."""
         return Frames(self._data, self._records[index])
 
     def __iter__(self) -> Iterator[RawFrame]:
@@ -184,20 +174,16 @@ def write_capture(path: str | Path, frames: Iterable[RawFrame]) -> int:
         )
         chunks.append(frame.data)
         count += 1
-    try:
-        Path(path).write_bytes(b"".join(chunks))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    Path(path).write_bytes(b"".join(chunks))
     return count
 
 
-def filter_device(packets: Sequence[P], sel: DeviceSelector) -> list[P]:
+def filter_device(packets: Frames | Iterable[ParsedPacket], sel: DeviceSelector) -> list:
     """Keep packets flowing into or out of the selected device, in order.
 
-    `packets` may be `RawFrame`s when `sel` does not need parsed fields.
-    For the `Frames` of a capture and a MAC-only selector, the addresses
-    of all records are compared at once and only the matching frames are
-    built.
+    `packets` are parsed packets, or the `Frames` of a capture when `sel`
+    is MAC-only: then the addresses of all records are compared at once
+    and only the matching frames are built.
     """
     if isinstance(packets, Frames) and not sel.needs_parsed_fields:
         return list(packets._take(_mac_indices(packets, sel.mac)))
@@ -207,8 +193,8 @@ def filter_device(packets: Sequence[P], sel: DeviceSelector) -> list[P]:
 def _mac_indices(frames: Frames, mac: bytes) -> np.ndarray:
     """Indices of the records whose bytes 0-6 or 6-12 are `mac`.
 
-    A record under 6 (or 12) bytes has a shorter `dst_mac` (or
-    `src_mac`), which never equals a 6-byte MAC, so it is not compared.
+    A record under 6 (or 12) bytes cannot hold the MAC there, so it is
+    not compared.
     """
     raw = np.frombuffer(frames._data, dtype=np.uint8)
     starts, lengths = frames._records[:, 0], frames._records[:, 1]

@@ -126,15 +126,6 @@ class DeviceArchetype:
 
 
 @dataclass(frozen=True)
-class SessionRecord:
-    """Generator-side truth for one emitted session."""
-
-    proto: Proto
-    ports: tuple | None
-    packets: int
-
-
-@dataclass(frozen=True)
 class CorpusEntry:
     archetype: DeviceArchetype
     instance: str
@@ -187,7 +178,6 @@ class _TraceBuilder:
         self.used_ports: set = set()
         self.frames: list = []
         self.labels: list = []
-        self.sessions: list = []
 
     def payload(self, proto: Proto) -> bytes:
         profile = self.arch.payload_profile[proto]
@@ -257,11 +247,11 @@ class _TraceBuilder:
             else:
                 packet = _ipv4(src_ip, dst_ip, row.carrier, body)
                 self.emit(_ethernet(dst_mac, src_mac, ETHERTYPE_IPV4, packet))
-        self.sessions.append(SessionRecord(proto, ports, count))
         return count
 
 
-def _generate(arch: DeviceArchetype, n_packets: int, seed: int) -> tuple:
+def generate_trace(arch: DeviceArchetype, n_packets: int, seed: int) -> tuple:
+    """Deterministic labeled trace: (frames, per-frame ground-truth labels)."""
     if n_packets < 0:
         raise ValueError("n_packets must be non-negative")
     builder = _TraceBuilder(arch, seed)
@@ -272,13 +262,7 @@ def _generate(arch: DeviceArchetype, n_packets: int, seed: int) -> tuple:
     while emitted < n_packets:
         proto = protos[int(builder.rng.choice(len(protos), p=weights))]
         emitted += builder.emit_session(proto, n_packets - emitted)
-    return builder.frames, builder.labels, builder.sessions
-
-
-def generate_trace(arch: DeviceArchetype, n_packets: int, seed: int) -> tuple:
-    """Deterministic labeled trace: (frames, per-frame ground-truth labels)."""
-    frames, labels, _ = _generate(arch, n_packets, seed)
-    return frames, labels
+    return builder.frames, builder.labels
 
 
 def _archetype_roster() -> tuple:

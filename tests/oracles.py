@@ -61,8 +61,16 @@ def read_capture(path) -> tuple:
 
 
 def filter_device(packets, sel) -> list:
-    """The packets or frames `sel.matches`, in order."""
-    return [pkt for pkt in packets if sel.matches(pkt)]
+    """The packets `sel.matches`, in order. A `RawFrame` (the selector is
+    then MAC-only) matches when its bytes 0-6 or 6-12, where `parse_frame`
+    reads the addresses, are the MAC."""
+
+    def matches(pkt) -> bool:
+        if isinstance(pkt, RawFrame):
+            return sel.mac in (pkt.data[0:6], pkt.data[6:12])
+        return sel.matches(pkt)
+
+    return [pkt for pkt in packets if matches(pkt)]
 
 
 def classify_app_protocols(transport, src_port, dst_port) -> frozenset:

@@ -320,7 +320,8 @@ def test_evaluate_determinism(base_profiles, tmp_path):
                 profile.device_label,
                 profile.category_label,
                 profile.fingerprints[:100],
-                profile.source,
+                profile.captures,
+                profile.skipped_frames,
             )
             path = tmp_path / f"{profile.device_label}.profile.json"
             save_profile(trimmed, path)

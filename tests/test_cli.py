@@ -1,9 +1,11 @@
 import base64
 import copy
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -16,13 +18,12 @@ from iotprint.evaluation import CLASSIFIERS, LEVELS, VARIANT_TAGS, format_report
 from iotprint.features import extract_features
 from iotprint.fingerprint import (
     BehavioralProfile,
-    ProfileSource,
     build_fingerprints,
     load_profile,
     save_profile,
 )
 from iotprint.ml import VoteModel, load_model
-from iotprint.packet_model import RawFrame, format_mac, parse_frame
+from iotprint.packet_model import RawFrame, parse_frame
 from iotprint.pcap_io import DeviceSelector, filter_device, write_capture
 from iotprint.synth import ARCHETYPES, generate_trace
 
@@ -48,7 +49,7 @@ def _make_profiles(tmp_path, names, packets=450, seed=50):
             [
                 "profile",
                 "--pcap", str(pcap),
-                "--mac", format_mac(arch.mac),
+                "--mac", arch.mac.hex(":"),
                 "--label", name,
                 "--category", arch.category,
                 "--out", str(out),
@@ -84,7 +85,7 @@ def test_synth_corpus_writes_all_instances(tmp_path, capsys):
 def test_extract_writes_csv(outlet_pcap, tmp_path):
     arch, pcap = outlet_pcap
     out = tmp_path / "features.csv"
-    code = main(["extract", "--pcap", str(pcap), "--mac", format_mac(arch.mac), "--out", str(out)])
+    code = main(["extract", "--pcap", str(pcap), "--mac", arch.mac.hex(":"), "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("# schema:")
@@ -98,7 +99,7 @@ def test_profile_and_sessions(outlet_pcap, tmp_path, capsys):
         [
             "profile",
             "--pcap", str(pcap),
-            "--mac", format_mac(arch.mac),
+            "--mac", arch.mac.hex(":"),
             "--label", "outlet",
             "--category", "power",
             "--out", str(out),
@@ -155,7 +156,7 @@ def test_train_identify_round_trip(tmp_path, capsys):
     frames, _ = generate_trace(arch, 200, seed=90)
     target = tmp_path / "target.pcap"
     write_capture(target, frames)
-    code = main(["identify", str(model_path), "--pcap", str(target), "--mac", format_mac(arch.mac)])
+    code = main(["identify", str(model_path), "--pcap", str(target), "--mac", arch.mac.hex(":")])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "outlet"
@@ -167,7 +168,7 @@ def test_train_identify_round_trip(tmp_path, capsys):
     frames, _ = generate_trace(cam, 200, seed=91)
     other = tmp_path / "cam.pcap"
     write_capture(other, frames)
-    code = main(["identify", str(model_path), "--pcap", str(other), "--mac", format_mac(cam.mac)])
+    code = main(["identify", str(model_path), "--pcap", str(other), "--mac", cam.mac.hex(":")])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "unknown"
@@ -186,7 +187,7 @@ def _identify(model_path, name, seed, tmp_path, capsys):
     target = tmp_path / f"{name}.pcap"
     write_capture(target, frames)
     capsys.readouterr()
-    code = main(["identify", str(model_path), "--pcap", str(target), "--mac", format_mac(arch.mac)])
+    code = main(["identify", str(model_path), "--pcap", str(target), "--mac", arch.mac.hex(":")])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -501,7 +502,7 @@ def test_identify_with_multiple_models_reports_positive_set(tmp_path, capsys):
     frames, _ = generate_trace(cam, 150, seed=93)
     target = tmp_path / "target.pcap"
     write_capture(target, frames)
-    code = main(["identify", *model_paths, "--pcap", str(target), "--mac", format_mac(cam.mac)])
+    code = main(["identify", *model_paths, "--pcap", str(target), "--mac", cam.mac.hex(":")])
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["verdict"] == "camera-streamer"
@@ -528,7 +529,7 @@ def test_identify_rejects_two_models_with_one_positive_class(
     write_capture(target, frames)
     for models in (paths, paths[::-1]):
         capsys.readouterr()
-        code = main(["identify", *models, "--pcap", str(target), "--mac", format_mac(arch.mac)])
+        code = main(["identify", *models, "--pcap", str(target), "--mac", arch.mac.hex(":")])
         out, err = capsys.readouterr()
         assert code == 3 and out == "" and scored == []
         assert err == "error: data: 2 models have the positive class 'outlet'\n"
@@ -588,7 +589,7 @@ def test_identify_shares_a_search_only_among_equal_knn_members(
         frames, _ = generate_trace(arch, 150, seed=seed)
         target = tmp_path / f"{name}.pcap"
         write_capture(target, frames)
-        mac = format_mac(arch.mac)
+        mac = arch.mac.hex(":")
         alone = {m: identify([m], target, mac) for m in shared + others}
 
         def assert_scored_alone(doc, models):
@@ -671,7 +672,7 @@ def test_a_mac_only_selector_parses_only_frames_holding_the_mac(
 ):
     path, frames = merged_capture
     outlet = ARCHETYPES["outlet"]
-    argv = [command, "--pcap", str(path), "--mac", format_mac(outlet.mac)]
+    argv = [command, "--pcap", str(path), "--mac", outlet.mac.hex(":")]
     argv += ["--ip", outlet.ip] if with_ip else []
     argv[1:1] = [outlet_model] if command == "identify" else []
     seen = _record_parsed_frames(monkeypatch)
@@ -689,7 +690,7 @@ def test_profile_parses_every_frame_and_counts_skipped_over_all(
     path, frames = merged_capture
     outlet = ARCHETYPES["outlet"]
     out = tmp_path / "outlet.profile.json"
-    argv = ["profile", "--pcap", str(path), "--mac", format_mac(outlet.mac)]
+    argv = ["profile", "--pcap", str(path), "--mac", outlet.mac.hex(":")]
     seen = _record_parsed_frames(monkeypatch)
     assert main([*argv, "--label", "outlet", "--category", "power", "--out", str(out)]) == 0
     assert seen == [f.data for f in frames]
@@ -703,9 +704,8 @@ def test_profile_parses_every_frame_and_counts_skipped_over_all(
     assert skipped == 3
     matching = filter_device(packets, DeviceSelector(mac=outlet.mac))
     prints = build_fingerprints([extract_features(p) for p in matching])
-    source = ProfileSource((path.name,), skipped_frames=skipped)
     expected = tmp_path / "expected.profile.json"
-    save_profile(BehavioralProfile("outlet", "power", prints, source), expected)
+    save_profile(BehavioralProfile("outlet", "power", prints, (path.name,), skipped), expected)
     assert out.read_bytes() == expected.read_bytes()
 
 
@@ -763,6 +763,30 @@ def test_evaluate_prints_nothing_when_the_report_cannot_be_written(three_profile
     assert captured.err.startswith("error: data: ") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert not out.parent.exists()
+
+
+def test_evaluate_instance_level_without_a_twin_is_a_data_error(three_profiles, tmp_path, capsys):
+    # No device label appears twice, so there is no instance to hold out.
+    out = tmp_path / "instance.report.json"
+    capsys.readouterr()
+    code = main(["evaluate", "--profiles", *three_profiles, "--level", "instance", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: data: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_synth_reports_a_failed_capture_write_as_one_data_error(tmp_path, capsys):
+    pcap = tmp_path / "outlet.pcap"
+    pcap.mkdir()
+    code = main(["synth", "--archetype", "outlet", "--packets", "20", "--out-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    expected = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(pcap))
+    assert captured.err == f"error: data: {expected}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "outlet.labels.json").exists()
 
 
 def test_unknown_flag_rejected(capsys):

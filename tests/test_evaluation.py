@@ -12,7 +12,7 @@ from iotprint.evaluation import (
     stratified_folds,
     variant_columns,
 )
-from iotprint.fingerprint import FINGERPRINT_DIM, BehavioralProfile, ProfileSource
+from iotprint.fingerprint import FINGERPRINT_DIM, BehavioralProfile
 from iotprint.ml import LabeledDataset
 
 
@@ -20,7 +20,7 @@ def make_profile(label, category, n, offset=0.0, seed=0):
     rng = np.random.default_rng(seed)
     rows = [tuple((rng.uniform(0, 1, FINGERPRINT_DIM) + offset).tolist()) for _ in range(n)]
     prints = np.asarray(rows, dtype=np.float64).reshape(-1, FINGERPRINT_DIM)
-    return BehavioralProfile(label, category, prints, ProfileSource(captures=("t",)))
+    return BehavioralProfile(label, category, prints, captures=("t",))
 
 
 def test_variant_column_layout():

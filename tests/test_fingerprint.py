@@ -157,14 +157,14 @@ def test_build_profile_round_trip(tmp_path):
     write_capture(path, frames)
     profile = build_profile(path, DeviceSelector(mac=arch.mac), "outlet", "power")
     assert len(profile.fingerprints) == 100
-    assert profile.source.captures == ("outlet.pcap",)
+    assert profile.captures == ("outlet.pcap",)
 
     saved = tmp_path / "outlet.profile.json"
     save_profile(profile, saved)
     back = load_profile(saved)
     assert back.device_label == "outlet" and back.category_label == "power"
     assert back.fingerprints.tolist() == profile.fingerprints.tolist()
-    assert back.source == profile.source
+    assert (back.captures, back.skipped_frames) == (profile.captures, profile.skipped_frames)
 
 
 def test_profile_requires_five_matching_packets(tmp_path):

@@ -18,14 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotprint.cli import main
-from iotprint.packet_model import format_mac
 from iotprint.pcap_io import write_capture
 from iotprint.synth import ARCHETYPES, generate_trace
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
 
 DEVICES = ("outlet", "camera-streamer", "hub-conduit")
-OUTLET_MAC = format_mac(ARCHETYPES["outlet"].mac)
+OUTLET_MAC = ARCHETYPES["outlet"].mac.hex(":")
 REPLACEMENTS = (None, "", [], {}, 1.5, 1e308, -1, True, 2**70, float("nan"), float("inf"))
 DELETE = object()
 
@@ -54,7 +53,7 @@ def work(tmp_path_factory):
         pcap = root / f"{name}.pcap"
         write_capture(pcap, generate_trace(arch, 40, seed=60 + i)[0])
         profile = root / f"{name}.profile.json"
-        argv = ["profile", "--pcap", pcap, "--mac", format_mac(arch.mac)]
+        argv = ["profile", "--pcap", pcap, "--mac", arch.mac.hex(":")]
         assert _run([*argv, "--label", name, "--category", arch.category, "--out", profile]) == 0
         profiles.append(profile)
     model = root / "outlet.model.json"

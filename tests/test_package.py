@@ -76,6 +76,33 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def test_every_public_module_level_name_is_read_in_the_package():
+    """A public name a module defines at module level is read somewhere in
+    the package: as a name, as an attribute or by an import."""
+    read = set()
+    for tree in SOURCES.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    unread = []
+    for name, tree in SOURCES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [target.id for target in node.targets if isinstance(target, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined = [node.target.id]
+            else:
+                defined = []
+            unread += [f"{name}.{d}" for d in defined if not d.startswith("_") and d not in read]
+    assert unread == []
+
+
 def test_synth_imports_only_the_packet_model():
     assert IMPORTS["synth"] == {"packet_model"}
 

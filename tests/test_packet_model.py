@@ -13,7 +13,6 @@ from iotprint.packet_model import (
     RawFrame,
     Transport,
     classify_app_protocols,
-    format_mac,
     parse_frame,
     parse_mac,
 )
@@ -224,7 +223,7 @@ def test_parse_total_over_frames(data):
 
 
 def test_mac_helpers_round_trip():
-    assert parse_mac(format_mac(DEV_MAC)) == DEV_MAC
+    assert parse_mac(DEV_MAC.hex(":")) == DEV_MAC
     assert parse_mac("2-0-0-A-a-1") == bytes([2, 0, 0, 10, 10, 1])
     # int(text, 16) alone would accept a 0x prefix, a sign, spaces,
     # underscores and non-ASCII digits

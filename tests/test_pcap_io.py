@@ -70,7 +70,7 @@ def test_nanosecond_timestamps_truncate(tmp_path):
     path.write_bytes(bytes(raw))
     meta, frames = read_capture(path)
     assert meta.timestamp_resolution == "nano"
-    assert frames[0].ts_usec == 1
+    assert list(frames)[0].ts_usec == 1
 
 
 def test_bad_magic(tmp_path):

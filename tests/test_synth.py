@@ -1,13 +1,14 @@
 import hashlib
 import json
 import signal
+import struct
 
 import numpy as np
 import pytest
 
 from iotprint.features import FEATURE_NAMES, extract_features, shannon_entropy
 from iotprint.fingerprint import session_stats
-from iotprint.packet_model import parse_frame
+from iotprint.packet_model import IPPROTO_TCP, IPPROTO_UDP, parse_frame
 from iotprint.pcap_io import write_capture
 from iotprint.synth import (
     ARCHETYPES,
@@ -16,7 +17,7 @@ from iotprint.synth import (
     PayloadProfile,
     Proto,
     WindowProfile,
-    _generate,
+    _SESSIONS,
     _TraceBuilder,
     generate_trace,
 )
@@ -118,16 +119,35 @@ EVERY_PROTOCOL = DeviceArchetype(
 )
 
 
+def _record_sessions(monkeypatch) -> list:
+    """The generator's truth: `(proto, frames)` of every session
+    `_TraceBuilder.emit_session` emits from now on, in order."""
+    sessions = []
+    emit_session = _TraceBuilder.emit_session
+
+    def recording(builder, proto, budget):
+        start = len(builder.frames)
+        count = emit_session(builder, proto, budget)
+        sessions.append((proto, builder.frames[start:]))
+        return count
+
+    monkeypatch.setattr(_TraceBuilder, "emit_session", recording)
+    return sessions
+
+
 @pytest.mark.parametrize("arch", [MIXED, EVERY_PROTOCOL], ids=["three-protocols", "every-protocol"])
-def test_session_recovery_against_generator_truth(arch):
-    frames, _, sessions = _generate(arch, 900, seed=6)
-    assert {record.proto for record in sessions} == set(arch.protocol_mix)
+def test_session_recovery_against_generator_truth(arch, monkeypatch):
+    sessions = _record_sessions(monkeypatch)
+    frames, _ = generate_trace(arch, 900, seed=6)
+    assert {proto for proto, _ in sessions} == set(arch.protocol_mix)
+    assert [frame for _, emitted in sessions for frame in emitted] == frames
     expected = {}
-    for record in sessions:
-        if record.ports is None:
+    for proto, emitted in sessions:
+        if _SESSIONS[proto].carrier not in (IPPROTO_TCP, IPPROTO_UDP):
             continue
-        key = tuple(sorted(record.ports))
-        expected[key] = expected.get(key, 0) + record.packets
+        # Ethernet (14 bytes) and an IPv4 header without options (20): the ports follow.
+        key = tuple(sorted(struct.unpack("!HH", emitted[0].data[34:38])))
+        expected[key] = expected.get(key, 0) + len(emitted)
     total, sessions = session_stats([parse_frame(f) for f in frames])
     assert (total, sessions) == (sum(expected.values()), len(expected))
 
@@ -158,10 +178,11 @@ def test_ephemeral_ports_start_a_new_round_once_every_port_is_used():
     assert builder.used_ports == {port}
 
 
-def test_session_lengths_within_declared_range():
-    _, _, sessions = _generate(ARCHETYPES["speaker"], 600, seed=7)
+def test_session_lengths_within_declared_range(monkeypatch):
+    sessions = _record_sessions(monkeypatch)
+    generate_trace(ARCHETYPES["speaker"], 600, seed=7)
     # all but the final (budget-truncated) session obey the distribution
-    assert all(2 <= s.packets <= 10 for s in sessions[:-1])
+    assert all(2 <= len(emitted) <= 10 for _, emitted in sessions[:-1])
 
 
 def test_archetype_validation():
