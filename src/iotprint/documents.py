@@ -13,6 +13,7 @@ import base64
 import json
 import math
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -36,13 +37,13 @@ def load_doc(path: str | Path, build, what: str):
 
 
 # The packed-array codec: an array field is {"dtype", "shape", "data"},
-# where data is the base64 text of the array's little-endian bytes in C
-# order. Every packed field of every document uses it.
+# where data is the base64 text of the zlib-deflated (level 6) bytes of the
+# array in little-endian C order. Every packed field of every document uses it.
 def pack(array: np.ndarray, dtype: str) -> dict:
     data = np.ascontiguousarray(array, dtype=dtype)
     if data.dtype.kind == "f" and not np.isfinite(data).all():
         raise ValueError("cannot pack non-finite values")
-    text = base64.b64encode(data).decode("ascii")
+    text = base64.b64encode(zlib.compress(data, 6)).decode("ascii")
     return {"dtype": dtype, "shape": list(data.shape), "data": text}
 
 
@@ -51,9 +52,12 @@ def unpack(
 ) -> np.ndarray:
     """The packed field `key`, which must hold `ndim`-D `dtype` values (finite, if floats).
 
-    The array is read-only. `decoded` memoizes by (dtype, shape, data):
-    text equal to a field it already holds returns that same array, which
-    passed every check below when it was first decoded.
+    `data` must be one complete zlib stream and nothing after it, and it
+    must inflate to exactly the bytes `shape` needs; at most that many
+    bytes plus one are ever inflated. The array is read-only. `decoded`
+    memoizes by (dtype, shape, data): text equal to a field it already
+    holds returns that same array, which passed every check below when it
+    was first decoded.
     """
     packed = require(doc, key, what)
     name = f"{what} {key}"
@@ -67,10 +71,21 @@ def unpack(
     if decoded is not None and memo in decoded:
         return decoded[memo]
     try:
-        raw = base64.b64decode(text, validate=True)
+        deflated = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a non-ASCII string
         raise ValueError(f"{name} data is not base64: {exc}") from None
     size = math.prod(shape) * np.dtype(dtype).itemsize
+    inflate = zlib.decompressobj()
+    try:
+        raw = inflate.decompress(deflated, min(size + 1, sys.maxsize))
+    except zlib.error as exc:
+        raise ValueError(f"{name} data is not a zlib stream: {exc}") from None
+    if len(raw) > size:
+        raise ValueError(f"{name} data holds more than the {size} bytes shape {shape} needs")
+    if not inflate.eof:
+        raise ValueError(f"{name} data is a zlib stream cut short")
+    if inflate.unused_data:
+        raise ValueError(f"{name} data has bytes after its zlib stream")
     if len(raw) != size:
         raise ValueError(f"{name} data holds {len(raw)} bytes, shape {shape} needs {size}")
     array = np.frombuffer(raw, dtype=dtype).reshape(shape)

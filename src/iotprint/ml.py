@@ -17,9 +17,9 @@ Every model labels a matrix of rows with `model.predict(X)`; the
 boosted stumps and the tree find their splits through one search over
 the boundaries between distinct sorted values (`_SplitSearch`).
 
-Models persist as `model/2` JSON documents, which record the
+Models persist as `model/3` JSON documents, which record the
 fingerprint columns a model reads and pack kNN rows and labels as
-little-endian binary in base64 text.
+base64 text of their zlib-deflated little-endian bytes.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .errors import EmptyData, KTooLarge, SingleClassData
 from .features import FINGERPRINT_DIM
 
 MAX_STAGES = 100
-MODEL_SCHEMA = "model/2"
+MODEL_SCHEMA = "model/3"
 
 
 @dataclass(frozen=True)
@@ -540,10 +540,11 @@ def tree_labels(model: TreeModel, X: np.ndarray) -> np.ndarray:
 
 
 def save_model(model, path: str | Path, columns: Sequence[int]) -> None:
-    """Write `model` as a `model/2` document.
+    """Write `model` as a `model/3` document.
 
     `columns` are the fingerprint columns the model's features are, in
-    order.
+    order. kNN `rows` and `labels` go through `documents.pack`, so the
+    bytes written depend on zlib's deflate output as well as the model.
     """
     columns = _checked_columns(list(columns), model.n_features)
     save_doc(path, {"schema": MODEL_SCHEMA, "columns": columns, **_model_doc(model)})

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -208,7 +209,7 @@ def test_train_identify_every_classifier_and_variant(
 
 @pytest.fixture(scope="module")
 def model_docs(three_profiles, tmp_path_factory):
-    """`model/2` documents of every classifier."""
+    """`model/3` documents of every classifier."""
     out = tmp_path_factory.mktemp("models")
     docs = {}
     for kind in CLASSIFIERS:
@@ -248,8 +249,23 @@ def _deep_tree(levels: int) -> _Raw:
     return _Raw(split * levels + '{"label": 1}' + ', "right": {"label": -1}}' * levels)
 
 
+def _inflated(data: str) -> bytes:
+    """The array bytes of a packed field's `data`."""
+    return zlib.decompress(base64.b64decode(data))
+
+
+def _deflated(raw: bytes) -> str:
+    """`raw` as a packed field's `data`, as `documents.pack` writes it."""
+    return base64.b64encode(zlib.compress(raw, 6)).decode("ascii")
+
+
 def _packed(edit):
-    """A mutation of a packed field's base64 `data`: `edit(bytes)`, encoded again."""
+    """A mutation of a packed field's `data`: `edit(array bytes)`, deflated and encoded again."""
+    return lambda data: _deflated(edit(_inflated(data)))
+
+
+def _deflated_bytes(edit):
+    """A mutation of a packed field's `data`: `edit(zlib stream)`, encoded again."""
     return lambda data: base64.b64encode(edit(base64.b64decode(data))).decode("ascii")
 
 
@@ -260,9 +276,9 @@ def _set_first(value: bytes):
 def _first_50_columns(rows: dict) -> dict:
     """Packed kNN rows cut to their first 50 columns, validly packed."""
     n, width = rows["shape"]
-    raw = base64.b64decode(rows["data"])
+    raw = _inflated(rows["data"])
     cut = b"".join(raw[i * width * 8 : (i * width + 50) * 8] for i in range(n))
-    return {**rows, "shape": [n, 50], "data": base64.b64encode(cut).decode("ascii")}
+    return {**rows, "shape": [n, 50], "data": _deflated(cut)}
 
 
 # name -> (model document, path to the mutated field, new value, _DELETE,
@@ -317,6 +333,23 @@ MODEL_MUTATIONS = {
         "knn", ("rows", "data"), lambda data: "*" + data[1:],
         "rows data is not base64",
     ),
+    "packed-rows-base64-not-zlib": (
+        "knn", ("rows", "data"), lambda data: base64.b64encode(_inflated(data)).decode("ascii"),
+        "rows data is not a zlib stream",
+    ),
+    "packed-rows-trailing-bytes": (
+        "knn", ("rows", "data"), _deflated_bytes(lambda stream: stream + b"\0"),
+        "rows data has bytes after its zlib stream",
+    ),
+    "packed-rows-stream-cut-short": (
+        "knn", ("rows", "data"), _deflated_bytes(lambda stream: stream[: len(stream) // 2]),
+        "rows data is a zlib stream cut short",
+    ),
+    # 64 MiB of zeros deflate to about 64 KB; only 2 bytes are ever inflated.
+    "packed-labels-deflate-bomb": (
+        "knn", ("labels",), lambda p: {**p, "shape": [1], "data": _deflated(bytes(64 << 20))},
+        "labels data holds more than the 1 bytes",
+    ),
     "packed-rows-one-byte-short": (
         "knn", ("rows", "data"), _packed(lambda raw: raw[:-1]),
         "rows data holds",
@@ -327,6 +360,10 @@ MODEL_MUTATIONS = {
     ),
     "packed-rows-shape-product-off": (
         "knn", ("rows", "shape"), lambda s: [s[0] - 1, s[1]],
+        "rows data holds",
+    ),
+    "packed-rows-dimension-2-pow-70": (
+        "knn", ("rows", "shape"), lambda s: [2**70, s[1]],
         "rows data holds",
     ),
     "packed-rows-dimension-0": (
@@ -423,7 +460,8 @@ MODEL_MUTATIONS = {
     ),
     "columns-missing": ("knn", ("columns",), _DELETE, "lacks 'columns'"),
     "schema-1": ("knn", ("schema",), "model/1", "unsupported model schema: 'model/1'"),
-    "schema-3": ("knn", ("schema",), "model/3", "unsupported model schema: 'model/3'"),
+    "schema-2": ("knn", ("schema",), "model/2", "unsupported model schema: 'model/2'"),
+    "schema-4": ("knn", ("schema",), "model/4", "unsupported model schema: 'model/4'"),
 }
 
 
@@ -571,8 +609,12 @@ def test_identify_shares_a_search_only_among_equal_knn_members(
         return knn_labels(model, X, *args, **kwargs)
 
     def decoding(*args, **kwargs):
-        decodes.append(len(args[0]))
+        decodes.append(args[0])
         return b64decode(*args, **kwargs)
+
+    def packed(models, field):
+        """The distinct packed `data` texts of the models' kNN `field`."""
+        return {json.loads(Path(m).read_text())["members"][1][field]["data"] for m in models}
 
     monkeypatch.setattr(ml, "knn_labels", recording)
     monkeypatch.setattr(documents.base64, "b64decode", decoding)
@@ -602,12 +644,15 @@ def test_identify_shares_a_search_only_among_equal_knn_members(
 
         doc = identify(shared, target, mac)
         # The shared rows are decoded once, and so is each label vector.
-        assert searches == [3] and len(decodes) == 4 and len(set(decodes)) == 2
+        assert searches == [3] and len(packed(shared, "rows")) == 1
+        assert sorted(decodes) == sorted(packed(shared, "rows") | packed(shared, "labels"))
         assert doc["verdict"] == name
         assert_scored_alone(doc, shared)
         doc = identify(shared + others, target, mac)
         # The reversed model's packed rows and labels are the outlet model's.
         assert searches == [3, 1, 1, 1] and len(decodes) == 4 + 2 + 2
+        everything = shared + others
+        assert sorted(decodes) == sorted(packed(everything, "rows") | packed(everything, "labels"))
         assert_scored_alone(doc, shared + others)
 
 
@@ -839,8 +884,11 @@ def test_unknown_variant_rejected(tmp_path, capsys):
     assert code == 2
 
 
-# sha256 of the saved profiles and the evaluation reports; any change to
-# these bytes is a change of the on-disk formats or of the results.
+# sha256 of the saved profiles, the evaluation reports and a vote model;
+# any change to these bytes is a change of the on-disk formats or of the
+# results. The model pin also depends on deflate's output (packed kNN
+# arrays are zlib level 6), pinned here under zlib 1.2.13: another zlib
+# may deflate the same bytes differently, and the file would still load.
 PINNED_DIGESTS = {
     "outlet.profile.json": "5779ba928463b66ddaca801bcf1cb30c48a9891fcedb21c3bbb962d0365b91c7",
     "camera-streamer.profile.json": "9444e5608bbfa7250e29907bf6414066e343bb42753925c018ec14b62d86840a",
@@ -849,7 +897,7 @@ PINNED_DIGESTS = {
     "report.json": "9f29fca2e1f942b6b54ae95eb6b3c8b422ea47b4970218e9239460d090d004df",
     "category.report.json": "8da4322615a7ab3cde379665e33793ef6ae208d8633a99f6565056edaf5c710a",
     "instance.report.json": "a30a56ed60c855a58180dade66d41ed6d34aa18578a854e51779bf9dfb11e436",
-    "outlet.model.json": "9d06bde24c7fea43003c50156550a503dfaa7ac48aec8b85b3dbb7be6d7dd434",
+    "outlet.model.json": "089da97000aec31b89fc2aea3412752129eaa039c850f183d783e6db0cbf478c",
 }
 
 

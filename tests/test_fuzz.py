@@ -8,9 +8,13 @@ The examples are derandomized: every run of the suite tries the same
 inputs.
 """
 
+import base64
 import copy
 import io
 import json
+import math
+import struct
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -26,6 +30,12 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
 DEVICES = ("outlet", "camera-streamer", "hub-conduit")
 OUTLET_MAC = ARCHETYPES["outlet"].mac.hex(":")
 REPLACEMENTS = (None, "", [], {}, 1.5, 1e308, -1, True, 2**70, float("nan"), float("inf"))
+# Item values the checks behind the zlib layer refuse: non-finite rows and
+# labels other than +1 and -1.
+SPECIAL_ITEMS = {
+    "<f8": tuple(struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf)),
+    "<i1": (b"\x00", b"\x02", b"\x80"),
+}
 DELETE = object()
 
 
@@ -131,11 +141,29 @@ def test_mutated_profile_fails_cleanly(work, data):
     _run(["evaluate", "--profiles", *profiles, "--folds", "2"])
 
 
+def _mutate_packed(data, doc):
+    """Edit the array bytes of one packed kNN field of a vote model, then
+    deflate and encode them again. An edit of the base64 text itself
+    stops at zlib's checksum; this one reaches the checks behind it."""
+    doc = copy.deepcopy(doc)
+    packed = doc["members"][1][data.draw(st.sampled_from(("rows", "labels")))]
+    raw = zlib.decompress(base64.b64decode(packed["data"]))
+    if data.draw(st.booleans()):
+        raw = _mutate_bytes(raw, data.draw(BYTE_OPS))
+    else:
+        item = data.draw(st.sampled_from(SPECIAL_ITEMS[packed["dtype"]]))
+        at = len(item) * data.draw(st.integers(0, len(raw) // len(item) - 1))
+        raw = raw[:at] + item + raw[at + len(item) :]
+    packed["data"] = base64.b64encode(zlib.compress(raw, 6)).decode("ascii")
+    return doc
+
+
 @FUZZ
 @given(data=st.data())
 def test_mutated_model_fails_cleanly(work, data):
     root, _, model = work
-    doc = _mutate_doc(data, json.loads(model.read_text()))
+    mutate = data.draw(st.sampled_from((_mutate_doc, _mutate_packed)))
+    doc = mutate(data, json.loads(model.read_text()))
     mutated = root / "mutated.model.json"
     mutated.write_text(json.dumps(doc))
     _run(["identify", mutated, "--pcap", root / "outlet.pcap"])
