@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_extract(args) -> int:
     packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
-    csv_text = render_features_csv([extract_features(p) for p in packets])
+    csv_text = render_features_csv(extract_features(packets))
     if args.out:
         Path(args.out).write_text(csv_text, encoding="ascii")
     else:
@@ -169,7 +169,7 @@ def _cmd_ecdf(args) -> int:
     tables = []  # all computed first, so a capture that fails leaves no partial output
     for path in args.pcaps:
         packets, _ = packets_from_capture(path)
-        values = [extract_features(p)[index] for p in packets]
+        values = extract_features(packets)[:, index]
         tables.append((path, len(values), ecdf(values)))
     for path, n, table in tables:
         print(f"# capture: {path}  feature: {column}  n={n}")
@@ -211,7 +211,7 @@ def _shared_knn_labels(loaded: list, prints: np.ndarray) -> dict:
 
 def _cmd_identify(args) -> int:
     packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
-    prints = build_fingerprints([extract_features(p) for p in packets])
+    prints = build_fingerprints(extract_features(packets))
     if not len(prints):
         raise InsufficientTraffic(
             f"insufficient traffic: {len(packets)} packets yield no fingerprints"

@@ -45,6 +45,7 @@ HEADER_FLAG_COUNT = len(HEADER_FLAG_NAMES)  # 17
 PACKET_FEATURE_COUNT = len(FEATURE_NAMES)  # 20
 ENTROPY_INDEX = FEATURE_NAMES.index("entropy")
 PAYLOAD_FEATURE_INDICES = (17, 18, 19)
+_NOT_TCP = (0.0, 0.0, 0.0)  # a non-TCP row's payload values; entropy is filled in after
 
 FINGERPRINT_PACKETS = 5
 FINGERPRINT_DIM = FINGERPRINT_PACKETS * PACKET_FEATURE_COUNT  # 100
@@ -83,36 +84,65 @@ def variant_columns(variant: int) -> list:
     ]
 
 
-def shannon_entropy(payload: bytes) -> float:
-    """Byte-value Shannon entropy normalized to [0, 1].
+# Payloads per entropy block. A block also holds at most ENTROPY_CHUNK * 256 payload
+# bytes (or one longer payload), so its temporaries stay the size of its count matrix.
+ENTROPY_CHUNK = 512
+
+
+def shannon_entropy(payloads: Sequence[bytes]) -> np.ndarray:
+    """Byte-value Shannon entropy of each payload, normalized to [0, 1].
 
     Computes -sum(p_i * log_256(p_i)) over the 256 byte values with
-    p_i = count(i) / len(payload); zero-count terms contribute nothing.
-    Evaluated via counts in log2 so that the constant-payload (0.0) and
-    uniform-256 (1.0) cases come out exact. Empty payload returns 0.
+    p_i = count(i) / len(payload), as log2(m) - sum(t * log2(t)) / m over
+    the nonzero counts t, so the constant-payload (0.0) and uniform-256
+    (1.0) cases come out exact. An empty payload gives 0.
     """
-    m = len(payload)
-    if m == 0:
-        return 0.0
-    counts = np.bincount(np.frombuffer(payload, dtype=np.uint8), minlength=256)
-    nonzero = counts[counts > 0].astype(np.float64)
-    bits = float(np.log2(float(m))) - float((nonzero * np.log2(nonzero)).sum()) / m
-    return bits / 8.0
+    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+    ends = np.cumsum(lengths)
+    sums = np.zeros(len(payloads))
+    start = 0
+    while start < len(payloads):
+        fits = np.searchsorted(ends, ends[start] - lengths[start] + ENTROPY_CHUNK * 256, "right")
+        stop = min(start + ENTROPY_CHUNK, max(start + 1, int(fits)))
+        sums[start:stop] = _block_sums(payloads[start:stop], lengths[start:stop])
+        start = stop
+    m = np.maximum(lengths, 1)  # an empty payload's sum is 0, so it scores log2(1) - 0
+    log2 = {k: float(np.log2(float(k))) for k in set(m.tolist())}
+    return (np.array([log2[k] for k in m.tolist()]) - sums / m) / 8.0
 
 
-def extract_features(pkt: ParsedPacket) -> tuple:
-    """Map one parsed packet to its 20 floats in FEATURE_NAMES order.
+def _block_sums(block: Sequence[bytes], lengths: np.ndarray) -> np.ndarray:
+    """Each payload's sum(t * log2(t)), bit-identical to the 1-D `.sum()` of
+    its own terms: rows with d distinct bytes are summed as one (g, d) matrix,
+    which gives each row the pairwise-sum grouping of a length-d sum."""
+    n = len(block)
+    data = np.frombuffer(b"".join(block), dtype=np.uint8)
+    counts = np.bincount(np.repeat(np.arange(0, n * 256, 256), lengths) + data, minlength=n * 256)
+    distinct = np.count_nonzero(counts.reshape(n, 256), axis=1)
+    order = np.argsort(distinct, kind="stable")
+    counts = counts.reshape(n, 256)[order]  # rows of equal d are adjacent
+    t = counts[counts > 0].astype(np.float64)  # row by row, in byte-value order
+    terms = t * np.log2(t)
+    sums = np.empty(n)
+    at = row = 0
+    for d, g in zip(*(a.tolist() for a in np.unique(distinct, return_counts=True))):
+        sums[order[row : row + g]] = terms[at : at + g * d].reshape(g, d).sum(axis=1)
+        at, row = at + g * d, row + g
+    return sums
 
-    The IP flag covers IPv4 and IPv6; the TCP payload length and window
-    size are 0 for non-TCP packets so rows stay fixed-width.
-    """
-    is_tcp = pkt.transport is Transport.TCP
-    return (
-        *_header_flags(pkt.network, pkt.transport, pkt.app_protocols, pkt.ip_options),
-        shannon_entropy(pkt.payload),
-        float(len(pkt.payload)) if is_tcp else 0.0,
-        float(pkt.tcp_window_size) if is_tcp else 0.0,
-    )
+
+def extract_features(packets: Sequence[ParsedPacket]) -> np.ndarray:
+    """The (n, 20) float64 matrix of n parsed packets, rows in FEATURE_NAMES order.
+
+    The IP flag covers IPv4 and IPv6; TCP payload length and window are 0 off TCP."""
+    rows = [
+        _header_flags(p.network, p.transport, p.app_protocols, p.ip_options)
+        + ((0.0, len(p.payload), p.tcp_window_size) if p.transport is Transport.TCP else _NOT_TCP)
+        for p in packets
+    ]
+    out = np.array(rows, dtype=np.float64).reshape(-1, PACKET_FEATURE_COUNT)
+    out[:, ENTROPY_INDEX] = shannon_entropy([p.payload for p in packets])
+    return out
 
 
 @functools.cache
@@ -148,12 +178,12 @@ def ecdf(values: Sequence[float]) -> list:
     return list(zip(distinct.tolist(), probs.tolist()))
 
 
-def render_features_csv(features: Sequence[tuple]) -> str:
+def render_features_csv(features: np.ndarray) -> str:
     """CSV with a schema header line, one row per packet, repr-precision floats."""
     out = io.StringIO()
     out.write(f"# schema: {FEATURE_SCHEMA}\n")
     out.write(",".join(FEATURE_NAMES) + "\n")
-    for row in features:
+    for row in features.tolist():
         fields = [str(int(v)) for v in row[:HEADER_FLAG_COUNT]]
         fields.append(repr(row[ENTROPY_INDEX]))
         fields.append(str(int(row[18])))

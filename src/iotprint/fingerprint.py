@@ -45,7 +45,7 @@ class BehavioralProfile:
         )
 
 
-def build_fingerprints(features: Sequence[tuple]) -> np.ndarray:
+def build_fingerprints(features: np.ndarray) -> np.ndarray:
     """Join consecutive fives of 20-value rows into 100-value rows.
 
     Returns an (n // 5, FINGERPRINT_DIM) matrix; the trailing remainder
@@ -115,7 +115,7 @@ def build_profile(
         raise InsufficientTraffic(
             f"{len(matching)} matching packets; need at least {FINGERPRINT_PACKETS}"
         )
-    prints = build_fingerprints([extract_features(pkt) for pkt in matching])
+    prints = build_fingerprints(extract_features(matching))
     return BehavioralProfile(device_label, category_label, prints, (Path(capture).name,), skipped)
 
 

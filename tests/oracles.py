@@ -2,8 +2,9 @@
 
 Each reads, labels or splits one thing at a time, the plain way, so the
 tests can hold `pcap_io.read_capture`, `pcap_io.filter_device`,
-`packet_model.parse_frame`, `features.extract_features`,
-`model.predict(X)` and `ml._SplitSearch` against them.
+`packet_model.parse_frame`, `features.shannon_entropy`,
+`features.extract_features`, `model.predict(X)` and `ml._SplitSearch`
+against them.
 """
 
 import ipaddress
@@ -14,7 +15,6 @@ import numpy as np
 
 from iotprint import ml, pcap_io
 from iotprint.errors import BadMagic, TruncatedFile, UnsupportedLinkType
-from iotprint.features import shannon_entropy
 from iotprint.ml import TreeNode
 from iotprint.packet_model import AppProtocol, IpOption, Network, RawFrame, Transport
 
@@ -112,6 +112,23 @@ _APP_FLAGS = (
     AppProtocol.MDNS,
     AppProtocol.NTP,
 )
+
+
+def shannon_entropy(payload: bytes) -> float:
+    """Byte-value Shannon entropy normalized to [0, 1].
+
+    Computes -sum(p_i * log_256(p_i)) over the 256 byte values with
+    p_i = count(i) / len(payload); zero-count terms contribute nothing.
+    Evaluated via counts in log2 so that the constant-payload (0.0) and
+    uniform-256 (1.0) cases come out exact. Empty payload returns 0.
+    """
+    m = len(payload)
+    if m == 0:
+        return 0.0
+    counts = np.bincount(np.frombuffer(payload, dtype=np.uint8), minlength=256)
+    nonzero = counts[counts > 0].astype(np.float64)
+    bits = float(np.log2(float(m))) - float((nonzero * np.log2(nonzero)).sum()) / m
+    return bits / 8.0
 
 
 def extract_features(pkt) -> tuple:

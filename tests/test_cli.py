@@ -16,7 +16,7 @@ from iotprint import documents, fingerprint, ml
 from iotprint.cli import main
 from iotprint.errors import FrameTooShort, TruncatedHeader
 from iotprint.evaluation import CLASSIFIERS, LEVELS, VARIANT_TAGS, format_report, run_experiment
-from iotprint.features import extract_features
+from iotprint.features import FEATURE_NAMES, FEATURE_SCHEMA, extract_features
 from iotprint.fingerprint import (
     BehavioralProfile,
     build_fingerprints,
@@ -91,6 +91,13 @@ def test_extract_writes_csv(outlet_pcap, tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("# schema:")
     assert len(lines) == 2 + 600
+
+
+def test_extract_with_a_mac_matching_no_frame_prints_only_the_header(outlet_pcap, capsys):
+    _, pcap = outlet_pcap
+    assert main(["extract", "--pcap", str(pcap), "--mac", "02:ff:ff:ff:ff:ff"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"# schema: {FEATURE_SCHEMA}", ",".join(FEATURE_NAMES)]
 
 
 def test_profile_and_sessions(outlet_pcap, tmp_path, capsys):
@@ -748,7 +755,7 @@ def test_profile_parses_every_frame_and_counts_skipped_over_all(
             skipped += 1
     assert skipped == 3
     matching = filter_device(packets, DeviceSelector(mac=outlet.mac))
-    prints = build_fingerprints([extract_features(p) for p in matching])
+    prints = build_fingerprints(extract_features(matching))
     expected = tmp_path / "expected.profile.json"
     save_profile(BehavioralProfile("outlet", "power", prints, (path.name,), skipped), expected)
     assert out.read_bytes() == expected.read_bytes()

@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from iotprint import features
 from iotprint.errors import EmptyInput
 from iotprint.features import (
+    ENTROPY_CHUNK,
     FEATURE_NAMES,
     HEADER_FLAG_COUNT,
     PACKET_FEATURE_COUNT,
@@ -44,17 +48,19 @@ def tally_entropy_oracle(payload):
 
 
 def test_entropy_exact_values():
-    assert shannon_entropy(b"\x41" * 64) == 0.0
-    assert shannon_entropy(bytes(range(256))) == 1.0
-    assert shannon_entropy(b"\x00\xff") == 0.125
-    assert shannon_entropy(b"") == 0.0
+    values = shannon_entropy([b"\x41" * 64, bytes(range(256)), b"\x00\xff", b""])
+    assert values.dtype == np.float64
+    assert values.tolist() == [0.0, 1.0, 0.125, 0.0]
 
 
 def test_entropy_matches_tally_oracle():
     rng = np.random.default_rng(42)
-    for _ in range(200):
-        payload = bytes(rng.integers(0, 256, size=int(rng.integers(0, 801)), dtype=np.uint8))
-        assert abs(shannon_entropy(payload) - tally_entropy_oracle(payload)) <= 1e-12
+    payloads = [
+        bytes(rng.integers(0, 256, size=int(rng.integers(0, 801)), dtype=np.uint8))
+        for _ in range(200)
+    ]
+    for value, payload in zip(shannon_entropy(payloads).tolist(), payloads):
+        assert abs(value - tally_entropy_oracle(payload)) <= 1e-12
 
 
 @given(data=st.binary(max_size=400), seed=st.integers(0, 2**31))
@@ -62,13 +68,81 @@ def test_entropy_permutation_invariant(data, seed):
     shuffled = bytes(
         np.random.default_rng(seed).permutation(np.frombuffer(data, dtype=np.uint8).copy())
     )
-    assert shannon_entropy(shuffled) == shannon_entropy(data)
+    one, other = shannon_entropy([shuffled, data]).tolist()
+    assert one == other
 
 
 @settings(deadline=None)
 @given(data=st.binary(min_size=1, max_size=300))
 def test_entropy_doubling_invariant(data):
-    assert shannon_entropy(data + data) == pytest.approx(shannon_entropy(data), abs=1e-12)
+    doubled, single = shannon_entropy([data + data, data]).tolist()
+    assert doubled == pytest.approx(single, abs=1e-12)
+
+
+def test_empty_inputs_give_empty_results():
+    assert shannon_entropy([]).shape == (0,)
+    rows = extract_features([])
+    assert rows.shape == (0, PACKET_FEATURE_COUNT) and rows.dtype == np.float64
+
+
+# Distinct-byte counts on both sides of numpy's pairwise-sum thresholds
+# (unrolled by 8, blocks of 128), where a changed summation order shows.
+_DISTINCT_COUNTS = (0, 1, 7, 8, 9, 127, 128, 129, 255, 256)
+
+
+def _payload_with(rng, distinct: int, length: int) -> bytes:
+    """`distinct` different byte values, each at least once, `length` bytes or more."""
+    alphabet = rng.permutation(256)[:distinct].astype(np.uint8)
+    extra = rng.choice(alphabet, max(length - distinct, 0)) if distinct else alphabet
+    return bytes(rng.permutation(np.concatenate([alphabet, extra])))
+
+
+@st.composite
+def _payloads(draw):
+    distinct = draw(st.sampled_from(_DISTINCT_COUNTS) | st.integers(0, 256))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _payload_with(rng, distinct, draw(st.integers(0, 1500)))
+
+
+def _bit_identical_to_oracle(payloads) -> bool:
+    want = np.array([oracles.shannon_entropy(p) for p in payloads], dtype=np.float64)
+    return shannon_entropy(payloads).tobytes() == want.tobytes()
+
+
+@settings(deadline=None)
+@given(payloads=st.lists(_payloads(), max_size=40), chunk=st.sampled_from([1, 3, ENTROPY_CHUNK]))
+def test_batch_entropy_is_bit_identical_to_the_scalar_oracle(payloads, chunk):
+    with mock.patch.object(features, "ENTROPY_CHUNK", chunk):
+        assert _bit_identical_to_oracle(payloads)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(ENTROPY_CHUNK + 1, 3 * ENTROPY_CHUNK))
+def test_batch_entropy_is_bit_identical_across_blocks_of_mixed_lengths(seed, n):
+    rng = np.random.default_rng(seed)
+    distinct = rng.choice(_DISTINCT_COUNTS, n)
+    lengths = rng.integers(0, 1500, n) * (rng.random(n) > 0.1)  # about one in ten empty
+    payloads = [_payload_with(rng, int(d), int(m)) if m else b"" for d, m in zip(distinct, lengths)]
+    assert _bit_identical_to_oracle(payloads)
+
+
+def test_entropy_working_memory_does_not_grow_with_payload_bytes():
+    """A block holds at most ENTROPY_CHUNK * 256 payload bytes, so 2 MiB of
+    payloads are counted in blocks of 32 here, not in one block of 16 MiB of keys."""
+    rng = np.random.default_rng(9)
+    payloads = [bytes(rng.integers(0, 256, 4096, dtype=np.uint8)) for _ in range(ENTROPY_CHUNK)]
+    tracemalloc.start()
+    try:
+        shannon_entropy(payloads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def test_batch_entropy_is_bit_identical_on_every_corpus_payload(corpus):
+    for entry in corpus:
+        assert _bit_identical_to_oracle([parse_frame(frame).payload for frame in entry.frames])
 
 
 def _packet(**overrides):
@@ -88,9 +162,9 @@ def _packet(**overrides):
 
 def test_extract_eapol_only_flag():
     pkt = _packet(ether_type=0x888E, network=Network.EAPOL, payload=b"\x01\x02\x03\x04")
-    feat = extract_features(pkt)
-    assert feat[:HEADER_FLAG_COUNT] == (0, 0, 0, 0, 1) + (0,) * 12
-    assert feat[17] == shannon_entropy(b"\x01\x02\x03\x04")
+    (feat,) = extract_features([pkt]).tolist()
+    assert feat[:HEADER_FLAG_COUNT] == [0, 0, 0, 0, 1] + [0] * 12
+    assert feat[17] == shannon_entropy([b"\x01\x02\x03\x04"])[0]
     assert feat[18] == 0 and feat[19] == 0
 
 
@@ -103,7 +177,7 @@ def test_extract_tcp_http_packet():
         app_protocols=frozenset({AppProtocol.HTTP}),
         payload=b"z" * 100,
     )
-    feat = extract_features(pkt)
+    (feat,) = extract_features([pkt]).tolist()
     names_on = {FEATURE_NAMES[i] for i, v in enumerate(feat[:HEADER_FLAG_COUNT]) if v}
     assert names_on == {"ip", "tcp", "http"}
     assert feat[18] == 100
@@ -118,7 +192,7 @@ def test_extract_udp_mdns_zeroes_tcp_fields():
         app_protocols=frozenset({AppProtocol.MDNS}),
         payload=b"m" * 40,
     )
-    feat = extract_features(pkt)
+    (feat,) = extract_features([pkt]).tolist()
     names_on = {FEATURE_NAMES[i] for i, v in enumerate(feat[:HEADER_FLAG_COUNT]) if v}
     assert names_on == {"ip", "udp", "mdns"}
     assert feat[18] == 0 and feat[19] == 0
@@ -128,8 +202,7 @@ def test_flag_exclusivity_on_generated_traffic():
     idx = {name: i for i, name in enumerate(FEATURE_NAMES)}
     for arch in (ARCHETYPES["hub-conduit"], ARCHETYPES["outlet"]):
         frames, _ = generate_trace(arch, 300, seed=5)
-        for frame in frames:
-            flags = extract_features(parse_frame(frame))[:HEADER_FLAG_COUNT]
+        for flags in extract_features([parse_frame(frame) for frame in frames]):
             assert flags[idx["tcp"]] + flags[idx["udp"]] <= 1
             assert flags[idx["arp"]] + flags[idx["eapol"]] + flags[idx["ip"]] <= 1
 
@@ -142,28 +215,33 @@ def test_cached_header_flags_match_the_per_packet_expressions_on_every_key():
         ]
 
     keys = itertools.product(Network, Transport, subsets([*AppProtocol]), subsets([*IpOption]))
+    packets = []
     for network, transport, app_protocols, ip_options in keys:
         has_ports = transport in (Transport.TCP, Transport.UDP)
         if app_protocols and not has_ports:
             continue
-        pkt = _packet(
-            network=network,
-            transport=transport,
-            app_protocols=app_protocols,
-            ip_options=ip_options,
-            src_port=1 if has_ports else None,
-            dst_port=2 if has_ports else None,
-            tcp_window_size=3 if transport is Transport.TCP else None,
-            payload=b"ab",
+        packets.append(
+            _packet(
+                network=network,
+                transport=transport,
+                app_protocols=app_protocols,
+                ip_options=ip_options,
+                src_port=1 if has_ports else None,
+                dst_port=2 if has_ports else None,
+                tcp_window_size=3 if transport is Transport.TCP else None,
+                payload=b"ab",
+            )
         )
-        assert extract_features(pkt) == oracles.extract_features(pkt)
+    want = np.array([oracles.extract_features(pkt) for pkt in packets], dtype=np.float64)
+    assert extract_features(packets).tobytes() == want.tobytes()
 
 
 def test_vector_layout():
     pkt = _packet(transport=Transport.TCP, src_port=1, dst_port=2, tcp_window_size=7, payload=b"ab")
-    vec = extract_features(pkt)
-    assert len(vec) == PACKET_FEATURE_COUNT
-    assert vec[HEADER_FLAG_COUNT] == shannon_entropy(b"ab")
+    rows = extract_features([pkt])
+    assert rows.shape == (1, PACKET_FEATURE_COUNT)
+    vec = rows[0]
+    assert vec[HEADER_FLAG_COUNT] == shannon_entropy([b"ab"])[0]
     assert vec[18] == 2.0 and vec[19] == 7.0
 
 
@@ -198,10 +276,9 @@ def test_ecdf_empty_input():
 def test_features_invariants_hold():
     for arch in ARCHETYPES.values():
         frames, _ = generate_trace(arch, 200, seed=6)
-        for frame in frames:
-            row = extract_features(parse_frame(frame))
-            assert len(row) == PACKET_FEATURE_COUNT
-            assert type(row) is tuple and all(type(v) is float for v in row)
+        rows = extract_features([parse_frame(frame) for frame in frames])
+        assert rows.shape == (len(frames), PACKET_FEATURE_COUNT) and rows.dtype == np.float64
+        for row in rows.tolist():
             assert set(row[:HEADER_FLAG_COUNT]) <= {0.0, 1.0}
             assert 0.0 <= row[17] <= 1.0
             assert row[18] >= 0 and row[19] >= 0
@@ -211,8 +288,9 @@ def test_csv_rendering_round_trips_floats():
     pkt = _packet(
         transport=Transport.TCP, src_port=1, dst_port=2, tcp_window_size=3, payload=b"\x00\x01\x02"
     )
-    feat = extract_features(pkt)
-    text = render_features_csv([feat, feat])
+    rows = extract_features([pkt, pkt])
+    feat = rows[0]
+    text = render_features_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0].startswith("# schema: packet-features/")
     assert lines[1] == ",".join(FEATURE_NAMES)
