@@ -188,12 +188,13 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _shared_knn_labels(loaded: list, prints: np.ndarray) -> dict:
-    """The kNN member's labels of every vote model, by its index in `loaded`.
+def _vote_labels(loaded: list, prints: np.ndarray) -> dict:
+    """The labels of every vote model, by its index in `loaded`.
 
     Members that read the same columns with equal k and the same rows
-    array (vote models trained from the same profiles) share one
-    neighbour search. The models must come from one `decoded` dict, so
+    array (vote models trained from the same profiles) are labelled
+    together by `ml.vote_labels`, which runs at most one neighbour
+    search for them. The models must come from one `decoded` dict, so
     that equal packed rows are one array; `loaded` keeps the arrays
     alive, so their ids are unique.
     """
@@ -201,33 +202,31 @@ def _shared_knn_labels(loaded: list, prints: np.ndarray) -> dict:
     for i, (model, columns) in enumerate(loaded):
         if isinstance(model, ml.VoteModel):
             groups.setdefault((tuple(columns), model.knn.k, id(model.knn.rows)), []).append(i)
-    shared = {}
+    voted = {}
     for (columns, _, _), members in groups.items():
-        labels = np.column_stack([loaded[i][0].knn.labels for i in members])
-        found = ml.knn_labels(loaded[members[0]][0].knn, prints[:, columns], labels=labels)
-        shared.update(zip(members, found.T))
-    return shared
+        labels = ml.vote_labels([loaded[i][0] for i in members], prints[:, columns])
+        voted.update(zip(members, labels.T))
+    return voted
 
 
 def _cmd_identify(args) -> int:
-    packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
-    prints = build_fingerprints(extract_features(packets))
-    if not len(prints):
-        raise InsufficientTraffic(
-            f"insufficient traffic: {len(packets)} packets yield no fingerprints"
-        )
     decoded = {}  # packed kNN arrays, decoded once for all of this call's models
     loaded = [ml.load_model(p, decoded) for p in args.models]
     classes = [model.positive_class for model, _ in loaded]
     for name in classes:
         if classes.count(name) > 1:
             raise ValueError(f"{classes.count(name)} models have the positive class {name!r}")
-    shared = _shared_knn_labels(loaded, prints)
+    packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
+    prints = build_fingerprints(extract_features(packets))
+    if not len(prints):
+        raise InsufficientTraffic(
+            f"insufficient traffic: {len(packets)} packets yield no fingerprints"
+        )
+    voted = _vote_labels(loaded, prints)
     per_fingerprint = [[] for _ in range(len(prints))]
     positives = {}
     for i, (model, columns) in enumerate(loaded):
-        X = prints[:, columns]
-        labels = model.predict(X, knn=shared[i]) if i in shared else model.predict(X)
+        labels = voted[i] if i in voted else model.predict(prints[:, columns])
         hits = labels == 1
         positives[model.positive_class] = int(hits.sum())
         for j in np.flatnonzero(hits):

@@ -580,13 +580,45 @@ def test_identify_rejects_two_models_with_one_positive_class(
         assert err == "error: data: 2 models have the positive class 'outlet'\n"
 
 
+@pytest.mark.parametrize("fault", ["missing", "malformed", "two-outlet-models"])
+def test_identify_checks_its_models_before_reading_the_capture(
+    model_docs, tmp_path, capsys, monkeypatch, fault
+):
+    """A model that is missing or malformed, or two models with one
+    positive class, fail with the one-line data error before the capture
+    is read."""
+    boosted, vote = tmp_path / "boosted.model.json", tmp_path / "vote.model.json"
+    boosted.write_text(json.dumps(model_docs["boosted"]))
+    vote.write_text(json.dumps(model_docs["vote"]))
+    models = {
+        "missing": [str(boosted), str(tmp_path / "absent.model.json")],
+        "malformed": [str(vote)],
+        "two-outlet-models": [str(vote), str(boosted)],
+    }[fault]
+    if fault == "malformed":
+        vote.write_text(_mutated_text(model_docs["vote"], ("members", 1, "k"), 0))
+    reads = []
+    monkeypatch.setattr(fingerprint, "read_capture", lambda path: reads.append(path))
+    arch = ARCHETYPES["outlet"]
+    frames, _ = generate_trace(arch, 150, seed=94)
+    target = tmp_path / "outlet.pcap"
+    write_capture(target, frames)
+    capsys.readouterr()
+    code = main(["identify", *models, "--pcap", str(target), "--mac", arch.mac.hex(":")])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == "" and reads == []
+    assert err.startswith("error: data: ") and err.count("\n") == 1
+
+
 def test_identify_shares_a_search_only_among_equal_knn_members(
     three_profiles, tmp_path, capsys, monkeypatch
 ):
     """Vote models trained from the same profiles share one neighbour search.
     Models trained on other profiles, at another variant, or reading other
     columns over the same packed rows each search alone, and every call
-    prints what scoring each model in its own call prints."""
+    prints what scoring each model in its own call prints. The tree
+    members' labels are negated, so that the boosted and tree members
+    differ on most rows and every group has rows to search."""
 
     def train(positive, profiles, *flags):
         path = tmp_path / f"{positive}.model.json"
@@ -625,6 +657,8 @@ def test_identify_shares_a_search_only_among_equal_knn_members(
 
     monkeypatch.setattr(ml, "knn_labels", recording)
     monkeypatch.setattr(documents.base64, "b64decode", decoding)
+    tree_labels = ml.tree_labels
+    monkeypatch.setattr(ml, "tree_labels", lambda model, X: -tree_labels(model, X))
 
     def identify(models, target, mac):
         searches.clear()
@@ -905,6 +939,9 @@ PINNED_DIGESTS = {
     "category.report.json": "8da4322615a7ab3cde379665e33793ef6ae208d8633a99f6565056edaf5c710a",
     "instance.report.json": "a30a56ed60c855a58180dade66d41ed6d34aa18578a854e51779bf9dfb11e436",
     "outlet.model.json": "089da97000aec31b89fc2aea3412752129eaa039c850f183d783e6db0cbf478c",
+    "identify-outlet.stdout": "b5b0c88c2ca5a4383fd7fee402eae82f5304db1d884ea6d7ee27c09416dd3631",
+    "identify-camera-streamer.stdout": "2f9aaaa98202af864aaa88aad112773f03c73fefe143350b1fb5c45db050de5d",
+    "identify-hub-conduit.stdout": "e0e8399657f04a96599da9a30d9d506555c4545158f698f8d069ce5e2b7f6e50",
 }
 
 
@@ -933,4 +970,18 @@ def test_profile_and_report_bytes_are_pinned(tmp_path, capsys):
         Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
         for p in [*paths, twin, report, *level_reports, model]
     }
+    # identify with the three vote models trained from one set of profiles.
+    models = [str(model)]
+    for name in names[1:]:
+        models.append(str(tmp_path / f"{name}.model.json"))
+        argv = ["train", "--profiles", *paths, "--classifier", "vote", "--positive", name]
+        assert main([*argv, "--out", models[-1]]) == 0
+    for name, seed in zip(names, (94, 95, 96)):
+        arch = ARCHETYPES[name]
+        target = tmp_path / f"{name}-target.pcap"
+        write_capture(target, generate_trace(arch, 150, seed=seed)[0])
+        capsys.readouterr()
+        assert main(["identify", *models, "--pcap", str(target), "--mac", arch.mac.hex(":")]) == 0
+        stdout = capsys.readouterr().out.encode()
+        digests[f"identify-{name}.stdout"] = hashlib.sha256(stdout).hexdigest()
     assert digests == PINNED_DIGESTS
