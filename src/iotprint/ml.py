@@ -17,9 +17,7 @@ Every model labels a matrix of rows with `model.predict(X)`; the
 boosted stumps and the tree find their splits through one search over
 the boundaries between distinct sorted values (`_SplitSearch`). A vote
 labels rows with its boosted and tree members first and searches kNN
-neighbours only for the rows where they differ, in whole blocks of
-KNN_CHUNK rows, so each label it reads is the one an unmasked search
-gives (`vote_labels`).
+neighbours only when some row has them differ (`vote_labels`).
 
 Models persist as `model/3` JSON documents, which record the
 fingerprint columns a model reads and pack kNN rows and labels as
@@ -429,31 +427,14 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
     )
 
 
-# Float64 values per `boosted_scores` block (2 MiB): its (stages + 1) x rows leaf matrix.
-SCORE_BLOCK_VALUES = 2**18
-
-
 def boosted_scores(model: BoostedModel, X: np.ndarray) -> np.ndarray:
-    """The initial score plus each stage's learning-rate scaled leaf value, per row of X.
-
-    Per block of rows, one `np.cumsum` down the matrix of the initial
-    score over each stage's scaled leaf values adds them one by one, in
-    stage order, so each score is bit-identical to a loop over the stages.
-    """
     X = np.asarray(X, dtype=np.float64)
-    stumps = np.array(
-        [(s.feature_index, s.threshold, s.left_value, s.right_value) for s in model.stages]
-    ).reshape(-1, 4)
-    features, thresholds = stumps[:, 0].astype(np.intp), stumps[:, 1, None]
-    left, right = model.learning_rate * stumps[:, 2, None], model.learning_rate * stumps[:, 3, None]
-    scores = np.empty(X.shape[0])
-    step = max(1, SCORE_BLOCK_VALUES // (len(features) + 1))
-    for start in range(0, X.shape[0], step):
-        block = X[start : start + step].T[features]
-        leaves = np.empty((len(features) + 1, block.shape[1]))
-        leaves[0] = model.initial_score
-        leaves[1:] = np.where(block <= thresholds, left, right)
-        scores[start : start + step] = np.cumsum(leaves, axis=0)[-1]
+    scores = np.full(X.shape[0], model.initial_score)
+    for stump in model.stages:
+        leaf = np.where(
+            X[:, stump.feature_index] <= stump.threshold, stump.left_value, stump.right_value
+        )
+        scores += model.learning_rate * leaf
     return scores
 
 
@@ -471,12 +452,7 @@ def train_knn(data: LabeledDataset, k: int) -> KnnModel:
 KNN_CHUNK = 512
 
 
-def knn_labels(
-    model: KnnModel,
-    X: np.ndarray,
-    labels: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
-) -> np.ndarray:
+def knn_labels(model: KnnModel, X: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
     """Batch kNN prediction via the expanded-norm distance identity.
 
     A partition finds each query's k-th smallest distance. Where exactly
@@ -492,13 +468,6 @@ def knn_labels(
     depends only on the distances and k, so it runs once for all of
     them. Without `labels` the one column is `model.labels`, returned
     as a vector.
-
-    `mask`, a boolean vector over the rows of X, marks the rows the
-    caller will read. Only the KNN_CHUNK blocks that hold one are
-    searched, each whole and at the same boundaries as without a mask;
-    the other rows are 0. A block's distances come from one matrix
-    product, and BLAS may round a product of fewer rows differently, so
-    whole blocks keep every label read identical to the unmasked search.
     """
     one = labels is None
     labels = model.labels[:, None] if one else labels
@@ -507,10 +476,8 @@ def knn_labels(
     row_sq = (rows**2).sum(axis=1)
     # The votes are sums of at most len(rows) ones, exact in float64.
     positive = (labels > 0).astype(np.float64)
-    out = np.zeros((X.shape[0], labels.shape[1]), dtype=np.int64)
+    out = np.empty((X.shape[0], labels.shape[1]), dtype=np.int64)
     for start in range(0, X.shape[0], KNN_CHUNK):
-        if mask is not None and not mask[start : start + KNN_CHUNK].any():
-            continue
         block = X[start : start + KNN_CHUNK]
         dist2 = (block**2).sum(axis=1)[:, None] + row_sq[None, :] - 2.0 * block @ rows.T
         kth = np.partition(dist2, k - 1, axis=1)[:, k - 1].copy()
@@ -769,16 +736,15 @@ def vote_labels(models: Sequence[VoteModel], X: np.ndarray) -> np.ndarray:
     The kNN members must share `rows` and `k`. Two +1/-1 votes that
     agree decide a majority of three, so each row gets its boosted and
     tree label where they agree and its kNN label where they differ. The
-    kNN members search once for all the models, with `knn_labels`' mask
-    of the rows where any model's boosted and tree labels differ, and
-    not at all where there is none.
+    kNN members search once for all the models, over every row of X,
+    if any model's boosted and tree labels differ on some row, and not
+    at all otherwise.
     """
     X = np.asarray(X, dtype=np.float64)
     boosted = np.column_stack([m.boosted.predict(X) for m in models])
     tree = np.column_stack([m.tree.predict(X) for m in models])
-    undecided = (boosted != tree).any(axis=1)
-    knn = boosted  # read nowhere unless some row is undecided
-    if undecided.any():
-        labels = np.column_stack([m.knn.labels for m in models])
-        knn = knn_labels(models[0].knn, X, labels=labels, mask=undecided)
-    return np.where(boosted == tree, boosted, knn)
+    decided = boosted == tree
+    if decided.all():
+        return boosted
+    labels = np.column_stack([m.knn.labels for m in models])
+    return np.where(decided, boosted, knn_labels(models[0].knn, X, labels=labels))

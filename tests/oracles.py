@@ -3,8 +3,8 @@
 Each reads, labels or splits one thing at a time, the plain way, so the
 tests can hold `pcap_io.read_capture`, `pcap_io.filter_device`,
 `packet_model.parse_frame`, `features.shannon_entropy`,
-`features.extract_features`, `ml.boosted_scores`, `model.predict(X)` and
-`ml._SplitSearch` against them.
+`features.extract_features`, `model.predict(X)` and `ml._SplitSearch`
+against them.
 """
 
 import ipaddress
@@ -158,18 +158,6 @@ def predict_boosted(model, x) -> tuple:
         leaf = stump.left_value if x[stump.feature_index] <= stump.threshold else stump.right_value
         score += model.learning_rate * leaf
     return (1 if score >= 0 else -1), score
-
-
-def boosted_scores(model, X) -> np.ndarray:
-    """Scores of the rows of X, one stage at a time onto the initial score."""
-    X = np.asarray(X, dtype=np.float64)
-    scores = np.full(X.shape[0], model.initial_score)
-    for stump in model.stages:
-        leaf = np.where(
-            X[:, stump.feature_index] <= stump.threshold, stump.left_value, stump.right_value
-        )
-        scores += model.learning_rate * leaf
-    return scores
 
 
 def predict_knn(model, x) -> int:

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import oracles
 from iotprint import documents, ml
 from iotprint.errors import EmptyData, KTooLarge, SingleClassData
 from iotprint.evaluation import assemble_one_vs_all, stratified_folds
@@ -241,48 +240,6 @@ def test_predict_zero_stage_model():
     model = BoostedModel(0.4, (), 1.0, 3, "pos")
     assert boosted_scores(model, np.zeros((1, 3))).tolist() == [0.4]
     assert model.predict(np.zeros((1, 3))).tolist() == [1]
-
-
-def _same_scores(model, X) -> bool:
-    return boosted_scores(model, X).tobytes() == oracles.boosted_scores(model, X).tobytes()
-
-
-def test_boosted_scores_match_the_stage_loop_on_corpus_folds(base_profiles):
-    for profile in base_profiles:
-        data = assemble_one_vs_all(base_profiles, profile.device_label)
-        folds = stratified_folds(data, k=5, seed=3)
-        train_idx, test_idx = folds.train_indices(0), folds.test_indices(0)
-        train = LabeledDataset(data.rows[train_idx], data.labels[train_idx], data.positive_class)
-        model = train_boosted(train, n_stages=100)
-        assert _same_scores(model, data.rows[test_idx]), profile.device_label
-        assert _same_scores(model, train.rows), profile.device_label
-
-
-_LEAF = st.floats(-1e6, 1e6, allow_nan=False)
-
-
-@st.composite
-def boosted_models(draw):
-    """Hand-built boosted models, as a loaded document may carry them:
-    any learning rate, thresholds on a small grid so rows fall on both
-    sides, and possibly no stages."""
-    d = draw(st.integers(1, 4))
-    threshold = st.sampled_from([-1.0, 0.0, 0.5, 2.0])
-    stump = st.builds(Stump, st.integers(0, d - 1), threshold, _LEAF, _LEAF)
-    stages = draw(st.lists(stump, max_size=30))
-    rate = draw(st.floats(-4.0, 4.0, allow_nan=False).filter(lambda r: r != 1.0))
-    return BoostedModel(draw(_LEAF), tuple(stages), rate, d, "pos")
-
-
-@settings(max_examples=200, deadline=None)
-@given(boosted_models(), st.data(), st.sampled_from([1, 7, ml.SCORE_BLOCK_VALUES]))
-def test_boosted_scores_match_the_stage_loop(model, data, block_values):
-    """Bit for bit, for any block size; a row can be NaN."""
-    shape = (data.draw(st.integers(0, 20)), model.n_features)
-    values = st.sampled_from([-2.0, -1.0, 0.0, 0.5, 1.0, 3.0, np.nan])
-    X = data.draw(hnp.arrays(np.float64, shape, elements=values))
-    with mock.patch.object(ml, "SCORE_BLOCK_VALUES", block_values):
-        assert _same_scores(model, X)
 
 
 def test_score_zero_predicts_positive():
@@ -621,24 +578,6 @@ def test_knn_labels_shared_search_matches_per_model_labels(case, data):
             assert column.tolist() == reference_knn_labels(m, queries, chunk=chunk).tolist()
 
 
-@settings(max_examples=200, deadline=None)
-@given(tie_heavy_knn_cases(), st.data())
-def test_knn_labels_with_a_mask_search_whole_blocks(case, data):
-    """With a mask, every row of a block that holds a masked row gets the
-    unmasked label, with or without `labels`; the other rows are 0."""
-    model, queries, chunk, _ = case
-    mask = data.draw(hnp.arrays(np.bool_, len(queries)))
-    labels = np.column_stack([model.labels, -model.labels])
-    block = np.arange(len(queries)) // chunk
-    searched = np.isin(block, block[mask])
-    with mock.patch.object(ml, "KNN_CHUNK", chunk):
-        for kwargs in ({}, {"labels": labels}):
-            full = knn_labels(model, queries, **kwargs)
-            masked = knn_labels(model, queries, mask=mask, **kwargs)
-            assert np.array_equal(masked[searched], full[searched])
-            assert not masked[~searched].any()
-
-
 def test_knn_labels_sort_only_tied_rows(monkeypatch):
     data = random_dataset(n=300, d=8, seed=21)
     model = train_knn(data, k=5)
@@ -848,28 +787,22 @@ def _split_vote(undecided_rows, n):
     return VoteModel(boosted, knn, tree), queries
 
 
-def test_vote_searches_only_blocks_holding_an_undecided_row(monkeypatch):
-    searches, blocks = [], []
-    knn_search, partition = ml.knn_labels, np.partition
+def test_vote_searches_only_when_some_row_is_undecided(monkeypatch):
+    searches = []
+    knn_search = ml.knn_labels
 
     def recording(model, X, **kwargs):
-        searches.append(kwargs["mask"].nonzero()[0].tolist())
+        searches.append(len(X))
         return knn_search(model, X, **kwargs)
 
-    def recording_partition(a, *args, **kwargs):
-        blocks.append(np.shape(a))
-        return partition(a, *args, **kwargs)
-
     monkeypatch.setattr(ml, "knn_labels", recording)
-    monkeypatch.setattr(np, "partition", recording_partition)
-    monkeypatch.setattr(ml, "KNN_CHUNK", 4)
     agreeing, queries = _split_vote([], 20)
     assert agreeing.predict(queries).tolist() == [1] * 20
-    assert searches == [] and blocks == []
+    assert searches == []
 
     vote, queries = _split_vote([5, 6, 13], 20)
     assert vote.predict(queries).tolist() == [predict_vote(vote, q) for q in queries]
-    assert searches == [[5, 6, 13]] and blocks == [(4, 50), (4, 50)]  # rows 4-7 and 12-15
+    assert searches == [20]
 
 
 # --- persistence ---------------------------------------------------------
