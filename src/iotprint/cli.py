@@ -188,27 +188,6 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _vote_labels(loaded: list, prints: np.ndarray) -> dict:
-    """The labels of every vote model, by its index in `loaded`.
-
-    Members that read the same columns with equal k and the same rows
-    array (vote models trained from the same profiles) are labelled
-    together by `ml.vote_labels`, which runs at most one neighbour
-    search for them. The models must come from one `decoded` dict, so
-    that equal packed rows are one array; `loaded` keeps the arrays
-    alive, so their ids are unique.
-    """
-    groups = {}  # (columns, k, id(rows)) -> indices into loaded
-    for i, (model, columns) in enumerate(loaded):
-        if isinstance(model, ml.VoteModel):
-            groups.setdefault((tuple(columns), model.knn.k, id(model.knn.rows)), []).append(i)
-    voted = {}
-    for (columns, _, _), members in groups.items():
-        labels = ml.vote_labels([loaded[i][0] for i in members], prints[:, columns])
-        voted.update(zip(members, labels.T))
-    return voted
-
-
 def _cmd_identify(args) -> int:
     decoded = {}  # packed kNN arrays, decoded once for all of this call's models
     loaded = [ml.load_model(p, decoded) for p in args.models]
@@ -222,12 +201,10 @@ def _cmd_identify(args) -> int:
         raise InsufficientTraffic(
             f"insufficient traffic: {len(packets)} packets yield no fingerprints"
         )
-    voted = _vote_labels(loaded, prints)
     per_fingerprint = [[] for _ in range(len(prints))]
     positives = {}
-    for i, (model, columns) in enumerate(loaded):
-        labels = voted[i] if i in voted else model.predict(prints[:, columns])
-        hits = labels == 1
+    for model, columns in loaded:
+        hits = model.predict(prints[:, columns]) == 1
         positives[model.positive_class] = int(hits.sum())
         for j in np.flatnonzero(hits):
             per_fingerprint[int(j)].append(model.positive_class)

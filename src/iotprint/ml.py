@@ -17,7 +17,7 @@ Every model labels a matrix of rows with `model.predict(X)`; the
 boosted stumps and the tree find their splits through one search over
 the boundaries between distinct sorted values (`_SplitSearch`). A vote
 labels rows with its boosted and tree members first and searches kNN
-neighbours only when some row has them differ (`vote_labels`).
+neighbours only for the rows where they differ.
 
 Models persist as `model/3` JSON documents, which record the
 fingerprint columns a model reads and pack kNN rows and labels as
@@ -452,7 +452,7 @@ def train_knn(data: LabeledDataset, k: int) -> KnnModel:
 KNN_CHUNK = 512
 
 
-def knn_labels(model: KnnModel, X: np.ndarray, labels: np.ndarray | None = None) -> np.ndarray:
+def knn_labels(model: KnnModel, X: np.ndarray) -> np.ndarray:
     """Batch kNN prediction via the expanded-norm distance identity.
 
     A partition finds each query's k-th smallest distance. Where exactly
@@ -461,35 +461,26 @@ def knn_labels(model: KnnModel, X: np.ndarray, labels: np.ndarray | None = None)
     with a tie straddling the k-th distance (or a NaN distance) takes
     the full stable sort instead, which applies the smallest-row-index
     rule.
-
-    `labels`, an (n_rows, m) matrix, holds the +1/-1 training labels of
-    m models that share `model.rows` and `model.k`; the result then has
-    one column of predicted labels per model. Neighbour selection
-    depends only on the distances and k, so it runs once for all of
-    them. Without `labels` the one column is `model.labels`, returned
-    as a vector.
     """
-    one = labels is None
-    labels = model.labels[:, None] if one else labels
     X = np.asarray(X, dtype=np.float64)
-    rows, k = model.rows, model.k
+    rows, k, labels = model.rows, model.k, model.labels
     row_sq = (rows**2).sum(axis=1)
     # The votes are sums of at most len(rows) ones, exact in float64.
     positive = (labels > 0).astype(np.float64)
-    out = np.empty((X.shape[0], labels.shape[1]), dtype=np.int64)
+    out = np.empty(X.shape[0], dtype=np.int64)
     for start in range(0, X.shape[0], KNN_CHUNK):
         block = X[start : start + KNN_CHUNK]
         dist2 = (block**2).sum(axis=1)[:, None] + row_sq[None, :] - 2.0 * block @ rows.T
         kth = np.partition(dist2, k - 1, axis=1)[:, k - 1].copy()
         inside = dist2 <= kth[:, None]
         count = inside.sum(axis=1)
-        votes = 2.0 * (inside @ positive) - count[:, None]  # labels are +/-1
+        votes = 2.0 * (inside @ positive) - count  # labels are +/-1
         tied = np.flatnonzero(count != k)
         if tied.size:
             nearest = np.argsort(dist2[tied], axis=1, kind="stable")[:, :k]
             votes[tied] = labels[nearest].sum(axis=1)
         out[start : start + KNN_CHUNK] = np.where(votes > 0, 1, -1)
-    return out[:, 0] if one else out
+    return out
 
 
 def _majority(y: np.ndarray) -> int:
@@ -647,11 +638,14 @@ def _member_from_doc(doc, decoded: dict | None):
             raise ValueError("model scores can overflow the float range")
         return model
     if kind == "knn":
+        # `unpack` has checked the rows to be finite, 2-D and of positive
+        # shape, once per decoded array.
         rows = unpack(doc, "rows", "model", "<f8", 2, decoded)
-        labels = unpack(doc, "labels", "model", "<i1", 1, decoded)
-        data = LabeledDataset(rows, labels, positive_class)
-        k = int_in(require(doc, "k", "model"), "k", "model", 1, len(data))
-        return KnnModel(rows=data.rows, labels=data.labels, k=k, positive_class=positive_class)
+        labels = _plus_minus_one(unpack(doc, "labels", "model", "<i1", 1, decoded))
+        if labels.shape != (rows.shape[0],):
+            raise ValueError("rows and labels must have equal length")
+        k = int_in(require(doc, "k", "model"), "k", "model", 1, len(rows))
+        return KnnModel(rows=rows, labels=labels, k=k, positive_class=positive_class)
     if kind == "tree":
         n_features = int_in(require(doc, "n_features", "model"), "n_features", "model", 1)
         max_depth = int_in(require(doc, "max_depth", "model"), "max_depth", "model", 1)
@@ -726,25 +720,16 @@ class VoteModel:
         return self.boosted.n_features
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority label of the three members (odd voters, never tied)."""
-        return vote_labels([self], X)[:, 0]
+        """Majority label of the three members (odd voters, never tied).
 
-
-def vote_labels(models: Sequence[VoteModel], X: np.ndarray) -> np.ndarray:
-    """The (rows, len(models)) majority labels of vote models over X.
-
-    The kNN members must share `rows` and `k`. Two +1/-1 votes that
-    agree decide a majority of three, so each row gets its boosted and
-    tree label where they agree and its kNN label where they differ. The
-    kNN members search once for all the models, over every row of X,
-    if any model's boosted and tree labels differ on some row, and not
-    at all otherwise.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    boosted = np.column_stack([m.boosted.predict(X) for m in models])
-    tree = np.column_stack([m.tree.predict(X) for m in models])
-    decided = boosted == tree
-    if decided.all():
-        return boosted
-    labels = np.column_stack([m.knn.labels for m in models])
-    return np.where(decided, boosted, knn_labels(models[0].knn, X, labels=labels))
+        Two +1/-1 votes that agree decide a majority of three, so each row
+        gets its boosted label where the tree member agrees and its kNN
+        label where they differ. Only those rows are searched, and none
+        when every row is decided.
+        """
+        X = np.asarray(X, dtype=np.float64)
+        labels = self.boosted.predict(X)
+        undecided = np.flatnonzero(labels != self.tree.predict(X))
+        if undecided.size:
+            labels[undecided] = knn_labels(self.knn, X[undecided])
+        return labels

@@ -21,6 +21,7 @@ from iotprint.fingerprint import (
     BehavioralProfile,
     build_fingerprints,
     load_profile,
+    packets_from_capture,
     save_profile,
 )
 from iotprint.ml import VoteModel, load_model
@@ -427,6 +428,12 @@ MODEL_MUTATIONS = {
         "vote", ("members", 1, "labels"), lambda p: [1] * p["shape"][0],
         "lacks 'dtype'",
     ),
+    "knn-labels-longer-than-rows": (
+        "knn",
+        ("labels",),
+        lambda p: {**p, "shape": [p["shape"][0] + 1], "data": _packed(lambda r: r + b"\x01")(p["data"])},
+        "rows and labels must have equal length",
+    ),
     "knn-k-zero": ("vote", ("members", 1, "k"), 0, "model k must be an integer in [1, "),
     "knn-labels-seven": (
         "knn", ("labels", "data"), _packed(lambda raw: b"\x07" * len(raw)),
@@ -555,6 +562,39 @@ def test_identify_with_multiple_models_reports_positive_set(tmp_path, capsys):
     assert ["camera-streamer"] in doc["per_fingerprint"]
 
 
+def test_identify_verdict_needs_more_than_half_of_the_fingerprints(tmp_path, capsys):
+    """A model that claims exactly half the fingerprints gives the verdict
+    `unknown`; one fingerprint more gives its label."""
+    arch = ARCHETYPES["outlet"]
+    frames, _ = generate_trace(arch, 150, seed=97)
+    target = tmp_path / "outlet.pcap"
+    write_capture(target, frames)
+    packets, _ = packets_from_capture(target, DeviceSelector(mac=arch.mac))
+    prints = build_fingerprints(extract_features(packets))
+    n = len(prints)
+    assert n % 2 == 0
+    half = n // 2
+
+    def splits(c):
+        """Whether column c has thresholds with exactly half - 1 and half of its values below."""
+        values = sorted(prints[:, c].tolist())
+        return values[half - 2] < values[half - 1] < values[half]
+
+    column = next(c for c in range(prints.shape[1]) if splits(c))
+    values = sorted(prints[:, column].tolist())
+    path = tmp_path / "half.model.json"
+    for claimed, verdict in ((half, "unknown"), (half + 1, "outlet")):
+        # Rows above the threshold go right, to +1.
+        threshold = (values[n - claimed - 1] + values[n - claimed]) / 2
+        stump = ml.Stump(0, threshold, -1.0, 1.0)
+        ml.save_model(ml.BoostedModel(0.0, (stump,), 1.0, 1, "outlet"), path, [column])
+        capsys.readouterr()
+        assert main(["identify", str(path), "--pcap", str(target), "--mac", arch.mac.hex(":")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["positives_per_model"] == {"outlet": claimed}
+        assert doc["verdict"] == verdict
+
+
 def test_identify_rejects_two_models_with_one_positive_class(
     three_profiles, tmp_path, capsys, monkeypatch
 ):
@@ -610,15 +650,17 @@ def test_identify_checks_its_models_before_reading_the_capture(
     assert err.startswith("error: data: ") and err.count("\n") == 1
 
 
-def test_identify_shares_a_search_only_among_equal_knn_members(
+def test_identify_searches_only_each_vote_models_undecided_rows(
     three_profiles, tmp_path, capsys, monkeypatch
 ):
-    """Vote models trained from the same profiles share one neighbour search.
-    Models trained on other profiles, at another variant, or reading other
-    columns over the same packed rows each search alone, and every call
-    prints what scoring each model in its own call prints. The tree
-    members' labels are negated, so that the boosted and tree members
-    differ on most rows and every group has rows to search."""
+    """Each vote model searches kNN neighbours for the fingerprints its
+    boosted and tree members leave undecided, and for no other. Each
+    distinct packed array is decoded once per call, whether the models
+    that hold it were trained from the same profiles or read other
+    columns, and every call prints what scoring each model in its own
+    call prints. The tree members' labels are negated, so that the
+    boosted and tree members differ on most rows and every model has
+    rows to search."""
 
     def train(positive, profiles, *flags):
         path = tmp_path / f"{positive}.model.json"
@@ -643,9 +685,9 @@ def test_identify_shares_a_search_only_among_equal_knn_members(
     searches, decodes = [], []
     knn_labels, b64decode = ml.knn_labels, documents.base64.b64decode
 
-    def recording(model, X, *args, **kwargs):
-        searches.append(kwargs["labels"].shape[1])
-        return knn_labels(model, X, *args, **kwargs)
+    def recording(model, X):
+        searches.append(len(X))
+        return knn_labels(model, X)
 
     def decoding(*args, **kwargs):
         decodes.append(args[0])
@@ -659,6 +701,18 @@ def test_identify_shares_a_search_only_among_equal_knn_members(
     monkeypatch.setattr(documents.base64, "b64decode", decoding)
     tree_labels = ml.tree_labels
     monkeypatch.setattr(ml, "tree_labels", lambda model, X: -tree_labels(model, X))
+
+    def undecided(models, target, arch):
+        """The row count of each model's search: the fingerprints where its
+        boosted label equals its unnegated tree label."""
+        packets, _ = packets_from_capture(target, DeviceSelector(mac=arch.mac))
+        prints = build_fingerprints(extract_features(packets))
+        counts = []
+        for model, columns in map(load_model, models):
+            X = prints[:, columns]
+            counts.append(int((model.boosted.predict(X) == tree_labels(model.tree, X)).sum()))
+        assert all(counts)
+        return counts
 
     def identify(models, target, mac):
         searches.clear()
@@ -683,15 +737,17 @@ def test_identify_shares_a_search_only_among_equal_knn_members(
             found = zip(*(alone[m]["per_fingerprint"] for m in models))
             assert doc["per_fingerprint"] == [sum(classes, []) for classes in found]
 
+        expected = undecided(shared, target, arch)
         doc = identify(shared, target, mac)
         # The shared rows are decoded once, and so is each label vector.
-        assert searches == [3] and len(packed(shared, "rows")) == 1
+        assert searches == expected and len(packed(shared, "rows")) == 1
         assert sorted(decodes) == sorted(packed(shared, "rows") | packed(shared, "labels"))
         assert doc["verdict"] == name
         assert_scored_alone(doc, shared)
+        expected = undecided(shared + others, target, arch)
         doc = identify(shared + others, target, mac)
         # The reversed model's packed rows and labels are the outlet model's.
-        assert searches == [3, 1, 1, 1] and len(decodes) == 4 + 2 + 2
+        assert searches == expected and len(decodes) == 4 + 2 + 2
         everything = shared + others
         assert sorted(decodes) == sorted(packed(everything, "rows") | packed(everything, "labels"))
         assert_scored_alone(doc, shared + others)

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 from iotprint import documents, ml
 from iotprint.errors import EmptyData, KTooLarge, SingleClassData
-from iotprint.evaluation import assemble_one_vs_all, stratified_folds
+from iotprint.evaluation import assemble_one_vs_all, stratified_folds, train_classifier
 from iotprint.ml import (
     BoostedModel,
     LabeledDataset,
@@ -559,25 +559,6 @@ def test_knn_labels_match_reference_on_tie_heavy_data(case):
         assert labels.tolist() == [predict_knn(model, q) for q in queries]
 
 
-@settings(max_examples=200, deadline=None)
-@given(tie_heavy_knn_cases(), st.data())
-def test_knn_labels_shared_search_matches_per_model_labels(case, data):
-    """Several label vectors over one `rows` and `k` give, column by column,
-    the labels of each model's own `knn_labels` and of the full sort."""
-    model, queries, chunk, _ = case
-    n = len(model.labels)
-    signs = hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1]))
-    extra = data.draw(st.lists(signs, max_size=4))
-    models = [model, *(train_knn(dataset(model.rows, y), model.k) for y in extra)]
-    labels = np.column_stack([m.labels for m in models])
-    with mock.patch.object(ml, "KNN_CHUNK", chunk):
-        shared = knn_labels(model, queries, labels=labels)
-        assert shared.shape == (len(queries), len(models))
-        for column, m in zip(shared.T, models):
-            assert column.tolist() == knn_labels(m, queries).tolist()
-            assert column.tolist() == reference_knn_labels(m, queries, chunk=chunk).tolist()
-
-
 def test_knn_labels_sort_only_tied_rows(monkeypatch):
     data = random_dataset(n=300, d=8, seed=21)
     model = train_knn(data, k=5)
@@ -601,6 +582,23 @@ def test_knn_labels_match_reference_on_corpus(base_profiles):
     data = assemble_one_vs_all(base_profiles, base_profiles[0].device_label)
     model = train_knn(data, k=5)
     assert np.array_equal(knn_labels(model, data.rows), reference_knn_labels(model, data.rows))
+
+
+def test_knn_labels_of_row_subsets_match_the_whole_capture(corpus_profiles, base_profiles):
+    """A vote searches only its undecided rows, so each fingerprint must get
+    the label it gets in a search of its whole capture: alone, and in
+    random subsets, on a base vote model's kNN member and the held-out
+    twin's fingerprints."""
+    data = assemble_one_vs_all(base_profiles, base_profiles[0].device_label)
+    model = train_classifier("vote", data).knn
+    prints = corpus_profiles[6].fingerprints
+    whole = knn_labels(model, prints)
+    alone = [knn_labels(model, prints[i : i + 1])[0] for i in range(len(prints))]
+    assert alone == whole.tolist()
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        rows = rng.choice(len(prints), size=rng.integers(1, 18), replace=False)
+        assert knn_labels(model, prints[rows]).tolist() == whole[rows].tolist()
 
 
 def test_knn_validation():
@@ -764,16 +762,12 @@ def disagreeing_votes(draw):
 @settings(max_examples=150, deadline=None)
 @given(disagreeing_votes(), st.sampled_from([1, 3, 512]))
 def test_votes_match_the_three_member_majority(case, chunk):
-    """Each vote's `predict`, and `vote_labels` of all of them with one
-    search, give the scalar majority. Small integers keep every distance
-    exact, so the scalar kNN oracle applies."""
+    """Each vote's `predict` gives the scalar majority. Small integers keep
+    every distance exact, so the scalar kNN oracle applies."""
     votes, queries = case
     with mock.patch.object(ml, "KNN_CHUNK", chunk):
-        together = ml.vote_labels(votes, queries)
-        for vote, column in zip(votes, together.T):
-            expected = [predict_vote(vote, q) for q in queries]
-            assert vote.predict(queries).tolist() == expected
-            assert column.tolist() == expected
+        for vote in votes:
+            assert vote.predict(queries).tolist() == [predict_vote(vote, q) for q in queries]
 
 
 def _split_vote(undecided_rows, n):
@@ -791,9 +785,9 @@ def test_vote_searches_only_when_some_row_is_undecided(monkeypatch):
     searches = []
     knn_search = ml.knn_labels
 
-    def recording(model, X, **kwargs):
+    def recording(model, X):
         searches.append(len(X))
-        return knn_search(model, X, **kwargs)
+        return knn_search(model, X)
 
     monkeypatch.setattr(ml, "knn_labels", recording)
     agreeing, queries = _split_vote([], 20)
@@ -802,7 +796,7 @@ def test_vote_searches_only_when_some_row_is_undecided(monkeypatch):
 
     vote, queries = _split_vote([5, 6, 13], 20)
     assert vote.predict(queries).tolist() == [predict_vote(vote, q) for q in queries]
-    assert searches == [20]
+    assert searches == [3]
 
 
 # --- persistence ---------------------------------------------------------

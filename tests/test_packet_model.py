@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from iotprint.errors import FrameTooShort, TruncatedHeader
+from iotprint.features import FEATURE_NAMES, extract_features
 from iotprint.packet_model import (
     AppProtocol,
     IpOption,
@@ -106,6 +107,15 @@ def test_ipv4_options_padding_and_router_alert():
     options = b"\x01\x01\x01\x00"  # NOPs then end-of-list
     pkt = parse_frame(frame(eth(0x0800, ipv4(6, tcp(1, 2, b""), options=options))))
     assert pkt.ip_options == frozenset({IpOption.PADDING})
+
+
+def test_ipv4_option_shorter_than_two_bytes_stops_the_scan():
+    """An option length below 2 (here record route with length 1) ends
+    the scan: the NOP byte after it is not read as an option."""
+    options = b"\x07\x01\x00\x00"
+    pkt = parse_frame(frame(eth(0x0800, ipv4(6, tcp(1, 2, b""), options=options))))
+    assert pkt.ip_options == frozenset()
+    assert extract_features([pkt])[0, FEATURE_NAMES.index("ip_padding")] == 0
 
 
 def ipv6(next_header, body, ext=b""):
