@@ -16,15 +16,13 @@ import numpy as np
 
 from . import documents, evaluation, ml, synth
 from .errors import InsufficientTraffic, IotprintError
-from .features import (
-    FEATURE_NAMES, VARIANT_TAGS, ecdf, extract_features, render_features_csv, variant_columns
-)
+from .features import FEATURE_NAMES, VARIANT_TAGS, ecdf, render_features_csv, variant_columns
 from .fingerprint import (
     build_fingerprints,
     build_profile,
     format_session_average,
     load_profile,
-    packets_from_capture,
+    read_rows,
     save_profile,
     session_stats,
 )
@@ -139,8 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_extract(args) -> int:
-    packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
-    csv_text = render_features_csv(extract_features(packets))
+    rows, _, _ = read_rows(args.pcap, _selector(args, required=False))
+    csv_text = render_features_csv(rows)
     if args.out:
         Path(args.out).write_text(csv_text, encoding="ascii")
     else:
@@ -156,8 +154,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_sessions(args) -> int:
-    packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
-    total, sessions = session_stats(packets)
+    _, ports, _ = read_rows(args.pcap, _selector(args, required=False))
+    total, sessions = session_stats(ports)
     print("Total Sessions' Packets  Sessions  Packets/Session")
     print(f"{total:<23}  {sessions:<8}  {format_session_average(total, sessions)}")
     return 0
@@ -168,8 +166,7 @@ def _cmd_ecdf(args) -> int:
     index = FEATURE_NAMES.index(column)
     tables = []  # all computed first, so a capture that fails leaves no partial output
     for path in args.pcaps:
-        packets, _ = packets_from_capture(path)
-        values = extract_features(packets)[:, index]
+        values = read_rows(path)[0][:, index]
         tables.append((path, len(values), ecdf(values)))
     for path, n, table in tables:
         print(f"# capture: {path}  feature: {column}  n={n}")
@@ -195,11 +192,11 @@ def _cmd_identify(args) -> int:
     for name in classes:
         if classes.count(name) > 1:
             raise ValueError(f"{classes.count(name)} models have the positive class {name!r}")
-    packets, _ = packets_from_capture(args.pcap, _selector(args, required=False))
-    prints = build_fingerprints(extract_features(packets))
+    rows, _, _ = read_rows(args.pcap, _selector(args, required=False))
+    prints = build_fingerprints(rows)
     if not len(prints):
         raise InsufficientTraffic(
-            f"insufficient traffic: {len(packets)} packets yield no fingerprints"
+            f"insufficient traffic: {len(rows)} packets yield no fingerprints"
         )
     per_fingerprint = [[] for _ in range(len(prints))]
     positives = {}
@@ -288,6 +285,9 @@ def main(argv=None) -> int:
         return 2
     except (IotprintError, OSError, ValueError) as err:
         print(f"error: data: {err}", file=sys.stderr)
+        return 3
+    except MemoryError:  # an input too large for this machine is still a data error
+        print("error: data: out of memory", file=sys.stderr)
         return 3
 
 

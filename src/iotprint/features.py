@@ -5,6 +5,11 @@ order below is frozen; fingerprints concatenate these vectors, so the
 order is part of the on-disk data contract (FEATURE_SCHEMA). A
 fingerprint is 5 consecutive packets' vectors (100 values), and a
 feature variant is the subset of those columns a model reads.
+
+Rows come two ways with identical bits: `extract_features` from parsed
+packets, and `frame_features` straight from a capture's bytes for the
+frame kinds that make up nearly all device traffic (ARP, EAPoL, and
+IPv4 without options carrying TCP, UDP or ICMP).
 """
 
 from __future__ import annotations
@@ -16,7 +21,21 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyInput
-from .packet_model import AppProtocol, IpOption, Network, ParsedPacket, Transport
+from .packet_model import (
+    _APP_PORTS,
+    ETHERTYPE_ARP,
+    ETHERTYPE_EAPOL,
+    ETHERTYPE_IPV4,
+    ETHERTYPE_VLAN,
+    IPPROTO_ICMP,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
+    AppProtocol,
+    IpOption,
+    Network,
+    ParsedPacket,
+    Transport,
+)
 
 FEATURE_SCHEMA = "packet-features/1"
 
@@ -143,6 +162,75 @@ def extract_features(packets: Sequence[ParsedPacket]) -> np.ndarray:
     out = np.array(rows, dtype=np.float64).reshape(-1, PACKET_FEATURE_COUNT)
     out[:, ENTROPY_INDEX] = shannon_entropy([p.payload for p in packets])
     return out
+
+
+def frame_features(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple:
+    """Feature rows read straight from the bytes of n Ethernet frames, for
+    the frames whose layers `parse_frame` decodes without a special case.
+
+    Frame i is `data[starts[i] : starts[i] + lengths[i]]`. Under at most
+    one 802.1Q tag, a frame is decoded here when it is ARP, EAPoL, or IPv4
+    with a 20-byte header, not a non-first fragment, whose TCP, UDP or
+    ICMP header lies within the datagram. Returns (decoded, rows, ports,
+    hosts): the mask of those frames; an (n, 20) matrix whose decoded rows
+    are the rows `extract_features` gives `parse_frame`'s packets, and
+    whose other rows are 0; and each frame's (src_port, dst_port) and IPv4
+    (src, dst) addresses as integers, -1 where it has none or was not
+    decoded.
+    """
+    raw = np.frombuffer(data, dtype=np.uint8)
+
+    def u8(at):
+        # A read past the frame only feeds a masked-out row; one past `data` is clipped.
+        return raw.take(starts + at, mode="clip").astype(np.int64)
+
+    def u16(at):
+        return u8(at) << 8 | u8(at + 1)
+
+    outer = u16(12)
+    vlan = (lengths >= 18) & (outer == ETHERTYPE_VLAN)
+    off = np.where(vlan, 18, 14)  # Ethernet header, and the tag if there is one
+    ether_type = np.where(vlan, u16(16), outer)
+    arp = (lengths >= 14) & (ether_type == ETHERTYPE_ARP)
+    eapol = (lengths >= 14) & (ether_type == ETHERTYPE_EAPOL)
+    ihl, fragment = u8(off) & 0x0F, u16(off + 6) & 0x1FFF
+    ipv4 = (ether_type == ETHERTYPE_IPV4) & (ihl == 5) & (fragment == 0)
+    # Link padding is dropped. A total length under 20 leaves no decodable transport
+    # here, so the floor of 20 that `parse_frame` puts under it changes nothing.
+    end = np.minimum(lengths, off + u16(off + 2))
+    protocol = u8(off + 9)
+    start = off + 20  # the transport header; each kind below ends at or before `end`
+    data_offset = (u8(start + 12) >> 4) * 4
+    tcp = ipv4 & (protocol == IPPROTO_TCP) & (data_offset >= 20) & (start + data_offset <= end)
+    udp = ipv4 & (protocol == IPPROTO_UDP) & (start + 8 <= end)
+    icmp = ipv4 & (protocol == IPPROTO_ICMP) & (start + 4 <= end)
+    ip, ported = tcp | udp | icmp, tcp | udp
+    decoded = arp | eapol | ip
+
+    rows = np.zeros((len(starts), PACKET_FEATURE_COUNT))
+    column = FEATURE_NAMES.index
+    for name, kind in (
+        ("arp", arp), ("ip", ip), ("icmp", icmp), ("eapol", eapol), ("tcp", tcp), ("udp", udp)
+    ):
+        rows[:, column(name)] = kind
+    src_port, dst_port = u16(start), u16(start + 2)
+    for transport, carried in ((Transport.TCP, tcp), (Transport.UDP, udp)):
+        for port, apps in _APP_PORTS[transport].items():
+            on = carried & ((src_port == port) | (dst_port == port))
+            for app in apps:
+                rows[on, column(app.value)] = 1.0
+    udp_end = np.minimum(end, start + np.maximum(u16(start + 4), 8))
+    first = np.select([tcp, udp, icmp], [start + data_offset, start + 8, start + 4], off)
+    last = np.select([udp, ip], [udp_end, end], lengths)
+    rows[:, column("tcp_payload_length")] = np.where(tcp, last - first, 0)
+    rows[:, column("tcp_window_size")] = np.where(tcp, u16(start + 14), 0)
+    at = np.flatnonzero(decoded)
+    bounds = zip((starts + first)[at].tolist(), (starts + last)[at].tolist())
+    rows[at, ENTROPY_INDEX] = shannon_entropy([data[a:b] for a, b in bounds])
+    ports = np.where(ported[:, None], np.column_stack([src_port, dst_port]), -1)
+    addresses = [u16(off + k) << 16 | u16(off + k + 2) for k in (12, 16)]
+    hosts = np.where(ip[:, None], np.column_stack(addresses), -1)
+    return decoded, rows, ports, hosts
 
 
 @functools.cache

@@ -1,4 +1,9 @@
-"""Fingerprints, behavioral profiles, and session statistics.
+"""Capture ingest, fingerprints, behavioral profiles, and session statistics.
+
+`read_rows` turns a capture (or one device's share of it) into feature
+rows and port pairs: the common frame kinds are decoded in bulk by
+`frame_features`, and only the rest are parsed one at a time. Profiles
+are built from `packets_from_capture`, which parses every frame.
 
 A fingerprint is the concatenation of 5 consecutive packets' feature
 vectors (100 values, packet order preserved). A behavioral profile is
@@ -7,19 +12,24 @@ the labeled set of all fingerprints observed for one device.
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .documents import int_in, load_doc, require, require_array, require_list, require_str, save_doc
 from .errors import FrameTooShort, InsufficientTraffic, TruncatedHeader
 from .features import (
-    FEATURE_SCHEMA, FINGERPRINT_DIM, FINGERPRINT_PACKETS, PACKET_FEATURE_COUNT, extract_features
+    FEATURE_SCHEMA,
+    FINGERPRINT_DIM,
+    FINGERPRINT_PACKETS,
+    PACKET_FEATURE_COUNT,
+    extract_features,
+    frame_features,
 )
-from .packet_model import ParsedPacket, Transport, parse_frame
-from .pcap_io import DeviceSelector, filter_device, read_capture
+from .packet_model import parse_frame
+from .pcap_io import DeviceSelector, Frames, filter_device, read_capture
 
 PROFILE_SCHEMA = "behavioral-profile/1"
 
@@ -56,15 +66,14 @@ def build_fingerprints(features: np.ndarray) -> np.ndarray:
     return rows[:whole].reshape(-1, FINGERPRINT_DIM)
 
 
-def session_stats(packets: Sequence[ParsedPacket]) -> tuple:
+def session_stats(ports: np.ndarray) -> tuple:
     """(total, sessions): the packets with ports, and how many unordered
-    (src_port, dst_port) pairs they fall into."""
-    pairs = [
-        (min(pkt.src_port, pkt.dst_port), max(pkt.src_port, pkt.dst_port))
-        for pkt in packets
-        if pkt.transport in (Transport.TCP, Transport.UDP)
-    ]
-    return len(pairs), len(set(pairs))
+    (src_port, dst_port) pairs they fall into.
+
+    `ports` is `read_rows`' (n, 2) matrix, -1 in the rows of packets
+    without ports."""
+    pairs = np.sort(ports[ports[:, 0] >= 0], axis=1)
+    return len(pairs), len(np.unique(pairs, axis=0))
 
 
 def format_session_average(total: int, count: int) -> str:
@@ -78,18 +87,12 @@ def format_session_average(total: int, count: int) -> str:
     return f"{hundredths // 100}.{hundredths % 100:02d}"
 
 
-def packets_from_capture(path: str | Path, sel: DeviceSelector | None = None) -> tuple:
-    """Read and parse a capture, skipping undecodable frames; keep `sel`'s packets.
+def packets_from_capture(path: str | Path) -> tuple:
+    """Read a capture and parse every frame, skipping undecodable ones.
 
-    Returns (packets, skipped_count), the packets being those
-    `filter_device` keeps from parsing every frame. A MAC-only selector
-    picks frames by their Ethernet addresses first, so only those are
-    parsed and counted; a selector with an IP needs parsed addresses, so
-    every frame is parsed and the packets are filtered after.
+    Returns (packets, skipped_count).
     """
     _, frames = read_capture(path)
-    if sel is not None and not sel.needs_parsed_fields:
-        frames = filter_device(frames, sel)
     packets = []
     skipped = 0
     for frame in frames:
@@ -97,9 +100,54 @@ def packets_from_capture(path: str | Path, sel: DeviceSelector | None = None) ->
             packets.append(parse_frame(frame))
         except (FrameTooShort, TruncatedHeader):
             skipped += 1
-    if sel is not None and sel.needs_parsed_fields:
-        packets = filter_device(packets, sel)
     return packets, skipped
+
+
+def read_rows(path: str | Path, sel: DeviceSelector | None = None) -> tuple:
+    """The feature rows of a capture's packets, or of `sel`'s packets.
+
+    Returns (features, ports, skipped): the (n, 20) matrix that
+    `extract_features` gives for the packets `filter_device` keeps from
+    parsing every frame, each packet's (src_port, dst_port) as an (n, 2)
+    matrix (-1 for a packet without ports), and how many frames did not
+    decode. A MAC-only selector picks frames by their Ethernet addresses
+    first, so only those are decoded and counted. `frame_features` decodes
+    the common frame kinds in bulk; the rest go through `parse_frame` one
+    by one, and a selector with an IP matches those by `sel.matches`.
+    """
+    _, frames = read_capture(path)
+    if sel is not None and sel.ip is None:
+        frames = filter_device(frames, sel)
+    decoded, rows, ports, hosts = frame_features(
+        frames.data, frames.records[:, 0], frames.records[:, 1]
+    )
+    keep = decoded if sel is None or sel.ip is None else decoded & _addressed(frames, hosts, sel)
+    rest = np.flatnonzero(~decoded)
+    packets, at, skipped = [], [], 0
+    for i, frame in zip(rest.tolist(), frames.take(rest)):
+        try:
+            pkt = parse_frame(frame)
+        except (FrameTooShort, TruncatedHeader):
+            skipped += 1
+            continue
+        if sel is None or sel.matches(pkt):
+            packets.append(pkt)
+            at.append(i)
+    rows[at] = extract_features(packets)
+    pairs = [(-1, -1) if p.src_port is None else (p.src_port, p.dst_port) for p in packets]
+    ports[at] = np.reshape(pairs, (-1, 2))
+    keep[at] = True
+    return rows[keep], ports[keep], skipped
+
+
+def _addressed(frames: Frames, hosts: np.ndarray, sel: DeviceSelector) -> np.ndarray:
+    """Which records hold `sel`'s MAC where `parse_frame` reads the
+    addresses, or its IP among their IPv4 addresses `hosts`."""
+    ip = ipaddress.ip_address(sel.ip)
+    hit = (hosts == int(ip)).any(axis=1) if ip.version == 4 else np.zeros(len(frames), dtype=bool)
+    if sel.mac is not None:
+        hit[frames.holding(sel.mac)] = True
+    return hit
 
 
 def build_profile(

@@ -65,15 +65,6 @@ class DeviceSelector:
         if self.ip is not None:
             object.__setattr__(self, "ip", str(ipaddress.ip_address(self.ip)))
 
-    @property
-    def needs_parsed_fields(self) -> bool:
-        """Whether matching reads IP addresses, which only a parsed packet has.
-
-        A MAC-only selector can pick a capture's frames by bytes 0-6 and
-        6-12, where `parse_frame` reads the addresses, before parsing them.
-        """
-        return self.ip is not None
-
     def matches(self, pkt: ParsedPacket) -> bool:
         if self.mac is not None and self.mac in (pkt.src_mac, pkt.dst_mac):
             return True
@@ -86,27 +77,45 @@ class Frames:
     """The records of one capture, held as an int array over the file's bytes.
 
     An iterable with `len`: each `RawFrame` is built as iteration reaches
-    it, so a caller that keeps a few frames pays only for those.
+    it, so a caller that keeps a few frames pays only for those. `data` is
+    the file's bytes and `records` has one row per record: body offset in
+    `data`, captured length, ts_sec, ts_usec, original length.
     """
 
-    __slots__ = ("_data", "_records")
+    __slots__ = ("data", "records")
 
     def __init__(self, data: bytes, records: np.ndarray) -> None:
-        self._data = data
-        # one row per record: body offset in `data`, captured length,
-        # ts_sec, ts_usec, original length
-        self._records = records
+        self.data = data
+        self.records = records
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self.records)
 
-    def _take(self, index) -> Frames:
+    def take(self, index) -> Frames:
         """The records at `index`, an int array, as a `Frames`."""
-        return Frames(self._data, self._records[index])
+        return Frames(self.data, self.records[index])
+
+    def holding(self, mac: bytes) -> np.ndarray:
+        """Indices of the records whose bytes 0-6 or 6-12 are `mac`.
+
+        A record under 6 (or 12) bytes cannot hold the MAC there, so it is
+        not compared.
+        """
+        raw = np.frombuffer(self.data, dtype=np.uint8)
+        starts, lengths = self.records[:, 0], self.records[:, 1]
+        hit = np.zeros(len(self), dtype=bool)
+        for at in (0, 6):
+            whole = np.flatnonzero(lengths >= at + 6)
+            first = starts[whole] + at
+            same = np.ones(len(whole), dtype=bool)
+            for k, byte in enumerate(mac):
+                same &= raw[first + k] == byte
+            hit[whole[same]] = True
+        return np.flatnonzero(hit)
 
     def __iter__(self) -> Iterator[RawFrame]:
-        data = self._data
-        for start, length, ts_sec, ts_usec, original in self._records.tolist():
+        data = self.data
+        for start, length, ts_sec, ts_usec, original in self.records.tolist():
             yield RawFrame(ts_sec, ts_usec, original, data[start : start + length])
 
 
@@ -178,32 +187,16 @@ def write_capture(path: str | Path, frames: Iterable[RawFrame]) -> int:
     return count
 
 
-def filter_device(packets: Frames | Iterable[ParsedPacket], sel: DeviceSelector) -> list:
+def filter_device(
+    packets: Frames | Iterable[ParsedPacket], sel: DeviceSelector
+) -> Frames | list:
     """Keep packets flowing into or out of the selected device, in order.
 
-    `packets` are parsed packets, or the `Frames` of a capture when `sel`
-    is MAC-only: then the addresses of all records are compared at once
-    and only the matching frames are built.
+    `packets` are parsed packets, kept in a list, or the `Frames` of a
+    capture when `sel` is MAC-only: then the addresses of all records are
+    compared at once, by the bytes `parse_frame` reads them from, and the
+    matching records come back as a `Frames`.
     """
-    if isinstance(packets, Frames) and not sel.needs_parsed_fields:
-        return list(packets._take(_mac_indices(packets, sel.mac)))
+    if isinstance(packets, Frames):
+        return packets.take(packets.holding(sel.mac))
     return [pkt for pkt in packets if sel.matches(pkt)]
-
-
-def _mac_indices(frames: Frames, mac: bytes) -> np.ndarray:
-    """Indices of the records whose bytes 0-6 or 6-12 are `mac`.
-
-    A record under 6 (or 12) bytes cannot hold the MAC there, so it is
-    not compared.
-    """
-    raw = np.frombuffer(frames._data, dtype=np.uint8)
-    starts, lengths = frames._records[:, 0], frames._records[:, 1]
-    hit = np.zeros(len(frames), dtype=bool)
-    for at in (0, 6):
-        whole = np.flatnonzero(lengths >= at + 6)
-        first = starts[whole] + at
-        same = np.ones(len(whole), dtype=bool)
-        for k, byte in enumerate(mac):
-            same &= raw[first + k] == byte
-        hit[whole[same]] = True
-    return np.flatnonzero(hit)

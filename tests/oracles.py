@@ -3,7 +3,8 @@
 Each reads, labels or splits one thing at a time, the plain way, so the
 tests can hold `pcap_io.read_capture`, `pcap_io.filter_device`,
 `packet_model.parse_frame`, `features.shannon_entropy`,
-`features.extract_features`, `model.predict(X)` and `ml._SplitSearch`
+`features.extract_features`, `fingerprint.read_rows`,
+`fingerprint.session_stats`, `model.predict(X)` and `ml._SplitSearch`
 against them.
 """
 
@@ -149,6 +150,27 @@ def extract_features(pkt) -> tuple:
         float(len(pkt.payload)) if is_tcp else 0.0,
         float(pkt.tcp_window_size) if is_tcp else 0.0,
     )
+
+
+def packet_ports(packets) -> np.ndarray:
+    """The (n, 2) int64 ports matrix of parsed packets, one packet at a
+    time: (src_port, dst_port) for TCP and UDP, (-1, -1) for the rest."""
+    ported = (Transport.TCP, Transport.UDP)
+    pairs = [
+        (pkt.src_port, pkt.dst_port) if pkt.transport in ported else (-1, -1) for pkt in packets
+    ]
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+def session_stats(packets) -> tuple:
+    """(total, sessions): the TCP and UDP packets, and the set of their
+    unordered port pairs, counted one packet at a time."""
+    pairs = [
+        (min(pkt.src_port, pkt.dst_port), max(pkt.src_port, pkt.dst_port))
+        for pkt in packets
+        if pkt.transport in (Transport.TCP, Transport.UDP)
+    ]
+    return len(pairs), len(set(pairs))
 
 
 def predict_boosted(model, x) -> tuple:

@@ -35,6 +35,7 @@ from iotprint.ml import (
 from iotprint.packet_model import Network, ParsedPacket, RawFrame, Transport
 from iotprint.pcap_io import read_capture, write_capture
 
+import oracles
 from conftest import EVAL_SEED
 
 
@@ -117,7 +118,8 @@ def test_session_average_fixtures():
     with criterion("session averages match reference fixtures; mean 6.8 +/- 0.05"):
         averages = []
         for total, sessions, expected in SESSION_FIXTURES:
-            assert session_stats(_stream(sessions, total)) == (total, sessions)
+            ports = oracles.packet_ports(_stream(sessions, total))
+            assert session_stats(ports) == (total, sessions)
             assert format_session_average(total, sessions) == f"{expected:.2f}"
             averages.append(total / sessions)
         assert abs(sum(averages) / len(averages) - 6.8) <= 0.05

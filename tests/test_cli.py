@@ -21,7 +21,7 @@ from iotprint.fingerprint import (
     BehavioralProfile,
     build_fingerprints,
     load_profile,
-    packets_from_capture,
+    read_rows,
     save_profile,
 )
 from iotprint.ml import VoteModel, load_model
@@ -569,8 +569,7 @@ def test_identify_verdict_needs_more_than_half_of_the_fingerprints(tmp_path, cap
     frames, _ = generate_trace(arch, 150, seed=97)
     target = tmp_path / "outlet.pcap"
     write_capture(target, frames)
-    packets, _ = packets_from_capture(target, DeviceSelector(mac=arch.mac))
-    prints = build_fingerprints(extract_features(packets))
+    prints = build_fingerprints(read_rows(target, DeviceSelector(mac=arch.mac))[0])
     n = len(prints)
     assert n % 2 == 0
     half = n // 2
@@ -705,8 +704,7 @@ def test_identify_searches_only_each_vote_models_undecided_rows(
     def undecided(models, target, arch):
         """The row count of each model's search: the fingerprints where its
         boosted label equals its unnegated tree label."""
-        packets, _ = packets_from_capture(target, DeviceSelector(mac=arch.mac))
-        prints = build_fingerprints(extract_features(packets))
+        prints = build_fingerprints(read_rows(target, DeviceSelector(mac=arch.mac))[0])
         counts = []
         for model, columns in map(load_model, models):
             X = prints[:, columns]
@@ -812,6 +810,9 @@ def _record_parsed_frames(monkeypatch) -> list:
 def test_a_mac_only_selector_parses_only_frames_holding_the_mac(
     merged_capture, outlet_model, monkeypatch, capsys, command, with_ip
 ):
+    """Every synth frame is decoded in bulk, so `parse_frame` sees only the
+    junk frames: those holding the MAC when the selector is MAC-only, and
+    all three when it has an IP, as every frame is then decoded."""
     path, frames = merged_capture
     outlet = ARCHETYPES["outlet"]
     argv = [command, "--pcap", str(path), "--mac", outlet.mac.hex(":")]
@@ -819,11 +820,12 @@ def test_a_mac_only_selector_parses_only_frames_holding_the_mac(
     argv[1:1] = [outlet_model] if command == "identify" else []
     seen = _record_parsed_frames(monkeypatch)
     assert main(argv) == 0
+    junk = [f.data for f in frames if len(f.data) < 18]
     if with_ip:
-        assert seen == [f.data for f in frames]
+        assert seen == junk and len(seen) == 3
     else:
-        assert seen == [f.data for f in frames if outlet.mac in (f.data[0:6], f.data[6:12])]
-        assert len(seen) == 150 + 2  # the outlet's frames and two junk frames
+        assert seen == [data for data in junk if outlet.mac in (data[0:6], data[6:12])]
+        assert len(seen) == 2
 
 
 def test_profile_parses_every_frame_and_counts_skipped_over_all(
@@ -951,6 +953,16 @@ def test_bad_magic_is_data_error(tmp_path, capsys):
     assert "error: data:" in capsys.readouterr().err
 
 
+def test_running_out_of_memory_is_one_data_error_line(outlet_pcap, monkeypatch, capsys):
+    def exhausted(path):
+        raise MemoryError
+
+    monkeypatch.setattr(fingerprint, "read_capture", exhausted)
+    _, pcap = outlet_pcap
+    assert main(["extract", "--pcap", str(pcap)]) == 3
+    assert capsys.readouterr() == ("", "error: data: out of memory\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -981,7 +993,8 @@ def test_unknown_variant_rejected(tmp_path, capsys):
     assert code == 2
 
 
-# sha256 of the saved profiles, the evaluation reports and a vote model;
+# sha256 of the saved profiles, the evaluation reports, a vote model and
+# the stdout of `identify` and of the other commands that read a capture;
 # any change to these bytes is a change of the on-disk formats or of the
 # results. The model pin also depends on deflate's output (packed kNN
 # arrays are zlib level 6), pinned here under zlib 1.2.13: another zlib
@@ -998,10 +1011,14 @@ PINNED_DIGESTS = {
     "identify-outlet.stdout": "b5b0c88c2ca5a4383fd7fee402eae82f5304db1d884ea6d7ee27c09416dd3631",
     "identify-camera-streamer.stdout": "2f9aaaa98202af864aaa88aad112773f03c73fefe143350b1fb5c45db050de5d",
     "identify-hub-conduit.stdout": "e0e8399657f04a96599da9a30d9d506555c4545158f698f8d069ce5e2b7f6e50",
+    "extract-mac.stdout": "d86fa04fe4752b1a7e5af5a074487a911cde6dccb824ac81c256a8d8256b9085",
+    "extract-ip.stdout": "a41058ec72863e60898129f1bde8342ff487bf349cc233e9cdc5663ea86d5c9c",
+    "sessions-mac.stdout": "ee5628e0ad62aeb8dcdadff0590979cf6926b168c88ca28c97960b4141556303",
+    "ecdf.stdout": "b00c36d6889af0b4576a748cba8603b802cc73b57b76b95021f0c25284936947",
 }
 
 
-def test_profile_and_report_bytes_are_pinned(tmp_path, capsys):
+def test_profile_and_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     names = ["outlet", "camera-streamer", "hub-conduit"]
     paths = _make_profiles(tmp_path, names, packets=150, seed=80)
     report = tmp_path / "report.json"
@@ -1032,12 +1049,60 @@ def test_profile_and_report_bytes_are_pinned(tmp_path, capsys):
         models.append(str(tmp_path / f"{name}.model.json"))
         argv = ["train", "--profiles", *paths, "--classifier", "vote", "--positive", name]
         assert main([*argv, "--out", models[-1]]) == 0
+    traces = []
     for name, seed in zip(names, (94, 95, 96)):
         arch = ARCHETYPES[name]
         target = tmp_path / f"{name}-target.pcap"
-        write_capture(target, generate_trace(arch, 150, seed=seed)[0])
+        traces.append(generate_trace(arch, 150, seed=seed)[0])
+        write_capture(target, traces[-1])
         capsys.readouterr()
         assert main(["identify", *models, "--pcap", str(target), "--mac", arch.mac.hex(":")]) == 0
         stdout = capsys.readouterr().out.encode()
         digests[f"identify-{name}.stdout"] = hashlib.sha256(stdout).hexdigest()
+    # The ingest commands on the three traces interleaved, with frames that
+    # do not decode as ARP, EAPoL or IPv4/TCP/UDP/ICMP among them.
+    merged = [frame for trio in zip(*traces) for frame in trio]
+    for i, data in enumerate(_odd_outlet_frames()):
+        merged.insert(7 * i + 3, RawFrame(0, i, len(data), data))
+    monkeypatch.chdir(tmp_path)  # `ecdf` prints the capture path it was given
+    write_capture("merged.pcap", merged)
+    outlet, camera = ARCHETYPES["outlet"], ARCHETYPES["camera-streamer"]
+    for key, argv in (
+        ("extract-mac", ["extract", "--pcap", "merged.pcap", "--mac", outlet.mac.hex(":")]),
+        ("extract-ip", ["extract", "--pcap", "merged.pcap", "--ip", camera.ip]),
+        ("sessions-mac", ["sessions", "--pcap", "merged.pcap", "--mac", outlet.mac.hex(":")]),
+        ("ecdf", ["ecdf", "entropy", "merged.pcap"]),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 0
+        digests[f"{key}.stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digests == PINNED_DIGESTS
+
+
+def _odd_outlet_frames() -> list:
+    """Frames from the outlet's MAC that take other decoding paths: IPv4
+    with options, a non-first fragment, a cut TCP header, IPv6/UDP, a
+    VLAN-tagged UDP datagram with link padding, an unknown EtherType and
+    a frame under 14 bytes."""
+    outlet = ARCHETYPES["outlet"]
+    eth = b"\x02\xff\xee\x00\x00\x01" + outlet.mac
+    src, dst = bytes([192, 168, 1, 16]), bytes([192, 168, 1, 1])
+    udp = struct.pack("!HHHH", 40001, 123, 12, 0) + b"\x17\x00\x03\xe8"
+    tcp = struct.pack("!HHIIBBHHH", 40002, 80, 1, 0, 0x50, 0x18, 512, 0, 0) + b"GET /"
+
+    def ipv4(first: int, frag: int, proto: int, body: bytes, options: bytes = b"") -> bytes:
+        total = 20 + len(options) + len(body)
+        head = struct.pack("!BBHHHBBH", first, 0, total, 0, frag, 64, proto, 0)
+        return b"\x08\x00" + head + src + dst + options + body
+
+    ipv6 = struct.pack("!IHBB", 6 << 28, len(udp), 17, 64)
+    ipv6 += bytes(15) + b"\x01" + bytes(15) + b"\x02"
+    return [
+        eth + ipv4(0x46, 0, 17, udp, b"\x94\x04\x00\x00"),
+        eth + ipv4(0x45, 0x0010, 6, tcp),
+        eth + ipv4(0x45, 0, 6, tcp[:12]),
+        eth + b"\x86\xdd" + ipv6 + udp,
+        eth + b"\x81\x00\x00\x05" + ipv4(0x45, 0, 17, udp) + bytes(6),
+        eth + b"\x88\xb5" + b"local experimental",
+        outlet.mac + b"\x00\x00",
+    ]

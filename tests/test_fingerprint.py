@@ -1,3 +1,4 @@
+import ipaddress
 import json
 import math
 import struct
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from iotprint.errors import FrameTooShort, InsufficientTraffic, IotprintError, TruncatedHeader
-from iotprint.features import PACKET_FEATURE_COUNT, extract_features
+from iotprint.features import PACKET_FEATURE_COUNT, extract_features, frame_features
 from iotprint.fingerprint import (
     FINGERPRINT_DIM,
     build_fingerprints,
@@ -20,6 +21,7 @@ from iotprint.fingerprint import (
     format_session_average,
     load_profile,
     packets_from_capture,
+    read_rows,
     save_profile,
     session_stats,
 )
@@ -102,7 +104,8 @@ SESSION_FIXTURES = [
 
 def test_session_average_fixtures():
     for total, sessions, expected in SESSION_FIXTURES:
-        assert session_stats(stream_with(sessions, total)) == (total, sessions)
+        ports = oracles.packet_ports(stream_with(sessions, total))
+        assert session_stats(ports) == (total, sessions)
         assert format_session_average(total, sessions) == f"{expected:.2f}"
 
 
@@ -112,21 +115,22 @@ def test_session_fixture_mean():
 
 
 def test_single_session():
-    assert session_stats(stream_with(1, 9)) == (9, 1)
+    assert session_stats(oracles.packet_ports(stream_with(1, 9))) == (9, 1)
     assert format_session_average(9, 1) == "9.00"
 
 
 def test_unordered_port_pair_grouping():
-    assert session_stats([udp_packet(5000, 80), udp_packet(80, 5000)]) == (2, 1)
+    ports = oracles.packet_ports([udp_packet(5000, 80), udp_packet(80, 5000)])
+    assert session_stats(ports) == (2, 1)
 
 
 def test_portless_packets_excluded():
     packets = stream_with(2, 6) + [arp_packet()] * 5
-    assert session_stats(packets) == (6, 2)
+    assert session_stats(oracles.packet_ports(packets)) == (6, 2)
 
 
 def test_no_sessions_average_is_zero():
-    assert session_stats([arp_packet()]) == (0, 0)
+    assert session_stats(oracles.packet_ports([arp_packet()])) == (0, 0)
     assert format_session_average(0, 0) == "0.00"
 
 
@@ -243,6 +247,27 @@ _SYNTH_FRAMES += [  # no bulb or speaker frame is ICMP; these are 4 camera echoe
     for f in generate_trace(ARCHETYPES["camera-streamer"], 60, seed=31)[0]
     if parse_frame(f).transport is Transport.ICMP
 ]
+_SYNTH_FRAMES += [  # nor EAPoL; these are the first 4 of a hub's
+    f.data
+    for f in generate_trace(ARCHETYPES["hub-conduit"], 40, seed=33)[0]
+    if parse_frame(f).network is Network.EAPOL
+][:4]
+_IPV6_HOST = "fd00::16"
+
+
+def _ipv6_frame(next_header: int, body: bytes) -> bytes:
+    """An IPv6 frame from `_IPV6_HOST`, between foreign MACs."""
+    head = struct.pack("!IHBB", 6 << 28, len(body), next_header, 64)
+    addresses = bytes.fromhex("fd000000000000000000000000000016") + bytes(15) + b"\x01"
+    return b"\x02\x0d" * 3 + b"\x02\x0c" * 3 + b"\x86\xdd" + head + addresses + body
+
+
+_SYNTH_FRAMES += [
+    _ipv6_frame(17, struct.pack("!HHHH", 5353, 5353, 13, 0) + b"abcde"),
+    _ipv6_frame(6, struct.pack("!HHIIBBHHH", 40000, 443, 1, 0, 0x50, 0x18, 900, 0, 0) + b"tls"),
+    _ipv6_frame(58, b"\x80\x00\x00\x00" + b"ping"),
+    _ipv6_frame(0, b"\x11\x00\x05\x02\x00\x00\x01\x00" + struct.pack("!HHHH", 1, 2, 8, 0)),
+]
 _SELECTOR_MACS = (_BULB.mac, _SPEAKER.mac, PEER_MAC, b"\xff" * 6)
 
 
@@ -255,27 +280,62 @@ def _ip_only_frame(ip: str) -> bytes:
 
 
 @st.composite
+def _edited_ipv4(draw, data: bytes) -> bytes:
+    """An untagged IPv4 frame with one header field redrawn: the IHL, 0-15
+    (with the option bytes it claims inserted); the fragment field; the
+    total length, with 0-20 bytes of link padding; or the TCP data offset
+    or UDP length."""
+    frame = bytearray(data)
+    field = draw(st.sampled_from(["ihl", "fragment", "total-length", "transport"]))
+    if field == "ihl":
+        ihl = draw(st.integers(0, 15))
+        options = draw(st.binary(min_size=4 * max(ihl - 5, 0), max_size=4 * max(ihl - 5, 0)))
+        frame[14] = 0x40 | ihl
+        struct.pack_into("!H", frame, 16, (frame[16] << 8 | frame[17]) + len(options))
+        return bytes(frame[:34]) + options + bytes(frame[34:])
+    if field == "fragment":
+        struct.pack_into("!H", frame, 20, draw(st.integers(0, 0xFFFF)))
+    elif field == "total-length":
+        struct.pack_into("!H", frame, 16, draw(st.integers(0, len(frame) + 8)))
+        frame += draw(st.binary(max_size=20))
+    elif frame[23] == 6:
+        frame[46] = draw(st.integers(0, 15)) << 4 | frame[46] & 0x0F
+    elif frame[23] == 17:
+        struct.pack_into("!H", frame, 38, draw(st.integers(0, 0xFFFF)))
+    return bytes(frame)
+
+
+@st.composite
 def _frame_bytes(draw, mac: bytes) -> bytes:
-    """A synth frame, as it is or byte-mutated, cut to 0-13 bytes,
-    VLAN-tagged (possibly cut inside the tag) or holding `mac` at an
-    offset other than 0 and 6."""
+    """A pool frame: as it is, byte-mutated, with an IPv4 header field
+    redrawn, under a random EtherType, or holding `mac` at an offset other
+    than 0 and 6; then under 0-2 VLAN tags, and perhaps cut to any length."""
     data = draw(st.sampled_from(_SYNTH_FRAMES))
-    kind = draw(st.sampled_from(["synth", "mutated", "short", "vlan", "mac-elsewhere"]))
+    kind = draw(st.sampled_from(["synth", "mutated", "ipv4-field", "ethertype", "mac-elsewhere"]))
     if kind == "mutated":
         edits = draw(st.lists(st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255))))
         edited = bytearray(data)
         for at, value in edits:
             edited[at] = value
-        return bytes(edited)
-    if kind == "short":
-        return data[: draw(st.integers(0, 13))]
-    if kind == "vlan":
-        tagged = data[:12] + b"\x81\x00" + draw(st.binary(min_size=2, max_size=2)) + data[12:]
-        return tagged[: draw(st.integers(14, len(tagged)))]
-    if kind == "mac-elsewhere":
+        data = bytes(edited)
+    elif kind == "ipv4-field" and data[12:14] == b"\x08\x00":
+        data = draw(_edited_ipv4(data))
+    elif kind == "ethertype":
+        data = data[:12] + draw(st.binary(min_size=2, max_size=2)) + data[14:]
+    elif kind == "mac-elsewhere":
         at = draw(st.integers(1, len(data) - 6).filter(lambda i: i != 6))
-        return data[:at] + mac + data[at + 6 :]
-    return data
+        data = data[:at] + mac + data[at + 6 :]
+    tags = draw(st.integers(0, 2))
+    tag = b"".join(b"\x81\x00" + draw(st.binary(min_size=2, max_size=2)) for _ in range(tags))
+    data = data[:12] + tag + data[12:]
+    cut = draw(st.none() | st.integers(0, len(data)))
+    return data if cut is None else data[:cut]
+
+
+def _selectors(mac: bytes) -> list:
+    """Selectors by `mac`; by `mac` and the bulb's IP; and by IP alone, IPv4 or IPv6."""
+    by_ip = [DeviceSelector(ip=_BULB.ip), DeviceSelector(ip=_IPV6_HOST)]
+    return [DeviceSelector(mac=mac), DeviceSelector(mac=mac, ip=_BULB.ip), *by_ip]
 
 
 @settings(max_examples=150, deadline=None)
@@ -289,14 +349,14 @@ def test_selecting_frames_before_parsing_matches_parse_then_filter(data):
         path = Path(tmp) / "mixed.pcap"
         write_capture(path, frames)
         everything, _ = packets_from_capture(path)
-        by_mac = DeviceSelector(mac=mac)
-        selected, _ = packets_from_capture(path, by_mac)
-        assert selected == filter_device(everything, by_mac)
+        for sel in _selectors(mac):
+            kept = filter_device(everything, sel)
+            rows, ports, _ = read_rows(path, sel)
+            assert rows.tobytes() == extract_features(kept).tobytes()
+            assert ports.tobytes() == oracles.packet_ports(kept).tobytes()
 
-        # With --ip the selector reads parsed fields: every frame is parsed.
-        by_both = DeviceSelector(mac=mac, ip=_BULB.ip)
-        kept, _ = packets_from_capture(path, by_both)
-        assert kept == filter_device(everything, by_both)
+        # With an IP the selector keeps a frame from that IP between other MACs.
+        kept = filter_device(everything, DeviceSelector(mac=mac, ip=_BULB.ip))
         assert any(p.src_ip == _BULB.ip and mac not in (p.src_mac, p.dst_mac) for p in kept)
 
 
@@ -325,25 +385,37 @@ def _capture_bytes(draw, mac: bytes) -> bytes:
     return data[: max(24, draw(st.sampled_from(ends)) - draw(st.integers(0, 20)))]
 
 
-def _ingest(path, sel, read, select, extract):
-    """What the read -> select -> parse -> extract pipeline gives, or the
-    error it raises, as `packets_from_capture` and `extract` run it; the
-    feature matrix is compared by its bytes."""
+def _read_rows(path, sel):
+    """`read_rows`' rows and ports (by their bytes), skipped count and
+    session counts, or the error it raises."""
     try:
-        meta, frames = read(path)
+        rows, ports, skipped = read_rows(path, sel)
     except (IotprintError, ValueError) as exc:
         return type(exc), str(exc)
-    if sel is not None and not sel.needs_parsed_fields:
-        frames = select(frames, sel)
+    return rows.tobytes(), ports.tobytes(), skipped, session_stats(ports)
+
+
+def _scalar_rows(path, sel):
+    """The same from the scalar path, or the error it raises: the reference
+    reader, the frame-by-frame MAC filter when `sel` is MAC-only, then
+    `parse_frame` on each frame, the `sel.matches` filter, and the
+    reference rows, ports and session counts of one packet at a time."""
+    try:
+        _, frames = oracles.read_capture(path)
+    except (IotprintError, ValueError) as exc:
+        return type(exc), str(exc)
+    if sel is not None and sel.ip is None:
+        frames = oracles.filter_device(frames, sel)
     packets, skipped = [], 0
     for frame in frames:
         try:
             packets.append(parse_frame(frame))
         except (FrameTooShort, TruncatedHeader):
             skipped += 1
-    if sel is not None and sel.needs_parsed_fields:
-        packets = select(packets, sel)
-    return meta, list(frames), packets, skipped, extract(packets).tobytes()
+    if sel is not None:
+        packets = oracles.filter_device(packets, sel)
+    ports = oracles.packet_ports(packets).tobytes()
+    return _oracle_rows(packets).tobytes(), ports, skipped, oracles.session_stats(packets)
 
 
 def _oracle_rows(packets) -> np.ndarray:
@@ -352,23 +424,42 @@ def _oracle_rows(packets) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, PACKET_FEATURE_COUNT)
 
 
-@settings(max_examples=150, deadline=None)
+def _decodes_in_bulk(frame: RawFrame) -> bool:
+    """Whether `frame_features` takes the frame, by its parsed packet: ARP,
+    EAPoL, or IPv4 with a 20-byte header and a decoded TCP, UDP or ICMP
+    header, under at most one VLAN tag (a second one parses as OTHER)."""
+    try:
+        pkt = parse_frame(frame)
+    except (FrameTooShort, TruncatedHeader):
+        return False
+    if pkt.network in (Network.ARP, Network.EAPOL):
+        return True
+    at = 18 if frame.data[12:14] == b"\x81\x00" else 14
+    ihl = frame.data[at] & 0x0F if pkt.network is Network.IPV4 else None
+    return ihl == 5 and pkt.transport in (Transport.TCP, Transport.UDP, Transport.ICMP)
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_ingest_matches_the_scalar_reference_paths(data):
     mac = data.draw(st.sampled_from(_SELECTOR_MACS))
     capture = data.draw(_capture_bytes(mac))
-    selectors = [None, DeviceSelector(mac=mac), DeviceSelector(mac=mac, ip=_BULB.ip)]
-    sel = data.draw(st.sampled_from(selectors))
+    sel = data.draw(st.sampled_from([None, *_selectors(mac)]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "capture.pcap"
         path.write_bytes(capture)
-        got = _ingest(path, sel, read_capture, filter_device, extract_features)
-        want = _ingest(path, sel, oracles.read_capture, oracles.filter_device, _oracle_rows)
-        assert got == want
+        want = _scalar_rows(path, sel)
+        assert _read_rows(path, sel) == want
         if len(want) == 2:  # both raised the same error
             return
-        _, frames = read_capture(path)
-        assert list(frames) == oracles.read_capture(path)[1]
+        meta, frames = read_capture(path)
+        want_meta, want_frames = oracles.read_capture(path)
+        assert (meta, list(frames)) == (want_meta, want_frames)
+        by_mac = DeviceSelector(mac=mac)
+        assert list(filter_device(frames, by_mac)) == oracles.filter_device(want_frames, by_mac)
+        decoded, rows, _, _ = frame_features(frames.data, *frames.records[:, :2].T)
+        assert decoded.tolist() == [_decodes_in_bulk(frame) for frame in want_frames]
+        assert not rows[~decoded].any()
     for frame in frames:
         try:
             pkt = parse_frame(frame)
@@ -387,10 +478,84 @@ def test_ingest_matches_the_scalar_reference_paths(data):
             assert (pkt.src_ip, pkt.dst_ip) == tuple(map(oracles.ipv4_text, addresses))
 
 
+def _first(kind) -> bytes:
+    """The first pool frame whose parsed packet `kind` accepts."""
+    return next(d for d in _SYNTH_FRAMES if kind(parse_frame(RawFrame(0, 0, len(d), d))))
+
+
+def _header_sweep(data: bytes) -> list:
+    """An untagged IPv4 frame with each header field the decoder reads
+    swept across its boundaries: IHL 0-15 (with the options it claims),
+    fragment fields, every total length up to 8 past the frame, and every
+    TCP data offset or UDP length up to 8 past the frame."""
+    frames = []
+
+    def put(at: int, fmt: str, value: int) -> bytes:
+        frame = bytearray(data)
+        struct.pack_into(fmt, frame, at, value)
+        return bytes(frame)
+
+    for ihl in range(16):
+        options = bytes(4 * max(ihl - 5, 0))
+        frame = bytearray(put(16, "!H", len(data) - 14 + len(options)))
+        frame[14] = 0x40 | ihl
+        frames.append(bytes(frame[:34]) + options + bytes(frame[34:]))
+    frames += [put(20, "!H", frag) for frag in (1, 0x1FFF, 0x2000, 0x2001, 0x4000, 0x8000)]
+    frames += [put(16, "!H", total) + bytes(4) for total in range(len(data) + 8)]
+    if data[23] == 6:
+        frames += [put(46, "!B", offset << 4) for offset in range(16)]
+    if data[23] == 17:
+        frames += [put(38, "!H", length) for length in [*range(len(data) - 26), 0xFFFF]]
+    return frames
+
+
+def test_bulk_decoding_matches_parsing_at_every_header_boundary():
+    """`frame_features` against `parse_frame` and the per-packet rows on
+    one ARP, EAPoL, TCP, UDP and ICMP frame each: every cut of each under
+    0-2 VLAN tags, and each IPv4 header field swept across its bounds.
+    A cut frame is a record shorter than the bytes laid out for it, so a
+    read past its end sees the rest of the frame, and one past the
+    buffer is clipped."""
+    bases = [
+        _first(lambda p: p.network is Network.ARP),
+        _first(lambda p: p.network is Network.EAPOL),
+        _first(lambda p: p.transport is Transport.TCP),
+        _first(lambda p: p.transport is Transport.UDP),
+        _first(lambda p: p.transport is Transport.ICMP),
+    ]
+    laid_out, records = [], []  # records: (index into laid_out, captured length)
+    for base in bases:
+        for frame in _header_sweep(base) if base[12:14] == b"\x08\x00" else []:
+            records.append((len(laid_out), len(frame)))
+            laid_out.append(frame)
+        for tags in range(3):
+            records += [(len(laid_out), cut) for cut in range(len(base) + 4 * tags + 1)]
+            laid_out.append(base[:12] + b"\x81\x00\x00\x05" * tags + base[12:])
+    offsets = np.cumsum([0] + [len(frame) for frame in laid_out])
+    starts = np.array([offsets[i] for i, _ in records])
+    lengths = np.array([n for _, n in records])
+    decoded, rows, ports, hosts = frame_features(b"".join(laid_out), starts, lengths)
+    frames = [RawFrame(0, 0, n, laid_out[i][:n]) for i, n in records]
+    assert decoded.tolist() == [_decodes_in_bulk(frame) for frame in frames]
+    packets = [parse_frame(frame) for frame, bulk in zip(frames, decoded) if bulk]
+    assert rows[decoded].tobytes() == _oracle_rows(packets).tobytes()
+    assert ports[decoded].tobytes() == oracles.packet_ports(packets).tobytes()
+    addresses = [
+        [int(ipaddress.IPv4Address(ip)) for ip in (p.src_ip, p.dst_ip)] if p.src_ip else [-1, -1]
+        for p in packets
+    ]
+    assert hosts[decoded].tolist() == addresses
+    assert not rows[~decoded].any() and (ports[~decoded] == -1).all()
+    assert (hosts[~decoded] == -1).all()
+    assert decoded.sum() > len(records) / 3  # the sweep reaches the bulk path
+
+
 def test_a_selector_with_an_ip_parses_every_frame(tmp_path):
     path = tmp_path / "one.pcap"
     frame = _ip_only_frame(_BULB.ip)
     write_capture(path, [RawFrame(0, 0, len(frame), frame), RawFrame(1, 0, 10, frame[:10])])
-    packets, skipped = packets_from_capture(path, DeviceSelector(mac=_BULB.mac, ip=_BULB.ip))
-    assert [p.src_ip for p in packets] == [_BULB.ip]
+    rows, ports, skipped = read_rows(path, DeviceSelector(mac=_BULB.mac, ip=_BULB.ip))
+    packet = parse_frame(RawFrame(0, 0, len(frame), frame))
+    assert rows.tobytes() == extract_features([packet]).tobytes()
+    assert ports.tolist() == [[40000, 53]]
     assert skipped == 1

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import oracles
 from iotprint.features import FEATURE_NAMES, extract_features, shannon_entropy
 from iotprint.fingerprint import session_stats
 from iotprint.packet_model import IPPROTO_TCP, IPPROTO_UDP, parse_frame
@@ -147,7 +148,7 @@ def test_session_recovery_against_generator_truth(arch, monkeypatch):
         # Ethernet (14 bytes) and an IPv4 header without options (20): the ports follow.
         key = tuple(sorted(struct.unpack("!HH", emitted[0].data[34:38])))
         expected[key] = expected.get(key, 0) + len(emitted)
-    total, sessions = session_stats([parse_frame(f) for f in frames])
+    total, sessions = session_stats(oracles.packet_ports([parse_frame(f) for f in frames]))
     assert (total, sessions) == (sum(expected.values()), len(expected))
 
 
@@ -237,7 +238,7 @@ def test_profile_for_entry_uses_archetype_labels(corpus, corpus_profiles):
 
 def test_conduit_traffic_has_no_sessions_yet_fingerprints(corpus, corpus_profiles):
     hub_entry = next(e for e in corpus if e.archetype.name == "hub-conduit")
-    assert session_stats([parse_frame(f) for f in hub_entry.frames]) == (0, 0)
+    assert session_stats(oracles.packet_ports([parse_frame(f) for f in hub_entry.frames])) == (0, 0)
     hub_profile = next(p for p in corpus_profiles if p.device_label == "hub-conduit")
     assert len(hub_profile.fingerprints) >= 500
 
