@@ -16,7 +16,7 @@ import numpy as np
 
 from . import documents, evaluation, ml, synth
 from .errors import InsufficientTraffic, IotprintError
-from .features import FEATURE_NAMES, VARIANT_TAGS, ecdf, render_features_csv, variant_columns
+from .features import FEATURE_NAMES, VARIANT_TAGS, ecdf, variant_columns, write_features_csv
 from .fingerprint import (
     build_fingerprints,
     build_profile,
@@ -138,11 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_extract(args) -> int:
     rows, _, _ = read_rows(args.pcap, _selector(args, required=False))
-    csv_text = render_features_csv(rows)
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="ascii")
+        with open(args.out, "w", encoding="ascii") as out:
+            write_features_csv(rows, out)
     else:
-        sys.stdout.write(csv_text)
+        write_features_csv(rows, sys.stdout)
     return 0
 
 

@@ -15,8 +15,7 @@ IPv4 without options carrying TCP, UDP or ICMP).
 from __future__ import annotations
 
 import functools
-import io
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -266,15 +265,17 @@ def ecdf(values: Sequence[float]) -> list:
     return list(zip(distinct.tolist(), probs.tolist()))
 
 
-def render_features_csv(features: np.ndarray) -> str:
-    """CSV with a schema header line, one row per packet, repr-precision floats."""
-    out = io.StringIO()
+# One CSV row: the flags and the two counts as integers, the entropy at repr precision.
+_CSV_ROW = ",".join(["%d"] * HEADER_FLAG_COUNT + ["%r", "%d", "%d"]) + "\n"
+CSV_BLOCK_ROWS = 1024  # rows per write; `write_features_csv` holds one block's text
+
+
+def write_features_csv(features: np.ndarray, out: TextIO) -> None:
+    """Write a CSV with a schema header line, one row per packet, repr-precision floats."""
     out.write(f"# schema: {FEATURE_SCHEMA}\n")
     out.write(",".join(FEATURE_NAMES) + "\n")
-    for row in features.tolist():
-        fields = [str(int(v)) for v in row[:HEADER_FLAG_COUNT]]
-        fields.append(repr(row[ENTROPY_INDEX]))
-        fields.append(str(int(row[18])))
-        fields.append(str(int(row[19])))
-        out.write(",".join(fields) + "\n")
-    return out.getvalue()
+    for start in range(0, len(features), CSV_BLOCK_ROWS):
+        block = features[start : start + CSV_BLOCK_ROWS]
+        values = block.astype(np.int64).astype(object)  # small ints are shared, not allocated
+        values[:, ENTROPY_INDEX] = block[:, ENTROPY_INDEX].tolist()
+        out.write((_CSV_ROW * len(block)) % tuple(values.ravel()))

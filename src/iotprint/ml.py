@@ -4,9 +4,8 @@ The primary model is gradient boosting with depth-1 regression trees
 under binomial deviance: starting from the prior log-odds, each stage
 fits a stump to the negative gradient (residuals y - p) by least
 squares, then sets its two leaf values with a single Newton step
-(sum residual / sum p(1-p) per leaf). Predictions sum the learning-rate
-scaled leaf values onto the initial score; the label is sign(score)
-with ties going to +1.
+(sum residual / sum p(1-p) per leaf). Predictions sum the leaf values
+onto the initial score; the label is sign(score) with ties going to +1.
 
 All training is deterministic: stump and tree split ties resolve to the
 lowest feature index then the lowest threshold, kNN distance ties at
@@ -19,9 +18,10 @@ the boundaries between distinct sorted values (`_SplitSearch`). A vote
 labels rows with its boosted and tree members first and searches kNN
 neighbours only for the rows where they differ.
 
-Models persist as `model/3` JSON documents, which record the
-fingerprint columns a model reads and pack kNN rows and labels as
-base64 text of their zlib-deflated little-endian bytes.
+Models persist as `model/4` JSON documents, which record the packet
+layout (`FEATURE_SCHEMA`) and the fingerprint columns a model reads and
+pack kNN rows and labels as base64 text of their zlib-deflated
+little-endian bytes.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .documents import (
     finite, int_in, load_doc, pack, require, require_list, require_str, save_doc, unpack
 )
 from .errors import EmptyData, KTooLarge, SingleClassData
-from .features import FINGERPRINT_DIM
+from .features import FEATURE_SCHEMA, FINGERPRINT_DIM
 
 MAX_STAGES = 100
-MODEL_SCHEMA = "model/3"
+MODEL_SCHEMA = "model/4"
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,6 @@ class Stump:
 class BoostedModel:
     initial_score: float
     stages: tuple
-    learning_rate: float
     n_features: int
     positive_class: str
     training_deviance: tuple = field(default=(), compare=False)
@@ -160,6 +159,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _newton_value(resid: np.ndarray, weight: np.ndarray) -> float:
+    """A leaf's Newton step sum(resid) / sum(weight); none where that weight is at most 1e-150.
+
+    Its rows are fit to within 1e-150 already, and a ratio of sums that small can overflow.
+    """
     den = float(weight.sum())
     if den <= 1e-150:
         return 0.0
@@ -375,8 +378,7 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
 
     The recorded training deviance (mean logistic loss, entry 0 before
     any stage) is non-increasing stage over stage. Each stage adds its
-    safeguarded leaf values in full, so the model's learning rate is 1.0
-    (a loaded document may carry another rate; `boosted_scores` applies it).
+    safeguarded leaf values in full.
     """
     if len(data) == 0:
         raise EmptyData("cannot train on an empty dataset")
@@ -420,7 +422,6 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
     return BoostedModel(
         initial_score=initial,
         stages=tuple(stages),
-        learning_rate=1.0,
         n_features=data.n_features,
         positive_class=data.positive_class,
         training_deviance=tuple(deviance),
@@ -434,7 +435,7 @@ def boosted_scores(model: BoostedModel, X: np.ndarray) -> np.ndarray:
         leaf = np.where(
             X[:, stump.feature_index] <= stump.threshold, stump.left_value, stump.right_value
         )
-        scores += model.learning_rate * leaf
+        scores += leaf
     return scores
 
 
@@ -533,23 +534,25 @@ def tree_labels(model: TreeModel, X: np.ndarray) -> np.ndarray:
 
 
 def save_model(model, path: str | Path, columns: Sequence[int]) -> None:
-    """Write `model` as a `model/3` document.
+    """Write `model` as a `model/4` document.
 
-    `columns` are the fingerprint columns the model's features are, in
-    order. kNN `rows` and `labels` go through `documents.pack`, so the
-    bytes written depend on zlib's deflate output as well as the model.
+    The document states once the packet layout it reads
+    (`feature_schema`), the fingerprint `columns` its features are, in
+    order, its `kind` and its `positive_class`; then come the kind's own
+    parameters, a vote's under the keys `boosted`, `knn` and `tree`. kNN
+    `rows` and `labels` go through `documents.pack`, so the bytes written
+    depend on zlib's deflate output as well as the model.
     """
     columns = _checked_columns(list(columns), model.n_features)
-    save_doc(path, {"schema": MODEL_SCHEMA, "columns": columns, **_model_doc(model)})
+    kind, params = _params(model)
+    doc = {"schema": MODEL_SCHEMA, "feature_schema": FEATURE_SCHEMA, "columns": columns}
+    save_doc(path, {**doc, "kind": kind, "positive_class": model.positive_class, **params})
 
 
-def _model_doc(model) -> dict:
+def _params(model) -> tuple:
+    """(kind, parameters): the model's kind and the fields only that kind has."""
     if isinstance(model, BoostedModel):
-        return {
-            "kind": "boosted",
-            "positive_class": model.positive_class,
-            "n_features": model.n_features,
-            "learning_rate": model.learning_rate,
+        return "boosted", {
             "initial_score": model.initial_score,
             "stages": [
                 [s.feature_index, s.threshold, s.left_value, s.right_value]
@@ -558,27 +561,16 @@ def _model_doc(model) -> dict:
             "training_deviance": list(model.training_deviance),
         }
     if isinstance(model, KnnModel):
-        return {
-            "kind": "knn",
-            "positive_class": model.positive_class,
+        return "knn", {
             "k": model.k,
             "rows": pack(model.rows, "<f8"),
             "labels": pack(model.labels, "<i1"),
         }
     if isinstance(model, TreeModel):
-        return {
-            "kind": "tree",
-            "positive_class": model.positive_class,
-            "n_features": model.n_features,
-            "max_depth": model.max_depth,
-            "root": _node_doc(model.root),
-        }
+        return "tree", {"max_depth": model.max_depth, "root": _node_doc(model.root)}
     if isinstance(model, VoteModel):
-        return {
-            "kind": "vote",
-            "positive_class": model.positive_class,
-            "members": [_model_doc(model.boosted), _model_doc(model.knn), _model_doc(model.tree)],
-        }
+        members = {"boosted": model.boosted, "knn": model.knn, "tree": model.tree}
+        return "vote", {name: _params(member)[1] for name, member in members.items()}
     raise TypeError(f"cannot persist {type(model).__name__}")
 
 
@@ -604,36 +596,44 @@ def load_model(path: str | Path, decoded: dict | None = None) -> tuple:
 
 
 def _model_from_doc(doc, decoded: dict | None) -> tuple:
+    """Rebuild a model, rejecting any document that would fail or mislead at prediction.
+
+    Every member's width is the number of `columns` and its class the
+    document's `positive_class`. Packed kNN arrays are decoded through
+    `decoded` (see `documents.unpack`).
+    """
     schema = require(doc, "schema", "model")
     if schema != MODEL_SCHEMA:
         raise ValueError(f"unsupported model schema: {schema!r}")
-    model = _member_from_doc(doc, decoded)
-    return model, _checked_columns(require_list(doc, "columns", "model"), model.n_features)
-
-
-def _member_from_doc(doc, decoded: dict | None):
-    """Rebuild a model, rejecting any document that would fail or mislead at prediction.
-
-    Packed kNN arrays are decoded through `decoded` (see `documents.unpack`).
-    """
+    feature_schema = require(doc, "feature_schema", "model")
+    if feature_schema != FEATURE_SCHEMA:
+        raise ValueError(f"unsupported feature schema: {feature_schema!r}")
+    columns = require_list(doc, "columns", "model")
+    columns = _checked_columns(columns, max(len(columns), 1))  # a model reads at least one
     kind = require(doc, "kind", "model")
-    positive_class = require_str(doc, "positive_class", "model")
+    shared = len(columns), require_str(doc, "positive_class", "model"), decoded
+    if kind != "vote":
+        return _member_from_doc(kind, doc, *shared), columns
+    names = ("boosted", "knn", "tree")
+    members = (_member_from_doc(name, require(doc, name, "model"), *shared) for name in names)
+    return VoteModel(*members), columns
+
+
+def _member_from_doc(kind, doc, n_features: int, positive_class: str, decoded: dict | None):
     if kind == "boosted":
-        n_features = int_in(require(doc, "n_features", "model"), "n_features", "model", 1)
         deviance = require_list(doc, "training_deviance", "model")
         model = BoostedModel(
             initial_score=finite(require(doc, "initial_score", "model"), "initial_score", "model"),
             stages=tuple(
                 _stump_from_doc(s, n_features) for s in require_list(doc, "stages", "model")
             ),
-            learning_rate=finite(require(doc, "learning_rate", "model"), "learning_rate", "model"),
             n_features=n_features,
             positive_class=positive_class,
             training_deviance=tuple(finite(v, "training_deviance", "model") for v in deviance),
         )
         reach = abs(model.initial_score)  # bounds every partial sum `boosted_scores` forms
         for s in model.stages:
-            reach += abs(model.learning_rate) * max(abs(s.left_value), abs(s.right_value))
+            reach += max(abs(s.left_value), abs(s.right_value))
         if not reach <= sys.float_info.max:
             raise ValueError("model scores can overflow the float range")
         return model
@@ -641,13 +641,14 @@ def _member_from_doc(doc, decoded: dict | None):
         # `unpack` has checked the rows to be finite, 2-D and of positive
         # shape, once per decoded array.
         rows = unpack(doc, "rows", "model", "<f8", 2, decoded)
+        if rows.shape[1] != n_features:
+            raise ValueError(f"model rows must have {n_features} columns, got {rows.shape[1]}")
         labels = _plus_minus_one(unpack(doc, "labels", "model", "<i1", 1, decoded))
         if labels.shape != (rows.shape[0],):
             raise ValueError("rows and labels must have equal length")
         k = int_in(require(doc, "k", "model"), "k", "model", 1, len(rows))
         return KnnModel(rows=rows, labels=labels, k=k, positive_class=positive_class)
     if kind == "tree":
-        n_features = int_in(require(doc, "n_features", "model"), "n_features", "model", 1)
         max_depth = int_in(require(doc, "max_depth", "model"), "max_depth", "model", 1)
         return TreeModel(
             root=_node_from_doc(require(doc, "root", "model"), n_features, max_depth),
@@ -655,13 +656,6 @@ def _member_from_doc(doc, decoded: dict | None):
             n_features=n_features,
             positive_class=positive_class,
         )
-    if kind == "vote":
-        members = tuple(_member_from_doc(m, decoded) for m in require_list(doc, "members", "model"))
-        if tuple(map(type, members)) != (BoostedModel, KnnModel, TreeModel):
-            raise ValueError("vote members must be boosted, knn and tree, in that order")
-        if len({(m.n_features, m.positive_class) for m in members}) != 1:
-            raise ValueError("vote members differ in n_features or positive_class")
-        return VoteModel(*members)
     raise ValueError(f"unknown model kind {kind!r}")
 
 

@@ -178,7 +178,7 @@ def predict_boosted(model, x) -> tuple:
     score = model.initial_score
     for stump in model.stages:
         leaf = stump.left_value if x[stump.feature_index] <= stump.threshold else stump.right_value
-        score += model.learning_rate * leaf
+        score += leaf
     return (1 if score >= 0 else -1), score
 
 

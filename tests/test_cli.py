@@ -217,7 +217,7 @@ def test_train_identify_every_classifier_and_variant(
 
 @pytest.fixture(scope="module")
 def model_docs(three_profiles, tmp_path_factory):
-    """`model/3` documents of every classifier."""
+    """`model/4` documents of every classifier."""
     out = tmp_path_factory.mktemp("models")
     docs = {}
     for kind in CLASSIFIERS:
@@ -303,7 +303,7 @@ MODEL_MUTATIONS = {
         "feature_index must be an integer in [0, 99], got -1",
     ),
     "boosted-n-features-95-under-wide-stages": (
-        "boosted", ("n_features",), 95,
+        "boosted", ("columns",), lambda c: c[:95],
         "feature_index must be an integer in [0, 94]",
     ),
     "boosted-threshold-nan": (
@@ -318,7 +318,6 @@ MODEL_MUTATIONS = {
         "boosted", ("training_deviance",), _DELETE,
         "lacks 'training_deviance'",
     ),
-    "boosted-learning-rate-1e308": ("boosted", ("learning_rate",), 1e308, "scores can overflow"),
     "boosted-leaf-values-1e308": (
         "boosted", ("stages",), lambda stages: [[f, t, 1e308, -1e308] for f, t, _, _ in stages],
         "scores can overflow",
@@ -331,10 +330,7 @@ MODEL_MUTATIONS = {
     "tree-7-deep-max-depth-5": ("tree", ("root",), _deep_tree(7), "split below its max_depth"),
     "tree-3000-deep": ("tree", ("root",), _deep_tree(3000), "nested too deeply"),
     "no-kind": ("boosted", ("kind",), _DELETE, "lacks 'kind'"),
-    "vote-members-out-of-order": (
-        "vote", ("members",), lambda m: [m[1], m[0], m[2]],
-        "must be boosted, knn and tree, in that order",
-    ),
+    "vote-lacks-knn": ("vote", ("knn",), _DELETE, "lacks 'knn'"),
     "packed-k-zero": ("knn", ("k",), 0, "model k must be an integer in [1, "),
     "packed-k-million": ("knn", ("k",), 10**6, "model k must be an integer in [1, "),
     "packed-rows-not-base64": (
@@ -392,7 +388,7 @@ MODEL_MUTATIONS = {
     ),
     "packed-rows-width-50": (
         "knn", ("rows",), _first_50_columns,
-        "columns must be 50 distinct integers",
+        "rows must have 100 columns, got 50",
     ),
     "packed-rows-dtype-f4": (
         "knn", ("rows", "dtype"), "<f4",
@@ -425,7 +421,7 @@ MODEL_MUTATIONS = {
         "rows and labels must have equal length",
     ),
     "vote-packed-labels-as-list": (
-        "vote", ("members", 1, "labels"), lambda p: [1] * p["shape"][0],
+        "vote", ("knn", "labels"), lambda p: [1] * p["shape"][0],
         "lacks 'dtype'",
     ),
     "knn-labels-longer-than-rows": (
@@ -434,14 +430,14 @@ MODEL_MUTATIONS = {
         lambda p: {**p, "shape": [p["shape"][0] + 1], "data": _packed(lambda r: r + b"\x01")(p["data"])},
         "rows and labels must have equal length",
     ),
-    "knn-k-zero": ("vote", ("members", 1, "k"), 0, "model k must be an integer in [1, "),
+    "knn-k-zero": ("vote", ("knn", "k"), 0, "model k must be an integer in [1, "),
     "knn-labels-seven": (
         "knn", ("labels", "data"), _packed(lambda raw: b"\x07" * len(raw)),
         "labels must be +1 or -1",
     ),
     "knn-labels-shorter-than-rows": (
         "vote",
-        ("members", 1, "labels"),
+        ("knn", "labels"),
         lambda p: {**p, "shape": [p["shape"][0] - 1], "data": _packed(lambda r: r[:-1])(p["data"])},
         "rows and labels must have equal length",
     ),
@@ -465,17 +461,23 @@ MODEL_MUTATIONS = {
     "columns-negative": ("boosted", ("columns", 0), -1, "columns must be 100 distinct integers"),
     "columns-duplicate": ("boosted", ("columns", 1), 0, "columns must be 100 distinct integers"),
     "columns-fewer-than-n-features": (
-        "boosted", ("columns",), lambda c: c[:-1],
-        "columns must be 100 distinct integers",
+        "knn", ("columns",), lambda c: c[:-1],
+        "rows must have 99 columns, got 100",
     ),
     "columns-more-than-n-features": (
         "vote", ("columns",), lambda c: [*c, 99],
-        "columns must be 100 distinct integers",
+        "columns must be 101 distinct integers",
     ),
     "columns-missing": ("knn", ("columns",), _DELETE, "lacks 'columns'"),
     "schema-1": ("knn", ("schema",), "model/1", "unsupported model schema: 'model/1'"),
     "schema-2": ("knn", ("schema",), "model/2", "unsupported model schema: 'model/2'"),
-    "schema-4": ("knn", ("schema",), "model/4", "unsupported model schema: 'model/4'"),
+    "schema-3": ("knn", ("schema",), "model/3", "unsupported model schema: 'model/3'"),
+    "schema-5": ("knn", ("schema",), "model/5", "unsupported model schema: 'model/5'"),
+    "feature-schema-2": (
+        "boosted", ("feature_schema",), "packet-features/2",
+        "unsupported feature schema: 'packet-features/2'",
+    ),
+    "feature-schema-missing": ("tree", ("feature_schema",), _DELETE, "lacks 'feature_schema'"),
 }
 
 
@@ -586,7 +588,7 @@ def test_identify_verdict_needs_more_than_half_of_the_fingerprints(tmp_path, cap
         # Rows above the threshold go right, to +1.
         threshold = (values[n - claimed - 1] + values[n - claimed]) / 2
         stump = ml.Stump(0, threshold, -1.0, 1.0)
-        ml.save_model(ml.BoostedModel(0.0, (stump,), 1.0, 1, "outlet"), path, [column])
+        ml.save_model(ml.BoostedModel(0.0, (stump,), 1, "outlet"), path, [column])
         capsys.readouterr()
         assert main(["identify", str(path), "--pcap", str(target), "--mac", arch.mac.hex(":")]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -619,23 +621,30 @@ def test_identify_rejects_two_models_with_one_positive_class(
         assert err == "error: data: 2 models have the positive class 'outlet'\n"
 
 
-@pytest.mark.parametrize("fault", ["missing", "malformed", "two-outlet-models"])
+@pytest.mark.parametrize(
+    "fault", ["missing", "malformed", "other-feature-schema", "two-outlet-models"]
+)
 def test_identify_checks_its_models_before_reading_the_capture(
     model_docs, tmp_path, capsys, monkeypatch, fault
 ):
-    """A model that is missing or malformed, or two models with one
-    positive class, fail with the one-line data error before the capture
-    is read."""
+    """A model that is missing, malformed or built for another packet
+    layout, or two models with one positive class, fail with the one-line
+    data error before the capture is read."""
     boosted, vote = tmp_path / "boosted.model.json", tmp_path / "vote.model.json"
     boosted.write_text(json.dumps(model_docs["boosted"]))
     vote.write_text(json.dumps(model_docs["vote"]))
     models = {
         "missing": [str(boosted), str(tmp_path / "absent.model.json")],
         "malformed": [str(vote)],
+        "other-feature-schema": [str(boosted), str(vote)],
         "two-outlet-models": [str(vote), str(boosted)],
     }[fault]
-    if fault == "malformed":
-        vote.write_text(_mutated_text(model_docs["vote"], ("members", 1, "k"), 0))
+    mutations = {
+        "malformed": (("knn", "k"), 0),
+        "other-feature-schema": (("feature_schema",), "packet-features/2"),
+    }
+    if fault in mutations:
+        vote.write_text(_mutated_text(model_docs["vote"], *mutations[fault]))
     reads = []
     monkeypatch.setattr(fingerprint, "read_capture", lambda path: reads.append(path))
     arch = ARCHETYPES["outlet"]
@@ -647,6 +656,8 @@ def test_identify_checks_its_models_before_reading_the_capture(
     out, err = capsys.readouterr()
     assert code == 3 and out == "" and reads == []
     assert err.startswith("error: data: ") and err.count("\n") == 1
+    if fault == "other-feature-schema":
+        assert err == "error: data: unsupported feature schema: 'packet-features/2'\n"
 
 
 def test_identify_searches_only_each_vote_models_undecided_rows(
@@ -694,7 +705,7 @@ def test_identify_searches_only_each_vote_models_undecided_rows(
 
     def packed(models, field):
         """The distinct packed `data` texts of the models' kNN `field`."""
-        return {json.loads(Path(m).read_text())["members"][1][field]["data"] for m in models}
+        return {json.loads(Path(m).read_text())["knn"][field]["data"] for m in models}
 
     monkeypatch.setattr(ml, "knn_labels", recording)
     monkeypatch.setattr(documents.base64, "b64decode", decoding)
@@ -1007,7 +1018,7 @@ PINNED_DIGESTS = {
     "report.json": "9f29fca2e1f942b6b54ae95eb6b3c8b422ea47b4970218e9239460d090d004df",
     "category.report.json": "8da4322615a7ab3cde379665e33793ef6ae208d8633a99f6565056edaf5c710a",
     "instance.report.json": "a30a56ed60c855a58180dade66d41ed6d34aa18578a854e51779bf9dfb11e436",
-    "outlet.model.json": "089da97000aec31b89fc2aea3412752129eaa039c850f183d783e6db0cbf478c",
+    "outlet.model.json": "09dd3aa4f6d5a90cc2e3a462c0e694745d1dfd9b3e0621e627fef4db893f5a90",
     "identify-outlet.stdout": "b5b0c88c2ca5a4383fd7fee402eae82f5304db1d884ea6d7ee27c09416dd3631",
     "identify-camera-streamer.stdout": "2f9aaaa98202af864aaa88aad112773f03c73fefe143350b1fb5c45db050de5d",
     "identify-hub-conduit.stdout": "e0e8399657f04a96599da9a30d9d506555c4545158f698f8d069ce5e2b7f6e50",

@@ -146,7 +146,7 @@ def _mutate_packed(data, doc):
     deflate and encode them again. An edit of the base64 text itself
     stops at zlib's checksum; this one reaches the checks behind it."""
     doc = copy.deepcopy(doc)
-    packed = doc["members"][1][data.draw(st.sampled_from(("rows", "labels")))]
+    packed = doc["knn"][data.draw(st.sampled_from(("rows", "labels")))]
     raw = zlib.decompress(base64.b64decode(packed["data"]))
     if data.draw(st.booleans()):
         raw = _mutate_bytes(raw, data.draw(BYTE_OPS))

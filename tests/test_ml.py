@@ -237,13 +237,13 @@ def test_training_accuracy_close_to_one_on_noisy_data():
 
 
 def test_predict_zero_stage_model():
-    model = BoostedModel(0.4, (), 1.0, 3, "pos")
+    model = BoostedModel(0.4, (), 3, "pos")
     assert boosted_scores(model, np.zeros((1, 3))).tolist() == [0.4]
     assert model.predict(np.zeros((1, 3))).tolist() == [1]
 
 
 def test_score_zero_predicts_positive():
-    model = BoostedModel(0.0, (), 1.0, 2, "pos")
+    model = BoostedModel(0.0, (), 2, "pos")
     assert model.predict([[1.0, 2.0]]).tolist() == [1]
 
 
@@ -256,13 +256,26 @@ def test_scale_consistency_of_sign():
             Stump(s.feature_index, s.threshold, s.left_value * 3.5, s.right_value * 3.5)
             for s in model.stages
         ),
-        model.learning_rate,
         model.n_features,
         model.positive_class,
     )
     queries = np.random.default_rng(1).uniform(-1, 1, size=(50, 5))
     assert model.predict(queries).tolist() == scaled.predict(queries).tolist()
     assert model.predict(queries).tolist() == [predict_boosted(model, q)[0] for q in queries]
+
+
+def test_a_leaf_fit_to_within_1e150_takes_no_step():
+    """One negative among 500 positives, split off by the only feature:
+    the first stage moves it to a score of about -494 (p about 1e-214),
+    and every later stage leaves its leaf at 0."""
+    rows = np.ones((500, 1))
+    rows[0, 0] = 0.0
+    labels = np.ones(500, dtype=np.int64)
+    labels[0] = -1
+    model = train_boosted(dataset(rows, labels), n_stages=3)
+    assert model.stages[0].left_value < -400
+    assert [s.left_value for s in model.stages[1:]] == [0.0, 0.0]
+    assert all(s.right_value > 1.0 for s in model.stages)
 
 
 def test_boosted_input_validation():
@@ -773,7 +786,7 @@ def test_votes_match_the_three_member_majority(case, chunk):
 def _split_vote(undecided_rows, n):
     """(vote, queries): boosted labels -1 where column 0 is -1, the tree +1
     everywhere, so exactly `undecided_rows` of the n queries are undecided."""
-    boosted = BoostedModel(0.0, (Stump(0, 0.0, -1.0, 1.0),), 1.0, 2, "pos")
+    boosted = BoostedModel(0.0, (Stump(0, 0.0, -1.0, 1.0),), 2, "pos")
     tree = TreeModel(TreeNode(label=1), 1, 2, "pos")
     knn = train_knn(random_dataset(n=50, d=2, seed=31), k=3)
     queries = np.random.default_rng(32).uniform(0.1, 1.0, size=(n, 2))
@@ -902,7 +915,7 @@ def test_load_rejects_unknown_schema(tmp_path):
 
 
 def test_save_model_rejects_nan_and_writes_nothing(tmp_path):
-    model = BoostedModel(0.0, (Stump(0, 0.5, math.nan, 1.0),), 1.0, 1, "pos")
+    model = BoostedModel(0.0, (Stump(0, 0.5, math.nan, 1.0),), 1, "pos")
     knn = ml.KnnModel(np.array([[0.0], [math.inf]]), np.array([1, -1]), 1, "pos")
     for model in (model, knn):
         path = tmp_path / "nan.model.json"

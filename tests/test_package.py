@@ -2,6 +2,7 @@ import ast
 from pathlib import Path
 
 import iotprint
+from iotprint import cli, evaluation, features, fingerprint, ml
 
 PACKAGE_DIR = Path(iotprint.__file__).parent
 SOURCES = {path.stem: ast.parse(path.read_text()) for path in PACKAGE_DIR.glob("*.py")}
@@ -123,3 +124,17 @@ def test_only_documents_imports_json():
         or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
     }
     assert importers == {"documents"}
+
+
+def test_readme_names_every_schema_the_program_writes():
+    """A schema bump that leaves the README describing the old version fails here."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    schemas = [
+        ml.MODEL_SCHEMA,
+        fingerprint.PROFILE_SCHEMA,
+        evaluation.REPORT_SCHEMA,
+        cli.IDENTIFY_SCHEMA,
+        cli.LABELS_SCHEMA,
+        features.FEATURE_SCHEMA,
+    ]
+    assert [schema for schema in schemas if schema not in readme] == []
