@@ -180,7 +180,7 @@ def _cmd_train(args) -> int:
     profiles = [load_profile(p) for p in args.profiles]
     data = evaluation.assemble_one_vs_all(profiles, args.positive, args.level, args.variant)
     model = evaluation.train_classifier(args.classifier, data)
-    ml.save_model(model, args.out, variant_columns(args.variant))
+    ml.save_model(model, args.out, variant_columns(args.variant), args.positive)
     print(f"wrote {args.classifier} model for {args.positive!r} ({len(data)} rows)")
     return 0
 
@@ -188,7 +188,7 @@ def _cmd_train(args) -> int:
 def _cmd_identify(args) -> int:
     decoded = {}  # packed kNN arrays, decoded once for all of this call's models
     loaded = [ml.load_model(p, decoded) for p in args.models]
-    classes = [model.positive_class for model, _ in loaded]
+    classes = [name for _, _, name in loaded]
     for name in classes:
         if classes.count(name) > 1:
             raise ValueError(f"{classes.count(name)} models have the positive class {name!r}")
@@ -200,11 +200,11 @@ def _cmd_identify(args) -> int:
         )
     per_fingerprint = [[] for _ in range(len(prints))]
     positives = {}
-    for model, columns in loaded:
+    for model, columns, name in loaded:
         hits = model.predict(prints[:, columns]) == 1
-        positives[model.positive_class] = int(hits.sum())
+        positives[name] = int(hits.sum())
         for j in np.flatnonzero(hits):
-            per_fingerprint[int(j)].append(model.positive_class)
+            per_fingerprint[int(j)].append(name)
     best = max(positives.values())
     leaders = [label for label, n in positives.items() if n == best]
     verdict = leaders[0] if best > len(prints) / 2 and len(leaders) == 1 else "unknown"

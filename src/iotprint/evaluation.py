@@ -75,7 +75,7 @@ def assemble_one_vs_all(
     rows = np.concatenate([p.fingerprints for p in profiles])[:, variant_columns(variant)]
     signs = [1 if key == positive else -1 for key in keys]
     labels = np.repeat(signs, [len(p.fingerprints) for p in profiles])
-    return LabeledDataset(rows, labels, positive)
+    return LabeledDataset(rows, labels)
 
 
 def stratified_folds(data: LabeledDataset, k: int, seed: int) -> FoldPlan:
@@ -137,7 +137,7 @@ def _fold_splits(data: LabeledDataset, k: int, seed: int):
     plan = stratified_folds(data, k, seed)
     for fold in range(k):
         train_idx, test_idx = plan.train_indices(fold), plan.test_indices(fold)
-        train = LabeledDataset(data.rows[train_idx], data.labels[train_idx], data.positive_class)
+        train = LabeledDataset(data.rows[train_idx], data.labels[train_idx])
         yield train, data.rows[test_idx], data.labels[test_idx]
 
 

@@ -18,10 +18,12 @@ the boundaries between distinct sorted values (`_SplitSearch`). A vote
 labels rows with its boosted and tree members first and searches kNN
 neighbours only for the rows where they differ.
 
-Models persist as `model/4` JSON documents, which record the packet
-layout (`FEATURE_SCHEMA`) and the fingerprint columns a model reads and
-pack kNN rows and labels as base64 text of their zlib-deflated
-little-endian bytes.
+A model holds only what it predicts with. The one-vs-all facts live in
+its `model/4` JSON document alone: the packet layout
+(`FEATURE_SCHEMA`), the fingerprint columns the model reads and the
+class it labels +1. `save_model` takes them beside the model and
+`load_model` returns them beside it. The document packs kNN rows and
+labels as base64 text of their zlib-deflated little-endian bytes.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class LabeledDataset:
 
     rows: np.ndarray
     labels: np.ndarray
-    positive_class: str
 
     def __post_init__(self) -> None:
         rows = np.ascontiguousarray(np.asarray(self.rows, dtype=np.float64))
@@ -67,10 +68,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def n_features(self) -> int:
-        return self.rows.shape[1]
 
 
 def _plus_minus_one(labels) -> np.ndarray:
@@ -103,8 +100,6 @@ class Stump:
 class BoostedModel:
     initial_score: float
     stages: tuple
-    n_features: int
-    positive_class: str
     training_deviance: tuple = field(default=(), compare=False)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -117,11 +112,6 @@ class KnnModel:
     rows: np.ndarray
     labels: np.ndarray
     k: int
-    positive_class: str
-
-    @property
-    def n_features(self) -> int:
-        return self.rows.shape[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return knn_labels(self, X)
@@ -142,8 +132,6 @@ class TreeNode:
 class TreeModel:
     root: TreeNode
     max_depth: int
-    n_features: int
-    positive_class: str
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return tree_labels(self, X)
@@ -419,13 +407,7 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
         stages.append(Stump(int(feature), threshold, left_value, right_value))
         scores = scores + np.where(left, left_value, right_value)
         deviance.append(float(loss.mean()))
-    return BoostedModel(
-        initial_score=initial,
-        stages=tuple(stages),
-        n_features=data.n_features,
-        positive_class=data.positive_class,
-        training_deviance=tuple(deviance),
-    )
+    return BoostedModel(initial, tuple(stages), tuple(deviance))
 
 
 def boosted_scores(model: BoostedModel, X: np.ndarray) -> np.ndarray:
@@ -446,7 +428,7 @@ def train_knn(data: LabeledDataset, k: int) -> KnnModel:
         raise ValueError("k must be at least 1")
     if k > len(data):
         raise KTooLarge(f"k={k} exceeds {len(data)} training rows")
-    return KnnModel(data.rows, data.labels, k, data.positive_class)
+    return KnnModel(data.rows, data.labels, k)
 
 
 # Query rows per distance block; each block holds a KNN_CHUNK x len(rows) matrix.
@@ -514,7 +496,7 @@ def train_tree(data: LabeledDataset, max_depth: int = 5) -> TreeModel:
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     root = _grow_tree(data.rows, data.labels, max_depth)
-    return TreeModel(root, max_depth, data.n_features, data.positive_class)
+    return TreeModel(root, max_depth)
 
 
 def tree_labels(model: TreeModel, X: np.ndarray) -> np.ndarray:
@@ -533,20 +515,23 @@ def tree_labels(model: TreeModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def save_model(model, path: str | Path, columns: Sequence[int]) -> None:
-    """Write `model` as a `model/4` document.
+def save_model(model, path: str | Path, columns: Sequence[int], positive_class: str) -> None:
+    """Write `model`, which tells `positive_class` from the rest, as a `model/4` document.
 
     The document states once the packet layout it reads
     (`feature_schema`), the fingerprint `columns` its features are, in
     order, its `kind` and its `positive_class`; then come the kind's own
     parameters, a vote's under the keys `boosted`, `knn` and `tree`. kNN
     `rows` and `labels` go through `documents.pack`, so the bytes written
-    depend on zlib's deflate output as well as the model.
+    depend on zlib's deflate output as well as the model. The document
+    passes `load_model`'s checks before it is written; one that fails
+    them raises ValueError and writes nothing.
     """
-    columns = _checked_columns(list(columns), model.n_features)
     kind, params = _params(model)
-    doc = {"schema": MODEL_SCHEMA, "feature_schema": FEATURE_SCHEMA, "columns": columns}
-    save_doc(path, {**doc, "kind": kind, "positive_class": model.positive_class, **params})
+    doc = {"schema": MODEL_SCHEMA, "feature_schema": FEATURE_SCHEMA, "columns": list(columns)}
+    doc.update(kind=kind, positive_class=positive_class, **params)
+    _model_from_doc(doc, None)
+    save_doc(path, doc)
 
 
 def _params(model) -> tuple:
@@ -586,7 +571,11 @@ def _node_doc(node: TreeNode) -> dict:
 
 
 def load_model(path: str | Path, decoded: dict | None = None) -> tuple:
-    """(model, columns): the model and the fingerprint columns it reads, in order.
+    """(model, columns, positive_class) of a `model/4` document.
+
+    `columns` are the fingerprint columns the model reads, in order, and
+    `positive_class` the class it labels +1; the model itself holds
+    neither.
 
     `decoded` maps packed arrays already decoded to their read-only
     arrays. Models loaded with the same dict decode equal packed text
@@ -596,11 +585,11 @@ def load_model(path: str | Path, decoded: dict | None = None) -> tuple:
 
 
 def _model_from_doc(doc, decoded: dict | None) -> tuple:
-    """Rebuild a model, rejecting any document that would fail or mislead at prediction.
+    """(model, columns, positive_class), rejecting any document that would fail or mislead.
 
-    Every member's width is the number of `columns` and its class the
-    document's `positive_class`. Packed kNN arrays are decoded through
-    `decoded` (see `documents.unpack`).
+    Every member reads the document's `columns`: a feature index must be
+    below their number, and kNN rows must be exactly that wide. Packed kNN
+    arrays are decoded through `decoded` (see `documents.unpack`).
     """
     schema = require(doc, "schema", "model")
     if schema != MODEL_SCHEMA:
@@ -608,27 +597,23 @@ def _model_from_doc(doc, decoded: dict | None) -> tuple:
     feature_schema = require(doc, "feature_schema", "model")
     if feature_schema != FEATURE_SCHEMA:
         raise ValueError(f"unsupported feature schema: {feature_schema!r}")
-    columns = require_list(doc, "columns", "model")
-    columns = _checked_columns(columns, max(len(columns), 1))  # a model reads at least one
+    columns = _checked_columns(require_list(doc, "columns", "model"))
     kind = require(doc, "kind", "model")
-    shared = len(columns), require_str(doc, "positive_class", "model"), decoded
+    positive_class = require_str(doc, "positive_class", "model")
+    shared = len(columns), decoded
     if kind != "vote":
-        return _member_from_doc(kind, doc, *shared), columns
+        return _member_from_doc(kind, doc, *shared), columns, positive_class
     names = ("boosted", "knn", "tree")
     members = (_member_from_doc(name, require(doc, name, "model"), *shared) for name in names)
-    return VoteModel(*members), columns
+    return VoteModel(*members), columns, positive_class
 
 
-def _member_from_doc(kind, doc, n_features: int, positive_class: str, decoded: dict | None):
+def _member_from_doc(kind, doc, width: int, decoded: dict | None):
     if kind == "boosted":
         deviance = require_list(doc, "training_deviance", "model")
         model = BoostedModel(
             initial_score=finite(require(doc, "initial_score", "model"), "initial_score", "model"),
-            stages=tuple(
-                _stump_from_doc(s, n_features) for s in require_list(doc, "stages", "model")
-            ),
-            n_features=n_features,
-            positive_class=positive_class,
+            stages=tuple(_stump_from_doc(s, width) for s in require_list(doc, "stages", "model")),
             training_deviance=tuple(finite(v, "training_deviance", "model") for v in deviance),
         )
         reach = abs(model.initial_score)  # bounds every partial sum `boosted_scores` forms
@@ -641,47 +626,42 @@ def _member_from_doc(kind, doc, n_features: int, positive_class: str, decoded: d
         # `unpack` has checked the rows to be finite, 2-D and of positive
         # shape, once per decoded array.
         rows = unpack(doc, "rows", "model", "<f8", 2, decoded)
-        if rows.shape[1] != n_features:
-            raise ValueError(f"model rows must have {n_features} columns, got {rows.shape[1]}")
+        if rows.shape[1] != width:
+            raise ValueError(f"model rows must have {width} columns, got {rows.shape[1]}")
         labels = _plus_minus_one(unpack(doc, "labels", "model", "<i1", 1, decoded))
         if labels.shape != (rows.shape[0],):
             raise ValueError("rows and labels must have equal length")
         k = int_in(require(doc, "k", "model"), "k", "model", 1, len(rows))
-        return KnnModel(rows=rows, labels=labels, k=k, positive_class=positive_class)
+        return KnnModel(rows, labels, k)
     if kind == "tree":
         max_depth = int_in(require(doc, "max_depth", "model"), "max_depth", "model", 1)
-        return TreeModel(
-            root=_node_from_doc(require(doc, "root", "model"), n_features, max_depth),
-            max_depth=max_depth,
-            n_features=n_features,
-            positive_class=positive_class,
-        )
+        root = _node_from_doc(require(doc, "root", "model"), width, max_depth)
+        return TreeModel(root, max_depth)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-def _checked_columns(columns: list, n_features: int) -> list:
-    """`columns` if they are `n_features` distinct fingerprint column indices."""
+def _checked_columns(columns: list) -> list:
+    """`columns` if they are one or more distinct fingerprint column indices."""
     in_range = all(type(c) is int and 0 <= c < FINGERPRINT_DIM for c in columns)
-    if not in_range or len(set(columns)) != len(columns) or len(columns) != n_features:
-        raise ValueError(
-            f"model columns must be {n_features} distinct integers in [0, {FINGERPRINT_DIM})"
-        )
+    if not columns or not in_range or len(set(columns)) != len(columns):
+        count, dim = max(len(columns), 1), FINGERPRINT_DIM
+        raise ValueError(f"model columns must be {count} distinct integers in [0, {dim})")
     return columns
 
 
-def _stump_from_doc(stage, n_features: int) -> Stump:
+def _stump_from_doc(stage, width: int) -> Stump:
     if not isinstance(stage, list) or len(stage) != 4:
         raise ValueError("model stage must be [feature_index, threshold, left_value, right_value]")
     feature, threshold, left, right = stage
     return Stump(
-        int_in(feature, "feature_index", "model", 0, n_features - 1),
+        int_in(feature, "feature_index", "model", 0, width - 1),
         finite(threshold, "threshold", "model"),
         finite(left, "left_value", "model"),
         finite(right, "right_value", "model"),
     )
 
 
-def _node_from_doc(doc, n_features: int, depth_left: int) -> TreeNode:
+def _node_from_doc(doc, width: int, depth_left: int) -> TreeNode:
     if isinstance(doc, dict) and "label" in doc:
         if type(doc["label"]) is not int or doc["label"] not in (1, -1):
             raise ValueError(f"tree leaf label must be +1 or -1, got {doc['label']!r}")
@@ -690,10 +670,10 @@ def _node_from_doc(doc, n_features: int, depth_left: int) -> TreeNode:
         raise ValueError("tree has a split below its max_depth")
     feature = require(doc, "feature_index", "model")
     return TreeNode(
-        feature_index=int_in(feature, "feature_index", "model", 0, n_features - 1),
+        feature_index=int_in(feature, "feature_index", "model", 0, width - 1),
         threshold=finite(require(doc, "threshold", "model"), "threshold", "model"),
-        left=_node_from_doc(require(doc, "left", "model"), n_features, depth_left - 1),
-        right=_node_from_doc(require(doc, "right", "model"), n_features, depth_left - 1),
+        left=_node_from_doc(require(doc, "left", "model"), width, depth_left - 1),
+        right=_node_from_doc(require(doc, "right", "model"), width, depth_left - 1),
     )
 
 
@@ -704,14 +684,6 @@ class VoteModel:
     boosted: BoostedModel
     knn: KnnModel
     tree: TreeModel
-
-    @property
-    def positive_class(self) -> str:
-        return self.boosted.positive_class
-
-    @property
-    def n_features(self) -> int:
-        return self.boosted.n_features
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Majority label of the three members (odd voters, never tied).

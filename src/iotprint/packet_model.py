@@ -104,11 +104,8 @@ class ParsedPacket(NamedTuple):
     with ports.
     """
 
-    ts_sec: int
-    ts_usec: int
     src_mac: bytes
     dst_mac: bytes
-    ether_type: int
     network: Network
     ip_options: frozenset = frozenset()
     transport: Transport = Transport.NONE
@@ -194,9 +191,7 @@ def parse_frame(frame: RawFrame) -> ParsedPacket:
     else:
         network = _OPAQUE_NETWORKS.get(ether_type, Network.OTHER)
         layers = _opaque(data[offset:])
-    return ParsedPacket(
-        frame.ts_sec, frame.ts_usec, data[6:12], data[0:6], ether_type, network, *layers
-    )
+    return ParsedPacket(data[6:12], data[0:6], network, *layers)
 
 
 def _parse_ipv4(data: bytes, off: int) -> tuple:

@@ -82,11 +82,8 @@ def test_entropy_oracle():
 
 def _udp_packet(src_port, dst_port):
     return ParsedPacket(
-        ts_sec=0,
-        ts_usec=0,
         src_mac=b"\x02" + b"\x00" * 5,
         dst_mac=b"\x04" + b"\x00" * 5,
-        ether_type=0x0800,
         network=Network.IPV4,
         transport=Transport.UDP,
         src_port=src_port,
@@ -153,13 +150,13 @@ def _random_dataset(n, d, seed):
     labels = np.where(rows[:, 0] + 0.3 * rng.normal(size=n) > 0, 1, -1)
     if np.all(labels == labels[0]):
         labels[0] = -labels[0]
-    return LabeledDataset(rows, labels, "pos")
+    return LabeledDataset(rows, labels)
 
 
 def _separable():
     rng = np.random.default_rng(0)
     rows = np.vstack([rng.uniform(0.1, 1, (50, 1)), rng.uniform(-1, -0.1, (50, 1))])
-    return LabeledDataset(rows, np.array([1] * 50 + [-1] * 50), "pos")
+    return LabeledDataset(rows, np.array([1] * 50 + [-1] * 50))
 
 
 def _stump_oracle(data):

@@ -1,6 +1,5 @@
 import base64
 import copy
-import dataclasses
 import errno
 import hashlib
 import json
@@ -24,7 +23,7 @@ from iotprint.fingerprint import (
     read_rows,
     save_profile,
 )
-from iotprint.ml import VoteModel, load_model
+from iotprint.ml import load_model
 from iotprint.packet_model import RawFrame, parse_frame
 from iotprint.pcap_io import DeviceSelector, filter_device, write_capture
 from iotprint.synth import ARCHETYPES, generate_trace
@@ -257,6 +256,14 @@ def _deep_tree(levels: int) -> _Raw:
     return _Raw(split * levels + '{"label": 1}' + ', "right": {"label": -1}}' * levels)
 
 
+def _deep_right_tree(levels: int) -> dict:
+    """A tree whose right spine holds `levels` splits."""
+    node = {"label": 1}
+    for _ in range(levels):
+        node = {"feature_index": 0, "threshold": 0.0, "left": {"label": -1}, "right": node}
+    return node
+
+
 def _inflated(data: str) -> bytes:
     """The array bytes of a packed field's `data`."""
     return zlib.decompress(base64.b64decode(data))
@@ -306,6 +313,14 @@ MODEL_MUTATIONS = {
         "boosted", ("columns",), lambda c: c[:95],
         "feature_index must be an integer in [0, 94]",
     ),
+    "boosted-stage-7": (
+        "boosted", ("stages", 0), 7,
+        "model stage must be [feature_index, threshold, left_value, right_value]",
+    ),
+    "boosted-stage-of-3": (
+        "boosted", ("stages", 0), lambda stage: stage[:3],
+        "model stage must be [feature_index, threshold, left_value, right_value]",
+    ),
     "boosted-threshold-nan": (
         "boosted", ("stages", 0, 1), float("nan"),
         "threshold must be a finite number",
@@ -322,13 +337,45 @@ MODEL_MUTATIONS = {
         "boosted", ("stages",), lambda stages: [[f, t, 1e308, -1e308] for f, t, _, _ in stages],
         "scores can overflow",
     ),
+    # Each leaf or the initial score below must count by its magnitude,
+    # and each stage by its larger leaf: a sum that lets them cancel or
+    # reads one leaf only stays finite.
+    "boosted-initial-score-minus-1e308-one-leaf-1e308": (
+        "boosted", (),
+        lambda doc: {**doc, "initial_score": -1e308, "stages": [[0, 0.5, 1e308, -1e308]]},
+        "scores can overflow",
+    ),
+    "boosted-right-leaves-1e308": (
+        "boosted", ("stages",), lambda stages: [[f, t, 0.0, 1e308] for f, t, _, _ in stages],
+        "scores can overflow",
+    ),
+    "boosted-left-leaves-minus-1e308": (
+        "boosted", ("stages",), lambda stages: [[f, t, -1e308, 0.0] for f, t, _, _ in stages],
+        "scores can overflow",
+    ),
+    "boosted-right-leaves-minus-1e308": (
+        "boosted", ("stages",), lambda stages: [[f, t, 0.0, -1e308] for f, t, _, _ in stages],
+        "scores can overflow",
+    ),
     "tree-feature-index-900": (
         "tree", ("root", "feature_index"), 900,
         "feature_index must be an integer in [0, 99], got 900",
     ),
     "tree-node-without-right": ("tree", ("root", "right"), _DELETE, "lacks 'right'"),
     "tree-7-deep-max-depth-5": ("tree", ("root",), _deep_tree(7), "split below its max_depth"),
+    "tree-7-deep-right-spine-max-depth-5": (
+        "tree", ("root",), _deep_right_tree(7), "split below its max_depth"
+    ),
     "tree-3000-deep": ("tree", ("root",), _deep_tree(3000), "nested too deeply"),
+    "tree-kind-forest": ("tree", ("kind",), "forest", "unknown model kind 'forest'"),
+    "tree-leaf-label-true": (
+        "tree", ("root",), {"label": True}, "tree leaf label must be +1 or -1, got True"
+    ),
+    "tree-leaf-label-1.0": (
+        "tree", ("root",), {"label": 1.0}, "tree leaf label must be +1 or -1, got 1.0"
+    ),
+    "tree-leaf-label-0": ("tree", ("root",), {"label": 0}, "tree leaf label must be +1 or -1, got 0"),
+    "tree-root-string-label": ("tree", ("root",), "label", "lacks 'feature_index'"),
     "no-kind": ("boosted", ("kind",), _DELETE, "lacks 'kind'"),
     "vote-lacks-knn": ("vote", ("knn",), _DELETE, "lacks 'knn'"),
     "packed-k-zero": ("knn", ("k",), 0, "model k must be an integer in [1, "),
@@ -469,6 +516,7 @@ MODEL_MUTATIONS = {
         "columns must be 101 distinct integers",
     ),
     "columns-missing": ("knn", ("columns",), _DELETE, "lacks 'columns'"),
+    "columns-empty": ("boosted", ("columns",), [], "columns must be 1 distinct integers"),
     "schema-1": ("knn", ("schema",), "model/1", "unsupported model schema: 'model/1'"),
     "schema-2": ("knn", ("schema",), "model/2", "unsupported model schema: 'model/2'"),
     "schema-3": ("knn", ("schema",), "model/3", "unsupported model schema: 'model/3'"),
@@ -588,7 +636,7 @@ def test_identify_verdict_needs_more_than_half_of_the_fingerprints(tmp_path, cap
         # Rows above the threshold go right, to +1.
         threshold = (values[n - claimed - 1] + values[n - claimed]) / 2
         stump = ml.Stump(0, threshold, -1.0, 1.0)
-        ml.save_model(ml.BoostedModel(0.0, (stump,), 1, "outlet"), path, [column])
+        ml.save_model(ml.BoostedModel(0.0, (stump,)), path, [column], "outlet")
         capsys.readouterr()
         assert main(["identify", str(path), "--pcap", str(target), "--mac", arch.mac.hex(":")]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -683,14 +731,9 @@ def test_identify_searches_only_each_vote_models_undecided_rows(
     others = [train("speaker", more), train("hue-bulb", more, "--variant", "3")]
     # The outlet model as another class that reads its columns reversed:
     # its packed rows are the shared ones, but its columns are not.
-    model, columns = load_model(shared[0])
-    members = (model.boosted, model.knn, model.tree)
+    model, columns, _ = load_model(shared[0])
     others.append(str(tmp_path / "reversed.model.json"))
-    ml.save_model(
-        VoteModel(*(dataclasses.replace(m, positive_class="reversed") for m in members)),
-        others[-1],
-        columns[::-1],
-    )
+    ml.save_model(model, others[-1], columns[::-1], "reversed")
 
     searches, decodes = [], []
     knn_labels, b64decode = ml.knn_labels, documents.base64.b64decode
@@ -717,7 +760,7 @@ def test_identify_searches_only_each_vote_models_undecided_rows(
         boosted label equals its unnegated tree label."""
         prints = build_fingerprints(read_rows(target, DeviceSelector(mac=arch.mac))[0])
         counts = []
-        for model, columns in map(load_model, models):
+        for model, columns, _ in map(load_model, models):
             X = prints[:, columns]
             counts.append(int((model.boosted.predict(X) == tree_labels(model.tree, X)).sum()))
         assert all(counts)
@@ -775,8 +818,7 @@ def test_train_on_values_near_the_float_maximum(three_profiles, tmp_path, capsys
     argv = ["train", "--profiles", str(profile), *three_profiles[1:], "--positive", "outlet"]
     code = main([*argv, "--classifier", classifier, "--out", str(out)])
     assert (code, capsys.readouterr().err) == (0, "")
-    model, _ = load_model(out)
-    assert model.positive_class == "outlet"
+    assert load_model(out)[2] == "outlet"
 
 
 @pytest.fixture(scope="module")

@@ -39,7 +39,6 @@ def test_assemble_fourteen_devices():
     data = assemble_one_vs_all(profiles, "dev-4", "device")
     assert (data.labels == 1).sum() == 3
     assert (data.labels == -1).sum() == 13 * 3
-    assert data.positive_class == "dev-4"
 
 
 def test_assemble_category_union_counts():
@@ -64,7 +63,7 @@ def balanced_dataset(n_pos=10, n_neg=10, d=4, seed=0):
     rng = np.random.default_rng(seed)
     rows = rng.normal(size=(n_pos + n_neg, d))
     labels = np.array([1] * n_pos + [-1] * n_neg)
-    return LabeledDataset(rows, labels, "pos")
+    return LabeledDataset(rows, labels)
 
 
 def test_stratified_folds_balance_and_partition():

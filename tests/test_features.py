@@ -149,11 +149,8 @@ def test_batch_entropy_is_bit_identical_on_every_corpus_payload(corpus):
 
 def _packet(**overrides):
     base = dict(
-        ts_sec=0,
-        ts_usec=0,
         src_mac=b"\x02" + b"\x00" * 5,
         dst_mac=b"\x04" + b"\x00" * 5,
-        ether_type=0x0800,
         network=Network.IPV4,
         transport=Transport.NONE,
         payload=b"",
@@ -163,7 +160,7 @@ def _packet(**overrides):
 
 
 def test_extract_eapol_only_flag():
-    pkt = _packet(ether_type=0x888E, network=Network.EAPOL, payload=b"\x01\x02\x03\x04")
+    pkt = _packet(network=Network.EAPOL, payload=b"\x01\x02\x03\x04")
     (feat,) = extract_features([pkt]).tolist()
     assert feat[:HEADER_FLAG_COUNT] == [0, 0, 0, 0, 1] + [0] * 12
     assert feat[17] == shannon_entropy([b"\x01\x02\x03\x04"])[0]

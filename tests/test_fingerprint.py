@@ -54,11 +54,8 @@ def test_large_stream_count():
 
 def udp_packet(src_port, dst_port):
     return ParsedPacket(
-        ts_sec=0,
-        ts_usec=0,
         src_mac=b"\x02" + b"\x00" * 5,
         dst_mac=b"\x04" + b"\x00" * 5,
-        ether_type=0x0800,
         network=Network.IPV4,
         transport=Transport.UDP,
         src_port=src_port,
@@ -69,11 +66,8 @@ def udp_packet(src_port, dst_port):
 
 def arp_packet():
     return ParsedPacket(
-        ts_sec=0,
-        ts_usec=0,
         src_mac=b"\x02" + b"\x00" * 5,
         dst_mac=b"\xff" * 6,
-        ether_type=0x0806,
         network=Network.ARP,
     )
 

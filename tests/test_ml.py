@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 from unittest import mock
 
@@ -39,8 +40,8 @@ from oracles import (
 )
 
 
-def dataset(rows, labels, name="pos"):
-    return LabeledDataset(np.asarray(rows, dtype=float), np.asarray(labels), name)
+def dataset(rows, labels):
+    return LabeledDataset(np.asarray(rows, dtype=float), np.asarray(labels))
 
 
 def random_dataset(n, d, seed):
@@ -237,13 +238,13 @@ def test_training_accuracy_close_to_one_on_noisy_data():
 
 
 def test_predict_zero_stage_model():
-    model = BoostedModel(0.4, (), 3, "pos")
+    model = BoostedModel(0.4, ())
     assert boosted_scores(model, np.zeros((1, 3))).tolist() == [0.4]
     assert model.predict(np.zeros((1, 3))).tolist() == [1]
 
 
 def test_score_zero_predicts_positive():
-    model = BoostedModel(0.0, (), 2, "pos")
+    model = BoostedModel(0.0, ())
     assert model.predict([[1.0, 2.0]]).tolist() == [1]
 
 
@@ -256,8 +257,6 @@ def test_scale_consistency_of_sign():
             Stump(s.feature_index, s.threshold, s.left_value * 3.5, s.right_value * 3.5)
             for s in model.stages
         ),
-        model.n_features,
-        model.positive_class,
     )
     queries = np.random.default_rng(1).uniform(-1, 1, size=(50, 5))
     assert model.predict(queries).tolist() == scaled.predict(queries).tolist()
@@ -329,7 +328,7 @@ def test_split_search_matches_reference_on_corpus_folds(base_profiles):
     for profile in base_profiles:
         data = assemble_one_vs_all(base_profiles, profile.device_label)
         train_idx = stratified_folds(data, k=5, seed=3).train_indices(0)
-        train = LabeledDataset(data.rows[train_idx], data.labels[train_idx], data.positive_class)
+        train = LabeledDataset(data.rows[train_idx], data.labels[train_idx])
         model = train_boosted(train, n_stages=100)
         reference = boosted_with_reference_search(train, n_stages=100)
         assert model.stages == reference.stages, profile.device_label
@@ -477,7 +476,7 @@ def test_labels_must_be_plus_minus_one():
 )
 def test_labels_must_be_integers_before_any_cast(labels):
     with pytest.raises(ValueError, match=r"labels must be \+1 or -1"):
-        LabeledDataset(np.zeros((2, 1)), labels, "pos")
+        LabeledDataset(np.zeros((2, 1)), labels)
 
 
 @pytest.mark.parametrize(
@@ -486,7 +485,7 @@ def test_labels_must_be_integers_before_any_cast(labels):
 )
 def test_rows_without_columns_are_rejected_before_training(train):
     with pytest.raises(ValueError, match="at least one column"):
-        train(LabeledDataset(np.zeros((2, 0)), [1, -1], "p"))
+        train(LabeledDataset(np.zeros((2, 0)), [1, -1]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -710,7 +709,7 @@ def test_tree_matches_dense_gini_tree_on_corpus_folds(base_profiles):
         _assert_tree_matches_dense_gini(data, 5)
         for fold in range(5):
             idx = folds.train_indices(fold)
-            train = LabeledDataset(data.rows[idx], data.labels[idx], data.positive_class)
+            train = LabeledDataset(data.rows[idx], data.labels[idx])
             _assert_tree_matches_dense_gini(train, 5)
 
 
@@ -786,8 +785,8 @@ def test_votes_match_the_three_member_majority(case, chunk):
 def _split_vote(undecided_rows, n):
     """(vote, queries): boosted labels -1 where column 0 is -1, the tree +1
     everywhere, so exactly `undecided_rows` of the n queries are undecided."""
-    boosted = BoostedModel(0.0, (Stump(0, 0.0, -1.0, 1.0),), 2, "pos")
-    tree = TreeModel(TreeNode(label=1), 1, 2, "pos")
+    boosted = BoostedModel(0.0, (Stump(0, 0.0, -1.0, 1.0),))
+    tree = TreeModel(TreeNode(label=1), 1)
     knn = train_knn(random_dataset(n=50, d=2, seed=31), k=3)
     queries = np.random.default_rng(32).uniform(0.1, 1.0, size=(n, 2))
     queries[undecided_rows, 0] = -1.0
@@ -821,9 +820,9 @@ def test_model_save_load_preserves_predictions(tmp_path):
     queries = np.random.default_rng(28).uniform(-1, 1, size=(40, 4))
     for name, model in [("b", boosted), ("k", knn), ("t", tree), ("v", vote)]:
         path = tmp_path / f"{name}.model.json"
-        save_model(model, path, range(4))
-        back, columns = load_model(path)
-        assert columns == [0, 1, 2, 3]
+        save_model(model, path, range(4), f"class-{name}")
+        back, columns, positive_class = load_model(path)
+        assert (columns, positive_class) == ([0, 1, 2, 3], f"class-{name}")
         assert back.predict(queries).tolist() == model.predict(queries).tolist()
         if name == "b":  # the scores too, not only their signs
             assert boosted_scores(back, queries).tolist() == boosted_scores(model, queries).tolist()
@@ -843,8 +842,8 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
     columns = [7, 3, 99, 0, 42]
     for model in (boosted, knn, tree, VoteModel(boosted, knn, tree)):
         path = tmp_path / "model.json"
-        save_model(model, path, columns)
-        back, back_columns = load_model(path)
+        save_model(model, path, columns, "pos")
+        back, back_columns, _ = load_model(path)
         assert type(back) is type(model) and back_columns == columns
         for member, original in (
             zip((back.boosted, back.knn, back.tree), (boosted, knn, tree))
@@ -854,7 +853,7 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
             if isinstance(original, type(knn)):
                 assert _same_bits(member.rows, original.rows)
                 assert _same_bits(member.labels, original.labels)
-                assert (member.k, member.positive_class) == (original.k, original.positive_class)
+                assert member.k == original.k
             else:
                 assert member == original
             if isinstance(original, BoostedModel):
@@ -866,7 +865,7 @@ def test_models_loaded_with_one_dict_decode_equal_packed_text_once(tmp_path, mon
     trained = [train_knn(d, 3) for d in (data, dataset(data.rows, -data.labels), data)]
     paths = [tmp_path / f"{i}.model.json" for i in range(3)]
     for model, path in zip(trained, paths):
-        save_model(model, path, range(5))
+        save_model(model, path, range(5), "pos")
     decodes = []
     b64decode = documents.base64.b64decode
 
@@ -903,7 +902,7 @@ def test_save_model_rejects_bad_columns_and_writes_nothing(tmp_path, columns):
     _, knn, _, _ = _trio(seed=30)
     path = tmp_path / "knn.model.json"
     with pytest.raises(ValueError, match="columns"):
-        save_model(knn, path, columns)
+        save_model(knn, path, columns, "pos")
     assert not path.exists()
 
 
@@ -915,10 +914,74 @@ def test_load_rejects_unknown_schema(tmp_path):
 
 
 def test_save_model_rejects_nan_and_writes_nothing(tmp_path):
-    model = BoostedModel(0.0, (Stump(0, 0.5, math.nan, 1.0),), 1, "pos")
-    knn = ml.KnnModel(np.array([[0.0], [math.inf]]), np.array([1, -1]), 1, "pos")
+    model = BoostedModel(0.0, (Stump(0, 0.5, math.nan, 1.0),))
+    knn = ml.KnnModel(np.array([[0.0], [math.inf]]), np.array([1, -1]), 1)
     for model in (model, knn):
         path = tmp_path / "nan.model.json"
         with pytest.raises(ValueError):
-            save_model(model, path, [0])
+            save_model(model, path, [0], "pos")
         assert not path.exists()
+
+
+_SPLIT = TreeNode(feature_index=0, threshold=0.0, left=TreeNode(label=1), right=TreeNode(label=-1))
+
+# name -> (model, columns, a fragment of the loader's message): documents
+# that `load_model` refuses, so `save_model` must not write them.
+UNLOADABLE = {
+    "boosted-leaves-past-the-float-maximum": (
+        BoostedModel(0.0, (Stump(0, 0.0, 1e308, 1.0), Stump(0, 0.0, 1e308, 1.0))),
+        [0],
+        "scores can overflow",
+    ),
+    "knn-k-above-its-rows": (
+        ml.KnnModel(np.array([[0.0], [1.0]]), np.array([1, -1]), 3),
+        [0],
+        "k must be an integer in [1, 2]",
+    ),
+    "tree-split-with-max-depth-0": (
+        TreeModel(_SPLIT, 0), [0], "max_depth must be an integer in [1, inf], got 0"
+    ),
+    "tree-split-below-max-depth": (
+        TreeModel(TreeNode(feature_index=0, threshold=1.0, left=_SPLIT, right=_SPLIT), 1),
+        [0],
+        "split below its max_depth",
+    ),
+    "stump-index-at-len-columns": (
+        BoostedModel(0.0, (Stump(2, 0.0, -1.0, 1.0),)),
+        [5, 6],
+        "feature_index must be an integer in [0, 1], got 2",
+    ),
+    "tree-index-past-len-columns": (
+        TreeModel(TreeNode(feature_index=3, threshold=0.0, left=_SPLIT, right=_SPLIT), 2),
+        [5, 6],
+        "feature_index must be an integer in [0, 1], got 3",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", UNLOADABLE)
+def test_save_model_writes_nothing_that_load_model_refuses(tmp_path, name):
+    """Alone, and as the member of a vote whose other members are sound."""
+    model, columns, message = UNLOADABLE[name]
+    sound = {
+        "boosted": BoostedModel(0.0, ()),
+        "knn": ml.KnnModel(np.zeros((1, len(columns))), np.array([1]), 1),
+        "tree": TreeModel(TreeNode(label=1), 1),
+    }
+    slot = {BoostedModel: "boosted", ml.KnnModel: "knn", TreeModel: "tree"}[type(model)]
+    path = tmp_path / "model.json"
+    for saved in (model, VoteModel(**{**sound, slot: model})):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_model(saved, path, columns, "pos")
+        assert not path.exists()
+
+
+
+def test_scores_that_reach_exactly_the_float_maximum_are_saved_and_loaded(tmp_path):
+    """The overflow check bounds the reach by the float maximum inclusively."""
+    half = sys.float_info.max / 2
+    model = BoostedModel(half, (Stump(0, 0.0, half, -1.0),))
+    path = tmp_path / "model.json"
+    save_model(model, path, [0], "pos")
+    back = load_model(path)[0]
+    assert boosted_scores(back, [[0.0], [1.0]]).tolist() == [sys.float_info.max, half - 1.0]
