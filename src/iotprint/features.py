@@ -9,19 +9,21 @@ feature variant is the subset of those columns a model reads.
 Rows come two ways with identical bits: `extract_features` from parsed
 packets, and `frame_features` straight from a capture's bytes for the
 frame kinds that make up nearly all device traffic (ARP, EAPoL, and
-IPv4 without options carrying TCP, UDP or ICMP).
+IPv4 without options carrying TCP, UDP or ICMP). Both gather each
+packet's layer flags, ports, TCP window and payload, and one builder,
+`_rows`, fills the 20 columns from them: this module alone decides
+which column a layer sets, including the application flags that
+well-known TCP and UDP ports stand for (`_APP_PORTS`).
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from .errors import EmptyInput
 from .packet_model import (
-    _APP_PORTS,
     ETHERTYPE_ARP,
     ETHERTYPE_EAPOL,
     ETHERTYPE_IPV4,
@@ -29,7 +31,6 @@ from .packet_model import (
     IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
-    AppProtocol,
     IpOption,
     Network,
     ParsedPacket,
@@ -63,22 +64,17 @@ HEADER_FLAG_COUNT = len(HEADER_FLAG_NAMES)  # 17
 PACKET_FEATURE_COUNT = len(FEATURE_NAMES)  # 20
 ENTROPY_INDEX = FEATURE_NAMES.index("entropy")
 PAYLOAD_FEATURE_INDICES = (17, 18, 19)
-_NOT_TCP = (0.0, 0.0, 0.0)  # a non-TCP row's payload values; entropy is filled in after
 
 FINGERPRINT_PACKETS = 5
 FINGERPRINT_DIM = FINGERPRINT_PACKETS * PACKET_FEATURE_COUNT  # 100
 VARIANT_TAGS = {20: "20-features", 19: "19-no-entropy", 3: "3-payload-only"}
 
-_APP_FLAGS = (
-    AppProtocol.HTTP,
-    AppProtocol.HTTPS,
-    AppProtocol.DHCP,
-    AppProtocol.BOOTP,
-    AppProtocol.SSDP,
-    AppProtocol.DNS,
-    AppProtocol.MDNS,
-    AppProtocol.NTP,
-)
+_DHCP = ("dhcp", "bootp")  # DHCP is carried in BOOTP framing, so its ports set both flags
+# transport flag -> well-known port -> the application flags a packet to or from it sets
+_APP_PORTS = {
+    "tcp": {80: ("http",), 443: ("https",), 53: ("dns",)},
+    "udp": {67: _DHCP, 68: _DHCP, 53: ("dns",), 123: ("ntp",), 1900: ("ssdp",), 5353: ("mdns",)},
+}
 
 
 def variant_columns(variant: int) -> list:
@@ -149,18 +145,57 @@ def _block_sums(block: Sequence[bytes], lengths: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _rows(flags: dict, ports: np.ndarray, window, payloads: Sequence[bytes]) -> np.ndarray:
+    """The (n, 20) rows of n packets from their layers: `flags` maps layer flag
+    names (with "tcp" and "udp") to n booleans, and a name it leaves out is 0.
+    The (n, 2) ports are read on TCP and UDP rows, the window on TCP rows."""
+    rows = np.zeros((len(payloads), PACKET_FEATURE_COUNT))
+    column = FEATURE_NAMES.index
+    for name, on in flags.items():
+        rows[:, column(name)] = on
+    for transport, apps_at in _APP_PORTS.items():
+        for port, apps in apps_at.items():
+            on = flags[transport] & (ports == port).any(axis=1)
+            for app in apps:
+                rows[on, column(app)] = 1.0
+    lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+    rows[:, column("tcp_payload_length")] = np.where(flags["tcp"], lengths, 0)
+    rows[:, column("tcp_window_size")] = np.where(flags["tcp"], window, 0)
+    rows[:, ENTROPY_INDEX] = shannon_entropy(payloads)
+    return rows
+
+
+# The flags `extract_features` gathers, in tuple order: all but the application flags.
+_PACKET_FLAGS = HEADER_FLAG_NAMES[:7] + HEADER_FLAG_NAMES[-2:]
+
+
 def extract_features(packets: Sequence[ParsedPacket]) -> np.ndarray:
     """The (n, 20) float64 matrix of n parsed packets, rows in FEATURE_NAMES order.
 
     The IP flag covers IPv4 and IPv6; TCP payload length and window are 0 off TCP."""
-    rows = [
-        _header_flags(p.network, p.transport, p.app_protocols, p.ip_options)
-        + ((0.0, len(p.payload), p.tcp_window_size) if p.transport is Transport.TCP else _NOT_TCP)
-        for p in packets
-    ]
-    out = np.array(rows, dtype=np.float64).reshape(-1, PACKET_FEATURE_COUNT)
-    out[:, ENTROPY_INDEX] = shannon_entropy([p.payload for p in packets])
-    return out
+    layers = np.array(
+        [
+            (
+                p.network is Network.ARP,
+                p.network is Network.IPV4 or p.network is Network.IPV6,
+                p.transport is Transport.ICMP,
+                p.transport is Transport.ICMPV6,
+                p.network is Network.EAPOL,
+                p.transport is Transport.TCP,
+                p.transport is Transport.UDP,
+                any(o is IpOption.PADDING for o in p.ip_options) if p.ip_options else False,
+                any(o is IpOption.ROUTER_ALERT for o in p.ip_options) if p.ip_options else False,
+                p.src_port or 0,  # None off TCP and UDP, where no port is read
+                p.dst_port or 0,
+                p.tcp_window_size or 0,
+            )
+            for p in packets
+        ],
+        dtype=np.int64,
+    ).reshape(-1, len(_PACKET_FLAGS) + 3)
+    flags = dict(zip(_PACKET_FLAGS, layers[:, : len(_PACKET_FLAGS)].T.astype(bool)))
+    ports, window = layers[:, -3:-1], layers[:, -1]
+    return _rows(flags, ports, window, [p.payload for p in packets])
 
 
 def frame_features(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple:
@@ -206,53 +241,20 @@ def frame_features(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tupl
     ip, ported = tcp | udp | icmp, tcp | udp
     decoded = arp | eapol | ip
 
-    rows = np.zeros((len(starts), PACKET_FEATURE_COUNT))
-    column = FEATURE_NAMES.index
-    for name, kind in (
-        ("arp", arp), ("ip", ip), ("icmp", icmp), ("eapol", eapol), ("tcp", tcp), ("udp", udp)
-    ):
-        rows[:, column(name)] = kind
-    src_port, dst_port = u16(start), u16(start + 2)
-    for transport, carried in ((Transport.TCP, tcp), (Transport.UDP, udp)):
-        for port, apps in _APP_PORTS[transport].items():
-            on = carried & ((src_port == port) | (dst_port == port))
-            for app in apps:
-                rows[on, column(app.value)] = 1.0
     udp_end = np.minimum(end, start + np.maximum(u16(start + 4), 8))
     first = np.select([tcp, udp, icmp], [start + data_offset, start + 8, start + 4], off)
     last = np.select([udp, ip], [udp_end, end], lengths)
-    rows[:, column("tcp_payload_length")] = np.where(tcp, last - first, 0)
-    rows[:, column("tcp_window_size")] = np.where(tcp, u16(start + 14), 0)
     at = np.flatnonzero(decoded)
     bounds = zip((starts + first)[at].tolist(), (starts + last)[at].tolist())
-    rows[at, ENTROPY_INDEX] = shannon_entropy([data[a:b] for a, b in bounds])
-    ports = np.where(ported[:, None], np.column_stack([src_port, dst_port]), -1)
+    payloads = [data[a:b] for a, b in bounds]
+    ports = np.where(ported[:, None], np.column_stack([u16(start), u16(start + 2)]), -1)
+    flags = {"arp": arp, "ip": ip, "icmp": icmp, "eapol": eapol, "tcp": tcp, "udp": udp}
+    rows = np.zeros((len(starts), PACKET_FEATURE_COUNT))
+    window = u16(start + 14)
+    rows[at] = _rows({k: on[at] for k, on in flags.items()}, ports[at], window[at], payloads)
     addresses = [u16(off + k) << 16 | u16(off + k + 2) for k in (12, 16)]
     hosts = np.where(ip[:, None], np.column_stack(addresses), -1)
     return decoded, rows, ports, hosts
-
-
-@functools.cache
-def _header_flags(
-    network: Network, transport: Transport, app_protocols: frozenset, ip_options: frozenset
-) -> tuple:
-    """The 17 header flags, in HEADER_FLAG_NAMES order.
-
-    Cached: the keys are a finite set (5 networks x 5 transports x 2^8
-    application sets x 2^2 option sets), and the values are tuples.
-    """
-    return (
-        float(network is Network.ARP),
-        float(network in (Network.IPV4, Network.IPV6)),
-        float(transport is Transport.ICMP),
-        float(transport is Transport.ICMPV6),
-        float(network is Network.EAPOL),
-        float(transport is Transport.TCP),
-        float(transport is Transport.UDP),
-        *(float(app in app_protocols) for app in _APP_FLAGS),
-        float(IpOption.PADDING in ip_options),
-        float(IpOption.ROUTER_ALERT in ip_options),
-    )
 
 
 def ecdf(values: Sequence[float]) -> list:

@@ -93,14 +93,25 @@ def packets_from_capture(path: str | Path) -> tuple:
     Returns (packets, skipped_count).
     """
     _, frames = read_capture(path)
-    packets = []
-    skipped = 0
-    for frame in frames:
+    packets, _, skipped = _parse(frames)
+    return packets, skipped
+
+
+def _parse(frames, sel: DeviceSelector | None = None) -> tuple:
+    """(packets, positions, skipped): the parsed frames that `sel` matches
+    (all without `sel`), their positions in `frames`, and how many frames
+    did not decode."""
+    packets, positions, skipped = [], [], 0
+    for i, frame in enumerate(frames):
         try:
-            packets.append(parse_frame(frame))
+            pkt = parse_frame(frame)
         except (FrameTooShort, TruncatedHeader):
             skipped += 1
-    return packets, skipped
+            continue
+        if sel is None or sel.matches(pkt):
+            packets.append(pkt)
+            positions.append(i)
+    return packets, positions, skipped
 
 
 def read_rows(path: str | Path, sel: DeviceSelector | None = None) -> tuple:
@@ -123,16 +134,8 @@ def read_rows(path: str | Path, sel: DeviceSelector | None = None) -> tuple:
     )
     keep = decoded if sel is None or sel.ip is None else decoded & _addressed(frames, hosts, sel)
     rest = np.flatnonzero(~decoded)
-    packets, at, skipped = [], [], 0
-    for i, frame in zip(rest.tolist(), frames.take(rest)):
-        try:
-            pkt = parse_frame(frame)
-        except (FrameTooShort, TruncatedHeader):
-            skipped += 1
-            continue
-        if sel is None or sel.matches(pkt):
-            packets.append(pkt)
-            at.append(i)
+    packets, positions, skipped = _parse(frames.take(rest), sel)
+    at = rest[positions]
     rows[at] = extract_features(packets)
     pairs = [(-1, -1) if p.src_port is None else (p.src_port, p.dst_port) for p in packets]
     ports[at] = np.reshape(pairs, (-1, 2))

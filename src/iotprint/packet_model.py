@@ -3,7 +3,9 @@
 Decoding is deliberately shallow: it recovers exactly the layer metadata
 needed for feature extraction (protocol presence, ports, TCP window,
 IP options, transport payload) and degrades gracefully on anything it
-does not understand. No checksum validation, no reassembly.
+does not understand. No checksum validation, no reassembly. This module
+only decodes layers; which feature columns they set, including what a
+well-known port means, is decided in `features`.
 """
 
 from __future__ import annotations
@@ -50,17 +52,6 @@ class Transport(enum.Enum):
     NONE = "none"
 
 
-class AppProtocol(enum.Enum):
-    HTTP = "http"
-    HTTPS = "https"
-    DHCP = "dhcp"
-    BOOTP = "bootp"
-    SSDP = "ssdp"
-    DNS = "dns"
-    MDNS = "mdns"
-    NTP = "ntp"
-
-
 class IpOption(enum.Enum):
     PADDING = "padding"
     ROUTER_ALERT = "router_alert"
@@ -100,8 +91,7 @@ class ParsedPacket(NamedTuple):
     """Layer metadata and transport payload for one frame.
 
     `parse_frame` is the one producer: ports are present exactly for
-    TCP/UDP, `tcp_window_size` exactly for TCP, and `app_protocols` only
-    with ports.
+    TCP/UDP, and `tcp_window_size` exactly for TCP.
     """
 
     src_mac: bytes
@@ -112,42 +102,12 @@ class ParsedPacket(NamedTuple):
     src_port: int | None = None
     dst_port: int | None = None
     tcp_window_size: int | None = None
-    app_protocols: frozenset = frozenset()
     payload: bytes = b""
     src_ip: str | None = None
     dst_ip: str | None = None
 
 
 _EMPTY: frozenset = frozenset()
-_DHCP = frozenset({AppProtocol.DHCP, AppProtocol.BOOTP})
-# transport -> well-known port -> the application protocols it carries
-_APP_PORTS = {
-    Transport.TCP: {
-        80: frozenset({AppProtocol.HTTP}),
-        443: frozenset({AppProtocol.HTTPS}),
-        53: frozenset({AppProtocol.DNS}),
-    },
-    Transport.UDP: {
-        67: _DHCP,
-        68: _DHCP,
-        53: frozenset({AppProtocol.DNS}),
-        123: frozenset({AppProtocol.NTP}),
-        1900: frozenset({AppProtocol.SSDP}),
-        5353: frozenset({AppProtocol.MDNS}),
-    },
-}
-
-
-def classify_app_protocols(
-    transport: Transport, src_port: int, dst_port: int
-) -> frozenset:
-    """Map well-known ports (either endpoint) to application protocols.
-
-    DHCP is carried in BOOTP framing, so both flags are set together on
-    ports 67/68. Unknown ports yield an empty set.
-    """
-    ports = _APP_PORTS.get(transport, {})
-    return ports.get(src_port, _EMPTY) | ports.get(dst_port, _EMPTY)
 
 
 def _opaque(
@@ -158,7 +118,7 @@ def _opaque(
     `_parse_ipv4`, `_parse_ipv6` and `_parse_transport` return the
     `ParsedPacket` fields from `ip_options` to `dst_ip`, in field order.
     """
-    return ip_options, Transport.NONE, None, None, None, _EMPTY, payload, src_ip, dst_ip
+    return ip_options, Transport.NONE, None, None, None, payload, src_ip, dst_ip
 
 
 _OPAQUE_NETWORKS = {ETHERTYPE_ARP: Network.ARP, ETHERTYPE_EAPOL: Network.EAPOL}
@@ -316,23 +276,21 @@ def _parse_transport(
             raise TruncatedHeader("TCP options cut short")
         if start + data_offset > end:
             return _opaque(data[start:end], ip_options, src_ip, dst_ip)
-        apps = classify_app_protocols(Transport.TCP, src_port, dst_port)
         payload = data[start + data_offset : end]
-        return ip_options, Transport.TCP, src_port, dst_port, window, apps, payload, src_ip, dst_ip
+        return ip_options, Transport.TCP, src_port, dst_port, window, payload, src_ip, dst_ip
     if protocol == IPPROTO_UDP:
         if start + 8 > len(data):
             raise TruncatedHeader("UDP header cut short")
         if start + 8 > end:
             return _opaque(data[start:end], ip_options, src_ip, dst_ip)
         src_port, dst_port, udp_len, _ = struct.unpack_from("!HHHH", data, start)
-        apps = classify_app_protocols(Transport.UDP, src_port, dst_port)
         payload = data[start + 8 : min(end, start + max(udp_len, 8))]
-        return ip_options, Transport.UDP, src_port, dst_port, None, apps, payload, src_ip, dst_ip
+        return ip_options, Transport.UDP, src_port, dst_port, None, payload, src_ip, dst_ip
     if protocol in (IPPROTO_ICMP, IPPROTO_ICMPV6):
         if start + 4 > len(data):
             raise TruncatedHeader("ICMP header cut short")
         if start + 4 > end:
             return _opaque(data[start:end], ip_options, src_ip, dst_ip)
         kind = Transport.ICMP if protocol == IPPROTO_ICMP else Transport.ICMPV6
-        return ip_options, kind, None, None, None, _EMPTY, data[start + 4 : end], src_ip, dst_ip
+        return ip_options, kind, None, None, None, data[start + 4 : end], src_ip, dst_ip
     return _opaque(data[start:end], ip_options, src_ip, dst_ip)

@@ -3,7 +3,8 @@
 Each reads, labels or splits one thing at a time, the plain way, so the
 tests can hold `pcap_io.read_capture`, `pcap_io.filter_device`,
 `packet_model.parse_frame`, `features.shannon_entropy`,
-`features.extract_features`, `fingerprint.read_rows`,
+`features.extract_features` (with its port table, here an if-ladder),
+`features.frame_features`, `fingerprint.read_rows`,
 `fingerprint.session_stats`, `model.predict(X)` and `ml._SplitSearch`
 against them.
 """
@@ -17,7 +18,7 @@ import numpy as np
 from iotprint import ml, pcap_io
 from iotprint.errors import BadMagic, TruncatedFile, UnsupportedLinkType
 from iotprint.ml import TreeNode
-from iotprint.packet_model import AppProtocol, IpOption, Network, RawFrame, Transport
+from iotprint.packet_model import IpOption, Network, RawFrame, Transport
 
 
 def read_capture(path) -> tuple:
@@ -75,27 +76,28 @@ def filter_device(packets, sel) -> list:
 
 
 def classify_app_protocols(transport, src_port, dst_port) -> frozenset:
+    """The names of the application flags a packet's well-known ports set."""
     found = set()
     ports = (src_port, dst_port)
     if transport is Transport.TCP:
         if 80 in ports:
-            found.add(AppProtocol.HTTP)
+            found.add("http")
         if 443 in ports:
-            found.add(AppProtocol.HTTPS)
+            found.add("https")
         if 53 in ports:
-            found.add(AppProtocol.DNS)
+            found.add("dns")
     elif transport is Transport.UDP:
         if 67 in ports or 68 in ports:
-            found.add(AppProtocol.DHCP)
-            found.add(AppProtocol.BOOTP)
+            found.add("dhcp")
+            found.add("bootp")
         if 53 in ports:
-            found.add(AppProtocol.DNS)
+            found.add("dns")
         if 123 in ports:
-            found.add(AppProtocol.NTP)
+            found.add("ntp")
         if 1900 in ports:
-            found.add(AppProtocol.SSDP)
+            found.add("ssdp")
         if 5353 in ports:
-            found.add(AppProtocol.MDNS)
+            found.add("mdns")
     return frozenset(found)
 
 
@@ -103,16 +105,9 @@ def ipv4_text(packed: bytes) -> str:
     return str(ipaddress.IPv4Address(packed))
 
 
-_APP_FLAGS = (
-    AppProtocol.HTTP,
-    AppProtocol.HTTPS,
-    AppProtocol.DHCP,
-    AppProtocol.BOOTP,
-    AppProtocol.SSDP,
-    AppProtocol.DNS,
-    AppProtocol.MDNS,
-    AppProtocol.NTP,
-)
+# The application flags in row order, and every port `classify_app_protocols` names.
+APP_FLAGS = ("http", "https", "dhcp", "bootp", "ssdp", "dns", "mdns", "ntp")
+APP_PORTS = (53, 67, 68, 80, 123, 443, 1900, 5353)
 
 
 def shannon_entropy(payload: bytes) -> float:
@@ -135,6 +130,7 @@ def shannon_entropy(payload: bytes) -> float:
 def extract_features(pkt) -> tuple:
     """One packet's 20 floats, every flag evaluated per packet."""
     is_tcp = pkt.transport is Transport.TCP
+    apps = classify_app_protocols(pkt.transport, pkt.src_port, pkt.dst_port)
     return (
         float(pkt.network is Network.ARP),
         float(pkt.network in (Network.IPV4, Network.IPV6)),
@@ -143,7 +139,7 @@ def extract_features(pkt) -> tuple:
         float(pkt.network is Network.EAPOL),
         float(is_tcp),
         float(pkt.transport is Transport.UDP),
-        *(float(app in pkt.app_protocols) for app in _APP_FLAGS),
+        *(float(app in apps) for app in APP_FLAGS),
         float(IpOption.PADDING in pkt.ip_options),
         float(IpOption.ROUTER_ALERT in pkt.ip_options),
         shannon_entropy(pkt.payload),

@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import os
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -20,14 +21,17 @@ from iotprint.features import (
     PACKET_FEATURE_COUNT,
     ecdf,
     extract_features,
+    frame_features,
     shannon_entropy,
     write_features_csv,
 )
 from iotprint.packet_model import (
-    AppProtocol,
+    IPPROTO_TCP,
+    IPPROTO_UDP,
     IpOption,
     Network,
     ParsedPacket,
+    RawFrame,
     Transport,
     parse_frame,
 )
@@ -173,7 +177,6 @@ def test_extract_tcp_http_packet():
         src_port=50000,
         dst_port=80,
         tcp_window_size=8192,
-        app_protocols=frozenset({AppProtocol.HTTP}),
         payload=b"z" * 100,
     )
     (feat,) = extract_features([pkt]).tolist()
@@ -188,7 +191,6 @@ def test_extract_udp_mdns_zeroes_tcp_fields():
         transport=Transport.UDP,
         src_port=5353,
         dst_port=5353,
-        app_protocols=frozenset({AppProtocol.MDNS}),
         payload=b"m" * 40,
     )
     (feat,) = extract_features([pkt]).tolist()
@@ -206,33 +208,65 @@ def test_flag_exclusivity_on_generated_traffic():
             assert flags[idx["arp"]] + flags[idx["eapol"]] + flags[idx["ip"]] <= 1
 
 
-def test_cached_header_flags_match_the_per_packet_expressions_on_every_key():
-    def subsets(members):
-        return [
-            frozenset(m for i, m in enumerate(members) if mask >> i & 1)
-            for mask in range(2 ** len(members))
-        ]
-
-    keys = itertools.product(Network, Transport, subsets([*AppProtocol]), subsets([*IpOption]))
+def test_rows_match_the_per_packet_expressions_on_every_layer_combination():
+    """Every network x transport x IP option subset; TCP and UDP packets
+    with each well-known port against an unlisted one, on either side. The
+    TCP window is a well-known port too, which no application flag reads."""
+    options = [frozenset(o for i, o in enumerate(IpOption) if mask >> i & 1) for mask in range(4)]
+    unlisted = 40000
+    pairs = [(unlisted, unlisted)]
+    pairs += [pair for port in oracles.APP_PORTS for pair in ((port, unlisted), (unlisted, port))]
     packets = []
-    for network, transport, app_protocols, ip_options in keys:
-        has_ports = transport in (Transport.TCP, Transport.UDP)
-        if app_protocols and not has_ports:
-            continue
-        packets.append(
-            _packet(
-                network=network,
-                transport=transport,
-                app_protocols=app_protocols,
-                ip_options=ip_options,
-                src_port=1 if has_ports else None,
-                dst_port=2 if has_ports else None,
-                tcp_window_size=3 if transport is Transport.TCP else None,
-                payload=b"ab",
+    for network, transport, ip_options in itertools.product(Network, Transport, options):
+        ported = transport in (Transport.TCP, Transport.UDP)
+        for src_port, dst_port in pairs if ported else [(None, None)]:
+            packets.append(
+                _packet(
+                    network=network,
+                    transport=transport,
+                    ip_options=ip_options,
+                    src_port=src_port,
+                    dst_port=dst_port,
+                    tcp_window_size=443 if transport is Transport.TCP else None,
+                    payload=b"ab",
+                )
             )
-        )
     want = np.array([oracles.extract_features(pkt) for pkt in packets], dtype=np.float64)
     assert extract_features(packets).tobytes() == want.tobytes()
+    assert want[:, 7:HEADER_FLAG_COUNT - 2].sum() > 0  # the sweep sets application flags
+
+
+def _ported_frame(proto: int, src_port: int, dst_port: int, window: int) -> bytes:
+    """An untagged IPv4 frame carrying a TCP (with `window`) or UDP header with these ports."""
+    payload = b"payload"
+    if proto == IPPROTO_TCP:
+        header = struct.pack("!HHIIBBHHH", src_port, dst_port, 0, 0, 5 << 4, 0x18, window, 0, 0)
+    else:
+        header = struct.pack("!HHHH", src_port, dst_port, 8 + len(payload), 0)
+    segment = header + payload
+    ip = struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(segment), 0, 0, 64, proto, 0)
+    addresses = bytes([10, 0, 0, 2, 10, 0, 0, 3])
+    return bytes(range(6)) + bytes(range(6, 12)) + b"\x08\x00" + ip + addresses + segment
+
+
+def test_bulk_rows_of_every_well_known_port_match_the_parsed_rows():
+    """TCP and UDP frames with each well-known port at either end decode in
+    bulk to the rows `extract_features` gives their parsed packets; a TCP
+    window of 0 stays 0."""
+    frames = [
+        _ported_frame(proto, *pair, window)
+        for proto in (IPPROTO_TCP, IPPROTO_UDP)
+        for port in oracles.APP_PORTS
+        for pair, window in (((port, 40000), 0), ((40000, port), 8192))
+    ]
+    starts = np.cumsum([0] + [len(f) for f in frames])[:-1]
+    lengths = np.array([len(f) for f in frames])
+    decoded, rows, _, _ = frame_features(b"".join(frames), starts, lengths)
+    packets = [parse_frame(RawFrame(0, 0, len(f), f)) for f in frames]
+    assert decoded.all()
+    assert rows.tobytes() == extract_features(packets).tobytes()
+    want = np.array([oracles.extract_features(pkt) for pkt in packets], dtype=np.float64)
+    assert rows.tobytes() == want.tobytes()
 
 
 def test_vector_layout():

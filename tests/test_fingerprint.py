@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 import oracles
 from iotprint.errors import FrameTooShort, InsufficientTraffic, IotprintError, TruncatedHeader
-from iotprint.features import PACKET_FEATURE_COUNT, extract_features, frame_features
+from iotprint.features import (
+    FEATURE_NAMES,
+    PACKET_FEATURE_COUNT,
+    extract_features,
+    frame_features,
+)
 from iotprint.fingerprint import (
     FINGERPRINT_DIM,
     build_fingerprints,
@@ -462,10 +467,10 @@ def test_ingest_matches_the_scalar_reference_paths(data):
         has_ports = pkt.transport in (Transport.TCP, Transport.UDP)
         assert (pkt.src_port is not None, pkt.dst_port is not None) == (has_ports, has_ports)
         assert (pkt.tcp_window_size is not None) == (pkt.transport is Transport.TCP)
-        assert has_ports or not pkt.app_protocols
-        if has_ports:
-            expected = oracles.classify_app_protocols(pkt.transport, pkt.src_port, pkt.dst_port)
-            assert pkt.app_protocols == expected
+        row = extract_features([pkt])[0]
+        apps = {name for name in oracles.APP_FLAGS if row[FEATURE_NAMES.index(name)]}
+        assert apps == oracles.classify_app_protocols(pkt.transport, pkt.src_port, pkt.dst_port)
+        assert has_ports or not apps
         if pkt.network is Network.IPV4 and pkt.src_ip is not None:
             at = 18 if frame.data[12:14] == b"\x81\x00" else 14
             addresses = frame.data[at + 12 : at + 16], frame.data[at + 16 : at + 20]

@@ -77,31 +77,79 @@ def test_every_module_level_import_is_used():
     assert unused == []
 
 
+def _read_names(tree) -> set:
+    """The names a module reads: as a name, as an attribute or by an import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def _module_level_names(tree) -> list:
+    """The names a module defines at module level."""
+    defined = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        elif isinstance(node, ast.Assign):
+            defined += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.append(node.target.id)
+    return defined
+
+
 def test_every_public_module_level_name_is_read_in_the_package():
     """A public name a module defines at module level is read somewhere in
     the package: as a name, as an attribute or by an import."""
-    read = set()
-    for tree in SOURCES.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.alias):
-                read.add(node.name)
-    unread = []
-    for name, tree in SOURCES.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
-            elif isinstance(node, ast.Assign):
-                defined = [target.id for target in node.targets if isinstance(target, ast.Name)]
-            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                defined = [node.target.id]
-            else:
-                defined = []
-            unread += [f"{name}.{d}" for d in defined if not d.startswith("_") and d not in read]
+    read = set().union(*map(_read_names, SOURCES.values()))
+    unread = [
+        f"{name}.{d}"
+        for name, tree in SOURCES.items()
+        for d in _module_level_names(tree)
+        if not d.startswith("_") and d not in read
+    ]
     assert unread == []
+
+
+def test_every_private_module_level_name_is_read_in_its_module():
+    """A private module-level name is read in the module that defines it,
+    so a helper that a change leaves behind fails here."""
+    unread = [
+        f"{name}.{d}"
+        for name, tree in SOURCES.items()
+        for d in _module_level_names(tree)
+        if d.startswith("_") and not d.startswith("__") and d not in _read_names(tree)
+    ]
+    assert unread == []
+
+
+def test_no_module_reads_another_modules_private_name():
+    """What a module keeps private stays in it: no `from .x import _name`,
+    and no `x._name` on a package module bound by `from . import x`."""
+    found = []
+    for name, tree in SOURCES.items():
+        modules = {
+            alias.asname or alias.name
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{name}.py:{node.lineno}: {a.name}" for a in node.names if a.name[0] == "_"]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                found.append(f"{name}.py:{node.lineno}: {node.value.id}.{node.attr}")
+    assert found == []
 
 
 def test_synth_imports_only_the_packet_model():

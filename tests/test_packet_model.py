@@ -8,12 +8,11 @@ import oracles
 from iotprint.errors import FrameTooShort, TruncatedHeader
 from iotprint.features import FEATURE_NAMES, extract_features
 from iotprint.packet_model import (
-    AppProtocol,
     IpOption,
     Network,
+    ParsedPacket,
     RawFrame,
     Transport,
-    classify_app_protocols,
     parse_frame,
     parse_mac,
 )
@@ -57,6 +56,12 @@ def frame(data):
     return RawFrame(0, 0, len(data), data)
 
 
+def app_flags(pkt) -> set:
+    """The names of the application flags set in the feature row of `pkt`."""
+    row = extract_features([pkt])[0]
+    return {name for name in oracles.APP_FLAGS if row[FEATURE_NAMES.index(name)]}
+
+
 def test_eapol_frame_identified_by_ethertype():
     pkt = parse_frame(frame(eth(0x888E, b"\x01\x00\x00\x04abcd")))
     assert pkt.network is Network.EAPOL
@@ -69,7 +74,7 @@ def test_ipv4_tcp_port_80_sets_http():
     pkt = parse_frame(frame(eth(0x0800, ipv4(6, tcp(51000, 80, b"GET / HTTP/1.1")))))
     assert pkt.network is Network.IPV4
     assert pkt.transport is Transport.TCP
-    assert AppProtocol.HTTP in pkt.app_protocols
+    assert app_flags(pkt) == {"http"}
     assert (pkt.src_port, pkt.dst_port) == (51000, 80)
     assert pkt.tcp_window_size == 8192
     assert pkt.payload == b"GET / HTTP/1.1"
@@ -79,7 +84,7 @@ def test_ipv4_tcp_port_80_sets_http():
 def test_udp_mdns_both_ports():
     pkt = parse_frame(frame(eth(0x0800, ipv4(17, udp(5353, 5353, b"q" * 30)))))
     assert pkt.transport is Transport.UDP
-    assert AppProtocol.MDNS in pkt.app_protocols
+    assert app_flags(pkt) == {"mdns"}
     assert pkt.payload == b"q" * 30
 
 
@@ -94,7 +99,7 @@ def test_vlan_unwrapped_once():
     tagged = PEER_MAC + DEV_MAC + struct.pack("!HHH", 0x8100, 100, 0x0800) + inner
     pkt = parse_frame(frame(tagged))
     assert pkt.network is Network.IPV4
-    assert AppProtocol.MDNS in pkt.app_protocols
+    assert app_flags(pkt) == {"mdns"}
     # a second nested tag is not unwrapped
     double = PEER_MAC + DEV_MAC + struct.pack("!HHH", 0x8100, 1, 0x8100) + tagged[14:]
     assert parse_frame(frame(double)).network is Network.OTHER
@@ -129,7 +134,7 @@ def test_ipv6_tcp_and_hop_by_hop_router_alert():
     pkt = parse_frame(frame(eth(0x86DD, ipv6(0, tcp(49152, 443, b"tls"), ext=ext))))
     assert pkt.network is Network.IPV6
     assert pkt.transport is Transport.TCP
-    assert AppProtocol.HTTPS in pkt.app_protocols
+    assert app_flags(pkt) == {"https"}
     assert pkt.ip_options == frozenset({IpOption.ROUTER_ALERT})
     assert pkt.payload == b"tls"
 
@@ -192,27 +197,37 @@ def test_parse_is_deterministic():
 @pytest.mark.parametrize(
     "transport,a,b,expected",
     [
-        (Transport.UDP, 67, 68, {AppProtocol.DHCP, AppProtocol.BOOTP}),
-        (Transport.UDP, 40000, 123, {AppProtocol.NTP}),
+        (Transport.UDP, 67, 68, {"dhcp", "bootp"}),
+        (Transport.UDP, 40000, 123, {"ntp"}),
         (Transport.TCP, 50000, 50001, set()),
-        (Transport.TCP, 443, 49000, {AppProtocol.HTTPS}),
-        (Transport.TCP, 53, 31000, {AppProtocol.DNS}),
-        (Transport.UDP, 53, 31000, {AppProtocol.DNS}),
-        (Transport.UDP, 1900, 40001, {AppProtocol.SSDP}),
+        (Transport.TCP, 443, 49000, {"https"}),
+        (Transport.TCP, 53, 31000, {"dns"}),
+        (Transport.UDP, 53, 31000, {"dns"}),
+        (Transport.UDP, 1900, 40001, {"ssdp"}),
         (Transport.TCP, 123, 50, set()),  # NTP is UDP-only
     ],
 )
 def test_classify_app_protocols_port_map(transport, a, b, expected):
-    assert classify_app_protocols(transport, a, b) == frozenset(expected)
+    """The application columns of a parsed TCP or UDP packet's row."""
+    segment = tcp(a, b, b"x") if transport is Transport.TCP else udp(a, b, b"x")
+    proto = 6 if transport is Transport.TCP else 17
+    assert app_flags(parse_frame(frame(eth(0x0800, ipv4(proto, segment))))) == expected
 
 
-_PORTS = st.sampled_from([53, 67, 68, 80, 123, 443, 1900, 5353]) | st.integers(0, 65535)
+_PORTS = st.sampled_from(oracles.APP_PORTS) | st.integers(0, 65535)
 
 
 @given(transport=st.sampled_from(Transport), a=_PORTS, b=_PORTS)
 def test_classify_direction_symmetry(transport, a, b):
-    found = classify_app_protocols(transport, a, b)
-    assert found == classify_app_protocols(transport, b, a)
+    """A row's application columns do not depend on which end holds a port,
+    and a transport other than TCP or UDP sets none, whatever its ports."""
+
+    def packet(src_port, dst_port):
+        return ParsedPacket(PEER_MAC, DEV_MAC, Network.IPV4, transport=transport,
+                            src_port=src_port, dst_port=dst_port)  # fmt: skip
+
+    found = app_flags(packet(a, b))
+    assert found == app_flags(packet(b, a))
     assert found == oracles.classify_app_protocols(transport, a, b)
 
 
@@ -229,7 +244,7 @@ def test_parse_total_over_frames(data):
     assert (pkt.src_port is not None) == has_ports
     assert (pkt.tcp_window_size is not None) == (pkt.transport is Transport.TCP)
     if not has_ports:
-        assert pkt.app_protocols == frozenset()
+        assert app_flags(pkt) == set()
 
 
 def test_mac_helpers_round_trip():
