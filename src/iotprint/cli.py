@@ -8,6 +8,7 @@ Errors are reported as a single machine-parseable line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import ipaddress
 import sys
 from pathlib import Path
@@ -259,6 +260,9 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+# Parsing keeps no state in a parser, so one serves every `main` call of the process.
+_parser = functools.cache(build_parser)
+
 _COMMANDS = {
     "extract": _cmd_extract,
     "profile": _cmd_profile,
@@ -272,7 +276,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except _ConfigError as err:

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-Everything here derives from IotprintError so callers (notably the CLI)
-can separate data-path failures from programming errors.
+Everything here derives from IotprintError. The CLI reports these, and
+`ValueError`, `OSError` and `MemoryError`, as data errors (exit 3).
 """
 
 

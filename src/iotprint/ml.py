@@ -14,7 +14,8 @@ predict -1.
 
 Every model labels a matrix of rows with `model.predict(X)`; the
 boosted stumps and the tree find their splits through one search over
-the boundaries between distinct sorted values (`_SplitSearch`). A vote
+the boundaries between distinct sorted values (`_SplitSearch`); only
+boosting's sums round, and the tree scores exact label counts. A vote
 labels rows with its boosted and tree members first and searches kNN
 neighbours only for the rows where they differ.
 
@@ -199,10 +200,10 @@ def _midpoint(lo, hi) -> np.ndarray:
     return np.where(mid < hi, mid, lo)
 
 
-# The bound of `_SplitSearch`: the unit roundoff u of float64; the
-# largest sum of |target| whose sums, squares and scores stay far below
-# the float maximum; and the relative and absolute widening of a
-# computed bound, which covers the score formulas' roundings (about 16 u)
+# The bound of boosting's split search: the unit roundoff u of float64;
+# the largest sum of |target| whose sums, squares and scores stay far
+# below the float maximum; and the relative and absolute widening of a
+# computed bound, which covers the score formula's roundings (about 16 u)
 # and underflow to subnormals.
 _UNIT_ROUNDOFF = 2.0**-53
 _SAFE_SUM = 2.0**500
@@ -240,19 +241,6 @@ def _gini(pos_left, pos_total, left_n, right_n):
     return left + (pos_right**2 + neg_right**2) / right_n
 
 
-def _gini_bound(pos_left, pos_total, err, left_n, right_n):
-    """`_gini` bounded as `_gain_bound` bounds the gain.
-
-    Per side, (p^2 + (m - p)^2) / m = ((2p - m)^2 / m + m) / 2, and
-    2p - m is the side's sum of +/-1 labels, so Gini's score is
-    (gain of the +/-1 labels + n) / 2. Those sums are off by twice the
-    counts' error. Integer counts make 2p - m exact.
-    """
-    n = left_n + right_n
-    gain = _gain_bound(2 * pos_left - left_n, 2 * pos_total - n, 2 * err, left_n, right_n)
-    return (gain + n) / 2
-
-
 class _SplitSearch:
     """Split search over the rows of X, for both learners.
 
@@ -265,33 +253,35 @@ class _SplitSearch:
 
     A candidate is scored from exact sums: its left sum is the
     sequential prefix sum of the targets in the column's stable sort
-    order, and its total is that column's full sequential sum, as a
-    cumsum down every sorted column gives them. So the split is
-    bit-identical to scoring every boundary and masking the rest.
+    order, and its total is that column's full sequential sum. So the
+    split is bit-identical to scoring every boundary and masking the
+    rest. Columns with more than two values are argsorted once and
+    scanned by one cumsum per call. A two-valued column has one
+    candidate, between its low and its high value, and is not sorted:
+    its rows at the low value form the 0/1 matrix `low`, and one product
+    `low @ target` gives every such left sum in some order of adding.
 
-    Columns with more than two values are argsorted once and scanned by
-    one cumsum per call. A two-valued column has one candidate, between
-    its low and its high value, and is not sorted: its rows at the low
-    value form the 0/1 matrix `low`. Per call, one product `low @ target`
-    approximates every such left sum, and `target.sum()` the total. Any
-    order of adding n terms is within gamma_n * sum|target| of the exact
-    sum, gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of
+    The tree's 0/1 labels sum to integers below 2^53, exact in float64
+    in any order (BLAS included), so it scores every candidate straight
+    from these counts. Boosting's residual sums round: any order of
+    adding n terms is within gamma_n * sum|target| of the exact sum,
+    gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., section 4.2), so these sums are
     within 2 gamma_n sum|target| of the sequential ones. That error,
-    carried through the score formula and widened for its roundings,
-    bounds each two-valued candidate's exact score from above and below.
-    A candidate whose upper bound is below the best lower bound is
-    strictly beaten: it can neither win nor tie. Every other one gets
-    its exact sums from its stable order: the low rows in row order,
-    then the high rows. Where sum|target| is not finite or too large for
-    the bound to be safe, every candidate is scored exactly, so
-    overflow, inf and NaN resolve as `np.argmax` does on exact scores.
+    carried through the gain and widened for its roundings, bounds each
+    two-valued candidate's exact gain from above and below. A candidate
+    whose upper bound is below the best lower bound is strictly beaten:
+    it can neither win nor tie. Every other one gets its exact sums
+    from its stable order: the low rows in row order, then the high
+    rows. Where sum|target| is not finite or too large for the bound to
+    be safe, every candidate is scored exactly, so overflow, inf and NaN
+    resolve as `np.argmax` does on exact scores.
     """
 
     def __init__(self, X: np.ndarray):
         n = X.shape[0]
-        lo, hi = X.min(axis=0, initial=np.inf), X.max(axis=0, initial=-np.inf)
-        self.fallback_threshold = float(hi[0]) if n else 0.0
+        lo, hi = X.min(axis=0), X.max(axis=0)
+        self.fallback_threshold = float(hi[0])
         varies = lo < hi
         two = varies & ((X == lo) | (X == hi)).all(axis=0)
         multi, two = np.flatnonzero(varies & ~two), np.flatnonzero(two)
@@ -317,17 +307,20 @@ class _SplitSearch:
         self.features, self.thresholds = features[rank], thresholds[rank]
         self.any_valid = bool(features.size)
 
-    def _best(self, target: np.ndarray, score, bound) -> tuple:
-        """(feature, threshold) of the first candidate with the largest exact `score`.
-
-        `bound(left, total, err, left_n, right_n)` moves `score` by sums
-        that are off by at most |err|: up for err > 0, down for err < 0.
-        """
-        exact = np.full(self.features.size, -np.inf)
+    def _multi_sums(self, target: np.ndarray) -> tuple:
+        """(left sums, totals) of the many-valued columns' candidates, in their sorted orders."""
         csum = np.cumsum(target[self.order], axis=1)
-        exact[self.multi_slot] = score(
-            csum.take(self.left_flat), csum.take(self.total_flat), *self.multi_n
-        )
+        return csum.take(self.left_flat), csum.take(self.total_flat)
+
+    def _best(self, scores: np.ndarray) -> tuple:
+        """(feature, threshold) of the first candidate with the largest of `scores`."""
+        best = int(np.argmax(scores))  # ties pick the lowest feature, then the lowest threshold
+        return int(self.features[best]), float(self.thresholds[best])
+
+    def best_split(self, target: np.ndarray) -> tuple:
+        """(feature, threshold) minimizing the squared error of leaf means of `target`."""
+        exact = np.full(self.features.size, -np.inf)
+        exact[self.multi_slot] = _gain(*self._multi_sums(target), *self.multi_n)
         left_n, right_n = self.two_n
         n = target.size
         abs_sum = float(np.abs(target).sum())
@@ -337,9 +330,9 @@ class _SplitSearch:
             # Twice 2 gamma_n sum|target|, which also covers the rounding
             # of sum|target| and of this line.
             err = 4 * gamma * abs_sum
-            upper = bound(left, total, err, left_n, right_n) * (1 + _WIDEN) + _TINY
-            lower = bound(left, total, -err, left_n, right_n) * (1 - _WIDEN) - _TINY
-            best = max(exact.max(initial=-np.inf), lower.max(initial=-np.inf))
+            upper = _gain_bound(left, total, err, left_n, right_n) * (1 + _WIDEN) + _TINY
+            lower = _gain_bound(left, total, -err, left_n, right_n) * (1 - _WIDEN) - _TINY
+            best = max(exact.max(), lower.max(initial=-np.inf))
             verify = np.flatnonzero(upper >= best)
         else:
             verify = np.arange(self.two_slot.size)
@@ -348,17 +341,16 @@ class _SplitSearch:
             csum = np.cumsum(target[order], axis=1)
             left_at = np.arange(verify.size) * n + left_n[verify].astype(np.int64) - 1
             left, total = csum.take(left_at), csum[:, -1]
-            exact[self.two_slot[verify]] = score(left, total, left_n[verify], right_n[verify])
-        best = int(np.argmax(exact))  # ties pick the lowest feature, then the lowest threshold
-        return int(self.features[best]), float(self.thresholds[best])
-
-    def best_split(self, target: np.ndarray) -> tuple:
-        """(feature, threshold) minimizing the squared error of leaf means of `target`."""
-        return self._best(target, _gain, _gain_bound)
+            exact[self.two_slot[verify]] = _gain(left, total, left_n[verify], right_n[verify])
+        return self._best(exact)
 
     def best_gini_split(self, labels: np.ndarray) -> tuple:
         """(feature, threshold) minimizing the weighted Gini impurity of +/-1 labels."""
-        return self._best((labels > 0).astype(np.float64), _gini, _gini_bound)
+        pos = (labels > 0).astype(np.float64)
+        scores = np.empty(self.features.size)
+        scores[self.multi_slot] = _gini(*self._multi_sums(pos), *self.multi_n)
+        scores[self.two_slot] = _gini(self.low @ pos, pos.sum(), *self.two_n)
+        return self._best(scores)
 
 
 def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:

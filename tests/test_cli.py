@@ -6,12 +6,15 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
 import pytest
 
-from iotprint import documents, fingerprint, ml
+import iotprint
+from iotprint import cli, documents, fingerprint, ml
 from iotprint.cli import main
 from iotprint.errors import FrameTooShort, TruncatedHeader
 from iotprint.evaluation import CLASSIFIERS, LEVELS, VARIANT_TAGS, format_report, run_experiment
@@ -984,6 +987,66 @@ def test_synth_reports_a_failed_capture_write_as_one_data_error(tmp_path, capsys
     assert captured.err == f"error: data: {expected}\n"
     assert captured.out == ""
     assert not (tmp_path / "outlet.labels.json").exists()
+
+
+def _fresh_run(argv, **env) -> tuple:
+    """(exit code, stdout, stderr) of `argv` in a new interpreter, with `env` set."""
+    src = str(Path(iotprint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, **env}
+    command = [sys.executable, "-m", "iotprint.cli", *argv]
+    done = subprocess.run(command, capture_output=True, text=True, env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_main_calls_in_one_process_print_what_fresh_processes_print(
+    outlet_model, tmp_path, capsys
+):
+    arch = ARCHETYPES["outlet"]
+    target = tmp_path / "outlet.pcap"
+    write_capture(target, generate_trace(arch, 200, seed=90)[0])
+    runs = [
+        ["evaluate", "--profiles", "p.json", "--folds", "1"],
+        ["identify", outlet_model, "--pcap", str(target), "--mac", arch.mac.hex(":")],
+        ["sessions", "--pcap", str(target)],
+        ["sessions", "--pcap", str(target), "--bogus"],
+        ["identify", outlet_model, "--pcap", str(target)],
+    ]
+    capsys.readouterr()
+    in_process = []
+    for argv in runs:
+        code = main(argv)
+        in_process.append((code, *capsys.readouterr()))
+    assert cli._parser() is cli._parser()
+    assert in_process == [_fresh_run(argv) for argv in runs]
+    assert [code for code, _, _ in in_process] == [2, 0, 0, 2, 0]
+    for code, out, err in in_process:
+        if code:
+            assert out == "" and err.startswith("error: config:") and err.count("\n") == 1
+        else:
+            assert out and err == ""
+    assert json.loads(in_process[1][1])["verdict"] == "outlet"
+
+
+def test_vote_models_are_byte_identical_with_one_and_two_blas_threads(
+    corpus_profiles, tmp_path
+):
+    """Every two-valued Gini score comes from a BLAS product of 0/1 labels,
+    whose sums are exact integers in any order of adding: the thread count
+    must not change one byte of a vote model."""
+    profiles = []
+    for profile in corpus_profiles:
+        path = tmp_path / f"{len(profiles)}.profile.json"
+        save_profile(profile, path)
+        profiles.append(str(path))
+    models = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"speaker-{threads}.model.json"
+        argv = ["train", "--profiles", *profiles, "--positive", "speaker", "--out", str(out)]
+        code, _, err = _fresh_run([*argv, "--classifier", "vote"], OPENBLAS_NUM_THREADS=threads)
+        assert (code, err) == (0, "")
+        models.append(out.read_bytes())
+    assert models[0] == models[1]
+    assert "label" not in json.loads(models[0])["tree"]["root"]  # the tree splits
 
 
 def test_unknown_flag_rejected(capsys):

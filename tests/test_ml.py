@@ -383,8 +383,37 @@ def split_search_cases(draw):
     return X, target, labels
 
 
+def _palindrome_case():
+    """Targets that read the same backwards score the index column's
+    boundaries b and n - 2 - b equally, bit for bit; the two-valued
+    columns before it put their candidates among its boundaries."""
+    rng = np.random.default_rng(32)
+    half = rng.choice([-1, 1], 16)
+    labels = np.concatenate([half, half[::-1]])
+    X = np.column_stack([*(rng.random((3, 32)) < 0.5).astype(float), np.arange(32.0)])
+    return X, labels.astype(np.float64), labels
+
+
 @settings(max_examples=300, deadline=None)
 @given(split_search_cases())
+# a two-valued column ties a later many-valued one exactly
+@example(
+    (
+        np.array([[0, 0], [0, 0], [1, 1], [1, 2.0]]),
+        np.array([1, 1, -1, -1.0]),
+        np.array([1, 1, -1, -1]),
+    )
+)
+# equal rows 0 and 1 hold 1e16 and -1e16: every sum is an exact even
+# integer, but sum|target| widens every two-valued bound to about 100
+@example(
+    (
+        np.array([[1, 1], [1, 1], [1, 0], [0, 0], [0, 1], [0, 1], [1, 0], [0, 0], [1, 0.0]]),
+        np.array([1e16, -1e16, 2, 4, 2, 6, 4, -4, -4.0]),
+        np.array([1, -1, 1, 1, 1, 1, 1, -1, -1]),
+    )
+)
+@example(_palindrome_case())
 def test_split_search_matches_dense_searches_on_adversarial_sums(case):
     X, target, labels = case
     search = ml._SplitSearch(X)
@@ -400,6 +429,62 @@ def test_split_search_matches_dense_searches_on_adversarial_sums(case):
     assert (feature, _bits(threshold)) == (expected, _bits(expected_threshold))
 
 
+def _two_valued(n, low_rows, low=0.0, high=1.0):
+    column = np.full(n, high)
+    column[low_rows] = low
+    return column
+
+
+@pytest.mark.parametrize("n, positives", [(100_000, 50_000), (100_000, 50_001), (100_001, 50_000)])
+def test_gini_split_of_near_balanced_two_valued_columns_at_large_n(n, positives):
+    """Left counts m in half-1..half+1, each with its positive count p
+    in m//2-1..m//2+1: the scores of these candidates differ by about
+    1e-9 of their size, where rounding n sums would blur them. Two
+    columns repeat another's rows (one as its complement), an exact tie
+    that the lowest feature must win, and one many-valued column has
+    boundaries at the same counts."""
+    rng = np.random.default_rng(n + positives)
+    labels = np.full(n, -1)
+    labels[rng.permutation(n)[:positives]] = 1
+    pos, neg = np.flatnonzero(labels > 0), np.flatnonzero(labels < 0)
+    half = n // 2
+    columns = []
+    for m in (half - 1, half, half + 1):
+        for p in (m // 2 - 1, m // 2, m // 2 + 1):
+            low = np.concatenate([rng.permutation(pos)[:p], rng.permutation(neg)[: m - p]])
+            columns.append(_two_valued(n, low, *rng.choice([-2.0, 0.0, 0.5, 3.0], 2, False)))
+    columns.insert(2, columns[5])
+    columns.insert(0, np.where(columns[4] == columns[4].min(), columns[4].max(), columns[4].min()))
+    p = (half - 1) // 2
+    many = np.full(n, 2.0)
+    many[np.concatenate([pos[:p], neg[: half - 1 - p]])] = 0.0
+    many[[pos[p], neg[half - 1 - p]]] = 1.0
+    X = np.column_stack([*columns, many])
+    feature, threshold = ml._SplitSearch(X).best_gini_split(labels)
+    expected, expected_threshold = dense_gini_split(X, labels)
+    assert (feature, _bits(threshold)) == (expected, _bits(expected_threshold))
+
+
+def test_split_searches_match_the_dense_ones_sweeping_the_left_count_of_one_column():
+    """Column 1 is two-valued with m rows low, for every m in 1..n-1,
+    between a many-valued column and a fixed two-valued one."""
+    n = 48
+    rng = np.random.default_rng(11)
+    sweep = rng.permutation(n)
+    labels = np.where(rng.random(n) < 0.2, 1, -1)  # mostly -1 on column 1's first rows
+    labels[sweep[n // 2 :]] *= -1
+    target = np.where(labels > 0, 0.6, -0.4) + rng.uniform(-0.5, 0.5, n)
+    many = rng.integers(0, 6, n) * 0.5
+    fixed = _two_valued(n, rng.permutation(n)[: n // 3], -1.0, 2.0)
+    for m in range(1, n):
+        X = np.column_stack([many, _two_valued(n, sweep[:m]), fixed])
+        search = ml._SplitSearch(X)
+        feature, threshold = search.best_gini_split(labels)
+        expected, expected_threshold = dense_gini_split(X, labels)
+        assert (feature, _bits(threshold)) == (expected, _bits(expected_threshold)), m
+        assert search.best_split(target) == ReferenceSplitSearch(X).best_split(target), m
+
+
 def test_exact_sums_decide_where_the_approximate_ones_rank_another_split_first():
     """The two-valued columns A and B each have one candidate, with one
     row on the left. The sequential sums in each column's sorted order
@@ -413,6 +498,27 @@ def test_exact_sums_decide_where_the_approximate_ones_rank_another_split_first()
     assert target.sum() == 0.0 and approximate[0] == approximate[1]
     assert ml._SplitSearch(X).best_split(target) == ReferenceSplitSearch(X).best_split(target)
     assert ml._SplitSearch(X).best_split(target) == (1, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(-(2**20), 2**20),
+    st.integers(-(2**20), 2**20),
+    st.integers(0, 2**20),
+    st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+    st.integers(1, 100),
+    st.integers(1, 100),
+)
+@example(100, 100, 1, (-1.0, -1.0), 1, 100)  # the left sum off by err
+@example(0, 100, 1, (1.0, -1.0), 100, 1)  # the right sum off by 2 err
+def test_gain_bound_brackets_the_gain_of_every_sum_within_its_error(
+    left, total, err, offsets, left_n, right_n
+):
+    """Integer sums, so only the squares' divisions and the final sum round."""
+    left_off, total_off = (round(err * f) for f in offsets)
+    near = float(left + left_off), float(total + total_off), float(err), left_n, right_n
+    gain = ml._gain(float(left), float(total), left_n, right_n)
+    assert ml._gain_bound(*near[:2], -near[2], *near[3:]) <= gain <= ml._gain_bound(*near)
 
 
 _BIG = sys.float_info.max
@@ -433,6 +539,7 @@ def _bits(x) -> bytes:
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(finite_floats, finite_floats) | adjacent_floats, min_size=1, max_size=8))
+@example([(1.5e-323, 3.5e-323)])  # subnormals, where 0.5 * lo + 0.5 * hi rounds otherwise
 def test_midpoint_lies_below_hi_and_is_the_plain_midpoint_elsewhere(pairs):
     lo, hi = np.array([sorted(pair) for pair in pairs]).T
     mids = ml._midpoint(lo, hi)
