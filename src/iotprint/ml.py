@@ -14,10 +14,12 @@ predict -1.
 
 Every model labels a matrix of rows with `model.predict(X)`; the
 boosted stumps and the tree find their splits through one search over
-the boundaries between distinct sorted values (`_SplitSearch`); only
-boosting's sums round, and the tree scores exact label counts. A vote
-labels rows with its boosted and tree members first and searches kNN
-neighbours only for the rows where they differ.
+the boundaries between distinct sorted values (`_SplitSearch`).
+Boosting rounds its residuals onto a fixed-point grid for the search
+(`_on_grid`; its leaf values use them unrounded), so every sum the
+search forms is an exact integer, as the tree's label counts are. A
+vote labels rows with its boosted and tree members first and searches
+kNN neighbours only for the rows where they differ.
 
 A model holds only what it predicts with. The one-vs-all facts live in
 its `model/4` JSON document alone: the packet layout
@@ -200,32 +202,23 @@ def _midpoint(lo, hi) -> np.ndarray:
     return np.where(mid < hi, mid, lo)
 
 
-# The bound of boosting's split search: the unit roundoff u of float64;
-# the largest sum of |target| whose sums, squares and scores stay far
-# below the float maximum; and the relative and absolute widening of a
-# computed bound, which covers the score formula's roundings (about 16 u)
-# and underflow to subnormals.
-_UNIT_ROUNDOFF = 2.0**-53
-_SAFE_SUM = 2.0**500
-_WIDEN = 2.0**-45
-_TINY = sys.float_info.min
+def _on_grid(resid: np.ndarray) -> np.ndarray:
+    """The residuals as integers: scaled by 2^(53 - b - e) and rounded, b = n.bit_length().
+
+    2^e is the power of two above the largest |residual| (`np.frexp`), so
+    each of the n values is at most 2^(53 - b) in magnitude and n < 2^b:
+    every sum of them is an integer below 2^53, exact in float64 in any
+    order of adding (BLAS included). The grid's step, 2^(b + e - 53), is
+    relative to the largest residual, as the rounding of a float sum of
+    n residuals is, so it stays fine when every residual is small.
+    """
+    e = np.frexp(np.abs(resid).max())[1]
+    return np.rint(np.ldexp(resid, 53 - resid.size.bit_length() - e))
 
 
 def _gain(left, total, left_n, right_n):
     """Boosting's gain sum_L^2/n_L + sum_R^2/n_R, which orders splits as squared error does."""
     return left**2 / left_n + (total - left) ** 2 / right_n
-
-
-def _gain_bound(left, total, err, left_n, right_n):
-    """`_gain` with each side's |sum| moved by its error: out for err > 0, in (to 0) for err < 0.
-
-    The left sum is off by at most |err| and the right one, a difference
-    of two sums, by 2 |err|. Each operation rounds its own result by a
-    relative error, and every later term is >= 0.
-    """
-    side_l = np.maximum(np.abs(left) + err, 0.0)
-    side_r = np.maximum(np.abs(total - left) + 2 * err, 0.0)
-    return side_l**2 / left_n + side_r**2 / right_n
 
 
 def _gini(pos_left, pos_total, left_n, right_n):
@@ -251,31 +244,16 @@ class _SplitSearch:
     dropped. Each boosting stage (or tree node) only brings new target
     values.
 
-    A candidate is scored from exact sums: its left sum is the
-    sequential prefix sum of the targets in the column's stable sort
-    order, and its total is that column's full sequential sum. So the
-    split is bit-identical to scoring every boundary and masking the
+    The targets are integers whose absolute values sum to below 2^53:
+    the tree's 0/1 labels, and boosting's residuals on `_on_grid`. Every
+    sum of them is then exact in float64 in any order of adding, so each
+    candidate is scored from its exact left sum and the exact total, and
+    the split is bit-identical to scoring every boundary and masking the
     rest. Columns with more than two values are argsorted once and
     scanned by one cumsum per call. A two-valued column has one
     candidate, between its low and its high value, and is not sorted:
     its rows at the low value form the 0/1 matrix `low`, and one product
-    `low @ target` gives every such left sum in some order of adding.
-
-    The tree's 0/1 labels sum to integers below 2^53, exact in float64
-    in any order (BLAS included), so it scores every candidate straight
-    from these counts. Boosting's residual sums round: any order of
-    adding n terms is within gamma_n * sum|target| of the exact sum,
-    gamma_n = n u / (1 - n u) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., section 4.2), so these sums are
-    within 2 gamma_n sum|target| of the sequential ones. That error,
-    carried through the gain and widened for its roundings, bounds each
-    two-valued candidate's exact gain from above and below. A candidate
-    whose upper bound is below the best lower bound is strictly beaten:
-    it can neither win nor tie. Every other one gets its exact sums
-    from its stable order: the low rows in row order, then the high
-    rows. Where sum|target| is not finite or too large for the bound to
-    be safe, every candidate is scored exactly, so overflow, inf and NaN
-    resolve as `np.argmax` does on exact scores.
+    `low @ target` gives every such left sum.
     """
 
     def __init__(self, X: np.ndarray):
@@ -290,27 +268,23 @@ class _SplitSearch:
         self.order = np.ascontiguousarray(order.T)
         col, boundary = np.nonzero(xs[:, 1:] > xs[:, :-1])
         self.left_flat = col * n + boundary
-        self.total_flat = col * n + (n - 1)
-        self.multi_n = boundary + 1.0, n - (boundary + 1.0)
         self.low = np.ascontiguousarray((X[:, two] == lo[two]).T, dtype=np.float64)
-        low_n = self.low.sum(axis=1)
-        self.two_n = low_n, n - low_n
         features = np.concatenate([multi[col], two])
         thresholds = np.concatenate(
             [_midpoint(xs[col, boundary], xs[col, boundary + 1]), _midpoint(lo[two], hi[two])]
         )
         # Merge the two kinds into feature-major order; within a column
         # the boundaries keep their ascending order.
-        rank = np.argsort(features, kind="stable")
-        slot = np.argsort(rank)
-        self.multi_slot, self.two_slot = slot[: col.size], slot[col.size :]
-        self.features, self.thresholds = features[rank], thresholds[rank]
+        self.rank = np.argsort(features, kind="stable")
+        self.features, self.thresholds = features[self.rank], thresholds[self.rank]
+        left_n = np.concatenate([boundary + 1.0, self.low.sum(axis=1)])[self.rank]
+        self.sizes = left_n, n - left_n
         self.any_valid = bool(features.size)
 
-    def _multi_sums(self, target: np.ndarray) -> tuple:
-        """(left sums, totals) of the many-valued columns' candidates, in their sorted orders."""
+    def _left_sums(self, target: np.ndarray) -> np.ndarray:
+        """Every candidate's sum of `target` over its left rows, in tie order."""
         csum = np.cumsum(target[self.order], axis=1)
-        return csum.take(self.left_flat), csum.take(self.total_flat)
+        return np.concatenate([csum.take(self.left_flat), self.low @ target])[self.rank]
 
     def _best(self, scores: np.ndarray) -> tuple:
         """(feature, threshold) of the first candidate with the largest of `scores`."""
@@ -318,39 +292,13 @@ class _SplitSearch:
         return int(self.features[best]), float(self.thresholds[best])
 
     def best_split(self, target: np.ndarray) -> tuple:
-        """(feature, threshold) minimizing the squared error of leaf means of `target`."""
-        exact = np.full(self.features.size, -np.inf)
-        exact[self.multi_slot] = _gain(*self._multi_sums(target), *self.multi_n)
-        left_n, right_n = self.two_n
-        n = target.size
-        abs_sum = float(np.abs(target).sum())
-        if abs_sum <= _SAFE_SUM:  # false for inf and NaN
-            left, total = self.low @ target, float(target.sum())
-            gamma = n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
-            # Twice 2 gamma_n sum|target|, which also covers the rounding
-            # of sum|target| and of this line.
-            err = 4 * gamma * abs_sum
-            upper = _gain_bound(left, total, err, left_n, right_n) * (1 + _WIDEN) + _TINY
-            lower = _gain_bound(left, total, -err, left_n, right_n) * (1 - _WIDEN) - _TINY
-            best = max(exact.max(), lower.max(initial=-np.inf))
-            verify = np.flatnonzero(upper >= best)
-        else:
-            verify = np.arange(self.two_slot.size)
-        if verify.size:
-            order = np.argsort(self.low[verify] == 0.0, axis=1, kind="stable")
-            csum = np.cumsum(target[order], axis=1)
-            left_at = np.arange(verify.size) * n + left_n[verify].astype(np.int64) - 1
-            left, total = csum.take(left_at), csum[:, -1]
-            exact[self.two_slot[verify]] = _gain(left, total, left_n[verify], right_n[verify])
-        return self._best(exact)
+        """(feature, threshold) minimizing the squared error of leaf means of integer `target`."""
+        return self._best(_gain(self._left_sums(target), target.sum(), *self.sizes))
 
     def best_gini_split(self, labels: np.ndarray) -> tuple:
         """(feature, threshold) minimizing the weighted Gini impurity of +/-1 labels."""
         pos = (labels > 0).astype(np.float64)
-        scores = np.empty(self.features.size)
-        scores[self.multi_slot] = _gini(*self._multi_sums(pos), *self.multi_n)
-        scores[self.two_slot] = _gini(self.low @ pos, pos.sum(), *self.two_n)
-        return self._best(scores)
+        return self._best(_gini(self._left_sums(pos), pos.sum(), *self.sizes))
 
 
 def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
@@ -381,7 +329,7 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
         resid = y01 - prob
         weight = prob * (1.0 - prob)
         if search.any_valid:
-            feature, threshold = search.best_split(resid)
+            feature, threshold = search.best_split(_on_grid(resid))
             left = X[:, feature] <= threshold
             left_value, loss_left = _safeguarded_leaf(
                 _newton_value(resid[left], weight[left]), y[left], scores[left], loss[left]

@@ -36,17 +36,13 @@ _MAGIC_TABLE = {
 
 @dataclass(frozen=True)
 class CaptureMeta:
-    """File-level facts from a read capture.
+    """What reading a capture found beyond its frames.
 
     truncated_records is 1 if a record's header or body was cut short at
     end of file, else 0: reading stops at the first cut record, and the
     frames before it are still returned.
     """
 
-    link_type: int
-    byte_order: str
-    timestamp_resolution: str
-    packet_count: int
     truncated_records: int = 0
 
 
@@ -164,9 +160,7 @@ def read_capture(path: str | Path) -> tuple[CaptureMeta, Frames]:
     records = np.column_stack(
         [starts + 16, incl_len, ts_sec, ts_usec, np.maximum(orig_len, incl_len)]
     )
-    frames = Frames(data, records)
-    meta = CaptureMeta(LINKTYPE_ETHERNET, byte_order, resolution, len(frames), truncated)
-    return meta, frames
+    return CaptureMeta(truncated), Frames(data, records)
 
 
 def write_capture(path: str | Path, frames: Iterable[RawFrame]) -> int:

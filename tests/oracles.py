@@ -56,10 +56,7 @@ def read_capture(path) -> tuple:
         pos += incl_len
         ts_usec = ts_frac // 1000 if resolution == "nano" else ts_frac
         frames.append(RawFrame(ts_sec, ts_usec, max(orig_len, incl_len), body))
-    meta = pcap_io.CaptureMeta(
-        pcap_io.LINKTYPE_ETHERNET, byte_order, resolution, len(frames), truncated
-    )
-    return meta, frames
+    return pcap_io.CaptureMeta(truncated), frames
 
 
 def filter_device(packets, sel) -> list:

@@ -335,26 +335,19 @@ def test_split_search_matches_reference_on_corpus_folds(base_profiles):
         assert model.training_deviance == reference.training_deviance, profile.device_label
 
 
-# Target values per kind: sums of "1e16 and small" values depend on the
-# order of adding them; near the float maximum they overflow (the search
-# then scores every candidate exactly); "tiny" ones square to subnormals
-# or 0. "Cancelling" targets are small values, and `split_search_cases`
-# adds pairs of equal rows with +/-1e16: every exact sum is small, and
-# the ones swallowed between such a pair are lost in the order they add.
-SPLIT_TARGETS = {
-    "residuals": st.floats(-1.0, 1.0),
-    "1e16 and small": st.sampled_from([1e16, -1e16, 1.0, -1.0, 3.0, 0.5]),
-    "cancelling": st.sampled_from([1.0, -1.0, 3.0, 0.5, -0.25]),
-    "near the float maximum": st.sampled_from([1.7e308, -1.7e308, 1e308, -1e308, 1.0, -1.0]),
-    "tiny": st.sampled_from([5e-324, -5e-324, 1e-160, -1e-160, 1e-300, 0.0]),
-}
+# Grid targets per kind, M = 2^(53 - n.bit_length()) being the grid's
+# edge (what `ml._on_grid` makes of a residual of 1): "residuals" on the
+# grid; "edge" values +/-M and 0, whose |sum| reaches n M < 2^53; and
+# "cancelling" small integers, to which `split_search_cases` adds pairs
+# of equal rows holding +M and -M, on the same side of every split.
+GRID_TARGETS = ("residuals", "edge", "cancelling")
 
 
 @st.composite
 def split_search_cases(draw):
     """(X, target, labels): two-valued columns, some duplicated or
     complementary (exact ties), many-valued ones, or both, with targets
-    of one kind of `SPLIT_TARGETS`."""
+    of one kind of `GRID_TARGETS`."""
     n = draw(st.integers(2, 300))
     mix = draw(st.sampled_from(["two-valued", "many-valued", "both"]))
     columns = []
@@ -373,12 +366,18 @@ def split_search_cases(draw):
             column = np.where(column == column.min(), column.max(), column.min())
         columns.insert(draw(st.integers(0, len(columns))), column)
     X = np.column_stack(columns)
-    kind = draw(st.sampled_from(sorted(SPLIT_TARGETS)))
-    target = draw(hnp.arrays(np.float64, n, elements=SPLIT_TARGETS[kind]))
-    if kind == "cancelling":
+    kind = draw(st.sampled_from(GRID_TARGETS))
+    edge = 2.0 ** (53 - n.bit_length())
+    if kind == "residuals":
+        target = ml._on_grid(draw(hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0))))
+    elif kind == "edge":
+        target = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([edge, -edge, 0.0])))
+    else:
+        small = st.sampled_from([1.0, -1.0, 3.0, 2.0, -4.0])
+        target = draw(hnp.arrays(np.float64, n, elements=small))
         rows = st.integers(0, n - 1)
         for i, j in draw(st.lists(st.tuples(rows, rows), min_size=1, max_size=3)):
-            X[j], target[i], target[j] = X[i], 1e16, -1e16  # on the same side of every split
+            X[j], target[i], target[j] = X[i], edge, -edge
     labels = draw(hnp.arrays(np.int64, n, elements=st.sampled_from([-1, 1])))
     return X, target, labels
 
@@ -404,25 +403,24 @@ def _palindrome_case():
         np.array([1, 1, -1, -1]),
     )
 )
-# equal rows 0 and 1 hold 1e16 and -1e16: every sum is an exact even
-# integer, but sum|target| widens every two-valued bound to about 100
+# equal rows 0 and 1 hold +/-2^49, the grid's edge for 9 rows
 @example(
     (
         np.array([[1, 1], [1, 1], [1, 0], [0, 0], [0, 1], [0, 1], [1, 0], [0, 0], [1, 0.0]]),
-        np.array([1e16, -1e16, 2, 4, 2, 6, 4, -4, -4.0]),
+        np.array([2.0**49, -(2.0**49), 2, 4, 2, 6, 4, -4, -4.0]),
         np.array([1, -1, 1, 1, 1, 1, 1, -1, -1]),
     )
 )
 @example(_palindrome_case())
 def test_split_search_matches_dense_searches_on_adversarial_sums(case):
     X, target, labels = case
+    assert (target == np.rint(target)).all() and np.abs(target).sum() < 2**53
     search = ml._SplitSearch(X)
     assert search.any_valid == ReferenceSplitSearch(X).any_valid
     if not search.any_valid:
         return
-    with np.errstate(over="ignore", invalid="ignore"):  # sums near the float maximum
-        feature, threshold = search.best_split(target)
-        expected, expected_threshold = ReferenceSplitSearch(X).best_split(target)
+    feature, threshold = search.best_split(target)
+    expected, expected_threshold = ReferenceSplitSearch(X).best_split(target)
     assert (feature, _bits(threshold)) == (expected, _bits(expected_threshold))
     feature, threshold = search.best_gini_split(labels)
     expected, expected_threshold = dense_gini_split(X, labels)
@@ -473,7 +471,7 @@ def test_split_searches_match_the_dense_ones_sweeping_the_left_count_of_one_colu
     sweep = rng.permutation(n)
     labels = np.where(rng.random(n) < 0.2, 1, -1)  # mostly -1 on column 1's first rows
     labels[sweep[n // 2 :]] *= -1
-    target = np.where(labels > 0, 0.6, -0.4) + rng.uniform(-0.5, 0.5, n)
+    target = ml._on_grid(np.where(labels > 0, 0.5, -0.5) + rng.uniform(-0.5, 0.5, n))
     many = rng.integers(0, 6, n) * 0.5
     fixed = _two_valued(n, rng.permutation(n)[: n // 3], -1.0, 2.0)
     for m in range(1, n):
@@ -485,40 +483,52 @@ def test_split_searches_match_the_dense_ones_sweeping_the_left_count_of_one_colu
         assert search.best_split(target) == ReferenceSplitSearch(X).best_split(target), m
 
 
-def test_exact_sums_decide_where_the_approximate_ones_rank_another_split_first():
-    """The two-valued columns A and B each have one candidate, with one
-    row on the left. The sequential sums in each column's sorted order
-    total 0 for A, (((1e16 + 1) + 1) - 1e16), and 2 for B,
-    (((-1e16 + 1e16) + 1) + 1). `target.sum()` adds in row order, as A's
-    order does, so the approximate sums score A and B equal and the tie
-    would pick A; the exact sums score B higher."""
-    X = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
-    target = np.array([1e16, 1.0, 1.0, -1e16])
-    approximate = ml._gain(np.array([1e16, -1e16]), target.sum(), 1.0, 3.0)
-    assert target.sum() == 0.0 and approximate[0] == approximate[1]
-    assert ml._SplitSearch(X).best_split(target) == ReferenceSplitSearch(X).best_split(target)
-    assert ml._SplitSearch(X).best_split(target) == (1, 0.5)
+@pytest.mark.parametrize("seed, complement", [(25, False), (14, True)])
+def test_candidates_that_split_the_rows_alike_tie_and_the_lowest_feature_wins(seed, complement):
+    """Column 1 splits the rows as one candidate of column 0 does: it is
+    a flag cut from the many-valued column 0, or column 0's complement.
+    The two candidates' sums are equal integers, so their gains tie
+    exactly and every stage picks column 0. Summed as floats in each
+    column's own order, the first stage at these seeds picked column 1."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 40))
+    many = rng.permutation(n) * 0.5
+    cut = rng.integers(1, n - 1) * 0.5 - 0.25
+    flag = (many <= cut).astype(np.float64)
+    labels = np.where(rng.random(n) < np.where(flag > 0, 0.8, 0.2), 1, -1)
+    labels[:2] = 1, -1
+    X = np.column_stack([flag, 1 - flag] if complement else [many, flag])
+    y01 = (labels > 0).astype(np.float64)
+    first = ml._SplitSearch(X).best_split(ml._on_grid(y01 - y01.mean()))
+    assert first == (0, 0.5 if complement else cut)
+    model = train_boosted(dataset(X, labels), n_stages=10)
+    assert [s.feature_index for s in model.stages] == [0] * 10
+    assert model.stages == boosted_with_reference_search(dataset(X, labels), 10).stages
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    st.integers(-(2**20), 2**20),
-    st.integers(-(2**20), 2**20),
-    st.integers(0, 2**20),
-    st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
-    st.integers(1, 100),
-    st.integers(1, 100),
-)
-@example(100, 100, 1, (-1.0, -1.0), 1, 100)  # the left sum off by err
-@example(0, 100, 1, (1.0, -1.0), 100, 1)  # the right sum off by 2 err
-def test_gain_bound_brackets_the_gain_of_every_sum_within_its_error(
-    left, total, err, offsets, left_n, right_n
-):
-    """Integer sums, so only the squares' divisions and the final sum round."""
-    left_off, total_off = (round(err * f) for f in offsets)
-    near = float(left + left_off), float(total + total_off), float(err), left_n, right_n
-    gain = ml._gain(float(left), float(total), left_n, right_n)
-    assert ml._gain_bound(*near[:2], -near[2], *near[3:]) <= gain <= ml._gain_bound(*near)
+@pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 100_000])
+def test_grid_targets_are_integers_whose_sums_are_exact_in_any_order(n):
+    """Residuals of +1, of -1, halfway between two grid points (beside a
+    0.75), and all below 1e-12. The step is 2^(b + e - 53), 2^e being the
+    power of two above the largest |residual|: each value lands within
+    half a step, the largest reaches half the grid's edge 2^(53 - b) or
+    more, and a 0/1 matrix product, `sum` and the sequential `cumsum`
+    give the same bits."""
+    b = n.bit_length()
+    rng = np.random.default_rng(n)
+    halfway = (rng.integers(-(2**20), 2**20, n) + 0.5) * 2.0 ** (b - 53)
+    halfway[0] = 0.75
+    tiny = rng.uniform(-1e-12, 1e-12, n)
+    low = (rng.random((3, n)) < 0.5).astype(np.float64)
+    for resid in (np.ones(n), -np.ones(n), halfway, tiny):
+        step = 2.0 ** (b + np.frexp(np.abs(resid).max())[1] - 53)
+        t = ml._on_grid(resid)
+        assert (t == np.rint(t)).all() and np.abs(t).sum() < 2**53
+        assert (np.abs(t * step - resid) <= step / 2).all()
+        assert np.abs(t).max() >= 2.0 ** (52 - b)
+        assert _bits(t.sum()) == _bits(np.cumsum(t)[-1])
+        sequential = [np.cumsum(np.where(row > 0, t, 0.0))[-1] for row in low]
+        assert (low @ t).tobytes() == np.array(sequential).tobytes()
 
 
 _BIG = sys.float_info.max

@@ -24,7 +24,7 @@ def test_round_trip_preserves_bytes_and_timestamps(tmp_path):
     path = tmp_path / "seven.pcap"
     assert write_capture(path, frames) == 7
     meta, back = read_capture(path)
-    assert meta.packet_count == 7
+    assert len(back) == 7
     assert meta.truncated_records == 0
     assert [(f.ts_sec, f.ts_usec, f.data) for f in back] == [
         (f.ts_sec, f.ts_usec, f.data) for f in frames
@@ -36,7 +36,7 @@ def test_empty_capture(tmp_path):
     assert write_capture(path, []) == 0
     assert path.stat().st_size == 24
     meta, frames = read_capture(path)
-    assert meta.packet_count == 0 and list(frames) == []
+    assert meta.truncated_records == 0 and list(frames) == []
 
 
 def _encode(frames, endian, nano=False):
@@ -57,8 +57,8 @@ def test_little_and_big_endian_read_identically(tmp_path):
     be.write_bytes(_encode(frames, ">"))
     meta_le, from_le = read_capture(le)
     meta_be, from_be = read_capture(be)
-    assert meta_le.byte_order == "little" and meta_be.byte_order == "big"
-    assert list(from_le) == list(from_be)
+    assert meta_le == meta_be
+    assert list(from_le) == list(from_be) == frames
 
 
 def test_nanosecond_timestamps_truncate(tmp_path):
@@ -68,9 +68,8 @@ def test_nanosecond_timestamps_truncate(tmp_path):
     # overwrite the fractional field with 1999 ns -> expect 1 µs
     struct.pack_into("<I", raw, 24 + 4, 1999)
     path.write_bytes(bytes(raw))
-    meta, frames = read_capture(path)
-    assert meta.timestamp_resolution == "nano"
-    assert list(frames)[0].ts_usec == 1
+    _, frames = read_capture(path)
+    assert list(frames) == [frame]
 
 
 def test_bad_magic(tmp_path):
@@ -108,7 +107,7 @@ def test_truncated_record_returns_earlier_frames(tmp_path):
     data = _encode(frames, "<")
     path.write_bytes(data[:-5])  # cut the last record body 5 bytes short
     meta, back = read_capture(path)
-    assert meta.packet_count == 2
+    assert len(back) == 2
     assert meta.truncated_records == 1
     assert [f.data for f in back] == [f.data for f in frames[:2]]
 
@@ -193,5 +192,5 @@ def test_selector_requires_mac_or_ip():
 
 
 def test_capture_meta_is_plain_data():
-    meta = CaptureMeta(1, "little", "micro", 3)
-    assert meta.truncated_records == 0
+    assert CaptureMeta().truncated_records == 0
+    assert CaptureMeta(1) == CaptureMeta(truncated_records=1)
