@@ -7,10 +7,10 @@ squares, then sets its two leaf values with a single Newton step
 (sum residual / sum p(1-p) per leaf). Predictions sum the leaf values
 onto the initial score; the label is sign(score) with ties going to +1.
 
-All training is deterministic: stump and tree split ties resolve to the
-lowest feature index then the lowest threshold, kNN distance ties at
-the k-th neighbor include the smallest row index, and tied kNN votes
-predict -1.
+All training is deterministic: the split search's pick resolves ties
+to the lowest feature index then the lowest threshold, kNN distance
+ties at the k-th neighbor include the smallest row index, and tied kNN
+votes predict -1. Where no column varies, a boosted fit has no stages.
 
 Every model labels a matrix of rows with `model.predict(X)`; the
 boosted stumps and the tree find their splits through one search over
@@ -50,7 +50,7 @@ MODEL_SCHEMA = "model/4"
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature rows with +/-1 labels for one one-vs-all problem."""
+    """Feature rows with +/-1 labels for one one-vs-all problem; zero rows raise EmptyData."""
 
     rows: np.ndarray
     labels: np.ndarray
@@ -60,6 +60,8 @@ class LabeledDataset:
         labels = _plus_minus_one(self.labels)
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D matrix")
+        if rows.shape[0] == 0:
+            raise EmptyData("cannot train on an empty dataset")
         if rows.shape[1] == 0:
             raise ValueError("rows must have at least one column")
         if labels.shape != (rows.shape[0],):
@@ -149,36 +151,26 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _newton_value(resid: np.ndarray, weight: np.ndarray) -> float:
-    """A leaf's Newton step sum(resid) / sum(weight); none where that weight is at most 1e-150.
-
-    Its rows are fit to within 1e-150 already, and a ratio of sums that small can overflow.
-    """
-    den = float(weight.sum())
-    if den <= 1e-150:
-        return 0.0
-    return float(resid.sum() / den)
-
-
 def _row_loss(labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
     # logistic loss log(1 + exp(-y * F)) of each row, stable for large |F|
     return np.logaddexp(0.0, -labels * scores)
 
 
-def _safeguarded_leaf(
-    value: float, labels: np.ndarray, scores: np.ndarray, loss: np.ndarray
-) -> tuple:
-    """(value, loss): a Newton leaf value, backtracked until it does not raise the leaf loss.
+def _leaf(resid, weight, labels, scores, loss) -> tuple:
+    """(value, loss): a leaf's Newton step, backtracked until it does not raise the leaf loss.
 
-    `loss` is the leaf rows' `_row_loss` before the step; the returned
-    one is theirs after it. A raw Newton step can overshoot badly once
-    points saturate (tiny p(1-p) sums under a finite residual sum), which
-    would break the non-increasing-deviance guarantee. The Newton
-    direction is always a descent direction for the leaf, so halving
-    terminates; a step that never helps collapses to 0 (loss unchanged).
+    The step is sum(resid) / sum(weight), and none where that weight is
+    at most 1e-150: those rows are fit to within 1e-150 already, and a
+    ratio of sums that small can overflow. `loss` is the leaf rows'
+    `_row_loss` before the step; the returned one is theirs after it. A
+    raw Newton step can overshoot badly once points saturate (tiny
+    p(1-p) sums under a finite residual sum), which would break the
+    non-increasing-deviance guarantee. The Newton direction is always a
+    descent direction for the leaf, so halving terminates; a step that
+    never helps collapses to 0 (loss unchanged).
     """
-    if value == 0.0 or labels.size == 0:
-        return value, loss
+    den = float(weight.sum())
+    value = float(resid.sum() / den) if den > 1e-150 else 0.0
     before = float(loss.sum())
     for _ in range(64):
         after = _row_loss(labels, scores + value)
@@ -238,11 +230,13 @@ class _SplitSearch:
     """Split search over the rows of X, for both learners.
 
     The candidates are the boundaries between consecutive distinct
-    values of each column, listed once per search in feature-major,
-    ascending-boundary order (the tie order); each threshold is the
-    midpoint of the two values. Constant columns have none and are
-    dropped. Each boosting stage (or tree node) only brings new target
-    values.
+    values of each column; each threshold is the midpoint of the two
+    values. Constant columns have none and are dropped. They are listed
+    once per search as they are built: the boundaries of the columns
+    with more than two values, feature-major and ascending within a
+    column, then one per two-valued column. `_best` applies the tie rule
+    over that list. Each boosting stage (or tree node) only brings new
+    target values.
 
     The targets are integers whose absolute values sum to below 2^53:
     the tree's 0/1 labels, and boosting's residuals on `_on_grid`. Every
@@ -259,7 +253,6 @@ class _SplitSearch:
     def __init__(self, X: np.ndarray):
         n = X.shape[0]
         lo, hi = X.min(axis=0), X.max(axis=0)
-        self.fallback_threshold = float(hi[0])
         varies = lo < hi
         two = varies & ((X == lo) | (X == hi)).all(axis=0)
         multi, two = np.flatnonzero(varies & ~two), np.flatnonzero(two)
@@ -269,26 +262,23 @@ class _SplitSearch:
         col, boundary = np.nonzero(xs[:, 1:] > xs[:, :-1])
         self.left_flat = col * n + boundary
         self.low = np.ascontiguousarray((X[:, two] == lo[two]).T, dtype=np.float64)
-        features = np.concatenate([multi[col], two])
-        thresholds = np.concatenate(
+        self.features = np.concatenate([multi[col], two])
+        self.thresholds = np.concatenate(
             [_midpoint(xs[col, boundary], xs[col, boundary + 1]), _midpoint(lo[two], hi[two])]
         )
-        # Merge the two kinds into feature-major order; within a column
-        # the boundaries keep their ascending order.
-        self.rank = np.argsort(features, kind="stable")
-        self.features, self.thresholds = features[self.rank], thresholds[self.rank]
-        left_n = np.concatenate([boundary + 1.0, self.low.sum(axis=1)])[self.rank]
+        left_n = np.concatenate([boundary + 1.0, self.low.sum(axis=1)])
         self.sizes = left_n, n - left_n
-        self.any_valid = bool(features.size)
+        self.any_valid = bool(self.features.size)
 
     def _left_sums(self, target: np.ndarray) -> np.ndarray:
-        """Every candidate's sum of `target` over its left rows, in tie order."""
+        """Every candidate's sum of `target` over its left rows."""
         csum = np.cumsum(target[self.order], axis=1)
-        return np.concatenate([csum.take(self.left_flat), self.low @ target])[self.rank]
+        return np.concatenate([csum.take(self.left_flat), self.low @ target])
 
     def _best(self, scores: np.ndarray) -> tuple:
-        """(feature, threshold) of the first candidate with the largest of `scores`."""
-        best = int(np.argmax(scores))  # ties pick the lowest feature, then the lowest threshold
+        """(feature, threshold) of the top score; of tied ones, the lowest feature's first."""
+        tied = np.flatnonzero(scores == scores.max())
+        best = tied[np.argmin(self.features[tied])]
         return int(self.features[best]), float(self.thresholds[best])
 
     def best_split(self, target: np.ndarray) -> tuple:
@@ -306,10 +296,9 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
 
     The recorded training deviance (mean logistic loss, entry 0 before
     any stage) is non-increasing stage over stage. Each stage adds its
-    safeguarded leaf values in full.
+    safeguarded leaf values in full. Where no column varies there is no
+    split to fit, and the model is the prior log-odds with no stages.
     """
-    if len(data) == 0:
-        raise EmptyData("cannot train on an empty dataset")
     if np.all(data.labels == data.labels[0]):
         raise SingleClassData("training data contains a single class")
     if not 1 <= n_stages <= MAX_STAGES:
@@ -324,28 +313,18 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
     loss = _row_loss(y, scores)
     deviance = [float(loss.mean())]
     stages = []
-    for _ in range(n_stages):
+    for _ in range(n_stages if search.any_valid else 0):
         prob = _sigmoid(scores)
         resid = y01 - prob
         weight = prob * (1.0 - prob)
-        if search.any_valid:
-            feature, threshold = search.best_split(_on_grid(resid))
-            left = X[:, feature] <= threshold
-            left_value, loss_left = _safeguarded_leaf(
-                _newton_value(resid[left], weight[left]), y[left], scores[left], loss[left]
-            )
-            right_value, loss_right = _safeguarded_leaf(
-                _newton_value(resid[~left], weight[~left]), y[~left], scores[~left], loss[~left]
-            )
-            loss[left], loss[~left] = loss_left, loss_right
-        else:
-            # Every feature is constant; emit a both-sides-equal stump.
-            feature, threshold = 0, search.fallback_threshold
-            left = np.ones(len(y), dtype=bool)
-            left_value, loss = _safeguarded_leaf(_newton_value(resid, weight), y, scores, loss)
-            right_value = left_value
-        stages.append(Stump(int(feature), threshold, left_value, right_value))
-        scores = scores + np.where(left, left_value, right_value)
+        feature, threshold = search.best_split(_on_grid(resid))
+        left = X[:, feature] <= threshold
+        values = []
+        for side in (left, ~left):
+            value, loss[side] = _leaf(resid[side], weight[side], y[side], scores[side], loss[side])
+            values.append(value)
+        stages.append(Stump(feature, threshold, *values))
+        scores = scores + np.where(left, *values)
         deviance.append(float(loss.mean()))
     return BoostedModel(initial, tuple(stages), tuple(deviance))
 
@@ -362,8 +341,6 @@ def boosted_scores(model: BoostedModel, X: np.ndarray) -> np.ndarray:
 
 
 def train_knn(data: LabeledDataset, k: int) -> KnnModel:
-    if len(data) == 0:
-        raise EmptyData("cannot train on an empty dataset")
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > len(data):
@@ -407,32 +384,27 @@ def knn_labels(model: KnnModel, X: np.ndarray) -> np.ndarray:
 
 
 def _majority(y: np.ndarray) -> int:
-    vote = int(y.sum())
-    return 1 if vote > 0 else -1
+    return 1 if y.sum() > 0 else -1
 
 
 def _grow_tree(X: np.ndarray, y: np.ndarray, depth_left: int) -> TreeNode:
-    if np.all(y == y[0]):
-        return TreeNode(label=int(y[0]))
-    if depth_left == 0:
-        return TreeNode(label=_majority(y))
-    search = _SplitSearch(X)
-    if not search.any_valid:
-        return TreeNode(label=_majority(y))
-    feature, threshold = search.best_gini_split(y)
-    mask = X[:, feature] <= threshold
-    return TreeNode(
-        feature_index=feature,
-        threshold=threshold,
-        left=_grow_tree(X[mask], y[mask], depth_left - 1),
-        right=_grow_tree(X[~mask], y[~mask], depth_left - 1),
-    )
+    """A split node, or a majority leaf where the node is pure, at depth 0 or cannot split."""
+    if depth_left and not np.all(y == y[0]):
+        search = _SplitSearch(X)
+        if search.any_valid:
+            feature, threshold = search.best_gini_split(y)
+            mask = X[:, feature] <= threshold
+            return TreeNode(
+                feature_index=feature,
+                threshold=threshold,
+                left=_grow_tree(X[mask], y[mask], depth_left - 1),
+                right=_grow_tree(X[~mask], y[~mask], depth_left - 1),
+            )
+    return TreeNode(label=_majority(y))
 
 
 def train_tree(data: LabeledDataset, max_depth: int = 5) -> TreeModel:
     """Greedy Gini-impurity tree; pure data yields a single leaf."""
-    if len(data) == 0:
-        raise EmptyData("cannot train on an empty dataset")
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     root = _grow_tree(data.rows, data.labels, max_depth)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from iotprint import documents, ml
+from iotprint.cli import main
 from iotprint.errors import EmptyData, KTooLarge, SingleClassData
 from iotprint.evaluation import assemble_one_vs_all, stratified_folds, train_classifier
 from iotprint.ml import (
@@ -29,6 +30,8 @@ from iotprint.ml import (
     train_tree,
     tree_labels,
 )
+from iotprint.pcap_io import write_capture
+from iotprint.synth import ARCHETYPES, generate_trace
 
 from oracles import (
     dense_gini_split,
@@ -82,7 +85,6 @@ class ReferenceSplitSearch:
         self.any_valid = bool(self.valid.any())
         self.left_n = np.arange(1, n, dtype=np.float64)[:, None]
         self.right_n = n - self.left_n
-        self.fallback_threshold = float(xs[-1, 0]) if n else 0.0
 
     def best_split(self, target: np.ndarray) -> tuple:
         """(feature, threshold) minimizing squared error of leaf means.
@@ -233,6 +235,7 @@ def test_training_deviance_non_increasing(seed):
 def test_training_accuracy_close_to_one_on_noisy_data():
     data = random_dataset(n=300, d=6, seed=7)
     model = train_boosted(data)
+    assert len(model.stages) == 100  # the default
     predicted = np.where(boosted_scores(model, data.rows) >= 0, 1, -1)
     assert (predicted == data.labels).mean() > 0.9
 
@@ -277,23 +280,75 @@ def test_a_leaf_fit_to_within_1e150_takes_no_step():
     assert all(s.right_value > 1.0 for s in model.stages)
 
 
+def _leaf_of_one_row(resid, weight, label, score):
+    labels, scores = np.array([label]), np.array([score])
+    loss = ml._row_loss(labels, scores)
+    return ml._leaf(np.array([resid]), np.array([weight]), labels, scores, loss), loss
+
+
+def test_a_leaf_step_is_halved_at_most_64_times_and_taken_once_the_loss_does_not_rise():
+    """One row labelled -1 at a score of 1024, whose residual pushes the
+    score up: its loss 1024 + v rises with every step v until the step
+    rounds away. 2^20 halved 63 times is 2^-43, half the float spacing at
+    1024, so 1024 + 2^-43 rounds (to even) to 1024 and the 64th try is
+    taken; from 2^21 that would take a 65th, so the step collapses to 0
+    and the loss passed in comes back."""
+    (value, after), loss = _leaf_of_one_row(1.0, 2.0**-20, -1, 1024.0)
+    assert value == 2.0**-43 and after.tolist() == loss.tolist() == [1024.0]
+    (value, after), loss = _leaf_of_one_row(1.0, 2.0**-21, -1, 1024.0)
+    assert value == 0.0 and after is loss
+
+
+def test_a_leaf_takes_a_step_that_leaves_its_loss_equal_and_none_at_a_weight_of_1e150():
+    (value, after), loss = _leaf_of_one_row(1e-20, 0.25, 1, 0.0)
+    assert value == 4e-20 and after.tolist() == loss.tolist()  # log 2 - 2e-20 rounds to log 2
+    (value, after), loss = _leaf_of_one_row(0.5, 1e-150, 1, 0.0)
+    assert value == 0.0 and after.tolist() == loss.tolist()
+    (value, after), _ = _leaf_of_one_row(0.5, 1.5e-150, 1, 0.0)
+    assert value == 0.5 / 1.5e-150 and after.tolist() == [0.0]
+
+
 def test_boosted_input_validation():
     with pytest.raises(EmptyData):
         train_boosted(dataset(np.empty((0, 3)), []))
     with pytest.raises(SingleClassData):
         train_boosted(dataset([[1.0], [2.0]], [1, 1]))
-    with pytest.raises(ValueError):
-        train_boosted(separable_dataset(), n_stages=101)
+    with pytest.raises(SingleClassData):
+        train_boosted(dataset([[1.0]], [-1]))
+    for n_stages in (0, 101):
+        with pytest.raises(ValueError, match="n_stages"):
+            train_boosted(separable_dataset(), n_stages=n_stages)
 
 
-def test_constant_features_fall_back_to_prior_fit():
-    rows = np.ones((10, 3))
-    labels = np.array([1] * 3 + [-1] * 7)
-    model = train_boosted(dataset(rows, labels), n_stages=5)
-    deviance = np.asarray(model.training_deviance)
-    assert np.all(np.diff(deviance) <= 1e-12)
-    # both leaves equal, so routing is irrelevant
-    assert all(s.left_value == s.right_value for s in model.stages)
+def test_constant_features_fall_back_to_prior_fit(tmp_path, capsys):
+    """No column varies, so no stage is fit: the model is the prior
+    log-odds, which labels every row alike (3 of 10 positive gives -1; a
+    balanced prior scores 0, which goes to +1), and it is saved, loaded
+    and used by `identify` as any other model."""
+    arch = ARCHETYPES["outlet"]
+    pcap = tmp_path / "outlet.pcap"
+    write_capture(pcap, generate_trace(arch, 100, seed=5)[0])
+    unseen = np.random.default_rng(4).uniform(-1e3, 1e3, (25, 3))
+    for positives, prior in ((3, -1), (5, 1)):
+        rows = np.ones((10, 3))
+        labels = np.array([1] * positives + [-1] * (10 - positives))
+        model = train_boosted(dataset(rows, labels), n_stages=5)
+        assert model.stages == ()
+        p = positives / 10
+        assert math.isclose(model.initial_score, math.log(p / (1 - p)), abs_tol=1e-15)
+        assert len(model.training_deviance) == 1
+        for X in (rows, unseen):
+            assert model.predict(X).tolist() == [prior] * len(X)
+        path = tmp_path / f"constant-{positives}.model.json"
+        save_model(model, path, [0, 1, 2], "outlet")
+        loaded, _, _ = load_model(path)
+        assert loaded == model and loaded.training_deviance == model.training_deviance
+        capsys.readouterr()
+        assert main(["identify", str(path), "--pcap", str(pcap), "--mac", arch.mac.hex(":")]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        hits = doc["fingerprints"] if prior > 0 else 0
+        assert doc["positives_per_model"] == {"outlet": hits}
+        assert doc["verdict"] == ("outlet" if prior > 0 else "unknown")
 
 
 @st.composite
@@ -506,6 +561,44 @@ def test_candidates_that_split_the_rows_alike_tie_and_the_lowest_feature_wins(se
     assert model.stages == boosted_with_reference_search(dataset(X, labels), 10).stages
 
 
+def _tie_case(kind):
+    """(X, labels, feature, threshold): a tie between candidates that the
+    tie rule settles, and the candidate it picks.
+
+    "two-valued first": column 0 is a flag whose low rows are column 1's
+    rows at or below 7.5, and the search lists the many-valued column's
+    candidates before the flag's. "many-valued first": the same columns,
+    swapped. "one column": labels that read the same backwards tie column
+    0's boundaries 3.5 and 27.5, both sides' counts swapped."""
+    if kind == "one column":
+        labels = np.array([1] * 4 + [-1] * 24 + [1] * 4)
+        flag = np.arange(32) % 3 == 0  # a later column that scores lower
+        return np.column_stack([np.arange(32.0), flag]), labels, 0, 3.5
+    many = np.random.default_rng(8).permutation(16).astype(np.float64)
+    flag = (many > 7.5).astype(np.float64)
+    labels = np.where(many > 7.5, -1, 1)
+    labels[[int(np.argmax(many == 2.0)), int(np.argmax(many == 12.0))]] *= -1  # not separable
+    if kind == "two-valued first":
+        return np.column_stack([flag, many]), labels, 0, 0.5
+    return np.column_stack([many, flag]), labels, 0, 7.5
+
+
+@pytest.mark.parametrize("kind", ["two-valued first", "many-valued first", "one column"])
+def test_ties_go_to_the_lowest_feature_then_threshold_wherever_the_search_lists_them(kind):
+    X, labels, feature, threshold = _tie_case(kind)
+    y01 = (labels > 0).astype(np.float64)
+    target = ml._on_grid(y01 - y01.mean())
+    search = ml._SplitSearch(X)
+    assert search.best_split(target) == ReferenceSplitSearch(X).best_split(target)
+    assert search.best_split(target) == (feature, threshold)
+    assert search.best_gini_split(labels) == dense_gini_split(X, labels) == (feature, threshold)
+    left = search._left_sums
+    gain = ml._gain(left(target), target.sum(), *search.sizes)
+    gini = ml._gini(left(y01), y01.sum(), *search.sizes)
+    for score in (gain, gini):  # the pick is one of two or more top scores
+        assert (score == score.max()).sum() >= 2
+
+
 @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 100_000])
 def test_grid_targets_are_integers_whose_sums_are_exact_in_any_order(n):
     """Residuals of +1, of -1, halfway between two grid points (beside a
@@ -603,6 +696,35 @@ def test_labels_must_be_integers_before_any_cast(labels):
 def test_rows_without_columns_are_rejected_before_training(train):
     with pytest.raises(ValueError, match="at least one column"):
         train(LabeledDataset(np.zeros((2, 0)), [1, -1]))
+
+
+@pytest.mark.parametrize(
+    "rows, labels, message",
+    [
+        (np.zeros(3), [1, -1, 1], "2-D"),
+        (np.zeros((2, 2, 1)), [1, -1], "2-D"),
+        (np.zeros((3, 2)), [1, -1], "equal length"),
+        (np.zeros((2, 2)), np.array([[1, -1]]), "equal length"),
+    ],
+    ids=["vector", "3-D", "fewer-labels", "label-matrix"],
+)
+def test_rows_must_be_a_matrix_with_one_label_per_row(rows, labels, message):
+    with pytest.raises(ValueError, match=message):
+        LabeledDataset(rows, labels)
+
+
+def test_rows_and_labels_are_kept_as_contiguous_float64_and_int64_arrays():
+    data = LabeledDataset(np.arange(6).reshape(2, 3).T, [1, -1, 1])  # ints, column-major
+    assert data.rows.dtype == np.float64 and data.rows.flags.c_contiguous
+    assert data.rows.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+    assert data.labels.dtype == np.int64 and data.labels.tolist() == [1, -1, 1]
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (0, 0)])
+def test_a_dataset_of_zero_rows_is_empty_data(shape):
+    for labels in ([], np.empty(0, dtype=np.int64)):
+        with pytest.raises(EmptyData, match="empty dataset"):
+            LabeledDataset(np.empty(shape), labels)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
