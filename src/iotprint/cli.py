@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 configuration error (bad or missing flags),
 3 data error (unreadable captures, insufficient traffic, bad documents).
-Errors are reported as a single machine-parseable line on stderr.
+A data error is any ValueError, OSError or MemoryError the package lets
+out. Errors are reported as a single machine-parseable line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from . import documents, evaluation, ml, synth
-from .errors import InsufficientTraffic, IotprintError
 from .features import FEATURE_NAMES, VARIANT_TAGS, ecdf, variant_columns, write_features_csv
 from .fingerprint import (
     build_fingerprints,
@@ -196,9 +196,7 @@ def _cmd_identify(args) -> int:
     rows, _, _ = read_rows(args.pcap, _selector(args, required=False))
     prints = build_fingerprints(rows)
     if not len(prints):
-        raise InsufficientTraffic(
-            f"insufficient traffic: {len(rows)} packets yield no fingerprints"
-        )
+        raise ValueError(f"insufficient traffic: {len(rows)} packets yield no fingerprints")
     per_fingerprint = [[] for _ in range(len(prints))]
     positives = {}
     for model, columns, name in loaded:
@@ -287,7 +285,7 @@ def main(argv=None) -> int:
     except _ConfigError as err:
         print(f"error: config: {err}", file=sys.stderr)
         return 2
-    except (IotprintError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:
         print(f"error: data: {err}", file=sys.stderr)
         return 3
     except MemoryError:  # an input too large for this machine is still a data error

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ClassTooSmall, NoNegatives, UnknownLabel
 from .features import VARIANT_TAGS, variant_columns
 from .fingerprint import BehavioralProfile
 from .ml import LabeledDataset, VoteModel, train_boosted, train_knn, train_tree
@@ -69,9 +68,9 @@ def assemble_one_vs_all(
     keeping the feature variant's columns."""
     keys = [_profile_key(p, level) for p in profiles]
     if positive not in keys:
-        raise UnknownLabel(f"no profile with {level} label {positive!r}")
+        raise ValueError(f"no profile with {level} label {positive!r}")
     if all(k == positive for k in keys):
-        raise NoNegatives(f"every profile carries label {positive!r}")
+        raise ValueError(f"every profile carries label {positive!r}")
     rows = np.concatenate([p.fingerprints for p in profiles])[:, variant_columns(variant)]
     signs = [1 if key == positive else -1 for key in keys]
     labels = np.repeat(signs, [len(p.fingerprints) for p in profiles])
@@ -87,7 +86,7 @@ def stratified_folds(data: LabeledDataset, k: int, seed: int) -> FoldPlan:
     for cls in (1, -1):
         idx = np.flatnonzero(data.labels == cls)
         if idx.size < k:
-            raise ClassTooSmall(f"class {cls:+d} has {idx.size} members; need {k}")
+            raise ValueError(f"class {cls:+d} has {idx.size} members; need {k}")
         shuffled = rng.permutation(idx)
         assignments[shuffled] = np.arange(shuffled.size) % k
     return FoldPlan(k, assignments)

@@ -22,7 +22,6 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .errors import EmptyInput
 from .packet_model import (
     ETHERTYPE_ARP,
     ETHERTYPE_EAPOL,
@@ -260,7 +259,7 @@ def frame_features(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tupl
 def ecdf(values: Sequence[float]) -> list:
     """Empirical CDF as sorted (value, P(X <= value)) pairs."""
     if len(values) == 0:
-        raise EmptyInput("ecdf needs at least one value")
+        raise ValueError("ecdf needs at least one value")
     arr = np.asarray(values, dtype=np.float64)
     distinct, counts = np.unique(arr, return_counts=True)
     probs = np.cumsum(counts) / arr.size

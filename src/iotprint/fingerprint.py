@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .documents import int_in, load_doc, require, require_array, require_list, require_str, save_doc
-from .errors import FrameTooShort, InsufficientTraffic, TruncatedHeader
 from .features import (
     FEATURE_SCHEMA,
     FINGERPRINT_DIM,
@@ -28,7 +27,7 @@ from .features import (
     extract_features,
     frame_features,
 )
-from .packet_model import parse_frame
+from .packet_model import FrameTooShort, TruncatedHeader, parse_frame
 from .pcap_io import DeviceSelector, Frames, filter_device, read_capture
 
 PROFILE_SCHEMA = "behavioral-profile/1"
@@ -163,9 +162,7 @@ def build_profile(
     packets, skipped = packets_from_capture(capture)
     matching = filter_device(packets, sel)
     if len(matching) < FINGERPRINT_PACKETS:
-        raise InsufficientTraffic(
-            f"{len(matching)} matching packets; need at least {FINGERPRINT_PACKETS}"
-        )
+        raise ValueError(f"{len(matching)} matching packets; need at least {FINGERPRINT_PACKETS}")
     prints = build_fingerprints(extract_features(matching))
     return BehavioralProfile(device_label, category_label, prints, (Path(capture).name,), skipped)
 

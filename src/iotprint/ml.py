@@ -41,7 +41,6 @@ import numpy as np
 from .documents import (
     finite, int_in, load_doc, pack, require, require_list, require_str, save_doc, unpack
 )
-from .errors import EmptyData, KTooLarge, SingleClassData
 from .features import FEATURE_SCHEMA, FINGERPRINT_DIM
 
 MAX_STAGES = 100
@@ -50,7 +49,7 @@ MODEL_SCHEMA = "model/4"
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Feature rows with +/-1 labels for one one-vs-all problem; zero rows raise EmptyData."""
+    """Feature rows with +/-1 labels for one one-vs-all problem; zero rows raise ValueError."""
 
     rows: np.ndarray
     labels: np.ndarray
@@ -61,7 +60,7 @@ class LabeledDataset:
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D matrix")
         if rows.shape[0] == 0:
-            raise EmptyData("cannot train on an empty dataset")
+            raise ValueError("cannot train on an empty dataset")
         if rows.shape[1] == 0:
             raise ValueError("rows must have at least one column")
         if labels.shape != (rows.shape[0],):
@@ -300,7 +299,7 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
     split to fit, and the model is the prior log-odds with no stages.
     """
     if np.all(data.labels == data.labels[0]):
-        raise SingleClassData("training data contains a single class")
+        raise ValueError("training data contains a single class")
     if not 1 <= n_stages <= MAX_STAGES:
         raise ValueError(f"n_stages must be in 1..{MAX_STAGES}")
     X, y = data.rows, data.labels
@@ -344,7 +343,7 @@ def train_knn(data: LabeledDataset, k: int) -> KnnModel:
     if k < 1:
         raise ValueError("k must be at least 1")
     if k > len(data):
-        raise KTooLarge(f"k={k} exceeds {len(data)} training rows")
+        raise ValueError(f"k={k} exceeds {len(data)} training rows")
     return KnnModel(data.rows, data.labels, k)
 
 

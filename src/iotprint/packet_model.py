@@ -18,8 +18,6 @@ import struct
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import FrameTooShort, TruncatedHeader
-
 ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_ARP = 0x0806
 ETHERTYPE_VLAN = 0x8100
@@ -34,6 +32,14 @@ IPPROTO_ICMPV6 = 58
 # IPv6 extension headers we walk through to find the transport header.
 _IPV6_EXT_HEADERS = frozenset({0, 43, 60})
 _IPV6_FRAGMENT = 44
+
+
+class FrameTooShort(ValueError):
+    """Frame smaller than a minimal Ethernet II header (14 bytes)."""
+
+
+class TruncatedHeader(ValueError):
+    """A claimed protocol header extends past the captured bytes."""
 
 
 class Network(enum.Enum):

@@ -16,7 +16,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedFile, UnsupportedLinkType
 from .packet_model import ParsedPacket, RawFrame
 
 LINKTYPE_ETHERNET = 1
@@ -127,19 +126,19 @@ def read_capture(path: str | Path) -> tuple[CaptureMeta, Frames]:
     """
     data = Path(path).read_bytes()
     if len(data) < 4:
-        raise BadMagic("file too short to hold a pcap magic number")
+        raise ValueError("file too short to hold a pcap magic number")
     magic = int.from_bytes(data[:4], "little")
     if magic == _PCAPNG_BLOCK:  # the pcapng section header is a palindrome
-        raise BadMagic("pcapng is not supported; convert to classic pcap first")
+        raise ValueError("pcapng is not supported; convert to classic pcap first")
     if magic not in _MAGIC_TABLE:
-        raise BadMagic(f"unrecognized magic 0x{magic:08X}")
+        raise ValueError(f"unrecognized magic 0x{magic:08X}")
     byte_order, resolution = _MAGIC_TABLE[magic]
     endian = "<" if byte_order == "little" else ">"
     if len(data) < 24:
-        raise TruncatedFile("global header cut short")
+        raise ValueError("global header cut short")
     _, _, _, _, _, network = struct.unpack(endian + "HHiIII", data[4:24])
     if network != LINKTYPE_ETHERNET:
-        raise UnsupportedLinkType(f"link type {network}; only Ethernet (1) is supported")
+        raise ValueError(f"link type {network}; only Ethernet (1) is supported")
 
     heads: list[int] = []  # offset of each whole record's header
     pos, end = 24, len(data)

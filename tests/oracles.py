@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from iotprint import ml, pcap_io
-from iotprint.errors import BadMagic, TruncatedFile, UnsupportedLinkType
 from iotprint.ml import TreeNode
 from iotprint.packet_model import IpOption, Network, RawFrame, Transport
 
@@ -25,19 +24,19 @@ def read_capture(path) -> tuple:
     """(meta, list of `RawFrame`s), one frame built per record as it is read."""
     data = Path(path).read_bytes()
     if len(data) < 4:
-        raise BadMagic("file too short to hold a pcap magic number")
+        raise ValueError("file too short to hold a pcap magic number")
     magic = int.from_bytes(data[:4], "little")
     if magic == pcap_io._PCAPNG_BLOCK:
-        raise BadMagic("pcapng is not supported; convert to classic pcap first")
+        raise ValueError("pcapng is not supported; convert to classic pcap first")
     if magic not in pcap_io._MAGIC_TABLE:
-        raise BadMagic(f"unrecognized magic 0x{magic:08X}")
+        raise ValueError(f"unrecognized magic 0x{magic:08X}")
     byte_order, resolution = pcap_io._MAGIC_TABLE[magic]
     endian = "<" if byte_order == "little" else ">"
     if len(data) < 24:
-        raise TruncatedFile("global header cut short")
+        raise ValueError("global header cut short")
     _, _, _, _, _, network = struct.unpack(endian + "HHiIII", data[4:24])
     if network != pcap_io.LINKTYPE_ETHERNET:
-        raise UnsupportedLinkType(f"link type {network}; only Ethernet (1) is supported")
+        raise ValueError(f"link type {network}; only Ethernet (1) is supported")
 
     frames = []
     truncated = 0

@@ -16,7 +16,6 @@ import pytest
 import iotprint
 from iotprint import cli, documents, fingerprint, ml
 from iotprint.cli import main
-from iotprint.errors import FrameTooShort, TruncatedHeader
 from iotprint.evaluation import CLASSIFIERS, LEVELS, VARIANT_TAGS, format_report, run_experiment
 from iotprint.features import FEATURE_NAMES, FEATURE_SCHEMA, extract_features
 from iotprint.fingerprint import (
@@ -27,7 +26,7 @@ from iotprint.fingerprint import (
     save_profile,
 )
 from iotprint.ml import load_model
-from iotprint.packet_model import RawFrame, parse_frame
+from iotprint.packet_model import FrameTooShort, RawFrame, TruncatedHeader, parse_frame
 from iotprint.pcap_io import DeviceSelector, filter_device, write_capture
 from iotprint.synth import ARCHETYPES, generate_trace
 
@@ -1061,12 +1060,64 @@ def test_missing_pcap_is_data_error(capsys):
     assert "error: data:" in capsys.readouterr().err
 
 
-def test_bad_magic_is_data_error(tmp_path, capsys):
-    path = tmp_path / "garbage.pcap"
-    path.write_bytes(b"not a capture at all")
-    code = main(["sessions", "--pcap", str(path)])
-    assert code == 3
-    assert "error: data:" in capsys.readouterr().err
+def _capture(data: bytes):
+    """A case that runs `sessions` on a file holding `data`."""
+
+    def argv(tmp_path, profiles, model):
+        path = tmp_path / "capture.pcap"
+        path.write_bytes(data)
+        return ["sessions", "--pcap", str(path)]
+
+    return argv
+
+
+def _three_outlet_frames(tmp_path) -> str:
+    path = tmp_path / "three.pcap"
+    write_capture(path, generate_trace(ARCHETYPES["outlet"], 3, seed=92)[0])
+    return str(path)
+
+
+_GLOBAL_HEADER = struct.pack("<IHHiII", 0xA1B2C3D4, 2, 4, 0, 0, 65535)  # up to the link type
+_OUTLET_MAC = ARCHETYPES["outlet"].mac.hex(":")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_capture(b"abc"), "file too short to hold a pcap magic number"),
+        (_capture(b"not a capture at all"), "unrecognized magic 0x20746F6E"),
+        (_capture(b"\x0a\x0d\x0d\x0a" + bytes(40)),
+         "pcapng is not supported; convert to classic pcap first"),
+        (_capture(_GLOBAL_HEADER[:12]), "global header cut short"),
+        (_capture(_GLOBAL_HEADER + struct.pack("<I", 105)),
+         "link type 105; only Ethernet (1) is supported"),
+        (lambda tmp, profiles, model: [
+            "profile", "--pcap", _three_outlet_frames(tmp), "--mac", _OUTLET_MAC,
+            "--label", "outlet", "--category", "power", "--out", str(tmp / "p.json"),
+        ], "3 matching packets; need at least 5"),
+        (lambda tmp, profiles, model: ["identify", model, "--pcap", _three_outlet_frames(tmp)],
+         "insufficient traffic: 3 packets yield no fingerprints"),
+        (lambda tmp, profiles, model: [
+            "train", "--profiles", *profiles, "--positive", "kettle", "--out", str(tmp / "m.json"),
+        ], "no profile with device label 'kettle'"),
+        (lambda tmp, profiles, model: [
+            "train", "--profiles", profiles[0], "--positive", "outlet", "--out", str(tmp / "m.json"),
+        ], "every profile carries label 'outlet'"),
+        (lambda tmp, profiles, model: ["evaluate", "--profiles", *profiles, "--folds", "1000"],
+         "class +1 has 90 members; need 1000"),
+    ],
+    ids=[
+        "file-too-short", "unrecognized-magic", "pcapng", "global-header-cut", "link-type-105",
+        "profile-3-packets", "identify-no-fingerprint", "train-unknown-label",
+        "train-no-negatives", "evaluate-folds-above-class-size",
+    ],
+)
+def test_bad_magic_is_data_error(three_profiles, outlet_model, tmp_path, capsys, argv, message):
+    """Each data error the CLI can reach prints its one exact line and exits 3."""
+    args = argv(tmp_path, three_profiles, outlet_model)
+    capsys.readouterr()
+    assert main(args) == 3
+    assert capsys.readouterr() == ("", f"error: data: {message}\n")
 
 
 def test_running_out_of_memory_is_one_data_error_line(outlet_pcap, monkeypatch, capsys):

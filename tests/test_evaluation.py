@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from iotprint import evaluation
-from iotprint.errors import ClassTooSmall, NoNegatives, UnknownLabel
 from iotprint.evaluation import (
     LEVELS,
     assemble_one_vs_all,
@@ -53,9 +52,9 @@ def test_assemble_category_union_counts():
 
 def test_assemble_errors():
     profiles = [make_profile("a", "x", 3), make_profile("b", "y", 3)]
-    with pytest.raises(UnknownLabel):
+    with pytest.raises(ValueError, match="^no profile with device label 'missing'$"):
         assemble_one_vs_all(profiles, "missing", "device")
-    with pytest.raises(NoNegatives):
+    with pytest.raises(ValueError, match="^every profile carries label 'a'$"):
         assemble_one_vs_all([make_profile("a", "x", 3)], "a", "device")
 
 
@@ -86,10 +85,25 @@ def test_stratified_folds_deterministic():
 
 def test_stratified_folds_validation():
     data = balanced_dataset(n_pos=3, n_neg=10)
-    with pytest.raises(ClassTooSmall):
+    with pytest.raises(ValueError, match=r"^class \+1 has 3 members; need 5$"):
         stratified_folds(data, 5, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
         stratified_folds(data, 1, seed=0)
+
+
+@pytest.mark.parametrize("n_pos, n_neg, smaller", [(4, 6, r"\+1"), (6, 4, "-1")])
+def test_stratified_folds_take_every_k_from_2_to_the_smaller_class_size(n_pos, n_neg, smaller):
+    """Each class is dealt round-robin: fold f holds n // k members, one
+    more while f < n % k. One fold more than the smaller class is an error."""
+    data = balanced_dataset(n_pos=n_pos, n_neg=n_neg)
+    for k in (2, 3, 4):  # 4 is the smaller class's size
+        plan = stratified_folds(data, k, seed=0)
+        assert plan.k == k and plan.assignments.dtype == np.int64
+        for cls, n in ((1, n_pos), (-1, n_neg)):
+            dealt = np.bincount(plan.assignments[data.labels == cls], minlength=k)
+            assert dealt.tolist() == [n // k + (f < n % k) for f in range(k)]
+    with pytest.raises(ValueError, match=f"^class {smaller} has 4 members; need 5$"):
+        stratified_folds(data, 5, seed=0)
 
 
 def scored(tp, fp, tn, fn):
@@ -117,6 +131,24 @@ def test_metrics_degenerate_zero_over_zero():
 def test_metrics_perfect():
     rates, _ = metrics(*scored(tp=5, fp=0, tn=7, fn=0))
     assert [rates[name] for name in ("tpr", "accuracy", "tnr", "ppv")] == [1.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "counts, rates, degenerate",
+    [
+        ((3, 2, 0, 0), (1.0, 0.6, 0.0, 0.6), set()),  # every prediction +1
+        ((0, 0, 2, 3), (0.0, 0.4, 1.0, 0.0), {"ppv"}),  # every prediction -1
+        ((3, 0, 0, 0), (1.0, 1.0, 0.0, 1.0), {"tnr"}),  # no negatives
+        ((0, 2, 0, 0), (0.0, 0.0, 0.0, 0.0), {"tpr"}),  # no positives, every one called +1
+        ((0, 0, 0, 0), (0.0, 0.0, 0.0, 0.0), {"tpr", "accuracy", "tnr", "ppv"}),
+    ],
+    ids=["all-positive", "all-negative", "no-negatives", "no-positives", "empty"],
+)
+def test_metrics_at_the_boundaries(counts, rates, degenerate):
+    got, got_degenerate = metrics(*scored(*counts))
+    assert list(got) == ["tpr", "accuracy", "tnr", "ppv"]
+    assert [(rate, type(rate)) for rate in got.values()] == [(rate, float) for rate in rates]
+    assert got_degenerate == degenerate
 
 
 def test_metrics_accuracy_identity():

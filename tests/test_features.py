@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import oracles
 from iotprint import features
-from iotprint.errors import EmptyInput
 from iotprint.features import (
     ENTROPY_CHUNK,
     FEATURE_NAMES,
@@ -302,7 +301,7 @@ def test_ecdf_monotone_and_bounded():
 
 
 def test_ecdf_empty_input():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="^ecdf needs at least one value$"):
         ecdf([])
 
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import iotprint
@@ -150,6 +151,24 @@ def test_no_module_reads_another_modules_private_name():
             ):
                 found.append(f"{name}.py:{node.lineno}: {node.value.id}.{node.attr}")
     assert found == []
+
+
+def test_the_package_defines_three_exception_classes():
+    """A data error is a `ValueError`; only the two frame-skip signals that
+    `fingerprint` catches, and the CLI's config error, have classes."""
+    found = {}
+    for name, tree in SOURCES.items():
+        namespace = vars(importlib.import_module(f"iotprint.{name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = [eval(ast.unparse(base), namespace) for base in node.bases]
+                if any(isinstance(b, type) and issubclass(b, BaseException) for b in bases):
+                    found[f"{name}.{node.name}"] = bases
+    assert found == {
+        "cli._ConfigError": [Exception],
+        "packet_model.FrameTooShort": [ValueError],
+        "packet_model.TruncatedHeader": [ValueError],
+    }
 
 
 def test_synth_imports_only_the_packet_model():

@@ -5,14 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from iotprint.errors import FrameTooShort, TruncatedHeader
 from iotprint.features import FEATURE_NAMES, extract_features
 from iotprint.packet_model import (
+    FrameTooShort,
     IpOption,
     Network,
     ParsedPacket,
     RawFrame,
     Transport,
+    TruncatedHeader,
     parse_frame,
     parse_mac,
 )
