@@ -86,7 +86,7 @@ def stratified_folds(data: LabeledDataset, k: int, seed: int) -> FoldPlan:
     for cls in (1, -1):
         idx = np.flatnonzero(data.labels == cls)
         if idx.size < k:
-            raise ValueError(f"class {cls:+d} has {idx.size} members; need {k}")
+            raise ValueError(f"class {cls:+d} has {idx.size} members, fewer than the {k} folds")
         shuffled = rng.permutation(idx)
         assignments[shuffled] = np.arange(shuffled.size) % k
     return FoldPlan(k, assignments)
@@ -131,9 +131,12 @@ def _result(label: str, classifier: str, variant: int, splits) -> dict:
     return entry
 
 
-def _fold_splits(data: LabeledDataset, k: int, seed: int):
-    """The k stratified `(train, X, truth)` splits of one dataset, fold by fold."""
-    plan = stratified_folds(data, k, seed)
+def _fold_splits(data: LabeledDataset, label: str, k: int, seed: int):
+    """The k stratified `(train, X, truth)` splits of `label`'s one-vs-all set."""
+    try:
+        plan = stratified_folds(data, k, seed)
+    except ValueError as error:
+        raise ValueError(f"one-vs-all set of {label!r}: {error}") from None
     for fold in range(k):
         train_idx, test_idx = plan.train_indices(fold), plan.test_indices(fold)
         train = LabeledDataset(data.rows[train_idx], data.labels[train_idx])
@@ -189,9 +192,9 @@ def run_experiment(
         results = _instance_results(profiles, classifier, variant)
     else:
         results = []
-        for positive in dict.fromkeys(_profile_key(p, level) for p in profiles):
-            data = assemble_one_vs_all(profiles, positive, level, variant)
-            results.append(_result(positive, classifier, variant, _fold_splits(data, k, seed)))
+        for label in dict.fromkeys(_profile_key(p, level) for p in profiles):
+            data = assemble_one_vs_all(profiles, label, level, variant)
+            results.append(_result(label, classifier, variant, _fold_splits(data, label, k, seed)))
     return {
         "schema": REPORT_SCHEMA,
         "level": level,

@@ -36,7 +36,7 @@ from .packet_model import (
     Transport,
 )
 
-FEATURE_SCHEMA = "packet-features/1"
+FEATURE_SCHEMA = "packet-features/2"
 
 HEADER_FLAG_NAMES = (
     "arp",
@@ -105,10 +105,10 @@ ENTROPY_CHUNK = 512
 def shannon_entropy(payloads: Sequence[bytes]) -> np.ndarray:
     """Byte-value Shannon entropy of each payload, normalized to [0, 1].
 
-    Computes -sum(p_i * log_256(p_i)) over the 256 byte values with
-    p_i = count(i) / len(payload), as log2(m) - sum(t * log2(t)) / m over
-    the nonzero counts t, so the constant-payload (0.0) and uniform-256
-    (1.0) cases come out exact. An empty payload gives 0.
+    Computes -sum(p_i * log_256(p_i)), p_i = count(i) / m, as (log2(m) - S / m) / 8
+    with S the sum of t * log2(t) over all 256 byte counts t (0 at t = 0), added in
+    one fixed order as a row of a row-wise sum. The constant-payload (0.0) and
+    uniform-256 (1.0) cases come out exact; an empty payload gives 0.
     """
     lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
     ends = np.cumsum(lengths)
@@ -117,31 +117,15 @@ def shannon_entropy(payloads: Sequence[bytes]) -> np.ndarray:
     while start < len(payloads):
         fits = np.searchsorted(ends, ends[start] - lengths[start] + ENTROPY_CHUNK * 256, "right")
         stop = min(start + ENTROPY_CHUNK, max(start + 1, int(fits)))
-        sums[start:stop] = _block_sums(payloads[start:stop], lengths[start:stop])
+        data = np.frombuffer(b"".join(payloads[start:stop]), dtype=np.uint8)
+        keys = np.repeat(np.arange(stop - start) * 256, lengths[start:stop]) + data
+        counts = np.bincount(keys, minlength=(stop - start) * 256).reshape(-1, 256)
+        t = np.arange(counts.max() + 1.0)  # a table of t * log2(t), no longer than `keys`
+        sums[start:stop] = (t * np.log2(np.maximum(t, 1.0)))[counts].sum(axis=1)
         start = stop
     m = np.maximum(lengths, 1)  # an empty payload's sum is 0, so it scores log2(1) - 0
     log2 = {k: float(np.log2(float(k))) for k in set(m.tolist())}
     return (np.array([log2[k] for k in m.tolist()]) - sums / m) / 8.0
-
-
-def _block_sums(block: Sequence[bytes], lengths: np.ndarray) -> np.ndarray:
-    """Each payload's sum(t * log2(t)), bit-identical to the 1-D `.sum()` of
-    its own terms: rows with d distinct bytes are summed as one (g, d) matrix,
-    which gives each row the pairwise-sum grouping of a length-d sum."""
-    n = len(block)
-    data = np.frombuffer(b"".join(block), dtype=np.uint8)
-    counts = np.bincount(np.repeat(np.arange(0, n * 256, 256), lengths) + data, minlength=n * 256)
-    distinct = np.count_nonzero(counts.reshape(n, 256), axis=1)
-    order = np.argsort(distinct, kind="stable")
-    counts = counts.reshape(n, 256)[order]  # rows of equal d are adjacent
-    t = counts[counts > 0].astype(np.float64)  # row by row, in byte-value order
-    terms = t * np.log2(t)
-    sums = np.empty(n)
-    at = row = 0
-    for d, g in zip(*(a.tolist() for a in np.unique(distinct, return_counts=True))):
-        sums[order[row : row + g]] = terms[at : at + g * d].reshape(g, d).sum(axis=1)
-        at, row = at + g * d, row + g
-    return sums
 
 
 def _rows(flags: dict, ports: np.ndarray, window, payloads: Sequence[bytes]) -> np.ndarray:
@@ -228,9 +212,11 @@ def frame_features(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tupl
     eapol = (lengths >= 14) & (ether_type == ETHERTYPE_EAPOL)
     ihl, fragment = u8(off) & 0x0F, u16(off + 6) & 0x1FFF
     ipv4 = (ether_type == ETHERTYPE_IPV4) & (ihl == 5) & (fragment == 0)
-    # Link padding is dropped. A total length under 20 leaves no decodable transport
-    # here, so the floor of 20 that `parse_frame` puts under it changes nothing.
-    end = np.minimum(lengths, off + u16(off + 2))
+    # Link padding is dropped: a packet ends at its ARP 8 + 2 * hlen + 2 * plen (RFC 826),
+    # EAPoL 4 + body length or IPv4 total length. The first two pass the end of a frame
+    # that cuts their fields, and a total length under 20 leaves no transport here.
+    length = np.where(arp, 8 + 2 * (u8(off + 4) + u8(off + 5)), u16(off + 2) + 4 * eapol)
+    end = np.minimum(lengths, off + length)
     protocol = u8(off + 9)
     start = off + 20  # the transport header; each kind below ends at or before `end`
     data_offset = (u8(start + 12) >> 4) * 4
@@ -242,7 +228,7 @@ def frame_features(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tupl
 
     udp_end = np.minimum(end, start + np.maximum(u16(start + 4), 8))
     first = np.select([tcp, udp, icmp], [start + data_offset, start + 8, start + 4], off)
-    last = np.select([udp, ip], [udp_end, end], lengths)
+    last = np.where(udp, udp_end, end)
     at = np.flatnonzero(decoded)
     bounds = zip((starts + first)[at].tolist(), (starts + last)[at].tolist())
     payloads = [data[a:b] for a, b in bounds]

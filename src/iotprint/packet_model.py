@@ -156,7 +156,12 @@ def parse_frame(frame: RawFrame) -> ParsedPacket:
         network, layers = Network.IPV6, _parse_ipv6(data, offset)
     else:
         network = _OPAQUE_NETWORKS.get(ether_type, Network.OTHER)
-        layers = _opaque(data[offset:])
+        body = data[offset:]  # trailing link padding is dropped where a length field is captured
+        if network is Network.ARP and len(body) >= 6:  # RFC 826: 8 + 2 * hlen + 2 * plen
+            body = body[: 8 + 2 * (body[4] + body[5])]
+        elif network is Network.EAPOL and len(body) >= 4:  # the 4-byte header + body length
+            body = body[: 4 + struct.unpack_from("!H", body, 2)[0]]
+        layers = _opaque(body)
     return ParsedPacket(data[6:12], data[0:6], network, *layers)
 
 

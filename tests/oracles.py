@@ -110,16 +110,21 @@ def shannon_entropy(payload: bytes) -> float:
     """Byte-value Shannon entropy normalized to [0, 1].
 
     Computes -sum(p_i * log_256(p_i)) over the 256 byte values with
-    p_i = count(i) / len(payload); zero-count terms contribute nothing.
-    Evaluated via counts in log2 so that the constant-payload (0.0) and
-    uniform-256 (1.0) cases come out exact. Empty payload returns 0.
+    p_i = count(i) / len(payload), as log2(m) - S / m, where S is the 1-D
+    `.sum()` of the 256 terms t * log2(t) of the payload's byte counts t,
+    a zero count giving the term 0. Evaluated in log2 so that the
+    constant-payload (0.0) and uniform-256 (1.0) cases come out exact.
+    Empty payload returns 0.
     """
     m = len(payload)
     if m == 0:
         return 0.0
     counts = np.bincount(np.frombuffer(payload, dtype=np.uint8), minlength=256)
-    nonzero = counts[counts > 0].astype(np.float64)
-    bits = float(np.log2(float(m))) - float((nonzero * np.log2(nonzero)).sum()) / m
+    nonzero = counts > 0
+    t = counts[nonzero].astype(np.float64)
+    terms = np.zeros(256)
+    terms[nonzero] = t * np.log2(t)
+    bits = float(np.log2(float(m))) - float(terms.sum()) / m
     return bits / 8.0
 
 

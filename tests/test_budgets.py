@@ -34,7 +34,7 @@ from iotprint import cli, synth
 from iotprint.pcap_io import write_capture
 
 TABLE = Path(__file__).with_name("budgets.json")
-FACTOR = 1.25
+FACTOR = 1.10
 VERSIONS = {"python": sys.version.split()[0], "numpy": np.__version__}
 
 

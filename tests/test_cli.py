@@ -523,9 +523,9 @@ MODEL_MUTATIONS = {
     "schema-2": ("knn", ("schema",), "model/2", "unsupported model schema: 'model/2'"),
     "schema-3": ("knn", ("schema",), "model/3", "unsupported model schema: 'model/3'"),
     "schema-5": ("knn", ("schema",), "model/5", "unsupported model schema: 'model/5'"),
-    "feature-schema-2": (
-        "boosted", ("feature_schema",), "packet-features/2",
-        "unsupported feature schema: 'packet-features/2'",
+    "feature-schema-1": (
+        "boosted", ("feature_schema",), "packet-features/1",
+        "unsupported feature schema: 'packet-features/1'",
     ),
     "feature-schema-missing": ("tree", ("feature_schema",), _DELETE, "lacks 'feature_schema'"),
 }
@@ -566,9 +566,9 @@ PROFILE_MUTATIONS = {
         lambda rows: _Raw(json.dumps([[0] * len(r) for r in rows]).replace("0", "1e400")),
         "fingerprints must be a non-empty 2-D array of finite numbers",
     ),
-    "feature-schema-2": (
-        ("source", "feature_schema"), "packet-features/2",
-        "unsupported feature schema: 'packet-features/2'",
+    "feature-schema-1": (
+        ("source", "feature_schema"), "packet-features/1",
+        "unsupported feature schema: 'packet-features/1'",
     ),
     "skipped-frames-negative": (
         ("source", "skipped_frames"), -4,
@@ -691,7 +691,7 @@ def test_identify_checks_its_models_before_reading_the_capture(
     }[fault]
     mutations = {
         "malformed": (("knn", "k"), 0),
-        "other-feature-schema": (("feature_schema",), "packet-features/2"),
+        "other-feature-schema": (("feature_schema",), "packet-features/1"),
     }
     if fault in mutations:
         vote.write_text(_mutated_text(model_docs["vote"], *mutations[fault]))
@@ -707,7 +707,7 @@ def test_identify_checks_its_models_before_reading_the_capture(
     assert code == 3 and out == "" and reads == []
     assert err.startswith("error: data: ") and err.count("\n") == 1
     if fault == "other-feature-schema":
-        assert err == "error: data: unsupported feature schema: 'packet-features/2'\n"
+        assert err == "error: data: unsupported feature schema: 'packet-features/1'\n"
 
 
 def test_identify_searches_only_each_vote_models_undecided_rows(
@@ -1104,7 +1104,7 @@ _OUTLET_MAC = ARCHETYPES["outlet"].mac.hex(":")
             "train", "--profiles", profiles[0], "--positive", "outlet", "--out", str(tmp / "m.json"),
         ], "every profile carries label 'outlet'"),
         (lambda tmp, profiles, model: ["evaluate", "--profiles", *profiles, "--folds", "1000"],
-         "class +1 has 90 members; need 1000"),
+         "one-vs-all set of 'outlet': class +1 has 90 members, fewer than the 1000 folds"),
     ],
     ids=[
         "file-too-short", "unrecognized-magic", "pcapng", "global-header-cut", "link-type-105",
@@ -1167,21 +1167,21 @@ def test_unknown_variant_rejected(tmp_path, capsys):
 # arrays are zlib level 6), pinned here under zlib 1.2.13: another zlib
 # may deflate the same bytes differently, and the file would still load.
 PINNED_DIGESTS = {
-    "outlet.profile.json": "5779ba928463b66ddaca801bcf1cb30c48a9891fcedb21c3bbb962d0365b91c7",
-    "camera-streamer.profile.json": "9444e5608bbfa7250e29907bf6414066e343bb42753925c018ec14b62d86840a",
-    "hub-conduit.profile.json": "546a0e3eb86a6501f8aa0201ebe3a055d254bb92fa60bc6655b158afb4509e86",
-    "outlet-b.profile.json": "0cdf64b5f6eca0979de48cbaf1b34d19816fdf874b67a1bd88417062accddcdf",
+    "outlet.profile.json": "dc9a078acd0f14a4b4d9295829af05028b2cde20c632485c73a38a420c92ed79",
+    "camera-streamer.profile.json": "5ee684359608320f2bdd40a43fbeb26d084e70cb9b8ae5a8662fe0384800c181",
+    "hub-conduit.profile.json": "b30b7577bb28a6461235f3131e8f6b13ec3597bb38f95cf6f03ce038ca25a044",
+    "outlet-b.profile.json": "64d038254b14e45ea287fb12469de79b2885c8519cb497a1eb73823e13ea9e63",
     "report.json": "9f29fca2e1f942b6b54ae95eb6b3c8b422ea47b4970218e9239460d090d004df",
     "category.report.json": "8da4322615a7ab3cde379665e33793ef6ae208d8633a99f6565056edaf5c710a",
     "instance.report.json": "a30a56ed60c855a58180dade66d41ed6d34aa18578a854e51779bf9dfb11e436",
-    "outlet.model.json": "fda6640033219d424034e24012ad94123d64071cbb40975df9d69c55f85e3041",
+    "outlet.model.json": "8e35dba7a446ca2d576a0648e1cf787eb514e85589c83ba436a1b7d9009db8b3",
     "identify-outlet.stdout": "b5b0c88c2ca5a4383fd7fee402eae82f5304db1d884ea6d7ee27c09416dd3631",
     "identify-camera-streamer.stdout": "2f9aaaa98202af864aaa88aad112773f03c73fefe143350b1fb5c45db050de5d",
     "identify-hub-conduit.stdout": "e0e8399657f04a96599da9a30d9d506555c4545158f698f8d069ce5e2b7f6e50",
-    "extract-mac.stdout": "d86fa04fe4752b1a7e5af5a074487a911cde6dccb824ac81c256a8d8256b9085",
-    "extract-ip.stdout": "a41058ec72863e60898129f1bde8342ff487bf349cc233e9cdc5663ea86d5c9c",
+    "extract-mac.stdout": "57dfa2859aa6f9f8261b0e6b5173c451efef95121a26f26c1b2e00e2250ffa3d",
+    "extract-ip.stdout": "bfab5fb916a6b7c7d2eb670b244f1aa73c6492f3c1e22bb4f1a3f0d3ded47a39",
     "sessions-mac.stdout": "ee5628e0ad62aeb8dcdadff0590979cf6926b168c88ca28c97960b4141556303",
-    "ecdf.stdout": "b00c36d6889af0b4576a748cba8603b802cc73b57b76b95021f0c25284936947",
+    "ecdf.stdout": "25c1c22902fab261bdbfe67e4542b12a65523457bcd69705228bd9e56dbd465f",
 }
 
 

@@ -85,7 +85,7 @@ def test_stratified_folds_deterministic():
 
 def test_stratified_folds_validation():
     data = balanced_dataset(n_pos=3, n_neg=10)
-    with pytest.raises(ValueError, match=r"^class \+1 has 3 members; need 5$"):
+    with pytest.raises(ValueError, match=r"^class \+1 has 3 members, fewer than the 5 folds$"):
         stratified_folds(data, 5, seed=0)
     with pytest.raises(ValueError, match="^k must be at least 2$"):
         stratified_folds(data, 1, seed=0)
@@ -102,7 +102,7 @@ def test_stratified_folds_take_every_k_from_2_to_the_smaller_class_size(n_pos, n
         for cls, n in ((1, n_pos), (-1, n_neg)):
             dealt = np.bincount(plan.assignments[data.labels == cls], minlength=k)
             assert dealt.tolist() == [n // k + (f < n % k) for f in range(k)]
-    with pytest.raises(ValueError, match=f"^class {smaller} has 4 members; need 5$"):
+    with pytest.raises(ValueError, match=f"^class {smaller} has 4 members, fewer than the 5 folds$"):
         stratified_folds(data, 5, seed=0)
 
 

@@ -145,6 +145,72 @@ def test_entropy_working_memory_does_not_grow_with_payload_bytes():
     assert peak < 4 << 20
 
 
+def test_entropy_working_memory_does_not_grow_with_payload_count():
+    """A block also holds at most ENTROPY_CHUNK payloads, so 8192 one-byte
+    payloads are counted in 16 blocks, not in one (8192, 256) count matrix."""
+    payloads = [bytes([i % 256]) for i in range(16 * ENTROPY_CHUNK)]
+    tracemalloc.start()
+    try:
+        shannon_entropy(payloads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
+def _blocks(lengths) -> list:
+    """(payloads, bytes) of each entropy block, filled greedily: a block takes
+    the next payload while it holds fewer than ENTROPY_CHUNK payloads and the
+    payload's bytes fit in ENTROPY_CHUNK * 256, and always takes one."""
+    blocks, bound = [], features.ENTROPY_CHUNK * 256
+    for m in lengths:
+        count, size = blocks[-1] if blocks else (features.ENTROPY_CHUNK, 0)
+        if count < features.ENTROPY_CHUNK and size + m <= bound:
+            blocks[-1] = (count + 1, size + m)
+        else:
+            blocks.append((1, m))
+    return blocks
+
+
+@settings(max_examples=50, deadline=None)
+@given(lengths=st.lists(st.integers(0, 2000), max_size=40), chunk=st.sampled_from([1, 3, 5]))
+def test_entropy_blocks_are_as_large_as_their_bounds_allow(lengths, chunk):
+    """Each block is counted by one `bincount` of its payloads' bytes."""
+    payloads = [bytes(m) for m in lengths]
+    with mock.patch.object(features, "ENTROPY_CHUNK", chunk):
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
+            shannon_entropy(payloads)
+        want = _blocks(lengths)
+    seen = [(call.kwargs["minlength"] // 256, len(call.args[0])) for call in counted.call_args_list]
+    assert seen == want
+
+
+def test_entropy_at_its_count_and_block_boundaries():
+    """A deterministic sweep: empty payloads; 1 and 256 distinct values at
+    counts around 256; a block of exactly ENTROPY_CHUNK payloads and one of
+    exactly ENTROPY_CHUNK * 256 bytes, each with one payload more; and one
+    payload longer than ENTROPY_CHUNK * 256 bytes between short ones."""
+    rng = np.random.default_rng(11)
+    constant = [b"\x07" * m for m in (1, 2, 255, 256, 257)]
+    uniform = [bytes(range(256)) * r for r in (1, 2, 3)]
+    mixed = [bytes(range(256)) + b"\x00", bytes(range(256))[::-1] * 2 + b"\xff\xfe"]
+    cases = {
+        "empty": [b"", b"", b"\x01", b""],
+        "one and 256 values": constant + uniform + mixed,
+        "chunk of payloads": [_payload_with(rng, 9, 8) for _ in range(ENTROPY_CHUNK + 1)],
+        "chunk of bytes": [_payload_with(rng, 200, 256 * 64)[: 256 * 64] for _ in range(9)],
+        "one long payload": [b"ab", _payload_with(rng, 256, ENTROPY_CHUNK * 256 + 1), b"\x00"],
+    }
+    for name, payloads in cases.items():
+        assert _bit_identical_to_oracle(payloads), name
+        with mock.patch.object(np, "bincount", wraps=np.bincount) as counted:
+            shannon_entropy(payloads)
+        seen = [(c.kwargs["minlength"] // 256, len(c.args[0])) for c in counted.call_args_list]
+        assert seen == _blocks(map(len, payloads)), name
+    values = shannon_entropy(constant + uniform + [b""]).tolist()
+    assert values == [0.0] * len(constant) + [1.0] * len(uniform) + [0.0]
+
+
 def test_batch_entropy_is_bit_identical_on_every_corpus_payload(corpus):
     for entry in corpus:
         assert _bit_identical_to_oracle([parse_frame(frame).payload for frame in entry.frames])

@@ -1,3 +1,4 @@
+import heapq
 import ipaddress
 import json
 import math
@@ -554,6 +555,61 @@ def test_bulk_decoding_matches_parsing_at_every_header_boundary():
     assert not rows[~decoded].any() and (ports[~decoded] == -1).all()
     assert (hosts[~decoded] == -1).all()
     assert decoded.sum() > len(records) / 3  # the sweep reaches the bulk path
+
+
+def _pcap(frames, endian: str = "<", nano: bool = False) -> bytes:
+    """A classic pcap of `frames` in either byte order, at µs or ns resolution."""
+    magic = 0xA1B23C4D if nano else 0xA1B2C3D4
+    data = [struct.pack(endian + "IHHiIII", magic, 2, 4, 0, 0, 65535, 1)]
+    for f in frames:
+        frac = f.ts_usec * 1000 if nano else f.ts_usec
+        data += [struct.pack(endian + "IIII", f.ts_sec, frac, len(f.data), f.original_length), f.data]
+    return b"".join(data)
+
+
+def _tagged(f: RawFrame) -> RawFrame:
+    data = f.data[:12] + b"\x81\x00\x00\x05" + f.data[12:]
+    return RawFrame(f.ts_sec, f.ts_usec, f.original_length + 4, data)
+
+
+def _padded(f: RawFrame) -> RawFrame:
+    """The frame as a NIC sends it: zero-padded to Ethernet's 60-byte minimum."""
+    data = f.data.ljust(60, b"\x00")
+    return RawFrame(f.ts_sec, f.ts_usec, max(f.original_length, len(data)), data)
+
+
+def _time(f: RawFrame) -> tuple:
+    return f.ts_sec, f.ts_usec
+
+
+# name -> the pcap bytes of a capture's frames taken another way, given another
+# device's frames too, which only the interleaving takes.
+_RETAKES = {
+    "big-endian": lambda frames, other: _pcap(frames, ">"),
+    "nanosecond": lambda frames, other: _pcap(frames, nano=True),
+    "802.1q-tag": lambda frames, other: _pcap(map(_tagged, frames)),
+    "padded-to-60": lambda frames, other: _pcap(map(_padded, frames)),
+    "interleaved": lambda frames, other: _pcap(heapq.merge(frames, other, key=_time)),
+}
+
+
+@pytest.mark.parametrize("retake", _RETAKES)
+def test_rows_do_not_depend_on_how_the_capture_was_taken(corpus, tmp_path, retake):
+    """Each corpus capture, taken another way, gives the same rows, ports
+    and skip counts: with no selector, by MAC and by IP, and, where another
+    device's frames are interleaved, by MAC."""
+    moved = []
+    for entry, other in zip(corpus, corpus[1:] + corpus[:1]):
+        arch = entry.archetype
+        selectors = {"mac": DeviceSelector(mac=arch.mac)}
+        if retake != "interleaved":
+            selectors.update({"none": None, "ip": DeviceSelector(ip=arch.ip)})
+        (tmp_path / "as-sent.pcap").write_bytes(_pcap(entry.frames))
+        (tmp_path / "retaken.pcap").write_bytes(_RETAKES[retake](entry.frames, other.frames))
+        for name, sel in selectors.items():
+            if _read_rows(tmp_path / "retaken.pcap", sel) != _read_rows(tmp_path / "as-sent.pcap", sel):
+                moved.append(f"{arch.name}-{entry.instance} by {name}")
+    assert moved == []
 
 
 def test_a_selector_with_an_ip_parses_every_frame(tmp_path):

@@ -1,11 +1,12 @@
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from iotprint.features import FEATURE_NAMES, extract_features
+from iotprint.features import FEATURE_NAMES, extract_features, frame_features
 from iotprint.packet_model import (
     FrameTooShort,
     IpOption,
@@ -181,6 +182,56 @@ def test_link_padding_trimmed_by_total_length():
     data = eth(0x0800, ipv4(17, udp(9, 9, b"ab")) + b"\x00" * 18)  # padded runt
     pkt = parse_frame(frame(data))
     assert pkt.payload == b"ab"
+
+
+def _arp_body(hlen: int, plen: int) -> bytes:
+    """An ARP request for `hlen`-byte hardware and `plen`-byte protocol
+    addresses, with as many address bytes as those lengths claim."""
+    addresses = bytes(range(0x20, 0x20 + 2 * (hlen + plen)))
+    return struct.pack("!HHBBH", 1, 0x0800, hlen, plen, 1) + addresses
+
+
+def _stated(body: bytes, kind: str) -> bytes:
+    """The bytes of an ARP (RFC 826) or EAPoL packet by its own length
+    fields, or all of `body` when it cuts those fields."""
+    if kind == "arp":
+        return body if len(body) < 6 else body[: 8 + 2 * body[4] + 2 * body[5]]
+    return body if len(body) < 4 else body[: 4 + int.from_bytes(body[2:4], "big")]
+
+
+# (EtherType, kind, packet); each is followed by 20 distinct trailer bytes.
+_OPAQUE_PACKETS = [
+    (0x0806, "arp", _arp_body(6, 4)),
+    (0x0806, "arp", _arp_body(0, 0)),
+    (0x0806, "arp", _arp_body(1, 2)),
+    (0x0806, "arp", struct.pack("!HHBBH", 1, 0x0800, 255, 255, 1) + bytes(range(30))),
+    (0x888E, "eapol", b"\x01\x00\x00\x04abcd"),
+    (0x888E, "eapol", b"\x02\x01\x00\x00"),
+    (0x888E, "eapol", b"\x01\x03\xff\xff" + bytes(range(40))),
+]
+
+
+@pytest.mark.parametrize("tags", [0, 1])
+def test_arp_and_eapol_payloads_end_at_their_own_length(tags):
+    """An ARP payload is its 8 + 2 * hlen + 2 * plen bytes and an EAPoL
+    payload its 4-byte header plus body length, cut at the captured bytes;
+    a frame that cuts the length fields keeps every byte after its header.
+    Every cut of each frame, and both decoders."""
+    frames, want = [], []
+    for ether_type, kind, packet in _OPAQUE_PACKETS:
+        tag = struct.pack("!HH", 0x8100, 5) * tags
+        data = PEER_MAC + DEV_MAC + tag + struct.pack("!H", ether_type)
+        data += packet + bytes(range(0xA0, 0xB4))
+        for cut in range(len(data) - len(packet) - 20, len(data) + 1):
+            frames.append(frame(data[:cut]))
+            want.append(_stated(data[14 + 4 * tags : cut], kind))
+    assert [parse_frame(f).payload for f in frames] == want
+    starts = np.cumsum([0] + [len(f.data) for f in frames])[:-1]
+    lengths = np.array([len(f.data) for f in frames])
+    decoded, rows, _, _ = frame_features(b"".join(f.data for f in frames), starts, lengths)
+    assert decoded.all()
+    entropy = rows[:, FEATURE_NAMES.index("entropy")]
+    assert entropy.tolist() == [oracles.shannon_entropy(payload) for payload in want]
 
 
 def test_unknown_ethertype_degrades_to_other():

@@ -225,7 +225,7 @@ def test_corpus_profiles_have_enough_fingerprints(corpus_profiles):
 
 # sha256 of the seven corpus profiles' fingerprints, concatenated as <f8
 # bytes: any change to decoding, feature extraction or grouping shows here.
-CORPUS_PROFILES_SHA256 = "c445df5995e62e42b059f2b9a2d17e480a2b2b96078a18ee3b8aa748da8fc3da"
+CORPUS_PROFILES_SHA256 = "884779ee455a0608aa3dca53857e804f7fc031665dadaf36763cbe31b1cf6d67"
 
 
 def test_profile_for_entry_uses_archetype_labels(corpus, corpus_profiles):
