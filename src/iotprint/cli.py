@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import ipaddress
 import sys
 from pathlib import Path
 
@@ -33,7 +32,7 @@ from .pcap_io import DeviceSelector, write_capture
 IDENTIFY_SCHEMA = "identify-report/1"
 LABELS_SCHEMA = "trace-labels/1"
 
-_ECDF_ALIASES = {"entropy": "entropy", "length": "tcp_payload_length", "window": "tcp_window_size"}
+_ECDF_ALIASES = {"length": "tcp_payload_length", "window": "tcp_window_size"}
 
 
 class _ConfigError(Exception):
@@ -46,9 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _ip_address(text: str) -> str:
-    """argparse type: an IPv4 or IPv6 address in canonical form."""
+    """argparse type: an IPv4 or IPv6 address without a zone, in canonical form."""
     try:
-        return str(ipaddress.ip_address(text))
+        return DeviceSelector(ip=text).ip
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -168,6 +167,8 @@ def _cmd_ecdf(args) -> int:
     tables = []  # all computed first, so a capture that fails leaves no partial output
     for path in args.pcaps:
         values = read_rows(path)[0][:, index]
+        if not len(values):
+            raise ValueError(f"ecdf needs at least one value; capture {path} has no packets")
         tables.append((path, len(values), ecdf(values)))
     for path, n, table in tables:
         print(f"# capture: {path}  feature: {column}  n={n}")

@@ -30,10 +30,7 @@ from .packet_model import (
     IPPROTO_ICMP,
     IPPROTO_TCP,
     IPPROTO_UDP,
-    IpOption,
-    Network,
     ParsedPacket,
-    Transport,
 )
 
 FEATURE_SCHEMA = "packet-features/2"
@@ -148,37 +145,20 @@ def _rows(flags: dict, ports: np.ndarray, window, payloads: Sequence[bytes]) -> 
     return rows
 
 
-# The flags `extract_features` gathers, in tuple order: all but the application flags.
+# The layer flags, named as `ParsedPacket.layers` names them: all but the application
+# flags, which `_rows` sets from the ports.
 _PACKET_FLAGS = HEADER_FLAG_NAMES[:7] + HEADER_FLAG_NAMES[-2:]
 
 
 def extract_features(packets: Sequence[ParsedPacket]) -> np.ndarray:
     """The (n, 20) float64 matrix of n parsed packets, rows in FEATURE_NAMES order.
 
-    The IP flag covers IPv4 and IPv6; TCP payload length and window are 0 off TCP."""
-    layers = np.array(
-        [
-            (
-                p.network is Network.ARP,
-                p.network is Network.IPV4 or p.network is Network.IPV6,
-                p.transport is Transport.ICMP,
-                p.transport is Transport.ICMPV6,
-                p.network is Network.EAPOL,
-                p.transport is Transport.TCP,
-                p.transport is Transport.UDP,
-                any(o is IpOption.PADDING for o in p.ip_options) if p.ip_options else False,
-                any(o is IpOption.ROUTER_ALERT for o in p.ip_options) if p.ip_options else False,
-                p.src_port or 0,  # None off TCP and UDP, where no port is read
-                p.dst_port or 0,
-                p.tcp_window_size or 0,
-            )
-            for p in packets
-        ],
-        dtype=np.int64,
-    ).reshape(-1, len(_PACKET_FLAGS) + 3)
-    flags = dict(zip(_PACKET_FLAGS, layers[:, : len(_PACKET_FLAGS)].T.astype(bool)))
-    ports, window = layers[:, -3:-1], layers[:, -1]
-    return _rows(flags, ports, window, [p.payload for p in packets])
+    TCP payload length and window are 0 off TCP."""
+    flags = {name: np.array([name in p.layers for p in packets], bool) for name in _PACKET_FLAGS}
+    # A port is None off TCP and UDP, where `_rows` reads no port.
+    ports = np.array([(p.src_port or 0, p.dst_port or 0) for p in packets], np.int64)
+    window = np.array([p.tcp_window_size or 0 for p in packets], np.int64)
+    return _rows(flags, ports.reshape(-1, 2), window, [p.payload for p in packets])
 
 
 def frame_features(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple:

@@ -10,7 +10,6 @@ well-known port means, is decided in `features`.
 
 from __future__ import annotations
 
-import enum
 import ipaddress
 import re
 import socket
@@ -40,27 +39,6 @@ class FrameTooShort(ValueError):
 
 class TruncatedHeader(ValueError):
     """A claimed protocol header extends past the captured bytes."""
-
-
-class Network(enum.Enum):
-    IPV4 = "ipv4"
-    IPV6 = "ipv6"
-    ARP = "arp"
-    EAPOL = "eapol"
-    OTHER = "other"
-
-
-class Transport(enum.Enum):
-    TCP = "tcp"
-    UDP = "udp"
-    ICMP = "icmp"
-    ICMPV6 = "icmpv6"
-    NONE = "none"
-
-
-class IpOption(enum.Enum):
-    PADDING = "padding"
-    ROUTER_ALERT = "router_alert"
 
 
 _MAC_TEXT = re.compile(r"[0-9A-Fa-f]{1,2}(?:[:-][0-9A-Fa-f]{1,2}){5}")
@@ -96,15 +74,16 @@ class RawFrame:
 class ParsedPacket(NamedTuple):
     """Layer metadata and transport payload for one frame.
 
-    `parse_frame` is the one producer: ports are present exactly for
-    TCP/UDP, and `tcp_window_size` exactly for TCP.
+    `layers` holds the names of the layer flags the frame sets, as
+    `features` names its columns: arp, ip (IPv4 or IPv6), icmp, icmpv6,
+    eapol, tcp, udp, ip_padding and ip_router_alert. `parse_frame` is the
+    one producer: ports are present exactly for TCP/UDP, and
+    `tcp_window_size` exactly for TCP.
     """
 
     src_mac: bytes
     dst_mac: bytes
-    network: Network
-    ip_options: frozenset = frozenset()
-    transport: Transport = Transport.NONE
+    layers: frozenset = frozenset()
     src_port: int | None = None
     dst_port: int | None = None
     tcp_window_size: int | None = None
@@ -113,21 +92,19 @@ class ParsedPacket(NamedTuple):
     dst_ip: str | None = None
 
 
-_EMPTY: frozenset = frozenset()
+_IP = frozenset({"ip"})
 
 
-def _opaque(
-    payload: bytes = b"", ip_options: frozenset = _EMPTY, src_ip=None, dst_ip=None
-) -> tuple:
-    """The layer fields of a packet with no decoded transport header.
+def _opaque(layers: frozenset, payload: bytes = b"", src_ip=None, dst_ip=None) -> tuple:
+    """The fields of a packet with no decoded transport header.
 
     `_parse_ipv4`, `_parse_ipv6` and `_parse_transport` return the
-    `ParsedPacket` fields from `ip_options` to `dst_ip`, in field order.
+    `ParsedPacket` fields from `layers` to `dst_ip`, in field order.
     """
-    return ip_options, Transport.NONE, None, None, None, payload, src_ip, dst_ip
+    return layers, None, None, None, payload, src_ip, dst_ip
 
 
-_OPAQUE_NETWORKS = {ETHERTYPE_ARP: Network.ARP, ETHERTYPE_EAPOL: Network.EAPOL}
+_OPAQUE_LAYERS = {ETHERTYPE_ARP: frozenset({"arp"}), ETHERTYPE_EAPOL: frozenset({"eapol"})}
 
 
 def parse_frame(frame: RawFrame) -> ParsedPacket:
@@ -135,7 +112,7 @@ def parse_frame(frame: RawFrame) -> ParsedPacket:
 
     Raises FrameTooShort below 14 bytes and TruncatedHeader when a claimed
     header runs past the captured bytes; both are skip-and-count signals.
-    Unrecognized or malformed inner layers degrade to Other/NONE instead
+    Unrecognized or malformed inner layers degrade to fewer layers instead
     of failing, so the function is total over frames of >= 14 bytes.
     """
     data = frame.data
@@ -144,25 +121,25 @@ def parse_frame(frame: RawFrame) -> ParsedPacket:
     ether_type = struct.unpack_from("!H", data, 12)[0]
     offset = 14
     if ether_type == ETHERTYPE_VLAN:
-        # Unwrap a single 802.1Q tag; a second tag falls through to OTHER.
+        # Unwrap a single 802.1Q tag; a second tag falls through to no layer.
         if len(data) < 18:
             raise TruncatedHeader("802.1Q tag cut short")
         ether_type = struct.unpack_from("!H", data, 16)[0]
         offset = 18
 
     if ether_type == ETHERTYPE_IPV4:
-        network, layers = Network.IPV4, _parse_ipv4(data, offset)
+        fields = _parse_ipv4(data, offset)
     elif ether_type == ETHERTYPE_IPV6:
-        network, layers = Network.IPV6, _parse_ipv6(data, offset)
+        fields = _parse_ipv6(data, offset)
     else:
-        network = _OPAQUE_NETWORKS.get(ether_type, Network.OTHER)
+        layers = _OPAQUE_LAYERS.get(ether_type, frozenset())
         body = data[offset:]  # trailing link padding is dropped where a length field is captured
-        if network is Network.ARP and len(body) >= 6:  # RFC 826: 8 + 2 * hlen + 2 * plen
+        if ether_type == ETHERTYPE_ARP and len(body) >= 6:  # RFC 826: 8 + 2 * hlen + 2 * plen
             body = body[: 8 + 2 * (body[4] + body[5])]
-        elif network is Network.EAPOL and len(body) >= 4:  # the 4-byte header + body length
+        elif ether_type == ETHERTYPE_EAPOL and len(body) >= 4:  # the 4-byte header + body length
             body = body[: 4 + struct.unpack_from("!H", body, 2)[0]]
-        layers = _opaque(body)
-    return ParsedPacket(data[6:12], data[0:6], network, *layers)
+        fields = _opaque(layers, body)
+    return ParsedPacket(data[6:12], data[0:6], *fields)
 
 
 def _parse_ipv4(data: bytes, off: int) -> tuple:
@@ -171,7 +148,7 @@ def _parse_ipv4(data: bytes, off: int) -> tuple:
     ihl = (data[off] & 0x0F) * 4
     if ihl < 20:
         # Invalid header length; the payload cannot be located reliably.
-        return _opaque()
+        return _opaque(_IP)
     if off + ihl > len(data):
         raise TruncatedHeader("IPv4 options cut short")
     total_length = struct.unpack_from("!H", data, off + 2)[0]
@@ -179,29 +156,30 @@ def _parse_ipv4(data: bytes, off: int) -> tuple:
     protocol = data[off + 9]
     src_ip = socket.inet_ntoa(data[off + 12 : off + 16])
     dst_ip = socket.inet_ntoa(data[off + 16 : off + 20])
-    options = _scan_ipv4_options(data[off + 20 : off + ihl]) if ihl > 20 else _EMPTY
+    layers = _scan_ipv4_options(data[off + 20 : off + ihl]) if ihl > 20 else _IP
     # total_length bounds the datagram; trailing link padding is dropped.
     end = min(len(data), off + max(total_length, ihl))
     if frag & 0x1FFF:
         # Non-first fragment: no transport header present.
-        return _opaque(data[off + ihl : end], options, src_ip, dst_ip)
-    return _parse_transport(data, off + ihl, end, protocol, options, src_ip, dst_ip)
+        return _opaque(layers, data[off + ihl : end], src_ip, dst_ip)
+    return _parse_transport(data, off + ihl, end, protocol, layers, src_ip, dst_ip)
 
 
 def _scan_ipv4_options(opts: bytes) -> frozenset:
-    found: set[IpOption] = set()
+    """The layers of an IPv4 header with these option bytes."""
+    found = {"ip"}
     i = 0
     while i < len(opts):
         kind = opts[i]
         if kind == 0:  # End of Option List; the remainder is padding
-            found.add(IpOption.PADDING)
+            found.add("ip_padding")
             break
         if kind == 1:  # No Operation
-            found.add(IpOption.PADDING)
+            found.add("ip_padding")
             i += 1
             continue
         if kind == 148:
-            found.add(IpOption.ROUTER_ALERT)
+            found.add("ip_router_alert")
         if i + 1 >= len(opts):
             break
         length = opts[i + 1]
@@ -219,39 +197,39 @@ def _parse_ipv6(data: bytes, off: int) -> tuple:
     src_ip = str(ipaddress.IPv6Address(data[off + 8 : off + 24]))
     dst_ip = str(ipaddress.IPv6Address(data[off + 24 : off + 40]))
     end = min(len(data), off + 40 + payload_length)
-    options: set[IpOption] = set()
+    layers = _IP
     pos = off + 40
     for _ in range(8):  # extension chains longer than this are hostile
         if next_header in _IPV6_EXT_HEADERS:
             if pos + 2 > len(data):
                 raise TruncatedHeader("IPv6 extension header cut short")
             if pos + 2 > end:
-                return _opaque(b"", frozenset(options), src_ip, dst_ip)
+                return _opaque(layers, b"", src_ip, dst_ip)
             ext_next = data[pos]
             ext_len = (data[pos + 1] + 1) * 8
             if pos + ext_len > len(data):
                 raise TruncatedHeader("IPv6 extension header cut short")
             if pos + ext_len > end:
-                return _opaque(b"", frozenset(options), src_ip, dst_ip)
+                return _opaque(layers, b"", src_ip, dst_ip)
             if next_header == 0 and _hop_by_hop_has_router_alert(data[pos + 2 : pos + ext_len]):
-                options.add(IpOption.ROUTER_ALERT)
+                layers = _IP | {"ip_router_alert"}
             pos += ext_len
             next_header = ext_next
         elif next_header == _IPV6_FRAGMENT:
             if pos + 8 > len(data):
                 raise TruncatedHeader("IPv6 fragment header cut short")
             if pos + 8 > end:
-                return _opaque(b"", frozenset(options), src_ip, dst_ip)
+                return _opaque(layers, b"", src_ip, dst_ip)
             frag_field = struct.unpack_from("!H", data, pos + 2)[0]
             if frag_field >> 3:
                 # Non-first fragment carries no transport header.
-                return _opaque(data[pos + 8 : end], frozenset(options), src_ip, dst_ip)
+                return _opaque(layers, data[pos + 8 : end], src_ip, dst_ip)
             ext_next = data[pos]
             pos += 8
             next_header = ext_next
         else:
             break
-    return _parse_transport(data, pos, end, next_header, frozenset(options), src_ip, dst_ip)
+    return _parse_transport(data, pos, end, next_header, layers, src_ip, dst_ip)
 
 
 def _hop_by_hop_has_router_alert(opts: bytes) -> bool:
@@ -270,38 +248,38 @@ def _hop_by_hop_has_router_alert(opts: bytes) -> bool:
 
 
 def _parse_transport(
-    data: bytes, start: int, end: int, protocol: int, ip_options: frozenset, src_ip, dst_ip
+    data: bytes, start: int, end: int, protocol: int, layers: frozenset, src_ip, dst_ip
 ) -> tuple:
     if protocol == IPPROTO_TCP:
         if start + 20 > len(data):
             raise TruncatedHeader("TCP header cut short")
         if start + 20 > end:
-            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
+            return _opaque(layers, data[start:end], src_ip, dst_ip)
         src_port, dst_port = struct.unpack_from("!HH", data, start)
         data_offset = (data[start + 12] >> 4) * 4
         window = struct.unpack_from("!H", data, start + 14)[0]
         if data_offset < 20:
             # Bogus data offset; the segment cannot be trusted.
-            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
+            return _opaque(layers, data[start:end], src_ip, dst_ip)
         if start + data_offset > len(data):
             raise TruncatedHeader("TCP options cut short")
         if start + data_offset > end:
-            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
+            return _opaque(layers, data[start:end], src_ip, dst_ip)
         payload = data[start + data_offset : end]
-        return ip_options, Transport.TCP, src_port, dst_port, window, payload, src_ip, dst_ip
+        return layers | {"tcp"}, src_port, dst_port, window, payload, src_ip, dst_ip
     if protocol == IPPROTO_UDP:
         if start + 8 > len(data):
             raise TruncatedHeader("UDP header cut short")
         if start + 8 > end:
-            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
+            return _opaque(layers, data[start:end], src_ip, dst_ip)
         src_port, dst_port, udp_len, _ = struct.unpack_from("!HHHH", data, start)
         payload = data[start + 8 : min(end, start + max(udp_len, 8))]
-        return ip_options, Transport.UDP, src_port, dst_port, None, payload, src_ip, dst_ip
+        return layers | {"udp"}, src_port, dst_port, None, payload, src_ip, dst_ip
     if protocol in (IPPROTO_ICMP, IPPROTO_ICMPV6):
         if start + 4 > len(data):
             raise TruncatedHeader("ICMP header cut short")
         if start + 4 > end:
-            return _opaque(data[start:end], ip_options, src_ip, dst_ip)
-        kind = Transport.ICMP if protocol == IPPROTO_ICMP else Transport.ICMPV6
-        return ip_options, kind, None, None, None, data[start + 4 : end], src_ip, dst_ip
-    return _opaque(data[start:end], ip_options, src_ip, dst_ip)
+            return _opaque(layers, data[start:end], src_ip, dst_ip)
+        kind = "icmp" if protocol == IPPROTO_ICMP else "icmpv6"
+        return _opaque(layers | {kind}, data[start + 4 : end], src_ip, dst_ip)
+    return _opaque(layers, data[start:end], src_ip, dst_ip)

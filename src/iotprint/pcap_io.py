@@ -47,7 +47,8 @@ class CaptureMeta:
 
 @dataclass(frozen=True)
 class DeviceSelector:
-    """Identifies one device by MAC and/or IP; either side may match."""
+    """Identifies one device by MAC and/or IP; either side may match.
+    An IPv6 zone (`fe80::1%eth0`) is refused: no captured address has one."""
 
     mac: bytes | None = None
     ip: str | None = None
@@ -58,7 +59,10 @@ class DeviceSelector:
         if self.mac is not None and len(self.mac) != 6:
             raise ValueError("MAC must be 6 bytes")
         if self.ip is not None:
-            object.__setattr__(self, "ip", str(ipaddress.ip_address(self.ip)))
+            ip = ipaddress.ip_address(self.ip)
+            if getattr(ip, "scope_id", None):
+                raise ValueError(f"{self.ip!r} has a zone, which no captured address has")
+            object.__setattr__(self, "ip", str(ip))
 
     def matches(self, pkt: ParsedPacket) -> bool:
         if self.mac is not None and self.mac in (pkt.src_mac, pkt.dst_mac):

@@ -17,7 +17,7 @@ import numpy as np
 
 from iotprint import ml, pcap_io
 from iotprint.ml import TreeNode
-from iotprint.packet_model import IpOption, Network, RawFrame, Transport
+from iotprint.packet_model import RawFrame
 
 
 def read_capture(path) -> tuple:
@@ -71,18 +71,19 @@ def filter_device(packets, sel) -> list:
     return [pkt for pkt in packets if matches(pkt)]
 
 
-def classify_app_protocols(transport, src_port, dst_port) -> frozenset:
-    """The names of the application flags a packet's well-known ports set."""
+def classify_app_protocols(layers, src_port, dst_port) -> frozenset:
+    """The names of the application flags a packet's well-known ports set,
+    for a packet with these `layers` names."""
     found = set()
     ports = (src_port, dst_port)
-    if transport is Transport.TCP:
+    if "tcp" in layers:
         if 80 in ports:
             found.add("http")
         if 443 in ports:
             found.add("https")
         if 53 in ports:
             found.add("dns")
-    elif transport is Transport.UDP:
+    elif "udp" in layers:
         if 67 in ports or 68 in ports:
             found.add("dhcp")
             found.add("bootp")
@@ -130,32 +131,35 @@ def shannon_entropy(payload: bytes) -> float:
 
 def extract_features(pkt) -> tuple:
     """One packet's 20 floats, every flag evaluated per packet."""
-    is_tcp = pkt.transport is Transport.TCP
-    apps = classify_app_protocols(pkt.transport, pkt.src_port, pkt.dst_port)
+    layers = pkt.layers
+    is_tcp = "tcp" in layers
+    apps = classify_app_protocols(layers, pkt.src_port, pkt.dst_port)
     return (
-        float(pkt.network is Network.ARP),
-        float(pkt.network in (Network.IPV4, Network.IPV6)),
-        float(pkt.transport is Transport.ICMP),
-        float(pkt.transport is Transport.ICMPV6),
-        float(pkt.network is Network.EAPOL),
+        float("arp" in layers),
+        float("ip" in layers),
+        float("icmp" in layers),
+        float("icmpv6" in layers),
+        float("eapol" in layers),
         float(is_tcp),
-        float(pkt.transport is Transport.UDP),
+        float("udp" in layers),
         *(float(app in apps) for app in APP_FLAGS),
-        float(IpOption.PADDING in pkt.ip_options),
-        float(IpOption.ROUTER_ALERT in pkt.ip_options),
+        float("ip_padding" in layers),
+        float("ip_router_alert" in layers),
         shannon_entropy(pkt.payload),
         float(len(pkt.payload)) if is_tcp else 0.0,
         float(pkt.tcp_window_size) if is_tcp else 0.0,
     )
 
 
+def has_ports(pkt) -> bool:
+    """Whether a parsed packet is TCP or UDP, the layers that carry ports."""
+    return "tcp" in pkt.layers or "udp" in pkt.layers
+
+
 def packet_ports(packets) -> np.ndarray:
     """The (n, 2) int64 ports matrix of parsed packets, one packet at a
     time: (src_port, dst_port) for TCP and UDP, (-1, -1) for the rest."""
-    ported = (Transport.TCP, Transport.UDP)
-    pairs = [
-        (pkt.src_port, pkt.dst_port) if pkt.transport in ported else (-1, -1) for pkt in packets
-    ]
+    pairs = [(pkt.src_port, pkt.dst_port) if has_ports(pkt) else (-1, -1) for pkt in packets]
     return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
@@ -165,7 +169,7 @@ def session_stats(packets) -> tuple:
     pairs = [
         (min(pkt.src_port, pkt.dst_port), max(pkt.src_port, pkt.dst_port))
         for pkt in packets
-        if pkt.transport in (Transport.TCP, Transport.UDP)
+        if has_ports(pkt)
     ]
     return len(pairs), len(set(pairs))
 

@@ -32,7 +32,7 @@ from iotprint.ml import (
     train_boosted,
     train_knn,
 )
-from iotprint.packet_model import Network, ParsedPacket, RawFrame, Transport
+from iotprint.packet_model import ParsedPacket, RawFrame
 from iotprint.pcap_io import read_capture, write_capture
 
 import oracles
@@ -84,8 +84,7 @@ def _udp_packet(src_port, dst_port):
     return ParsedPacket(
         src_mac=b"\x02" + b"\x00" * 5,
         dst_mac=b"\x04" + b"\x00" * 5,
-        network=Network.IPV4,
-        transport=Transport.UDP,
+        layers=frozenset({"ip", "udp"}),
         src_port=src_port,
         dst_port=dst_port,
     )

@@ -150,7 +150,9 @@ def test_ecdf_writes_nothing_when_a_capture_fails(outlet_pcap, tmp_path, capsys,
     assert main(["ecdf", "entropy", *pcaps]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: data: ecdf needs at least one value\n"
+    assert captured.err == (
+        f"error: data: ecdf needs at least one value; capture {empty} has no packets\n"
+    )
 
 
 def test_train_identify_round_trip(tmp_path, capsys):
@@ -1141,10 +1143,11 @@ def test_running_out_of_memory_is_one_data_error_line(outlet_pcap, monkeypatch, 
         ["profile", "--pcap", "x.pcap", "--label", "a", "--category", "b", "--ip", "999.1.1.1"],
         ["profile", "--pcap", "x.pcap", "--label", "a", "--category", "b",
          "--mac", "0x2:+0: 0:0_0:1:1"],
+        ["extract", "--pcap", "x.pcap", "--ip", "fe80::1%eth0"],
     ],
     ids=[
         "folds-1", "folds-two", "evaluate-seed-minus-1", "packets-minus-5", "synth-seed-minus-1",
-        "profile-ip-999", "profile-mac-0x2",
+        "profile-ip-999", "profile-mac-0x2", "extract-ip-with-zone",
     ],
 )
 def test_bad_flag_value_is_config_error(argv, tmp_path, capsys):

@@ -27,11 +27,8 @@ from iotprint.features import (
 from iotprint.packet_model import (
     IPPROTO_TCP,
     IPPROTO_UDP,
-    IpOption,
-    Network,
     ParsedPacket,
     RawFrame,
-    Transport,
     parse_frame,
 )
 from iotprint.synth import ARCHETYPES, generate_trace
@@ -220,8 +217,7 @@ def _packet(**overrides):
     base = dict(
         src_mac=b"\x02" + b"\x00" * 5,
         dst_mac=b"\x04" + b"\x00" * 5,
-        network=Network.IPV4,
-        transport=Transport.NONE,
+        layers=frozenset({"ip"}),
         payload=b"",
     )
     base.update(overrides)
@@ -229,7 +225,7 @@ def _packet(**overrides):
 
 
 def test_extract_eapol_only_flag():
-    pkt = _packet(network=Network.EAPOL, payload=b"\x01\x02\x03\x04")
+    pkt = _packet(layers=frozenset({"eapol"}), payload=b"\x01\x02\x03\x04")
     (feat,) = extract_features([pkt]).tolist()
     assert feat[:HEADER_FLAG_COUNT] == [0, 0, 0, 0, 1] + [0] * 12
     assert feat[17] == shannon_entropy([b"\x01\x02\x03\x04"])[0]
@@ -238,7 +234,7 @@ def test_extract_eapol_only_flag():
 
 def test_extract_tcp_http_packet():
     pkt = _packet(
-        transport=Transport.TCP,
+        layers=frozenset({"ip", "tcp"}),
         src_port=50000,
         dst_port=80,
         tcp_window_size=8192,
@@ -253,7 +249,7 @@ def test_extract_tcp_http_packet():
 
 def test_extract_udp_mdns_zeroes_tcp_fields():
     pkt = _packet(
-        transport=Transport.UDP,
+        layers=frozenset({"ip", "udp"}),
         src_port=5353,
         dst_port=5353,
         payload=b"m" * 40,
@@ -274,25 +270,25 @@ def test_flag_exclusivity_on_generated_traffic():
 
 
 def test_rows_match_the_per_packet_expressions_on_every_layer_combination():
-    """Every network x transport x IP option subset; TCP and UDP packets
-    with each well-known port against an unlisted one, on either side. The
-    TCP window is a well-known port too, which no application flag reads."""
-    options = [frozenset(o for i, o in enumerate(IpOption) if mask >> i & 1) for mask in range(4)]
+    """Every network x transport x IP option subset of the layer names; TCP
+    and UDP packets with each well-known port against an unlisted one, on
+    either side. The TCP window is a well-known port too, which no
+    application flag reads."""
+    options = [set(), {"ip_padding"}, {"ip_router_alert"}, {"ip_padding", "ip_router_alert"}]
     unlisted = 40000
     pairs = [(unlisted, unlisted)]
     pairs += [pair for port in oracles.APP_PORTS for pair in ((port, unlisted), (unlisted, port))]
     packets = []
-    for network, transport, ip_options in itertools.product(Network, Transport, options):
-        ported = transport in (Transport.TCP, Transport.UDP)
-        for src_port, dst_port in pairs if ported else [(None, None)]:
+    networks, transports = ["arp", "ip", "eapol", None], ["tcp", "udp", "icmp", "icmpv6", None]
+    for network, transport, ip_options in itertools.product(networks, transports, options):
+        layers = frozenset({network, transport} - {None} | ip_options)
+        for src_port, dst_port in pairs if transport in ("tcp", "udp") else [(None, None)]:
             packets.append(
                 _packet(
-                    network=network,
-                    transport=transport,
-                    ip_options=ip_options,
+                    layers=layers,
                     src_port=src_port,
                     dst_port=dst_port,
-                    tcp_window_size=443 if transport is Transport.TCP else None,
+                    tcp_window_size=443 if transport == "tcp" else None,
                     payload=b"ab",
                 )
             )
@@ -335,7 +331,8 @@ def test_bulk_rows_of_every_well_known_port_match_the_parsed_rows():
 
 
 def test_vector_layout():
-    pkt = _packet(transport=Transport.TCP, src_port=1, dst_port=2, tcp_window_size=7, payload=b"ab")
+    tcp = frozenset({"ip", "tcp"})
+    pkt = _packet(layers=tcp, src_port=1, dst_port=2, tcp_window_size=7, payload=b"ab")
     rows = extract_features([pkt])
     assert rows.shape == (1, PACKET_FEATURE_COUNT)
     vec = rows[0]
@@ -384,7 +381,11 @@ def test_features_invariants_hold():
 
 def test_csv_rendering_round_trips_floats():
     pkt = _packet(
-        transport=Transport.TCP, src_port=1, dst_port=2, tcp_window_size=3, payload=b"\x00\x01\x02"
+        layers=frozenset({"ip", "tcp"}),
+        src_port=1,
+        dst_port=2,
+        tcp_window_size=3,
+        payload=b"\x00\x01\x02",
     )
     rows = extract_features([pkt, pkt])
     feat = rows[0]

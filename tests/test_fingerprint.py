@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from iotprint import features
 from iotprint.features import (
     FEATURE_NAMES,
     PACKET_FEATURE_COUNT,
@@ -32,10 +33,8 @@ from iotprint.fingerprint import (
 )
 from iotprint.packet_model import (
     FrameTooShort,
-    Network,
     ParsedPacket,
     RawFrame,
-    Transport,
     TruncatedHeader,
     parse_frame,
 )
@@ -69,8 +68,7 @@ def udp_packet(src_port, dst_port):
     return ParsedPacket(
         src_mac=b"\x02" + b"\x00" * 5,
         dst_mac=b"\x04" + b"\x00" * 5,
-        network=Network.IPV4,
-        transport=Transport.UDP,
+        layers=frozenset({"ip", "udp"}),
         src_port=src_port,
         dst_port=dst_port,
         payload=b"",
@@ -81,7 +79,7 @@ def arp_packet():
     return ParsedPacket(
         src_mac=b"\x02" + b"\x00" * 5,
         dst_mac=b"\xff" * 6,
-        network=Network.ARP,
+        layers=frozenset({"arp"}),
     )
 
 
@@ -252,12 +250,12 @@ _SYNTH_FRAMES = [
 _SYNTH_FRAMES += [  # no bulb or speaker frame is ICMP; these are 4 camera echoes
     f.data
     for f in generate_trace(ARCHETYPES["camera-streamer"], 60, seed=31)[0]
-    if parse_frame(f).transport is Transport.ICMP
+    if "icmp" in parse_frame(f).layers
 ]
 _SYNTH_FRAMES += [  # nor EAPoL; these are the first 4 of a hub's
     f.data
     for f in generate_trace(ARCHETYPES["hub-conduit"], 40, seed=33)[0]
-    if parse_frame(f).network is Network.EAPOL
+    if "eapol" in parse_frame(f).layers
 ][:4]
 _IPV6_HOST = "fd00::16"
 
@@ -434,16 +432,23 @@ def _oracle_rows(packets) -> np.ndarray:
 def _decodes_in_bulk(frame: RawFrame) -> bool:
     """Whether `frame_features` takes the frame, by its parsed packet: ARP,
     EAPoL, or IPv4 with a 20-byte header and a decoded TCP, UDP or ICMP
-    header, under at most one VLAN tag (a second one parses as OTHER)."""
+    header, under at most one VLAN tag (a second one parses with no layer)."""
     try:
         pkt = parse_frame(frame)
     except (FrameTooShort, TruncatedHeader):
         return False
-    if pkt.network in (Network.ARP, Network.EAPOL):
+    if pkt.layers & {"arp", "eapol"}:
         return True
+    at = _ipv4_at(frame)
+    ihl = frame.data[at] & 0x0F if at is not None else None
+    return ihl == 5 and bool(pkt.layers & {"tcp", "udp", "icmp"})
+
+
+def _ipv4_at(frame: RawFrame) -> int | None:
+    """Where the IPv4 header of a frame under at most one VLAN tag starts,
+    or None for a frame of another EtherType."""
     at = 18 if frame.data[12:14] == b"\x81\x00" else 14
-    ihl = frame.data[at] & 0x0F if pkt.network is Network.IPV4 else None
-    return ihl == 5 and pkt.transport in (Transport.TCP, Transport.UDP, Transport.ICMP)
+    return at if frame.data[at - 2 : at] == b"\x08\x00" else None
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,15 +477,16 @@ def test_ingest_matches_the_scalar_reference_paths(data):
             pkt = parse_frame(frame)
         except (FrameTooShort, TruncatedHeader):
             continue
-        has_ports = pkt.transport in (Transport.TCP, Transport.UDP)
+        assert pkt.layers <= set(features._PACKET_FLAGS)
+        has_ports = oracles.has_ports(pkt)
         assert (pkt.src_port is not None, pkt.dst_port is not None) == (has_ports, has_ports)
-        assert (pkt.tcp_window_size is not None) == (pkt.transport is Transport.TCP)
+        assert (pkt.tcp_window_size is not None) == ("tcp" in pkt.layers)
         row = extract_features([pkt])[0]
         apps = {name for name in oracles.APP_FLAGS if row[FEATURE_NAMES.index(name)]}
-        assert apps == oracles.classify_app_protocols(pkt.transport, pkt.src_port, pkt.dst_port)
+        assert apps == oracles.classify_app_protocols(pkt.layers, pkt.src_port, pkt.dst_port)
         assert has_ports or not apps
-        if pkt.network is Network.IPV4 and pkt.src_ip is not None:
-            at = 18 if frame.data[12:14] == b"\x81\x00" else 14
+        at = _ipv4_at(frame)
+        if at is not None and pkt.src_ip is not None:
             addresses = frame.data[at + 12 : at + 16], frame.data[at + 16 : at + 20]
             assert (pkt.src_ip, pkt.dst_ip) == tuple(map(oracles.ipv4_text, addresses))
 
@@ -524,11 +530,11 @@ def test_bulk_decoding_matches_parsing_at_every_header_boundary():
     read past its end sees the rest of the frame, and one past the
     buffer is clipped."""
     bases = [
-        _first(lambda p: p.network is Network.ARP),
-        _first(lambda p: p.network is Network.EAPOL),
-        _first(lambda p: p.transport is Transport.TCP),
-        _first(lambda p: p.transport is Transport.UDP),
-        _first(lambda p: p.transport is Transport.ICMP),
+        _first(lambda p: "arp" in p.layers),
+        _first(lambda p: "eapol" in p.layers),
+        _first(lambda p: "tcp" in p.layers),
+        _first(lambda p: "udp" in p.layers),
+        _first(lambda p: "icmp" in p.layers),
     ]
     laid_out, records = [], []  # records: (index into laid_out, captured length)
     for base in bases:

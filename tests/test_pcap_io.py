@@ -125,6 +125,53 @@ def test_empty_last_record_at_end_of_file_is_read(tmp_path):
     assert list(back) == frames
 
 
+@pytest.mark.parametrize("endian", ["<", ">"], ids=["little-endian", "big-endian"])
+def test_every_cut_of_a_capture_reads_its_whole_records_or_names_what_is_missing(
+    tmp_path, endian
+):
+    """A file cut at each byte: under 4 bytes there is no magic, under 24
+    no whole global header; past that the whole records are read, and a
+    cut inside a record's header or body counts as the integer 1."""
+    frames = [RawFrame(1, 2, 3, b"abc"), RawFrame(4, 5, 0, b""), RawFrame(6, 7, 20, bytes(14))]
+    data = _encode(frames, endian)
+    ends = [24, 24 + 19, 24 + 19 + 16, len(data)]  # where each whole record ends
+    path = tmp_path / "cut.pcap"
+    for cut in range(len(data) + 1):
+        path.write_bytes(data[:cut])
+        if cut < 24:
+            message = "global header cut short"
+            if cut < 4:
+                message = "file too short to hold a pcap magic number"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                read_capture(path)
+            continue
+        meta, back = read_capture(path)
+        whole = sum(end <= cut for end in ends) - 1
+        assert repr(meta) == f"CaptureMeta(truncated_records={int(cut not in ends)})"
+        assert list(back) == frames[:whole]
+
+
+def test_holding_gives_the_indices_of_the_records_with_the_mac_at_0_or_6(tmp_path):
+    """Records shorter than 6 (or 12) bytes hold no MAC at 0 (or 6), even
+    when the bytes after them in the file (the next record's ts_sec) end it."""
+    mac, other = bytes.fromhex("02000000a0a0"), bytes.fromhex("02ffee000001")
+    bodies = [
+        mac + other + b"\x08\x00",  # at 0
+        other + mac,  # at 6, exactly 12 bytes
+        other + other,
+        mac[:5],  # cut inside the MAC at 0
+        other + mac[:5],  # cut inside the MAC at 6
+        mac,  # exactly 6 bytes: the MAC at 0
+        b"",
+        other + mac + b"\x00",
+    ]
+    path = tmp_path / "holding.pcap"
+    write_capture(path, [RawFrame(mac[5], 0, len(body), body) for body in bodies])
+    _, frames = read_capture(path)
+    assert frames.holding(mac).tolist() == [0, 1, 5, 7]
+    assert frames.holding(other).tolist() == [0, 1, 2, 4, 7]
+
+
 def test_oversized_frame_rejected(tmp_path):
     frame = RawFrame(0, 0, 70000, b"\x00" * 70000)
     with pytest.raises(ValueError, match="65535"):
@@ -190,6 +237,14 @@ def test_selector_requires_mac_or_ip():
         DeviceSelector()
     with pytest.raises(ValueError):
         DeviceSelector(mac=b"\x00\x01")
+
+
+def test_selector_refuses_an_ip_with_a_zone():
+    """No captured address has a zone, so a zoned selector could never match."""
+    for text in ("fe80::1%eth0", "fe80::1%1", "::ffff:1.2.3.4%x"):
+        with pytest.raises(ValueError, match="has a zone"):
+            DeviceSelector(ip=text)
+    assert DeviceSelector(ip="FE80:0::1").ip == "fe80::1"
 
 
 def test_capture_meta_is_plain_data():
