@@ -45,14 +45,6 @@ class BehavioralProfile:
     captures: tuple
     skipped_frames: int = 0
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BehavioralProfile)
-            and (self.device_label, self.category_label, self.captures, self.skipped_frames)
-            == (other.device_label, other.category_label, other.captures, other.skipped_frames)
-            and np.array_equal(self.fingerprints, other.fingerprints)
-        )
-
 
 def build_fingerprints(features: np.ndarray) -> np.ndarray:
     """Join consecutive fives of 20-value rows into 100-value rows.

@@ -3,9 +3,13 @@
 Decoding is deliberately shallow: it recovers exactly the layer metadata
 needed for feature extraction (protocol presence, ports, TCP window,
 IP options, transport payload) and degrades gracefully on anything it
-does not understand. No checksum validation, no reassembly. This module
-only decodes layers; which feature columns they set, including what a
-well-known port means, is decided in `features`.
+does not understand. No checksum validation, no reassembly. As
+`features.frame_features` does in bulk, `_ipv4` and `_ipv6` walk an IP
+header (and IPv6's extension headers) to where the transport header
+starts, where the datagram ends and which transport lies there, and one
+`_transport` decodes it. This module only decodes layers; which feature
+columns they set, including what a well-known port means, is decided in
+`features`.
 """
 
 from __future__ import annotations
@@ -93,18 +97,13 @@ class ParsedPacket(NamedTuple):
 
 
 _IP = frozenset({"ip"})
-
-
-def _opaque(layers: frozenset, payload: bytes = b"", src_ip=None, dst_ip=None) -> tuple:
-    """The fields of a packet with no decoded transport header.
-
-    `_parse_ipv4`, `_parse_ipv6` and `_parse_transport` return the
-    `ParsedPacket` fields from `layers` to `dst_ip`, in field order.
-    """
-    return layers, None, None, None, payload, src_ip, dst_ip
-
-
 _OPAQUE_LAYERS = {ETHERTYPE_ARP: frozenset({"arp"}), ETHERTYPE_EAPOL: frozenset({"eapol"})}
+
+# The transports `_transport` decodes, by IP protocol number: (layer flag, minimal
+# header bytes, the message when the capture cuts that header).
+_TCP, _UDP = ("tcp", 20, "TCP header cut short"), ("udp", 8, "UDP header cut short")
+_ICMP, _ICMPV6 = ("icmp", 4, "ICMP header cut short"), ("icmpv6", 4, "ICMP header cut short")
+_TRANSPORTS = {IPPROTO_TCP: _TCP, IPPROTO_UDP: _UDP, IPPROTO_ICMP: _ICMP, IPPROTO_ICMPV6: _ICMPV6}
 
 
 def parse_frame(frame: RawFrame) -> ParsedPacket:
@@ -118,168 +117,136 @@ def parse_frame(frame: RawFrame) -> ParsedPacket:
     data = frame.data
     if len(data) < 14:
         raise FrameTooShort(f"{len(data)} bytes; need 14 for an Ethernet header")
-    ether_type = struct.unpack_from("!H", data, 12)[0]
-    offset = 14
+    offset, ether_type = 14, struct.unpack_from("!H", data, 12)[0]
     if ether_type == ETHERTYPE_VLAN:
         # Unwrap a single 802.1Q tag; a second tag falls through to no layer.
         if len(data) < 18:
             raise TruncatedHeader("802.1Q tag cut short")
-        ether_type = struct.unpack_from("!H", data, 16)[0]
-        offset = 18
-
+        offset, ether_type = 18, struct.unpack_from("!H", data, 16)[0]
     if ether_type == ETHERTYPE_IPV4:
-        fields = _parse_ipv4(data, offset)
+        layers, start, end, transport, src_ip, dst_ip = _ipv4(data, offset)
     elif ether_type == ETHERTYPE_IPV6:
-        fields = _parse_ipv6(data, offset)
+        layers, start, end, transport, src_ip, dst_ip = _ipv6(data, offset)
     else:
-        layers = _OPAQUE_LAYERS.get(ether_type, frozenset())
-        body = data[offset:]  # trailing link padding is dropped where a length field is captured
-        if ether_type == ETHERTYPE_ARP and len(body) >= 6:  # RFC 826: 8 + 2 * hlen + 2 * plen
-            body = body[: 8 + 2 * (body[4] + body[5])]
-        elif ether_type == ETHERTYPE_EAPOL and len(body) >= 4:  # the 4-byte header + body length
-            body = body[: 4 + struct.unpack_from("!H", body, 2)[0]]
-        fields = _opaque(layers, body)
-    return ParsedPacket(data[6:12], data[0:6], *fields)
+        layers, start, end = _OPAQUE_LAYERS.get(ether_type, frozenset()), offset, len(data)
+        transport = src_ip = dst_ip = None
+        # Trailing link padding is dropped where a length field is captured.
+        if ether_type == ETHERTYPE_ARP and end - start >= 6:  # RFC 826: 8 + 2 * hlen + 2 * plen
+            end = min(end, start + 8 + 2 * (data[start + 4] + data[start + 5]))
+        elif ether_type == ETHERTYPE_EAPOL and end - start >= 4:  # the 4-byte header + body length
+            end = min(end, start + 4 + struct.unpack_from("!H", data, start + 2)[0])
+    fields = _transport(data, start, end, transport, layers)
+    return ParsedPacket(data[6:12], data[0:6], *fields, src_ip, dst_ip)
 
 
-def _parse_ipv4(data: bytes, off: int) -> tuple:
+def _ipv4(data: bytes, off: int) -> tuple:
+    """(layers, start, end, transport, src_ip, dst_ip) of the IPv4 packet at
+    `off`: where its transport header starts, where the datagram ends, and
+    that header's `_TRANSPORTS` entry (None where there is none to decode)."""
     if off + 20 > len(data):
         raise TruncatedHeader("IPv4 header cut short")
     ihl = (data[off] & 0x0F) * 4
-    if ihl < 20:
-        # Invalid header length; the payload cannot be located reliably.
-        return _opaque(_IP)
+    if ihl < 20:  # an invalid header length: the payload cannot be located reliably
+        return _IP, off, off, None, None, None
     if off + ihl > len(data):
         raise TruncatedHeader("IPv4 options cut short")
-    total_length = struct.unpack_from("!H", data, off + 2)[0]
-    frag = struct.unpack_from("!H", data, off + 6)[0]
-    protocol = data[off + 9]
+    total_length, frag, protocol = struct.unpack_from("!2xH2xHxB", data, off)
     src_ip = socket.inet_ntoa(data[off + 12 : off + 16])
     dst_ip = socket.inet_ntoa(data[off + 16 : off + 20])
     layers = _scan_ipv4_options(data[off + 20 : off + ihl]) if ihl > 20 else _IP
     # total_length bounds the datagram; trailing link padding is dropped.
     end = min(len(data), off + max(total_length, ihl))
-    if frag & 0x1FFF:
-        # Non-first fragment: no transport header present.
-        return _opaque(layers, data[off + ihl : end], src_ip, dst_ip)
-    return _parse_transport(data, off + ihl, end, protocol, layers, src_ip, dst_ip)
+    # A non-first fragment carries no transport header.
+    transport = None if frag & 0x1FFF else _TRANSPORTS.get(protocol)
+    return layers, off + ihl, end, transport, src_ip, dst_ip
 
 
 def _scan_ipv4_options(opts: bytes) -> frozenset:
     """The layers of an IPv4 header with these option bytes."""
-    found = {"ip"}
-    i = 0
+    found, i = {"ip"}, 0
     while i < len(opts):
         kind = opts[i]
-        if kind == 0:  # End of Option List; the remainder is padding
+        if kind <= 1:  # End of Option List (the remainder is padding) or No Operation
             found.add("ip_padding")
-            break
-        if kind == 1:  # No Operation
-            found.add("ip_padding")
+            if kind == 0:
+                break
             i += 1
             continue
         if kind == 148:
             found.add("ip_router_alert")
-        if i + 1 >= len(opts):
+        if i + 1 >= len(opts) or opts[i + 1] < 2:
             break
-        length = opts[i + 1]
-        if length < 2:
-            break
-        i += length
+        i += opts[i + 1]
     return frozenset(found)
 
 
-def _parse_ipv6(data: bytes, off: int) -> tuple:
+def _ipv6(data: bytes, off: int) -> tuple:
+    """As `_ipv4`, for the IPv6 packet at `off` and the extension headers
+    before its transport header."""
     if off + 40 > len(data):
         raise TruncatedHeader("IPv6 header cut short")
-    payload_length = struct.unpack_from("!H", data, off + 4)[0]
-    next_header = data[off + 6]
+    payload_length, next_header = struct.unpack_from("!4xHB", data, off)
     src_ip = str(ipaddress.IPv6Address(data[off + 8 : off + 24]))
     dst_ip = str(ipaddress.IPv6Address(data[off + 24 : off + 40]))
     end = min(len(data), off + 40 + payload_length)
-    layers = _IP
-    pos = off + 40
+    layers, pos = _IP, off + 40
     for _ in range(8):  # extension chains longer than this are hostile
         if next_header in _IPV6_EXT_HEADERS:
-            if pos + 2 > len(data):
-                raise TruncatedHeader("IPv6 extension header cut short")
-            if pos + 2 > end:
-                return _opaque(layers, b"", src_ip, dst_ip)
-            ext_next = data[pos]
-            ext_len = (data[pos + 1] + 1) * 8
-            if pos + ext_len > len(data):
-                raise TruncatedHeader("IPv6 extension header cut short")
-            if pos + ext_len > end:
-                return _opaque(layers, b"", src_ip, dst_ip)
-            if next_header == 0 and _hop_by_hop_has_router_alert(data[pos + 2 : pos + ext_len]):
-                layers = _IP | {"ip_router_alert"}
-            pos += ext_len
-            next_header = ext_next
+            message = "IPv6 extension header cut short"
+            # Its stated length, or 2 bytes where the datagram ends before the length byte.
+            ext_len = (data[pos + 1] + 1) * 8 if pos + 2 <= end else 2
         elif next_header == _IPV6_FRAGMENT:
-            if pos + 8 > len(data):
-                raise TruncatedHeader("IPv6 fragment header cut short")
-            if pos + 8 > end:
-                return _opaque(layers, b"", src_ip, dst_ip)
-            frag_field = struct.unpack_from("!H", data, pos + 2)[0]
-            if frag_field >> 3:
-                # Non-first fragment carries no transport header.
-                return _opaque(layers, data[pos + 8 : end], src_ip, dst_ip)
-            ext_next = data[pos]
-            pos += 8
-            next_header = ext_next
+            message, ext_len = "IPv6 fragment header cut short", 8
         else:
             break
-    return _parse_transport(data, pos, end, next_header, layers, src_ip, dst_ip)
+        if pos + ext_len > len(data):
+            raise TruncatedHeader(message)
+        if pos + ext_len > end:  # the datagram ends inside the header
+            return layers, end, end, None, src_ip, dst_ip
+        if next_header == 0 and _hop_by_hop_has_router_alert(data[pos + 2 : pos + ext_len]):
+            layers = _IP | {"ip_router_alert"}
+        elif next_header == _IPV6_FRAGMENT and struct.unpack_from("!H", data, pos + 2)[0] >> 3:
+            return layers, pos + 8, end, None, src_ip, dst_ip  # a non-first fragment
+        next_header = data[pos]
+        pos += ext_len
+    return layers, pos, end, _TRANSPORTS.get(next_header), src_ip, dst_ip
 
 
 def _hop_by_hop_has_router_alert(opts: bytes) -> bool:
     i = 0
     while i < len(opts):
-        opt_type = opts[i]
-        if opt_type == 0:  # Pad1
+        if opts[i] == 0:  # Pad1
             i += 1
-            continue
-        if i + 1 >= len(opts):
+        elif i + 1 >= len(opts):
             return False
-        if opt_type == 5:
+        elif opts[i] == 5:
             return True
-        i += 2 + opts[i + 1]
+        else:
+            i += 2 + opts[i + 1]
     return False
 
 
-def _parse_transport(
-    data: bytes, start: int, end: int, protocol: int, layers: frozenset, src_ip, dst_ip
-) -> tuple:
-    if protocol == IPPROTO_TCP:
-        if start + 20 > len(data):
-            raise TruncatedHeader("TCP header cut short")
-        if start + 20 > end:
-            return _opaque(layers, data[start:end], src_ip, dst_ip)
-        src_port, dst_port = struct.unpack_from("!HH", data, start)
-        data_offset = (data[start + 12] >> 4) * 4
-        window = struct.unpack_from("!H", data, start + 14)[0]
-        if data_offset < 20:
-            # Bogus data offset; the segment cannot be trusted.
-            return _opaque(layers, data[start:end], src_ip, dst_ip)
-        if start + data_offset > len(data):
-            raise TruncatedHeader("TCP options cut short")
-        if start + data_offset > end:
-            return _opaque(layers, data[start:end], src_ip, dst_ip)
-        payload = data[start + data_offset : end]
-        return layers | {"tcp"}, src_port, dst_port, window, payload, src_ip, dst_ip
-    if protocol == IPPROTO_UDP:
-        if start + 8 > len(data):
-            raise TruncatedHeader("UDP header cut short")
-        if start + 8 > end:
-            return _opaque(layers, data[start:end], src_ip, dst_ip)
-        src_port, dst_port, udp_len, _ = struct.unpack_from("!HHHH", data, start)
-        payload = data[start + 8 : min(end, start + max(udp_len, 8))]
-        return layers | {"udp"}, src_port, dst_port, None, payload, src_ip, dst_ip
-    if protocol in (IPPROTO_ICMP, IPPROTO_ICMPV6):
-        if start + 4 > len(data):
-            raise TruncatedHeader("ICMP header cut short")
-        if start + 4 > end:
-            return _opaque(layers, data[start:end], src_ip, dst_ip)
-        kind = "icmp" if protocol == IPPROTO_ICMP else "icmpv6"
-        return _opaque(layers | {kind}, data[start + 4 : end], src_ip, dst_ip)
-    return _opaque(layers, data[start:end], src_ip, dst_ip)
+def _transport(data: bytes, start: int, end: int, transport, layers: frozenset) -> tuple:
+    """The `ParsedPacket` fields `layers` to `payload` of the transport at
+    `start`, in a datagram ending at `end`: without a `_TRANSPORTS` entry,
+    or where its header does not fit, the payload is `data[start:end]`."""
+    if transport is not None:
+        flag, size, message = transport
+        if start + size > len(data):
+            raise TruncatedHeader(message)
+        if start + size <= end:
+            if flag == "udp":
+                src_port, dst_port, udp_len = struct.unpack_from("!HHH", data, start)
+                payload = data[start + 8 : min(end, start + max(udp_len, 8))]
+                return layers | {"udp"}, src_port, dst_port, None, payload
+            if flag != "tcp":
+                return layers | {flag}, None, None, None, data[start + size : end]
+            src_port, dst_port, offset_byte, window = struct.unpack_from("!HH8xBxH", data, start)
+            data_offset = (offset_byte >> 4) * 4
+            if data_offset >= 20:  # a bogus data offset leaves the segment opaque
+                if start + data_offset > len(data):
+                    raise TruncatedHeader("TCP options cut short")
+                if start + data_offset <= end:
+                    payload = data[start + data_offset : end]
+                    return layers | {"tcp"}, src_port, dst_port, window, payload
+    return layers, None, None, None, data[start:end]
