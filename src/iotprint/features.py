@@ -33,7 +33,7 @@ from .packet_model import (
     ParsedPacket,
 )
 
-FEATURE_SCHEMA = "packet-features/2"
+FEATURE_SCHEMA = "packet-features/3"
 
 HEADER_FLAG_NAMES = (
     "arp",

@@ -6,10 +6,11 @@ IP options, transport payload) and degrades gracefully on anything it
 does not understand. No checksum validation, no reassembly. As
 `features.frame_features` does in bulk, `_ipv4` and `_ipv6` walk an IP
 header (and IPv6's extension headers) to where the transport header
-starts, where the datagram ends and which transport lies there, and one
-`_transport` decodes it. This module only decodes layers; which feature
-columns they set, including what a well-known port means, is decided in
-`features`.
+starts, where the datagram ends and which transport lies there, and
+`_transport` decodes it: TCP, UDP and the ICMP of that IP version
+(ICMP under IPv4, ICMPv6 under IPv6); any other bytes stay opaque. Which
+feature columns the layers set, including what a well-known port
+means, is decided in `features`.
 """
 
 from __future__ import annotations
@@ -100,10 +101,12 @@ _IP = frozenset({"ip"})
 _OPAQUE_LAYERS = {ETHERTYPE_ARP: frozenset({"arp"}), ETHERTYPE_EAPOL: frozenset({"eapol"})}
 
 # The transports `_transport` decodes, by IP protocol number: (layer flag, minimal
-# header bytes, the message when the capture cuts that header).
+# header bytes, the message when the capture cuts that header). ICMP is defined per
+# IP version (RFC 792, RFC 4443), so each version reads only its own.
 _TCP, _UDP = ("tcp", 20, "TCP header cut short"), ("udp", 8, "UDP header cut short")
 _ICMP, _ICMPV6 = ("icmp", 4, "ICMP header cut short"), ("icmpv6", 4, "ICMP header cut short")
-_TRANSPORTS = {IPPROTO_TCP: _TCP, IPPROTO_UDP: _UDP, IPPROTO_ICMP: _ICMP, IPPROTO_ICMPV6: _ICMPV6}
+_IPV4_TRANSPORTS = {IPPROTO_TCP: _TCP, IPPROTO_UDP: _UDP, IPPROTO_ICMP: _ICMP}
+_IPV6_TRANSPORTS = {IPPROTO_TCP: _TCP, IPPROTO_UDP: _UDP, IPPROTO_ICMPV6: _ICMPV6}
 
 
 def parse_frame(frame: RawFrame) -> ParsedPacket:
@@ -142,7 +145,7 @@ def parse_frame(frame: RawFrame) -> ParsedPacket:
 def _ipv4(data: bytes, off: int) -> tuple:
     """(layers, start, end, transport, src_ip, dst_ip) of the IPv4 packet at
     `off`: where its transport header starts, where the datagram ends, and
-    that header's `_TRANSPORTS` entry (None where there is none to decode)."""
+    that header's `_IPV4_TRANSPORTS` entry (None where there is none to decode)."""
     if off + 20 > len(data):
         raise TruncatedHeader("IPv4 header cut short")
     ihl = (data[off] & 0x0F) * 4
@@ -157,7 +160,7 @@ def _ipv4(data: bytes, off: int) -> tuple:
     # total_length bounds the datagram; trailing link padding is dropped.
     end = min(len(data), off + max(total_length, ihl))
     # A non-first fragment carries no transport header.
-    transport = None if frag & 0x1FFF else _TRANSPORTS.get(protocol)
+    transport = None if frag & 0x1FFF else _IPV4_TRANSPORTS.get(protocol)
     return layers, off + ihl, end, transport, src_ip, dst_ip
 
 
@@ -181,8 +184,8 @@ def _scan_ipv4_options(opts: bytes) -> frozenset:
 
 
 def _ipv6(data: bytes, off: int) -> tuple:
-    """As `_ipv4`, for the IPv6 packet at `off` and the extension headers
-    before its transport header."""
+    """As `_ipv4`, for the IPv6 packet at `off`, the extension headers before
+    its transport header and `_IPV6_TRANSPORTS`."""
     if off + 40 > len(data):
         raise TruncatedHeader("IPv6 header cut short")
     payload_length, next_header = struct.unpack_from("!4xHB", data, off)
@@ -209,7 +212,7 @@ def _ipv6(data: bytes, off: int) -> tuple:
             return layers, pos + 8, end, None, src_ip, dst_ip  # a non-first fragment
         next_header = data[pos]
         pos += ext_len
-    return layers, pos, end, _TRANSPORTS.get(next_header), src_ip, dst_ip
+    return layers, pos, end, _IPV6_TRANSPORTS.get(next_header), src_ip, dst_ip
 
 
 def _hop_by_hop_has_router_alert(opts: bytes) -> bool:
@@ -228,8 +231,8 @@ def _hop_by_hop_has_router_alert(opts: bytes) -> bool:
 
 def _transport(data: bytes, start: int, end: int, transport, layers: frozenset) -> tuple:
     """The `ParsedPacket` fields `layers` to `payload` of the transport at
-    `start`, in a datagram ending at `end`: without a `_TRANSPORTS` entry,
-    or where its header does not fit, the payload is `data[start:end]`."""
+    `start`, in a datagram ending at `end`: without a transport entry, or
+    where its header does not fit, the payload is `data[start:end]`."""
     if transport is not None:
         flag, size, message = transport
         if start + size > len(data):

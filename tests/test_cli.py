@@ -1170,19 +1170,19 @@ def test_unknown_variant_rejected(tmp_path, capsys):
 # arrays are zlib level 6), pinned here under zlib 1.2.13: another zlib
 # may deflate the same bytes differently, and the file would still load.
 PINNED_DIGESTS = {
-    "outlet.profile.json": "dc9a078acd0f14a4b4d9295829af05028b2cde20c632485c73a38a420c92ed79",
-    "camera-streamer.profile.json": "5ee684359608320f2bdd40a43fbeb26d084e70cb9b8ae5a8662fe0384800c181",
-    "hub-conduit.profile.json": "b30b7577bb28a6461235f3131e8f6b13ec3597bb38f95cf6f03ce038ca25a044",
-    "outlet-b.profile.json": "64d038254b14e45ea287fb12469de79b2885c8519cb497a1eb73823e13ea9e63",
+    "outlet.profile.json": "054bea235b71e52d66dfc6e0000c0235563b0e021a771522d027fdc051e430d6",
+    "camera-streamer.profile.json": "a853695074b2793ba6cc7c779fdf86feb9e1d3b16ea8f49ba8461ec7b8559c60",
+    "hub-conduit.profile.json": "5b9743b7dc4dc9418be5209b5d7ac5efde4e7691a14e79e041a824f4f50e4d5e",
+    "outlet-b.profile.json": "9247583581e9e4c01c747d1d4b13bde04af38ef894e021ebb6de62dd408c6dcb",
     "report.json": "9f29fca2e1f942b6b54ae95eb6b3c8b422ea47b4970218e9239460d090d004df",
     "category.report.json": "8da4322615a7ab3cde379665e33793ef6ae208d8633a99f6565056edaf5c710a",
     "instance.report.json": "a30a56ed60c855a58180dade66d41ed6d34aa18578a854e51779bf9dfb11e436",
-    "outlet.model.json": "8e35dba7a446ca2d576a0648e1cf787eb514e85589c83ba436a1b7d9009db8b3",
+    "outlet.model.json": "67a0b304b568d13d0433fc29ffcbf200dac76b8463719ba55691379f8377f237",
     "identify-outlet.stdout": "b5b0c88c2ca5a4383fd7fee402eae82f5304db1d884ea6d7ee27c09416dd3631",
     "identify-camera-streamer.stdout": "2f9aaaa98202af864aaa88aad112773f03c73fefe143350b1fb5c45db050de5d",
     "identify-hub-conduit.stdout": "e0e8399657f04a96599da9a30d9d506555c4545158f698f8d069ce5e2b7f6e50",
-    "extract-mac.stdout": "57dfa2859aa6f9f8261b0e6b5173c451efef95121a26f26c1b2e00e2250ffa3d",
-    "extract-ip.stdout": "bfab5fb916a6b7c7d2eb670b244f1aa73c6492f3c1e22bb4f1a3f0d3ded47a39",
+    "extract-mac.stdout": "a9c2730ab6153e08aebc7319deaa4c96588defbe7bc35773f00e1831cdf2e846",
+    "extract-ip.stdout": "5a7291f1d19f6afdae8bd54e2326b6697c7efb682fa81ae5c11d22b84786767a",
     "sessions-mac.stdout": "ee5628e0ad62aeb8dcdadff0590979cf6926b168c88ca28c97960b4141556303",
     "ecdf.stdout": "25c1c22902fab261bdbfe67e4542b12a65523457bcd69705228bd9e56dbd465f",
 }

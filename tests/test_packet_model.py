@@ -158,6 +158,30 @@ def test_icmp_payload_after_base_header():
     assert pkt.payload == b"rest"
 
 
+@pytest.mark.parametrize(
+    "data,cut",
+    [
+        (eth(0x0800, ipv4(58, b"\x80\x00\x00\x00ping")), 0),
+        (eth(0x0800, ipv4(58, b"\x80\x00\x00\x00")), 2),
+        (eth(0x86DD, ipv6(1, b"\x08\x00\x00\x00ping")), 0),
+        (eth(0x86DD, ipv6(1, b"\x08\x00\x00\x00")), 2),
+    ],
+    ids=["ipv4-protocol-58", "ipv4-protocol-58-cut", "ipv6-next-header-1", "ipv6-next-header-1-cut"],
+)
+def test_icmp_is_read_per_ip_version(data, cut):
+    """RFC 792 and RFC 4443 define ICMP per IP version, so IPv4 protocol 58
+    and IPv6 next header 1 are unknown transports: no ICMP flag, no ports,
+    and every captured byte after the IP header as the payload, even where
+    the capture cuts what would be an ICMP header."""
+    data = data[: len(data) - cut]
+    pkt = parse_frame(frame(data))
+    header = 20 if data[12:14] == b"\x08\x00" else 40
+    assert (pkt.layers, pkt.src_port, pkt.dst_port) == ({"ip"}, None, None)
+    assert pkt.payload == data[14 + header :]
+    row = extract_features([pkt])[0]
+    assert row[[FEATURE_NAMES.index("icmp"), FEATURE_NAMES.index("icmpv6")]].tolist() == [0, 0]
+
+
 def test_frame_too_short():
     with pytest.raises(FrameTooShort):
         parse_frame(frame(b"\x00" * 13))
@@ -285,8 +309,34 @@ def test_classify_direction_symmetry(transport, a, b):
     assert found == oracles.classify_app_protocols(layers, a, b)
 
 
+_PROTOCOLS = st.sampled_from([0, 1, 6, 17, 43, 44, 58, 60]) | st.integers(0, 255)
+
+
+@st.composite
+def _ip_frames(draw):
+    """A frame under the IPv4 or IPv6 EtherType, with or without one 802.1Q
+    tag: an IP header of random fields and drawn protocol (its length field
+    true or random), random bytes after it, and maybe a cut at the end."""
+    tag = draw(st.sampled_from([b"", struct.pack("!HH", 0x8100, 5)]))
+    rest = draw(st.binary(min_size=24, max_size=120) | st.binary(max_size=24))
+    length = draw(st.none() | st.integers(0, 0xFFFF))
+    if draw(st.booleans()):
+        ether_type, words = 0x0800, draw(st.integers(5, 15) | st.integers(0, 4))
+        size = max(0, 4 * words - 20)
+        options = draw(st.binary(min_size=size, max_size=size))
+        fragment = draw(st.sampled_from([0, 0x2000, 0x4000]) | st.integers(0, 0xFFFF))
+        total = 20 + len(options) + len(rest) if length is None else length
+        fields = (0x40 | words, 0, total, 0, fragment, 64, draw(_PROTOCOLS), 0)
+        header = struct.pack("!BBHHHBBH", *fields) + bytes(8) + options
+    else:
+        ether_type, total = 0x86DD, len(rest) if length is None else length
+        header = struct.pack("!IHBB", 6 << 28, total, draw(_PROTOCOLS), 64) + bytes(32)
+    data = PEER_MAC + DEV_MAC + tag + struct.pack("!H", ether_type) + header + rest
+    return data[: len(data) - draw(st.just(0) | st.integers(0, len(data) - 14))]
+
+
 @settings(max_examples=400, deadline=None)
-@given(data=st.binary(min_size=14, max_size=300))
+@given(data=st.binary(min_size=14, max_size=300) | _ip_frames())
 def test_parse_total_over_frames(data):
     # Any frame either parses (invariants enforced by the dataclass) or
     # raises one of the two declared skip-and-count errors.
@@ -295,6 +345,10 @@ def test_parse_total_over_frames(data):
     except (FrameTooShort, TruncatedHeader):
         return
     assert pkt.layers <= set(features._PACKET_FLAGS)
+    ether_type = data[16:18] if data[12:14] == b"\x81\x00" else data[12:14]
+    assert "icmp" not in pkt.layers or ether_type == b"\x08\x00"
+    assert "icmpv6" not in pkt.layers or ether_type == b"\x86\xdd"
+    assert pkt.payload in data  # a contiguous slice of the frame
     has_ports = oracles.has_ports(pkt)
     assert (pkt.src_port is not None) == has_ports
     assert (pkt.tcp_window_size is not None) == ("tcp" in pkt.layers)
