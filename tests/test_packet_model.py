@@ -80,6 +80,7 @@ def test_ipv4_tcp_port_80_sets_http():
     assert pkt.tcp_window_size == 8192
     assert pkt.payload == b"GET / HTTP/1.1"
     assert pkt.src_ip == "10.0.0.2"
+    assert (pkt.src_mac, pkt.dst_mac) == (DEV_MAC, PEER_MAC)
 
 
 def test_udp_mdns_both_ports():
@@ -153,7 +154,7 @@ def test_ipv4_non_first_fragment_has_no_transport():
 
 
 def test_icmp_payload_after_base_header():
-    pkt = parse_frame(frame(eth(0x0800, ipv4(1, b"\x08\x00\x00\x00rest"))))
+    pkt = parse_frame(frame(eth(0x0800, ipv4(1, b"\x08\x00\x00\x00rest") + bytes(18))))
     assert pkt.layers == {"ip", "icmp"}
     assert pkt.payload == b"rest"
 
@@ -440,3 +441,210 @@ def test_one_frame_per_layer_gives_its_pinned_row(tmp_path):
     pairs = [[-1, -1] if p.src_port is None else [p.src_port, p.dst_port] for p in packets]
     assert pairs == want_ports
     assert set(features._PACKET_FLAGS) <= set().union(*(on for _, on, *_ in table))
+
+
+def _outcome(data: bytes) -> tuple:
+    """`parse_frame`'s (layers, ports, window, payload) of a frame, or the
+    (type, message) of the skip signal it raises."""
+    try:
+        pkt = parse_frame(frame(data))
+    except (FrameTooShort, TruncatedHeader) as exc:
+        return type(exc), str(exc)
+    return pkt.layers, (pkt.src_port, pkt.dst_port), pkt.tcp_window_size, pkt.payload
+
+
+def _cut_short(message: str) -> tuple:
+    return TruncatedHeader, f"{message} cut short"
+
+
+def _with_length(data: bytes, at: int, length: int) -> bytes:
+    """`data` with the 16-bit length field at byte `at` set to `length`."""
+    return data[:at] + struct.pack("!H", length) + data[at + 2 :]
+
+
+# Hop-by-hop router alert (bytes 54-62), a first fragment with more to come
+# (62-70), and a TCP header with 4 option bytes (70-94) before 6 payload bytes.
+_IPV6_CHAIN = eth(
+    0x86DD,
+    ipv6(
+        0,
+        struct.pack("!HHIIBBHHH", 40000, 443, 0, 0, 6 << 4, 0x18, 512, 0, 0) + bytes(4) + b"abcdef",
+        ext=bytes([44, 0, 5, 2, 0, 0, 1, 0]) + struct.pack("!BBHI", 6, 0, 1, 77),
+    ),
+)
+_CHAIN_TCP = {"ip", "ip_router_alert", "tcp"}
+
+
+def test_every_cut_of_an_ipv6_extension_chain():
+    """A capture cut inside a header raises for that header; a datagram
+    whose payload length ends inside a header leaves it opaque: an
+    extension header with no payload, a TCP header with its bytes."""
+    for cut in range(len(_IPV6_CHAIN) + 1):
+        if cut < 14:
+            want = (FrameTooShort, f"{cut} bytes; need 14 for an Ethernet header")
+        elif cut < 94:
+            bounds = [(54, "IPv6 header"), (62, "IPv6 extension header"), (70, "IPv6 fragment header")]
+            bounds += [(90, "TCP header"), (94, "TCP options")]
+            want = _cut_short(next(name for bound, name in bounds if cut < bound))
+        else:
+            want = (_CHAIN_TCP, (40000, 443), 512, _IPV6_CHAIN[94:cut])
+        assert _outcome(_IPV6_CHAIN[:cut]) == want, cut
+    padded = _IPV6_CHAIN + bytes(range(1, 21))
+    for length in range(len(_IPV6_CHAIN) - 54 + 1):
+        end = 54 + length
+        if length < 8:
+            want = ({"ip"}, (None, None), None, b"")
+        elif length < 16:
+            want = ({"ip", "ip_router_alert"}, (None, None), None, b"")
+        elif length < 40:
+            want = ({"ip", "ip_router_alert"}, (None, None), None, padded[70:end])
+        else:
+            want = (_CHAIN_TCP, (40000, 443), 512, padded[94:end])
+        assert _outcome(_with_length(padded, 18, length)) == want, length
+    # A datagram that ends before the hop-by-hop length byte, in a capture that holds it.
+    for length in (0, 1):
+        want = ({"ip"}, (None, None), None, b"")
+        assert _outcome(_with_length(_IPV6_CHAIN, 18, length)[:56]) == want, length
+
+
+# An 802.1Q-tagged IPv4 frame: Ethernet and tag (bytes 0-18), an IPv4 header
+# with a router alert option (18-42), a UDP header (42-50) and 6 payload bytes.
+_TAGGED_IPV4 = eth(
+    0x8100,
+    struct.pack("!HH", 9, 0x0800) + ipv4(17, udp(68, 67, b"abcdef"), options=b"\x94\x04\x00\x00"),
+)
+
+
+def test_every_cut_of_a_tagged_ipv4_frame():
+    """As for IPv6: a cut capture raises for the header it cuts, and a total
+    length that ends the datagram inside the UDP header leaves it opaque."""
+    alert = {"ip", "ip_router_alert"}
+    for cut in range(len(_TAGGED_IPV4) + 1):
+        if cut < 14:
+            want = (FrameTooShort, f"{cut} bytes; need 14 for an Ethernet header")
+        elif cut < 50:
+            bounds = [(18, "802.1Q tag"), (38, "IPv4 header"), (42, "IPv4 options"), (50, "UDP header")]
+            want = _cut_short(next(name for bound, name in bounds if cut < bound))
+        else:
+            want = (alert | {"udp"}, (68, 67), None, _TAGGED_IPV4[50:cut])
+        assert _outcome(_TAGGED_IPV4[:cut]) == want, cut
+    padded = _TAGGED_IPV4 + bytes(range(1, 21))
+    for total in range(len(_TAGGED_IPV4) - 18 + 1):
+        end = 18 + max(total, 24)  # a total length under the header's does not cut it
+        if total < 32:
+            want = (alert, (None, None), None, padded[42:end])
+        else:
+            want = (alert | {"udp"}, (68, 67), None, padded[50:end])
+        assert _outcome(_with_length(padded, 20, total)) == want, total
+
+
+@pytest.mark.parametrize("udp_length", [0, 7, 8, 9, 13, 14, 15, 300])
+def test_udp_length_bounds_the_payload(udp_length):
+    """The UDP length cuts the payload short, never under the 8-byte header
+    and never past the datagram."""
+    data = _with_length(eth(0x0800, ipv4(17, udp(5000, 5001, b"abcdef"))), 38, udp_length)
+    assert _outcome(data)[3] == b"abcdef"[: max(0, min(6, udp_length - 8))]
+
+
+@pytest.mark.parametrize(
+    "fragment,decoded",
+    [(0x0000, True), (0x4000, True), (0x2000, True), (0x0001, False), (0x1000, False), (0x3FFF, False)],
+    ids=["whole", "dont-fragment", "first-of-more", "offset-1", "offset-4096", "offset-max"],
+)
+def test_only_a_first_ipv4_fragment_carries_a_transport(fragment, decoded):
+    segment = udp(1, 2, b"zz")
+    layers, ports, _, payload = _outcome(eth(0x0800, ipv4(17, segment, frag=fragment)))
+    assert (layers, ports, payload) == (
+        ({"ip", "udp"}, (1, 2), b"zz") if decoded else ({"ip"}, (None, None), segment)
+    )
+
+
+@pytest.mark.parametrize(
+    "field,decoded",
+    [(0, True), (1, True), (6, True), (7, True), (8, False), (1 << 15, False), (0xFFF9, False)],
+    ids=["whole", "more", "reserved", "more-and-reserved", "offset-1", "offset-4096", "offset-max"],
+)
+def test_only_a_first_ipv6_fragment_carries_a_transport(field, decoded):
+    segment = udp(1, 2, b"zz")
+    ext = struct.pack("!BBHI", 17, 0, field, 5)
+    layers, ports, _, payload = _outcome(eth(0x86DD, ipv6(44, segment, ext=ext)))
+    assert (layers, ports, payload) == (
+        ({"ip", "udp"}, (1, 2), b"zz") if decoded else ({"ip"}, (None, None), segment)
+    )
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 8, 9])
+def test_ipv6_walks_at_most_eight_extension_headers(count):
+    """Routing and destination-options headers are walked like hop-by-hop
+    ones, at their stated length (the first here is 16 bytes); after eight
+    the walk stops, and the rest of the datagram is opaque."""
+    kinds = [43, 60, 0, 43, 60, 0, 43, 60, 0][:count]
+    chain = [bytes([kind, 1]) + bytes(14) if i == 0 else bytes([kind, 0]) + bytes(6)
+             for i, kind in enumerate(kinds[1:] + [17])]  # fmt: skip
+    segment = udp(7, 8, b"payload")
+    data = eth(0x86DD, ipv6(kinds[0], segment, ext=b"".join(chain)))
+    layers, ports, _, payload = _outcome(data)
+    if count <= 8:
+        assert (layers, ports, payload) == ({"ip", "udp"}, (7, 8), b"payload")
+    else:
+        assert (layers, ports, payload) == ({"ip"}, (None, None), chain[-1] + segment)
+
+
+@pytest.mark.parametrize(
+    "options,alert",
+    [
+        (bytes([5, 2, 0, 0, 1, 0]), True),
+        (bytes([0, 0, 5, 2, 0, 0]), True),  # two Pad1 first
+        (bytes([1, 2, 5, 2, 1, 0]), False),  # a PadN whose data holds a 5
+        (bytes([0xC2, 2, 5, 2, 1, 0]), False),  # another option holding a 5
+        (bytes([0xC2, 0, 5, 2, 0, 0]), True),  # the alert after an empty option
+        (bytes([1, 1, 0, 0, 0, 5]), False),  # a 5 with no length byte after it
+        (bytes([1, 3, 0, 0, 0, 5]), False),  # an option past the header's end
+        (bytes([0, 5, 2, 0, 0, 0]), True),  # one Pad1 first
+        (bytes([1, 2, 0, 0, 5, 0]), True),  # the alert in the last two bytes
+        (bytes([0xC2, 1, 5, 1, 0, 0]), False),
+        (bytes([1, 4, 0, 5, 2, 0, 1, 6]) + bytes(6), False),  # a 16-byte header
+    ],
+)
+def test_hop_by_hop_router_alert_is_found_between_options(options, alert):
+    ext = bytes([17, len(options) // 8]) + options
+    data = eth(0x86DD, ipv6(0, udp(1, 2, b""), ext=ext))
+    assert _outcome(data)[0] == {"ip", "udp"} | ({"ip_router_alert"} if alert else set())
+
+
+@pytest.mark.parametrize(
+    "options,flags",
+    [
+        (b"\x01\x94\x04\x00", {"ip_padding", "ip_router_alert"}),
+        (b"\x00\x94\x04\x00", {"ip_padding"}),  # nothing after End of Option List is read
+        (b"\x07\x03\x94\x00", {"ip_padding"}),  # a 148 inside another option
+        (b"\x07\x04\x00\x94", set()),
+        (b"\x01\x01\x01\x94", {"ip_padding", "ip_router_alert"}),  # an alert with no length byte
+        (b"\x02\x04\x00\x00", set()),
+        (b"\x07\x00\x01\x00", set()),  # a length of 0 ends the scan
+        (b"\x19\x02\x01\x00", {"ip_padding"}),  # an option of length 2 is skipped
+        (b"\x83\x03\x00\x94\x04\x00\x00\x00", {"ip_router_alert", "ip_padding"}),
+    ],
+)
+def test_ipv4_options_are_scanned_at_their_lengths(options, flags):
+    data = eth(0x0800, ipv4(6, tcp(1, 2, b""), options=options))
+    assert _outcome(data)[0] == {"ip", "tcp"} | flags
+
+
+def test_a_bogus_ihl_or_tcp_data_offset_leaves_the_packet_opaque():
+    """An IPv4 header length under 20 bytes locates nothing, not even the
+    addresses; a TCP data offset under 20 bytes leaves the segment opaque."""
+    pkt = parse_frame(frame(_with_ihl(eth(0x0800, ipv4(6, tcp(1, 2, b"ab"))), 4)))
+    assert (pkt.layers, pkt.src_port, pkt.payload, pkt.src_ip, pkt.dst_ip) == ({"ip"}, None, b"", None, None)
+    segment = tcp(1, 2, b"ab")
+    segment = segment[:12] + bytes([4 << 4]) + segment[13:]
+    pkt = parse_frame(frame(eth(0x0800, ipv4(6, segment))))
+    assert (pkt.layers, pkt.src_port, pkt.tcp_window_size, pkt.payload) == ({"ip"}, None, None, segment)
+    assert (pkt.src_ip, pkt.dst_ip) == ("10.0.0.2", "10.0.0.3")
+
+
+@pytest.mark.parametrize(
+    "data", [eth(0x0800, ipv4(1, b"\x08\x00")), eth(0x86DD, ipv6(58, b"\x80\x00"))], ids=["icmp", "icmpv6"]
+)
+def test_a_capture_that_cuts_an_icmp_header_names_it(data):
+    assert _outcome(data) == _cut_short("ICMP header")
