@@ -7,9 +7,9 @@ fingerprint is 5 consecutive packets' vectors (100 values), and a
 feature variant is the subset of those columns a model reads.
 
 Rows come two ways with identical bits: `extract_features` from parsed
-packets, and `frame_features` straight from a capture's bytes for the
-frame kinds that make up nearly all device traffic (ARP, EAPoL, and
-IPv4 without options carrying TCP, UDP or ICMP). Both gather each
+packets, and `frame_features` straight from a capture's bytes, frame
+kind for frame kind as `packet_model.parse_frame` decodes them and
+skipping the frames it rejects. Both gather each
 packet's layer flags, ports, TCP window and payload, and one builder,
 `_rows`, fills the 20 columns from them: this module alone decides
 which column a layer sets, including the application flags that
@@ -26,8 +26,10 @@ from .packet_model import (
     ETHERTYPE_ARP,
     ETHERTYPE_EAPOL,
     ETHERTYPE_IPV4,
+    ETHERTYPE_IPV6,
     ETHERTYPE_VLAN,
     IPPROTO_ICMP,
+    IPPROTO_ICMPV6,
     IPPROTO_TCP,
     IPPROTO_UDP,
     ParsedPacket,
@@ -162,64 +164,121 @@ def extract_features(packets: Sequence[ParsedPacket]) -> np.ndarray:
 
 
 def frame_features(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tuple:
-    """Feature rows read straight from the bytes of n Ethernet frames, for
-    the frames whose layers `parse_frame` decodes without a special case.
+    """Feature rows read straight from the bytes of n Ethernet frames, each
+    decoded as `parse_frame` decodes it.
 
-    Frame i is `data[starts[i] : starts[i] + lengths[i]]`. Under at most
-    one 802.1Q tag, a frame is decoded here when it is ARP, EAPoL, or IPv4
-    with a 20-byte header, not a non-first fragment, whose TCP, UDP or
-    ICMP header lies within the datagram. Returns (decoded, rows, ports,
-    hosts): the mask of those frames; an (n, 20) matrix whose decoded rows
-    are the rows `extract_features` gives `parse_frame`'s packets, and
-    whose other rows are 0; and each frame's (src_port, dst_port) and IPv4
-    (src, dst) addresses as integers, -1 where it has none or was not
-    decoded.
+    Frame i is `data[starts[i] : starts[i] + lengths[i]]`. Past the Ethernet
+    header and at most one 802.1Q tag, an IPv4 header and its options, or an
+    IPv6 header and up to 8 extension headers, is walked to where the
+    transport header starts and the datagram ends, and TCP, UDP or the ICMP
+    of that IP version is decoded there; any other bytes stay opaque.
+    Returns (skipped, rows, ports, ip_at, ip_width): the mask of the frames
+    `parse_frame` rejects; an (n, 20) matrix whose other rows are the rows
+    `extract_features` gives `parse_frame`'s packets, and whose skipped rows
+    are 0; each frame's (src_port, dst_port), -1 where it has none; and where
+    in `data` a frame's source IP address starts, with its destination
+    address right after it, and their width: 4 or 16 bytes, 0 where it has none.
     """
     raw = np.frombuffer(data, dtype=np.uint8)
 
     def u8(at):
-        # A read past the frame only feeds a masked-out row; one past `data` is clipped.
+        # A read past the frame only feeds a masked-out value; one past `data` is clipped.
         return raw.take(starts + at, mode="clip").astype(np.int64)
 
     def u16(at):
         return u8(at) << 8 | u8(at + 1)
 
     outer = u16(12)
-    vlan = (lengths >= 18) & (outer == ETHERTYPE_VLAN)
+    vlan = outer == ETHERTYPE_VLAN
     off = np.where(vlan, 18, 14)  # Ethernet header, and the tag if there is one
     ether_type = np.where(vlan, u16(16), outer)
-    arp = (lengths >= 14) & (ether_type == ETHERTYPE_ARP)
-    eapol = (lengths >= 14) & (ether_type == ETHERTYPE_EAPOL)
-    ihl, fragment = u8(off) & 0x0F, u16(off + 6) & 0x1FFF
-    ipv4 = (ether_type == ETHERTYPE_IPV4) & (ihl == 5) & (fragment == 0)
+    arp, eapol = ether_type == ETHERTYPE_ARP, ether_type == ETHERTYPE_EAPOL
+    ipv4, ipv6 = ether_type == ETHERTYPE_IPV4, ether_type == ETHERTYPE_IPV6
+    ihl = (u8(off) & 0x0F) * 4
+    ihl *= ihl >= 20  # an invalid header length locates no payload
+    start = off + np.where(ipv4, ihl, 40 * ipv6)  # past the IP header; IPv6 walks on below
+    skipped = np.maximum(start, (off + 20) * ipv4) > lengths  # IPv4 reads 20 bytes at least
     # Link padding is dropped: a packet ends at its ARP 8 + 2 * hlen + 2 * plen (RFC 826),
-    # EAPoL 4 + body length or IPv4 total length. The first two pass the end of a frame
-    # that cuts their fields, and a total length under 20 leaves no transport here.
-    length = np.where(arp, 8 + 2 * (u8(off + 4) + u8(off + 5)), u16(off + 2) + 4 * eapol)
-    end = np.minimum(lengths, off + length)
-    protocol = u8(off + 9)
-    start = off + 20  # the transport header; each kind below ends at or before `end`
+    # EAPoL 4 + body length, IPv4 total length or IPv6 40 + payload length, other kinds at
+    # the frame's end. ARP and EAPoL pass the end of a frame that cuts their length fields.
+    word2, word4 = u16(off + 2), u16(off + 4)
+    stated = np.where(ipv6, 40 + word4, np.where(eapol, 4 + word2, lengths))
+    stated = np.where(arp, 8 + 2 * ((word4 >> 8) + (word4 & 0xFF)), stated)
+    end = np.minimum(lengths, off + np.where(ipv4, np.maximum(word2, ihl) * (ihl > 0), stated))
+    # The protocol (IPv6: next header) at `start`, or -1 in a non-first IPv4 fragment.
+    # No transport header fits past an invalid IPv4 header length, as `end == start`.
+    carries = ipv4 & ((u16(off + 6) & 0x1FFF) == 0)
+    proto = np.where(carries, u8(off + 9), np.where(ipv6, u8(off + 6), -1))
+    padding, alert = np.zeros(len(starts), bool), np.zeros(len(starts), bool)
+    (opt,) = (ipv4 & (ihl > 20) & ~skipped).nonzero()
+    _mark_ipv4_options(raw, opt, (starts + off + 20)[opt], (starts + start)[opt], padding, alert)
+    for _ in range(8):  # extension chains longer than this are hostile
+        # Hop-by-hop options (0), routing (43), destination options (60) or a fragment (44).
+        ext = ipv6 & ~skipped & ((proto == 0) | (proto == 43) | (proto == 60) | (proto == 44))
+        if not ext.any():
+            break
+        # Its stated length, or 2 bytes where the datagram ends before the length byte.
+        size = np.where(proto == 44, 8, np.where(start + 2 <= end, (u8(start + 1) + 1) * 8, 2))
+        skipped |= ext & (start + size > lengths)
+        whole = ext & ~skipped & (start + size <= end)  # else the datagram ends inside it
+        (hop,) = (whole & (proto == 0)).nonzero()
+        pos = starts + start
+        _mark_router_alerts(raw, hop, pos[hop] + 2, (pos + size)[hop], alert)
+        later = whole & (proto == 44) & (u16(start + 2) >> 3 > 0)  # a non-first fragment
+        proto = np.where(whole & ~later, u8(start), np.where(ext & ~skipped, -1, proto))
+        start = np.where(whole, start + size, np.where(ext, end, start))
+    tcp, udp = proto == IPPROTO_TCP, proto == IPPROTO_UDP
+    icmp, icmpv6 = ipv4 & (proto == IPPROTO_ICMP), ipv6 & (proto == IPPROTO_ICMPV6)
+    size = 20 * tcp + 8 * udp + 4 * (icmp | icmpv6)  # the minimal header, 0 for none
+    skipped |= start + size > lengths
+    fits = start + size <= end  # else the transport stays opaque
     data_offset = (u8(start + 12) >> 4) * 4
-    tcp = ipv4 & (protocol == IPPROTO_TCP) & (data_offset >= 20) & (start + data_offset <= end)
-    udp = ipv4 & (protocol == IPPROTO_UDP) & (start + 8 <= end)
-    icmp = ipv4 & (protocol == IPPROTO_ICMP) & (start + 4 <= end)
-    ip, ported = tcp | udp | icmp, tcp | udp
-    decoded = arp | eapol | ip
+    tcp &= fits & (data_offset >= 20)  # a bogus data offset leaves the segment opaque
+    skipped |= tcp & (start + data_offset > lengths)
+    tcp &= start + data_offset <= end
+    udp, icmp, icmpv6 = udp & fits, icmp & fits, icmpv6 & fits
 
-    udp_end = np.minimum(end, start + np.maximum(u16(start + 4), 8))
-    first = np.select([tcp, udp, icmp], [start + data_offset, start + 8, start + 4], off)
-    last = np.where(udp, udp_end, end)
-    at = np.flatnonzero(decoded)
+    first = start + np.where(tcp, data_offset, size * (udp | icmp | icmpv6))
+    last = np.where(udp, np.minimum(end, start + np.maximum(u16(start + 4), 8)), end)
+    (at,) = (~skipped).nonzero()
     bounds = zip((starts + first)[at].tolist(), (starts + last)[at].tolist())
     payloads = [data[a:b] for a, b in bounds]
-    ports = np.where(ported[:, None], np.column_stack([u16(start), u16(start + 2)]), -1)
-    flags = {"arp": arp, "ip": ip, "icmp": icmp, "eapol": eapol, "tcp": tcp, "udp": udp}
+    ports = np.where((tcp | udp)[:, None], np.column_stack([u16(start), u16(start + 2)]), -1)
+    flags = {"arp": arp, "ip": ipv4 | ipv6, "icmp": icmp, "icmpv6": icmpv6, "eapol": eapol}
+    flags |= {"tcp": tcp, "udp": udp, "ip_padding": padding, "ip_router_alert": alert}
     rows = np.zeros((len(starts), PACKET_FEATURE_COUNT))
     window = u16(start + 14)
     rows[at] = _rows({k: on[at] for k, on in flags.items()}, ports[at], window[at], payloads)
-    addresses = [u16(off + k) << 16 | u16(off + k + 2) for k in (12, 16)]
-    hosts = np.where(ip[:, None], np.column_stack(addresses), -1)
-    return decoded, rows, ports, hosts
+    ip_width = np.where(skipped, 0, 4 * (ipv4 & (ihl > 0)) + 16 * ipv6)
+    return skipped, rows, ports, starts + off + np.where(ipv6, 8, 12), ip_width
+
+
+def _mark_ipv4_options(raw, which, at, stop, padding, alert) -> None:
+    """Mark the frames `which` whose IPv4 option bytes `raw[at:stop]` hold
+    an End of Option List or No Operation in `padding` and a router alert
+    in `alert`, one option per step as `parse_frame` reads them."""
+    while len(which):
+        kind, size = raw[at], raw.take(at + 1, mode="clip")
+        padding[which[kind <= 1]] = True
+        alert[which[kind == 148]] = True
+        # End of Option List ends the scan, and so does a length under 2. A length read
+        # past `stop` ends it too, as `at + size` passes `stop`.
+        go = (kind == 1) | (kind > 1) & (size >= 2)
+        at = np.where(kind <= 1, at + 1, at + size)
+        go &= at < stop
+        which, at, stop = which[go], at[go], stop[go]
+
+
+def _mark_router_alerts(raw, which, at, stop, alert) -> None:
+    """Mark in `alert` the frames `which` whose IPv6 hop-by-hop option bytes
+    `raw[at:stop]` hold a router alert, one option per step."""
+    while len(which):
+        kind, size = raw[at], raw.take(at + 1, mode="clip")
+        alert[which[(kind == 5) & (at + 1 < stop)]] = True  # with its length byte
+        # Pad1 is one byte. An option in the last byte, with no length, steps past `stop`.
+        at = np.where(kind == 0, at + 1, at + 2 + size)
+        go = (kind != 5) & (at < stop)
+        which, at, stop = which[go], at[go], stop[go]
 
 
 def ecdf(values: Sequence[float]) -> list:

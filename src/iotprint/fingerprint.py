@@ -1,9 +1,9 @@
 """Capture ingest, fingerprints, behavioral profiles, and session statistics.
 
 `read_rows` turns a capture (or one device's share of it) into feature
-rows and port pairs: the common frame kinds are decoded in bulk by
-`frame_features`, and only the rest are parsed one at a time. Profiles
-are built from `packets_from_capture`, which parses every frame.
+rows and port pairs, every frame decoded in bulk by `frame_features`.
+Profiles are built from `packets_from_capture`, which parses every frame
+one at a time with `parse_frame`.
 
 A fingerprint is the concatenation of 5 consecutive packets' feature
 vectors (100 values, packet order preserved). A behavioral profile is
@@ -84,25 +84,13 @@ def packets_from_capture(path: str | Path) -> tuple:
     Returns (packets, skipped_count).
     """
     _, frames = read_capture(path)
-    packets, _, skipped = _parse(frames)
-    return packets, skipped
-
-
-def _parse(frames, sel: DeviceSelector | None = None) -> tuple:
-    """(packets, positions, skipped): the parsed frames that `sel` matches
-    (all without `sel`), their positions in `frames`, and how many frames
-    did not decode."""
-    packets, positions, skipped = [], [], 0
-    for i, frame in enumerate(frames):
+    packets = []
+    for frame in frames:
         try:
-            pkt = parse_frame(frame)
+            packets.append(parse_frame(frame))
         except (FrameTooShort, TruncatedHeader):
-            skipped += 1
-            continue
-        if sel is None or sel.matches(pkt):
-            packets.append(pkt)
-            positions.append(i)
-    return packets, positions, skipped
+            pass
+    return packets, len(frames) - len(packets)
 
 
 def read_rows(path: str | Path, sel: DeviceSelector | None = None) -> tuple:
@@ -112,33 +100,32 @@ def read_rows(path: str | Path, sel: DeviceSelector | None = None) -> tuple:
     `extract_features` gives for the packets `filter_device` keeps from
     parsing every frame, each packet's (src_port, dst_port) as an (n, 2)
     matrix (-1 for a packet without ports), and how many frames did not
-    decode. A MAC-only selector picks frames by their Ethernet addresses
-    first, so only those are decoded and counted. `frame_features` decodes
-    the common frame kinds in bulk; the rest go through `parse_frame` one
-    by one, and a selector with an IP matches those by `sel.matches`.
+    decode. `frame_features` decodes every frame in bulk. A MAC-only
+    selector picks frames by their Ethernet addresses first, so only those
+    are decoded and counted; a selector with an IP decodes every frame and
+    matches its addresses where `parse_frame` reads them.
     """
     _, frames = read_capture(path)
     if sel is not None and sel.ip is None:
         frames = filter_device(frames, sel)
-    decoded, rows, ports, hosts = frame_features(
-        frames.data, frames.records[:, 0], frames.records[:, 1]
-    )
-    keep = decoded if sel is None or sel.ip is None else decoded & _addressed(frames, hosts, sel)
-    rest = np.flatnonzero(~decoded)
-    packets, positions, skipped = _parse(frames.take(rest), sel)
-    at = rest[positions]
-    rows[at] = extract_features(packets)
-    pairs = [(-1, -1) if p.src_port is None else (p.src_port, p.dst_port) for p in packets]
-    ports[at] = np.reshape(pairs, (-1, 2))
-    keep[at] = True
-    return rows[keep], ports[keep], skipped
+    skipped, rows, ports, ip_at, ip_width = frame_features(frames.data, *frames.records[:, :2].T)
+    keep = ~skipped
+    if sel is not None and sel.ip is not None:
+        keep &= _addressed(frames, ip_at, ip_width, sel)
+    return rows[keep], ports[keep], int(skipped.sum())
 
 
-def _addressed(frames: Frames, hosts: np.ndarray, sel: DeviceSelector) -> np.ndarray:
-    """Which records hold `sel`'s MAC where `parse_frame` reads the
-    addresses, or its IP among their IPv4 addresses `hosts`."""
-    ip = ipaddress.ip_address(sel.ip)
-    hit = (hosts == int(ip)).any(axis=1) if ip.version == 4 else np.zeros(len(frames), dtype=bool)
+def _addressed(
+    frames: Frames, ip_at: np.ndarray, ip_width: np.ndarray, sel: DeviceSelector
+) -> np.ndarray:
+    """Which records hold `sel`'s MAC where `parse_frame` reads the MACs, or
+    its IP as the source or destination address `frame_features` located."""
+    packed = np.frombuffer(ipaddress.ip_address(sel.ip).packed, dtype=np.uint8)
+    raw, span = np.frombuffer(frames.data, dtype=np.uint8), np.arange(len(packed))
+    hit = np.zeros(len(frames), dtype=bool)
+    for at in (ip_at, ip_at + len(packed)):
+        hit |= (raw.take(at[:, None] + span, mode="clip") == packed).all(axis=1)
+    hit &= ip_width == len(packed)
     if sel.mac is not None:
         hit[frames.holding(sel.mac)] = True
     return hit

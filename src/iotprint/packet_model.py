@@ -3,14 +3,14 @@
 Decoding is deliberately shallow: it recovers exactly the layer metadata
 needed for feature extraction (protocol presence, ports, TCP window,
 IP options, transport payload) and degrades gracefully on anything it
-does not understand. No checksum validation, no reassembly. As
-`features.frame_features` does in bulk, `_ipv4` and `_ipv6` walk an IP
-header (and IPv6's extension headers) to where the transport header
-starts, where the datagram ends and which transport lies there, and
-`_transport` decodes it: TCP, UDP and the ICMP of that IP version
-(ICMP under IPv4, ICMPv6 under IPv6); any other bytes stay opaque. Which
-feature columns the layers set, including what a well-known port
-means, is decided in `features`.
+does not understand. No checksum validation, no reassembly. `_ipv4`
+and `_ipv6` walk an IP header (and IPv6's extension headers) to where
+the transport header starts, where the datagram ends and which
+transport lies there, and `_transport` decodes it: TCP, UDP and the
+ICMP of that IP version; any other bytes stay opaque. Profiles parse
+here; `features.frame_features` takes the same steps in bulk for
+`read_rows`. Which feature columns the layers set, including what a
+well-known port means, is decided in `features`.
 """
 
 from __future__ import annotations

@@ -90,10 +90,6 @@ class Frames:
     def __len__(self) -> int:
         return len(self.records)
 
-    def take(self, index) -> Frames:
-        """The records at `index`, an int array, as a `Frames`."""
-        return Frames(self.data, self.records[index])
-
     def holding(self, mac: bytes) -> np.ndarray:
         """Indices of the records whose bytes 0-6 or 6-12 are `mac`.
 
@@ -195,5 +191,5 @@ def filter_device(
     matching records come back as a `Frames`.
     """
     if isinstance(packets, Frames):
-        return packets.take(packets.holding(sel.mac))
+        return Frames(packets.data, packets.records[packets.holding(sel.mac)])
     return [pkt for pkt in packets if sel.matches(pkt)]

@@ -6,7 +6,9 @@ tests can hold `pcap_io.read_capture`, `pcap_io.filter_device`,
 `features.extract_features` (with its port table, here an if-ladder),
 `features.frame_features`, `fingerprint.read_rows`,
 `fingerprint.session_stats`, `model.predict(X)` and `ml._SplitSearch`
-against them.
+against them. `frame_features` is held frame by frame against
+`parse_frame` and these per-packet rows: its skip mask, rows, ports and
+located addresses (`ip_text` reads either IP version).
 """
 
 import ipaddress
@@ -98,8 +100,9 @@ def classify_app_protocols(layers, src_port, dst_port) -> frozenset:
     return frozenset(found)
 
 
-def ipv4_text(packed: bytes) -> str:
-    return str(ipaddress.IPv4Address(packed))
+def ip_text(packed: bytes) -> str:
+    """An IPv4 (4-byte) or IPv6 (16-byte) address as text."""
+    return str(ipaddress.ip_address(packed))
 
 
 # The application flags in row order, and every port `classify_app_protocols` names.

@@ -261,28 +261,113 @@ _SYNTH_FRAMES += [  # nor EAPoL; these are the first 4 of a hub's
 _IPV6_HOST = "fd00::16"
 
 
-def _ipv6_frame(next_header: int, body: bytes) -> bytes:
-    """An IPv6 frame from `_IPV6_HOST`, between foreign MACs."""
+def _put(data: bytes, at: int, fmt: str, value: int) -> bytes:
+    frame = bytearray(data)
+    struct.pack_into(fmt, frame, at, value)
+    return bytes(frame)
+
+
+def _ipv6_frame(next_header: int, body: bytes, to_host: bool = False) -> bytes:
+    """An IPv6 frame from `_IPV6_HOST` (or to it), between foreign MACs."""
     head = struct.pack("!IHBB", 6 << 28, len(body), next_header, 64)
-    addresses = bytes.fromhex("fd000000000000000000000000000016") + bytes(15) + b"\x01"
+    host, peer = bytes.fromhex("fd000000000000000000000000000016"), bytes(15) + b"\x01"
+    addresses = peer + host if to_host else host + peer
     return b"\x02\x0d" * 3 + b"\x02\x0c" * 3 + b"\x86\xdd" + head + addresses + body
 
 
-_SYNTH_FRAMES += [
-    _ipv6_frame(17, struct.pack("!HHHH", 5353, 5353, 13, 0) + b"abcde"),
-    _ipv6_frame(6, struct.pack("!HHIIBBHHH", 40000, 443, 1, 0, 0x50, 0x18, 900, 0, 0) + b"tls"),
-    _ipv6_frame(58, b"\x80\x00\x00\x00" + b"ping"),
-    _ipv6_frame(0, b"\x11\x00\x05\x02\x00\x00\x01\x00" + struct.pack("!HHHH", 1, 2, 8, 0)),
-]
-_SELECTOR_MACS = (_BULB.mac, _SPEAKER.mac, PEER_MAC, b"\xff" * 6)
+def _ipv6_chain(chain: list, protocol: int, body: bytes) -> bytes:
+    """An `_ipv6_frame` through the extension headers `chain`, each a
+    (next-header value, the header's bytes after its next-header byte)
+    pair, to `body` under the last one's next header `protocol`."""
+    kinds = [kind for kind, _ in chain] + [protocol]
+    headers = b"".join(bytes([after]) + rest for (_, rest), after in zip(chain, kinds[1:]))
+    return _ipv6_frame(kinds[0], headers + body)
+
+
+def _ipv4_frame(protocol: int, body: bytes, options: bytes = b"", source: str = "10.0.0.8"):
+    """An IPv4 frame from `source` to 10.0.0.9 with these option bytes (a
+    multiple of 4), between foreign MACs."""
+    ihl = 5 + len(options) // 4
+    header = struct.pack("!BBHHHBBH", 0x40 | ihl, 0, 4 * ihl + len(body), 0, 0, 64, protocol, 0)
+    addresses = bytes(map(int, source.split("."))) + bytes([10, 0, 0, 9])
+    return b"\x02\x0f" * 3 + b"\x02\x0e" * 3 + b"\x08\x00" + header + addresses + options + body
 
 
 def _ip_only_frame(ip: str) -> bytes:
     """An IPv4/UDP frame from and to foreign MACs, sent from `ip`."""
-    udp = struct.pack("!HHHH", 40000, 53, 12, 0) + b"abcd"
-    header = struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(udp), 0, 0, 64, 17, 0)
-    addresses = bytes(map(int, ip.split("."))) + bytes([10, 0, 0, 9])
-    return b"\x02\x0f" * 3 + b"\x02\x0e" * 3 + b"\x08\x00" + header + addresses + udp
+    return _ipv4_frame(17, struct.pack("!HHHH", 40000, 53, 12, 0) + b"abcd", source=ip)
+
+
+_UDP = struct.pack("!HHHH", 1, 2, 8, 0)
+_TCP = struct.pack("!HHIIBBHHH", 40000, 443, 1, 0, 0x50, 0x18, 900, 0, 0)
+_TCP_OPTIONS = struct.pack("!HHIIBBHHH", 40000, 443, 1, 0, 0x80, 0x18, 900, 0, 0) + bytes(12)
+# An MLDv2 report of one record: joining ff02::fb (mDNS).
+_MLD_REPORT = bytes.fromhex("8f000000" "00000001" "04000000" "ff02" + "00" * 13 + "fb")
+
+
+def _fragment(field: int, reserved: int = 0) -> bytes:
+    """An IPv6 fragment header after its next-header byte: offset and flags `field`."""
+    return bytes([reserved]) + struct.pack("!HI", field, 7)
+
+
+# IPv6 extension headers after their next-header byte. Hop-by-hop options with a
+# router alert: after an empty PadN; after one Pad1; in the last two bytes, after
+# options of types 4 and 6; first in 24 bytes. Without one: padding only (a PadN
+# whose body holds 5s, then Pad1); options of types 4 and 6, then a 5 in the last
+# byte, where no length follows it. Routing; destination options of 16 bytes; a
+# first and a non-first fragment.
+_HOP_ALERT, _HOP_PAD1_ALERT = b"\x00\x01\x00\x05\x02\x00\x00", b"\x00\x00\x05\x02\x00\x00\x00"
+_HOP_LAST_ALERT = b"\x00\x04\x00\x06\x00\x05\x00"
+_HOP_ALERT_24 = b"\x02\x05\x02\x00\x00\x01\x10" + bytes(16)
+_HOP_PADDED, _HOP_LAST_5 = b"\x00\x01\x03\x05\x05\x05\x00", b"\x00\x04\x01\x00\x06\x00\x05"
+_ROUTING = b"\x00\x00\x00\x00\x00\x00\x00"
+_DESTINATION = b"\x01\x01\x0c" + bytes(12)
+_FIRST_FRAGMENT, _LATER_FRAGMENT = _fragment(0x0001), _fragment(23 << 3)
+# 40 IPv4 option bytes: NOP, router alert, two NOPs, a timestamp, a record route,
+# two more options, NOP, and an option whose length under 2 ends the scan.
+_IPV4_OPTIONS = bytes.fromhex(
+    "01" "94040000" "0101" "440c0500" "00000000" "00000000" "070701" "00000000"
+    "830301" "01" "88040001" "9901" "94040000"
+)
+# The IP kinds no synth trace holds: IPv6, IPv4 options or an invalid IHL, and
+# each IP version's protocol numbers under the other.
+_IP_KINDS = [
+    _ipv6_frame(17, struct.pack("!HHHH", 5353, 5353, 13, 0) + b"abcde"),
+    _ipv6_frame(6, _TCP + b"tls"),
+    _ipv6_frame(58, b"\x80\x00\x00\x00" + b"ping"),
+    _ipv6_frame(17, _UDP + b"to-host", to_host=True),
+    _ipv6_chain([(0, _HOP_ALERT)], 17, _UDP),
+    _ipv6_chain([(0, _HOP_ALERT)], 58, _MLD_REPORT),  # MLD, as sent, with a router alert
+    _ipv6_chain([(0, _HOP_PADDED), (43, _ROUTING), (60, _DESTINATION)], 6, _TCP),
+    _ipv6_chain([(0, _HOP_PAD1_ALERT), (44, _FIRST_FRAGMENT)], 17, _UDP + b"first"),
+    _ipv6_chain([(60, _DESTINATION), (44, _LATER_FRAGMENT)], 17, _UDP + b"later"),
+    _ipv6_chain([(0, _HOP_ALERT_24)], 17, _UDP),
+    _ipv6_chain([(0, _HOP_LAST_5)], 17, _UDP),
+    _ipv6_chain([(0, _HOP_LAST_ALERT)], 17, _UDP),
+    _ipv6_chain([(60, _HOP_PADDED)], 59, b"no next header"),
+    _ipv6_chain([(44, _fragment(0x0006, reserved=0xFF))], 17, _UDP),  # first, reserved bits set
+    _ipv6_chain([(44, _fragment(1 << 3))], 17, _UDP),  # the least non-first offset
+    # Datagrams ending one and two bytes into a header before TCP, captured to its end.
+    _put(_ipv6_chain([(60, _HOP_PADDED)], 6, _TCP), 18, "!H", 1)[:62],
+    _put(_ipv6_chain([(60, _HOP_PADDED)], 6, _TCP), 18, "!H", 2)[:62],
+    _ipv6_chain([(60, _HOP_PADDED)] * 8, 17, _UDP),  # as many as the walk takes
+    _ipv6_chain([(60, _HOP_PADDED)] * 9, 17, _UDP),  # and one more
+    _ipv4_frame(2, b"\x16\x00\xfa\x04\xef\x01\x02\x03", b"\x94\x04\x00\x00"),  # IGMP
+    # Options of 2 and 3 bytes (0x94 inside the second), NOP, then End of Option List.
+    _ipv4_frame(17, _UDP + b"nop", b"\x02\x02\x02\x03\x94\x01\x00\x00"),
+    # Option kind 2 (not padding), then a length under 2 that hides the alert after it.
+    _ipv4_frame(6, _TCP, b"\x02\x02\x07\x01\x94\x04\x00\x00"),
+    # TCP with 12 option bytes, in a datagram that ends 4 bytes into them.
+    _put(_ipv4_frame(6, _TCP_OPTIONS + b"data"), 16, "!H", 44),
+    _ipv4_frame(1, b"\x08\x00\x00\x00ping", _IPV4_OPTIONS),
+    _ipv6_frame(1, b"\x08\x00\x00\x00ping"),
+    _ipv4_frame(58, b"\x80\x00\x00\x00ping"),
+    _ipv4_frame(0, bytes([17]) + _HOP_ALERT + _UDP),
+    _ipv4_frame(44, bytes([17]) + _FIRST_FRAGMENT + _UDP),
+    _ip_only_frame("10.0.0.8")[:14] + b"\x44" + _ip_only_frame("10.0.0.8")[15:],  # IHL 4
+]  # fmt: skip
+_SYNTH_FRAMES += _IP_KINDS
+_SELECTOR_MACS = (_BULB.mac, _SPEAKER.mac, PEER_MAC, b"\xff" * 6)
 
 
 @st.composite
@@ -430,26 +515,34 @@ def _oracle_rows(packets) -> np.ndarray:
     return np.array(rows, dtype=np.float64).reshape(-1, PACKET_FEATURE_COUNT)
 
 
-def _decodes_in_bulk(frame: RawFrame) -> bool:
-    """Whether `frame_features` takes the frame, by its parsed packet: ARP,
-    EAPoL, or IPv4 with a 20-byte header and a decoded TCP, UDP or ICMP
-    header, under at most one VLAN tag (a second one parses with no layer)."""
+def _parsed(frame: RawFrame) -> ParsedPacket | None:
+    """`parse_frame`'s packet, or None where it rejects the frame."""
     try:
-        pkt = parse_frame(frame)
+        return parse_frame(frame)
     except (FrameTooShort, TruncatedHeader):
-        return False
-    if pkt.layers & {"arp", "eapol"}:
-        return True
-    at = _ipv4_at(frame)
-    ihl = frame.data[at] & 0x0F if at is not None else None
-    return ihl == 5 and bool(pkt.layers & {"tcp", "udp", "icmp"})
+        return None
 
 
-def _ipv4_at(frame: RawFrame) -> int | None:
-    """Where the IPv4 header of a frame under at most one VLAN tag starts,
-    or None for a frame of another EtherType."""
-    at = 18 if frame.data[12:14] == b"\x81\x00" else 14
-    return at if frame.data[at - 2 : at] == b"\x08\x00" else None
+def _bulk_matches_parsing(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Check `frame_features` against `parse_frame`, frame by frame: it skips
+    exactly the frames `parse_frame` rejects, and gives every other frame the
+    per-packet reference row and its parsed packet's ports and addresses, read
+    as text from where it located them. Returns the rows of the kept frames."""
+    skipped, rows, ports, ip_at, ip_width = frame_features(data, starts, lengths)
+    bounds = zip(starts.tolist(), lengths.tolist())
+    packets = [_parsed(RawFrame(0, 0, n, data[at : at + n])) for at, n in bounds]
+    assert skipped.tolist() == [p is None for p in packets]
+    kept = [p for p in packets if p is not None]
+    assert rows[~skipped].tobytes() == _oracle_rows(kept).tobytes()
+    assert ports[~skipped].tobytes() == oracles.packet_ports(kept).tobytes()
+    located = [
+        tuple(oracles.ip_text(data[at + k * n : at + k * n + n]) if n else None for k in (0, 1))
+        for at, n in zip(ip_at[~skipped].tolist(), ip_width[~skipped].tolist())
+    ]
+    assert located == [(p.src_ip, p.dst_ip) for p in kept]
+    assert not rows[skipped].any() and (ports[skipped] == -1).all()
+    assert not ip_width[skipped].any()
+    return rows[~skipped]
 
 
 @settings(max_examples=300, deadline=None)
@@ -470,14 +563,8 @@ def test_ingest_matches_the_scalar_reference_paths(data):
         assert (meta, list(frames)) == (want_meta, want_frames)
         by_mac = DeviceSelector(mac=mac)
         assert list(filter_device(frames, by_mac)) == oracles.filter_device(want_frames, by_mac)
-        decoded, rows, _, _ = frame_features(frames.data, *frames.records[:, :2].T)
-        assert decoded.tolist() == [_decodes_in_bulk(frame) for frame in want_frames]
-        assert not rows[~decoded].any()
-    for frame in frames:
-        try:
-            pkt = parse_frame(frame)
-        except (FrameTooShort, TruncatedHeader):
-            continue
+        _bulk_matches_parsing(frames.data, *frames.records[:, :2].T)
+    for pkt in filter(None, map(_parsed, frames)):
         assert pkt.layers <= set(features._PACKET_FLAGS)
         has_ports = oracles.has_ports(pkt)
         assert (pkt.src_port is not None, pkt.dst_port is not None) == (has_ports, has_ports)
@@ -486,10 +573,6 @@ def test_ingest_matches_the_scalar_reference_paths(data):
         apps = {name for name in oracles.APP_FLAGS if row[FEATURE_NAMES.index(name)]}
         assert apps == oracles.classify_app_protocols(pkt.layers, pkt.src_port, pkt.dst_port)
         assert has_ports or not apps
-        at = _ipv4_at(frame)
-        if at is not None and pkt.src_ip is not None:
-            addresses = frame.data[at + 12 : at + 16], frame.data[at + 16 : at + 20]
-            assert (pkt.src_ip, pkt.dst_ip) == tuple(map(oracles.ipv4_text, addresses))
 
 
 def _first(kind) -> bytes:
@@ -498,38 +581,45 @@ def _first(kind) -> bytes:
 
 
 def _header_sweep(data: bytes) -> list:
-    """An untagged IPv4 frame with each header field the decoder reads
-    swept across its boundaries: IHL 0-15 (with the options it claims),
-    fragment fields, every total length up to 8 past the frame, and every
-    TCP data offset or UDP length up to 8 past the frame."""
+    """An untagged IPv4 frame with a 20-byte header at IHL 0-15, with the
+    option bytes it claims all zero (End of Option List) or the first of
+    `_IPV4_OPTIONS`; with each of a few fragment fields; and, for TCP, at
+    every data offset."""
     frames = []
-
-    def put(at: int, fmt: str, value: int) -> bytes:
-        frame = bytearray(data)
-        struct.pack_into(fmt, frame, at, value)
-        return bytes(frame)
-
     for ihl in range(16):
-        options = bytes(4 * max(ihl - 5, 0))
-        frame = bytearray(put(16, "!H", len(data) - 14 + len(options)))
-        frame[14] = 0x40 | ihl
-        frames.append(bytes(frame[:34]) + options + bytes(frame[34:]))
-    frames += [put(20, "!H", frag) for frag in (1, 0x1FFF, 0x2000, 0x2001, 0x4000, 0x8000)]
-    frames += [put(16, "!H", total) + bytes(4) for total in range(len(data) + 8)]
+        for source in (bytes(40), _IPV4_OPTIONS):
+            options = source[: 4 * max(ihl - 5, 0)]
+            frame = bytearray(_put(data, 16, "!H", len(data) - 14 + len(options)))
+            frame[14] = 0x40 | ihl
+            frames.append(bytes(frame[:34]) + options + bytes(frame[34:]))
+    fragments = (1, 0x1FFF, 0x2000, 0x2001, 0x4000, 0x8000)
+    frames += [_put(data, 20, "!H", frag) for frag in fragments]
     if data[23] == 6:
-        frames += [put(46, "!B", offset << 4) for offset in range(16)]
+        frames += [_put(data, 46, "!B", offset << 4) for offset in range(16)]
+    return frames
+
+
+def _length_sweep(data: bytes) -> list:
+    """An untagged frame with each length field the decoder reads swept
+    across its boundaries: the IPv4 total length and UDP length, or the
+    IPv6 payload length, each up to 8 past the frame."""
+    if data[12:14] == b"\x86\xdd":
+        return [_put(data, 18, "!H", length) for length in range(len(data) - 45)]
+    frames = [_put(data, 16, "!H", total) + bytes(4) for total in range(len(data) + 8)]
     if data[23] == 17:
-        frames += [put(38, "!H", length) for length in [*range(len(data) - 26), 0xFFFF]]
+        frames += [_put(data, 38, "!H", length) for length in [*range(len(data) - 26), 0xFFFF]]
     return frames
 
 
 def test_bulk_decoding_matches_parsing_at_every_header_boundary():
-    """`frame_features` against `parse_frame` and the per-packet rows on
-    one ARP, EAPoL, TCP, UDP and ICMP frame each: every cut of each under
-    0-2 VLAN tags, and each IPv4 header field swept across its bounds.
-    A cut frame is a record shorter than the bytes laid out for it, so a
-    read past its end sees the rest of the frame, and one past the
-    buffer is clipped."""
+    """`frame_features` against `parse_frame` and the per-packet rows on one
+    ARP, EAPoL, TCP, UDP and ICMP frame each and on `_IP_KINDS`: every
+    cut of each under 0-2 VLAN tags; each length
+    field of the untagged IPv4 frames with a 20-byte header and of the IPv6
+    frames swept across its bounds; and every cut of the IPv4 frames at each
+    IHL, fragment field and TCP data offset. A cut frame is a record shorter than the bytes
+    laid out for it, so a read past its end sees the rest of the frame, and
+    one past the buffer is clipped."""
     bases = [
         _first(lambda p: "arp" in p.layers),
         _first(lambda p: "eapol" in p.layers),
@@ -537,31 +627,31 @@ def test_bulk_decoding_matches_parsing_at_every_header_boundary():
         _first(lambda p: "udp" in p.layers),
         _first(lambda p: "icmp" in p.layers),
     ]
+    bases += _IP_KINDS
     laid_out, records = [], []  # records: (index into laid_out, captured length)
+
+    def lay(frame: bytes, cuts) -> None:
+        records.extend((len(laid_out), cut) for cut in cuts)
+        laid_out.append(frame)
+
     for base in bases:
-        for frame in _header_sweep(base) if base[12:14] == b"\x08\x00" else []:
-            records.append((len(laid_out), len(frame)))
-            laid_out.append(frame)
+        if base[12:14] == b"\x86\xdd" or base[12:15] == b"\x08\x00\x45":
+            for frame in _length_sweep(base):
+                lay(frame, [len(frame)])
+        for frame in _header_sweep(base) if base[12:15] == b"\x08\x00\x45" else []:
+            lay(frame, range(len(frame) + 1))
         for tags in range(3):
-            records += [(len(laid_out), cut) for cut in range(len(base) + 4 * tags + 1)]
-            laid_out.append(base[:12] + b"\x81\x00\x00\x05" * tags + base[12:])
+            lay(base[:12] + b"\x81\x00\x00\x05" * tags + base[12:], range(len(base) + 4 * tags + 1))
     offsets = np.cumsum([0] + [len(frame) for frame in laid_out])
     starts = np.array([offsets[i] for i, _ in records])
     lengths = np.array([n for _, n in records])
-    decoded, rows, ports, hosts = frame_features(b"".join(laid_out), starts, lengths)
-    frames = [RawFrame(0, 0, n, laid_out[i][:n]) for i, n in records]
-    assert decoded.tolist() == [_decodes_in_bulk(frame) for frame in frames]
-    packets = [parse_frame(frame) for frame, bulk in zip(frames, decoded) if bulk]
-    assert rows[decoded].tobytes() == _oracle_rows(packets).tobytes()
-    assert ports[decoded].tobytes() == oracles.packet_ports(packets).tobytes()
-    addresses = [
-        [int(ipaddress.IPv4Address(ip)) for ip in (p.src_ip, p.dst_ip)] if p.src_ip else [-1, -1]
-        for p in packets
-    ]
-    assert hosts[decoded].tolist() == addresses
-    assert not rows[~decoded].any() and (ports[~decoded] == -1).all()
-    assert (hosts[~decoded] == -1).all()
-    assert decoded.sum() > len(records) / 3  # the sweep reaches the bulk path
+    rows = _bulk_matches_parsing(b"".join(laid_out), starts, lengths)
+    flags = [FEATURE_NAMES.index(name) for name in features._PACKET_FLAGS]
+    assert rows[:, flags].any(axis=0).all()  # the sweep reaches every layer flag
+    assert len(rows) > len(records) / 3  # and decodes as many frames as it skips, or more
+    # A hop-by-hop header that ends the buffer, as one in a capture's last record does.
+    last = _ipv6_chain([(0, _HOP_PADDED)], 59, b"")
+    _bulk_matches_parsing(last, np.array([0]), np.array([len(last)]))
 
 
 def _pcap(frames, endian: str = "<", nano: bool = False) -> bytes:
@@ -619,7 +709,10 @@ def test_rows_do_not_depend_on_how_the_capture_was_taken(corpus, tmp_path, retak
     assert moved == []
 
 
-def test_a_selector_with_an_ip_parses_every_frame(tmp_path):
+def test_a_selector_with_an_ip_decodes_and_counts_every_frame(tmp_path):
+    """With an IP, frames not holding the MAC are decoded and their skips
+    counted too, and an IPv6 address matches as source or destination,
+    not where other bytes of a frame hold it."""
     path = tmp_path / "one.pcap"
     frame = _ip_only_frame(_BULB.ip)
     write_capture(path, [RawFrame(0, 0, len(frame), frame), RawFrame(1, 0, 10, frame[:10])])
@@ -628,3 +721,16 @@ def test_a_selector_with_an_ip_parses_every_frame(tmp_path):
     assert rows.tobytes() == extract_features([packet]).tobytes()
     assert ports.tolist() == [[40000, 53]]
     assert skipped == 1
+
+    host = ipaddress.IPv6Address(_IPV6_HOST).packed
+    frames = [
+        _ipv6_frame(17, struct.pack("!HHHH", 1, 2, 8, 0)),
+        _ipv6_frame(17, struct.pack("!HHHH", 3, 4, 8, 0), to_host=True),
+        _ipv6_frame(17, struct.pack("!HHHH", 5, 6, 8, 0)).replace(host, host[:-1] + b"\x17"),
+        _ipv6_frame(17, struct.pack("!HHHH", 7, 8, 24, 0) + host),
+        _ipv4_frame(17, struct.pack("!HHHH", 9, 10, 24, 0) + host),
+    ]
+    frames[3] = frames[3].replace(host, bytes(15) + b"\x02", 1)  # the host in the payload only
+    write_capture(path, [RawFrame(i, 0, len(f), f) for i, f in enumerate(frames)])
+    rows, ports, skipped = read_rows(path, DeviceSelector(ip=_IPV6_HOST))
+    assert (ports.tolist(), skipped) == ([[1, 2], [3, 4]], 0)
