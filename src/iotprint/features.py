@@ -271,12 +271,16 @@ def _mark_ipv4_options(raw, which, at, stop, padding, alert) -> None:
 
 def _mark_router_alerts(raw, which, at, stop, alert) -> None:
     """Mark in `alert` the frames `which` whose IPv6 hop-by-hop option bytes
-    `raw[at:stop]` hold a router alert, one option per step."""
+    `raw[at:stop]` hold a router alert, one option or up to 64 Pad1 bytes per step."""
     while len(which):
         kind, size = raw[at], raw.take(at + 1, mode="clip")
         alert[which[(kind == 5) & (at + 1 < stop)]] = True  # with its length byte
-        # Pad1 is one byte. An option in the last byte, with no length, steps past `stop`.
-        at = np.where(kind == 0, at + 1, at + 2 + size)
+        # An option in the last byte, with no length, steps past `stop`; a run of Pad1
+        # bytes steps to the first other byte ahead. A run past `stop` ends the scan.
+        (pad,) = (kind == 0).nonzero()
+        run = raw.take(at[pad, None] + np.arange(64), mode="clip") == 0
+        at = np.where(kind == 0, at, at + 2 + size)
+        at[pad] += np.logical_and.accumulate(run, axis=1).sum(axis=1)
         go = (kind != 5) & (at < stop)
         which, at, stop = which[go], at[go], stop[go]
 

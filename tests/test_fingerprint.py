@@ -654,6 +654,49 @@ def test_bulk_decoding_matches_parsing_at_every_header_boundary():
     _bulk_matches_parsing(last, np.array([0]), np.array([len(last)]))
 
 
+def _hop_by_hop(options: bytes) -> bytes:
+    """A hop-by-hop header after its next-header byte: `options`, then Pad1 to a multiple of 8."""
+    size = -(-(len(options) + 2) // 8) * 8
+    return bytes([size // 8 - 1]) + options + bytes(size - 2 - len(options))
+
+
+class _CountedReads(np.ndarray):
+    """Bytes that count the reads `raw[at]`: `_mark_router_alerts` makes one per step."""
+
+    def __getitem__(self, key):
+        self.reads = getattr(self, "reads", 0) + 1
+        return np.asarray(self)[key]
+
+    def take(self, *args, **kwargs):
+        return np.asarray(self).take(*args, **kwargs)
+
+
+@pytest.mark.parametrize("run", [1, 63, 64, 65, 2046])
+def test_a_run_of_pad1_bytes_is_skipped_in_steps_of_up_to_64(run):
+    """Two frames per run length: `run` Pad1 bytes, then a router alert (at
+    2046 the run fills its hop-by-hop header and the alert comes in a
+    second one); and the run, then an empty PadN (at 2046, the run alone).
+    Their rows match `parse_frame`'s, and the scan of the first header
+    takes ceil(run / 64) steps for the run and at most 2 more."""
+    pad1, alert = bytes(run), b"\x05\x02\x00\x00"
+    if run + len(alert) <= 2046:
+        chains = [[(0, _hop_by_hop(pad1 + alert))], [(0, _hop_by_hop(pad1 + b"\x01\x00"))]]
+    else:
+        chains = [[(0, _hop_by_hop(pad1)), (0, _hop_by_hop(alert))], [(0, _hop_by_hop(pad1))]]
+    frames = [_ipv6_chain(chain, 17, _UDP) for chain in chains]
+    offsets = np.cumsum([0] + [len(frame) for frame in frames])
+    data = b"".join(frames)
+    rows = _bulk_matches_parsing(data, offsets[:-1], np.diff(offsets))
+    assert rows[:, FEATURE_NAMES.index("ip_router_alert")].tolist() == [1, 0]
+    for at in offsets[:-1]:
+        raw = np.frombuffer(data, np.uint8).view(_CountedReads)
+        options = at + 14 + 40 + 2  # past Ethernet, IPv6 and the header's first two bytes
+        stop = options - 2 + (data[options - 1] + 1) * 8
+        which, start, end = np.array([0]), np.array([options]), np.array([stop])
+        features._mark_router_alerts(raw, which, start, end, np.zeros(1, bool))
+        assert raw.reads <= -(-run // 64) + 2
+
+
 def _pcap(frames, endian: str = "<", nano: bool = False) -> bytes:
     """A classic pcap of `frames` in either byte order, at µs or ns resolution."""
     magic = 0xA1B23C4D if nano else 0xA1B2C3D4
