@@ -17,7 +17,8 @@ boosted stumps and the tree find their splits through one search over
 the boundaries between distinct sorted values (`_SplitSearch`).
 Boosting rounds its residuals onto a fixed-point grid for the search
 (`_on_grid`; its leaf values use them unrounded), so every sum the
-search forms is an exact integer, as the tree's label counts are. A
+search forms is an integer below 2^53, as the tree's label counts are,
+and one sample-major int64 prefix sum per stage forms them exactly. A
 vote labels rows with its boosted and tree members first and searches
 kNN neighbours only for the rows where they differ.
 
@@ -142,12 +143,9 @@ class TreeModel:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, from one exp
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _row_loss(labels: np.ndarray, scores: np.ndarray) -> np.ndarray:
@@ -208,8 +206,12 @@ def _on_grid(resid: np.ndarray) -> np.ndarray:
 
 
 def _gain(left, total, left_n, right_n):
-    """Boosting's gain sum_L^2/n_L + sum_R^2/n_R, which orders splits as squared error does."""
-    return left**2 / left_n + (total - left) ** 2 / right_n
+    """Boosting's gain sum_L^2/n_L + sum_R^2/n_R, which orders splits as squared error does,
+    formed in the float64 array `left` operation for operation as written."""
+    right = total - left
+    np.divide(np.square(right, out=right), right_n, out=right)
+    np.divide(np.square(left, out=left), left_n, out=left)
+    return np.add(left, right, out=left)
 
 
 def _gini(pos_left, pos_total, left_n, right_n):
@@ -231,22 +233,24 @@ class _SplitSearch:
     The candidates are the boundaries between consecutive distinct
     values of each column; each threshold is the midpoint of the two
     values. Constant columns have none and are dropped. They are listed
-    once per search as they are built: the boundaries of the columns
-    with more than two values, feature-major and ascending within a
-    column, then one per two-valued column. `_best` applies the tie rule
-    over that list. Each boosting stage (or tree node) only brings new
-    target values.
+    once per search, feature-major and ascending within a column, so the
+    tie rule picks the first top score. Each boosting stage (or tree node)
+    only brings new target values.
 
     The targets are integers whose absolute values sum to below 2^53:
     the tree's 0/1 labels, and boosting's residuals on `_on_grid`. Every
-    sum of them is then exact in float64 in any order of adding, so each
+    partial sum of them is then an integer of magnitude below 2^53,
+    exact in int64 and in float64 in any order of adding, so each
     candidate is scored from its exact left sum and the exact total, and
     the split is bit-identical to scoring every boundary and masking the
-    rest. Columns with more than two values are argsorted once and
-    scanned by one cumsum per call. A two-valued column has one
-    candidate, between its low and its high value, and is not sorted:
-    its rows at the low value form the 0/1 matrix `low`, and one product
-    `low @ target` gives every such left sum.
+    rest. Columns with more than two values are argsorted once into an
+    (n, m) row-index matrix, in whatever order within a run of equal
+    values; each call gathers the target through it as int64 and takes
+    one sample-major cumsum, read at `boundary * m + col`. A two-valued
+    column has one candidate, between its low and its high value, and is
+    not sorted: its rows at the low value form the 0/1 matrix `low`, and
+    one product `low @ target` gives every such left sum. `left_rows`
+    hands back the partition of the last pick.
     """
 
     def __init__(self, X: np.ndarray):
@@ -255,30 +259,34 @@ class _SplitSearch:
         varies = lo < hi
         two = varies & ((X == lo) | (X == hi)).all(axis=0)
         multi, two = np.flatnonzero(varies & ~two), np.flatnonzero(two)
-        order = np.argsort(X[:, multi], axis=0, kind="stable")
-        xs = np.take_along_axis(X[:, multi], order, axis=0).T
-        self.order = np.ascontiguousarray(order.T)
-        col, boundary = np.nonzero(xs[:, 1:] > xs[:, :-1])
-        self.left_flat = col * n + boundary
+        self.order = np.argsort(X[:, multi], axis=0)
+        xs = np.take_along_axis(X[:, multi], self.order, axis=0)
+        col, boundary = np.nonzero((xs[1:] > xs[:-1]).T)
         self.low = np.ascontiguousarray((X[:, two] == lo[two]).T, dtype=np.float64)
-        self.features = np.concatenate([multi[col], two])
+        features = np.concatenate([multi[col], two])
+        listed = np.argsort(features, kind="stable")  # into feature order
+        self.features = features[listed]
+        sums_at = [boundary * multi.size + col, n * multi.size + np.arange(two.size)]
+        self.sums_at = np.concatenate(sums_at)[listed]
         self.thresholds = np.concatenate(
-            [_midpoint(xs[col, boundary], xs[col, boundary + 1]), _midpoint(lo[two], hi[two])]
-        )
-        left_n = np.concatenate([boundary + 1.0, self.low.sum(axis=1)])
+            [_midpoint(xs[boundary, col], xs[boundary + 1, col]), _midpoint(lo[two], hi[two])]
+        )[listed]
+        left_n = np.concatenate([boundary + 1.0, self.low.sum(axis=1)])[listed]
         self.sizes = left_n, n - left_n
         self.any_valid = bool(self.features.size)
 
     def _left_sums(self, target: np.ndarray) -> np.ndarray:
-        """Every candidate's sum of `target` over its left rows."""
-        csum = np.cumsum(target[self.order], axis=1)
-        return np.concatenate([csum.take(self.left_flat), self.low @ target])
+        """Every candidate's sum of integer `target` over its left rows, as float64."""
+        n, m = self.order.shape
+        sums = np.empty(n * m + len(self.low), dtype=np.int64)
+        np.cumsum(target.astype(np.int64).take(self.order), axis=0, out=sums[: n * m].reshape(n, m))
+        sums[n * m :] = self.low @ target
+        return sums.take(self.sums_at).astype(np.float64)
 
     def _best(self, scores: np.ndarray) -> tuple:
-        """(feature, threshold) of the top score; of tied ones, the lowest feature's first."""
-        tied = np.flatnonzero(scores == scores.max())
-        best = tied[np.argmin(self.features[tied])]
-        return int(self.features[best]), float(self.thresholds[best])
+        """(feature, threshold) of the top score, the first listed of tied ones; the pick is kept."""
+        self.pick = int(np.argmax(scores))
+        return int(self.features[self.pick]), float(self.thresholds[self.pick])
 
     def best_split(self, target: np.ndarray) -> tuple:
         """(feature, threshold) minimizing the squared error of leaf means of integer `target`."""
@@ -288,6 +296,14 @@ class _SplitSearch:
         """(feature, threshold) minimizing the weighted Gini impurity of +/-1 labels."""
         pos = (labels > 0).astype(np.float64)
         return self._best(_gini(self._left_sums(pos), pos.sum(), *self.sizes))
+
+    def left_rows(self) -> np.ndarray:
+        """Mask of the rows the last pick sends left (x <= threshold), off its sort or `low` row."""
+        n, m = self.order.shape
+        at = self.sums_at[self.pick]
+        if at >= n * m:
+            return self.low[at - n * m] > 0
+        return np.bincount(self.order[: at // m + 1, at % m], minlength=n) > 0
 
 
 def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
@@ -302,13 +318,13 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
         raise ValueError("training data contains a single class")
     if not 1 <= n_stages <= MAX_STAGES:
         raise ValueError(f"n_stages must be in 1..{MAX_STAGES}")
-    X, y = data.rows, data.labels
-    y01 = (y > 0).astype(np.float64)
+    y01 = (data.labels > 0).astype(np.float64)
+    y = data.labels.astype(np.float64)  # +/-1, as `_row_loss` multiplies by them
     p0 = float(y01.mean())
     initial = float(np.log(p0 / (1.0 - p0)))
     scores = np.full(len(y), initial)
 
-    search = _SplitSearch(X)
+    search = _SplitSearch(data.rows)
     loss = _row_loss(y, scores)
     deviance = [float(loss.mean())]
     stages = []
@@ -317,10 +333,10 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
         resid = y01 - prob
         weight = prob * (1.0 - prob)
         feature, threshold = search.best_split(_on_grid(resid))
-        left = X[:, feature] <= threshold
+        left = search.left_rows()
         values = []
-        for side in (left, ~left):
-            value, loss[side] = _leaf(resid[side], weight[side], y[side], scores[side], loss[side])
+        for rows in (left.nonzero()[0], (~left).nonzero()[0]):
+            value, loss[rows] = _leaf(resid[rows], weight[rows], y[rows], scores[rows], loss[rows])
             values.append(value)
         stages.append(Stump(feature, threshold, *values))
         scores = scores + np.where(left, *values)
@@ -331,11 +347,8 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
 def boosted_scores(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     scores = np.full(X.shape[0], model.initial_score)
-    for stump in model.stages:
-        leaf = np.where(
-            X[:, stump.feature_index] <= stump.threshold, stump.left_value, stump.right_value
-        )
-        scores += leaf
+    for s in model.stages:
+        scores += np.where(X[:, s.feature_index] <= s.threshold, s.left_value, s.right_value)
     return scores
 
 
@@ -382,24 +395,21 @@ def knn_labels(model: KnnModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _majority(y: np.ndarray) -> int:
-    return 1 if y.sum() > 0 else -1
-
-
 def _grow_tree(X: np.ndarray, y: np.ndarray, depth_left: int) -> TreeNode:
     """A split node, or a majority leaf where the node is pure, at depth 0 or cannot split."""
     if depth_left and not np.all(y == y[0]):
         search = _SplitSearch(X)
         if search.any_valid:
             feature, threshold = search.best_gini_split(y)
-            mask = X[:, feature] <= threshold
+            mask = search.left_rows()
+            del search  # free its arrays before the children build theirs
             return TreeNode(
                 feature_index=feature,
                 threshold=threshold,
                 left=_grow_tree(X[mask], y[mask], depth_left - 1),
                 right=_grow_tree(X[~mask], y[~mask], depth_left - 1),
             )
-    return TreeNode(label=_majority(y))
+    return TreeNode(label=1 if y.sum() > 0 else -1)  # a tie goes to -1
 
 
 def train_tree(data: LabeledDataset, max_depth: int = 5) -> TreeModel:

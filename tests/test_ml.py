@@ -101,7 +101,13 @@ class ReferenceSplitSearch:
         flat = int(np.argmax(gain.T))
         n_candidates = gain.shape[0]
         feature, boundary = divmod(flat, n_candidates)
-        return feature, float(self.midpoints[boundary, feature])
+        self.pick = feature, float(self.midpoints[boundary, feature])
+        return self.pick
+
+    def left_rows(self) -> np.ndarray:
+        """The rows the last pick sends left, by the rule a stump predicts with."""
+        feature, threshold = self.pick
+        return self.X[:, feature] <= threshold
 
 
 def boosted_with_reference_search(data, n_stages):
@@ -389,6 +395,25 @@ def test_split_search_matches_reference_on_corpus_folds(base_profiles):
         assert model.training_deviance == reference.training_deviance, profile.device_label
 
 
+def python_int_left_sums(X, target) -> bytes:
+    """Every split candidate's left sum of integer `target`, as float64 bytes,
+    from a prefix sum of Python ints over each column's sorted rows: the
+    boundaries between distinct values, feature-major and ascending, as
+    `ml._SplitSearch` lists them. Each sum is below 2^53, so its float is
+    exact."""
+    sums = []
+    ints = [int(v) for v in target]
+    for column in X.T:
+        pairs = sorted(zip(column.tolist(), ints), key=lambda pair: pair[0])
+        total = 0
+        for (value, v), (after, _) in zip(pairs, pairs[1:]):
+            total += v
+            if after > value:
+                sums.append(total)
+    assert all(abs(v) < 2**53 for v in sums)
+    return np.array(sums, dtype=np.float64).tobytes()
+
+
 # Grid targets per kind, M = 2^(53 - n.bit_length()) being the grid's
 # edge (what `ml._on_grid` makes of a residual of 1): "residuals" on the
 # grid; "edge" values +/-M and 0, whose |sum| reaches n M < 2^53; and
@@ -471,6 +496,7 @@ def test_split_search_matches_dense_searches_on_adversarial_sums(case):
     assert (target == np.rint(target)).all() and np.abs(target).sum() < 2**53
     search = ml._SplitSearch(X)
     assert search.any_valid == ReferenceSplitSearch(X).any_valid
+    assert search._left_sums(target).tobytes() == python_int_left_sums(X, target)
     if not search.any_valid:
         return
     feature, threshold = search.best_split(target)
@@ -601,18 +627,24 @@ def test_ties_go_to_the_lowest_feature_then_threshold_wherever_the_search_lists_
 @pytest.mark.parametrize("n", [1, 2, 1023, 1024, 1025, 100_000])
 def test_grid_targets_are_integers_whose_sums_are_exact_in_any_order(n):
     """Residuals of +1, of -1, halfway between two grid points (beside a
-    0.75), and all below 1e-12. The step is 2^(b + e - 53), 2^e being the
-    power of two above the largest |residual|: each value lands within
-    half a step, the largest reaches half the grid's edge 2^(53 - b) or
-    more, and a 0/1 matrix product, `sum` and the sequential `cumsum`
-    give the same bits."""
+    0.75), all below 1e-12, and all 0.75, whose sum reaches 3/4 of 2^53
+    at n = 2^b - 1. The step is 2^(b + e - 53), 2^e being
+    the power of two above the largest |residual|: each value lands
+    within half a step, the largest reaches half the grid's edge
+    2^(53 - b) or more, and a 0/1 matrix product, `sum` and the
+    sequential `cumsum` give the same bits. So do the int64 values and
+    every left sum the split search forms from them, against a prefix sum
+    of Python ints, over a column of distinct values, one of 50 values
+    and one of two."""
     b = n.bit_length()
     rng = np.random.default_rng(n)
     halfway = (rng.integers(-(2**20), 2**20, n) + 0.5) * 2.0 ** (b - 53)
     halfway[0] = 0.75
     tiny = rng.uniform(-1e-12, 1e-12, n)
     low = (rng.random((3, n)) < 0.5).astype(np.float64)
-    for resid in (np.ones(n), -np.ones(n), halfway, tiny):
+    X = np.column_stack([rng.permutation(n), rng.integers(0, 50, n), low[0]]).astype(np.float64)
+    search = ml._SplitSearch(X)
+    for resid in (np.ones(n), -np.ones(n), halfway, tiny, np.full(n, 0.75)):
         step = 2.0 ** (b + np.frexp(np.abs(resid).max())[1] - 53)
         t = ml._on_grid(resid)
         assert (t == np.rint(t)).all() and np.abs(t).sum() < 2**53
@@ -621,6 +653,8 @@ def test_grid_targets_are_integers_whose_sums_are_exact_in_any_order(n):
         assert _bits(t.sum()) == _bits(np.cumsum(t)[-1])
         sequential = [np.cumsum(np.where(row > 0, t, 0.0))[-1] for row in low]
         assert (low @ t).tobytes() == np.array(sequential).tobytes()
+        assert t.astype(np.int64).astype(np.float64).tobytes() == t.tobytes()
+        assert search._left_sums(t).tobytes() == python_int_left_sums(X, t)
 
 
 _BIG = sys.float_info.max
@@ -653,6 +687,45 @@ def test_midpoint_lies_below_hi_and_is_the_plain_midpoint_elsewhere(pairs):
         assert _bits(mid) == _bits(expected if expected < b else a)
         if a < b:
             assert a <= mid < b
+
+
+@st.composite
+def partition_cases(draw):
+    """Matrices whose columns draw from adjacent floats, signed zeros and
+    subnormals, values whose plain midpoint overflows, or any floats."""
+    n = draw(st.integers(2, 40))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["adjacent", "signed zeros", "overflowing", "any"]))
+        if kind == "adjacent":
+            x, above = draw(adjacent_floats)
+            pool = [x, above, float(np.nextafter(above, math.inf))]
+        elif kind == "signed zeros":
+            pool = [-0.0, 0.0, 5e-324, -5e-324, 1.0]
+        elif kind == "overflowing":
+            pool = [1.6e308, 1.7e308, _BIG, -_BIG, 0.0]
+        else:
+            pool = draw(st.lists(finite_floats, min_size=1, max_size=4))
+        columns.append(draw(hnp.arrays(np.float64, n, elements=st.sampled_from(pool))))
+    return np.column_stack(columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_cases(), st.randoms(use_true_random=False))
+def test_the_rows_a_pick_sends_left_are_those_its_stump_sends_left(X, random):
+    """For every candidate the search can pick, and for the picks of its
+    two searches, `left_rows` is the rule a stump and a tree predict with,
+    x[feature] <= threshold."""
+    search = ml._SplitSearch(X)
+    for pick, (feature, threshold) in enumerate(zip(search.features, search.thresholds)):
+        search.pick = pick
+        assert search.left_rows().tolist() == (X[:, feature] <= threshold).tolist()
+    if search.any_valid:
+        labels = np.array([random.choice([-1, 1]) for _ in X])
+        target = ml._on_grid(labels - labels.mean())
+        for split, values in ((search.best_split, target), (search.best_gini_split, labels)):
+            feature, threshold = split(values)
+            assert search.left_rows().tolist() == (X[:, feature] <= threshold).tolist()
 
 
 def test_splits_between_values_near_the_float_maximum_are_finite():
