@@ -261,7 +261,7 @@ class _SplitSearch:
         multi, two = np.flatnonzero(varies & ~two), np.flatnonzero(two)
         self.order = np.argsort(X[:, multi], axis=0)
         xs = np.take_along_axis(X[:, multi], self.order, axis=0)
-        col, boundary = np.nonzero((xs[1:] > xs[:-1]).T)
+        boundary, col = np.nonzero(xs[1:] > xs[:-1])
         self.low = np.ascontiguousarray((X[:, two] == lo[two]).T, dtype=np.float64)
         features = np.concatenate([multi[col], two])
         listed = np.argsort(features, kind="stable")  # into feature order
@@ -279,12 +279,13 @@ class _SplitSearch:
         """Every candidate's sum of integer `target` over its left rows, as float64."""
         n, m = self.order.shape
         sums = np.empty(n * m + len(self.low), dtype=np.int64)
-        np.cumsum(target.astype(np.int64).take(self.order), axis=0, out=sums[: n * m].reshape(n, m))
+        cum = sums[: n * m].reshape(n, m)  # take fills it directly: mode "raise" would copy
+        np.cumsum(target.astype(np.int64).take(self.order, out=cum, mode="clip"), axis=0, out=cum)
         sums[n * m :] = self.low @ target
         return sums.take(self.sums_at).astype(np.float64)
 
     def _best(self, scores: np.ndarray) -> tuple:
-        """(feature, threshold) of the top score, the first listed of tied ones; the pick is kept."""
+        """(feature, threshold) of the top score, the first listed of tied ones; keeps the pick."""
         self.pick = int(np.argmax(scores))
         return int(self.features[self.pick]), float(self.thresholds[self.pick])
 
@@ -298,7 +299,7 @@ class _SplitSearch:
         return self._best(_gini(self._left_sums(pos), pos.sum(), *self.sizes))
 
     def left_rows(self) -> np.ndarray:
-        """Mask of the rows the last pick sends left (x <= threshold), off its sort or `low` row."""
+        """Mask of the rows the last pick sends left, x <= threshold, off its sort or `low` row."""
         n, m = self.order.shape
         at = self.sums_at[self.pick]
         if at >= n * m:
@@ -347,8 +348,11 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
 def boosted_scores(model: BoostedModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     scores = np.full(X.shape[0], model.initial_score)
-    for s in model.stages:
-        scores += np.where(X[:, s.feature_index] <= s.threshold, s.left_value, s.right_value)
+    for stump in model.stages:
+        leaf = np.where(
+            X[:, stump.feature_index] <= stump.threshold, stump.left_value, stump.right_value
+        )
+        scores += leaf
     return scores
 
 
@@ -395,6 +399,10 @@ def knn_labels(model: KnnModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def _majority(y: np.ndarray) -> int:
+    return 1 if y.sum() > 0 else -1
+
+
 def _grow_tree(X: np.ndarray, y: np.ndarray, depth_left: int) -> TreeNode:
     """A split node, or a majority leaf where the node is pure, at depth 0 or cannot split."""
     if depth_left and not np.all(y == y[0]):
@@ -409,7 +417,7 @@ def _grow_tree(X: np.ndarray, y: np.ndarray, depth_left: int) -> TreeNode:
                 left=_grow_tree(X[mask], y[mask], depth_left - 1),
                 right=_grow_tree(X[~mask], y[~mask], depth_left - 1),
             )
-    return TreeNode(label=1 if y.sum() > 0 else -1)  # a tie goes to -1
+    return TreeNode(label=_majority(y))
 
 
 def train_tree(data: LabeledDataset, max_depth: int = 5) -> TreeModel:

@@ -699,7 +699,7 @@ def partition_cases(draw):
         kind = draw(st.sampled_from(["adjacent", "signed zeros", "overflowing", "any"]))
         if kind == "adjacent":
             x, above = draw(adjacent_floats)
-            pool = [x, above, float(np.nextafter(above, math.inf))]
+            pool = [x, above, float(np.nextafter(above, _BIG))]
         elif kind == "signed zeros":
             pool = [-0.0, 0.0, 5e-324, -5e-324, 1.0]
         elif kind == "overflowing":
