@@ -320,7 +320,7 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
     if not 1 <= n_stages <= MAX_STAGES:
         raise ValueError(f"n_stages must be in 1..{MAX_STAGES}")
     y01 = (data.labels > 0).astype(np.float64)
-    y = data.labels.astype(np.float64)  # +/-1, as `_row_loss` multiplies by them
+    y = data.labels.astype(np.float64)  # +/-1 as floats: `_row_loss` multiplies without a cast
     p0 = float(y01.mean())
     initial = float(np.log(p0 / (1.0 - p0)))
     scores = np.full(len(y), initial)
