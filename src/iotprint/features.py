@@ -8,12 +8,13 @@ feature variant is the subset of those columns a model reads.
 
 Rows come two ways with identical bits: `extract_features` from parsed
 packets, and `frame_features` straight from a capture's bytes, frame
-kind for frame kind as `packet_model.parse_frame` decodes them and
-skipping the frames it rejects. Both gather each
-packet's layer flags, ports, TCP window and payload, and one builder,
-`_rows`, fills the 20 columns from them: this module alone decides
-which column a layer sets, including the application flags that
-well-known TCP and UDP ports stand for (`_APP_PORTS`).
+kind for frame kind as `packet_model.parse_frame` decodes them, within
+its bounds on IPv6 extension headers and hop-by-hop options (so each
+masked loop runs a constant number of rounds at most), and skipping the
+frames it rejects. Both gather each packet's layer flags, ports, TCP
+window and payload, and one builder, `_rows`, fills the 20 columns from
+them: this module alone decides which column a layer sets, including
+the application flags that well-known ports stand for (`_APP_PORTS`).
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ from .packet_model import (
     IPPROTO_ICMPV6,
     IPPROTO_TCP,
     IPPROTO_UDP,
+    MAX_EXTENSION_HEADERS,
+    MAX_HOP_BY_HOP_OPTIONS,
     ParsedPacket,
 )
 
-FEATURE_SCHEMA = "packet-features/3"
+FEATURE_SCHEMA = "packet-features/4"
 
 HEADER_FLAG_NAMES = (
     "arp",
@@ -212,7 +215,7 @@ def frame_features(data: bytes, starts: np.ndarray, lengths: np.ndarray) -> tupl
     padding, alert = np.zeros(len(starts), bool), np.zeros(len(starts), bool)
     (opt,) = (ipv4 & (ihl > 20) & ~skipped).nonzero()
     _mark_ipv4_options(raw, opt, (starts + off + 20)[opt], (starts + start)[opt], padding, alert)
-    for _ in range(8):  # extension chains longer than this are hostile
+    for _ in range(MAX_EXTENSION_HEADERS):
         # Hop-by-hop options (0), routing (43), destination options (60) or a fragment (44).
         ext = ipv6 & ~skipped & ((proto == 0) | (proto == 43) | (proto == 60) | (proto == 44))
         if not ext.any():
@@ -271,16 +274,14 @@ def _mark_ipv4_options(raw, which, at, stop, padding, alert) -> None:
 
 def _mark_router_alerts(raw, which, at, stop, alert) -> None:
     """Mark in `alert` the frames `which` whose IPv6 hop-by-hop option bytes
-    `raw[at:stop]` hold a router alert, one option or up to 64 Pad1 bytes per step."""
-    while len(which):
+    `raw[at:stop]` hold a router alert in their first 8 options, one per step."""
+    for _ in range(MAX_HOP_BY_HOP_OPTIONS):
+        if not len(which):
+            break
         kind, size = raw[at], raw.take(at + 1, mode="clip")
         alert[which[(kind == 5) & (at + 1 < stop)]] = True  # with its length byte
-        # An option in the last byte, with no length, steps past `stop`; a run of Pad1
-        # bytes steps to the first other byte ahead. A run past `stop` ends the scan.
-        (pad,) = (kind == 0).nonzero()
-        run = raw.take(at[pad, None] + np.arange(64), mode="clip") == 0
-        at = np.where(kind == 0, at, at + 2 + size)
-        at[pad] += np.logical_and.accumulate(run, axis=1).sum(axis=1)
+        # An option in the last byte, with no length, steps past `stop`.
+        at = np.where(kind == 0, at + 1, at + 2 + size)
         go = (kind != 5) & (at < stop)
         which, at, stop = which[go], at[go], stop[go]
 

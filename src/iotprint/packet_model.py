@@ -4,13 +4,13 @@ Decoding is deliberately shallow: it recovers exactly the layer metadata
 needed for feature extraction (protocol presence, ports, TCP window,
 IP options, transport payload) and degrades gracefully on anything it
 does not understand. No checksum validation, no reassembly. `_ipv4`
-and `_ipv6` walk an IP header (and IPv6's extension headers) to where
-the transport header starts, where the datagram ends and which
-transport lies there, and `_transport` decodes it: TCP, UDP and the
-ICMP of that IP version; any other bytes stay opaque. Profiles parse
-here; `features.frame_features` takes the same steps in bulk for
-`read_rows`. Which feature columns the layers set, including what a
-well-known port means, is decided in `features`.
+and `_ipv6` walk an IP header (and IPv6's extension headers, as far as
+the bounds below) to where the transport header starts, where the
+datagram ends and which transport lies there, and `_transport` decodes
+it: TCP, UDP and the ICMP of that IP version; any other bytes stay
+opaque. Profiles parse here; `features.frame_features` takes the same
+steps in bulk for `read_rows`. Which feature columns the layers set,
+including what a well-known port means, is decided in `features`.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ IPPROTO_ICMPV6 = 58
 # IPv6 extension headers we walk through to find the transport header.
 _IPV6_EXT_HEADERS = frozenset({0, 43, 60})
 _IPV6_FRAGMENT = 44
+# Both decoders read at most this many extension headers of a datagram, and options
+# of a hop-by-hop header (counting Pad1 and PadN), as RFC 8504 §5.3 allows a node.
+MAX_EXTENSION_HEADERS = 8
+MAX_HOP_BY_HOP_OPTIONS = 8
 
 
 class FrameTooShort(ValueError):
@@ -193,7 +197,7 @@ def _ipv6(data: bytes, off: int) -> tuple:
     dst_ip = str(ipaddress.IPv6Address(data[off + 24 : off + 40]))
     end = min(len(data), off + 40 + payload_length)
     layers, pos = _IP, off + 40
-    for _ in range(8):  # extension chains longer than this are hostile
+    for _ in range(MAX_EXTENSION_HEADERS):
         if next_header in _IPV6_EXT_HEADERS:
             message = "IPv6 extension header cut short"
             # Its stated length, or 2 bytes where the datagram ends before the length byte.
@@ -217,15 +221,12 @@ def _ipv6(data: bytes, off: int) -> tuple:
 
 def _hop_by_hop_has_router_alert(opts: bytes) -> bool:
     i = 0
-    while i < len(opts):
-        if opts[i] == 0:  # Pad1
-            i += 1
-        elif i + 1 >= len(opts):
+    for _ in range(MAX_HOP_BY_HOP_OPTIONS):
+        if i >= len(opts) or opts[i] and i + 1 >= len(opts):  # past the end, or no length byte
             return False
-        elif opts[i] == 5:
+        if opts[i] == 5:
             return True
-        else:
-            i += 2 + opts[i + 1]
+        i += 2 + opts[i + 1] if opts[i] else 1  # Pad1 is one byte
     return False
 
 

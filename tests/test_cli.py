@@ -529,6 +529,10 @@ MODEL_MUTATIONS = {
         "boosted", ("feature_schema",), "packet-features/1",
         "unsupported feature schema: 'packet-features/1'",
     ),
+    "feature-schema-3": (  # may hold an alert read past a hop-by-hop header's 8th option
+        "vote", ("feature_schema",), "packet-features/3",
+        "unsupported feature schema: 'packet-features/3'",
+    ),
     "feature-schema-missing": ("tree", ("feature_schema",), _DELETE, "lacks 'feature_schema'"),
 }
 
@@ -571,6 +575,10 @@ PROFILE_MUTATIONS = {
     "feature-schema-1": (
         ("source", "feature_schema"), "packet-features/1",
         "unsupported feature schema: 'packet-features/1'",
+    ),
+    "feature-schema-3": (
+        ("source", "feature_schema"), "packet-features/3",
+        "unsupported feature schema: 'packet-features/3'",
     ),
     "skipped-frames-negative": (
         ("source", "skipped_frames"), -4,
@@ -1172,19 +1180,19 @@ def test_unknown_variant_rejected(tmp_path, capsys):
 # arrays are zlib level 6), pinned here under zlib 1.2.13: another zlib
 # may deflate the same bytes differently, and the file would still load.
 PINNED_DIGESTS = {
-    "outlet.profile.json": "054bea235b71e52d66dfc6e0000c0235563b0e021a771522d027fdc051e430d6",
-    "camera-streamer.profile.json": "a853695074b2793ba6cc7c779fdf86feb9e1d3b16ea8f49ba8461ec7b8559c60",
-    "hub-conduit.profile.json": "5b9743b7dc4dc9418be5209b5d7ac5efde4e7691a14e79e041a824f4f50e4d5e",
-    "outlet-b.profile.json": "9247583581e9e4c01c747d1d4b13bde04af38ef894e021ebb6de62dd408c6dcb",
+    "outlet.profile.json": "55905983ee63bcbfb8d8ad7a32797a6b3ef2ddb97bd82d9a60a6a8dd6753120e",
+    "camera-streamer.profile.json": "e20e37d4c489d7a159ea132c2a4aa7601fc20f0dbc62322710ab14a5491afb93",
+    "hub-conduit.profile.json": "cd41ce921d03c6c083f40f5ffd3e47241764893c316358526358eea319dd1e3e",
+    "outlet-b.profile.json": "7afcc115790cc1ba13586832229b32482f838dac5466d72478c15518e705a38c",
     "report.json": "9f29fca2e1f942b6b54ae95eb6b3c8b422ea47b4970218e9239460d090d004df",
     "category.report.json": "8da4322615a7ab3cde379665e33793ef6ae208d8633a99f6565056edaf5c710a",
     "instance.report.json": "a30a56ed60c855a58180dade66d41ed6d34aa18578a854e51779bf9dfb11e436",
-    "outlet.model.json": "67a0b304b568d13d0433fc29ffcbf200dac76b8463719ba55691379f8377f237",
+    "outlet.model.json": "0f007d339eaf5a6365b526fc8c19c60132b5382d28455af0cb5ed3ac45097efd",
     "identify-outlet.stdout": "b5b0c88c2ca5a4383fd7fee402eae82f5304db1d884ea6d7ee27c09416dd3631",
     "identify-camera-streamer.stdout": "2f9aaaa98202af864aaa88aad112773f03c73fefe143350b1fb5c45db050de5d",
     "identify-hub-conduit.stdout": "e0e8399657f04a96599da9a30d9d506555c4545158f698f8d069ce5e2b7f6e50",
-    "extract-mac.stdout": "a9c2730ab6153e08aebc7319deaa4c96588defbe7bc35773f00e1831cdf2e846",
-    "extract-ip.stdout": "5a7291f1d19f6afdae8bd54e2326b6697c7efb682fa81ae5c11d22b84786767a",
+    "extract-mac.stdout": "454fc5148169a42d9761ff6880af9a7731de94ac6d0c386d048b05abf73c10c6",
+    "extract-ip.stdout": "b6d2a89be8172599f78198176c26dba095032e970d416d7f36aa15a4d2171cd8",
     "sessions-mac.stdout": "ee5628e0ad62aeb8dcdadff0590979cf6926b168c88ca28c97960b4141556303",
     "ecdf.stdout": "25c1c22902fab261bdbfe67e4542b12a65523457bcd69705228bd9e56dbd465f",
 }

@@ -661,7 +661,7 @@ def _hop_by_hop(options: bytes) -> bytes:
 
 
 class _CountedReads(np.ndarray):
-    """Bytes that count the reads `raw[at]`: `_mark_router_alerts` makes one per step."""
+    """Bytes that count the reads `raw[at]`: each option scan makes one per step."""
 
     def __getitem__(self, key):
         self.reads = getattr(self, "reads", 0) + 1
@@ -671,30 +671,95 @@ class _CountedReads(np.ndarray):
         return np.asarray(self).take(*args, **kwargs)
 
 
-@pytest.mark.parametrize("run", [1, 63, 64, 65, 2046])
-def test_a_run_of_pad1_bytes_is_skipped_in_steps_of_up_to_64(run):
-    """Two frames per run length: `run` Pad1 bytes, then a router alert (at
-    2046 the run fills its hop-by-hop header and the alert comes in a
-    second one); and the run, then an empty PadN (at 2046, the run alone).
-    Their rows match `parse_frame`'s, and the scan of the first header
-    takes ceil(run / 64) steps for the run and at most 2 more."""
-    pad1, alert = bytes(run), b"\x05\x02\x00\x00"
-    if run + len(alert) <= 2046:
-        chains = [[(0, _hop_by_hop(pad1 + alert))], [(0, _hop_by_hop(pad1 + b"\x01\x00"))]]
-    else:
-        chains = [[(0, _hop_by_hop(pad1)), (0, _hop_by_hop(alert))], [(0, _hop_by_hop(pad1))]]
-    frames = [_ipv6_chain(chain, 17, _UDP) for chain in chains]
+def _counted_scan(monkeypatch, name: str) -> list:
+    """Make `frame_features` call the option scan `features.<name>` on
+    `_CountedReads` bytes. Returns the list that gets, per call, the
+    frames the scan was given, where their options start and its reads."""
+    scan, calls = getattr(features, name), []
+
+    def counted(raw, which, at, *rest):
+        raw = raw.view(_CountedReads)
+        scan(raw, which, at, *rest)
+        calls.append((which.tolist(), at.tolist(), getattr(raw, "reads", 0)))
+
+    monkeypatch.setattr(features, name, counted)
+    return calls
+
+
+def _check_frames(frames: list) -> np.ndarray:
+    """`_bulk_matches_parsing` on `frames` laid out one after another."""
     offsets = np.cumsum([0] + [len(frame) for frame in frames])
-    data = b"".join(frames)
-    rows = _bulk_matches_parsing(data, offsets[:-1], np.diff(offsets))
-    assert rows[:, FEATURE_NAMES.index("ip_router_alert")].tolist() == [1, 0]
-    for at in offsets[:-1]:
-        raw = np.frombuffer(data, np.uint8).view(_CountedReads)
-        options = at + 14 + 40 + 2  # past Ethernet, IPv6 and the header's first two bytes
-        stop = options - 2 + (data[options - 1] + 1) * 8
-        which, start, end = np.array([0]), np.array([options]), np.array([stop])
-        features._mark_router_alerts(raw, which, start, end, np.zeros(1, bool))
-        assert raw.reads <= -(-run // 64) + 2
+    return _bulk_matches_parsing(b"".join(frames), offsets[:-1], np.diff(offsets))
+
+
+_ALERT, _PADN_0, _UNKNOWN_0 = b"\x05\x02\x00\x00", b"\x01\x00", b"\x3e\x00"
+# Seven options of every kind in 17 bytes: Pad1, PadN of lengths 0 and 3, an
+# unknown type of length 2, Pad1, a type with the top bits set and an unknown
+# type of length 0.
+_SEVEN_KINDS = b"\x00\x01\x00\x01\x03\x00\x00\x00\x3e\x02\x00\x00\x00\xc2\x00\x3e\x00"
+# (The options of each hop-by-hop header of a chain, and whether a router
+# alert is among the first 8 options of one of them.) Runs of Pad1, of PadN of
+# length 0 and of an unknown type of length 0 before an alert; options that end
+# exactly at their header's end; an option whose length runs past it; and
+# the largest chain the walk takes, 8 headers of 2,046 option bytes each.
+_HOP_BY_HOP_CASES = [
+    *[([bytes(run) + _ALERT], run < 8) for run in (1, 7, 8, 9, 63, 64, 65)],
+    ([bytes(2046), _ALERT], True),  # the run fills its header; the alert opens the next
+    *[([_PADN_0 * run + _ALERT], run < 8) for run in (1, 7, 8, 9, 1021)],
+    *[([_UNKNOWN_0 * run + _ALERT], run < 8) for run in (1, 7, 8, 9, 1021)],
+    ([_SEVEN_KINDS + _ALERT], True),  # the alert is option 8
+    ([b"\x00" + _SEVEN_KINDS + _ALERT], False),  # and option 9
+    ([_PADN_0 + _ALERT], True),  # ending at the end of an 8-byte header
+    ([bytes(4) + _PADN_0 * 3 + _ALERT], True),  # option 8, ending at the header's end
+    ([bytes(6) + _PADN_0 * 2 + _ALERT], False),  # option 9, ending there
+    ([bytes(2) + _PADN_0 * 6, _ALERT], True),  # 8 options filling a header, then an alert
+    ([b"\x01\x04" + bytes(4), _ALERT], True),  # 1 option filling a header, then an alert
+    ([b"\x01\x10" + bytes(4) + _ALERT], False),  # a length past the header hides the alert
+    *[([run] * 8, False) for run in (bytes(2046), _PADN_0 * 1023, _UNKNOWN_0 * 1023)],
+]  # fmt: skip
+
+
+def test_the_hop_by_hop_scan_reads_at_most_8_options_per_header(monkeypatch):
+    """Both decoders read at most the first 8 options of a hop-by-hop header,
+    counting Pad1 and PadN, so a router alert sets the flag only where it is
+    one of them. On `_HOP_BY_HOP_CASES`, the rows match `parse_frame`'s, and
+    each call of the bulk scan, which reads one hop-by-hop header of every
+    frame in play, reads the option bytes at most 8 times."""
+    calls = _counted_scan(monkeypatch, "_mark_router_alerts")
+    chains = [[(0, _hop_by_hop(opts)) for opts in headers] for headers, _ in _HOP_BY_HOP_CASES]
+    rows = _check_frames([_ipv6_chain(chain, 17, _UDP) for chain in chains])
+    want = [float(alert) for _, alert in _HOP_BY_HOP_CASES]
+    assert rows[:, FEATURE_NAMES.index("ip_router_alert")].tolist() == want
+    assert len(calls) == 8 and max(reads for _, _, reads in calls) == 8
+    # Each hostile frame alone: 8 headers of 2,046 bytes, each scanned in 8 reads.
+    for headers, _ in _HOP_BY_HOP_CASES[-3:]:
+        calls.clear()
+        frame = _ipv6_chain([(0, _hop_by_hop(opts)) for opts in headers], 59, b"")
+        assert len(frame) == 16_438
+        _check_frames([frame])
+        assert [reads for _, _, reads in calls] == [8] * 8
+
+
+def test_the_ipv4_option_scan_reads_at_most_40_options(monkeypatch):
+    """40 No Operation bytes, the most an IPv4 header holds: the option scan
+    reads each once, in 40 steps, and the row is `parse_frame`'s."""
+    calls = _counted_scan(monkeypatch, "_mark_ipv4_options")
+    rows = _check_frames([_ipv4_frame(17, _UDP, b"\x01" * 40)])
+    assert rows[0, FEATURE_NAMES.index("ip_padding")] == 1
+    assert [reads for _, _, reads in calls] == [40]
+
+
+def test_the_extension_walk_reads_at_most_8_headers(monkeypatch):
+    """A chain of 9 hop-by-hop headers, the ninth with a router alert, beside
+    an IPv4 frame: the walk takes 8 steps, each scanning the next header's
+    options, and never reaches the ninth, as `parse_frame` does not."""
+    calls = _counted_scan(monkeypatch, "_mark_router_alerts")
+    chain = [(0, _hop_by_hop(_PADN_0))] * 8 + [(0, _hop_by_hop(_ALERT))]
+    frames = [_ipv6_chain(chain, 17, _UDP), _ipv4_frame(17, _UDP)]
+    rows = _check_frames(frames)
+    assert rows[:, FEATURE_NAMES.index("ip_router_alert")].tolist() == [0, 0]
+    options = [14 + 40 + 8 * k + 2 for k in range(9)]  # Ethernet, IPv6, then 8 bytes a header
+    assert [(which, at) for which, at, _ in calls] == [([0], [at]) for at in options[:8]]
 
 
 def _pcap(frames, endian: str = "<", nano: bool = False) -> bytes:
