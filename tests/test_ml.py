@@ -563,6 +563,17 @@ def test_split_searches_match_the_dense_ones_sweeping_the_left_count_of_one_colu
         assert search.best_split(target) == ReferenceSplitSearch(X).best_split(target), m
 
 
+def test_only_columns_of_three_or_more_values_are_sorted():
+    """A two-valued column is one row of `low`, its rows at the low value,
+    and is not argsorted; a constant column is in neither. Sorting every
+    column would give the same splits, so only the layout tells them apart."""
+    X = np.array([[0, 1, 5, 2], [1, 2, 5, 2], [0, 3, 7, 2], [1, 3, 7, 2]], dtype=np.float64)
+    search = ml._SplitSearch(X)
+    assert search.order.shape == (4, 1)
+    assert search.low.tolist() == [[1, 0, 1, 0], [1, 1, 0, 0]]
+    assert search.features.tolist() == [0, 1, 1, 2]
+
+
 @pytest.mark.parametrize("seed, complement", [(25, False), (14, True)])
 def test_candidates_that_split_the_rows_alike_tie_and_the_lowest_feature_wins(seed, complement):
     """Column 1 splits the rows as one candidate of column 0 does: it is
