@@ -52,6 +52,9 @@ def unpack(
 ) -> np.ndarray:
     """The packed field `key`, which must hold `ndim`-D `dtype` values (finite, if floats).
 
+    Every axis but the first must be positive; the first may be 0 (a
+    boosted model with no stages has a table of no rows).
+
     `data` must be one complete zlib stream and nothing after it, and it
     must inflate to exactly the bytes `shape` needs; at most that many
     bytes plus one are ever inflated. The array is read-only. `decoded`
@@ -64,8 +67,10 @@ def unpack(
     if require(packed, "dtype", what) != dtype:
         raise ValueError(f"{name} dtype must be {dtype!r}, got {packed['dtype']!r}")
     shape = require_list(packed, "shape", what)
-    if len(shape) != ndim or not all(type(n) is int and n >= 1 for n in shape):
-        raise ValueError(f"{name} shape must be {ndim} positive integers, got {shape!r}")
+    if len(shape) != ndim or not all(type(n) is int and n >= (i > 0) for i, n in enumerate(shape)):
+        raise ValueError(
+            f"{name} shape must be {ndim} integers, the first >= 0 and the rest >= 1, got {shape!r}"
+        )
     text = require_str(packed, "data", what)
     memo = (dtype, tuple(shape), text)
     if decoded is not None and memo in decoded:

@@ -22,18 +22,19 @@ and one sample-major int64 prefix sum per stage forms them exactly. A
 vote labels rows with its boosted and tree members first and searches
 kNN neighbours only for the rows where they differ.
 
-A model holds only what it predicts with. The one-vs-all facts live in
-its `model/4` JSON document alone: the packet layout
+A model holds only what it predicts with, in arrays: boosted stages as
+the rows of one table, a tree as the rows of a heap. The one-vs-all
+facts live in its `model/5` JSON document alone: the packet layout
 (`FEATURE_SCHEMA`), the fingerprint columns the model reads and the
 class it labels +1. `save_model` takes them beside the model and
-`load_model` returns them beside it. The document packs kNN rows and
-labels as base64 text of their zlib-deflated little-endian bytes.
+`load_model` returns them beside it. The document packs every array as
+base64 text of its zlib-deflated little-endian bytes.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -45,7 +46,9 @@ from .documents import (
 from .features import FEATURE_SCHEMA, FINGERPRINT_DIM
 
 MAX_STAGES = 100
-MODEL_SCHEMA = "model/4"
+# A tree of max_depth d holds 2^(d + 1) - 1 heap rows, so d is bounded too.
+MAX_DEPTH = 16
+MODEL_SCHEMA = "model/5"
 
 
 @dataclass(frozen=True)
@@ -92,20 +95,13 @@ def _plus_minus_one(labels) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Stump:
-    """Depth-1 regression tree: x[feature] <= threshold goes left."""
-
-    feature_index: int
-    threshold: float
-    left_value: float
-    right_value: float
-
-
-@dataclass(frozen=True)
 class BoostedModel:
+    """`stages` holds n stumps [feature, threshold, left, right], x[feature] <= threshold
+    taking the left value, and `training_deviance` the fit's n + 1 mean deviances."""
+
     initial_score: float
-    stages: tuple
-    training_deviance: tuple = field(default=(), compare=False)
+    stages: np.ndarray
+    training_deviance: np.ndarray
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """+1/-1 per row of X; a score of exactly 0 goes to +1."""
@@ -123,19 +119,15 @@ class KnnModel:
 
 
 @dataclass(frozen=True)
-class TreeNode:
-    """Internal node when label is None, else a leaf."""
-
-    label: int | None = None
-    feature_index: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-
-@dataclass(frozen=True)
 class TreeModel:
-    root: TreeNode
+    """A heap of 2^(max_depth + 1) - 1 rows [feature, threshold, label].
+
+    Row i sends x[feature] <= threshold to row 2i + 1 and every other row,
+    NaN included, to 2i + 2. A split's label is 0; a leaf is [-1, 0, +/-1];
+    a row below a leaf is [-1, 0, 0], so each tree has one encoding.
+    """
+
+    nodes: np.ndarray
     max_depth: int
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -339,20 +331,18 @@ def train_boosted(data: LabeledDataset, n_stages: int = 100) -> BoostedModel:
         for rows in (left.nonzero()[0], (~left).nonzero()[0]):
             value, loss[rows] = _leaf(resid[rows], weight[rows], y[rows], scores[rows], loss[rows])
             values.append(value)
-        stages.append(Stump(feature, threshold, *values))
+        stages.append((feature, threshold, *values))
         scores = scores + np.where(left, *values)
         deviance.append(float(loss.mean()))
-    return BoostedModel(initial, tuple(stages), tuple(deviance))
+    return BoostedModel(initial, np.array(stages).reshape(-1, 4), np.array(deviance))
 
 
 def boosted_scores(model: BoostedModel, X: np.ndarray) -> np.ndarray:
+    """The initial score plus each stage's leaf value, added one stage at a time in order."""
     X = np.asarray(X, dtype=np.float64)
     scores = np.full(X.shape[0], model.initial_score)
-    for stump in model.stages:
-        leaf = np.where(
-            X[:, stump.feature_index] <= stump.threshold, stump.left_value, stump.right_value
-        )
-        scores += leaf
+    for feature, threshold, left, right in model.stages.tolist():
+        scores += np.where(X[:, int(feature)] <= threshold, left, right)
     return scores
 
 
@@ -403,56 +393,56 @@ def _majority(y: np.ndarray) -> int:
     return 1 if y.sum() > 0 else -1
 
 
-def _grow_tree(X: np.ndarray, y: np.ndarray, depth_left: int) -> TreeNode:
-    """A split node, or a majority leaf where the node is pure, at depth 0 or cannot split."""
+def _grow_tree(X: np.ndarray, y: np.ndarray, depth_left: int, nodes: np.ndarray, at: int) -> None:
+    """Fill heap row `at` and below: a split, or a majority leaf where the
+    node is pure, at depth 0 or cannot split."""
     if depth_left and not np.all(y == y[0]):
         search = _SplitSearch(X)
         if search.any_valid:
-            feature, threshold = search.best_gini_split(y)
+            nodes[at, :2] = search.best_gini_split(y)
             mask = search.left_rows()
             del search  # free its arrays before the children build theirs
-            return TreeNode(
-                feature_index=feature,
-                threshold=threshold,
-                left=_grow_tree(X[mask], y[mask], depth_left - 1),
-                right=_grow_tree(X[~mask], y[~mask], depth_left - 1),
-            )
-    return TreeNode(label=_majority(y))
+            _grow_tree(X[mask], y[mask], depth_left - 1, nodes, 2 * at + 1)
+            _grow_tree(X[~mask], y[~mask], depth_left - 1, nodes, 2 * at + 2)
+            return
+    nodes[at, 2] = _majority(y)
 
 
 def train_tree(data: LabeledDataset, max_depth: int = 5) -> TreeModel:
     """Greedy Gini-impurity tree; pure data yields a single leaf."""
-    if max_depth < 1:
-        raise ValueError("max_depth must be at least 1")
-    root = _grow_tree(data.rows, data.labels, max_depth)
-    return TreeModel(root, max_depth)
+    if not 1 <= max_depth <= MAX_DEPTH:
+        raise ValueError(f"max_depth must be in 1..{MAX_DEPTH}")
+    nodes = np.zeros((2 ** (max_depth + 1) - 1, 3))
+    nodes[:, 0] = -1
+    _grow_tree(data.rows, data.labels, max_depth, nodes, 0)
+    return TreeModel(nodes, max_depth)
 
 
 def tree_labels(model: TreeModel, X: np.ndarray) -> np.ndarray:
+    """Each row's leaf label, all rows stepping down one level per round."""
     X = np.asarray(X, dtype=np.float64)
-    out = np.empty(X.shape[0], dtype=np.int64)
-
-    def assign(node: TreeNode, idx: np.ndarray) -> None:
-        if node.label is not None:
-            out[idx] = node.label
-            return
-        mask = X[idx, node.feature_index] <= node.threshold
-        assign(node.left, idx[mask])
-        assign(node.right, idx[~mask])
-
-    assign(model.root, np.arange(X.shape[0]))
-    return out
+    rows = np.arange(X.shape[0])
+    at = np.zeros(X.shape[0], dtype=np.intp)
+    for _ in range(model.max_depth):
+        feature, threshold, _ = model.nodes[at].T
+        split = feature >= 0
+        if not split.any():
+            break
+        # a leaf's feature -1 reads the last column, and its row stays put
+        right = ~(X[rows, feature.astype(np.intp)] <= threshold)
+        at = np.where(split, 2 * at + 1 + right, at)
+    return model.nodes[at, 2].astype(np.int64)
 
 
 def save_model(model, path: str | Path, columns: Sequence[int], positive_class: str) -> None:
-    """Write `model`, which tells `positive_class` from the rest, as a `model/4` document.
+    """Write `model`, which tells `positive_class` from the rest, as a `model/5` document.
 
     The document states once the packet layout it reads
     (`feature_schema`), the fingerprint `columns` its features are, in
     order, its `kind` and its `positive_class`; then come the kind's own
-    parameters, a vote's under the keys `boosted`, `knn` and `tree`. kNN
-    `rows` and `labels` go through `documents.pack`, so the bytes written
-    depend on zlib's deflate output as well as the model. The document
+    parameters, a vote's under the keys `boosted`, `knn` and `tree`. Its
+    arrays go through `documents.pack`, so the bytes written depend on
+    zlib's deflate output as well as the model. The document
     passes `load_model`'s checks before it is written; one that fails
     them raises ValueError and writes nothing.
     """
@@ -468,11 +458,8 @@ def _params(model) -> tuple:
     if isinstance(model, BoostedModel):
         return "boosted", {
             "initial_score": model.initial_score,
-            "stages": [
-                [s.feature_index, s.threshold, s.left_value, s.right_value]
-                for s in model.stages
-            ],
-            "training_deviance": list(model.training_deviance),
+            "stages": pack(model.stages, "<f8"),
+            "training_deviance": pack(model.training_deviance, "<f8"),
         }
     if isinstance(model, KnnModel):
         return "knn", {
@@ -481,26 +468,15 @@ def _params(model) -> tuple:
             "labels": pack(model.labels, "<i1"),
         }
     if isinstance(model, TreeModel):
-        return "tree", {"max_depth": model.max_depth, "root": _node_doc(model.root)}
+        return "tree", {"max_depth": model.max_depth, "nodes": pack(model.nodes, "<f8")}
     if isinstance(model, VoteModel):
         members = {"boosted": model.boosted, "knn": model.knn, "tree": model.tree}
         return "vote", {name: _params(member)[1] for name, member in members.items()}
     raise TypeError(f"cannot persist {type(model).__name__}")
 
 
-def _node_doc(node: TreeNode) -> dict:
-    if node.label is not None:
-        return {"label": node.label}
-    return {
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_doc(node.left),
-        "right": _node_doc(node.right),
-    }
-
-
 def load_model(path: str | Path, decoded: dict | None = None) -> tuple:
-    """(model, columns, positive_class) of a `model/4` document.
+    """(model, columns, positive_class) of a `model/5` document.
 
     `columns` are the fingerprint columns the model reads, in order, and
     `positive_class` the class it labels +1; the model itself holds
@@ -517,8 +493,9 @@ def _model_from_doc(doc, decoded: dict | None) -> tuple:
     """(model, columns, positive_class), rejecting any document that would fail or mislead.
 
     Every member reads the document's `columns`: a feature index must be
-    below their number, and kNN rows must be exactly that wide. Packed kNN
-    arrays are decoded through `decoded` (see `documents.unpack`).
+    below their number, and kNN rows must be exactly that wide. Packed
+    arrays are decoded through `decoded` (see `documents.unpack`), which
+    has checked them to be finite and of the field's rank.
     """
     schema = require(doc, "schema", "model")
     if schema != MODEL_SCHEMA:
@@ -539,21 +516,21 @@ def _model_from_doc(doc, decoded: dict | None) -> tuple:
 
 def _member_from_doc(kind, doc, width: int, decoded: dict | None):
     if kind == "boosted":
-        deviance = require_list(doc, "training_deviance", "model")
-        model = BoostedModel(
-            initial_score=finite(require(doc, "initial_score", "model"), "initial_score", "model"),
-            stages=tuple(_stump_from_doc(s, width) for s in require_list(doc, "stages", "model")),
-            training_deviance=tuple(finite(v, "training_deviance", "model") for v in deviance),
-        )
-        reach = abs(model.initial_score)  # bounds every partial sum `boosted_scores` forms
-        for s in model.stages:
-            reach += max(abs(s.left_value), abs(s.right_value))
+        initial = finite(require(doc, "initial_score", "model"), "initial_score", "model")
+        stages = unpack(doc, "stages", "model", "<f8", 2, decoded)
+        if stages.shape[1] != 4:
+            raise ValueError(f"model stages must have 4 columns, got {stages.shape[1]}")
+        _check_features(stages[:, 0], width, "model stage")
+        deviance = unpack(doc, "training_deviance", "model", "<f8", 1, decoded)
+        if len(deviance) != len(stages) + 1:
+            raise ValueError("model training_deviance must hold one value more than stages")
+        # `reach` bounds every partial sum `boosted_scores` forms, added in its order.
+        with np.errstate(over="ignore"):
+            reach = np.cumsum(np.append(abs(initial), np.abs(stages[:, 2:]).max(axis=1)))[-1]
         if not reach <= sys.float_info.max:
             raise ValueError("model scores can overflow the float range")
-        return model
+        return BoostedModel(initial, stages, deviance)
     if kind == "knn":
-        # `unpack` has checked the rows to be finite, 2-D and of positive
-        # shape, once per decoded array.
         rows = unpack(doc, "rows", "model", "<f8", 2, decoded)
         if rows.shape[1] != width:
             raise ValueError(f"model rows must have {width} columns, got {rows.shape[1]}")
@@ -563,9 +540,8 @@ def _member_from_doc(kind, doc, width: int, decoded: dict | None):
         k = int_in(require(doc, "k", "model"), "k", "model", 1, len(rows))
         return KnnModel(rows, labels, k)
     if kind == "tree":
-        max_depth = int_in(require(doc, "max_depth", "model"), "max_depth", "model", 1)
-        root = _node_from_doc(require(doc, "root", "model"), width, max_depth)
-        return TreeModel(root, max_depth)
+        max_depth = int_in(require(doc, "max_depth", "model"), "max_depth", "model", 1, MAX_DEPTH)
+        return TreeModel(_checked_nodes(doc, width, max_depth, decoded), max_depth)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -578,32 +554,44 @@ def _checked_columns(columns: list) -> list:
     return columns
 
 
-def _stump_from_doc(stage, width: int) -> Stump:
-    if not isinstance(stage, list) or len(stage) != 4:
-        raise ValueError("model stage must be [feature_index, threshold, left_value, right_value]")
-    feature, threshold, left, right = stage
-    return Stump(
-        int_in(feature, "feature_index", "model", 0, width - 1),
-        finite(threshold, "threshold", "model"),
-        finite(left, "left_value", "model"),
-        finite(right, "right_value", "model"),
-    )
+def _check_features(features: np.ndarray, width: int, what: str) -> None:
+    """Raise unless every value of `features` is an integer in [0, width); -0.0 is not."""
+    bad = np.signbit(features) | (features != np.floor(features)) | (features >= width)
+    if bad.any():
+        got, high = float(features[bad][0]), width - 1
+        raise ValueError(f"{what} feature_index must be an integer in [0, {high}], got {got!r}")
 
 
-def _node_from_doc(doc, width: int, depth_left: int) -> TreeNode:
-    if isinstance(doc, dict) and "label" in doc:
-        if type(doc["label"]) is not int or doc["label"] not in (1, -1):
-            raise ValueError(f"tree leaf label must be +1 or -1, got {doc['label']!r}")
-        return TreeNode(label=doc["label"])
-    if depth_left == 0:
+def _checked_nodes(doc, width: int, max_depth: int, decoded: dict | None) -> np.ndarray:
+    """The tree's heap rows, if they are the one encoding (see `TreeModel`) of a tree
+    of `max_depth` levels: a row splits where its feature is not negative, and
+    only the root and the children of splits are reached."""
+    nodes = unpack(doc, "nodes", "model", "<f8", 2, decoded)
+    size = 2 ** (max_depth + 1) - 1
+    if nodes.shape != (size, 3):
+        raise ValueError(f"tree nodes must have shape [{size}, 3], got {list(nodes.shape)}")
+    feature, _, label = nodes.T
+    split = feature >= 0
+    if split[size // 2 :].any():
         raise ValueError("tree has a split below its max_depth")
-    feature = require(doc, "feature_index", "model")
-    return TreeNode(
-        feature_index=int_in(feature, "feature_index", "model", 0, width - 1),
-        threshold=finite(require(doc, "threshold", "model"), "threshold", "model"),
-        left=_node_from_doc(require(doc, "left", "model"), width, depth_left - 1),
-        right=_node_from_doc(require(doc, "right", "model"), width, depth_left - 1),
-    )
+    _check_features(feature[split], width, "tree")
+    reached = np.ones(size, dtype=bool)
+    for depth in range(max_depth):  # level depth + 1 hangs from level depth
+        level = slice(2**depth - 1, 2 ** (depth + 1) - 1)
+        reached[level.stop : 2 * level.stop + 1] = np.repeat(reached[level] & split[level], 2)
+    leaf = reached & ~split
+    bad = leaf & (np.abs(label) != 1)
+    if bad.any():
+        raise ValueError(f"tree leaf label must be +1 or -1, got {float(label[bad][0])!r}")
+    canonical = np.tile([-1.0, 0.0, 0.0], (size, 1))
+    canonical[reached & split, :2] = nodes[reached & split, :2]
+    canonical[leaf, 2] = label[leaf]
+    differs = (canonical.view(np.int64) != nodes.view(np.int64)).any(axis=1)
+    if differs.any():
+        at = int(np.argmax(differs))
+        expected, got = canonical[at].tolist(), nodes[at].tolist()
+        raise ValueError(f"tree row {at} must be {expected}, got {got}")
+    return nodes
 
 
 @dataclass(frozen=True)

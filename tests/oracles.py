@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from iotprint import ml, pcap_io
-from iotprint.ml import TreeNode
 from iotprint.packet_model import RawFrame
 
 
@@ -180,8 +179,8 @@ def session_stats(packets) -> tuple:
 def predict_boosted(model, x) -> tuple:
     """(label, score) of one row, stage by stage; a score >= 0 maps to +1."""
     score = model.initial_score
-    for stump in model.stages:
-        leaf = stump.left_value if x[stump.feature_index] <= stump.threshold else stump.right_value
+    for feature, threshold, left, right in model.stages.tolist():
+        leaf = left if x[int(feature)] <= threshold else right
         score += leaf
     return (1 if score >= 0 else -1), score
 
@@ -202,10 +201,22 @@ def predict_knn(model, x) -> int:
 
 
 def predict_tree(model, x) -> int:
-    node = model.root
-    while node.label is None:
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return int(node.label)
+    """Label of one row, walked down the heap rows one split at a time."""
+    node = 0
+    while model.nodes[node, 0] >= 0:
+        feature, threshold, _ = model.nodes[node]
+        node = 2 * node + 1 if x[int(feature)] <= threshold else 2 * node + 2
+    return int(model.nodes[node, 2])
+
+
+def nested_tree(nodes, at=0):
+    """A tree's heap rows from row `at` in the nested form of
+    `grow_tree_with_dense_gini`: a leaf's label, or (feature, threshold,
+    left, right)."""
+    feature, threshold, label = nodes[at].tolist()
+    if feature < 0:
+        return int(label)
+    return int(feature), threshold, nested_tree(nodes, 2 * at + 1), nested_tree(nodes, 2 * at + 2)
 
 
 def predict_vote(model, x) -> int:
@@ -245,11 +256,12 @@ def dense_gini_split(X: np.ndarray, y: np.ndarray) -> tuple | None:
     return feature, float(ml._midpoint(xs[boundary, feature], xs[boundary + 1, feature]))
 
 
-def grow_tree_with_dense_gini(X: np.ndarray, y: np.ndarray, depth_left: int) -> TreeNode:
-    """The tree `ml.train_tree` grows, with every split found by `dense_gini_split`."""
-    majority = TreeNode(label=1 if int(y.sum()) > 0 else -1)
+def grow_tree_with_dense_gini(X: np.ndarray, y: np.ndarray, depth_left: int):
+    """The tree `ml.train_tree` grows, with every split found by
+    `dense_gini_split`, in the nested form of `nested_tree`."""
+    majority = 1 if int(y.sum()) > 0 else -1
     if np.all(y == y[0]):
-        return TreeNode(label=int(y[0]))
+        return int(y[0])
     if depth_left == 0:
         return majority
     split = dense_gini_split(X, y)
@@ -257,9 +269,9 @@ def grow_tree_with_dense_gini(X: np.ndarray, y: np.ndarray, depth_left: int) -> 
         return majority
     feature, threshold = split
     mask = X[:, feature] <= threshold
-    return TreeNode(
-        feature_index=feature,
-        threshold=threshold,
-        left=grow_tree_with_dense_gini(X[mask], y[mask], depth_left - 1),
-        right=grow_tree_with_dense_gini(X[~mask], y[~mask], depth_left - 1),
+    return (
+        feature,
+        threshold,
+        grow_tree_with_dense_gini(X[mask], y[mask], depth_left - 1),
+        grow_tree_with_dense_gini(X[~mask], y[~mask], depth_left - 1),
     )

@@ -186,8 +186,7 @@ def test_boosting_correctness(base_profiles):
             data = _random_dataset(180, 6, seed)
             model = train_boosted(data)
             feature, threshold = _stump_oracle(data)
-            assert model.stages[0].feature_index == feature
-            assert model.stages[0].threshold == threshold
+            assert model.stages[0, :2].tolist() == [feature, threshold]
             deviance = np.asarray(model.training_deviance)
             assert deviance.size == 101
             assert np.all(np.diff(deviance) <= 1e-12)

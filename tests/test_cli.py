@@ -11,6 +11,7 @@ import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import iotprint
@@ -220,7 +221,7 @@ def test_train_identify_every_classifier_and_variant(
 
 @pytest.fixture(scope="module")
 def model_docs(three_profiles, tmp_path_factory):
-    """`model/4` documents of every classifier."""
+    """`model/5` documents of every classifier."""
     out = tmp_path_factory.mktemp("models")
     docs = {}
     for kind in CLASSIFIERS:
@@ -254,20 +255,6 @@ def _mutated_text(doc, path, value) -> str:
     return text.replace('"@raw@"', new) if isinstance(new, _Raw) else text
 
 
-def _deep_tree(levels: int) -> _Raw:
-    """A tree whose left spine holds `levels` splits."""
-    split = '{"feature_index": 0, "threshold": 0.0, "left": '
-    return _Raw(split * levels + '{"label": 1}' + ', "right": {"label": -1}}' * levels)
-
-
-def _deep_right_tree(levels: int) -> dict:
-    """A tree whose right spine holds `levels` splits."""
-    node = {"label": 1}
-    for _ in range(levels):
-        node = {"feature_index": 0, "threshold": 0.0, "left": {"label": -1}, "right": node}
-    return node
-
-
 def _inflated(data: str) -> bytes:
     """The array bytes of a packed field's `data`."""
     return zlib.decompress(base64.b64decode(data))
@@ -292,6 +279,65 @@ def _set_first(value: bytes):
     return _packed(lambda raw: value + raw[len(value) :])
 
 
+def _array(edit):
+    """A mutation of a packed `<f8` field: `edit` changes a copy of its array
+    in place, or returns the array to pack instead, NaN included."""
+
+    def mutate(packed):
+        array = np.frombuffer(_inflated(packed["data"]), "<f8").reshape(packed["shape"]).copy()
+        new = edit(array)
+        array = array if new is None else np.ascontiguousarray(new, "<f8")
+        return {**packed, "shape": list(array.shape), "data": _deflated(array.tobytes())}
+
+    return mutate
+
+
+def _set(at, value):
+    """An `_array` edit: the items at `at`, or at `at(array)`, become `value`."""
+
+    def edit(array):
+        array[at(array) if callable(at) else at] = value
+
+    return edit
+
+
+def _leaf_label(nodes) -> tuple:
+    """Where the label of a tree's first reached leaf is."""
+    return int(np.flatnonzero((nodes[:, 0] < 0) & (nodes[:, 2] != 0))[0]), 2
+
+
+def _below_a_leaf(nodes) -> int:
+    """A tree's first row below a leaf."""
+    return int(np.flatnonzero((nodes[:, 0] < 0) & (nodes[:, 2] == 0))[0])
+
+
+def _spine(nodes, levels: int, side: int) -> np.ndarray:
+    """The heap of a tree of `levels` splits down its left (side 1) or right
+    (side 2) spine, each on feature 0 at `nodes`' root threshold, and leaves
+    labelled 1 beside them and -1 at the end."""
+    spine = np.tile([-1.0, 0.0, 0.0], (2 ** (levels + 1) - 1, 1))
+    at = 0
+    for _ in range(levels):
+        spine[at] = 0, nodes[0, 1], 0
+        spine[2 * at + 3 - side] = -1, 0, 1
+        at = 2 * at + side
+    spine[at] = -1, 0, -1
+    return spine
+
+
+def _overflowing(doc) -> dict:
+    """`doc` with an initial score of -1e308 and one stage whose leaves are +/-1e308."""
+    stages = documents.pack([[0, 0.5, 1e308, -1e308]], "<f8")
+    deviance = documents.pack([0.0, 0.0], "<f8")
+    return {**doc, "initial_score": -1e308, "stages": stages, "training_deviance": deviance}
+
+
+def _no_knn_rows(doc) -> dict:
+    """`doc` with kNN rows and labels packed validly with no rows."""
+    rows = {**doc["rows"], "shape": [0, doc["rows"]["shape"][1]], "data": _deflated(b"")}
+    return {**doc, "rows": rows, "labels": {**doc["labels"], "shape": [0], "data": _deflated(b"")}}
+
+
 def _first_50_columns(rows: dict) -> dict:
     """Packed kNN rows cut to their first 50 columns, validly packed."""
     n, width = rows["shape"]
@@ -306,80 +352,195 @@ def _first_50_columns(rows: dict) -> dict:
 # `save_model` could not have written.
 MODEL_MUTATIONS = {
     "boosted-feature-index-500": (
-        "boosted", ("stages", 0, 0), 500,
-        "feature_index must be an integer in [0, 99], got 500",
+        "boosted", ("stages",), _array(_set((0, 0), 500)),
+        "feature_index must be an integer in [0, 99], got 500.0",
     ),
     "boosted-feature-index-negative": (
-        "boosted", ("stages", 0, 0), -1,
-        "feature_index must be an integer in [0, 99], got -1",
+        "boosted", ("stages",), _array(_set((0, 0), -1)),
+        "feature_index must be an integer in [0, 99], got -1.0",
+    ),
+    "boosted-feature-index-minus-0": (
+        "boosted", ("stages",), _array(_set((0, 0), -0.0)),
+        "feature_index must be an integer in [0, 99], got -0.0",
+    ),
+    "boosted-feature-index-2.5": (
+        "boosted", ("stages",), _array(_set((0, 0), 2.5)),
+        "feature_index must be an integer in [0, 99], got 2.5",
+    ),
+    "boosted-feature-index-len-columns": (
+        "boosted", ("stages",), _array(_set((0, 0), 100)),
+        "feature_index must be an integer in [0, 99], got 100.0",
     ),
     "boosted-n-features-95-under-wide-stages": (
         "boosted", ("columns",), lambda c: c[:95],
         "feature_index must be an integer in [0, 94]",
     ),
-    "boosted-stage-7": (
-        "boosted", ("stages", 0), 7,
-        "model stage must be [feature_index, threshold, left_value, right_value]",
+    "boosted-stage-7": ("boosted", ("stages",), 7, "lacks 'dtype'"),
+    "boosted-stages-as-lists": (
+        "boosted", ("stages",), [[0, 0.5, -1.0, 1.0]],
+        "lacks 'dtype'",
     ),
     "boosted-stage-of-3": (
-        "boosted", ("stages", 0), lambda stage: stage[:3],
-        "model stage must be [feature_index, threshold, left_value, right_value]",
+        "boosted", ("stages",), _array(lambda stages: stages[:, :3]),
+        "model stages must have 4 columns, got 3",
+    ),
+    "boosted-stage-of-5": (
+        "boosted", ("stages",), _array(lambda stages: np.hstack([stages, stages[:, :1]])),
+        "model stages must have 4 columns, got 5",
+    ),
+    "boosted-stages-dtype-f4": (
+        "boosted", ("stages", "dtype"), "<f4",
+        "stages dtype must be '<f8', got '<f4'",
     ),
     "boosted-threshold-nan": (
-        "boosted", ("stages", 0, 1), float("nan"),
-        "threshold must be a finite number",
+        "boosted", ("stages",), _array(_set((0, 1), math.nan)),
+        "stages must be finite",
     ),
     "boosted-training-deviance-nan": (
-        "boosted", ("training_deviance", 3), float("nan"),
-        "training_deviance must be a finite number",
+        "boosted", ("training_deviance",), _array(_set(3, math.nan)),
+        "training_deviance must be finite",
+    ),
+    "boosted-training-deviance-one-short": (
+        "boosted", ("training_deviance",), _array(lambda deviance: deviance[:-1]),
+        "training_deviance must hold one value more than stages",
+    ),
+    "boosted-training-deviance-one-long": (
+        "boosted", ("training_deviance",), _array(lambda deviance: np.append(deviance, 0.0)),
+        "training_deviance must hold one value more than stages",
     ),
     "boosted-training-deviance-missing": (
         "boosted", ("training_deviance",), _DELETE,
         "lacks 'training_deviance'",
     ),
     "boosted-leaf-values-1e308": (
-        "boosted", ("stages",), lambda stages: [[f, t, 1e308, -1e308] for f, t, _, _ in stages],
+        "boosted", ("stages",), _array(_set(np.s_[:, 2:], [1e308, -1e308])),
         "scores can overflow",
     ),
     # Each leaf or the initial score below must count by its magnitude,
     # and each stage by its larger leaf: a sum that lets them cancel or
     # reads one leaf only stays finite.
     "boosted-initial-score-minus-1e308-one-leaf-1e308": (
-        "boosted", (),
-        lambda doc: {**doc, "initial_score": -1e308, "stages": [[0, 0.5, 1e308, -1e308]]},
+        "boosted", (), _overflowing,
         "scores can overflow",
     ),
     "boosted-right-leaves-1e308": (
-        "boosted", ("stages",), lambda stages: [[f, t, 0.0, 1e308] for f, t, _, _ in stages],
+        "boosted", ("stages",), _array(_set(np.s_[:, 2:], [0.0, 1e308])),
         "scores can overflow",
     ),
     "boosted-left-leaves-minus-1e308": (
-        "boosted", ("stages",), lambda stages: [[f, t, -1e308, 0.0] for f, t, _, _ in stages],
+        "boosted", ("stages",), _array(_set(np.s_[:, 2:], [-1e308, 0.0])),
         "scores can overflow",
     ),
     "boosted-right-leaves-minus-1e308": (
-        "boosted", ("stages",), lambda stages: [[f, t, 0.0, -1e308] for f, t, _, _ in stages],
+        "boosted", ("stages",), _array(_set(np.s_[:, 2:], [0.0, -1e308])),
         "scores can overflow",
     ),
     "tree-feature-index-900": (
-        "tree", ("root", "feature_index"), 900,
-        "feature_index must be an integer in [0, 99], got 900",
+        "tree", ("nodes",), _array(_set((0, 0), 900)),
+        "feature_index must be an integer in [0, 99], got 900.0",
     ),
-    "tree-node-without-right": ("tree", ("root", "right"), _DELETE, "lacks 'right'"),
-    "tree-7-deep-max-depth-5": ("tree", ("root",), _deep_tree(7), "split below its max_depth"),
+    "tree-feature-index-2.5": (
+        "tree", ("nodes",), _array(_set((0, 0), 2.5)),
+        "feature_index must be an integer in [0, 99], got 2.5",
+    ),
+    "tree-feature-index-minus-0": (
+        "tree", ("nodes",), _array(_set((0, 0), -0.0)),
+        "feature_index must be an integer in [0, 99], got -0.0",
+    ),
+    "tree-feature-index-len-columns": (
+        "tree", ("nodes",), _array(_set((0, 0), 100)),
+        "feature_index must be an integer in [0, 99], got 100.0",
+    ),
+    # A negative feature makes the root a leaf, and a split's label is 0.
+    "tree-feature-index-negative": (
+        "tree", ("nodes",), _array(_set((0, 0), -1)),
+        "tree leaf label must be +1 or -1, got 0.0",
+    ),
+    "tree-without-nodes": ("tree", ("nodes",), _DELETE, "lacks 'nodes'"),
+    # A 7-deep spine needs the 255 rows of max_depth 7.
+    "tree-7-deep-max-depth-5": (
+        "tree", ("nodes",), _array(lambda nodes: _spine(nodes, 7, 1)),
+        "tree nodes must have shape [63, 3], got [255, 3]",
+    ),
     "tree-7-deep-right-spine-max-depth-5": (
-        "tree", ("root",), _deep_right_tree(7), "split below its max_depth"
+        "tree", ("nodes",), _array(lambda nodes: _spine(nodes, 7, 2)),
+        "tree nodes must have shape [63, 3], got [255, 3]",
     ),
-    "tree-3000-deep": ("tree", ("root",), _deep_tree(3000), "nested too deeply"),
+    "tree-split-in-the-last-level-left-spine": (
+        "tree", ("nodes",), _array(_set(lambda nodes: (len(nodes) // 2, 0), 0)),
+        "split below its max_depth",
+    ),
+    "tree-split-in-the-last-level-right-spine": (
+        "tree", ("nodes",), _array(_set((-1, 0), 0)),
+        "split below its max_depth",
+    ),
+    "tree-3000-deep": (
+        "tree", ("nodes",), _Raw("[" * 3000 + "]" * 3000),
+        "nested too deeply",
+    ),
     "tree-kind-forest": ("tree", ("kind",), "forest", "unknown model kind 'forest'"),
+    "tree-nodes-dtype-i1": (
+        "tree", ("nodes", "dtype"), "<i1",
+        "nodes dtype must be '<f8', got '<i1'",
+    ),
+    "tree-root-string-label": ("tree", ("nodes",), "label", "lacks 'dtype'"),
     "tree-leaf-label-true": (
-        "tree", ("root",), {"label": True}, "tree leaf label must be +1 or -1, got True"
+        "tree", ("nodes",), [[-1, 0, True], [-1, 0, 0], [-1, 0, 0]],
+        "lacks 'dtype'",
     ),
-    "tree-leaf-label-1.0": (
-        "tree", ("root",), {"label": 1.0}, "tree leaf label must be +1 or -1, got 1.0"
+    "tree-leaf-label-0": (
+        "tree", ("nodes",), _array(_set(_leaf_label, 0)),
+        "tree leaf label must be +1 or -1, got 0.0",
     ),
-    "tree-leaf-label-0": ("tree", ("root",), {"label": 0}, "tree leaf label must be +1 or -1, got 0"),
-    "tree-root-string-label": ("tree", ("root",), "label", "lacks 'feature_index'"),
+    "tree-leaf-label-2": (
+        "tree", ("nodes",), _array(_set(_leaf_label, 2)),
+        "tree leaf label must be +1 or -1, got 2.0",
+    ),
+    "tree-leaf-label-0.5": (
+        "tree", ("nodes",), _array(_set(_leaf_label, 0.5)),
+        "tree leaf label must be +1 or -1, got 0.5",
+    ),
+    "tree-leaf-label-nan": (
+        "tree", ("nodes",), _array(_set(_leaf_label, math.nan)),
+        "nodes must be finite",
+    ),
+    "tree-labelled-row-below-a-leaf": (
+        "tree", ("nodes",), _array(_set(_below_a_leaf, [-1, 0, 1])),
+        "must be [-1.0, 0.0, 0.0], got [-1.0, 0.0, 1.0]",
+    ),
+    "tree-split-below-a-leaf": (
+        "tree", ("nodes",), _array(_set(_below_a_leaf, [0, 0.5, 0])),
+        "must be [-1.0, 0.0, 0.0], got [0.0, 0.5, 0.0]",
+    ),
+    "tree-leaf-threshold-minus-0": (
+        "tree", ("nodes",), _array(_set(lambda nodes: (_leaf_label(nodes)[0], 1), -0.0)),
+        ", got [-1.0, -0.0, ",
+    ),
+    "tree-split-labelled-1": (
+        "tree", ("nodes",), _array(_set((0, 2), 1)),
+        "tree row 0 must be [",
+    ),
+    # The last row, the right child of row 30, is gone.
+    "tree-node-without-right": (
+        "tree", ("nodes",), _array(lambda nodes: nodes[:-1]),
+        "tree nodes must have shape [63, 3], got [62, 3]",
+    ),
+    "tree-63-rows-at-max-depth-6": (
+        "tree", ("max_depth",), 6,
+        "tree nodes must have shape [127, 3], got [63, 3]",
+    ),
+    "tree-nodes-4-wide": (
+        "tree", ("nodes",), _array(lambda nodes: np.hstack([nodes, nodes[:, :1]])),
+        "tree nodes must have shape [63, 3], got [63, 4]",
+    ),
+    "tree-max-depth-0": (
+        "tree", ("max_depth",), 0,
+        "max_depth must be an integer in [1, 16], got 0",
+    ),
+    "tree-max-depth-17": (
+        "tree", ("max_depth",), 17,
+        "max_depth must be an integer in [1, 16], got 17",
+    ),
     "no-kind": ("boosted", ("kind",), _DELETE, "lacks 'kind'"),
     "vote-lacks-knn": ("vote", ("knn",), _DELETE, "lacks 'knn'"),
     "packed-k-zero": ("knn", ("k",), 0, "model k must be an integer in [1, "),
@@ -421,21 +582,23 @@ MODEL_MUTATIONS = {
         "knn", ("rows", "shape"), lambda s: [2**70, s[1]],
         "rows data holds",
     ),
-    "packed-rows-dimension-0": (
-        "knn", ("rows", "shape"), lambda s: [0, s[1]],
-        "rows shape must be 2 positive integers",
+    # The codec reads an array of no rows, but k cannot fit in it.
+    "packed-rows-dimension-0": ("knn", (), _no_knn_rows, "model k must be an integer in [1, 0]"),
+    "packed-rows-width-0": (
+        "knn", ("rows", "shape"), lambda s: [s[0], 0],
+        "rows shape must be 2 integers, the first >= 0 and the rest >= 1",
     ),
     "packed-rows-dimension-negative": (
         "knn", ("rows", "shape"), lambda s: [-s[0], -s[1]],
-        "rows shape must be 2 positive integers",
+        "rows shape must be 2 integers, the first >= 0 and the rest >= 1",
     ),
     "packed-rows-dimension-true": (
         "knn", ("rows", "shape"), lambda s: [s[0] * s[1], True],
-        "rows shape must be 2 positive integers",
+        "rows shape must be 2 integers, the first >= 0 and the rest >= 1",
     ),
     "packed-rows-one-dimension": (
         "knn", ("rows", "shape"), lambda s: [s[0] * s[1]],
-        "rows shape must be 2 positive integers",
+        "rows shape must be 2 integers, the first >= 0 and the rest >= 1",
     ),
     "packed-rows-width-50": (
         "knn", ("rows",), _first_50_columns,
@@ -495,15 +658,15 @@ MODEL_MUTATIONS = {
     # A label count that is not an integer.
     "knn-label-1e308": (
         "knn", ("labels", "shape", 0), 1e308,
-        "labels shape must be 1 positive integers",
+        "labels shape must be 1 integers, the first >= 0",
     ),
     "knn-label-1.5": (
         "knn", ("labels", "shape", 0), 1.5,
-        "labels shape must be 1 positive integers",
+        "labels shape must be 1 integers, the first >= 0",
     ),
     "knn-label-true": (
         "knn", ("labels", "shape", 0), True,
-        "labels shape must be 1 positive integers",
+        "labels shape must be 1 integers, the first >= 0",
     ),
     "columns-out-of-range": (
         "boosted", ("columns", 0), 100,
@@ -524,7 +687,8 @@ MODEL_MUTATIONS = {
     "schema-1": ("knn", ("schema",), "model/1", "unsupported model schema: 'model/1'"),
     "schema-2": ("knn", ("schema",), "model/2", "unsupported model schema: 'model/2'"),
     "schema-3": ("knn", ("schema",), "model/3", "unsupported model schema: 'model/3'"),
-    "schema-5": ("knn", ("schema",), "model/5", "unsupported model schema: 'model/5'"),
+    "schema-4": ("tree", ("schema",), "model/4", "unsupported model schema: 'model/4'"),
+    "schema-6": ("knn", ("schema",), "model/6", "unsupported model schema: 'model/6'"),
     "feature-schema-1": (
         "boosted", ("feature_schema",), "packet-features/1",
         "unsupported feature schema: 'packet-features/1'",
@@ -647,8 +811,8 @@ def test_identify_verdict_needs_more_than_half_of_the_fingerprints(tmp_path, cap
     for claimed, verdict in ((half, "unknown"), (half + 1, "outlet")):
         # Rows above the threshold go right, to +1.
         threshold = (values[n - claimed - 1] + values[n - claimed]) / 2
-        stump = ml.Stump(0, threshold, -1.0, 1.0)
-        ml.save_model(ml.BoostedModel(0.0, (stump,)), path, [column], "outlet")
+        stump = np.array([[0, threshold, -1.0, 1.0]])
+        ml.save_model(ml.BoostedModel(0.0, stump, np.zeros(2)), path, [column], "outlet")
         capsys.readouterr()
         assert main(["identify", str(path), "--pcap", str(target), "--mac", arch.mac.hex(":")]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -758,9 +922,12 @@ def test_identify_searches_only_each_vote_models_undecided_rows(
         decodes.append(args[0])
         return b64decode(*args, **kwargs)
 
-    def packed(models, field):
-        """The distinct packed `data` texts of the models' kNN `field`."""
-        return {json.loads(Path(m).read_text())["knn"][field]["data"] for m in models}
+    def packed(models, *fields):
+        """The distinct packed `data` texts of the models' (member, field) `fields`, or of all."""
+        fields = fields or [("knn", "rows"), ("knn", "labels"), ("boosted", "stages"),
+                            ("boosted", "training_deviance"), ("tree", "nodes")]  # fmt: skip
+        docs = [json.loads(Path(m).read_text()) for m in models]
+        return {doc[member][field]["data"] for doc in docs for member, field in fields}
 
     monkeypatch.setattr(ml, "knn_labels", recording)
     monkeypatch.setattr(documents.base64, "b64decode", decoding)
@@ -803,17 +970,17 @@ def test_identify_searches_only_each_vote_models_undecided_rows(
 
         expected = undecided(shared, target, arch)
         doc = identify(shared, target, mac)
-        # The shared rows are decoded once, and so is each label vector.
-        assert searches == expected and len(packed(shared, "rows")) == 1
-        assert sorted(decodes) == sorted(packed(shared, "rows") | packed(shared, "labels"))
+        # The shared rows are decoded once, and so is every other packed array.
+        assert searches == expected and len(packed(shared, ("knn", "rows"))) == 1
+        assert sorted(decodes) == sorted(packed(shared))
         assert doc["verdict"] == name
         assert_scored_alone(doc, shared)
         expected = undecided(shared + others, target, arch)
         doc = identify(shared + others, target, mac)
-        # The reversed model's packed rows and labels are the outlet model's.
-        assert searches == expected and len(decodes) == 4 + 2 + 2
-        everything = shared + others
-        assert sorted(decodes) == sorted(packed(everything, "rows") | packed(everything, "labels"))
+        # The reversed model's packed arrays are the outlet model's: the kNN
+        # arrays as above, and the boosted and tree arrays of five models.
+        assert searches == expected and len(decodes) == 4 + 2 + 2 + 5 * 3
+        assert sorted(decodes) == sorted(packed(shared + others))
         assert_scored_alone(doc, shared + others)
 
 
@@ -1057,7 +1224,7 @@ def test_vote_models_are_byte_identical_with_one_and_two_blas_threads(
         assert (code, err) == (0, "")
         models.append(out.read_bytes())
     assert models[0] == models[1]
-    assert "label" not in json.loads(models[0])["tree"]["root"]  # the tree splits
+    assert load_model(out)[0].tree.nodes[0, 0] >= 0  # the tree splits
 
 
 def test_unknown_flag_rejected(capsys):
@@ -1187,7 +1354,7 @@ PINNED_DIGESTS = {
     "report.json": "9f29fca2e1f942b6b54ae95eb6b3c8b422ea47b4970218e9239460d090d004df",
     "category.report.json": "8da4322615a7ab3cde379665e33793ef6ae208d8633a99f6565056edaf5c710a",
     "instance.report.json": "a30a56ed60c855a58180dade66d41ed6d34aa18578a854e51779bf9dfb11e436",
-    "outlet.model.json": "0f007d339eaf5a6365b526fc8c19c60132b5382d28455af0cb5ed3ac45097efd",
+    "outlet.model.json": "8ddd30bfcc0a3c205061ed9bacc0e09996526b71f35ce690b7d93a6158b229b1",
     "identify-outlet.stdout": "b5b0c88c2ca5a4383fd7fee402eae82f5304db1d884ea6d7ee27c09416dd3631",
     "identify-camera-streamer.stdout": "2f9aaaa98202af864aaa88aad112773f03c73fefe143350b1fb5c45db050de5d",
     "identify-hub-conduit.stdout": "e0e8399657f04a96599da9a30d9d506555c4545158f698f8d069ce5e2b7f6e50",

@@ -55,3 +55,14 @@ def test_a_deflate_bomb_is_refused_without_being_inflated():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 4), (0, 1, 2)])
+def test_only_the_first_axis_may_be_0(shape):
+    for dtype in ("<f8", "<i1"):
+        doc = pack(np.zeros(shape), dtype)
+        assert unpack({"field": doc}, "field", "test", dtype, len(shape)).shape == shape
+        for later in range(1, len(shape)):
+            moved = {**doc, "shape": [1] * later + [0] + [1] * (len(shape) - later - 1)}
+            with pytest.raises(ValueError, match="the first >= 0 and the rest >= 1"):
+                unpack({"field": moved}, "field", "test", dtype, len(shape))

@@ -30,12 +30,21 @@ FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
 DEVICES = ("outlet", "camera-streamer", "hub-conduit")
 OUTLET_MAC = ARCHETYPES["outlet"].mac.hex(":")
 REPLACEMENTS = (None, "", [], {}, 1.5, 1e308, -1, True, 2**70, float("nan"), float("inf"))
-# Item values the checks behind the zlib layer refuse: non-finite rows and
-# labels other than +1 and -1.
+# Item values the checks behind the zlib layer refuse in some field or
+# place: non-finite floats; a feature index that is negative, fractional
+# or past the columns; a leaf value that overflows; a tree label other
+# than 0, +1 and -1; and kNN labels other than +1 and -1.
 SPECIAL_ITEMS = {
-    "<f8": tuple(struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf)),
+    "<f8": tuple(
+        struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf, -1.0, 2.5, 100.0, 1e308)
+    ),
     "<i1": (b"\x00", b"\x02", b"\x80"),
 }
+# Every packed field of a vote model, as (member, field).
+PACKED_FIELDS = (
+    ("knn", "rows"), ("knn", "labels"), ("boosted", "stages"),
+    ("boosted", "training_deviance"), ("tree", "nodes"),
+)  # fmt: skip
 DELETE = object()
 
 
@@ -142,11 +151,12 @@ def test_mutated_profile_fails_cleanly(work, data):
 
 
 def _mutate_packed(data, doc):
-    """Edit the array bytes of one packed kNN field of a vote model, then
+    """Edit the array bytes of one packed field of a vote model, then
     deflate and encode them again. An edit of the base64 text itself
     stops at zlib's checksum; this one reaches the checks behind it."""
     doc = copy.deepcopy(doc)
-    packed = doc["knn"][data.draw(st.sampled_from(("rows", "labels")))]
+    member, field = data.draw(st.sampled_from(PACKED_FIELDS))
+    packed = doc[member][field]
     raw = zlib.decompress(base64.b64decode(packed["data"]))
     if data.draw(st.booleans()):
         raw = _mutate_bytes(raw, data.draw(BYTE_OPS))

@@ -16,9 +16,7 @@ from iotprint.evaluation import assemble_one_vs_all, stratified_folds, train_cla
 from iotprint.ml import (
     BoostedModel,
     LabeledDataset,
-    Stump,
     TreeModel,
-    TreeNode,
     VoteModel,
     boosted_scores,
     knn_labels,
@@ -35,6 +33,7 @@ from iotprint.synth import ARCHETYPES, generate_trace
 from oracles import (
     dense_gini_split,
     grow_tree_with_dense_gini,
+    nested_tree,
     predict_boosted,
     predict_knn,
     predict_tree,
@@ -53,6 +52,28 @@ def random_dataset(n, d, seed):
     if np.all(labels == labels[0]):  # keep both classes present
         labels[0] = -labels[0]
     return dataset(rows, labels)
+
+
+def boosted(initial_score, stages=()):
+    """A boosted model of these [feature, threshold, left, right] stages; its deviance is zeros."""
+    table = np.array(stages, dtype=np.float64).reshape(-1, 4)
+    return BoostedModel(float(initial_score), table, np.zeros(len(table) + 1))
+
+
+def tree(*rows):
+    """The tree of these heap rows, whose count fixes its max_depth."""
+    nodes = np.array(rows, dtype=np.float64)
+    return TreeModel(nodes, len(nodes).bit_length() - 1)
+
+
+# A root leaf labelled +1, and a root split whose leaves are +1 and -1.
+LEAF = tree([-1, 0, 1], [-1, 0, 0], [-1, 0, 0])
+SPLIT = tree([0, 0, 0], [-1, 0, 1], [-1, 0, -1])
+
+
+def two_levels(root):
+    """The tree whose root row is `root` and whose two children are `SPLIT`'s root."""
+    return tree(root, [0, 0, 0], [0, 0, 0], *[[-1, 0, 1], [-1, 0, -1]] * 2)
 
 
 def separable_dataset():
@@ -220,12 +241,12 @@ def test_first_stage_stump_matches_exhaustive_oracle(seed):
     data = random_dataset(n=160, d=8, seed=seed)
     model = train_boosted(data, n_stages=1)
     feature, threshold = stump_search_oracle(data)
-    stump = model.stages[0]
-    assert stump.feature_index == feature
-    assert stump.threshold == threshold
+    stump_feature, stump_threshold, stump_left, stump_right = model.stages[0].tolist()
+    assert stump_feature == feature
+    assert stump_threshold == threshold
     left, right = newton_leaf_oracle(data, feature, threshold)
-    assert math.isclose(stump.left_value, left, rel_tol=1e-9)
-    assert math.isclose(stump.right_value, right, rel_tol=1e-9)
+    assert math.isclose(stump_left, left, rel_tol=1e-9)
+    assert math.isclose(stump_right, right, rel_tol=1e-9)
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
@@ -246,29 +267,32 @@ def test_training_accuracy_close_to_one_on_noisy_data():
 
 
 def test_predict_zero_stage_model():
-    model = BoostedModel(0.4, ())
+    model = boosted(0.4)
     assert boosted_scores(model, np.zeros((1, 3))).tolist() == [0.4]
     assert model.predict(np.zeros((1, 3))).tolist() == [1]
 
 
 def test_score_zero_predicts_positive():
-    model = BoostedModel(0.0, ())
+    model = boosted(0.0)
     assert model.predict([[1.0, 2.0]]).tolist() == [1]
 
 
 def test_scale_consistency_of_sign():
     data = random_dataset(n=120, d=5, seed=11)
     model = train_boosted(data, n_stages=20)
-    scaled = BoostedModel(
-        model.initial_score * 3.5,
-        tuple(
-            Stump(s.feature_index, s.threshold, s.left_value * 3.5, s.right_value * 3.5)
-            for s in model.stages
-        ),
-    )
+    scaled = boosted(model.initial_score * 3.5, model.stages * [1, 1, 3.5, 3.5])
     queries = np.random.default_rng(1).uniform(-1, 1, size=(50, 5))
     assert model.predict(queries).tolist() == scaled.predict(queries).tolist()
     assert model.predict(queries).tolist() == [predict_boosted(model, q)[0] for q in queries]
+
+
+def test_scores_add_each_stage_in_stage_order_as_the_scalar_oracle_does():
+    """Bit for bit: the same leaves summed in another order round apart."""
+    data = random_dataset(n=120, d=5, seed=11)
+    model = train_boosted(data)
+    queries = np.random.default_rng(2).uniform(-1, 1, size=(50, 5))
+    scores = [_bits(score) for score in boosted_scores(model, queries)]
+    assert scores == [_bits(predict_boosted(model, q)[1]) for q in queries]
 
 
 def test_a_leaf_fit_to_within_1e150_takes_no_step():
@@ -280,9 +304,9 @@ def test_a_leaf_fit_to_within_1e150_takes_no_step():
     labels = np.ones(500, dtype=np.int64)
     labels[0] = -1
     model = train_boosted(dataset(rows, labels), n_stages=3)
-    assert model.stages[0].left_value < -400
-    assert [s.left_value for s in model.stages[1:]] == [0.0, 0.0]
-    assert all(s.right_value > 1.0 for s in model.stages)
+    assert model.stages[0, 2] < -400
+    assert model.stages[1:, 2].tolist() == [0.0, 0.0]
+    assert all(model.stages[:, 3] > 1.0)
 
 
 def _leaf_of_one_row(resid, weight, label, score):
@@ -338,7 +362,7 @@ def test_constant_features_fall_back_to_prior_fit(tmp_path, capsys):
         rows = np.ones((10, 3))
         labels = np.array([1] * positives + [-1] * (10 - positives))
         model = train_boosted(dataset(rows, labels), n_stages=5)
-        assert model.stages == ()
+        assert model.stages.shape == (0, 4)
         p = positives / 10
         assert math.isclose(model.initial_score, math.log(p / (1 - p)), abs_tol=1e-15)
         assert len(model.training_deviance) == 1
@@ -347,7 +371,7 @@ def test_constant_features_fall_back_to_prior_fit(tmp_path, capsys):
         path = tmp_path / f"constant-{positives}.model.json"
         save_model(model, path, [0, 1, 2], "outlet")
         loaded, _, _ = load_model(path)
-        assert loaded == model and loaded.training_deviance == model.training_deviance
+        assert _same_boosted(loaded, model)
         capsys.readouterr()
         assert main(["identify", str(path), "--pcap", str(pcap), "--mac", arch.mac.hex(":")]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -380,8 +404,8 @@ def tie_heavy_datasets(draw):
 def test_split_search_matches_reference_on_tie_heavy_data(data):
     model = train_boosted(data, n_stages=30)
     reference = boosted_with_reference_search(data, n_stages=30)
-    assert model.stages == reference.stages
-    assert model.training_deviance == reference.training_deviance
+    assert model.stages.tolist() == reference.stages.tolist()
+    assert model.training_deviance.tolist() == reference.training_deviance.tolist()
 
 
 def test_split_search_matches_reference_on_corpus_folds(base_profiles):
@@ -391,8 +415,9 @@ def test_split_search_matches_reference_on_corpus_folds(base_profiles):
         train = LabeledDataset(data.rows[train_idx], data.labels[train_idx])
         model = train_boosted(train, n_stages=100)
         reference = boosted_with_reference_search(train, n_stages=100)
-        assert model.stages == reference.stages, profile.device_label
-        assert model.training_deviance == reference.training_deviance, profile.device_label
+        assert model.stages.tolist() == reference.stages.tolist(), profile.device_label
+        deviance = model.training_deviance.tolist()
+        assert deviance == reference.training_deviance.tolist(), profile.device_label
 
 
 def python_int_left_sums(X, target) -> bytes:
@@ -593,8 +618,9 @@ def test_candidates_that_split_the_rows_alike_tie_and_the_lowest_feature_wins(se
     first = ml._SplitSearch(X).best_split(ml._on_grid(y01 - y01.mean()))
     assert first == (0, 0.5 if complement else cut)
     model = train_boosted(dataset(X, labels), n_stages=10)
-    assert [s.feature_index for s in model.stages] == [0] * 10
-    assert model.stages == boosted_with_reference_search(dataset(X, labels), 10).stages
+    assert model.stages[:, 0].tolist() == [0] * 10
+    reference = boosted_with_reference_search(dataset(X, labels), 10)
+    assert model.stages.tolist() == reference.stages.tolist()
 
 
 def _tie_case(kind):
@@ -742,18 +768,18 @@ def test_the_rows_a_pick_sends_left_are_those_its_stump_sends_left(X, random):
 def test_splits_between_values_near_the_float_maximum_are_finite():
     data = dataset([[1.0], [1.6e308], [1.7e308]], [-1, -1, 1])
     assert dense_gini_split(data.rows, data.labels) == (0, 0.5 * 1.6e308 + 0.5 * 1.7e308)
-    thresholds = [s.threshold for s in train_boosted(data, n_stages=3).stages]
+    thresholds = train_boosted(data, n_stages=3).stages[:, 1].tolist()
     assert thresholds and all(t == 0.5 * 1.6e308 + 0.5 * 1.7e308 for t in thresholds)
-    assert train_tree(data).root.threshold == thresholds[0]
+    assert train_tree(data).nodes[0, 1] == thresholds[0]
 
 
 def test_a_split_between_adjacent_floats_sends_the_upper_value_right():
     a, b = 1 + 2**-52, 1 + 2**-51
     assert 0.5 * (a + b) == b  # the plain midpoint would send b left
     data = dataset([[a], [a], [b], [b]], [-1, -1, 1, 1])
-    tree, boosted = train_tree(data), train_boosted(data, n_stages=1)
-    assert tree.root.threshold == boosted.stages[0].threshold == a
-    for model in (tree, boosted):
+    trained = train_tree(data), train_boosted(data, n_stages=1)
+    assert trained[0].nodes[0, 1] == trained[1].stages[0, 1] == a
+    for model in trained:
         assert model.predict(data.rows).tolist() == [-1, -1, 1, 1]
 
 
@@ -951,8 +977,9 @@ def test_knn_validation():
 def test_pure_data_yields_single_leaf():
     rows = np.random.default_rng(21).uniform(size=(12, 3))
     model = train_tree(dataset(rows, [1] * 12), max_depth=4)
-    assert model.root.label == 1
+    assert nested_tree(model.nodes) == 1
     assert model.predict(rows).tolist() == [1] * 12
+    assert model.predict(np.empty((2, 0))).tolist() == [1, 1]  # a leaf reads no column
 
 
 def test_xor_pattern_needs_depth_two():
@@ -966,8 +993,7 @@ def test_depth_one_tree_matches_gini_oracle():
     data = random_dataset(n=150, d=7, seed=22)
     model = train_tree(data, max_depth=1)
     feature, threshold = gini_stump_oracle(data.rows, data.labels)
-    assert model.root.feature_index == feature
-    assert model.root.threshold == threshold
+    assert model.nodes[0, :2].tolist() == [feature, threshold]
 
 
 def test_tree_depth_bound_respected():
@@ -975,11 +1001,11 @@ def test_tree_depth_bound_respected():
     model = train_tree(data, max_depth=3)
 
     def depth(node):
-        if node.label is not None:
+        if isinstance(node, int):
             return 0
-        return 1 + max(depth(node.left), depth(node.right))
+        return 1 + max(depth(node[2]), depth(node[3]))
 
-    assert depth(model.root) <= 3
+    assert depth(nested_tree(model.nodes)) <= 3
 
 
 def test_tree_batch_agrees_with_single():
@@ -989,18 +1015,53 @@ def test_tree_batch_agrees_with_single():
     assert tree_labels(model, queries).tolist() == [predict_tree(model, q) for q in queries]
 
 
+THRESHOLDS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
+
+@st.composite
+def heap_trees(draw):
+    """(model, X): a tree of heap rows whose branches stop at random depths,
+    and rows of its thresholds, values between them, -0.0 and NaN."""
+    max_depth, width = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    nodes = np.tile([-1.0, 0.0, 0.0], (2 ** (max_depth + 1) - 1, 1))
+    reached = [0]
+    while reached:
+        at = reached.pop()
+        if 2 * at + 1 < len(nodes) and draw(st.integers(0, 3)):
+            nodes[at, :2] = draw(st.integers(0, width - 1)), draw(st.sampled_from(THRESHOLDS))
+            reached += [2 * at + 1, 2 * at + 2]
+        else:
+            nodes[at, 2] = draw(st.sampled_from([-1.0, 1.0]))
+    values = st.sampled_from([*THRESHOLDS, -2.0, -0.25, -0.0, 0.75, 2.0, math.nan])
+    X = draw(hnp.arrays(np.float64, (draw(st.integers(0, 30)), width), elements=values))
+    return TreeModel(nodes, max_depth), X
+
+
+@settings(max_examples=300, deadline=None)
+@given(heap_trees())
+def test_tree_labels_match_the_scalar_walk_row_by_row_and_one_row_at_a_time(case):
+    """Rows at a threshold go left and NaN rows go right, in a batch as
+    alone; each tree drawn is one the loader takes as it is."""
+    model, X = case
+    labels = tree_labels(model, X)
+    assert labels.tolist() == [predict_tree(model, x) for x in X]
+    assert labels.tolist() == [tree_labels(model, X[i : i + 1])[0] for i in range(len(X))]
+    loaded = ml._member_from_doc("tree", ml._params(model)[1], X.shape[1], None)
+    assert _same_bits(loaded.nodes, model.nodes)
+
+
 def _node_bits(node):
-    """A tree node as nested tuples, thresholds by their bits."""
-    if node.label is not None:
-        return node.label
-    split = (node.feature_index, _bits(node.threshold))
-    return split, _node_bits(node.left), _node_bits(node.right)
+    """A nested tree (see `oracles.nested_tree`) with its thresholds as their bits."""
+    if isinstance(node, int):
+        return node
+    feature, threshold, left, right = node
+    return (feature, _bits(threshold)), _node_bits(left), _node_bits(right)
 
 
 def _assert_tree_matches_dense_gini(data, max_depth):
     model = train_tree(data, max_depth)
     reference = grow_tree_with_dense_gini(data.rows, data.labels, max_depth)
-    assert _node_bits(model.root) == _node_bits(reference)
+    assert _node_bits(nested_tree(model.nodes)) == _node_bits(reference)
 
 
 # Gini's (pos^2 + neg^2)/n and the boosting gain (pos - neg)^2/n order
@@ -1038,8 +1099,9 @@ def test_tree_matches_dense_gini_tree_on_corpus_folds(base_profiles):
 def test_tree_validation():
     with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
         train_tree(dataset(np.empty((0, 2)), []))
-    with pytest.raises(ValueError):
-        train_tree(random_dataset(10, 2, 1), max_depth=0)
+    for max_depth in (0, ml.MAX_DEPTH + 1):
+        with pytest.raises(ValueError, match=r"^max_depth must be in 1\.\.16$"):
+            train_tree(random_dataset(10, 2, 1), max_depth=max_depth)
 
 
 # --- voting --------------------------------------------------------------
@@ -1107,12 +1169,10 @@ def test_votes_match_the_three_member_majority(case, chunk):
 def _split_vote(undecided_rows, n):
     """(vote, queries): boosted labels -1 where column 0 is -1, the tree +1
     everywhere, so exactly `undecided_rows` of the n queries are undecided."""
-    boosted = BoostedModel(0.0, (Stump(0, 0.0, -1.0, 1.0),))
-    tree = TreeModel(TreeNode(label=1), 1)
     knn = train_knn(random_dataset(n=50, d=2, seed=31), k=3)
     queries = np.random.default_rng(32).uniform(0.1, 1.0, size=(n, 2))
     queries[undecided_rows, 0] = -1.0
-    return VoteModel(boosted, knn, tree), queries
+    return VoteModel(boosted(0.0, [[0, 0.0, -1.0, 1.0]]), knn, LEAF), queries
 
 
 def test_vote_searches_only_when_some_row_is_undecided(monkeypatch):
@@ -1154,6 +1214,11 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _same_boosted(a, b) -> bool:
+    arrays = ((a.stages, b.stages), (a.training_deviance, b.training_deviance))
+    return _bits(a.initial_score) == _bits(b.initial_score) and all(_same_bits(*p) for p in arrays)
+
+
 def test_save_load_round_trip_is_bit_identical(tmp_path):
     rng = np.random.default_rng(29)
     rows = rng.normal(size=(60, 5)) * 10.0 ** rng.integers(-300, 300, size=(60, 5))
@@ -1176,10 +1241,11 @@ def test_save_load_round_trip_is_bit_identical(tmp_path):
                 assert _same_bits(member.rows, original.rows)
                 assert _same_bits(member.labels, original.labels)
                 assert member.k == original.k
+            elif isinstance(original, BoostedModel):
+                assert _same_boosted(member, original)
             else:
-                assert member == original
-            if isinstance(original, BoostedModel):
-                assert member.training_deviance == original.training_deviance
+                assert _same_bits(member.nodes, original.nodes)
+                assert member.max_depth == original.max_depth
 
 
 def test_models_loaded_with_one_dict_decode_equal_packed_text_once(tmp_path, monkeypatch):
@@ -1236,7 +1302,7 @@ def test_load_rejects_unknown_schema(tmp_path):
 
 
 def test_save_model_rejects_nan_and_writes_nothing(tmp_path):
-    model = BoostedModel(0.0, (Stump(0, 0.5, math.nan, 1.0),))
+    model = boosted(0.0, [[0, 0.5, math.nan, 1.0]])
     knn = ml.KnnModel(np.array([[0.0], [math.inf]]), np.array([1, -1]), 1)
     for model in (model, knn):
         path = tmp_path / "nan.model.json"
@@ -1245,13 +1311,11 @@ def test_save_model_rejects_nan_and_writes_nothing(tmp_path):
         assert not path.exists()
 
 
-_SPLIT = TreeNode(feature_index=0, threshold=0.0, left=TreeNode(label=1), right=TreeNode(label=-1))
-
 # name -> (model, columns, a fragment of the loader's message): documents
 # that `load_model` refuses, so `save_model` must not write them.
 UNLOADABLE = {
     "boosted-leaves-past-the-float-maximum": (
-        BoostedModel(0.0, (Stump(0, 0.0, 1e308, 1.0), Stump(0, 0.0, 1e308, 1.0))),
+        boosted(0.0, [[0, 0.0, 1e308, 1.0], [0, 0.0, 1e308, 1.0]]),
         [0],
         "scores can overflow",
     ),
@@ -1261,22 +1325,30 @@ UNLOADABLE = {
         "k must be an integer in [1, 2]",
     ),
     "tree-split-with-max-depth-0": (
-        TreeModel(_SPLIT, 0), [0], "max_depth must be an integer in [1, inf], got 0"
+        TreeModel(SPLIT.nodes, 0), [0], "max_depth must be an integer in [1, 16], got 0"
+    ),
+    "tree-max-depth-above-the-bound": (
+        TreeModel(SPLIT.nodes, ml.MAX_DEPTH + 1),
+        [0],
+        "max_depth must be an integer in [1, 16], got 17",
     ),
     "tree-split-below-max-depth": (
-        TreeModel(TreeNode(feature_index=0, threshold=1.0, left=_SPLIT, right=_SPLIT), 1),
+        tree([0, 1, 0], [0, 0, 0], [-1, 0, -1]), [0], "split below its max_depth"
+    ),
+    "tree-of-two-levels-as-max-depth-1": (
+        TreeModel(two_levels([0, 1, 0]).nodes, 1),
         [0],
-        "split below its max_depth",
+        "tree nodes must have shape [3, 3], got [7, 3]",
     ),
     "stump-index-at-len-columns": (
-        BoostedModel(0.0, (Stump(2, 0.0, -1.0, 1.0),)),
+        boosted(0.0, [[2, 0.0, -1.0, 1.0]]),
         [5, 6],
-        "feature_index must be an integer in [0, 1], got 2",
+        "feature_index must be an integer in [0, 1], got 2.0",
     ),
     "tree-index-past-len-columns": (
-        TreeModel(TreeNode(feature_index=3, threshold=0.0, left=_SPLIT, right=_SPLIT), 2),
+        two_levels([3, 0, 0]),
         [5, 6],
-        "feature_index must be an integer in [0, 1], got 3",
+        "feature_index must be an integer in [0, 1], got 3.0",
     ),
 }
 
@@ -1286,9 +1358,9 @@ def test_save_model_writes_nothing_that_load_model_refuses(tmp_path, name):
     """Alone, and as the member of a vote whose other members are sound."""
     model, columns, message = UNLOADABLE[name]
     sound = {
-        "boosted": BoostedModel(0.0, ()),
+        "boosted": boosted(0.0),
         "knn": ml.KnnModel(np.zeros((1, len(columns))), np.array([1]), 1),
-        "tree": TreeModel(TreeNode(label=1), 1),
+        "tree": LEAF,
     }
     slot = {BoostedModel: "boosted", ml.KnnModel: "knn", TreeModel: "tree"}[type(model)]
     path = tmp_path / "model.json"
@@ -1299,10 +1371,35 @@ def test_save_model_writes_nothing_that_load_model_refuses(tmp_path, name):
 
 
 
+@pytest.mark.parametrize("initial_score, prior", [(-0.8, -1), (0.0, 1), (1.5, 1)])
+def test_a_boosted_model_of_no_stages_saves_loads_and_predicts_its_prior(
+    tmp_path, initial_score, prior
+):
+    model = boosted(initial_score)
+    path = tmp_path / "prior.model.json"
+    save_model(model, path, [3, 1], "pos")
+    assert json.loads(path.read_text())["stages"]["shape"] == [0, 4]
+    back = load_model(path)[0]
+    assert _same_boosted(back, model)
+    assert back.predict(np.zeros((4, 2))).tolist() == [prior] * 4
+
+
+def test_the_overflow_bound_adds_in_the_order_scores_do(tmp_path):
+    """Near the float maximum, a leaf of just over half a float step rounds
+    each partial score up by a whole step, so eight of them overflow in
+    stage order; summed first, they would come to about four steps."""
+    step = 2 * np.spacing(sys.float_info.max / 2)
+    model = boosted(sys.float_info.max - 5 * step, [[0, 0.0, 0.5000001 * step, 0.0]] * 8)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        boosted_scores(model, [[0.0]])
+    with pytest.raises(ValueError, match="scores can overflow"):
+        save_model(model, tmp_path / "model.json", [0], "pos")
+
+
 def test_scores_that_reach_exactly_the_float_maximum_are_saved_and_loaded(tmp_path):
     """The overflow check bounds the reach by the float maximum inclusively."""
     half = sys.float_info.max / 2
-    model = BoostedModel(half, (Stump(0, 0.0, half, -1.0),))
+    model = boosted(half, [[0, 0.0, half, -1.0]])
     path = tmp_path / "model.json"
     save_model(model, path, [0], "pos")
     back = load_model(path)[0]
