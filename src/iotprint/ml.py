@@ -412,8 +412,7 @@ def train_tree(data: LabeledDataset, max_depth: int = 5) -> TreeModel:
     """Greedy Gini-impurity tree; pure data yields a single leaf."""
     if not 1 <= max_depth <= MAX_DEPTH:
         raise ValueError(f"max_depth must be in 1..{MAX_DEPTH}")
-    nodes = np.zeros((2 ** (max_depth + 1) - 1, 3))
-    nodes[:, 0] = -1
+    nodes = np.tile([-1.0, 0.0, 0.0], (2 ** (max_depth + 1) - 1, 1))
     _grow_tree(data.rows, data.labels, max_depth, nodes, 0)
     return TreeModel(nodes, max_depth)
 
