@@ -26,7 +26,7 @@ from .fingerprint import (
     save_profile,
     session_stats,
 )
-from .packet_model import parse_mac
+from .packet_model import parse_ip, parse_mac
 from .pcap_io import DeviceSelector, write_capture
 
 IDENTIFY_SCHEMA = "identify-report/1"
@@ -44,10 +44,10 @@ class _Parser(argparse.ArgumentParser):
         raise _ConfigError(message)
 
 
-def _ip_address(text: str) -> str:
-    """argparse type: an IPv4 or IPv6 address without a zone, in canonical form."""
+def _ip_address(text: str) -> bytes:
+    """argparse type: an IPv4 or IPv6 address without a zone, as its bytes."""
     try:
-        return DeviceSelector(ip=text).ip
+        return parse_ip(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

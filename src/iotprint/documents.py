@@ -134,7 +134,8 @@ def require_array(doc, key: str, what: str, ndim: int) -> np.ndarray:
 
 
 def finite(value, name: str, what: str) -> float:
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)  # np.float64 is one
+    if not number or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{what} {name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -12,7 +12,6 @@ the labeled set of all fingerprints observed for one device.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .features import (
     frame_features,
 )
 from .packet_model import FrameTooShort, TruncatedHeader, parse_frame
-from .pcap_io import DeviceSelector, Frames, filter_device, read_capture
+from .pcap_io import DeviceSelector, filter_device, read_capture
 
 PROFILE_SCHEMA = "behavioral-profile/1"
 
@@ -111,24 +110,8 @@ def read_rows(path: str | Path, sel: DeviceSelector | None = None) -> tuple:
     skipped, rows, ports, ip_at, ip_width = frame_features(frames.data, *frames.records[:, :2].T)
     keep = ~skipped
     if sel is not None and sel.ip is not None:
-        keep &= _addressed(frames, ip_at, ip_width, sel)
+        keep &= frames.addressed(sel, ip_at, ip_width)
     return rows[keep], ports[keep], int(skipped.sum())
-
-
-def _addressed(
-    frames: Frames, ip_at: np.ndarray, ip_width: np.ndarray, sel: DeviceSelector
-) -> np.ndarray:
-    """Which records hold `sel`'s MAC where `parse_frame` reads the MACs, or
-    its IP as the source or destination address `frame_features` located."""
-    packed = np.frombuffer(ipaddress.ip_address(sel.ip).packed, dtype=np.uint8)
-    raw, span = np.frombuffer(frames.data, dtype=np.uint8), np.arange(len(packed))
-    hit = np.zeros(len(frames), dtype=bool)
-    for at in (ip_at, ip_at + len(packed)):
-        hit |= (raw.take(at[:, None] + span, mode="clip") == packed).all(axis=1)
-    hit &= ip_width == len(packed)
-    if sel.mac is not None:
-        hit[frames.holding(sel.mac)] = True
-    return hit
 
 
 def build_profile(

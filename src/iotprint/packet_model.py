@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import ipaddress
 import re
-import socket
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -60,6 +59,14 @@ def parse_mac(text: str) -> bytes:
     return bytes(int(p, 16) for p in re.split("[:-]", text))
 
 
+def parse_ip(text: str) -> bytes:
+    """An IPv4 or IPv6 address as its 4 or 16 bytes; a zone (`fe80::1%eth0`) is refused."""
+    ip = ipaddress.ip_address(text)
+    if getattr(ip, "scope_id", None):
+        raise ValueError(f"{text!r} has a zone, which no captured address has")
+    return ip.packed
+
+
 @dataclass(frozen=True, slots=True)
 class RawFrame:
     """One captured link-layer frame. Timestamps are µs resolution."""
@@ -87,7 +94,8 @@ class ParsedPacket(NamedTuple):
     `features` names its columns: arp, ip (IPv4 or IPv6), icmp, icmpv6,
     eapol, tcp, udp, ip_padding and ip_router_alert. `parse_frame` is the
     one producer: ports are present exactly for TCP/UDP, and
-    `tcp_window_size` exactly for TCP.
+    `tcp_window_size` exactly for TCP. `src_ip` and `dst_ip` are the 4 or
+    16 address bytes of an IP header, None without one.
     """
 
     src_mac: bytes
@@ -97,8 +105,8 @@ class ParsedPacket(NamedTuple):
     dst_port: int | None = None
     tcp_window_size: int | None = None
     payload: bytes = b""
-    src_ip: str | None = None
-    dst_ip: str | None = None
+    src_ip: bytes | None = None
+    dst_ip: bytes | None = None
 
 
 _IP = frozenset({"ip"})
@@ -158,8 +166,7 @@ def _ipv4(data: bytes, off: int) -> tuple:
     if off + ihl > len(data):
         raise TruncatedHeader("IPv4 options cut short")
     total_length, frag, protocol = struct.unpack_from("!2xH2xHxB", data, off)
-    src_ip = socket.inet_ntoa(data[off + 12 : off + 16])
-    dst_ip = socket.inet_ntoa(data[off + 16 : off + 20])
+    src_ip, dst_ip = data[off + 12 : off + 16], data[off + 16 : off + 20]
     layers = _scan_ipv4_options(data[off + 20 : off + ihl]) if ihl > 20 else _IP
     # total_length bounds the datagram; trailing link padding is dropped.
     end = min(len(data), off + max(total_length, ihl))
@@ -193,8 +200,7 @@ def _ipv6(data: bytes, off: int) -> tuple:
     if off + 40 > len(data):
         raise TruncatedHeader("IPv6 header cut short")
     payload_length, next_header = struct.unpack_from("!4xHB", data, off)
-    src_ip = str(ipaddress.IPv6Address(data[off + 8 : off + 24]))
-    dst_ip = str(ipaddress.IPv6Address(data[off + 24 : off + 40]))
+    src_ip, dst_ip = data[off + 8 : off + 24], data[off + 24 : off + 40]
     end = min(len(data), off + 40 + payload_length)
     layers, pos = _IP, off + 40
     for _ in range(MAX_EXTENSION_HEADERS):

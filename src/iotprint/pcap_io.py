@@ -8,7 +8,6 @@ bytes, all in the byte order announced by the magic number.
 
 from __future__ import annotations
 
-import ipaddress
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,29 +46,24 @@ class CaptureMeta:
 
 @dataclass(frozen=True)
 class DeviceSelector:
-    """Identifies one device by MAC and/or IP; either side may match.
-    An IPv6 zone (`fe80::1%eth0`) is refused: no captured address has one."""
+    """Identifies one device by MAC and/or IP bytes (6; 4 or 16); either side may match."""
 
     mac: bytes | None = None
-    ip: str | None = None
+    ip: bytes | None = None
 
     def __post_init__(self) -> None:
         if self.mac is None and self.ip is None:
             raise ValueError("selector needs a MAC or an IP")
-        if self.mac is not None and len(self.mac) != 6:
+        if self.mac is not None and (not isinstance(self.mac, bytes) or len(self.mac) != 6):
             raise ValueError("MAC must be 6 bytes")
-        if self.ip is not None:
-            ip = ipaddress.ip_address(self.ip)
-            if getattr(ip, "scope_id", None):
-                raise ValueError(f"{self.ip!r} has a zone, which no captured address has")
-            object.__setattr__(self, "ip", str(ip))
+        if self.ip is not None and (not isinstance(self.ip, bytes) or len(self.ip) not in (4, 16)):
+            raise ValueError("IP must be 4 or 16 bytes")
 
     def matches(self, pkt: ParsedPacket) -> bool:
-        if self.mac is not None and self.mac in (pkt.src_mac, pkt.dst_mac):
+        """A packet always has MACs, and has no IPs (None) without an IP header."""
+        if self.mac in (pkt.src_mac, pkt.dst_mac):
             return True
-        if self.ip is not None and self.ip in (pkt.src_ip, pkt.dst_ip):
-            return True
-        return False
+        return self.ip is not None and self.ip in (pkt.src_ip, pkt.dst_ip)
 
 
 class Frames:
@@ -107,6 +101,21 @@ class Frames:
                 same &= raw[first + k] == byte
             hit[whole[same]] = True
         return np.flatnonzero(hit)
+
+    def addressed(
+        self, sel: DeviceSelector, ip_at: np.ndarray, ip_width: np.ndarray
+    ) -> np.ndarray:
+        """Which records `sel.matches`: `holding` its MAC, or its IP as the source address
+        at `ip_at` or the destination after it, of `ip_width` bytes (0 without them)."""
+        packed = np.frombuffer(sel.ip, dtype=np.uint8)
+        raw, span = np.frombuffer(self.data, dtype=np.uint8), np.arange(len(packed))
+        hit = np.zeros(len(self), dtype=bool)
+        for at in (ip_at, ip_at + len(packed)):
+            hit |= (raw.take(at[:, None] + span, mode="clip") == packed).all(axis=1)
+        hit &= ip_width == len(packed)
+        if sel.mac is not None:
+            hit[self.holding(sel.mac)] = True
+        return hit
 
     def __iter__(self) -> Iterator[RawFrame]:
         data = self.data

@@ -32,6 +32,7 @@ from .packet_model import (
     IPPROTO_TCP,
     IPPROTO_UDP,
     RawFrame,
+    parse_ip,
 )
 
 TRACE_EPOCH = 1_700_000_000
@@ -43,10 +44,10 @@ MDNS_MAC = bytes.fromhex("01005e0000fb")
 SSDP_MAC = bytes.fromhex("01005e7ffffa")
 PAE_GROUP_MAC = bytes.fromhex("0180c2000003")
 
-PEER_IP = "192.168.1.1"
-MDNS_IP = "224.0.0.251"
-SSDP_IP = "239.255.255.250"
-BROADCAST_IP = "255.255.255.255"
+PEER_IP = parse_ip("192.168.1.1")
+MDNS_IP = parse_ip("224.0.0.251")
+SSDP_IP = parse_ip("239.255.255.250")
+BROADCAST_IP = parse_ip("255.255.255.255")
 
 
 class Proto(enum.Enum):
@@ -111,7 +112,7 @@ class DeviceArchetype:
     name: str
     category: str
     mac: bytes
-    ip: str
+    ip: bytes
     protocol_mix: dict
     payload_profile: dict
     window_profile: WindowProfile
@@ -133,17 +134,13 @@ class CorpusEntry:
     labels: tuple
 
 
-def _ip_bytes(ip: str) -> bytes:
-    return bytes(int(p) for p in ip.split("."))
-
-
 def _ethernet(dst: bytes, src: bytes, ether_type: int, body: bytes) -> bytes:
     return dst + src + struct.pack("!H", ether_type) + body
 
 
-def _ipv4(src_ip: str, dst_ip: str, proto: int, body: bytes) -> bytes:
+def _ipv4(src_ip: bytes, dst_ip: bytes, proto: int, body: bytes) -> bytes:
     header = struct.pack("!BBHHHBBH", 0x45, 0, 20 + len(body), 0, 0, 64, proto, 0)
-    return header + _ip_bytes(src_ip) + _ip_bytes(dst_ip) + body
+    return header + src_ip + dst_ip + body
 
 
 def _tcp(src_port: int, dst_port: int, window: int, payload: bytes) -> bytes:
@@ -159,11 +156,13 @@ def _icmp_echo(request: bool, ident: int, payload: bytes) -> bytes:
     return struct.pack("!BBHHH", 8 if request else 0, 0, 0, ident & 0xFFFF, 1) + payload
 
 
-def _arp_body(request: bool, sender_mac: bytes, sender_ip: str, target_mac: bytes, target_ip: str) -> bytes:
+def _arp_body(
+    request: bool, sender_mac: bytes, sender_ip: bytes, target_mac: bytes, target_ip: bytes
+) -> bytes:
     """A request does not know the target's MAC yet, so it carries zeros."""
     header = struct.pack("!HHBBH", 1, ETHERTYPE_IPV4, 6, 4, 1 if request else 2)
     target_mac = b"\x00" * 6 if request else target_mac
-    return header + sender_mac + _ip_bytes(sender_ip) + target_mac + _ip_bytes(target_ip)
+    return header + sender_mac + sender_ip + target_mac + target_ip
 
 
 def _eapol_body(payload: bytes) -> bytes:
@@ -277,7 +276,7 @@ def _archetype_roster() -> tuple:
             name="constrained-bulb",
             category="light",
             mac=bytes.fromhex("020000000101"),
-            ip="192.168.1.11",
+            ip=parse_ip("192.168.1.11"),
             protocol_mix={
                 Proto.TCP_HTTP: 0.75,
                 Proto.UDP_DNS: 0.15,
@@ -294,7 +293,7 @@ def _archetype_roster() -> tuple:
             name="hue-bulb",
             category="light",
             mac=bytes.fromhex("020000000202"),
-            ip="192.168.1.12",
+            ip=parse_ip("192.168.1.12"),
             protocol_mix={
                 Proto.TCP_HTTPS: 0.60,
                 Proto.UDP_MDNS: 0.28,
@@ -311,7 +310,7 @@ def _archetype_roster() -> tuple:
             name="camera-streamer",
             category="camera",
             mac=bytes.fromhex("020000000303"),
-            ip="192.168.1.13",
+            ip=parse_ip("192.168.1.13"),
             protocol_mix={
                 Proto.TCP_HTTPS: 0.80,
                 Proto.TCP_HTTP: 0.12,
@@ -329,7 +328,7 @@ def _archetype_roster() -> tuple:
             name="hub-conduit",
             category="hub",
             mac=bytes.fromhex("020000000404"),
-            ip="192.168.1.14",
+            ip=parse_ip("192.168.1.14"),
             protocol_mix={Proto.ARP: 0.30, Proto.EAPOL: 0.40, Proto.ICMP: 0.30},
             payload_profile={
                 Proto.EAPOL: PayloadProfile("high", (64, 80), 8),
@@ -342,7 +341,7 @@ def _archetype_roster() -> tuple:
             name="speaker",
             category="audio",
             mac=bytes.fromhex("020000000505"),
-            ip="192.168.1.15",
+            ip=parse_ip("192.168.1.15"),
             protocol_mix={
                 Proto.TCP_HTTP: 0.50,
                 Proto.TCP_HTTPS: 0.25,
@@ -360,7 +359,7 @@ def _archetype_roster() -> tuple:
             name="outlet",
             category="power",
             mac=bytes.fromhex("020000000606"),
-            ip="192.168.1.16",
+            ip=parse_ip("192.168.1.16"),
             protocol_mix={
                 Proto.TCP_HTTP: 0.65,
                 Proto.UDP_NTP: 0.20,
@@ -390,7 +389,7 @@ def standard_corpus(seed: int) -> tuple:
     instances that differ only in MAC and generation seed.
     """
     entries = []
-    for index, arch in enumerate(_archetype_roster()):
+    for index, arch in enumerate(ARCHETYPES.values()):
         frames, labels = generate_trace(arch, CORPUS_PACKETS, seed * 101 + index)
         entries.append(CorpusEntry(arch, "a", tuple(frames), tuple(labels)))
     twin = replace(ARCHETYPES[TWIN_ARCHETYPE], mac=bytes.fromhex("020000000607"))

@@ -8,10 +8,9 @@ tests can hold `pcap_io.read_capture`, `pcap_io.filter_device`,
 `fingerprint.session_stats`, `model.predict(X)` and `ml._SplitSearch`
 against them. `frame_features` is held frame by frame against
 `parse_frame` and these per-packet rows: its skip mask, rows, ports and
-located addresses (`ip_text` reads either IP version).
+located addresses.
 """
 
-import ipaddress
 import struct
 from pathlib import Path
 
@@ -97,11 +96,6 @@ def classify_app_protocols(layers, src_port, dst_port) -> frozenset:
         if 5353 in ports:
             found.add("mdns")
     return frozenset(found)
-
-
-def ip_text(packed: bytes) -> str:
-    """An IPv4 (4-byte) or IPv6 (16-byte) address as text."""
-    return str(ipaddress.ip_address(packed))
 
 
 # The application flags in row order, and every port `classify_app_protocols` names.

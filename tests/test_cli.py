@@ -2,6 +2,7 @@ import base64
 import copy
 import errno
 import hashlib
+import ipaddress
 import json
 import math
 import os
@@ -1054,7 +1055,7 @@ def test_a_mac_only_selector_parses_only_frames_holding_the_mac(
     path, frames = merged_capture
     outlet = ARCHETYPES["outlet"]
     argv = [command, "--pcap", str(path), "--mac", outlet.mac.hex(":")]
-    argv += ["--ip", outlet.ip] if with_ip else []
+    argv += ["--ip", str(ipaddress.ip_address(outlet.ip))] if with_ip else []
     argv[1:1] = [outlet_model] if command == "identify" else []
     argv = ["ecdf", "entropy", str(path)] if command == "ecdf" else argv
     seen = _record_parsed_frames(monkeypatch)
@@ -1414,9 +1415,10 @@ def test_profile_and_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)  # `ecdf` prints the capture path it was given
     write_capture("merged.pcap", merged)
     outlet, camera = ARCHETYPES["outlet"], ARCHETYPES["camera-streamer"]
+    camera_ip = str(ipaddress.ip_address(camera.ip))
     for key, argv in (
         ("extract-mac", ["extract", "--pcap", "merged.pcap", "--mac", outlet.mac.hex(":")]),
-        ("extract-ip", ["extract", "--pcap", "merged.pcap", "--ip", camera.ip]),
+        ("extract-ip", ["extract", "--pcap", "merged.pcap", "--ip", camera_ip]),
         ("sessions-mac", ["sessions", "--pcap", "merged.pcap", "--mac", outlet.mac.hex(":")]),
         ("ecdf", ["ecdf", "entropy", "merged.pcap"]),
     ):

@@ -1,5 +1,4 @@
 import heapq
-import ipaddress
 import json
 import math
 import struct
@@ -37,6 +36,7 @@ from iotprint.packet_model import (
     RawFrame,
     TruncatedHeader,
     parse_frame,
+    parse_ip,
 )
 from iotprint.pcap_io import DeviceSelector, filter_device, read_capture, write_capture
 from iotprint.synth import ARCHETYPES, PEER_MAC, generate_trace
@@ -258,7 +258,7 @@ _SYNTH_FRAMES += [  # nor EAPoL; these are the first 4 of a hub's
     for f in generate_trace(ARCHETYPES["hub-conduit"], 40, seed=33)[0]
     if "eapol" in parse_frame(f).layers
 ][:4]
-_IPV6_HOST = "fd00::16"
+_IPV6_HOST = parse_ip("fd00::16")
 
 
 def _put(data: bytes, at: int, fmt: str, value: int) -> bytes:
@@ -270,8 +270,8 @@ def _put(data: bytes, at: int, fmt: str, value: int) -> bytes:
 def _ipv6_frame(next_header: int, body: bytes, to_host: bool = False) -> bytes:
     """An IPv6 frame from `_IPV6_HOST` (or to it), between foreign MACs."""
     head = struct.pack("!IHBB", 6 << 28, len(body), next_header, 64)
-    host, peer = bytes.fromhex("fd000000000000000000000000000016"), bytes(15) + b"\x01"
-    addresses = peer + host if to_host else host + peer
+    peer = bytes(15) + b"\x01"
+    addresses = peer + _IPV6_HOST if to_host else _IPV6_HOST + peer
     return b"\x02\x0d" * 3 + b"\x02\x0c" * 3 + b"\x86\xdd" + head + addresses + body
 
 
@@ -284,16 +284,18 @@ def _ipv6_chain(chain: list, protocol: int, body: bytes) -> bytes:
     return _ipv6_frame(kinds[0], headers + body)
 
 
-def _ipv4_frame(protocol: int, body: bytes, options: bytes = b"", source: str = "10.0.0.8"):
+def _ipv4_frame(
+    protocol: int, body: bytes, options: bytes = b"", source: bytes = bytes([10, 0, 0, 8])
+):
     """An IPv4 frame from `source` to 10.0.0.9 with these option bytes (a
     multiple of 4), between foreign MACs."""
     ihl = 5 + len(options) // 4
     header = struct.pack("!BBHHHBBH", 0x40 | ihl, 0, 4 * ihl + len(body), 0, 0, 64, protocol, 0)
-    addresses = bytes(map(int, source.split("."))) + bytes([10, 0, 0, 9])
+    addresses = source + bytes([10, 0, 0, 9])
     return b"\x02\x0f" * 3 + b"\x02\x0e" * 3 + b"\x08\x00" + header + addresses + options + body
 
 
-def _ip_only_frame(ip: str) -> bytes:
+def _ip_only_frame(ip: bytes) -> bytes:
     """An IPv4/UDP frame from and to foreign MACs, sent from `ip`."""
     return _ipv4_frame(17, struct.pack("!HHHH", 40000, 53, 12, 0) + b"abcd", source=ip)
 
@@ -364,7 +366,7 @@ _IP_KINDS = [
     _ipv4_frame(58, b"\x80\x00\x00\x00ping"),
     _ipv4_frame(0, bytes([17]) + _HOP_ALERT + _UDP),
     _ipv4_frame(44, bytes([17]) + _FIRST_FRAGMENT + _UDP),
-    _ip_only_frame("10.0.0.8")[:14] + b"\x44" + _ip_only_frame("10.0.0.8")[15:],  # IHL 4
+    _put(_ip_only_frame(bytes([10, 0, 0, 8])), 14, "!B", 0x44),  # IHL 4
 ]  # fmt: skip
 _SYNTH_FRAMES += _IP_KINDS
 _SELECTOR_MACS = (_BULB.mac, _SPEAKER.mac, PEER_MAC, b"\xff" * 6)
@@ -423,9 +425,14 @@ def _frame_bytes(draw, mac: bytes) -> bytes:
     return data if cut is None else data[:cut]
 
 
+# The bulb's IPv4 address mapped into IPv6 (::ffff:192.168.1.11): no IPv4 frame has it.
+_MAPPED_BULB = DeviceSelector(ip=bytes(10) + b"\xff\xff" + _BULB.ip)
+
+
 def _selectors(mac: bytes) -> list:
-    """Selectors by `mac`; by `mac` and the bulb's IP; and by IP alone, IPv4 or IPv6."""
-    by_ip = [DeviceSelector(ip=_BULB.ip), DeviceSelector(ip=_IPV6_HOST)]
+    """Selectors by `mac`; by `mac` and the bulb's IP; and by IP alone:
+    IPv4, IPv6 and the bulb's IPv4 address mapped into IPv6."""
+    by_ip = [DeviceSelector(ip=_BULB.ip), DeviceSelector(ip=_IPV6_HOST), _MAPPED_BULB]
     return [DeviceSelector(mac=mac), DeviceSelector(mac=mac, ip=_BULB.ip), *by_ip]
 
 
@@ -446,9 +453,11 @@ def test_selecting_frames_before_parsing_matches_parse_then_filter(data):
             assert rows.tobytes() == extract_features(kept).tobytes()
             assert ports.tobytes() == oracles.packet_ports(kept).tobytes()
 
-        # With an IP the selector keeps a frame from that IP between other MACs.
+        # With an IP the selector keeps a frame from that IP between other MACs,
+        # and the mapped address keeps none of the bulb's IPv4 frames.
         kept = filter_device(everything, DeviceSelector(mac=mac, ip=_BULB.ip))
         assert any(p.src_ip == _BULB.ip and mac not in (p.src_mac, p.dst_mac) for p in kept)
+        assert filter_device(everything, _MAPPED_BULB) == []
 
 
 @st.composite
@@ -527,7 +536,7 @@ def _bulk_matches_parsing(data: bytes, starts: np.ndarray, lengths: np.ndarray) 
     """Check `frame_features` against `parse_frame`, frame by frame: it skips
     exactly the frames `parse_frame` rejects, and gives every other frame the
     per-packet reference row and its parsed packet's ports and addresses, read
-    as text from where it located them. Returns the rows of the kept frames."""
+    as the bytes where it located them. Returns the rows of the kept frames."""
     skipped, rows, ports, ip_at, ip_width = frame_features(data, starts, lengths)
     bounds = zip(starts.tolist(), lengths.tolist())
     packets = [_parsed(RawFrame(0, 0, n, data[at : at + n])) for at, n in bounds]
@@ -536,7 +545,7 @@ def _bulk_matches_parsing(data: bytes, starts: np.ndarray, lengths: np.ndarray) 
     assert rows[~skipped].tobytes() == _oracle_rows(kept).tobytes()
     assert ports[~skipped].tobytes() == oracles.packet_ports(kept).tobytes()
     located = [
-        tuple(oracles.ip_text(data[at + k * n : at + k * n + n]) if n else None for k in (0, 1))
+        tuple(data[at + k * n : at + k * n + n] if n else None for k in (0, 1))
         for at, n in zip(ip_at[~skipped].tolist(), ip_width[~skipped].tolist())
     ]
     assert located == [(p.src_ip, p.dst_ip) for p in kept]
@@ -830,7 +839,7 @@ def test_a_selector_with_an_ip_decodes_and_counts_every_frame(tmp_path):
     assert ports.tolist() == [[40000, 53]]
     assert skipped == 1
 
-    host = ipaddress.IPv6Address(_IPV6_HOST).packed
+    host = _IPV6_HOST
     frames = [
         _ipv6_frame(17, struct.pack("!HHHH", 1, 2, 8, 0)),
         _ipv6_frame(17, struct.pack("!HHHH", 3, 4, 8, 0), to_host=True),

@@ -1384,6 +1384,21 @@ def test_a_boosted_model_of_no_stages_saves_loads_and_predicts_its_prior(
     assert back.predict(np.zeros((4, 2))).tolist() == [prior] * 4
 
 
+def test_a_numpy_float_initial_score_saves_and_a_bool_does_not(tmp_path):
+    """`np.float64` is a float, so it is written exactly; `True` is an int but not a number."""
+    model = BoostedModel(np.float64(0.25), np.array([[0, 0.5, -1.0, 2.0]]), np.zeros(2))
+    path = tmp_path / "numpy.model.json"
+    save_model(model, path, [1], "pos")
+    back = load_model(path)[0]
+    assert _same_boosted(back, model)
+    queries = np.array([[0.0], [0.5], [0.75]])
+    assert boosted_scores(back, queries).tobytes() == boosted_scores(model, queries).tobytes()
+    assert back.predict(queries).tolist() == model.predict(queries).tolist()
+    with pytest.raises(ValueError, match=r"model initial_score must be a finite number, got True"):
+        save_model(BoostedModel(True, np.zeros((0, 4)), np.zeros(1)), tmp_path / "bool.json", [1], "pos")
+    assert not (tmp_path / "bool.json").exists()
+
+
 def test_the_overflow_bound_adds_in_the_order_scores_do(tmp_path):
     """Near the float maximum, a leaf of just over half a float step rounds
     each partial score up by a whole step, so eight of them overflow in

@@ -182,15 +182,26 @@ def test_ingest_does_not_depend_on_training():
         assert not _reachable(name) & {"ml", "evaluation"}, name
 
 
-def test_only_documents_imports_json():
-    importers = {
+def _importers(module: str) -> set:
+    """The package modules that import `module` (or a submodule of it) anywhere."""
+    return {
         name
         for name, tree in SOURCES.items()
         for node in ast.walk(tree)
-        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "json" for a in node.names))
-        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "json")
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module)
     }
-    assert importers == {"documents"}
+
+
+def test_only_documents_imports_json():
+    assert _importers("json") == {"documents"}
+
+
+def test_only_packet_model_imports_ipaddress_and_no_module_imports_socket():
+    """An IP address is its bytes: `packet_model.parse_ip` is the one place
+    text becomes an address, and no module formats one back."""
+    assert _importers("ipaddress") == {"packet_model"}
+    assert _importers("socket") == set()
 
 
 def test_readme_names_every_schema_the_program_writes():

@@ -28,7 +28,10 @@ def eth(ether_type, body, dst=PEER_MAC, src=DEV_MAC):
     return dst + src + struct.pack("!H", ether_type) + body
 
 
-def ipv4(proto, body, src="10.0.0.2", dst="10.0.0.3", options=b"", frag=0):
+SRC_IP, DST_IP = bytes([10, 0, 0, 2]), bytes([10, 0, 0, 3])
+
+
+def ipv4(proto, body, src=SRC_IP, dst=DST_IP, options=b"", frag=0):
     ihl = 20 + len(options)
     assert ihl % 4 == 0
     header = struct.pack(
@@ -41,8 +44,8 @@ def ipv4(proto, body, src="10.0.0.2", dst="10.0.0.3", options=b"", frag=0):
         64,
         proto,
         0,
-        bytes(int(p) for p in src.split(".")),
-        bytes(int(p) for p in dst.split(".")),
+        src,
+        dst,
     )
     return header + options + body
 
@@ -79,7 +82,7 @@ def test_ipv4_tcp_port_80_sets_http():
     assert (pkt.src_port, pkt.dst_port) == (51000, 80)
     assert pkt.tcp_window_size == 8192
     assert pkt.payload == b"GET / HTTP/1.1"
-    assert pkt.src_ip == "10.0.0.2"
+    assert pkt.src_ip == SRC_IP
     assert (pkt.src_mac, pkt.dst_mac) == (DEV_MAC, PEER_MAC)
 
 
@@ -136,7 +139,7 @@ def test_ipv6_tcp_and_hop_by_hop_router_alert():
     assert pkt.layers == {"ip", "ip_router_alert", "tcp"}
     assert app_flags(pkt) == {"https"}
     assert pkt.payload == b"tls"
-    assert (pkt.src_ip, pkt.dst_ip) == ("2020:" * 7 + "2020", "3030:" * 7 + "3030")
+    assert (pkt.src_ip, pkt.dst_ip) == (b"\x20" * 16, b"\x30" * 16)
 
 
 def test_ipv6_icmpv6():
@@ -641,7 +644,7 @@ def test_a_bogus_ihl_or_tcp_data_offset_leaves_the_packet_opaque():
     segment = segment[:12] + bytes([4 << 4]) + segment[13:]
     pkt = parse_frame(frame(eth(0x0800, ipv4(6, segment))))
     assert (pkt.layers, pkt.src_port, pkt.tcp_window_size, pkt.payload) == ({"ip"}, None, None, segment)
-    assert (pkt.src_ip, pkt.dst_ip) == ("10.0.0.2", "10.0.0.3")
+    assert (pkt.src_ip, pkt.dst_ip) == (SRC_IP, DST_IP)
 
 
 @pytest.mark.parametrize(

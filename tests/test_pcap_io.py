@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from iotprint.packet_model import RawFrame, parse_frame
+from iotprint.packet_model import RawFrame, parse_frame, parse_ip
 from iotprint.pcap_io import CaptureMeta, DeviceSelector, filter_device, read_capture, write_capture
 from iotprint.synth import ARCHETYPES, generate_trace
 
@@ -239,12 +239,41 @@ def test_selector_requires_mac_or_ip():
         DeviceSelector(mac=b"\x00\x01")
 
 
-def test_selector_refuses_an_ip_with_a_zone():
+@pytest.mark.parametrize(
+    "mac, ip, message",
+    [
+        (None, "192.168.1.11", "IP must be 4 or 16 bytes"),
+        (None, "::ff", "IP must be 4 or 16 bytes"),
+        (None, "2001:db8::1:2:34", "IP must be 4 or 16 bytes"),
+        (None, [192, 168, 1, 11], "IP must be 4 or 16 bytes"),
+        (None, b"\xc0\xa8\x01\x0b\x00", "IP must be 4 or 16 bytes"),
+        (None, b"\xc0\xa8\x01", "IP must be 4 or 16 bytes"),
+        ("02:00:00", None, "MAC must be 6 bytes"),
+        ("abcdef", b"\xc0\xa8\x01\x0b", "MAC must be 6 bytes"),
+    ],
+    ids=[
+        "ip-text", "ip-text-of-4-characters", "ip-text-of-16-characters", "ip-list-of-4-ints",
+        "ip-5-bytes", "ip-3-bytes", "mac-text", "mac-6-characters",
+    ],
+)
+def test_selector_holds_addresses_as_bytes(mac, ip, message):
+    with pytest.raises(ValueError, match=message):
+        DeviceSelector(mac=mac, ip=ip)
+
+
+def test_parse_ip_gives_the_address_bytes():
+    assert parse_ip("192.168.1.11") == bytes([192, 168, 1, 11])
+    assert parse_ip("FE80:0::1") == b"\xfe\x80" + bytes(13) + b"\x01"
+    assert parse_ip("::ffff:192.168.1.11") == bytes(10) + b"\xff\xff" + bytes([192, 168, 1, 11])
+    with pytest.raises(ValueError, match="does not appear to be an IPv4 or IPv6 address"):
+        parse_ip("999.1.1.1")
+
+
+def test_parse_ip_refuses_an_ip_with_a_zone():
     """No captured address has a zone, so a zoned selector could never match."""
     for text in ("fe80::1%eth0", "fe80::1%1", "::ffff:1.2.3.4%x"):
-        with pytest.raises(ValueError, match="has a zone"):
-            DeviceSelector(ip=text)
-    assert DeviceSelector(ip="FE80:0::1").ip == "fe80::1"
+        with pytest.raises(ValueError, match="has a zone, which no captured address has"):
+            parse_ip(text)
 
 
 def test_capture_meta_is_plain_data():

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from iotprint.features import FEATURE_NAMES, extract_features, shannon_entropy
 from iotprint.fingerprint import session_stats
-from iotprint.packet_model import IPPROTO_TCP, IPPROTO_UDP, parse_frame
+from iotprint.packet_model import IPPROTO_TCP, IPPROTO_UDP, parse_frame, parse_ip
 from iotprint.pcap_io import write_capture
 from iotprint.synth import (
     ARCHETYPES,
@@ -27,7 +27,7 @@ MDNS_ONLY = DeviceArchetype(
     name="beacon",
     category="test",
     mac=bytes.fromhex("02000000aaaa"),
-    ip="192.168.9.9",
+    ip=parse_ip("192.168.9.9"),
     protocol_mix={Proto.UDP_MDNS: 1.0},
     payload_profile={Proto.UDP_MDNS: PayloadProfile("low", (100,), 10)},
     window_profile=WindowProfile(0, 0),
@@ -40,7 +40,7 @@ def regime_archetype(regime, lengths):
         name=f"{regime}gen",
         category="test",
         mac=bytes.fromhex("02000000bbbb"),
-        ip="192.168.9.10",
+        ip=parse_ip("192.168.9.10"),
         protocol_mix={Proto.UDP_DNS: 1.0},
         payload_profile={Proto.UDP_DNS: PayloadProfile(regime, lengths)},
         window_profile=WindowProfile(0, 0),
@@ -96,7 +96,7 @@ MIXED = DeviceArchetype(
     name="mixed",
     category="test",
     mac=bytes.fromhex("02000000cccc"),
-    ip="192.168.9.11",
+    ip=parse_ip("192.168.9.11"),
     protocol_mix={Proto.TCP_HTTP: 0.5, Proto.UDP_DNS: 0.3, Proto.UDP_MDNS: 0.2},
     payload_profile={
         Proto.TCP_HTTP: PayloadProfile("low", (64,)),
@@ -111,7 +111,7 @@ EVERY_PROTOCOL = DeviceArchetype(
     name="every-protocol",
     category="test",
     mac=bytes.fromhex("02000000dddd"),
-    ip="192.168.9.12",
+    ip=parse_ip("192.168.9.12"),
     protocol_mix={proto: 0.1 for proto in Proto},
     payload_profile={proto: PayloadProfile("low", (40,), 8) for proto in Proto},
     window_profile=WindowProfile(2048, 512),
@@ -191,7 +191,7 @@ def test_archetype_validation():
             name="bad",
             category="x",
             mac=b"\x02" * 6,
-            ip="10.0.0.1",
+            ip=parse_ip("10.0.0.1"),
             protocol_mix={Proto.ARP: 0.5},
             payload_profile={Proto.ARP: PayloadProfile("low", (0,))},
             window_profile=WindowProfile(0, 0),
